@@ -6,10 +6,16 @@
 //! claimed through it, so these operations bound the whole deployment.
 //! `next_empty_per_sector_reference` re-implements the old linear scan
 //! so the speedup is measured in the same run.
+//!
+//! The `aoe_wire` targets time one frame of the wire layer: checksum,
+//! encode and decode of an MTU-sized data frame, and a v3 multi-range
+//! request. `checksum_mtu_frame_byte_serial_reference` is the seed's
+//! byte-serial checksum, for the same in-run comparison.
 
+use aoe::wire::{frame_checksum, sectors_per_frame, AoePdu, Tag};
 use aoe::{AoeClient, AoeServer, ClientConfig, ServerConfig};
 use bmcast::bitmap::BlockBitmap;
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hwsim::block::{BlockRange, BlockStore, Lba};
 use hwsim::disk::{DiskModel, DiskParams};
 use simkit::SimTime;
@@ -173,5 +179,63 @@ fn bench_aoe(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_bitmap, bench_aoe);
+/// The seed's byte-serial frame checksum, for the in-run comparison.
+fn frame_checksum_byte_serial(bytes: &[u8]) -> u16 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (i, &b) in bytes.iter().enumerate() {
+        let b = if i == 22 || i == 23 { 0 } else { b };
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) as u16
+}
+
+/// The AoE wire layer on its own, one frame per iteration: a 9000-MTU
+/// data frame (17 sectors, 8,728 bytes — a read reply fragment or a
+/// snapshot-back write) and a v3 multi-range read of 64 runs (the
+/// batched transport's request).
+fn bench_wire(c: &mut Criterion) {
+    let mut group = c.benchmark_group("aoe_wire");
+    group
+        .sample_size(10_000)
+        .warm_up_time(Duration::from_secs(1))
+        .measurement_time(Duration::from_secs(3));
+
+    let sectors = sectors_per_frame(9000);
+    let range = BlockRange::new(Lba(4096), sectors);
+    let data = range
+        .iter()
+        .map(|l| BlockStore::image_content(7, l))
+        .collect();
+    let mtu = AoePdu::write_request(0, 0, Tag::new(1, 0), range, data);
+    let mtu_bytes = mtu.encode();
+
+    group.bench_function("checksum_mtu_frame", |b| {
+        b.iter(|| frame_checksum(black_box(&mtu_bytes)))
+    });
+    group.bench_function("checksum_mtu_frame_byte_serial_reference", |b| {
+        b.iter(|| frame_checksum_byte_serial(black_box(&mtu_bytes)))
+    });
+    group.bench_function("encode_mtu_frame", |b| b.iter(|| mtu.encode()));
+    group.bench_function("encode_frame_mtu_frame", |b| b.iter(|| mtu.encode_frame()));
+    group.bench_function("decode_mtu_frame", |b| {
+        b.iter(|| AoePdu::decode(black_box(&mtu_bytes)).expect("frame decodes"))
+    });
+
+    let runs: Vec<BlockRange> = lba_stream(0xBA7C, 64, 1 << 30)
+        .into_iter()
+        .map(|lba| BlockRange::new(Lba(lba), 8))
+        .collect();
+    let multi = AoePdu::read_multi_request(0, 0, Tag::new(2, 0), runs);
+    let multi_bytes = multi.encode();
+    group.bench_function("encode_v3_multi_range_64_runs", |b| {
+        b.iter(|| multi.encode_frame())
+    });
+    group.bench_function("decode_v3_multi_range_64_runs", |b| {
+        b.iter(|| AoePdu::decode(black_box(&multi_bytes)).expect("frame decodes"))
+    });
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_bitmap, bench_aoe, bench_wire);
 criterion_main!(benches);

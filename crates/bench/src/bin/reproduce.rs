@@ -564,6 +564,12 @@ fn main() {
     }
 
     let json_path = "BENCH_reproduce.json";
+    if runs.is_empty() {
+        // Nothing to record (unknown figure ids only): keep the last
+        // record rather than overwrite it with an empty one.
+        eprintln!("[reproduce] no figures ran; {json_path} left unchanged");
+        return;
+    }
     match write_bench_json(json_path, scale, jobs, total_wall_s, &runs) {
         Ok(()) => eprintln!(
             "[reproduce] {} figures in {total_wall_s:.1}s wall ({jobs} jobs); wrote {json_path}",

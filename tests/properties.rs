@@ -1,6 +1,6 @@
 //! Property-based tests over the core invariants.
 
-use bmcast_repro::aoe::wire::{AoePdu, DecodeError, Tag};
+use bmcast_repro::aoe::wire::{frame_checksum, sectors_per_frame, AoePdu, DecodeError, Tag};
 use bmcast_repro::aoe::{AoeClient, ClientConfig};
 use bmcast_repro::bmcast::bitmap::BlockBitmap;
 use bmcast_repro::bmcast::config::{BmcastConfig, ControllerKind, Moderation};
@@ -13,6 +13,37 @@ use bmcast_repro::hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use bmcast_repro::hwsim::disk::{DiskModel, DiskOp, DiskParams};
 use bmcast_repro::simkit::{SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// Byte-serial FNV-1a 64 with bytes 22–23 (the checksum field) hashed
+/// as zero, folded to 16 bits: the wire-v2 checksum's definition.
+fn fnv1a_reference(bytes: &[u8]) -> u16 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (i, &b) in bytes.iter().enumerate() {
+        let b = if i == 22 || i == 23 { 0 } else { b };
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) as u16
+}
+
+/// The checksum of a fixed 8,728-byte read reply fragment (17 sectors
+/// at a 9000-byte MTU) is pinned: the wire format must not drift.
+#[test]
+fn frame_checksum_of_reference_reply_is_pinned() {
+    let range = BlockRange::new(Lba(4096), 17);
+    let mut pdu = AoePdu::read_request(0, 0, Tag::new(1021, 120), range);
+    pdu.response = true;
+    pdu.data = Some(
+        range
+            .iter()
+            .map(|l| BlockStore::image_content(7, l))
+            .collect(),
+    );
+    let bytes = pdu.encode();
+    assert_eq!(bytes.len(), 8728);
+    assert_eq!(frame_checksum(&bytes), 0x2816);
+    assert_eq!(u16::from_be_bytes([bytes[22], bytes[23]]), 0x2816);
+    assert_eq!(&pdu.encode_frame()[..], &bytes[..]);
+}
 
 proptest! {
     /// Any legal AoE PDU round-trips through encode/decode.
@@ -158,6 +189,59 @@ proptest! {
                 "unexpected decode error {e:?}"
             ),
         }
+    }
+
+    /// The word-walking frame checksum equals byte-serial FNV-1a on
+    /// arbitrary bytes, whatever their length modulo 8.
+    #[test]
+    fn frame_checksum_equals_byte_serial_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..3000),
+    ) {
+        prop_assert_eq!(frame_checksum(&bytes), fnv1a_reference(&bytes));
+    }
+
+    /// ... and on zero-heavy buffers with sparse non-zero bytes, the
+    /// shape of real data frames, including the checksum field itself.
+    #[test]
+    fn frame_checksum_equals_byte_serial_on_sparse_bytes(
+        len in 0usize..3000,
+        hot in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..12),
+        checksum_field in (any::<u8>(), any::<u8>()),
+    ) {
+        let mut bytes = vec![0u8; len];
+        for (at, b) in hot {
+            if len > 0 {
+                bytes[at % len] = b;
+            }
+        }
+        if len >= 24 {
+            bytes[22] = checksum_field.0;
+            bytes[23] = checksum_field.1;
+        }
+        prop_assert_eq!(frame_checksum(&bytes), fnv1a_reference(&bytes));
+    }
+
+    /// ... and on MTU-sized encoded data frames with arbitrary mutations
+    /// (the corrupted frames decode must still reject).
+    #[test]
+    fn frame_checksum_equals_byte_serial_on_mutated_frames(
+        seed in any::<u64>(),
+        lba in 0u64..(1 << 40),
+        muts in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+    ) {
+        let sectors = sectors_per_frame(9000);
+        let range = BlockRange::new(Lba(lba), sectors);
+        let mut pdu = AoePdu::read_request(0, 0, Tag::new(9, 4), range);
+        pdu.response = true;
+        pdu.data = Some(range.iter().map(|l| BlockStore::image_content(seed, l)).collect());
+        let mut bytes = pdu.encode();
+        prop_assert_eq!(bytes.len(), 8728);
+        prop_assert_eq!(frame_checksum(&bytes), fnv1a_reference(&bytes));
+        for (idx, xor) in muts {
+            let at = idx % bytes.len();
+            bytes[at] ^= xor;
+        }
+        prop_assert_eq!(frame_checksum(&bytes), fnv1a_reference(&bytes));
     }
 
     /// Run coalescing is exact: the output covers precisely the union of
