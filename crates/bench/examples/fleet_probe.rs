@@ -2,14 +2,11 @@
 //! progress every simulated slice, to tell "slow but converging" apart
 //! from "wedged". Not part of the figure pipeline.
 //!
-//! Usage: `fleet_probe [n] [slice_secs] [limit_secs] [single|multi|p2p] [sim_threads] [aoe|batched|rdma]`
+//! Usage: `fleet_probe [n] [slice_secs] [limit_secs] [single|multi|p2p] [aoe|batched|rdma]`
 //!
 //! The optional topology argument uses the `--scaleout` figure's exact
 //! per-topology fleet configuration (stagger, sharding, peer serving,
-//! admission ramp). `sim_threads` > 1 runs the fleet on the
-//! conservative parallel engine — progress lines and results are
-//! identical either way, only host wall-clock changes. The optional
-//! transport argument deploys over that wire (the `--transport` race's
+//! admission ramp). The optional transport argument deploys over that wire (the `--transport` race's
 //! axis); the progress line's `rdma=` column shows one-sided serving.
 
 use bmcast::deploy::FlightRecorderConfig;
@@ -26,7 +23,6 @@ fn main() {
     let slice: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(100);
     let limit: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(36_000);
     let topology = args.next();
-    let sim_threads: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
     let transport = args.next().map(|a| {
         bmcast::TransportKind::parse(&a)
             .unwrap_or_else(|| panic!("unknown transport {a:?} (aoe|batched|rdma)"))
@@ -48,7 +44,6 @@ fn main() {
         Some("p2p") => topology_fleet_cfg(Topology::PeerToPeer, n as u32, &spec),
         Some(other) => panic!("unknown topology {other:?} (single|multi|p2p)"),
     };
-    cfg.sim_threads = sim_threads;
     if let Some(kind) = transport {
         cfg.machine_cfg.transport = kind;
     }

@@ -2,7 +2,7 @@
 //! comparison tables.
 //!
 //! ```text
-//! reproduce [--quick] [--metrics] [--jobs N] [--sim-threads N]
+//! reproduce [--quick] [--metrics] [--jobs N]
 //!           [--faults PLAN|all] [--scaleout] [--elasticity]
 //!           [--transport aoe|batched|rdma|all]
 //!           [--fleet-obs DIR] [--trace-out DIR] [--trace-ring N]
@@ -12,11 +12,8 @@
 //! `--scaleout` runs the *measured* fleet scale-out figure: one
 //! [`bmcast::fleet::Fleet`] per point (n machines, one shared
 //! switch/server with the block cache and DRR scheduler), points spread
-//! over `--jobs` threads, and writes `BENCH_scaleout.json` plus
-//! `BENCH_parallel.json` (per-point wall-clock/event-rate, the
-//! sequential speedup reference, and the engine-equivalence digest
-//! matrix). With no explicit figure ids, only the scale-out figure
-//! runs.
+//! over `--jobs` threads, and writes `BENCH_scaleout.json`. With no
+//! explicit figure ids, only the scale-out figure runs.
 //!
 //! `--scaleout --transport <kind|all>` runs the deployment **transport
 //! race** instead of the topology figure: plain AoE vs batched AoE vs
@@ -24,17 +21,17 @@
 //! the observability plane (flight recorder, SLO watchdogs, straggler
 //! attribution) on. A single extension kind always races against the
 //! plain-AoE baseline. Writes `BENCH_transport.json` (points plus the
-//! per-transport engine-equivalence and two-run chaos determinism
-//! locks) and exits non-zero on a divergence.
+//! per-transport two-run chaos determinism lock) and exits non-zero on
+//! a divergence.
 //!
 //! `--elasticity` runs the reverse-lifecycle figure: rolling image
 //! upgrades (re-virtualize → snapshot-back → reclaim → redeploy) and
 //! scale-down/scale-up waves on measured fleets, plus per-fault-class
-//! snapshot-back survivability, a two-run chaos determinism lock, and
-//! a sequential-vs-parallel engine-equivalence matrix. Writes
-//! `BENCH_elasticity.json`; with `--trace-out <dir>` the first chaos
-//! wave's flight-recorder trace lands in `<dir>/elasticity_trace.json`.
-//! Exits non-zero on engine divergence or a chaos determinism break.
+//! snapshot-back survivability and a two-run chaos determinism lock.
+//! Writes `BENCH_elasticity.json`; with `--trace-out <dir>` the first
+//! chaos wave's flight-recorder trace lands in
+//! `<dir>/elasticity_trace.json`. Exits non-zero on a chaos determinism
+//! break.
 //!
 //! `--fleet-obs <dir>` adds one fully-instrumented observability fleet
 //! to each of `--scaleout` and `--elasticity`: telemetry registries,
@@ -44,13 +41,8 @@
 //! Perfetto trace, digests — see `bmcast_bench::obs`). The scaleout
 //! obs fleet is the figure's n=64 peer-to-peer point; the elasticity
 //! one runs the same fleet under the chaos fault plan. Artifacts are
-//! byte-identical across engines and same-seed runs
-//! (`check_figures.py --obs` validates a directory).
-//!
-//! `--sim-threads N` runs each fleet on the conservative parallel
-//! engine with N simulator workers (default 1 = the sequential
-//! engine). The interleave — and every artifact byte — is identical
-//! either way; only host wall-clock changes.
+//! byte-identical across same-seed runs (`check_figures.py --obs`
+//! validates a directory).
 //!
 //! `--metrics` runs one instrumented deployment first and prints the
 //! observability report (per-phase timings, redirect/fill/discard/
@@ -161,16 +153,14 @@ fn write_bench_json(
 /// figure's n=64 p2p point; `chaos` adds the chaos fault plan for the
 /// elasticity flavor) and writes its artifact directory under
 /// `<dir>/<kind>/`.
-fn write_fleet_obs(dir: &str, kind: &str, sim_threads: usize, chaos: bool) {
+fn write_fleet_obs(dir: &str, kind: &str, chaos: bool) {
     eprintln!(
-        "[reproduce] collecting {kind} observability fleet \
-         (n={}, p2p{}, {sim_threads} sim threads) ...",
+        "[reproduce] collecting {kind} observability fleet (n={}, p2p{}) ...",
         obs::OBS_FLEET_N,
         if chaos { ", chaos faults" } else { "" },
     );
     let started = Instant::now();
     let mut cfg = obs::obs_fleet_cfg(ext_scaleout::Topology::PeerToPeer);
-    cfg.sim_threads = sim_threads;
     if chaos {
         cfg.faults = simkit::fault::FaultPlan::preset("chaos", 7);
     }
@@ -207,10 +197,8 @@ fn main() {
     let mut trace_out: Option<&str> = None;
     let mut fleet_obs: Option<&str> = None;
     let mut trace_ring: Option<usize> = None;
-    let mut sim_threads = 1usize;
     let mut transport_sel: Option<&str> = None;
     let mut take_jobs = false;
-    let mut take_sim_threads = false;
     let mut take_faults = false;
     let mut take_trace_out = false;
     let mut take_fleet_obs = false;
@@ -220,9 +208,6 @@ fn main() {
         if take_jobs {
             jobs = a.parse().expect("--jobs takes a positive integer");
             take_jobs = false;
-        } else if take_sim_threads {
-            sim_threads = a.parse().expect("--sim-threads takes a positive integer");
-            take_sim_threads = false;
         } else if take_faults {
             faults_sel = Some(a.as_str());
             take_faults = false;
@@ -242,8 +227,6 @@ fn main() {
             take_transport = true;
         } else if a == "--jobs" {
             take_jobs = true;
-        } else if a == "--sim-threads" {
-            take_sim_threads = true;
         } else if a == "--faults" {
             take_faults = true;
         } else if a == "--trace-out" {
@@ -254,8 +237,6 @@ fn main() {
             take_trace_ring = true;
         } else if let Some(n) = a.strip_prefix("--jobs=") {
             jobs = n.parse().expect("--jobs takes a positive integer");
-        } else if let Some(n) = a.strip_prefix("--sim-threads=") {
-            sim_threads = n.parse().expect("--sim-threads takes a positive integer");
         } else if let Some(p) = a.strip_prefix("--faults=") {
             faults_sel = Some(p);
         } else if let Some(p) = a.strip_prefix("--trace-out=") {
@@ -271,8 +252,7 @@ fn main() {
         }
     }
     assert!(jobs >= 1, "--jobs takes a positive integer");
-    assert!(sim_threads >= 1, "--sim-threads takes a positive integer");
-    assert!(!take_sim_threads, "--sim-threads takes a positive integer");
+    assert!(!take_jobs, "--jobs takes a positive integer");
     assert!(!take_faults, "--faults takes a plan name or 'all'");
     assert!(!take_trace_out, "--trace-out takes a directory path");
     assert!(!take_fleet_obs, "--fleet-obs takes a directory path");
@@ -291,24 +271,16 @@ fn main() {
         let kinds = ext_transport::kinds_for(sel)
             .unwrap_or_else(|| panic!("--transport takes aoe|batched|rdma|all, got {sel:?}"));
         eprintln!(
-            "[reproduce] racing deployment transports {:?} at {scale:?} scale \
-             ({jobs} jobs, {sim_threads} sim threads) ...",
+            "[reproduce] racing deployment transports {:?} at {scale:?} scale ({jobs} jobs) ...",
             kinds.iter().map(|k| k.label()).collect::<Vec<_>>()
         );
         let started = Instant::now();
-        let (fig, bench) = ext_transport::run_transport(scale, jobs, sim_threads, &kinds);
+        let (fig, bench) = ext_transport::run_transport(scale, jobs, &kinds);
         eprintln!(
             "[reproduce] transport race done in {:.1}s wall",
             started.elapsed().as_secs_f64()
         );
         println!("{fig}");
-        if let Some(c) = bench.equivalence.iter().find(|c| !c.identical) {
-            eprintln!(
-                "[reproduce] ENGINE DIVERGENCE on {} transport n={}: sequential {} vs parallel {}",
-                c.transport, c.n, c.digest_sequential, c.digest_parallel
-            );
-            std::process::exit(1);
-        }
         if let Some(c) = bench.chaos.iter().find(|c| !c.identical) {
             eprintln!(
                 "[reproduce] CHAOS DETERMINISM BREAK on {} transport: run A {} vs run B {}",
@@ -334,19 +306,14 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--scaleout") && transport_sel.is_none() {
-        eprintln!(
-            "[reproduce] measuring fleet scale-out at {scale:?} scale \
-             ({jobs} jobs, {sim_threads} sim threads) ..."
-        );
+        eprintln!("[reproduce] measuring fleet scale-out at {scale:?} scale ({jobs} jobs) ...");
         let started = Instant::now();
-        let (fig, measured) = ext_scaleout::run_scaleout(scale, jobs, sim_threads);
+        let (fig, points) = ext_scaleout::run_scaleout(scale, jobs);
         eprintln!(
             "[reproduce] scaleout done in {:.1}s wall",
             started.elapsed().as_secs_f64()
         );
         println!("{fig}");
-        let points: Vec<ext_scaleout::ScaleoutPoint> =
-            measured.iter().map(|m| m.point.clone()).collect();
         let json_path = "BENCH_scaleout.json";
         match ext_scaleout::write_scaleout_json(json_path, scale, &points) {
             Ok(()) => eprintln!("[reproduce] wrote {json_path}"),
@@ -355,32 +322,8 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        eprintln!("[reproduce] measuring parallel-engine equivalence + speedup ...");
-        let started = Instant::now();
-        let bench = ext_scaleout::bench_parallel(scale, jobs, sim_threads, measured);
-        eprintln!(
-            "[reproduce] parallel bench done in {:.1}s wall (speedup at p2p n={}: {:.2}x)",
-            started.elapsed().as_secs_f64(),
-            ext_scaleout::SPEEDUP_ANCHOR_N,
-            bench.speedup_at_anchor,
-        );
-        if let Some(c) = bench.equivalence.iter().find(|c| !c.identical) {
-            eprintln!(
-                "[reproduce] ENGINE DIVERGENCE at {} n={}: sequential {} vs parallel {}",
-                c.topology, c.n, c.digest_sequential, c.digest_parallel
-            );
-            std::process::exit(1);
-        }
-        let json_path = "BENCH_parallel.json";
-        match ext_scaleout::write_parallel_json(json_path, scale, &bench) {
-            Ok(()) => eprintln!("[reproduce] wrote {json_path}"),
-            Err(e) => {
-                eprintln!("[reproduce] failed to write {json_path}: {e}");
-                std::process::exit(1);
-            }
-        }
         if let Some(dir) = fleet_obs {
-            write_fleet_obs(dir, "scaleout", sim_threads, false);
+            write_fleet_obs(dir, "scaleout", false);
         }
         if wanted.is_empty()
             && faults_sel.is_none()
@@ -393,23 +336,15 @@ fn main() {
 
     if args.iter().any(|a| a == "--elasticity") {
         eprintln!(
-            "[reproduce] measuring elasticity lifecycle at {scale:?} scale \
-             ({jobs} jobs, {sim_threads} sim threads) ..."
+            "[reproduce] measuring elasticity lifecycle at {scale:?} scale ({jobs} jobs) ..."
         );
         let started = Instant::now();
-        let (fig, bench) = ext_elasticity::run_elasticity(scale, jobs, sim_threads);
+        let (fig, bench) = ext_elasticity::run_elasticity(scale, jobs);
         eprintln!(
             "[reproduce] elasticity done in {:.1}s wall",
             started.elapsed().as_secs_f64()
         );
         println!("{fig}");
-        if let Some(c) = bench.equivalence.iter().find(|c| !c.identical) {
-            eprintln!(
-                "[reproduce] ENGINE DIVERGENCE on upgrade wave n={}: sequential {} vs parallel {}",
-                c.n, c.digest_sequential, c.digest_parallel
-            );
-            std::process::exit(1);
-        }
         if !(bench.chaos.identical && bench.chaos.trace_identical) {
             eprintln!(
                 "[reproduce] CHAOS DETERMINISM BREAK: run A {} vs run B {} (traces identical: {})",
@@ -426,7 +361,7 @@ fn main() {
             }
         }
         if let Some(dir) = fleet_obs {
-            write_fleet_obs(dir, "elasticity", sim_threads, true);
+            write_fleet_obs(dir, "elasticity", true);
         }
         if let Some(dir) = trace_out {
             let path = std::path::Path::new(dir).join("elasticity_trace.json");

@@ -11,9 +11,7 @@
 //!   snapshot-back → reclaim → redeploy under bounded concurrency
 //!   (`batch` machines out of service at once). Each machine's archive
 //!   volume must end byte-identical to its pre-wave disk (sampled), and
-//!   its post-wave disk must hold the new tenant image. The figure
-//!   points run on the conservative parallel engine; the equivalence
-//!   matrix proves they are event-identical to the sequential walk.
+//!   its post-wave disk must hold the new tenant image.
 //! - **Scale waves**: a scale-down parks members with zeroed disks
 //!   (their tenants' final state living on in the archives), a
 //!   scale-up redeploys them with a new image.
@@ -62,16 +60,6 @@ pub const SURVIVAL_PLANS: [&str; 4] = ["drop", "corrupt", "stall", "chaos"];
 pub fn upgrade_grid(scale: Scale) -> Vec<u32> {
     match scale {
         Scale::Paper => vec![2, 8, 16, 64],
-        Scale::Quick => vec![2, 8],
-    }
-}
-
-/// Fleet sizes of the engine-equivalence matrix (each cell runs the
-/// same wave once per engine). The rack-size cell only exists at paper
-/// scale — it is the acceptance point, far too slow for `--quick` CI.
-fn equivalence_ns(scale: Scale) -> Vec<u32> {
-    match scale {
-        Scale::Paper => vec![2, 8, 64],
         Scale::Quick => vec![2, 8],
     }
 }
@@ -231,8 +219,6 @@ pub struct UpgradePoint {
     pub n: u32,
     /// Out-of-service bound during the wave.
     pub batch: u32,
-    /// Simulator workers the run used (engine-invariant results).
-    pub sim_threads: u32,
     /// Whether the wave completed (false = a member stalled or hit a
     /// terminal `ReclaimError`; the fail-fast path, not a wedge).
     pub survived: bool,
@@ -257,15 +243,13 @@ pub struct UpgradePoint {
     pub reclaim_errors: u32,
 }
 
-/// An [`UpgradePoint`] plus its engine witnesses and host cost.
+/// An [`UpgradePoint`] plus its determinism witnesses.
 #[derive(Debug)]
 pub struct MeasuredUpgrade {
     /// The figure point.
     pub point: UpgradePoint,
     /// Events executed across the fleet and every member simulation.
     pub events: u64,
-    /// Host wall-clock, milliseconds (never part of any digest).
-    pub wall_ms: f64,
     /// Fault-injector counters (default when the run was fault-free).
     pub counters: FaultCounters,
     /// AoE retransmissions summed over every member client.
@@ -281,12 +265,10 @@ pub struct MeasuredUpgrade {
 pub fn measure_upgrade(
     n: u32,
     batch: u32,
-    sim_threads: usize,
     faults: Option<FaultPlan>,
     record: bool,
 ) -> MeasuredUpgrade {
     let mut cfg = elasticity_cfg(n);
-    cfg.sim_threads = sim_threads;
     cfg.faults = faults;
     let image_sectors = cfg.spec.image_sectors;
     let first_image_seed = cfg.spec.image_seed;
@@ -295,7 +277,6 @@ pub fn measure_upgrade(
         fleet.enable_flight_recorder(FlightRecorderConfig::default());
     }
     fleet.start(tenant_program);
-    let started = std::time::Instant::now();
     fleet
         .run_to_all_booted(SimTime::from_secs(36_000))
         .expect("first tenants boot within limit");
@@ -317,7 +298,6 @@ pub fn measure_upgrade(
         |_| Box::new(BootProgram::new(BootProfile::tiny(7))),
         SimTime::from_secs(72_000),
     );
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let survived = wave.is_ok();
     let mut upgrade_s: Vec<f64> = wave
         .map(|done| {
@@ -357,7 +337,6 @@ pub fn measure_upgrade(
         point: UpgradePoint {
             n,
             batch,
-            sim_threads: sim_threads as u32,
             survived,
             boot_p50_s: pct(&boot_s, 0.5),
             upgrade_p50_s: pct(&upgrade_s, 0.5),
@@ -369,7 +348,6 @@ pub fn measure_upgrade(
             reclaim_errors,
         },
         events: fleet.events_executed(),
-        wall_ms,
         counters: fleet.fault_counters().unwrap_or_default(),
         retransmits,
         trace: if record {
@@ -405,9 +383,8 @@ pub struct WaveRun {
 /// Boots a 4-fleet, parks members 2 and 3 (scale-down), verifies their
 /// disks are wiped, then scales back up onto the
 /// [`UPGRADE_IMAGE_SEED`] image.
-pub fn measure_scale_wave(sim_threads: usize) -> WaveRun {
-    let mut cfg = elasticity_cfg(4);
-    cfg.sim_threads = sim_threads;
+pub fn measure_scale_wave() -> WaveRun {
+    let cfg = elasticity_cfg(4);
     let image_sectors = cfg.spec.image_sectors;
     let mut fleet = Fleet::new(cfg);
     fleet.start(tenant_program);
@@ -515,26 +492,8 @@ pub struct ChaosLock {
     pub trace_identical: bool,
 }
 
-/// One engine-equivalence cell: the same upgrade wave run sequentially
-/// and on the parallel engine.
-#[derive(Debug, Clone)]
-pub struct UpgradeEquivalence {
-    /// Fleet size.
-    pub n: u32,
-    /// Workers the parallel run used.
-    pub sim_threads: u32,
-    /// Digest of the sequential run's witness.
-    pub digest_sequential: String,
-    /// Digest of the parallel run's witness.
-    pub digest_parallel: String,
-    /// Events both engines executed.
-    pub events: u64,
-    /// Whether the witnesses matched byte-for-byte.
-    pub identical: bool,
-}
-
-/// The equivalence/determinism witness of one run: published point
-/// JSON, event count, and the trace digest (wall-clock excluded).
+/// The determinism witness of one run: published point JSON, event
+/// count, and the trace digest.
 pub fn upgrade_witness(m: &MeasuredUpgrade) -> String {
     format!(
         "{}|events={}|trace_fnv={:016x}",
@@ -552,8 +511,6 @@ pub fn upgrade_digest(m: &MeasuredUpgrade) -> String {
 /// Everything `BENCH_elasticity.json` records.
 #[derive(Debug)]
 pub struct ElasticityBench {
-    /// Workers the figure points ran with.
-    pub sim_threads: u32,
     /// The rolling-upgrade figure points, grid order.
     pub points: Vec<MeasuredUpgrade>,
     /// The scale-down/scale-up cycle.
@@ -565,14 +522,11 @@ pub struct ElasticityBench {
     /// Flight-recorder trace of the first chaos run (exported via
     /// `--trace-out`).
     pub chaos_trace: String,
-    /// The engine-equivalence matrix.
-    pub equivalence: Vec<UpgradeEquivalence>,
 }
 
 enum Task {
-    Point { n: u32, batch: u32, threads: usize },
+    Point { n: u32, batch: u32 },
     Chaos,
-    Equiv { n: u32, batch: u32, threads: usize },
     Survive(&'static str),
     Wave,
 }
@@ -584,59 +538,38 @@ enum Out {
 
 fn run_task(task: &Task) -> Out {
     match *task {
-        Task::Point { n, batch, threads } => Out::Run(measure_upgrade(n, batch, threads, None, false)),
+        Task::Point { n, batch } => Out::Run(measure_upgrade(n, batch, None, false)),
         Task::Chaos => Out::Run(measure_upgrade(
             2,
-            1,
             1,
             FaultPlan::preset("chaos", ELASTICITY_FAULT_SEED),
             true,
         )),
-        Task::Equiv { n, batch, threads } => Out::Run(measure_upgrade(n, batch, threads, None, true)),
         Task::Survive(plan) => Out::Run(measure_upgrade(
             2,
-            1,
             1,
             FaultPlan::preset(plan, ELASTICITY_FAULT_SEED),
             false,
         )),
-        Task::Wave => Out::Wave(measure_scale_wave(1)),
+        Task::Wave => Out::Wave(measure_scale_wave()),
     }
 }
 
 /// Runs every elasticity measurement on at most `jobs` worker threads
 /// (each task owns its whole simulated world) and reduces them to the
-/// figure plus the `BENCH_elasticity.json` record. Figure points run
-/// with `max(sim_threads, 2)` workers — the figure is a
-/// parallel-engine product by definition, and the equivalence matrix
-/// proves it equals the sequential walk.
-pub fn run_elasticity(scale: Scale, jobs: usize, sim_threads: usize) -> (Figure, ElasticityBench) {
-    let par_threads = sim_threads.max(2);
+/// figure plus the `BENCH_elasticity.json` record.
+pub fn run_elasticity(scale: Scale, jobs: usize) -> (Figure, ElasticityBench) {
     let grid = upgrade_grid(scale);
-    let equiv_ns = equivalence_ns(scale);
 
     let mut tasks: Vec<Task> = Vec::new();
     for &n in &grid {
         tasks.push(Task::Point {
             n,
             batch: batch_for(n),
-            threads: par_threads,
         });
     }
     tasks.push(Task::Chaos);
     tasks.push(Task::Chaos);
-    for &n in &equiv_ns {
-        tasks.push(Task::Equiv {
-            n,
-            batch: batch_for(n),
-            threads: 1,
-        });
-        tasks.push(Task::Equiv {
-            n,
-            batch: batch_for(n),
-            threads: par_threads,
-        });
-    }
     for plan in SURVIVAL_PLANS {
         tasks.push(Task::Survive(plan));
     }
@@ -672,21 +605,6 @@ pub fn run_elasticity(scale: Scale, jobs: usize, sim_threads: usize) -> (Figure,
         digest_a: upgrade_digest(&chaos_a),
         digest_b: upgrade_digest(&chaos_b),
     };
-    let equivalence: Vec<UpgradeEquivalence> = equiv_ns
-        .iter()
-        .map(|&n| {
-            let seq = take_run();
-            let par = take_run();
-            UpgradeEquivalence {
-                n,
-                sim_threads: par.point.sim_threads,
-                identical: upgrade_witness(&seq) == upgrade_witness(&par),
-                digest_sequential: upgrade_digest(&seq),
-                digest_parallel: upgrade_digest(&par),
-                events: seq.events,
-            }
-        })
-        .collect();
     let survivability: Vec<SurvivalRow> = SURVIVAL_PLANS
         .iter()
         .map(|&plan| {
@@ -779,10 +697,6 @@ pub fn run_elasticity(scale: Scale, jobs: usize, sim_threads: usize) -> (Figure,
             chaos.identical && chaos.trace_identical,
         ),
         bool_check(
-            "engines event-identical on every wave (1=yes)",
-            equivalence.iter().all(|c| c.identical),
-        ),
-        bool_check(
             "snapshot-back survives drop/corrupt/stall/chaos (1=yes)",
             survives,
         ),
@@ -805,22 +719,17 @@ pub fn run_elasticity(scale: Scale, jobs: usize, sim_threads: usize) -> (Figure,
     (
         fig,
         ElasticityBench {
-            sim_threads: par_threads as u32,
             points,
             wave,
             survivability,
             chaos,
             chaos_trace,
-            equivalence,
         },
     )
 }
 
 /// One point's JSON object, fixed precision — hashed for digests
-/// byte-for-byte as published in the artifact's `point` objects.
-/// Engine-invariant by construction: `sim_threads` is harness
-/// metadata, recorded in the wrapper object instead, so sequential
-/// and parallel runs of the same wave hash identically.
+/// byte-for-byte as published in the artifact's `points` array.
 pub fn upgrade_point_json(p: &UpgradePoint) -> String {
     format!(
         "{{\"n\": {}, \"batch\": {}, \"survived\": {}, \
@@ -849,12 +758,10 @@ pub fn elasticity_json(scale: Scale, bench: &ElasticityBench) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str(&format!("  \"sim_threads\": {},\n", bench.sim_threads));
     out.push_str("  \"points\": [\n");
     for (i, m) in bench.points.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"sim_threads\": {}, \"point\": {}}}{}\n",
-            m.point.sim_threads,
+            "    {}{}\n",
             upgrade_point_json(&m.point),
             if i + 1 < bench.points.len() { "," } else { "" }
         ));
@@ -891,24 +798,10 @@ pub fn elasticity_json(scale: Scale, bench: &ElasticityBench) -> String {
     out.push_str("  ],\n");
     out.push_str(&format!(
         "  \"chaos\": {{\"digest_a\": \"{}\", \"digest_b\": \"{}\", \
-         \"identical\": {}, \"trace_identical\": {}}},\n",
+         \"identical\": {}, \"trace_identical\": {}}}\n",
         bench.chaos.digest_a, bench.chaos.digest_b, bench.chaos.identical, bench.chaos.trace_identical,
     ));
-    out.push_str("  \"equivalence\": [\n");
-    for (i, c) in bench.equivalence.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"sim_threads\": {}, \"digest_sequential\": \"{}\", \
-             \"digest_parallel\": \"{}\", \"events_processed\": {}, \"identical\": {}}}{}\n",
-            c.n,
-            c.sim_threads,
-            c.digest_sequential,
-            c.digest_parallel,
-            c.events,
-            c.identical,
-            if i + 1 < bench.equivalence.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    out.push_str("}\n");
     out
 }
 
@@ -927,7 +820,7 @@ mod tests {
 
     #[test]
     fn tiny_upgrade_round_trips_and_stays_clean() {
-        let m = measure_upgrade(2, 1, 1, None, false);
+        let m = measure_upgrade(2, 1, None, false);
         let p = &m.point;
         assert!(p.survived, "fault-free wave completes");
         assert_eq!(p.queue_drops, 0);
@@ -942,18 +835,17 @@ mod tests {
     /// still verify (it holds the image once the write lands).
     #[test]
     fn in_flight_copy_block_does_not_fail_the_archive_check() {
-        let p = measure_upgrade(16, batch_for(16), 1, None, false).point;
+        let p = measure_upgrade(16, batch_for(16), None, false).point;
         assert!(p.survived);
         assert_eq!(p.archives_verified, 16);
         assert_eq!(p.images_verified, 16);
     }
 
-    fn synthetic(wall_ms: f64, events: u64) -> MeasuredUpgrade {
+    fn synthetic(events: u64) -> MeasuredUpgrade {
         MeasuredUpgrade {
             point: UpgradePoint {
                 n: 2,
                 batch: 1,
-                sim_threads: 1,
                 survived: true,
                 boot_p50_s: 1.5,
                 upgrade_p50_s: 20.0,
@@ -965,7 +857,6 @@ mod tests {
                 reclaim_errors: 0,
             },
             events,
-            wall_ms,
             counters: FaultCounters::default(),
             retransmits: 0,
             trace: None,
@@ -973,31 +864,23 @@ mod tests {
     }
 
     #[test]
-    fn upgrade_witness_is_engine_invariant() {
-        let seq = measure_upgrade(2, 1, 1, None, true);
-        let par = measure_upgrade(2, 1, 2, None, true);
-        assert_eq!(
-            upgrade_witness(&seq),
-            upgrade_witness(&par),
-            "sequential and parallel waves must hash identically"
+    fn upgrade_digest_witnesses_the_event_count() {
+        let a = synthetic(4321);
+        let b = synthetic(4321);
+        assert_eq!(upgrade_digest(&a), upgrade_digest(&b));
+        let c = synthetic(4322);
+        assert_ne!(
+            upgrade_digest(&a),
+            upgrade_digest(&c),
+            "event count is a witness"
         );
     }
 
     #[test]
-    fn upgrade_digest_ignores_wall_clock_but_not_events() {
-        let a = synthetic(100.0, 4321);
-        let b = synthetic(900.0, 4321);
-        assert_eq!(upgrade_digest(&a), upgrade_digest(&b), "wall clock must not leak");
-        let c = synthetic(100.0, 4322);
-        assert_ne!(upgrade_digest(&a), upgrade_digest(&c), "event count is a witness");
-    }
-
-    #[test]
     fn elasticity_json_has_the_documented_schema() {
-        let m = synthetic(10.0, 777);
+        let m = synthetic(777);
         let bench = ElasticityBench {
-            sim_threads: 2,
-            points: vec![synthetic(10.0, 777)],
+            points: vec![synthetic(777)],
             wave: WaveRun {
                 n: 4,
                 parked: 2,
@@ -1023,21 +906,11 @@ mod tests {
                 trace_identical: true,
             },
             chaos_trace: String::new(),
-            equivalence: vec![UpgradeEquivalence {
-                n: 2,
-                sim_threads: 2,
-                digest_sequential: upgrade_digest(&m),
-                digest_parallel: upgrade_digest(&m),
-                events: 777,
-                identical: true,
-            }],
         };
         let json = elasticity_json(Scale::Quick, &bench);
         for key in [
             "\"scale\": \"Quick\"",
-            "\"sim_threads\": 2",
             "\"points\": [",
-            "\"point\": {",
             "\"survived\": true",
             "\"upgrade_p50_s\": 20.000000",
             "\"archives_verified\": 2",
@@ -1048,8 +921,6 @@ mod tests {
             "\"class_fired\": 12",
             "\"chaos\": {",
             "\"trace_identical\": true",
-            "\"equivalence\": [",
-            "\"digest_sequential\"",
             "\"identical\": true",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");

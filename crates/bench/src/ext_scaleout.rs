@@ -330,42 +330,23 @@ pub fn topology_fleet_cfg(topology: Topology, n: u32, spec: &MachineSpec) -> Fle
     cfg
 }
 
-/// A [`ScaleoutPoint`] plus what the host paid to measure it: the
-/// raw material of `BENCH_parallel.json`.
-#[derive(Debug, Clone)]
-pub struct MeasuredPoint {
-    /// The figure point.
-    pub point: ScaleoutPoint,
-    /// Host wall-clock for the fleet run, milliseconds.
-    pub wall_ms: f64,
-    /// Events executed across the fleet and every member simulation —
-    /// engine-invariant, so it doubles as an equivalence witness.
-    pub events: u64,
-    /// Simulator worker threads used ([`FleetConfig::sim_threads`]).
-    pub sim_threads: u32,
-}
-
-/// Boots one fleet of `n` under `topology` with `sim_threads` simulator
-/// workers and reduces it to a [`MeasuredPoint`] (the analytic columns
-/// are filled in later, once the n=1 baseline is known).
+/// Boots one fleet of `n` under `topology` and reduces it to a
+/// [`ScaleoutPoint`] (the analytic columns are filled in later, once
+/// the n=1 baseline is known).
 pub fn measure_point(
     topology: Topology,
     n: u32,
     spec: &MachineSpec,
     profile: &BootProfile,
-    sim_threads: usize,
-) -> MeasuredPoint {
-    let mut cfg = topology_fleet_cfg(topology, n, spec);
-    cfg.sim_threads = sim_threads;
+) -> ScaleoutPoint {
+    let cfg = topology_fleet_cfg(topology, n, spec);
     let servers = cfg.servers as u32;
     let mut fleet = Fleet::new(cfg);
     let p = profile.clone();
     fleet.start(move |_| Box::new(BootProgram::new(p.clone())));
-    let started = std::time::Instant::now();
     fleet
         .run_to_all_booted(SimTime::from_secs(36_000))
         .expect("fleet boots within limit");
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     // Per-machine elapsed startup: finish minus that machine's own
     // staggered start (identical to the finish instant at zero
     // stagger).
@@ -377,25 +358,20 @@ pub fn measure_point(
     secs.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let p50 = secs[secs.len() / 2];
     let p99 = secs[((secs.len() as f64 * 0.99).ceil() as usize).min(secs.len()) - 1];
-    MeasuredPoint {
-        point: ScaleoutPoint {
-            topology: topology.label(),
-            n,
-            servers,
-            peers: fleet.peers_active() as u32,
-            startup_p50_s: p50,
-            startup_p99_s: p99,
-            fairness_ratio: secs[secs.len() - 1] / secs[0],
-            cache_hit_ratio: fleet.cache_hit_ratio(),
-            bytes_moved: fleet.server_bytes_read(),
-            queue_drops: fleet.queue_drops_total(),
-            analytic_s: 0.0,
-            rel_err: 0.0,
-            image_copy_s: 0.0,
-        },
-        wall_ms,
-        events: fleet.events_executed(),
-        sim_threads: sim_threads as u32,
+    ScaleoutPoint {
+        topology: topology.label(),
+        n,
+        servers,
+        peers: fleet.peers_active() as u32,
+        startup_p50_s: p50,
+        startup_p99_s: p99,
+        fairness_ratio: secs[secs.len() - 1] / secs[0],
+        cache_hit_ratio: fleet.cache_hit_ratio(),
+        bytes_moved: fleet.server_bytes_read(),
+        queue_drops: fleet.queue_drops_total(),
+        analytic_s: 0.0,
+        rel_err: 0.0,
+        image_copy_s: 0.0,
     }
 }
 
@@ -403,10 +379,8 @@ pub fn measure_point(
 /// worker threads (each point owns its whole simulated world), then
 /// calibrates the analytic validation column from the measured
 /// 1-server n=1 baseline and a bare-metal boot of the same profile.
-/// Points come back grouped by topology in grid order. Each member
-/// fleet itself runs on `sim_threads` simulator workers (the
-/// conservative parallel engine; 1 = sequential).
-pub fn measure_scaleout(scale: Scale, jobs: usize, sim_threads: usize) -> Vec<MeasuredPoint> {
+/// Points come back grouped by topology in grid order.
+pub fn measure_scaleout(scale: Scale, jobs: usize) -> Vec<ScaleoutPoint> {
     let (spec, profile) = fleet_geometry();
     let work: Vec<(Topology, u32)> = topology_grid(scale)
         .into_iter()
@@ -414,18 +388,17 @@ pub fn measure_scaleout(scale: Scale, jobs: usize, sim_threads: usize) -> Vec<Me
         .collect();
 
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<MeasuredPoint>>> = work.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<ScaleoutPoint>>> = work.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(work.len()).max(1) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&(t, n)) = work.get(i) else { break };
-                *slots[i].lock().unwrap() =
-                    Some(measure_point(t, n, &spec, &profile, sim_threads));
+                *slots[i].lock().unwrap() = Some(measure_point(t, n, &spec, &profile));
             });
         }
     });
-    let mut points: Vec<MeasuredPoint> = slots
+    let mut points: Vec<ScaleoutPoint> = slots
         .into_iter()
         .map(|s| s.into_inner().unwrap().expect("point slot filled"))
         .collect();
@@ -437,9 +410,8 @@ pub fn measure_scaleout(scale: Scale, jobs: usize, sim_threads: usize) -> Vec<Me
     // the difference.
     let t1 = points
         .iter()
-        .find(|p| p.point.topology == Topology::SingleServer.label() && p.point.n == 1)
+        .find(|p| p.topology == Topology::SingleServer.label() && p.n == 1)
         .expect("grid contains the 1-server baseline")
-        .point
         .startup_p50_s;
     // The demand stream is the profile itself: that is what each
     // machine reads, wherever the sectors end up coming from.
@@ -458,8 +430,7 @@ pub fn measure_scaleout(scale: Scale, jobs: usize, sim_threads: usize) -> Vec<Me
         image_bytes: spec.image_sectors * 512,
         ..ImageCopyPlan::default()
     };
-    for mp in &mut points {
-        let p = &mut mp.point;
+    for p in &mut points {
         // The M/M/1 + serialization model describes one shared origin;
         // it has nothing honest to say about striped replicas or a
         // growing peer set, so the validation column stays blank there.
@@ -474,11 +445,11 @@ pub fn measure_scaleout(scale: Scale, jobs: usize, sim_threads: usize) -> Vec<Me
 }
 
 /// The measured scale-out figure (the `reproduce --scaleout` path).
-/// Returns the figure plus the per-point host costs, from which
-/// `BENCH_scaleout.json` and `BENCH_parallel.json` are both built.
-pub fn run_scaleout(scale: Scale, jobs: usize, sim_threads: usize) -> (Figure, Vec<MeasuredPoint>) {
-    let measured = measure_scaleout(scale, jobs, sim_threads);
-    let points: Vec<&ScaleoutPoint> = measured.iter().map(|m| &m.point).collect();
+/// Returns the figure plus the points `BENCH_scaleout.json` is built
+/// from.
+pub fn run_scaleout(scale: Scale, jobs: usize) -> (Figure, Vec<ScaleoutPoint>) {
+    let measured = measure_scaleout(scale, jobs);
+    let points: Vec<&ScaleoutPoint> = measured.iter().collect();
 
     let rows = points
         .iter()
@@ -606,10 +577,7 @@ pub fn write_scaleout_json(
     std::fs::write(path, scaleout_json(scale, points))
 }
 
-/// One point's JSON object, fixed precision. Shared by
-/// [`scaleout_json`] and the equivalence digests in
-/// `BENCH_parallel.json`: what gets hashed for engine equivalence is
-/// byte-for-byte what gets published in the figure artifact.
+/// One point's JSON object, fixed precision.
 pub fn point_json(p: &ScaleoutPoint) -> String {
     format!(
         "{{\"topology\": \"{}\", \"n\": {}, \"servers\": {}, \"peers\": {}, \
@@ -650,12 +618,10 @@ pub fn scaleout_json(scale: Scale, points: &[ScaleoutPoint]) -> String {
     out
 }
 
-// ---------------------- parallel-engine bench ----------------------
-
 /// FNV-1a over `bytes` — the workspace carries no hash crates, and a
 /// 64-bit digest is plenty for an equality witness (the underlying
 /// comparison in tests is the full byte string; the digest is what the
-/// JSON artifact records).
+/// JSON artifacts record).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -663,218 +629,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// The equivalence witness for one fleet run: the published point JSON
-/// plus the engine-invariant event count. Host wall-clock is *not*
-/// part of it.
-pub fn point_digest(mp: &MeasuredPoint) -> String {
-    let witness = format!("{}|events={}", point_json(&mp.point), mp.events);
-    format!("{:016x}", fnv1a64(witness.as_bytes()))
-}
-
-/// One `(topology, n)` cell of the engine-equivalence matrix: the same
-/// fleet run sequentially and with the parallel engine, digests of
-/// both outcomes side by side.
-#[derive(Debug, Clone)]
-pub struct EquivalenceCell {
-    /// Topology column label.
-    pub topology: &'static str,
-    /// Fleet size.
-    pub n: u32,
-    /// Worker threads the parallel run used.
-    pub sim_threads: u32,
-    /// Digest of the sequential run's witness.
-    pub digest_sequential: String,
-    /// Digest of the parallel run's witness.
-    pub digest_parallel: String,
-    /// Events both engines executed (engine-invariant, so one number).
-    pub events: u64,
-    /// Whether the witnesses matched byte for byte.
-    pub identical: bool,
-}
-
-/// Everything `BENCH_parallel.json` records: per-point host costs from
-/// the figure run, the sequential reference at the speedup anchor, and
-/// the engine-equivalence matrix.
-#[derive(Debug, Clone)]
-pub struct ParallelBench {
-    /// Worker threads the figure run used.
-    pub sim_threads: u32,
-    /// Cores the host actually had. The engine caps workers here, so
-    /// a wall-clock speedup can only materialize when `host_cpus` ≥ 2;
-    /// `check_figures.py --parallel` gates its speedup assertion on it.
-    pub host_cpus: u32,
-    /// Host cost of every figure point (grid order).
-    pub rows: Vec<MeasuredPoint>,
-    /// A sequential re-run of the speedup anchor (`p2p`,
-    /// [`SPEEDUP_ANCHOR_N`]), when the grid contains it and the figure
-    /// run was parallel.
-    pub sequential_reference: Option<MeasuredPoint>,
-    /// Anchor wall-clock ratio, sequential over parallel (0 when no
-    /// reference was run).
-    pub speedup_at_anchor: f64,
-    /// The equivalence matrix.
-    pub equivalence: Vec<EquivalenceCell>,
-}
-
-/// The fleet whose wall-clock anchors the parallel speedup claim:
-/// `p2p` at n = 256 — the largest point both scales share.
-pub const SPEEDUP_ANCHOR_N: u32 = 256;
-
-/// Builds the [`ParallelBench`] record for a finished figure run:
-/// re-runs the speedup anchor sequentially (if the run was parallel)
-/// and measures the engine-equivalence matrix, both on at most `jobs`
-/// host threads.
-pub fn bench_parallel(
-    scale: Scale,
-    jobs: usize,
-    sim_threads: usize,
-    rows: Vec<MeasuredPoint>,
-) -> ParallelBench {
-    let (spec, profile) = fleet_geometry();
-
-    // Equivalence matrix: every topology at small, medium, and (paper
-    // scale) rack-size fleets, each cell run once per engine.
-    let ns: &[u32] = match scale {
-        Scale::Paper => &[2, 8, 64],
-        Scale::Quick => &[2, 8],
-    };
-    let par_threads = sim_threads.max(2);
-    let mut runs: Vec<(Topology, u32, usize)> = Vec::new();
-    for t in [
-        Topology::SingleServer,
-        Topology::MultiServer,
-        Topology::PeerToPeer,
-    ] {
-        for &n in ns {
-            runs.push((t, n, 1));
-            runs.push((t, n, par_threads));
-        }
-    }
-    // The sequential anchor rides the same pool.
-    let anchor_parallel = sim_threads > 1;
-    if anchor_parallel {
-        runs.push((Topology::PeerToPeer, SPEEDUP_ANCHOR_N, 1));
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<MeasuredPoint>>> = runs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(runs.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(t, n, threads)) = runs.get(i) else { break };
-                *slots[i].lock().unwrap() = Some(measure_point(t, n, &spec, &profile, threads));
-            });
-        }
-    });
-    let mut measured: Vec<MeasuredPoint> = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("bench slot filled"))
-        .collect();
-
-    let sequential_reference = if anchor_parallel { measured.pop() } else { None };
-    let speedup_at_anchor = match (&sequential_reference, rows.iter().find(|m| {
-        m.point.topology == Topology::PeerToPeer.label() && m.point.n == SPEEDUP_ANCHOR_N
-    })) {
-        (Some(seq), Some(par)) if par.wall_ms > 0.0 => seq.wall_ms / par.wall_ms,
-        _ => 0.0,
-    };
-
-    let mut equivalence = Vec::new();
-    for pair in measured.chunks(2) {
-        let [seq, par] = pair else { unreachable!("runs pushed in pairs") };
-        let (ds, dp) = (point_digest(seq), point_digest(par));
-        equivalence.push(EquivalenceCell {
-            topology: seq.point.topology,
-            n: seq.point.n,
-            sim_threads: par.sim_threads,
-            identical: ds == dp && seq.events == par.events,
-            digest_sequential: ds,
-            digest_parallel: dp,
-            events: seq.events,
-        });
-    }
-
-    ParallelBench {
-        sim_threads: sim_threads as u32,
-        host_cpus: std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(1),
-        rows,
-        sequential_reference,
-        speedup_at_anchor,
-        equivalence,
-    }
-}
-
-/// One row's JSON object for the `rows` / `sequential_reference`
-/// sections of `BENCH_parallel.json`.
-fn parallel_row_json(m: &MeasuredPoint) -> String {
-    let events_per_sec = if m.wall_ms > 0.0 {
-        m.events as f64 / (m.wall_ms / 1e3)
-    } else {
-        0.0
-    };
-    format!(
-        "{{\"topology\": \"{}\", \"n\": {}, \"sim_threads\": {}, \"wall_ms\": {:.3}, \
-         \"events_processed\": {}, \"events_per_sec\": {:.1}}}",
-        m.point.topology, m.point.n, m.sim_threads, m.wall_ms, m.events, events_per_sec,
-    )
-}
-
-/// The `BENCH_parallel.json` document body. Wall-clock fields are
-/// host-dependent by nature; the digests are not.
-pub fn parallel_json(scale: Scale, bench: &ParallelBench) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str(&format!("  \"sim_threads\": {},\n", bench.sim_threads));
-    out.push_str(&format!("  \"host_cpus\": {},\n", bench.host_cpus));
-    out.push_str("  \"rows\": [\n");
-    for (i, m) in bench.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}{}\n",
-            parallel_row_json(m),
-            if i + 1 < bench.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    match &bench.sequential_reference {
-        Some(m) => out.push_str(&format!(
-            "  \"sequential_reference\": {},\n",
-            parallel_row_json(m)
-        )),
-        None => out.push_str("  \"sequential_reference\": null,\n"),
-    }
-    out.push_str(&format!(
-        "  \"speedup_at_anchor\": {:.3},\n",
-        bench.speedup_at_anchor
-    ));
-    out.push_str("  \"equivalence\": [\n");
-    for (i, c) in bench.equivalence.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"n\": {}, \"sim_threads\": {}, \
-             \"digest_sequential\": \"{}\", \"digest_parallel\": \"{}\", \
-             \"events_processed\": {}, \"identical\": {}}}{}\n",
-            c.topology,
-            c.n,
-            c.sim_threads,
-            c.digest_sequential,
-            c.digest_parallel,
-            c.events,
-            c.identical,
-            if i + 1 < bench.equivalence.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes `BENCH_parallel.json`.
-pub fn write_parallel_json(path: &str, scale: Scale, bench: &ParallelBench) -> std::io::Result<()> {
-    std::fs::write(path, parallel_json(scale, bench))
 }
 
 #[cfg(test)]
@@ -939,75 +693,5 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    fn synthetic_point(wall_ms: f64, events: u64, sim_threads: u32) -> MeasuredPoint {
-        MeasuredPoint {
-            point: ScaleoutPoint {
-                topology: "p2p",
-                n: 8,
-                servers: 1,
-                peers: 7,
-                startup_p50_s: 60.0,
-                startup_p99_s: 61.5,
-                fairness_ratio: 1.1,
-                cache_hit_ratio: 0.875,
-                bytes_moved: 1 << 27,
-                queue_drops: 0,
-                analytic_s: 0.0,
-                rel_err: 0.0,
-                image_copy_s: 500.0,
-            },
-            wall_ms,
-            events,
-            sim_threads,
-        }
-    }
-
-    #[test]
-    fn point_digest_ignores_wall_clock_but_not_events() {
-        let a = synthetic_point(100.0, 1234, 1);
-        let b = synthetic_point(250.0, 1234, 4);
-        assert_eq!(point_digest(&a), point_digest(&b), "wall clock must not leak");
-        let c = synthetic_point(100.0, 1235, 1);
-        assert_ne!(point_digest(&a), point_digest(&c), "event count is a witness");
-    }
-
-    #[test]
-    fn parallel_json_has_the_documented_schema() {
-        let row = synthetic_point(200.0, 4000, 4);
-        let bench = ParallelBench {
-            sim_threads: 4,
-            host_cpus: 8,
-            rows: vec![row.clone()],
-            sequential_reference: Some(synthetic_point(500.0, 4000, 1)),
-            speedup_at_anchor: 2.5,
-            equivalence: vec![EquivalenceCell {
-                topology: "p2p",
-                n: 8,
-                sim_threads: 4,
-                digest_sequential: point_digest(&row),
-                digest_parallel: point_digest(&row),
-                events: 4000,
-                identical: true,
-            }],
-        };
-        let json = parallel_json(Scale::Quick, &bench);
-        for key in [
-            "\"scale\": \"Quick\"",
-            "\"sim_threads\": 4",
-            "\"host_cpus\": 8",
-            "\"rows\": [",
-            "\"wall_ms\": 200.000",
-            "\"events_processed\": 4000",
-            "\"events_per_sec\": 20000.0",
-            "\"sequential_reference\": {",
-            "\"speedup_at_anchor\": 2.500",
-            "\"equivalence\": [",
-            "\"digest_sequential\"",
-            "\"identical\": true",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
     }
 }

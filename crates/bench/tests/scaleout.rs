@@ -154,74 +154,6 @@ fn sharded_chaos_scaleout_json_is_byte_identical_across_runs() {
     assert!(a.contains("\"servers\": 2"));
 }
 
-/// One fleet of `n` under `topology` (optionally under the chaos fault
-/// plan) on `sim_threads` simulator workers, reduced to the JSON body
-/// the figure would write for it.
-fn topo_json_once(topology: Topology, n: u32, sim_threads: usize, chaos: bool) -> String {
-    let mut cfg = topology_fleet_cfg(topology, n, &small_spec());
-    cfg.sim_threads = sim_threads;
-    if chaos {
-        cfg.faults = FaultPlan::preset("chaos", 7);
-    }
-    let servers = cfg.servers as u32;
-    let (fleet, startups) = boot_fleet(cfg, &busy_profile());
-    let mut secs: Vec<f64> = startups.iter().map(|t| t.as_secs_f64()).collect();
-    secs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let point = ScaleoutPoint {
-        topology: topology.label(),
-        n,
-        servers,
-        peers: fleet.peers_active() as u32,
-        startup_p50_s: secs[secs.len() / 2],
-        startup_p99_s: secs[secs.len() - 1],
-        fairness_ratio: secs[secs.len() - 1] / secs[0],
-        cache_hit_ratio: fleet.cache_hit_ratio(),
-        bytes_moved: fleet.server_bytes_read(),
-        queue_drops: fleet.queue_drops_total(),
-        analytic_s: 0.0,
-        rel_err: 0.0,
-        image_copy_s: 0.0,
-    };
-    scaleout_json(Scale::Quick, &[point])
-}
-
-/// Tentpole acceptance: the conservative parallel engine must write
-/// the figure artifact byte-for-byte as the sequential engine — every
-/// topology, clean and chaos.
-#[test]
-fn parallel_engine_writes_identical_scaleout_json() {
-    for topology in [
-        Topology::SingleServer,
-        Topology::MultiServer,
-        Topology::PeerToPeer,
-    ] {
-        for n in [2, 8] {
-            let seq = topo_json_once(topology, n, 1, false);
-            let par = topo_json_once(topology, n, 4, false);
-            assert_eq!(seq, par, "{topology:?} n={n} clean diverged");
-        }
-        let seq = topo_json_once(topology, 4, 1, true);
-        let par = topo_json_once(topology, 4, 4, true);
-        assert_eq!(seq, par, "{topology:?} n=4 chaos diverged");
-    }
-}
-
-/// Rack-scale variant of the byte-identity check; release-only (the
-/// CI `parallel-equivalence` job runs it with `--ignored`).
-#[test]
-#[ignore = "rack scale: run in release (CI parallel-equivalence job)"]
-fn parallel_engine_writes_identical_scaleout_json_at_rack_scale() {
-    for topology in [
-        Topology::SingleServer,
-        Topology::MultiServer,
-        Topology::PeerToPeer,
-    ] {
-        let seq = topo_json_once(topology, 64, 1, false);
-        let par = topo_json_once(topology, 64, 4, false);
-        assert_eq!(seq, par, "{topology:?} n=64 clean diverged");
-    }
-}
-
 /// Satellite regression: the figure's topology configs must all
 /// degenerate to the plain single-server fleet at n = 1 (and k = 1) —
 /// the sharding, stagger, and peer-serving machinery may add nothing

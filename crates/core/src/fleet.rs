@@ -67,23 +67,6 @@
 //! identical — the scale-out artifact is byte-reproducible at every
 //! topology.
 //!
-//! # Parallel engine
-//!
-//! With [`FleetConfig::sim_threads`] ≥ 2 the run loop switches to a
-//! conservative time-window parallel schedule. Members only influence
-//! each other through the fabric, and the fastest member→member path
-//! costs at least `uplink_latency + egress_latency` of virtual time
-//! ([`Fleet::lookahead`]), so each round steps every member whose
-//! pending events fall strictly inside `floor + lookahead` on worker
-//! threads, buffering their emitted frames, then replays the buffered
-//! work against the shared state in ascending
-//! `(time, machine index, step order)` — the exact sequence the
-//! sequential walk performs. The interleave, the PRNG draw order, and
-//! therefore every artifact byte are identical between the engines;
-//! only host wall-clock changes. The executable proof lives in this
-//! module's `parallel_*` tests and the bench crate's equivalence
-//! suite.
-//!
 //! # Example
 //!
 //! ```
@@ -149,8 +132,7 @@ pub const ARCHIVE_SLOT_BASE: u8 = 2;
 /// stages advance through fleet-timeline events and member step
 /// detections, mirroring the machine's own
 /// [`Phase`](crate::devirt::Phase) transitions at the fleet's
-/// granularity — which is what lets the parallel engine replay them at
-/// the exact sequential position.
+/// granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LifecycleStage {
     /// Not part of any lifecycle wave.
@@ -246,14 +228,9 @@ pub struct FleetConfig {
     /// Master seed: forked into the switch loss stream, the reply-path
     /// loss stream, and each machine's AoE-client jitter stream.
     pub seed: u64,
-    /// Worker threads for the conservative parallel engine. `1` (the
-    /// default) runs the sequential lockstep walk; `N ≥ 2` steps
-    /// causally independent members concurrently in lookahead-bounded
-    /// rounds ([`Fleet::lookahead`]), replaying their fabric work in
-    /// the sequential order afterwards — the event interleave (and
-    /// every artifact byte) is identical either way, only host
-    /// wall-clock changes. Clamped per round to the number of eligible
-    /// members.
+    /// Ignored: the fleet always runs its one sequential walk. Kept
+    /// only because the `bmbench` package still sets it; no code in
+    /// this workspace writes it.
     pub sim_threads: usize,
     /// Fleet-level fault plan, applied on the shared fabric and the
     /// origin servers (per-machine plans are disabled on fleet
@@ -345,17 +322,14 @@ enum FleetEvent {
     Deliver { machine: usize, payload: FrameBytes },
     /// Machine `machine`'s full copy becomes visible to the rack: the
     /// fleet converts it into a read-only peer server. Booked one
-    /// fabric lookahead after the bitmap fills — the control-plane
-    /// announcement takes at least as long as a frame crossing — which
-    /// is also what keeps endpoint-set mutation out of the parallel
-    /// engine's concurrent window.
+    /// fabric lookahead after the bitmap fills: the control-plane
+    /// announcement takes at least as long as a frame crossing.
     PeerActivate { machine: usize },
     /// Machine `machine` begins its lifecycle wave step: its peer node
     /// (if any) is retired from routing and every endpoint list first,
     /// then the member re-virtualizes and starts streaming dirty
     /// blocks to its archive volume. Booked one fabric lookahead after
-    /// the admission decision, keeping endpoint-set mutation out of
-    /// the parallel engine's concurrent window.
+    /// the admission decision.
     UpgradeStart { machine: usize },
     /// Machine `machine`'s snapshot-back completed: reset it for the
     /// next tenant (and redeploy, unless the wave parks it). Booked
@@ -366,154 +340,11 @@ enum FleetEvent {
     Sample,
 }
 
-/// Per-member buffer for one parallel round: the shared-fabric work a
-/// worker thread recorded while stepping its member in isolation, to
-/// be replayed by the merge phase. Plain owned data with no interior
-/// mutability — the merge is driven purely by recorded values, so it
-/// cannot observe anything about worker scheduling (asserted by
-/// `round_buffers_carry_no_interior_mutability`).
-#[derive(Debug)]
-struct RoundRecord {
-    /// Steps that produced shared-state work, in execution order.
-    steps: Vec<RoundStep>,
-    /// The member's clock after its last in-round step.
-    last_at: SimTime,
-    /// Still waiting for this member's first boot finish.
-    watch_boot: bool,
-    /// Peer-serving candidate: a filled bitmap should be detected.
-    watch_peer: bool,
-    /// In [`LifecycleStage::SnapshotBack`]: a completed snapshot
-    /// should be detected.
-    watch_snapshot: bool,
-    /// In [`LifecycleStage::Reclaiming`]: the executed reclaim (the
-    /// machine leaving [`Phase::SnapshotBack`]) should be detected.
-    watch_reclaim: bool,
-    /// In [`LifecycleStage::Redeploying`]: the redeploy boot finish
-    /// should be detected.
-    watch_redeploy: bool,
-    /// The member has surfaced a terminal deploy or reclaim error.
-    errored: bool,
-}
-
-impl Default for RoundRecord {
-    fn default() -> Self {
-        RoundRecord {
-            steps: Vec::new(),
-            last_at: SimTime::ZERO,
-            watch_boot: false,
-            watch_peer: false,
-            watch_snapshot: false,
-            watch_reclaim: false,
-            watch_redeploy: false,
-            errored: false,
-        }
-    }
-}
-
-impl RoundRecord {
-    /// Rearms the record for a new round, keeping the step buffer's
-    /// allocation.
-    #[allow(clippy::too_many_arguments)]
-    fn reset(
-        &mut self,
-        watch_boot: bool,
-        watch_peer: bool,
-        watch_snapshot: bool,
-        watch_reclaim: bool,
-        watch_redeploy: bool,
-    ) {
-        self.steps.clear();
-        self.last_at = SimTime::ZERO;
-        self.watch_boot = watch_boot;
-        self.watch_peer = watch_peer;
-        self.watch_snapshot = watch_snapshot;
-        self.watch_reclaim = watch_reclaim;
-        self.watch_redeploy = watch_redeploy;
-        self.errored = false;
-    }
-}
-
-/// One member step (within a parallel round) that the merge phase must
-/// replay against shared state: frames put on the fabric, a boot
-/// finish, or a deployment completion.
-#[derive(Debug)]
-struct RoundStep {
-    at: SimTime,
-    frames: Vec<FrameBytes>,
-    booted: bool,
-    completed: bool,
-    /// Snapshot-back finished at this step (lifecycle waves).
-    snapshot_done: bool,
-    /// The scheduled reclaim executed at this step (lifecycle waves).
-    reclaimed: bool,
-    /// The redeploy's guest program finished at this step (lifecycle
-    /// waves).
-    redeployed: bool,
-}
-
-/// Steps one member through every event strictly before `horizon`,
-/// recording a [`RoundStep`] wherever the merge phase has shared-state
-/// work to replay. Runs on a worker thread; touches nothing but the
-/// member and its record (the member's own span store and sampler are
-/// private to it, so recording stays deterministic).
-fn step_member_window(
-    m: &mut Machine,
-    sim: &mut MachineSim,
-    horizon: SimTime,
-    rec: &mut RoundRecord,
-) {
-    while sim.step_before(m, horizon) {
-        let now = sim.now();
-        rec.last_at = now;
-        let frames = fleet_harvest_tx(m);
-        let booted = rec.watch_boot && m.guest.finished;
-        if booted {
-            rec.watch_boot = false;
-            // Close this member's timeline at its boot-finish state,
-            // after the harvest — the same point the sequential walk
-            // samples at (no-op when the recorder is off).
-            sample_flight_row(m, now);
-        }
-        let completed = rec.watch_peer && m.deployment_progress() >= 1.0;
-        if completed {
-            rec.watch_peer = false;
-        }
-        let snapshot_done = rec.watch_snapshot && m.snapshot_complete();
-        if snapshot_done {
-            rec.watch_snapshot = false;
-        }
-        let reclaimed = rec.watch_reclaim && m.phase() != Phase::SnapshotBack;
-        if reclaimed {
-            rec.watch_reclaim = false;
-        }
-        let redeployed = rec.watch_redeploy && m.guest.finished;
-        if redeployed {
-            rec.watch_redeploy = false;
-            // Close the redeploy timeline at its boot-finish state,
-            // like the first boot above.
-            sample_flight_row(m, now);
-        }
-        if !frames.is_empty() || booted || completed || snapshot_done || reclaimed || redeployed {
-            rec.steps.push(RoundStep {
-                at: now,
-                frames,
-                booted,
-                completed,
-                snapshot_done,
-                reclaimed,
-                redeployed,
-            });
-        }
-    }
-    rec.errored = m.deploy_error().is_some() || m.reclaim_error().is_some();
-}
-
 /// Member-side arm of [`FleetEvent::UpgradeStart`]: once the machine
 /// reaches bare metal (a booted guest can still be filling its copy in
 /// the background — re-virtualization must wait for devirtualization
 /// to finish), point its writes at its archive volume and start the
-/// reverse lifecycle. Polls on the member's own timeline, so both
-/// engines replay it identically.
+/// reverse lifecycle. Polls on the member's own timeline.
 fn arm_revirt(m: &mut Machine, sim: &mut MachineSim, slot: u8) {
     if m.phase() != Phase::BareMetal {
         sim.schedule_in(SimDuration::from_millis(1), move |m: &mut Machine, sim| {
@@ -619,7 +450,7 @@ impl std::error::Error for FleetStall {}
 /// One machine's boot-time decomposition in the straggler report
 /// ([`Fleet::straggler_attribution`]). Every field is derived from that
 /// member's own registry, span store, and client state in fixed member
-/// order, so rows are deterministic and engine-independent.
+/// order, so rows are deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StragglerRow {
     /// Member index.
@@ -696,8 +527,7 @@ pub struct Fleet {
     /// redeploying.
     park_after_reclaim: Vec<bool>,
     /// Whether the run loop is driving a lifecycle wave — changes the
-    /// completion predicate and which members the parallel endgame
-    /// guard counts as pending.
+    /// completion predicate and which members count as pending.
     lifecycle_mode: bool,
     /// Wave members waiting for an admission slot, released one at a
     /// time as predecessors park or finish redeploying (bounded
@@ -713,8 +543,7 @@ pub struct Fleet {
     /// instead of the original golden image.
     member_seed: Vec<u64>,
     /// Per-member jitter reseeds for post-reclaim clients, forked up
-    /// front per wave so both engines draw identically regardless of
-    /// completion order.
+    /// front per wave so the draws never depend on completion order.
     upgrade_seeds: Vec<u64>,
     /// Per-member redeploy boot-finish instant for the current wave.
     redeploy_done: Vec<Option<SimTime>>,
@@ -728,18 +557,6 @@ pub struct Fleet {
     /// earlier event) are discarded on peek, one pop each; every head
     /// change re-indexes the member, so the true head is always present.
     next_index: BinaryHeap<Reverse<(SimTime, usize)>>,
-    /// Members selected for the current parallel round (reused).
-    round_members: Vec<usize>,
-    /// Round-membership flags, index-aligned (reused).
-    in_round: Vec<bool>,
-    /// Per-member round buffers, index-aligned (reused: allocations
-    /// survive across rounds so the hot loop stays allocation-light).
-    round_records: Vec<RoundRecord>,
-    /// Merge-order scratch: `(time, machine, step)` keys (reused).
-    merge_order: Vec<(SimTime, u32, u32)>,
-    /// Host cores, cached at construction: parallel rounds never spawn
-    /// more workers than the host can actually run.
-    hw_threads: usize,
     events: BTreeMap<(SimTime, u64), FleetEvent>,
     /// Events executed on the fleet's own timeline (members count their
     /// own; see [`Fleet::events_executed`]).
@@ -906,13 +723,6 @@ impl Fleet {
             faults,
             reply_prng,
             next_index: BinaryHeap::new(),
-            round_members: Vec::new(),
-            in_round: vec![false; n],
-            round_records: (0..n).map(|_| RoundRecord::default()).collect(),
-            merge_order: Vec::new(),
-            hw_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             events: BTreeMap::new(),
             fleet_events_executed: 0,
             seq: 0,
@@ -983,12 +793,6 @@ impl Fleet {
     /// tick, so the flight recorder must already be enabled; alert
     /// edges land in the shared trace ring (when telemetry is enabled)
     /// and in [`Fleet::alerts`]. Call before [`Fleet::start`].
-    ///
-    /// Evaluation is lookahead-safe on the parallel engine: the sampler
-    /// tick is a fleet-timeline event, and a parallel round's horizon
-    /// never crosses the earliest fleet event, so every member event
-    /// strictly before the tick has executed — the rules read the same
-    /// member state on both engines.
     ///
     /// # Panics
     ///
@@ -1104,15 +908,12 @@ impl Fleet {
         None
     }
 
-    /// The conservative parallel engine's lookahead: the minimum
-    /// virtual time in which one member can influence another. A frame
-    /// leaving a machine takes at least the uplink propagation delay to
-    /// reach a server, and the earliest reply it can trigger takes at
-    /// least the egress propagation delay back — serialization,
-    /// queueing, disk time and scheduling only *add* to that — so
-    /// member events strictly inside one lookahead window of each other
-    /// are causally independent across machines and may execute
-    /// concurrently.
+    /// The fabric round-trip floor used to delay control-plane
+    /// announcements: a frame leaving a machine takes at least the
+    /// uplink propagation delay to reach a server, and the earliest
+    /// reply it can trigger takes at least the egress propagation delay
+    /// back. Peer activation, reclaim and wave admission all land this
+    /// long after the member step that decided them.
     pub fn lookahead(&self) -> SimDuration {
         self.cfg.uplink_latency + self.cfg.egress_latency
     }
@@ -1182,10 +983,6 @@ impl Fleet {
         for i in 0..self.machines.len() {
             self.index_machine(i);
         }
-        // The parallel engine needs a positive lookahead: with zero
-        // fabric latency there is no safe concurrent window and the
-        // sequential walk is the only correct schedule.
-        let parallel = self.cfg.sim_threads > 1 && self.lookahead() > SimDuration::ZERO;
         loop {
             if self.run_done() {
                 return Ok(());
@@ -1211,11 +1008,7 @@ impl Fleet {
                 if t > limit {
                     return Err(self.stall(false, limit));
                 }
-                let errored = if parallel {
-                    self.parallel_round(t, fleet_next, limit)
-                } else {
-                    self.step_member(i)
-                };
+                let errored = self.step_member(i);
                 // Fail fast: when every machine still gating the run
                 // has failed terminally, no amount of simulated time
                 // will finish it.
@@ -1235,8 +1028,8 @@ impl Fleet {
     }
 
     /// Executes member `i`'s earliest event and its shared-fabric
-    /// follow-through (the sequential engine's inner step). Returns
-    /// whether the member is in a terminal deploy error.
+    /// follow-through. Returns whether the member is in a terminal
+    /// deploy or reclaim error.
     fn step_member(&mut self, i: usize) -> bool {
         let (m, sim) = &mut self.machines[i];
         sim.step(m);
@@ -1260,7 +1053,7 @@ impl Fleet {
         }
         // Lifecycle stage detections: at most one transition per step
         // (the next stage always waits on a fleet event or more member
-        // progress), in the same order the parallel merge replays them.
+        // progress).
         match self.lifecycle[i] {
             LifecycleStage::SnapshotBack if self.machines[i].0.snapshot_complete() => {
                 self.note_snapshot_done(i, stepped_to);
@@ -1281,8 +1074,8 @@ impl Fleet {
     }
 
     /// Member `i`'s snapshot-back completed at `at`: book the reclaim
-    /// one fabric lookahead out, keeping the machine reset (and the
-    /// endpoint re-pointing it carries) out of any concurrent window.
+    /// one fabric lookahead out, like every other control-plane
+    /// announcement.
     fn note_snapshot_done(&mut self, i: usize, at: SimTime) {
         self.lifecycle[i] = LifecycleStage::Reclaiming;
         self.push(at + self.lookahead(), FleetEvent::Reclaim { machine: i });
@@ -1320,217 +1113,10 @@ impl Fleet {
         }
     }
 
-    /// One conservative round: selects every member whose next event
-    /// falls strictly before the horizon (the earliest pending fleet
-    /// event, the floor plus one [`Fleet::lookahead`], or the run
-    /// limit, whichever is first), steps those members concurrently on
-    /// scoped worker threads, then replays their recorded fabric work
-    /// in ascending `(time, machine index, step order)` — with pending
-    /// fleet events interleaved first whenever their timestamp is not
-    /// later (the run loop's fleet-first tie break) — so the shared
-    /// state (switch, servers, PRNG streams, fleet timeline) sees the
-    /// exact sequence of operations the sequential walk performs.
-    /// Returns whether any stepped member is in a terminal deploy
-    /// error.
-    fn parallel_round(
-        &mut self,
-        floor: SimTime,
-        fleet_next: Option<SimTime>,
-        limit: SimTime,
-    ) -> bool {
-        let mut horizon = floor + self.lookahead();
-        if let Some(ft) = fleet_next {
-            horizon = horizon.min(ft);
-        }
-        // Nothing past the limit may execute: the outer loop stalls on
-        // the first event beyond it, exactly like the sequential walk.
-        horizon = horizon.min(limit + SimDuration::from_nanos(1));
-
-        // Select the round: pop every validated index entry inside the
-        // window. Members keep exactly one live entry while their queue
-        // is non-empty, so popping here and re-indexing after the round
-        // preserves the index invariant.
-        let mut members = std::mem::take(&mut self.round_members);
-        members.clear();
-        while let Some((t, i)) = self.machine_floor() {
-            if t >= horizon {
-                break;
-            }
-            self.next_index.pop();
-            if !self.in_round[i] {
-                self.in_round[i] = true;
-                members.push(i);
-            }
-        }
-
-        // A round holding every run-gating member could finish the run
-        // mid-window — and then overstep it: the sequential walk stops
-        // dead at the completing event, while window stepping keeps
-        // consuming events behind it (observable as a higher event
-        // count and post-completion member state). A member outside
-        // the round cannot complete inside it — its next event is at
-        // or past the horizon — so run completion is reachable only
-        // when every remaining pending member was selected. Serialize
-        // exactly those rounds: re-index the popped members and step
-        // the global floor event alone, which is the sequential engine
-        // event for event, so the run ends on the same step either
-        // way. (In a lifecycle wave, queued members awaiting admission
-        // are pending but eventless, keeping most rounds parallel.)
-        let pending_total = if self.lifecycle_mode {
-            self.wave_pending.iter().filter(|p| **p).count()
-        } else {
-            self.machines.len() - self.booted_n
-        };
-        let pending_in_round = members
-            .iter()
-            .filter(|&&i| self.member_pending(i))
-            .count();
-        if pending_in_round == pending_total {
-            for &i in &members {
-                self.in_round[i] = false;
-                self.index_machine(i);
-            }
-            members.clear();
-            self.round_members = members;
-            let (_, i) = self.machine_floor().expect("round members re-indexed");
-            return self.step_member(i);
-        }
-
-        // Step the selected members concurrently. Workers touch only
-        // their own `(Machine, Sim)` pair and round record; everything
-        // shared is replayed single-threaded below. The work list is
-        // carved out of the member/record slices by ascending index
-        // (`split_at_mut` is pointer math), so a round of k members
-        // costs O(k log k) — not an O(n) sweep of the whole fleet,
-        // which dominated the host profile at rack sizes where most
-        // rounds hold a handful of members.
-        members.sort_unstable();
-        {
-            let peer_serving = self.cfg.peer_serving;
-            let mut work: Vec<(&mut (Machine, MachineSim), &mut RoundRecord)> =
-                Vec::with_capacity(members.len());
-            let mut machines_tail: &mut [(Machine, MachineSim)] = &mut self.machines;
-            let mut records_tail: &mut [RoundRecord] = &mut self.round_records;
-            let mut consumed = 0usize;
-            for &i in &members {
-                let (_, rest_m) = machines_tail.split_at_mut(i - consumed);
-                let (_, rest_r) = records_tail.split_at_mut(i - consumed);
-                let (pair, rest_m) = rest_m.split_first_mut().expect("member index in range");
-                let (rec, rest_r) = rest_r.split_first_mut().expect("record index in range");
-                rec.reset(
-                    self.startup[i].is_none(),
-                    peer_serving && !self.peer_active[i] && !self.peer_pending[i],
-                    self.lifecycle[i] == LifecycleStage::SnapshotBack,
-                    self.lifecycle[i] == LifecycleStage::Reclaiming,
-                    self.lifecycle[i] == LifecycleStage::Redeploying,
-                );
-                work.push((pair, rec));
-                machines_tail = rest_m;
-                records_tail = rest_r;
-                consumed = i + 1;
-            }
-            // A round too small to amortize thread spawns runs inline,
-            // and workers are capped at the host's cores — on an
-            // oversubscribed (or single-core) host the spawns would be
-            // pure context-switch overhead. The schedule (and thus the
-            // event order) is unaffected either way, only where the
-            // stepping happens.
-            let workers = if work.len() < 4 {
-                1
-            } else {
-                self.cfg.sim_threads.min(work.len()).min(self.hw_threads)
-            };
-            if workers <= 1 {
-                for (pair, rec) in work.iter_mut() {
-                    step_member_window(&mut pair.0, &mut pair.1, horizon, rec);
-                }
-            } else {
-                let chunk = work.len().div_ceil(workers);
-                std::thread::scope(|scope| {
-                    for piece in work.chunks_mut(chunk) {
-                        scope.spawn(move || {
-                            for (pair, rec) in piece.iter_mut() {
-                                step_member_window(&mut pair.0, &mut pair.1, horizon, rec);
-                            }
-                        });
-                    }
-                });
-            }
-        }
-
-        // Merge: replay every recorded step's shared-state work in the
-        // order the sequential walk performs it. New fleet events born
-        // here (request arrivals, dispatches, reply transmissions) can
-        // land inside the window and are interleaved at their exact
-        // sequential position; `Deliver`s and `PeerActivate`s land at
-        // or past the horizon by the lookahead bound, so no member
-        // stepped above could have needed them.
-        let mut order = std::mem::take(&mut self.merge_order);
-        order.clear();
-        for &i in &members {
-            for (k, step) in self.round_records[i].steps.iter().enumerate() {
-                order.push((step.at, i as u32, k as u32));
-            }
-        }
-        order.sort_unstable();
-        for &(t, i, k) in &order {
-            while self
-                .events
-                .keys()
-                .next()
-                .is_some_and(|&(ft, _)| ft <= t)
-            {
-                self.step_fleet();
-            }
-            let i = i as usize;
-            let step = &mut self.round_records[i].steps[k as usize];
-            let frames = std::mem::take(&mut step.frames);
-            let booted = step.booted;
-            let completed = step.completed;
-            let snapshot_done = step.snapshot_done;
-            let reclaimed = step.reclaimed;
-            let redeployed = step.redeployed;
-            self.forward_frames(i, t, frames);
-            if booted {
-                self.startup[i] = Some(t);
-                self.booted_n += 1;
-            }
-            if completed {
-                self.schedule_peer_activation(i, t);
-            }
-            if snapshot_done {
-                self.note_snapshot_done(i, t);
-            }
-            if reclaimed {
-                self.note_reclaimed(i, t);
-            }
-            if redeployed {
-                self.note_redeployed(i, t);
-            }
-        }
-        order.clear();
-        self.merge_order = order;
-
-        let mut errored = false;
-        for &i in &members {
-            let rec = &self.round_records[i];
-            self.now = self.now.max(rec.last_at);
-            errored |= rec.errored;
-            self.round_records[i].steps.clear();
-            self.in_round[i] = false;
-            self.index_machine(i);
-        }
-        members.clear();
-        self.round_members = members;
-        errored
-    }
-
     /// Books the control-plane announcement for member `i`'s completed
     /// copy: the peer activates one fabric lookahead after the bitmap
     /// fills, modeling the time the "peer is serving" state takes to
-    /// propagate the rack. The delay also guarantees an activation
-    /// never lands inside the parallel round that detected it, so
-    /// endpoint-set mutation stays out of the concurrent window.
+    /// propagate the rack.
     fn schedule_peer_activation(&mut self, i: usize, at: SimTime) {
         self.peer_pending[i] = true;
         self.push(at + self.lookahead(), FleetEvent::PeerActivate { machine: i });
@@ -1656,9 +1242,8 @@ impl Fleet {
     }
 
     /// Begins member `i`'s lifecycle wave step: retire its peer first,
-    /// then (inside the member's own sim, so the parallel engine
-    /// replays it identically) point its writes at its archive volume
-    /// and start re-virtualization.
+    /// then (inside the member's own sim) point its writes at its
+    /// archive volume and start re-virtualization.
     fn upgrade_start(&mut self, i: usize, t: SimTime) {
         self.retire_peer(i);
         self.lifecycle[i] = LifecycleStage::SnapshotBack;
@@ -2014,15 +1599,7 @@ impl Fleet {
     /// frame is routed to the server node owning its AoE shelf — the
     /// client addressed the request, the fabric just switches it.
     fn forward_requests(&mut self, i: usize, now: SimTime) {
-        let frames = fleet_harvest_tx(&mut self.machines[i].0);
-        self.forward_frames(i, now, frames);
-    }
-
-    /// Routes already-harvested frames from machine `i` onto the fabric
-    /// at `now` — the shared-state half of [`Fleet::forward_requests`],
-    /// which the parallel merge calls with frames a worker buffered.
-    fn forward_frames(&mut self, i: usize, now: SimTime, frames: Vec<FrameBytes>) {
-        for payload in frames {
+        for payload in fleet_harvest_tx(&mut self.machines[i].0) {
             // Route on the shelf the client addressed; a frame for a
             // shelf nobody serves just vanishes, like on a real wire.
             let Some(&node) = peek_shelf_slot(&payload)
@@ -2173,10 +1750,8 @@ impl Fleet {
             // The IB lane: an rdma-flagged reply burst was placed by a
             // one-sided READ, so it bypasses the Ethernet egress queue
             // and its fault verdicts entirely (InfiniBand is a lossless
-            // fabric) and lands after the fixed propagation delay. That
-            // delay equals [`Fleet::lookahead`] exactly, so the parallel
-            // engine's causality window is respected and both engines
-            // stay event-identical. The payload Arc moves through
+            // fabric) and lands after the fixed propagation delay,
+            // [`Fleet::lookahead`]. The payload Arc moves through
             // untouched — zero-copy end to end.
             if peek_rdma(&payload) {
                 let at = now + self.lookahead();
@@ -2266,8 +1841,7 @@ impl Fleet {
         } else {
             hits as f64 / (hits + misses) as f64
         };
-        // SLO watchdogs: evaluated here, on the fleet timeline, so both
-        // engines see identical member state (see [`Fleet::enable_slo`]).
+        // SLO watchdogs: evaluated here, on the fleet timeline.
         let mut active_alerts = 0.0;
         let projected_p99_s = self.projected_p99_s(now);
         if let Some(slo) = self.slo.as_mut() {
@@ -2342,7 +1916,7 @@ impl Fleet {
 
     /// Total events executed so far: the fleet's own timeline plus
     /// every member simulation — the denominator behind the bench
-    /// harness's events/second figure, identical between engines.
+    /// harness's events/second figure.
     pub fn events_executed(&self) -> u64 {
         self.fleet_events_executed
             + self
@@ -2479,8 +2053,8 @@ impl Fleet {
     /// active peers, the boot-time distribution in µs) is added as
     /// `fleet.machines_booted` / `fleet.peers_active` /
     /// `fleet.startup_us`. Merge order is the fixed member index order,
-    /// never completion order, so sequential and parallel engines — and
-    /// any two same-seed runs — produce byte-identical JSON.
+    /// never completion order, so any two same-seed runs produce
+    /// byte-identical JSON.
     pub fn fleet_snapshot(&self) -> Option<MetricsSnapshot> {
         let mut out = self.fabric_metrics.snapshot()?;
         let mut aggregate = MetricsSnapshot::default();
@@ -2868,9 +2442,8 @@ mod tests {
         );
     }
 
-    /// Small-image geometry for the engine-equivalence matrix: byte
-    /// equality does not need paper-scale images, and the matrix runs
-    /// both engines per cell.
+    /// Small-image geometry for the lifecycle and determinism tests:
+    /// neither needs paper-scale images.
     fn tiny_cfg(n: usize) -> FleetConfig {
         FleetConfig {
             n,
@@ -2881,65 +2454,6 @@ mod tests {
             },
             ..FleetConfig::default()
         }
-    }
-
-    /// Runs `cfg` with the flight recorder on and `threads` workers,
-    /// returning every artifact the equivalence lock compares:
-    /// per-machine boot ticks, the full Chrome trace (spans and
-    /// sampler rows for every machine plus the fleet process), and the
-    /// total event count.
-    fn recorded_run(mut cfg: FleetConfig, threads: usize) -> (Vec<SimTime>, String, u64) {
-        cfg.sim_threads = threads;
-        let mut fleet = Fleet::new(cfg);
-        fleet.enable_flight_recorder(FlightRecorderConfig::default());
-        fleet.start(|_| Box::new(BootProgram::new(BootProfile::tiny(7))));
-        let startups = fleet
-            .run_to_all_booted(SimTime::from_secs(3600))
-            .expect("fleet boots");
-        let trace = fleet.chrome_trace();
-        (startups, trace, fleet.events_executed())
-    }
-
-    /// The executable determinism proof: the parallel engine must be
-    /// event-identical to the sequential walk — same boot ticks, same
-    /// event count, and a byte-identical trace export.
-    fn assert_engines_agree(cfg: FleetConfig) {
-        let (seq, seq_trace, seq_events) = recorded_run(cfg.clone(), 1);
-        let (par, par_trace, par_events) = recorded_run(cfg, 4);
-        assert_eq!(seq, par, "per-machine boot ticks diverged");
-        assert_eq!(seq_events, par_events, "event counts diverged");
-        assert_eq!(seq_trace, par_trace, "trace bytes diverged");
-    }
-
-    #[test]
-    fn parallel_matches_sequential_single_server() {
-        assert_engines_agree(tiny_cfg(2));
-        assert_engines_agree(tiny_cfg(8));
-    }
-
-    #[test]
-    fn parallel_matches_sequential_sharded() {
-        let mut cfg = tiny_cfg(8);
-        cfg.servers = 4;
-        assert_engines_agree(cfg);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_p2p() {
-        let mut cfg = tiny_cfg(8);
-        cfg.peer_serving = true;
-        cfg.start_stagger = SimDuration::from_millis(50);
-        cfg.machine_cfg.moderation.post_boot_sprint = true;
-        cfg.admission_base = 2;
-        cfg.admission_per_peer = 4;
-        assert_engines_agree(cfg);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_under_chaos() {
-        let mut cfg = tiny_cfg(4);
-        cfg.faults = FaultPlan::preset("chaos", 7);
-        assert_engines_agree(cfg);
     }
 
     #[test]
@@ -2981,125 +2495,6 @@ mod tests {
             assert_eq!(a, b, "{kind} startups diverged across reruns");
             assert_eq!(fleet_a.server().requests(), fleet_b.server().requests());
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_batched() {
-        let mut cfg = tiny_cfg(4);
-        cfg.machine_cfg.transport = crate::transport::TransportKind::Batched;
-        assert_engines_agree(cfg);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_rdma() {
-        // The IB-lane reply delay equals `Fleet::lookahead()` exactly,
-        // so this pins the completion path as lookahead-safe: the
-        // conservative window engine must stay event-identical.
-        let mut cfg = tiny_cfg(4);
-        cfg.machine_cfg.transport = crate::transport::TransportKind::Rdma;
-        assert_engines_agree(cfg);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_rdma_under_chaos() {
-        let mut cfg = tiny_cfg(4);
-        cfg.machine_cfg.transport = crate::transport::TransportKind::Rdma;
-        cfg.faults = FaultPlan::preset("chaos", 7);
-        assert_engines_agree(cfg);
-    }
-
-    #[test]
-    #[ignore = "rack scale: run in release (CI parallel-equivalence job)"]
-    fn parallel_matches_sequential_at_rack_scale() {
-        let mut cfg = tiny_cfg(64);
-        cfg.peer_serving = true;
-        cfg.start_stagger = SimDuration::from_millis(50);
-        cfg.machine_cfg.moderation.post_boot_sprint = true;
-        cfg.admission_base = 8;
-        cfg.admission_per_peer = 8;
-        assert_engines_agree(cfg);
-    }
-
-    #[test]
-    #[ignore = "paper geometry: run in release (CI parallel-equivalence job)"]
-    fn parallel_matches_sequential_at_paper_geometry_endgame() {
-        // The endgame guard's regression case: at the scale-out
-        // figure's full member geometry (128 MB image, the hot
-        // scaleout boot profile) a sharded fleet of 32 used to finish
-        // with three more events on the parallel engine — the final
-        // round overstepping members queued behind the completing
-        // boot. Tiny geometries leave the last window empty and never
-        // caught it, so this one pins the real figure path.
-        let run = |threads: usize| {
-            let mut cfg = small_cfg(32);
-            cfg.servers = 4;
-            cfg.start_stagger = SimDuration::from_millis(50);
-            cfg.sim_threads = threads;
-            let mut fleet = Fleet::new(cfg);
-            let profile =
-                BootProfile::custom("scaleout-boot", 7, 400, 24 << 20, 2000, 24 << 20);
-            fleet.start(move |_| Box::new(BootProgram::new(profile.clone())));
-            let startups = fleet
-                .run_to_all_booted(SimTime::from_secs(36_000))
-                .expect("fleet boots");
-            (startups, fleet.events_executed())
-        };
-        let (seq, seq_events) = run(1);
-        let (par, par_events) = run(4);
-        assert_eq!(seq, par, "per-machine boot ticks diverged");
-        assert_eq!(seq_events, par_events, "event counts diverged");
-    }
-
-    #[test]
-    fn parallel_round_never_steps_past_an_unconsumed_fleet_event() {
-        let mut cfg = small_cfg(2);
-        cfg.sim_threads = 4;
-        // Stagger the second machine far past the window so the round
-        // does not hold every unbooted member — that case serializes
-        // (see the endgame guard) and would bypass the clamp under
-        // test.
-        cfg.start_stagger = SimDuration::from_millis(1);
-        let mut fleet = Fleet::new(cfg);
-        fleet.start(|_| Box::new(BootProgram::new(BootProfile::tiny(7))));
-        // Plant a fleet event well inside the lookahead window: the
-        // round horizon must clamp to it, so no member may consume an
-        // event at or past it — a machine stepped beyond would read
-        // fabric state the pending event still has to produce.
-        let t_f = SimTime::ZERO + SimDuration::from_micros(5);
-        fleet.push(t_f, FleetEvent::Dispatch { node: 0 });
-        let (floor, _) = fleet.machine_floor().expect("members armed");
-        assert!(
-            floor + fleet.lookahead() > t_f,
-            "the planted event sits inside the lookahead window"
-        );
-        fleet.parallel_round(floor, Some(t_f), SimTime::from_secs(3600));
-        for (i, (_, sim)) in fleet.machines.iter().enumerate() {
-            assert!(
-                sim.now() < t_f,
-                "machine {i} was stepped to {:?}, past the pending fleet event at {t_f:?}",
-                sim.now()
-            );
-        }
-        assert!(
-            fleet.events.keys().any(|&(t, _)| t == t_f),
-            "the planted event must still be pending after the round"
-        );
-    }
-
-    #[test]
-    fn round_buffers_carry_no_interior_mutability() {
-        // The merge phase replays round records by recorded value
-        // alone. `Sync` on plain owned data is the loom-free assertion
-        // that a worker cannot leak scheduling effects into the merge
-        // through a shared cell — any `RefCell`/`Cell` in the buffers
-        // would fail this bound at compile time.
-        fn assert_send<T: Send>() {}
-        fn assert_sync<T: Sync>() {}
-        assert_send::<RoundRecord>();
-        assert_sync::<RoundRecord>();
-        assert_send::<RoundStep>();
-        assert_sync::<RoundStep>();
-        assert_send::<(Machine, MachineSim)>();
     }
 
     use crate::machine::GuestCtl;
@@ -3283,90 +2678,6 @@ mod tests {
         }
     }
 
-    /// Runs boot + rolling upgrade with the flight recorder on and
-    /// `threads` workers, returning every artifact the lifecycle
-    /// equivalence lock compares.
-    fn recorded_upgrade_run(
-        mut cfg: FleetConfig,
-        threads: usize,
-    ) -> (Vec<SimTime>, Vec<SimTime>, String, u64) {
-        cfg.sim_threads = threads;
-        let mut fleet = Fleet::new(cfg);
-        fleet.enable_flight_recorder(FlightRecorderConfig::default());
-        fleet.start(tenant_program);
-        let boots = fleet
-            .run_to_all_booted(SimTime::from_secs(3600))
-            .expect("fleet boots");
-        let redeploys = fleet
-            .run_rolling_upgrade(
-                0xB002,
-                2,
-                |_| Box::new(BootProgram::new(BootProfile::tiny(7))),
-                SimTime::from_secs(7200),
-            )
-            .expect("wave completes");
-        (boots, redeploys, fleet.chrome_trace(), fleet.events_executed())
-    }
-
-    /// Satellite of the determinism story: re-virt/reclaim fleet
-    /// events land on the fleet timeline with lookahead, so the
-    /// parallel engine must replay a whole lifecycle wave
-    /// event-identically — same redeploy ticks, same event count, a
-    /// byte-identical trace.
-    fn assert_engines_agree_on_upgrade(cfg: FleetConfig) {
-        let (seq_b, seq_r, seq_trace, seq_events) = recorded_upgrade_run(cfg.clone(), 1);
-        let (par_b, par_r, par_trace, par_events) = recorded_upgrade_run(cfg, 4);
-        assert_eq!(seq_b, par_b, "boot ticks diverged");
-        assert_eq!(seq_r, par_r, "redeploy ticks diverged");
-        assert_eq!(seq_events, par_events, "event counts diverged");
-        assert_eq!(seq_trace, par_trace, "trace bytes diverged");
-    }
-
-    #[test]
-    fn parallel_matches_sequential_rolling_upgrade() {
-        assert_engines_agree_on_upgrade(tiny_cfg(2));
-        assert_engines_agree_on_upgrade(tiny_cfg(8));
-    }
-
-    #[test]
-    fn parallel_matches_sequential_upgrade_with_stagger() {
-        // Staggered power-on shifts every member's timeline off the
-        // fleet grid, so the wave's detection instants no longer line
-        // up with round boundaries — the equivalence must hold anyway.
-        let mut cfg = tiny_cfg(2);
-        cfg.start_stagger = SimDuration::from_millis(50);
-        assert_engines_agree_on_upgrade(cfg);
-    }
-
-    #[test]
-    #[ignore = "rack scale: run in release (CI parallel-equivalence job)"]
-    fn parallel_matches_sequential_upgrade_at_rack_scale() {
-        let mut cfg = tiny_cfg(64);
-        cfg.start_stagger = SimDuration::from_millis(50);
-        let run = |threads: usize| {
-            let mut cfg = cfg.clone();
-            cfg.sim_threads = threads;
-            let mut fleet = Fleet::new(cfg);
-            fleet.start(tenant_program);
-            let boots = fleet
-                .run_to_all_booted(SimTime::from_secs(36_000))
-                .expect("fleet boots");
-            let redeploys = fleet
-                .run_rolling_upgrade(
-                    0xB002,
-                    8,
-                    |_| Box::new(BootProgram::new(BootProfile::tiny(7))),
-                    SimTime::from_secs(72_000),
-                )
-                .expect("rack-scale wave completes");
-            assert_eq!(fleet.queue_drops_total(), 0, "zero drops at rack scale");
-            (boots, redeploys, fleet.events_executed())
-        };
-        let seq = run(1);
-        let par = run(4);
-        assert_eq!(seq, par, "rack-scale lifecycle runs diverged");
-    }
-
     #[test]
     fn retired_peer_never_serves_stale_blocks() {
         // Machine 0 boots early, converts into a serving peer, and is
@@ -3425,11 +2736,10 @@ mod tests {
         assert_holds_image(&fleet, 0, 0xB002);
     }
 
-    /// Full-obs run: telemetry + flight recorder + SLO watchdogs, with
-    /// `threads` workers. Returns the three obs artifacts the
-    /// acceptance criterion compares byte-for-byte.
-    fn obs_run(mut cfg: FleetConfig, threads: usize) -> (String, Vec<Alert>, StragglerReport) {
-        cfg.sim_threads = threads;
+    /// Full-obs run: telemetry + flight recorder + SLO watchdogs.
+    /// Returns the three obs artifacts the determinism test compares
+    /// byte-for-byte.
+    fn obs_run(cfg: FleetConfig) -> (String, Vec<Alert>, StragglerReport) {
         let mut fleet = Fleet::new(cfg);
         fleet.enable_telemetry();
         fleet.enable_flight_recorder(FlightRecorderConfig::default());
@@ -3446,18 +2756,14 @@ mod tests {
     }
 
     #[test]
-    fn fleet_obs_artifacts_are_engine_and_chaos_identical() {
+    fn fleet_obs_artifacts_are_chaos_identical() {
         let mut cfg = tiny_cfg(4);
         cfg.faults = FaultPlan::preset("chaos", 7);
-        let (snap_seq, alerts_seq, report_seq) = obs_run(cfg.clone(), 1);
-        let (snap_par, alerts_par, report_par) = obs_run(cfg.clone(), 4);
-        let (snap_rerun, alerts_rerun, report_rerun) = obs_run(cfg, 1);
-        assert_eq!(snap_seq, snap_par, "fleet snapshot diverged across engines");
-        assert_eq!(snap_seq, snap_rerun, "fleet snapshot diverged across runs");
-        assert_eq!(alerts_seq, alerts_par, "alert stream diverged across engines");
-        assert_eq!(alerts_seq, alerts_rerun, "alert stream diverged across runs");
-        assert_eq!(report_seq, report_par, "straggler report diverged across engines");
-        assert_eq!(report_seq, report_rerun, "straggler report diverged across runs");
+        let (snap_a, alerts_a, report_a) = obs_run(cfg.clone());
+        let (snap_b, alerts_b, report_b) = obs_run(cfg);
+        assert_eq!(snap_a, snap_b, "fleet snapshot diverged across runs");
+        assert_eq!(alerts_a, alerts_b, "alert stream diverged across runs");
+        assert_eq!(report_a, report_b, "straggler report diverged across runs");
     }
 
     #[test]
@@ -3526,7 +2832,7 @@ mod tests {
 
     #[test]
     fn quiet_boot_keeps_the_watchdogs_silent() {
-        let (_, alerts, _) = obs_run(tiny_cfg(2), 1);
+        let (_, alerts, _) = obs_run(tiny_cfg(2));
         assert!(
             alerts.is_empty(),
             "default thresholds must not fire on a healthy boot: {alerts:?}"
@@ -3534,7 +2840,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "rack scale: run in release (CI parallel-equivalence job)"]
+    #[ignore = "rack scale: run in release (CI obs-smoke job)"]
     fn retransmit_storm_watchdog_fires_without_egress_backpressure() {
         // The scaleout figure's n=64 p2p point: same geometry, boot
         // profile, stagger, and peer-aware admission ramp as

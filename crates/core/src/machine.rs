@@ -385,9 +385,9 @@ impl GuestCtl<'_> {
 
 /// A workload/OS scenario driving the guest.
 ///
-/// `Send` so machines (which own their program) can be stepped from
-/// worker threads by the parallel fleet engine; programs are plain
-/// state machines, so the bound costs implementations nothing.
+/// `Send` so machines (which own their program) can move between
+/// threads; programs are plain state machines, so the bound costs
+/// implementations nothing.
 pub trait GuestProgram: Send {
     /// Display name.
     fn name(&self) -> &str;

@@ -59,9 +59,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A scheduled simulation event: a one-shot closure over the world.
-/// `Send` so a whole `Sim<W>` (with its pending events) can be stepped
-/// from a worker thread — the conservative parallel fleet engine moves
-/// `&mut Sim<Machine>` into scoped threads for each round.
+/// `Send` so a whole `Sim<W>` (with its pending events) can move to
+/// another thread.
 type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Sim<W>) + Send>;
 
 struct Scheduled<W> {
@@ -196,19 +195,6 @@ impl<W> Sim<W> {
                 true
             }
             None => false,
-        }
-    }
-
-    /// Executes the next pending event only if it fires strictly before
-    /// `horizon`, returning whether one ran. This is the bounded-horizon
-    /// variant the conservative parallel fleet engine steps members
-    /// with: a member may consume its own timeline up to the lookahead
-    /// horizon, but never an event at or past it — those can still be
-    /// influenced by events other parties have not emitted yet.
-    pub fn step_before(&mut self, world: &mut W, horizon: SimTime) -> bool {
-        match self.queue.peek() {
-            Some(Reverse(ev)) if ev.at < horizon => self.step(world),
-            _ => false,
         }
     }
 

@@ -8,10 +8,7 @@
 //! another when it clears — rather than re-alerting every tick. Because
 //! inputs are derived from sim-state at sim-timestamps and every
 //! threshold comparison is pure, two same-seed runs produce identical
-//! alert streams, on the sequential and the conservative-parallel fleet
-//! engines alike (the fleet sampler tick is a fleet-timeline event, and
-//! the parallel round horizon never crosses a fleet event, so members
-//! are in the same state when the tick reads them).
+//! alert streams.
 //!
 //! The four rules mirror the operational questions the paper's agility
 //! claim raises at fleet scale:

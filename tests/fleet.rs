@@ -1,0 +1,172 @@
+//! Fleet pins that tier-1 reaches: a tiny peer-to-peer boot and a tiny
+//! rolling upgrade, each checked against boot ticks, the event count
+//! and a digest of the fleet snapshot recorded from the fleet engine,
+//! plus a same-seed chaos double run compared byte for byte.
+//!
+//! A pin that moves means the fleet's event interleave moved: every
+//! committed scale-out, transport and obs artifact moves with it.
+
+use bmcast_repro::bmcast::deploy::FlightRecorderConfig;
+use bmcast_repro::bmcast::fleet::{Fleet, FleetConfig};
+use bmcast_repro::bmcast::machine::{GuestProgram, MachineSpec};
+use bmcast_repro::bmcast::programs::BootProgram;
+use bmcast_repro::guestsim::os::BootProfile;
+use bmcast_repro::simkit::fault::FaultPlan;
+use bmcast_repro::simkit::{SimDuration, SimTime};
+
+/// A 2 MiB image on a 4 MiB disk: small enough that a debug build runs
+/// every test here in about a second, large enough that peers convert
+/// and wave members overlap.
+fn tiny_cfg(n: usize) -> FleetConfig {
+    FleetConfig {
+        n,
+        spec: MachineSpec {
+            capacity_sectors: (1u64 << 22) / 512,
+            image_sectors: (1u64 << 21) / 512,
+            ..MachineSpec::default()
+        },
+        ..FleetConfig::default()
+    }
+}
+
+/// The scale-out figure's p2p shape: staggered power-on, post-boot
+/// sprint and a peer-aware admission ramp.
+fn p2p_cfg(n: usize) -> FleetConfig {
+    let mut cfg = tiny_cfg(n);
+    cfg.peer_serving = true;
+    cfg.start_stagger = SimDuration::from_millis(50);
+    cfg.machine_cfg.moderation.post_boot_sprint = true;
+    cfg.admission_base = 2;
+    cfg.admission_per_peer = 4;
+    cfg
+}
+
+/// A short boot: 50 reads totalling 2 MiB over the first 1 MiB, plus
+/// 500 ms of CPU work.
+fn boot_program(_: usize) -> Box<dyn GuestProgram> {
+    Box::new(BootProgram::new(BootProfile::custom(
+        "pin",
+        7,
+        50,
+        2 << 20,
+        500,
+        1 << 20,
+    )))
+}
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+fn ticks(times: &[SimTime]) -> Vec<u64> {
+    times.iter().map(|t| t.as_nanos()).collect()
+}
+
+fn armed(cfg: FleetConfig) -> Fleet {
+    let mut fleet = Fleet::new(cfg);
+    fleet.enable_telemetry();
+    fleet
+}
+
+fn snapshot_digest(fleet: &Fleet) -> u64 {
+    fnv1a(
+        fleet
+            .fleet_snapshot()
+            .expect("telemetry on")
+            .to_json()
+            .as_bytes(),
+    )
+}
+
+#[test]
+fn p2p_fleet_matches_its_pin() {
+    let mut fleet = armed(p2p_cfg(8));
+    fleet.start(boot_program);
+    let boots = fleet
+        .run_to_all_booted(SimTime::from_secs(3600))
+        .expect("fleet boots");
+    assert!(fleet.peers_active() >= 1, "an early finisher converted");
+    assert_eq!(
+        (
+            ticks(&boots),
+            fleet.events_executed(),
+            snapshot_digest(&fleet)
+        ),
+        (
+            vec![
+                708_130_251,
+                574_391_900,
+                624_391_900,
+                674_391_900,
+                724_391_900,
+                774_391_900,
+                824_391_900,
+                874_391_900,
+            ],
+            7_940,
+            15_947_513_041_578_365_859,
+        ),
+        "p2p n=8 boot ticks, event count, snapshot digest"
+    );
+}
+
+#[test]
+fn rolling_upgrade_matches_its_pin() {
+    let mut fleet = armed(tiny_cfg(4));
+    fleet.start(boot_program);
+    let boots = fleet
+        .run_to_all_booted(SimTime::from_secs(3600))
+        .expect("fleet boots");
+    let redeploys = fleet
+        .run_rolling_upgrade(0xB002, 2, boot_program, SimTime::from_secs(7200))
+        .expect("the wave completes");
+    assert_eq!(fleet.queue_drops_total(), 0);
+    assert_eq!(
+        (
+            ticks(&boots),
+            ticks(&redeploys),
+            fleet.events_executed(),
+            snapshot_digest(&fleet)
+        ),
+        (
+            vec![720_210_491, 524_572_572, 734_911_259, 735_405_467],
+            vec![1_437_968_950, 1_260_002_039, 1_784_597_939, 1_962_564_850],
+            11_401,
+            685_838_263_184_392_707,
+        ),
+        "upgrade n=4 boot ticks, redeploy ticks, event count, snapshot digest"
+    );
+}
+
+#[test]
+fn same_seed_chaos_runs_are_byte_identical() {
+    let run = || {
+        let mut cfg = tiny_cfg(4);
+        cfg.faults = FaultPlan::preset("chaos", 7);
+        let mut fleet = armed(cfg);
+        fleet.enable_flight_recorder(FlightRecorderConfig::default());
+        fleet.start(boot_program);
+        let boots = fleet
+            .run_to_all_booted(SimTime::from_secs(3600))
+            .expect("fleet boots under chaos");
+        let counters = fleet.fault_counters().expect("plan installed");
+        assert!(
+            counters.link_dropped + counters.link_corrupted + counters.server_dropped > 0,
+            "the chaos plan fired"
+        );
+        (
+            ticks(&boots),
+            fleet.events_executed(),
+            fleet.fleet_snapshot().expect("telemetry on").to_json(),
+            fleet.chrome_trace(),
+        )
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(a.0, b.0, "boot ticks diverged");
+    assert_eq!(a.1, b.1, "event counts diverged");
+    assert!(a.2 == b.2, "fleet snapshot bytes diverged");
+    assert!(a.3 == b.3, "trace bytes diverged");
+}
