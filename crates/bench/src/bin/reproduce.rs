@@ -77,6 +77,15 @@ use std::time::Instant;
 
 type FigureFn = fn(Scale) -> Figure;
 
+const USAGE: &str = "usage: reproduce [--quick] [--metrics] [--jobs N]
+                 [--faults PLAN|all] [--scaleout] [--elasticity]
+                 [--transport aoe|batched|rdma|all]
+                 [--fleet-obs DIR] [--trace-out DIR] [--trace-ring N]
+                 [fig04 fig05 ... | all]";
+
+/// The flags that take no value (the value flags are parsed by name).
+const SWITCHES: [&str; 4] = ["--quick", "--metrics", "--scaleout", "--elasticity"];
+
 /// One completed figure: the table plus how long it took on the wall.
 struct FigureRun {
     id: &'static str,
@@ -249,6 +258,11 @@ fn main() {
             transport_sel = Some(t);
         } else if !a.starts_with("--") {
             wanted.push(a.as_str());
+        } else if !SWITCHES.contains(&a.as_str()) {
+            // A mistyped flag must not fall through to a default run
+            // (every figure, or the paper-scale one without --quick).
+            eprintln!("reproduce: unknown flag {a}\n{USAGE}");
+            std::process::exit(2);
         }
     }
     assert!(jobs >= 1, "--jobs takes a positive integer");

@@ -1916,7 +1916,11 @@ impl Fleet {
 
     /// Total events executed so far: the fleet's own timeline plus
     /// every member simulation — the denominator behind the bench
-    /// harness's events/second figure.
+    /// harness's events/second figure. A parked poll's no-op ticks
+    /// (the background writer waiting for an idle window, see
+    /// `simkit::Sim::park`) are skipped, not executed, so they are not
+    /// counted and the host cost per counted event is higher than when
+    /// every tick was an event.
     pub fn events_executed(&self) -> u64 {
         self.fleet_events_executed
             + self

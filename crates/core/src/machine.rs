@@ -2025,26 +2025,34 @@ fn kick_writer(m: &mut Machine, sim: &mut MachineSim) {
     sim.schedule_in(delay, writer_fire);
 }
 
-fn writer_fire(m: &mut Machine, sim: &mut MachineSim) {
-    let Some(vmm) = m.vmm.as_mut() else { return };
-    if !vmm.is_active() {
-        return;
-    }
-    // The device must be idle from the guest's perspective.
-    let device_busy = match m.guest.driver {
-        GuestDriver::Ide(_) => m.hw.ide.is_busy(),
-        GuestDriver::Ahci(_) => m.hw.ahci.is_busy(0),
+/// The writer's idle-window poll period (the paper's preemption-timer
+/// polling runs at CPU-cycle granularity; 50 µs is fine enough here).
+const WRITER_POLL: SimDuration = SimDuration::from_micros(50);
+
+/// Whether a writer tick acts rather than polls again: there is no
+/// active VMM (the tick ends the writer), or the device is idle from
+/// the guest's perspective and no redirect or multiplex is in flight.
+fn writer_tick_acts(m: &Machine) -> bool {
+    let Some(vmm) = m.vmm.as_ref().filter(|v| v.is_active()) else {
+        return true;
     };
     let can = match m.guest.driver {
-        GuestDriver::Ide(_) => vmm.ide_med.can_multiplex() && !device_busy,
-        GuestDriver::Ahci(_) => vmm.ahci_med.can_multiplex(device_busy),
+        GuestDriver::Ide(_) => vmm.ide_med.can_multiplex() && !m.hw.ide.is_busy(),
+        GuestDriver::Ahci(_) => vmm.ahci_med.can_multiplex(m.hw.ahci.is_busy(0)),
     };
-    if !can || vmm.redirect.is_some() || vmm.multiplex.is_some() {
-        // Poll for an idle window at fine granularity (the paper's
-        // preemption-timer polling runs at CPU-cycle granularity).
-        sim.schedule_in(SimDuration::from_micros(50), writer_fire);
+    can && vmm.redirect.is_none() && vmm.multiplex.is_none()
+}
+
+fn writer_fire(m: &mut Machine, sim: &mut MachineSim) {
+    if !writer_tick_acts(m) {
+        // Wait for an idle window; the parked poll costs nothing per
+        // tick that finds the device still busy.
+        sim.park(WRITER_POLL, writer_tick_acts, writer_fire);
         return;
     }
+    let Some(vmm) = m.vmm.as_mut().filter(|v| v.is_active()) else {
+        return;
+    };
     let Some(pieces) = vmm.bg.pop_for_write(&mut vmm.bitmap) else {
         // The FIFO may have drained entirely through discards (guest
         // writes beat every queued block): restart the supply.

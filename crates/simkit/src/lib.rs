@@ -86,6 +86,21 @@ impl<W> Ord for Scheduled<W> {
     }
 }
 
+/// A parked poll (see [`Sim::park`]): one pending tick of a
+/// `fire`-every-`period` chain, kept outside the heap so its no-op
+/// ticks cost nothing.
+struct Parked<W> {
+    /// The pending tick's key, as the chain's pending event would hold.
+    at: SimTime,
+    seq: u64,
+    period: SimDuration,
+    ready: fn(&W) -> bool,
+    fire: fn(&mut W, &mut Sim<W>),
+    /// `ready(world)` as of the last executed event: an armed tick is a
+    /// visible event, a dormant one is skipped when something passes it.
+    armed: bool,
+}
+
 /// A deterministic discrete-event simulator over a world type `W`.
 ///
 /// Events are closures receiving `&mut W` and `&mut Sim<W>`; they may
@@ -109,6 +124,10 @@ pub struct Sim<W> {
     queue: BinaryHeap<Reverse<Scheduled<W>>>,
     seq: u64,
     executed: u64,
+    parked: Option<Parked<W>>,
+    /// Set while an event runs: inserts made outside one first catch
+    /// the parked poll up to their time.
+    in_event: bool,
 }
 
 impl<W> Default for Sim<W> {
@@ -121,7 +140,7 @@ impl<W> std::fmt::Debug for Sim<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
             .field("now", &self.now)
-            .field("pending", &self.queue.len())
+            .field("pending", &self.pending_events())
             .field("executed", &self.executed)
             .finish()
     }
@@ -135,6 +154,8 @@ impl<W> Sim<W> {
             queue: BinaryHeap::new(),
             seq: 0,
             executed: 0,
+            parked: None,
+            in_event: false,
         }
     }
 
@@ -143,19 +164,85 @@ impl<W> Sim<W> {
         self.now
     }
 
-    /// Number of events executed so far.
+    /// Number of events executed so far. The ticks of a [`Sim::park`]ed
+    /// poll that find the world not ready are skipped, not executed, so
+    /// they are not counted (unless nothing else is pending and the
+    /// clock spins through them one by one).
     pub fn executed_events(&self) -> u64 {
         self.executed
     }
 
-    /// Number of events still pending in the queue.
+    /// Number of events still pending, a parked poll counting as one.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + usize::from(self.parked.is_some())
     }
 
-    /// Timestamp of the next pending event, if any.
+    /// Timestamp of the next pending event, if any. A parked poll shows
+    /// only while it is armed or nothing else is pending: its dormant
+    /// ticks are not events anyone can observe.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(ev)| ev.at)
+        let head = self.queue.peek().map(|Reverse(ev)| (ev.at, ev.seq));
+        match (&self.parked, head) {
+            (Some(p), Some(h)) if p.armed && (p.at, p.seq) < h => Some(p.at),
+            (Some(p), None) => Some(p.at),
+            (_, h) => h.map(|(at, _)| at),
+        }
+    }
+
+    /// Parks a poll: equivalent to `fire` re-scheduling itself every
+    /// `period` (first tick at `now + period`) until a tick finds
+    /// `ready(world)`, whereupon that tick calls `fire`. The ticks that
+    /// find the world not ready cost nothing.
+    ///
+    /// The parked tick holds one sequence number, as the scheduled
+    /// event would, and skipping `k` dormant ticks consumes `k`, so
+    /// every other event keeps the `(time, seq)` order the chain gave
+    /// it. `ready` is re-evaluated after every executed event and must
+    /// read only state that events change. An insert made outside an
+    /// event at time `t` stands for a driver that has reached `t`: the
+    /// dormant ticks before `t` are taken as fired first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parked poll is already pending.
+    pub fn park(
+        &mut self,
+        period: SimDuration,
+        ready: fn(&W) -> bool,
+        fire: fn(&mut W, &mut Sim<W>),
+    ) {
+        assert!(self.parked.is_none(), "a parked poll is already pending");
+        let seq = self.seq;
+        self.seq += 1;
+        self.parked = Some(Parked {
+            at: self.now + period,
+            seq,
+            period,
+            ready,
+            fire,
+            // Until the world is next evaluated, show the tick: firing a
+            // tick that is not ready just re-parks it, as the chain did.
+            armed: true,
+        });
+    }
+
+    /// Advances the parked poll past `k` dormant ticks, consuming one
+    /// sequence number per tick as the chain's re-scheduling did.
+    fn skip_ticks(&mut self, k: u64) {
+        if let Some(p) = self.parked.as_mut().filter(|_| k > 0) {
+            p.at += p.period * k;
+            self.seq += k;
+            p.seq = self.seq - 1;
+        }
+    }
+
+    /// The number of ticks of the parked poll strictly before `t`.
+    fn ticks_before(p: &Parked<W>, t: SimTime) -> u64 {
+        if p.at >= t {
+            return 0;
+        }
+        let gap = t.duration_since(p.at).as_nanos();
+        gap.div_ceil(p.period.as_nanos())
     }
 
     /// Schedules `f` to run at absolute time `at`.
@@ -169,6 +256,14 @@ impl<W> Sim<W> {
             "cannot schedule event in the past: at={at:?} now={:?}",
             self.now
         );
+        // An insert from outside any event means the driver has reached
+        // `at`: the chain would have run its dormant ticks before it.
+        if !self.in_event {
+            if let Some(p) = self.parked.as_ref().filter(|p| !p.armed) {
+                let k = Self::ticks_before(p, at);
+                self.skip_ticks(k);
+            }
+        }
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Reverse(Scheduled {
@@ -184,17 +279,69 @@ impl<W> Sim<W> {
     }
 
     /// Executes the next pending event, if any, advancing the clock to its
-    /// timestamp. Returns `false` when the queue is empty.
+    /// timestamp. Returns `false` when nothing is pending.
     pub fn step(&mut self, world: &mut W) -> bool {
+        if let Some(p) = &self.parked {
+            let head = self.queue.peek().map(|Reverse(ev)| (ev.at, ev.seq));
+            match head {
+                Some(h) if (p.at, p.seq) > h => {}
+                Some((head_at, _)) if !p.armed => {
+                    // Dormant ticks ahead of the head: skip them in one
+                    // go. The first may share the head's instant (it
+                    // holds the lower seq); every later one takes a
+                    // fresh seq, so it passes the head only when
+                    // strictly earlier.
+                    debug_assert!(
+                        !(p.ready)(world),
+                        "parked poll became ready outside an event"
+                    );
+                    let k = Self::ticks_before(p, head_at).max(1);
+                    self.skip_ticks(k);
+                }
+                _ => {
+                    self.tick_parked(world);
+                    return true;
+                }
+            }
+        }
         match self.queue.pop() {
             Some(Reverse(ev)) => {
                 debug_assert!(ev.at >= self.now);
                 self.now = ev.at;
                 self.executed += 1;
+                self.in_event = true;
                 (ev.f)(world, self);
+                self.in_event = false;
+                self.rearm(world);
                 true
             }
             None => false,
+        }
+    }
+
+    /// Executes the parked poll's pending tick as an event: `fire` if
+    /// the world is ready, else re-park one period on.
+    fn tick_parked(&mut self, world: &mut W) {
+        let p = self.parked.as_ref().expect("a parked poll");
+        debug_assert!(p.at >= self.now);
+        self.now = p.at;
+        self.executed += 1;
+        if (p.ready)(world) {
+            let fire = p.fire;
+            self.parked = None;
+            self.in_event = true;
+            fire(world, self);
+            self.in_event = false;
+        } else {
+            self.skip_ticks(1);
+        }
+        self.rearm(world);
+    }
+
+    /// Re-evaluates whether the parked poll's next tick would act.
+    fn rearm(&mut self, world: &W) {
+        if let Some(p) = &mut self.parked {
+            p.armed = (p.ready)(world);
         }
     }
 
@@ -208,8 +355,8 @@ impl<W> Sim<W> {
     /// `deadline` if events remain beyond it).
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
         loop {
-            match self.queue.peek() {
-                Some(Reverse(ev)) if ev.at <= deadline => {
+            match self.next_event_at() {
+                Some(at) if at <= deadline => {
                     self.step(world);
                 }
                 Some(_) => {
@@ -342,5 +489,102 @@ mod tests {
         sim.run(&mut w);
         assert_eq!(sim.executed_events(), 7);
         assert_eq!(sim.pending_events(), 0);
+    }
+
+    /// A world for the parked-poll tests: the poll waits for `open`.
+    #[derive(Default)]
+    struct Gate {
+        open: bool,
+        fired: Vec<u64>,
+    }
+
+    fn gate_open(g: &Gate) -> bool {
+        g.open
+    }
+
+    fn gate_fire(g: &mut Gate, s: &mut Sim<Gate>) {
+        g.fired.push(s.now().as_nanos());
+    }
+
+    const TICK: SimDuration = SimDuration::from_nanos(10);
+
+    /// A sim with a poll parked at t=0 (first tick at 10 ns).
+    fn parked_at_zero() -> (Sim<Gate>, Gate) {
+        let mut sim = Sim::<Gate>::new();
+        let mut g = Gate::default();
+        sim.schedule_at(SimTime::ZERO, |_: &mut Gate, s| {
+            s.park(TICK, gate_open, gate_fire)
+        });
+        sim.step(&mut g);
+        (sim, g)
+    }
+
+    #[test]
+    fn parked_poll_spins_tick_by_tick_on_an_empty_queue() {
+        let (mut sim, mut g) = parked_at_zero();
+        for k in 1..=5u64 {
+            assert_eq!(sim.next_event_at(), Some(SimTime::from_nanos(10 * k)));
+            assert!(sim.step(&mut g));
+            assert_eq!(sim.now(), SimTime::from_nanos(10 * k));
+            assert_eq!(sim.pending_events(), 1);
+        }
+        assert_eq!(sim.executed_events(), 6, "the spin ticks are events");
+        g.open = true;
+        assert!(sim.step(&mut g));
+        assert_eq!(g.fired, vec![60]);
+        assert_eq!(sim.pending_events(), 0);
+        assert!(!sim.step(&mut g));
+    }
+
+    #[test]
+    fn dormant_poll_is_hidden_and_armed_poll_is_shown() {
+        let (mut sim, mut g) = parked_at_zero();
+        sim.schedule_at(SimTime::from_nanos(95), |g: &mut Gate, _| g.open = true);
+        // Dormant: the next visible event is the opener at 95 ns.
+        assert_eq!(sim.pending_events(), 2);
+        assert_eq!(sim.next_event_at(), Some(SimTime::from_nanos(95)));
+        assert!(sim.step(&mut g));
+        assert_eq!(sim.executed_events(), 2, "dormant ticks are not executed");
+        // Armed: the tick at 100 ns shows and fires.
+        assert_eq!(sim.pending_events(), 1);
+        assert_eq!(sim.next_event_at(), Some(SimTime::from_nanos(100)));
+        assert!(sim.step(&mut g));
+        assert_eq!(g.fired, vec![100]);
+        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.next_event_at(), None);
+    }
+
+    #[test]
+    fn dormant_ticks_consume_the_chains_sequence_numbers() {
+        // Chain ticks at 10, 20, 30: the one at 30 is re-scheduled
+        // (by the tick at 20) before the opener at 30 is scheduled at
+        // 25, so it fires first and finds the gate shut; the poll acts
+        // at 40.
+        let (mut sim, mut g) = parked_at_zero();
+        sim.schedule_at(SimTime::from_nanos(25), |_: &mut Gate, s| {
+            s.schedule_at(SimTime::from_nanos(30), |g: &mut Gate, _| g.open = true);
+        });
+        sim.run(&mut g);
+        assert_eq!(g.fired, vec![40]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a parked poll is already pending")]
+    fn a_second_park_panics() {
+        let (mut sim, mut g) = parked_at_zero();
+        sim.schedule_at(SimTime::from_nanos(1), |_: &mut Gate, s| {
+            s.park(TICK, gate_open, gate_fire)
+        });
+        sim.step(&mut g);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "parked poll became ready outside an event")]
+    fn readiness_changed_outside_an_event_is_caught() {
+        let (mut sim, mut g) = parked_at_zero();
+        sim.schedule_at(SimTime::from_nanos(200), |_: &mut Gate, _| {});
+        g.open = true;
+        sim.step(&mut g);
     }
 }

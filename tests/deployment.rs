@@ -476,3 +476,75 @@ fn megasas_guest_writes_always_win_over_background_copy() {
         );
     }
 }
+
+/// FNV-1a 64 over every sector fingerprint of the local disk.
+fn disk_digest(runner: &Runner) -> u64 {
+    let store = runner.machine().hw.disk.store();
+    (0..store.capacity_sectors())
+        .flat_map(|lba| store.read(Lba(lba)).0.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
+/// A tiny paced deploy whose guest keeps the controller busy with
+/// back-to-back reads in the image's second half for 400 ms: reads
+/// ahead of the copy are redirected, and the background writer keeps
+/// waiting for an idle window (thousands of 50 µs polls). Returns the guest-finish, deployment-done and
+/// bare-metal ticks, the mediator's multiplex count and the disk
+/// digest.
+fn busy_guest_deploy(controller: ControllerKind) -> (u64, u64, u64, u64, u64) {
+    let spec = small_spec(controller);
+    let cfg = BmcastConfig {
+        controller,
+        ..BmcastConfig::default()
+    };
+    let mut runner = Runner::bmcast(&spec, cfg);
+    runner.start_program(Box::new(StreamProgram::sequential(
+        BlockRange::new(Lba(8_192), 4_096),
+        false,
+        64,
+        SimTime::from_millis(400),
+        11,
+    )));
+    let finished = runner
+        .run_to_finish(SimTime::from_secs(60))
+        .expect("guest finishes");
+    let bare = runner
+        .run_to_bare_metal(SimTime::from_secs(600))
+        .expect("deployment completes");
+    let vmm = runner.machine().vmm.as_ref().unwrap();
+    let multiplexes = match controller {
+        ControllerKind::Ide => vmm.ide_med.stats().multiplexes,
+        _ => vmm.ahci_med.stats().multiplexes,
+    };
+    (
+        finished.as_nanos(),
+        vmm.deployment_done_at.unwrap().as_nanos(),
+        bare.as_nanos(),
+        multiplexes,
+        disk_digest(&runner),
+    )
+}
+
+/// Guest finish, deployment done and bare metal (ns), multiplexes and
+/// disk digest of [`busy_guest_deploy`]. IDE and AHCI share the disk
+/// model and the one-request-at-a-time guest, so both controllers land
+/// on the same ticks; each still runs its own writer gate.
+const BUSY_GUEST_PIN: (u64, u64, u64, u64, u64) = (
+    400_592_533,
+    617_788_217,
+    617_826_217,
+    52,
+    17_385_852_379_886_786_368,
+);
+
+#[test]
+fn busy_ide_guest_deploy_matches_its_pin() {
+    assert_eq!(busy_guest_deploy(ControllerKind::Ide), BUSY_GUEST_PIN);
+}
+
+#[test]
+fn busy_ahci_guest_deploy_matches_its_pin() {
+    assert_eq!(busy_guest_deploy(ControllerKind::Ahci), BUSY_GUEST_PIN);
+}

@@ -106,7 +106,7 @@ fn p2p_fleet_matches_its_pin() {
                 824_391_900,
                 874_391_900,
             ],
-            7_940,
+            7_418,
             15_947_513_041_578_365_859,
         ),
         "p2p n=8 boot ticks, event count, snapshot digest"
@@ -134,7 +134,7 @@ fn rolling_upgrade_matches_its_pin() {
         (
             vec![720_210_491, 524_572_572, 734_911_259, 735_405_467],
             vec![1_437_968_950, 1_260_002_039, 1_784_597_939, 1_962_564_850],
-            11_401,
+            9_264,
             685_838_263_184_392_707,
         ),
         "upgrade n=4 boot ticks, redeploy ticks, event count, snapshot digest"

@@ -11,7 +11,7 @@ use bmcast_repro::bmcast::snapback::{DirtyTracker, SnapshotBack};
 use bmcast_repro::bmcast::transport::coalesce_runs;
 use bmcast_repro::hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use bmcast_repro::hwsim::disk::{DiskModel, DiskOp, DiskParams};
-use bmcast_repro::simkit::{SimDuration, SimTime};
+use bmcast_repro::simkit::{Sim, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// Byte-serial FNV-1a 64 with bytes 22–23 (the checksum field) hashed
@@ -671,5 +671,181 @@ proptest! {
         prop_assert_eq!(&merged.histograms, &expected.histograms);
         // Byte-for-byte: the exported artifact agrees too.
         prop_assert_eq!(merged.to_json(), expected.to_json());
+    }
+}
+
+/// The poll period of the `park` equivalence world. Event times and
+/// delays below are multiples of 10 ns, so many land exactly on a
+/// poll grid instant.
+const POLL: SimDuration = SimDuration::from_nanos(50);
+/// Trace label of the poll's acting tick.
+const POLL_FIRED: u32 = u32::MAX;
+/// Trace label recorded (with `now()`) after each `run_until`.
+const DEADLINE: u32 = u32::MAX - 1;
+
+/// What a scripted event does after logging its label.
+#[derive(Clone, Copy, Debug)]
+enum PollOp {
+    /// Sets whether the poll's resource is busy.
+    Busy(bool),
+    /// Starts a poll `delay` ns on, unless one is already pending.
+    Kick(u64),
+    /// Schedules a follow-up `delay` ns on (0 allowed) that logs
+    /// `label + 1000` and flips the busy flag.
+    Follow(u64),
+}
+
+/// A world whose poll waits for `!busy`, run once with the poll as a
+/// re-arming event chain and once with it parked.
+#[derive(Default)]
+struct PollWorld {
+    parked: bool,
+    busy: bool,
+    polling: bool,
+    trace: Vec<(u64, u32)>,
+}
+
+fn poll_ready(w: &PollWorld) -> bool {
+    !w.busy
+}
+
+fn poll_act(w: &mut PollWorld, sim: &mut Sim<PollWorld>) {
+    w.trace.push((sim.now().as_nanos(), POLL_FIRED));
+    w.polling = false;
+}
+
+/// The reference: a tick that re-schedules itself until ready.
+fn chained_tick(w: &mut PollWorld, sim: &mut Sim<PollWorld>) {
+    if poll_ready(w) {
+        poll_act(w, sim);
+    } else {
+        sim.schedule_in(POLL, chained_tick);
+    }
+}
+
+/// The same tick, waiting through `Sim::park`.
+fn parked_tick(w: &mut PollWorld, sim: &mut Sim<PollWorld>) {
+    if poll_ready(w) {
+        poll_act(w, sim);
+    } else {
+        sim.park(POLL, poll_ready, parked_tick);
+    }
+}
+
+fn scripted(label: u32, op: PollOp) -> impl FnOnce(&mut PollWorld, &mut Sim<PollWorld>) + Send {
+    move |w: &mut PollWorld, sim: &mut Sim<PollWorld>| {
+        w.trace.push((sim.now().as_nanos(), label));
+        match op {
+            PollOp::Busy(b) => w.busy = b,
+            PollOp::Kick(delay) => {
+                if !w.polling {
+                    w.polling = true;
+                    let tick = if w.parked { parked_tick } else { chained_tick };
+                    sim.schedule_in(SimDuration::from_nanos(delay), tick);
+                }
+            }
+            PollOp::Follow(delay) => {
+                sim.schedule_in(
+                    SimDuration::from_nanos(delay),
+                    move |w: &mut PollWorld, sim| {
+                        w.trace.push((sim.now().as_nanos(), label + 1000));
+                        w.busy = !w.busy;
+                    },
+                );
+            }
+        }
+    }
+}
+
+/// How the test drives the sim between its own calls.
+#[derive(Clone, Copy, Debug)]
+enum Drive {
+    /// Runs this many logged events.
+    Step(u8),
+    RunFor(u64),
+    /// An insert made outside any event, at the current time.
+    InsertNow(PollOp),
+}
+
+fn poll_op() -> impl Strategy<Value = PollOp> {
+    prop_oneof![
+        any::<bool>().prop_map(PollOp::Busy),
+        (0u64..8).prop_map(|d| PollOp::Kick(d * 10)),
+        (0u64..12).prop_map(|d| PollOp::Follow(d * 10)),
+    ]
+}
+
+/// Runs the script and the drive plan; returns the firing trace and
+/// `pending_events()` after every drive step.
+fn run_poll_world(
+    parked: bool,
+    script: &[(u64, PollOp)],
+    drive: &[Drive],
+) -> (Vec<(u64, u32)>, Vec<usize>) {
+    let mut sim = Sim::<PollWorld>::new();
+    let mut w = PollWorld {
+        parked,
+        busy: true,
+        ..PollWorld::default()
+    };
+    for (label, &(at, op)) in script.iter().enumerate() {
+        sim.schedule_at(SimTime::from_nanos(at * 10), scripted(label as u32, op));
+    }
+    let mut pending = Vec::new();
+    for (i, d) in drive.iter().enumerate() {
+        match *d {
+            Drive::Step(n) => {
+                // A dormant tick is a step of the chain but not of the
+                // parked sim, so step by logged events: until the trace
+                // grows, or only a poll that cannot fire is left.
+                for _ in 0..n {
+                    let logged = w.trace.len();
+                    while w.trace.len() == logged
+                        && !(sim.pending_events() == 1 && w.polling && !poll_ready(&w))
+                        && sim.step(&mut w)
+                    {}
+                }
+            }
+            Drive::RunFor(ns) => {
+                let deadline = sim.now() + SimDuration::from_nanos(ns);
+                sim.run_until(&mut w, deadline);
+                w.trace.push((sim.now().as_nanos(), DEADLINE));
+            }
+            Drive::InsertNow(op) => {
+                let now = sim.now();
+                sim.schedule_at(now, scripted(500 + i as u32, op));
+            }
+        }
+        pending.push(sim.pending_events());
+    }
+    // Drain everything but a poll that can never become ready.
+    let horizon = sim.now() + SimDuration::from_micros(20);
+    sim.run_until(&mut w, horizon);
+    w.trace.push((sim.now().as_nanos(), DEADLINE));
+    (w.trace, pending)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+    /// `Sim::park` is indistinguishable from the event chain it
+    /// replaces: the same `(time, label)` firing trace, the same clock
+    /// after every deadline and the same pending count, whatever the
+    /// event times (grid instants and zero-delay follow-ups included),
+    /// the readiness flips, the outside inserts and the deadlines.
+    #[test]
+    fn parked_poll_equals_rearming_chain(
+        script in proptest::collection::vec((0u64..200, poll_op()), 1..40),
+        drive in proptest::collection::vec(
+            prop_oneof![
+                (1u8..6).prop_map(Drive::Step),
+                (0u64..60).prop_map(|d| Drive::RunFor(d * 10)),
+                poll_op().prop_map(Drive::InsertNow),
+            ],
+            0..30,
+        ),
+    ) {
+        let chained = run_poll_world(false, &script, &drive);
+        let parked = run_poll_world(true, &script, &drive);
+        prop_assert_eq!(chained, parked);
     }
 }
