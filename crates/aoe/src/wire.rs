@@ -161,7 +161,7 @@ fn fnv1a_word(h: u64, zero_words: &mut usize, w: &[u8]) -> u64 {
 ///
 /// The bytes after the header are walked as 8-byte words (all-zero
 /// 64-byte blocks in one test), and each run of zero words (the padding
-/// of every sector unit) folds into one multiply from [`ZERO_RUN_MUL`].
+/// of every sector unit) folds into one multiply from `ZERO_RUN_MUL`.
 /// The result equals the byte-serial hash on every input, so host cost
 /// scales with the bytes that carry data while the wire format is
 /// unchanged.

@@ -83,8 +83,18 @@ const USAGE: &str = "usage: reproduce [--quick] [--metrics] [--jobs N]
                  [--fleet-obs DIR] [--trace-out DIR] [--trace-ring N]
                  [fig04 fig05 ... | all]";
 
-/// The flags that take no value (the value flags are parsed by name).
+/// The flags that take no value.
 const SWITCHES: [&str; 4] = ["--quick", "--metrics", "--scaleout", "--elasticity"];
+
+/// The flags that take a value, as `--flag VALUE` or `--flag=VALUE`.
+const VALUE_FLAGS: [&str; 6] = [
+    "--jobs",
+    "--faults",
+    "--trace-out",
+    "--fleet-obs",
+    "--trace-ring",
+    "--transport",
+];
 
 /// One completed figure: the table plus how long it took on the wall.
 struct FigureRun {
@@ -191,97 +201,78 @@ fn write_fleet_obs(dir: &str, kind: &str, chaos: bool) {
     }
 }
 
+/// Prints `problem` and the usage text, then exits 2 before any work.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("reproduce: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Parses a positive integer flag value.
+fn positive(flag: &str, value: &str) -> usize {
+    match value.parse() {
+        Ok(n) if n >= 1 => n,
+        _ => usage_error(&format!("{flag} takes a positive integer, got {value:?}")),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
+    let mut switches: Vec<&str> = Vec::new();
+    let mut values: Vec<(&str, &str)> = Vec::new();
+    let mut wanted: Vec<&str> = Vec::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        let (flag, inline) = match a.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value)),
+            _ => (a, None),
+        };
+        if VALUE_FLAGS.contains(&flag) {
+            // The value is inline or the next token; a missing one (flag
+            // last, or followed by another flag) must not swallow that
+            // flag or fall through to a default run.
+            match inline.or_else(|| it.next()) {
+                Some(v) if inline.is_some() || !v.starts_with("--") => values.push((flag, v)),
+                _ => usage_error(&format!("{flag} takes a value")),
+            }
+        } else if SWITCHES.contains(&a) {
+            switches.push(a);
+        } else if a.starts_with("--") {
+            // A mistyped flag must not fall through to a default run
+            // (every figure, or the paper-scale one without --quick).
+            usage_error(&format!("unknown flag {a}"));
+        } else {
+            wanted.push(a);
+        }
+    }
+    let on = |switch: &str| switches.contains(&switch);
+    // The last occurrence of a value flag wins.
+    let value = |flag: &str| {
+        values
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+    };
+    let scale = if on("--quick") {
         Scale::Quick
     } else {
         Scale::Paper
     };
-    let mut jobs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut wanted: Vec<&str> = Vec::new();
-    let mut faults_sel: Option<&str> = None;
-    let mut trace_out: Option<&str> = None;
-    let mut fleet_obs: Option<&str> = None;
-    let mut trace_ring: Option<usize> = None;
-    let mut transport_sel: Option<&str> = None;
-    let mut take_jobs = false;
-    let mut take_faults = false;
-    let mut take_trace_out = false;
-    let mut take_fleet_obs = false;
-    let mut take_trace_ring = false;
-    let mut take_transport = false;
-    for a in &args {
-        if take_jobs {
-            jobs = a.parse().expect("--jobs takes a positive integer");
-            take_jobs = false;
-        } else if take_faults {
-            faults_sel = Some(a.as_str());
-            take_faults = false;
-        } else if take_trace_out {
-            trace_out = Some(a.as_str());
-            take_trace_out = false;
-        } else if take_fleet_obs {
-            fleet_obs = Some(a.as_str());
-            take_fleet_obs = false;
-        } else if take_trace_ring {
-            trace_ring = Some(a.parse().expect("--trace-ring takes a positive integer"));
-            take_trace_ring = false;
-        } else if take_transport {
-            transport_sel = Some(a.as_str());
-            take_transport = false;
-        } else if a == "--transport" {
-            take_transport = true;
-        } else if a == "--jobs" {
-            take_jobs = true;
-        } else if a == "--faults" {
-            take_faults = true;
-        } else if a == "--trace-out" {
-            take_trace_out = true;
-        } else if a == "--fleet-obs" {
-            take_fleet_obs = true;
-        } else if a == "--trace-ring" {
-            take_trace_ring = true;
-        } else if let Some(n) = a.strip_prefix("--jobs=") {
-            jobs = n.parse().expect("--jobs takes a positive integer");
-        } else if let Some(p) = a.strip_prefix("--faults=") {
-            faults_sel = Some(p);
-        } else if let Some(p) = a.strip_prefix("--trace-out=") {
-            trace_out = Some(p);
-        } else if let Some(p) = a.strip_prefix("--fleet-obs=") {
-            fleet_obs = Some(p);
-        } else if let Some(n) = a.strip_prefix("--trace-ring=") {
-            trace_ring = Some(n.parse().expect("--trace-ring takes a positive integer"));
-        } else if let Some(t) = a.strip_prefix("--transport=") {
-            transport_sel = Some(t);
-        } else if !a.starts_with("--") {
-            wanted.push(a.as_str());
-        } else if !SWITCHES.contains(&a.as_str()) {
-            // A mistyped flag must not fall through to a default run
-            // (every figure, or the paper-scale one without --quick).
-            eprintln!("reproduce: unknown flag {a}\n{USAGE}");
-            std::process::exit(2);
-        }
-    }
-    assert!(jobs >= 1, "--jobs takes a positive integer");
-    assert!(!take_jobs, "--jobs takes a positive integer");
-    assert!(!take_faults, "--faults takes a plan name or 'all'");
-    assert!(!take_trace_out, "--trace-out takes a directory path");
-    assert!(!take_fleet_obs, "--fleet-obs takes a directory path");
-    assert!(!take_trace_ring, "--trace-ring takes a positive integer");
-    assert!(trace_ring != Some(0), "--trace-ring takes a positive integer");
-    assert!(!take_transport, "--transport takes aoe|batched|rdma|all");
+    let jobs = value("--jobs").map_or_else(
+        || std::thread::available_parallelism().map_or(1, |n| n.get()),
+        |v| positive("--jobs", v),
+    );
+    let trace_ring = value("--trace-ring").map(|v| positive("--trace-ring", v));
+    let faults_sel = value("--faults");
+    let trace_out = value("--trace-out");
+    let fleet_obs = value("--fleet-obs");
+    let transport_sel = value("--transport");
 
     // `--scaleout --transport <kind|all>` runs the transport race
     // instead of the topology figure; plain `--scaleout` is untouched
     // (byte-identical artifacts).
     if let Some(sel) = transport_sel {
-        assert!(
-            args.iter().any(|a| a == "--scaleout"),
-            "--transport requires --scaleout"
-        );
+        assert!(on("--scaleout"), "--transport requires --scaleout");
         let kinds = ext_transport::kinds_for(sel)
             .unwrap_or_else(|| panic!("--transport takes aoe|batched|rdma|all, got {sel:?}"));
         eprintln!(
@@ -313,13 +304,13 @@ fn main() {
         if wanted.is_empty()
             && faults_sel.is_none()
             && trace_out.is_none()
-            && !args.iter().any(|a| a == "--elasticity")
+            && !on("--elasticity")
         {
             return;
         }
     }
 
-    if args.iter().any(|a| a == "--scaleout") && transport_sel.is_none() {
+    if on("--scaleout") && transport_sel.is_none() {
         eprintln!("[reproduce] measuring fleet scale-out at {scale:?} scale ({jobs} jobs) ...");
         let started = Instant::now();
         let (fig, points) = ext_scaleout::run_scaleout(scale, jobs);
@@ -342,13 +333,13 @@ fn main() {
         if wanted.is_empty()
             && faults_sel.is_none()
             && trace_out.is_none()
-            && !args.iter().any(|a| a == "--elasticity")
+            && !on("--elasticity")
         {
             return;
         }
     }
 
-    if args.iter().any(|a| a == "--elasticity") {
+    if on("--elasticity") {
         eprintln!(
             "[reproduce] measuring elasticity lifecycle at {scale:?} scale ({jobs} jobs) ..."
         );
@@ -396,7 +387,7 @@ fn main() {
         }
     }
 
-    if args.iter().any(|a| a == "--metrics") {
+    if on("--metrics") {
         eprintln!("[reproduce] running instrumented deployment at {scale:?} scale ...");
         print!("{}", telemetry::report(scale, trace_ring.unwrap_or(4096)));
         if wanted.is_empty() && trace_out.is_none() {

@@ -89,8 +89,6 @@ impl Moderation {
 /// Top-level BMcast configuration.
 #[derive(Debug, Clone)]
 pub struct BmcastConfig {
-    /// Storage controller to mediate.
-    pub controller: ControllerKind,
     /// Memory reserved for the VMM (128 MB in the prototype).
     pub vmm_memory_bytes: u64,
     /// Polling granularity: the mediator detects device/network completion
@@ -151,7 +149,6 @@ pub struct BmcastConfig {
 impl Default for BmcastConfig {
     fn default() -> Self {
         BmcastConfig {
-            controller: ControllerKind::Ide,
             vmm_memory_bytes: 128 << 20,
             poll_interval: SimDuration::from_micros(400),
             redirect_poll_penalty: SimDuration::from_micros(6_300),

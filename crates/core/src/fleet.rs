@@ -6,7 +6,7 @@
 //! capacity-modeled fabric to a set of AoE storage servers:
 //!
 //! - **Requests** (machine → server) transit a shared
-//!   [`Switch`](hwsim::eth::Switch) whose server ports carry
+//!   [`Switch`] whose server ports carry
 //!   configurable uplink [`Link`]s: per-frame serialization delay and
 //!   back-to-back queueing, so 64 machines' fetch bursts contend for
 //!   the same wires exactly like the paper's testbed.
@@ -61,7 +61,7 @@
 //! (per-machine client jitter included, so retransmission storms do not
 //! synchronize), and the fleet's own event queue is an ordered map
 //! keyed by `(time, sequence)`. Peer activation is itself an event:
-//! a completed copy books a [`FleetEvent::PeerActivate`] one fabric
+//! a completed copy books a `FleetEvent::PeerActivate` one fabric
 //! lookahead later (attaching a switch port consumes no randomness),
 //! so two runs with the same [`FleetConfig`] are event-for-event
 //! identical — the scale-out artifact is byte-reproducible at every
@@ -131,7 +131,7 @@ pub const ARCHIVE_SLOT_BASE: u8 = 2;
 /// Where a member stands in the reverse (elasticity) lifecycle. The
 /// stages advance through fleet-timeline events and member step
 /// detections, mirroring the machine's own
-/// [`Phase`](crate::devirt::Phase) transitions at the fleet's
+/// [`Phase`] transitions at the fleet's
 /// granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LifecycleStage {

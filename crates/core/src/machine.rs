@@ -23,14 +23,19 @@ use crate::background::{BackgroundCopy, FetchedBlock};
 use crate::bitmap::BlockBitmap;
 use crate::config::{BmcastConfig, ControllerKind};
 use crate::devirt::{DevirtSequencer, Phase};
-use crate::mediator::{AhciMediator, AhciRedirect, IdeMediator, MmioVerdict, PioVerdict};
+use crate::mediator::{
+    AhciMediator, AhciRedirect, IdeMediator, IdeRedirect, MediatorStats, MmioVerdict, PioVerdict,
+};
 use crate::netdrv::PolledNic;
 use crate::snapback::{DirtyTracker, ReclaimError, SnapshotBack};
 use aoe::{AoeClient, AoeServer, ClientConfig, FrameBytes, ServerConfig};
 use guestsim::bus::GuestBus;
 use guestsim::driver::{ahci::AhciDriver, ide::IdeDriver, BlockDriver};
 use guestsim::io::{CompletedIo, IoRequest, RequestId};
-use hwsim::ahci::{preg, AhciCmdTable, AhciController, ABAR, PORT_BASE};
+use hwsim::ahci::{
+    preg, AhciAction, AhciCmdHeader, AhciCmdList, AhciCmdTable, AhciController, H2dFis, ABAR,
+    PORT_BASE,
+};
 use hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use hwsim::disk::{DiskModel, DiskOp, DiskParams};
 use hwsim::eth::{Frame, Link, MacAddr, Switch};
@@ -100,6 +105,18 @@ fn standard_pci_bus() -> PciBus {
         PciDevice { vendor: 0x8086, device: 0x10D3, class: PciClass::Network, bar0: None },
     );
     pci
+}
+
+/// Arms the mediator's VT-x trap set on a CPU in VMX root: the IDE
+/// taskfile ports, the AHCI register window, and the preemption timer
+/// that drives the VMM's polling. Used at first boot and again at
+/// re-virtualization, so both arm exactly the same set.
+fn arm_vmm_traps(cpu: &mut VtxCpu, poll_interval: SimDuration) {
+    for reg in IdeReg::ALL {
+        cpu.trap_pio_range(reg.port(), reg.port());
+    }
+    cpu.trap_mmio_range(ABAR, ABAR + hwsim::ahci::ABAR_SIZE - 1);
+    cpu.set_preemption_timer(Some(poll_interval));
 }
 
 /// The management fabric: switch plus the storage server.
@@ -179,17 +196,217 @@ struct RedirectInFlight {
     child: SpanId,
 }
 
-#[derive(Debug)]
+/// The guest command the mediator held for redirection.
+#[derive(Debug, Clone, Copy)]
 enum RedirectTarget {
-    Ide {
-        cmd: IdeCommandBlock,
-    },
-    Ahci {
-        slot: u8,
-        table: PhysAddr,
-        /// Original PRDT captured before the dummy rewrite.
-        prdt: PrdTable,
-    },
+    Ide(IdeRedirect),
+    Ahci(AhciRedirect),
+}
+
+/// A command slot on the machine's storage controllers: the IDE
+/// taskfile, or an AHCI port-0 slot.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Ide,
+    Ahci(u8),
+}
+
+/// A guest register write the mediator queued while it held the device.
+#[derive(Debug, Clone, Copy)]
+enum GuestWrite {
+    Pio(u16, u32),
+    Mmio(u64, u64),
+}
+
+/// The AHCI slot the VMM multiplexes its writes through.
+const VMM_AHCI_SLOT: u8 = 31;
+
+/// The VMM's storage port: the device mediator of the machine's one
+/// storage controller (§3.2). The mediators interpret; the port holds
+/// the rest of the controller-specific glue — how a redirect restarts
+/// the device, how a VMM write is injected, when the writer may go, and
+/// which guest accesses replay afterwards.
+#[derive(Debug)]
+pub enum StoragePort {
+    /// IDE, mediated at the PIO taskfile.
+    Ide(IdeMediator),
+    /// AHCI port 0, mediated at MMIO and the in-memory command list.
+    Ahci(AhciMediator),
+}
+
+impl StoragePort {
+    fn new(controller: ControllerKind, protected: BlockRange) -> StoragePort {
+        match controller {
+            ControllerKind::Ide => StoragePort::Ide(IdeMediator::new(Some(protected))),
+            ControllerKind::Ahci => StoragePort::Ahci(AhciMediator::new(Some(protected))),
+        }
+    }
+
+    /// Mediation statistics.
+    pub fn stats(&self) -> MediatorStats {
+        match self {
+            StoragePort::Ide(med) => med.stats(),
+            StoragePort::Ahci(med) => med.stats(),
+        }
+    }
+
+    fn set_telemetry(&mut self, metrics: Metrics) {
+        match self {
+            StoragePort::Ide(med) => med.set_telemetry(metrics),
+            StoragePort::Ahci(med) => med.set_telemetry(metrics),
+        }
+    }
+
+    fn set_spans(&mut self, spans: Spans) {
+        match self {
+            StoragePort::Ide(med) => med.set_spans(spans),
+            StoragePort::Ahci(med) => med.set_spans(spans),
+        }
+    }
+
+    fn note_now(&mut self, now: SimTime) {
+        match self {
+            StoragePort::Ide(med) => med.note_now(now),
+            StoragePort::Ahci(med) => med.note_now(now),
+        }
+    }
+
+    /// The writer's idle gate: the device is idle from the guest's point
+    /// of view.
+    fn can_multiplex(&self, hw: &Hardware) -> bool {
+        match self {
+            StoragePort::Ide(med) => med.can_multiplex() && !hw.ide.is_busy(),
+            StoragePort::Ahci(med) => med.can_multiplex(hw.ahci.is_busy(0)),
+        }
+    }
+
+    fn begin_multiplex(&mut self, now: SimTime) {
+        self.note_now(now);
+        match self {
+            StoragePort::Ide(med) => med.begin_multiplex(),
+            StoragePort::Ahci(med) => med.begin_multiplex(VMM_AHCI_SLOT),
+        }
+    }
+
+    /// Arms a VMM write of `range` from the buffers of the PRD table
+    /// `prd` and returns its slot. AHCI builds the slot in the guest's
+    /// command list, or in the VMM's own (`vmm_clb`) while the guest
+    /// driver has not initialized the port.
+    fn inject_write(
+        &self,
+        hw: &mut Hardware,
+        vmm_clb: &mut Option<PhysAddr>,
+        range: BlockRange,
+        prd: PhysAddr,
+    ) -> Slot {
+        let med = match self {
+            StoragePort::Ide(_) => {
+                hw.ide.inject_command(IdeCommandBlock {
+                    op: AtaOp::WriteDma,
+                    range,
+                    prd: Some(prd),
+                });
+                return Slot::Ide;
+            }
+            StoragePort::Ahci(med) => med,
+        };
+        let clb = med.clb().or(*vmm_clb).unwrap_or_else(|| {
+            let clb = hw.mem.alloc(AhciCmdList::new());
+            hw.ahci.mmio_write(PORT_BASE + preg::CLB, clb.0);
+            *vmm_clb = Some(clb);
+            clb
+        });
+        let prdt = hw.mem.get::<PrdTable>(prd).cloned();
+        let ctba = hw.mem.alloc(AhciCmdTable {
+            cfis: H2dFis {
+                op: AtaOp::WriteDma,
+                range,
+            },
+            prdt: prdt.expect("VMM PRD vanished"),
+        });
+        let list = hw
+            .mem
+            .get_mut::<AhciCmdList>(clb)
+            .expect("command list vanished");
+        list.slots[VMM_AHCI_SLOT as usize] = Some(AhciCmdHeader { ctba, write: true });
+        hw.ahci.mmio_write(PORT_BASE + preg::CI, 1 << VMM_AHCI_SLOT);
+        Slot::Ahci(VMM_AHCI_SLOT)
+    }
+
+    /// Ends the VMM write; returns the guest accesses queued meanwhile.
+    fn finish_multiplex(
+        &mut self,
+        now: SimTime,
+        mem: &mut PhysMem,
+        vmm_clb: Option<PhysAddr>,
+    ) -> Vec<GuestWrite> {
+        self.note_now(now);
+        let med = match self {
+            StoragePort::Ide(med) => return pio_replay(med.finish_multiplex()),
+            StoragePort::Ahci(med) => med,
+        };
+        let queued_ci = med.finish_multiplex();
+        let mut writes: Vec<GuestWrite> = med
+            .take_queued_mmio()
+            .into_iter()
+            .map(|(offset, val)| GuestWrite::Mmio(ABAR + offset, val))
+            .collect();
+        // Clear the VMM's slot header in whichever list carried it.
+        if let Some(list) = med
+            .clb()
+            .or(vmm_clb)
+            .and_then(|clb| mem.get_mut::<AhciCmdList>(clb))
+        {
+            list.slots[VMM_AHCI_SLOT as usize] = None;
+        }
+        if queued_ci != 0 {
+            writes.push(GuestWrite::Mmio(
+                ABAR + PORT_BASE + preg::CI,
+                queued_ci.into(),
+            ));
+        }
+        writes
+    }
+
+    /// Releases a redirected command whose data went in by virtual DMA
+    /// and arms the dummy restart, so the device itself raises the
+    /// completion interrupt. Returns the slot to start and the guest
+    /// accesses queued meanwhile.
+    fn restart_redirect(
+        &mut self,
+        now: SimTime,
+        hw: &mut Hardware,
+        target: RedirectTarget,
+        (dummy_buf, dummy_prd): (PhysAddr, PhysAddr),
+    ) -> (Slot, Vec<GuestWrite>) {
+        self.note_now(now);
+        match (self, target) {
+            (StoragePort::Ide(med), RedirectTarget::Ide(_)) => {
+                let queued = med.finish_redirect();
+                hw.ide.inject_command(IdeMediator::dummy_restart(dummy_prd));
+                (Slot::Ide, pio_replay(queued))
+            }
+            (StoragePort::Ahci(med), RedirectTarget::Ahci(AhciRedirect { slot, table, .. })) => {
+                AhciMediator::rewrite_for_dummy(&mut hw.mem, table, dummy_buf);
+                med.release_held(slot);
+                // Issue the guest's own slot: the device raises the interrupt.
+                if let Some(AhciAction::SlotsIssued { slots, .. }) =
+                    hw.ahci.mmio_write(PORT_BASE + preg::CI, 1 << slot)
+                {
+                    debug_assert_eq!(slots, 1 << slot);
+                }
+                (Slot::Ahci(slot), Vec::new())
+            }
+            _ => unreachable!("redirect target from the other controller"),
+        }
+    }
+}
+
+fn pio_replay(queued: Vec<(IdeReg, u32)>) -> Vec<GuestWrite> {
+    queued
+        .into_iter()
+        .map(|(reg, val)| GuestWrite::Pio(reg.port(), val))
+        .collect()
 }
 
 /// An in-flight multiplexed write sequence.
@@ -206,10 +423,8 @@ struct MultiplexInFlight {
 pub struct Vmm {
     /// Configuration.
     pub cfg: BmcastConfig,
-    /// IDE device mediator.
-    pub ide_med: IdeMediator,
-    /// AHCI device mediator.
-    pub ahci_med: AhciMediator,
+    /// The storage controller's mediator.
+    pub port: StoragePort,
     /// Filled/empty bitmap.
     pub bitmap: BlockBitmap,
     /// Background-copy machinery.
@@ -308,6 +523,79 @@ impl std::fmt::Display for DeployError {
 impl std::error::Error for DeployError {}
 
 impl Vmm {
+    /// Fresh per-tenant VMM state for `spec`: bitmap and its persisted
+    /// region, storage port, background copy, transport-configured AoE
+    /// client, devirt sequencer, dirty tracker, a newly initialized NIC
+    /// driver, and every lifecycle field cleared. `dummy_buf`/`dummy_prd`
+    /// are the restart DMA target the machine allocated for the VMM.
+    fn new(spec: &MachineSpec, cfg: BmcastConfig, dummy_buf: PhysAddr, dummy_prd: PhysAddr) -> Vmm {
+        // Deployment tracks the image prefix; the rest of the disk is
+        // guest scratch space, born "filled" (it has no server content).
+        let (capacity, image) = (spec.capacity_sectors, spec.image_sectors);
+        let mut bitmap = BlockBitmap::new(capacity);
+        if image < capacity {
+            bitmap.mark_filled(BlockRange::new(Lba(image), (capacity - image) as u32));
+        }
+        // Persisted-bitmap home: unused space just past the image when the
+        // disk is larger; otherwise carve out the disk's tail and exclude
+        // it from deployment (the paper uses "unallocated space between
+        // two partitions").
+        let persisted = bitmap.persisted_sectors();
+        let bitmap_region = if capacity >= image + u64::from(persisted) {
+            BlockRange::new(Lba(image), persisted)
+        } else {
+            let region = BlockRange::new(Lba(capacity - u64::from(persisted)), persisted);
+            bitmap.mark_filled(region);
+            region
+        };
+        let mut client = AoeClient::new(ClientConfig {
+            mtu: cfg.mtu,
+            rto: SimDuration::from_millis(50),
+            ..ClientConfig::default()
+        });
+        crate::transport::for_kind(cfg.transport).configure_client(&mut client);
+        Vmm {
+            port: StoragePort::new(spec.controller, bitmap_region),
+            bitmap,
+            bg: BackgroundCopy::new(
+                cfg.copy_block_sectors,
+                cfg.fifo_capacity,
+                cfg.retriever_depth,
+                spec.capacity_sectors,
+            ),
+            client,
+            nic: PolledNic::new(cfg.nic, VMM_MAC),
+            devirt: DevirtSequencer::new(spec.cpus),
+            dirty: DirtyTracker::new(spec.image_sectors),
+            snap: None,
+            phase: Phase::Initialization,
+            bitmap_region,
+            cpu_time: SimDuration::ZERO,
+            redirect: None,
+            multiplex: None,
+            aoe_waiters: HashMap::new(),
+            dummy_buf,
+            dummy_prd,
+            vmm_clb: None,
+            rdma_cq: VecDeque::new(),
+            writer_idle: true,
+            writer_next_allowed: SimTime::ZERO,
+            consecutive_failures: 0,
+            deploy_error: None,
+            reclaim_error: None,
+            devirt_requested: false,
+            deployment_start_at: None,
+            deployment_done_at: None,
+            bare_metal_at: None,
+            revirt_start_at: None,
+            snapshot_start_at: None,
+            snapshot_done_at: None,
+            redirect_span: NO_SPAN,
+            restart_span: NO_SPAN,
+            cfg,
+        }
+    }
+
     /// Whether the VMM still interposes on anything.
     pub fn is_active(&self) -> bool {
         self.phase != Phase::BareMetal
@@ -509,24 +797,26 @@ impl Default for MachineSpec {
     }
 }
 
+/// A disk of `capacity_sectors` holding `store`.
+fn new_disk(capacity_sectors: u64, store: BlockStore) -> DiskModel {
+    let params = DiskParams {
+        capacity_sectors,
+        ..DiskParams::default()
+    };
+    DiskModel::new(params, store)
+}
+
 impl Machine {
-    /// A bare-metal machine with the image already on the local disk.
-    pub fn bare_metal(spec: &MachineSpec) -> Machine {
-        let params = DiskParams {
-            capacity_sectors: spec.capacity_sectors,
-            ..DiskParams::default()
-        };
-        let mut store = BlockStore::image(spec.capacity_sectors, spec.image_seed);
-        // Only the image prefix is meaningful; rest reads as zero.
-        let _ = &mut store;
-        let disk = DiskModel::new(params, store);
+    /// A machine of `spec` with this memory, disk and CPUs, fresh
+    /// controllers, and no VMM, fabric, faults or telemetry.
+    fn assemble(spec: &MachineSpec, mem: PhysMem, disk: DiskModel, cpus: Vec<VtxCpu>) -> Machine {
         Machine {
             hw: Hardware {
-                mem: PhysMem::new(spec.mem_bytes),
+                mem,
                 disk,
                 ide: IdeController::new(),
                 ahci: AhciController::new(1),
-                cpus: (0..spec.cpus).map(|_| VtxCpu::new()).collect(),
+                cpus,
                 pci: standard_pci_bus(),
             },
             vmm: None,
@@ -541,17 +831,19 @@ impl Machine {
         }
     }
 
+    /// A bare-metal machine with the image already on the local disk.
+    pub fn bare_metal(spec: &MachineSpec) -> Machine {
+        let store = BlockStore::image(spec.capacity_sectors, spec.image_seed);
+        let disk = new_disk(spec.capacity_sectors, store);
+        let cpus = (0..spec.cpus).map(|_| VtxCpu::new()).collect();
+        Machine::assemble(spec, PhysMem::new(spec.mem_bytes), disk, cpus)
+    }
+
     /// A BMcast machine: blank local disk, VMM interposed, AoE server on
     /// the fabric holding the image.
     pub fn bmcast(spec: &MachineSpec, cfg: BmcastConfig) -> Machine {
-        let params = DiskParams {
-            capacity_sectors: spec.capacity_sectors,
-            ..DiskParams::default()
-        };
-        let disk = DiskModel::new(
-            params.clone(),
-            BlockStore::zeroed_with_mirror(spec.capacity_sectors, spec.image_seed),
-        );
+        let store = BlockStore::zeroed_with_mirror(spec.capacity_sectors, spec.image_seed);
+        let disk = new_disk(spec.capacity_sectors, store);
         let mut mem = PhysMem::new(spec.mem_bytes);
         mem.reserve_for_vmm(cfg.vmm_memory_bytes);
 
@@ -567,45 +859,12 @@ impl Machine {
         let mut cpus: Vec<VtxCpu> = (0..spec.cpus).map(|_| VtxCpu::new()).collect();
         for cpu in &mut cpus {
             cpu.vmxon();
-            for reg in IdeReg::ALL {
-                cpu.trap_pio_range(reg.port(), reg.port());
-            }
-            cpu.trap_mmio_range(ABAR, ABAR + hwsim::ahci::ABAR_SIZE - 1);
-            cpu.set_preemption_timer(Some(cfg.poll_interval));
+            arm_vmm_traps(cpu, cfg.poll_interval);
         }
-
-        // Deployment tracks the image prefix; the rest of the disk is
-        // guest scratch space, born "filled" (it has no server content).
-        let mut bitmap = BlockBitmap::new(spec.capacity_sectors);
-        if spec.image_sectors < spec.capacity_sectors {
-            bitmap.mark_filled(BlockRange::new(
-                Lba(spec.image_sectors),
-                (spec.capacity_sectors - spec.image_sectors) as u32,
-            ));
-        }
-        // Persisted-bitmap home: unused space just past the image when the
-        // disk is larger; otherwise carve out the disk's tail and exclude
-        // it from deployment (the paper uses "unallocated space between
-        // two partitions").
-        let persisted = u64::from(bitmap.persisted_sectors());
-        let bitmap_region = if spec.capacity_sectors >= spec.image_sectors + persisted {
-            BlockRange::new(Lba(spec.image_sectors), persisted as u32)
-        } else {
-            let region = BlockRange::new(
-                Lba(spec.capacity_sectors - persisted),
-                persisted as u32,
-            );
-            bitmap.mark_filled(region);
-            region
-        };
 
         // Server: the image disk behind a thread-pooled vblade.
-        let server_params = DiskParams {
-            capacity_sectors: spec.image_sectors,
-            ..DiskParams::default()
-        };
-        let server_disk = DiskModel::new(
-            server_params,
+        let server_disk = new_disk(
+            spec.image_sectors,
             BlockStore::image(spec.image_sectors, spec.image_seed),
         );
         let server = AoeServer::new(
@@ -619,81 +878,15 @@ impl Machine {
         let server_port = switch.attach(SERVER_MAC, Link::gigabit());
         switch.attach(VMM_MAC, Link::gigabit());
 
-        let faults = cfg.faults.clone().map(FaultInjector::new);
-
-        let vmm = Vmm {
-            ide_med: IdeMediator::new(Some(bitmap_region)),
-            ahci_med: AhciMediator::new(Some(bitmap_region)),
-            bitmap,
-            bg: BackgroundCopy::new(
-                cfg.copy_block_sectors,
-                cfg.fifo_capacity,
-                cfg.retriever_depth,
-                spec.capacity_sectors,
-            ),
-            client: {
-                let mut client = AoeClient::new(ClientConfig {
-                    mtu: cfg.mtu,
-                    rto: SimDuration::from_millis(50),
-                    ..ClientConfig::default()
-                });
-                crate::transport::for_kind(cfg.transport).configure_client(&mut client);
-                client
-            },
-            nic: PolledNic::new(cfg.nic, VMM_MAC),
-            devirt: DevirtSequencer::new(spec.cpus),
-            dirty: DirtyTracker::new(spec.image_sectors),
-            snap: None,
-            phase: Phase::Initialization,
-            bitmap_region,
-            cpu_time: SimDuration::ZERO,
-            redirect: None,
-            multiplex: None,
-            aoe_waiters: HashMap::new(),
-            dummy_buf,
-            dummy_prd,
-            vmm_clb: None,
-            rdma_cq: VecDeque::new(),
-            writer_idle: true,
-            writer_next_allowed: SimTime::ZERO,
-            consecutive_failures: 0,
-            deploy_error: None,
-            reclaim_error: None,
-            devirt_requested: false,
-            deployment_start_at: None,
-            deployment_done_at: None,
-            bare_metal_at: None,
-            revirt_start_at: None,
-            snapshot_start_at: None,
-            snapshot_done_at: None,
-            redirect_span: NO_SPAN,
-            restart_span: NO_SPAN,
-            cfg,
-        };
-
-        Machine {
-            hw: Hardware {
-                mem,
-                disk,
-                ide: IdeController::new(),
-                ahci: AhciController::new(1),
-                cpus,
-                pci: standard_pci_bus(),
-            },
-            vmm: Some(vmm),
-            guest: Guest::new(spec.controller),
-            net: Some(Network {
-                switch,
-                server,
-                server_port,
-            }),
-            stats: MachineStats::default(),
-            faults,
-            metrics: Metrics::disabled(),
-            tracer: Tracer::disabled(),
-            spans: Spans::disabled(),
-            sampler: Sampler::disabled(),
-        }
+        let mut m = Machine::assemble(spec, mem, disk, cpus);
+        m.faults = cfg.faults.clone().map(FaultInjector::new);
+        m.net = Some(Network {
+            switch,
+            server,
+            server_port,
+        });
+        m.vmm = Some(Vmm::new(spec, cfg, dummy_buf, dummy_prd));
+        m
     }
 
     /// A BMcast machine for fleet runs: same hardware, VMM, and guest as
@@ -716,8 +909,7 @@ impl Machine {
     /// a single snapshot sees the whole machine.
     pub fn set_telemetry(&mut self, metrics: Metrics, tracer: Tracer) {
         if let Some(vmm) = self.vmm.as_mut() {
-            vmm.ide_med.set_telemetry(metrics.clone());
-            vmm.ahci_med.set_telemetry(metrics.clone());
+            vmm.port.set_telemetry(metrics.clone());
             vmm.bg.set_telemetry(metrics.clone());
             vmm.client.set_telemetry(metrics.clone(), tracer.clone());
         }
@@ -738,8 +930,7 @@ impl Machine {
     /// the whole deployment.
     pub fn set_flight_recorder(&mut self, spans: Spans, sampler: Sampler) {
         if let Some(vmm) = self.vmm.as_mut() {
-            vmm.ide_med.set_spans(spans.clone());
-            vmm.ahci_med.set_spans(spans.clone());
+            vmm.port.set_spans(spans.clone());
             vmm.bg.set_spans(spans.clone());
             vmm.client.set_spans(spans.clone());
             vmm.devirt.set_spans(spans.clone());
@@ -788,6 +979,16 @@ impl Machine {
     }
 }
 
+impl GuestDriver {
+    /// The driver behind its block interface.
+    fn block(&mut self) -> &mut dyn BlockDriver {
+        match self {
+            GuestDriver::Ide(d) => d,
+            GuestDriver::Ahci(d) => d,
+        }
+    }
+}
+
 impl Guest {
     fn new(controller: ControllerKind) -> Guest {
         Guest {
@@ -809,10 +1010,10 @@ impl Guest {
 /// Hardware-side events latched during a bus interaction.
 #[derive(Debug)]
 enum HwEvent {
-    IdeReady,
-    AhciIssued { slots: u32 },
-    StartIdeRedirect(crate::mediator::IdeRedirect),
-    StartAhciRedirect(Vec<AhciRedirect>),
+    /// The guest armed a command on a slot.
+    Start(Slot),
+    /// The mediator held a guest command for redirection.
+    Redirect(RedirectTarget),
 }
 
 /// The mediated bus: routes guest accesses, charging exits and invoking
@@ -842,9 +1043,10 @@ impl GuestBus for MachineBus<'_> {
         if self.interposing() && self.hw.cpus[0].exits_on_pio(port) {
             self.hw.cpus[0].charge_exit(ExitReason::PioRead(port));
             let vmm = self.vmm.as_mut().expect("interposing implies vmm");
-            match vmm.ide_med.on_guest_read(reg) {
-                PioVerdict::Emulate(v) => return v,
-                _ => return self.hw.ide.read_reg(reg),
+            if let StoragePort::Ide(med) = &mut vmm.port {
+                if let PioVerdict::Emulate(v) = med.on_guest_read(reg) {
+                    return v;
+                }
             }
         }
         self.hw.ide.read_reg(reg)
@@ -857,26 +1059,24 @@ impl GuestBus for MachineBus<'_> {
         if self.interposing() && self.hw.cpus[0].exits_on_pio(port) {
             self.hw.cpus[0].charge_exit(ExitReason::PioWrite(port));
             let vmm = self.vmm.as_mut().expect("interposing implies vmm");
-            vmm.ide_med.note_now(self.now);
-            match vmm.ide_med.on_guest_write(reg, val, &mut vmm.bitmap) {
-                PioVerdict::Forward => {
-                    if let Some(IdeAction::CommandReady) = self.hw.ide.write_reg(reg, val) {
-                        self.events.push(HwEvent::IdeReady);
+            if let StoragePort::Ide(med) = &mut vmm.port {
+                med.note_now(self.now);
+                match med.on_guest_write(reg, val, &mut vmm.bitmap) {
+                    PioVerdict::Forward => {}
+                    PioVerdict::Swallow => return,
+                    PioVerdict::Emulate(_) => unreachable!("writes are never emulated"),
+                    PioVerdict::StartRedirect(r) => {
+                        // Block the device: retract whatever the earlier
+                        // forwarded writes left pending.
+                        self.hw.ide.take_ready();
+                        self.events.push(HwEvent::Redirect(RedirectTarget::Ide(r)));
+                        return;
                     }
                 }
-                PioVerdict::Swallow => {}
-                PioVerdict::Emulate(_) => unreachable!("writes are never emulated"),
-                PioVerdict::StartRedirect(r) => {
-                    // Block the device: retract whatever the earlier
-                    // forwarded writes left pending.
-                    self.hw.ide.take_ready();
-                    self.events.push(HwEvent::StartIdeRedirect(r));
-                }
             }
-            return;
         }
         if let Some(IdeAction::CommandReady) = self.hw.ide.write_reg(reg, val) {
-            self.events.push(HwEvent::IdeReady);
+            self.events.push(HwEvent::Start(Slot::Ide));
         }
     }
 
@@ -889,7 +1089,9 @@ impl GuestBus for MachineBus<'_> {
         if self.interposing() && self.hw.cpus[0].exits_on_mmio(addr) {
             self.hw.cpus[0].charge_exit(ExitReason::MmioRead(addr));
             let vmm = self.vmm.as_mut().expect("interposing implies vmm");
-            return vmm.ahci_med.filter_read(offset, raw);
+            if let StoragePort::Ahci(med) = &mut vmm.port {
+                return med.filter_read(offset, raw);
+            }
         }
         raw
     }
@@ -902,27 +1104,27 @@ impl GuestBus for MachineBus<'_> {
         if self.interposing() && self.hw.cpus[0].exits_on_mmio(addr) {
             self.hw.cpus[0].charge_exit(ExitReason::MmioWrite(addr));
             let vmm = self.vmm.as_mut().expect("interposing implies vmm");
-            vmm.ahci_med.note_now(self.now);
-            let verdict = vmm
-                .ahci_med
-                .on_guest_write(offset, val, &self.hw.mem, &mut vmm.bitmap);
-            match verdict {
-                MmioVerdict::Forward => self.forward_mmio(offset, val),
-                MmioVerdict::ForwardMasked(v) => self.forward_mmio(offset, v),
-                MmioVerdict::Swallow => {}
-                MmioVerdict::Ci {
-                    forward_mask,
-                    redirects,
-                } => {
-                    if forward_mask != 0 {
-                        self.forward_mmio(PORT_BASE + preg::CI, forward_mask as u64);
-                    }
-                    if !redirects.is_empty() {
-                        self.events.push(HwEvent::StartAhciRedirect(redirects));
+            if let StoragePort::Ahci(med) = &mut vmm.port {
+                med.note_now(self.now);
+                match med.on_guest_write(offset, val, &self.hw.mem, &mut vmm.bitmap) {
+                    MmioVerdict::Forward => {}
+                    MmioVerdict::ForwardMasked(v) => return self.forward_mmio(offset, v),
+                    MmioVerdict::Swallow => return,
+                    MmioVerdict::Ci {
+                        forward_mask,
+                        redirects,
+                    } => {
+                        if forward_mask != 0 {
+                            self.forward_mmio(PORT_BASE + preg::CI, forward_mask as u64);
+                        }
+                        // Serve slots one at a time; our drivers rarely
+                        // co-issue redirects.
+                        let held = redirects.into_iter().map(RedirectTarget::Ahci);
+                        self.events.extend(held.map(HwEvent::Redirect));
+                        return;
                     }
                 }
             }
-            return;
         }
         self.forward_mmio(offset, val);
     }
@@ -934,10 +1136,12 @@ impl GuestBus for MachineBus<'_> {
 
 impl MachineBus<'_> {
     fn forward_mmio(&mut self, offset: u64, val: u64) {
-        if let Some(hwsim::ahci::AhciAction::SlotsIssued { slots, .. }) =
+        if let Some(AhciAction::SlotsIssued { slots, .. }) =
             self.hw.ahci.mmio_write(offset, val)
         {
-            self.events.push(HwEvent::AhciIssued { slots });
+            let issued = (0..32u8).filter(|s| slots & (1 << s) != 0);
+            self.events
+                .extend(issued.map(|s| HwEvent::Start(Slot::Ahci(s))));
         }
     }
 }
@@ -951,6 +1155,25 @@ impl MachineBus<'_> {
 /// operation (thread wakeup + packetization).
 const VMM_OP_CPU: SimDuration = SimDuration::from_micros(30);
 
+/// Runs `f` against the guest driver on the mediated bus, then processes
+/// the hardware events the accesses latched.
+fn with_bus<R>(
+    m: &mut Machine,
+    sim: &mut MachineSim,
+    f: impl FnOnce(&mut GuestDriver, &mut MachineBus) -> R,
+) -> R {
+    let mut events = Vec::new();
+    let mut bus = MachineBus {
+        hw: &mut m.hw,
+        vmm: &mut m.vmm,
+        events: &mut events,
+        now: sim.now(),
+    };
+    let out = f(&mut m.guest.driver, &mut bus);
+    process_hw_events(m, sim, events);
+    out
+}
+
 /// Submits a guest I/O through the driver and processes the consequences.
 pub fn submit_guest_io(m: &mut Machine, sim: &mut MachineSim, req: IoRequest) {
     m.guest.pending_io.insert(req.id, sim.now());
@@ -959,80 +1182,44 @@ pub fn submit_guest_io(m: &mut Machine, sim: &mut MachineSim, req: IoRequest) {
             vmm.bg.note_guest_io(sim.now(), req.range.end());
         }
     }
-    let mut events = Vec::new();
-    {
-        let mut bus = MachineBus {
-            hw: &mut m.hw,
-            vmm: &mut m.vmm,
-            events: &mut events,
-            now: sim.now(),
-        };
-        match &mut m.guest.driver {
-            GuestDriver::Ide(d) => d.submit(req, &mut bus),
-            GuestDriver::Ahci(d) => {
-                if d.submitted() == 0 && d.in_flight() == 0 {
-                    // keep init lazy so bare-metal tests don't need it
-                }
-                d.submit(req, &mut bus)
-            }
-        }
-    }
-    process_hw_events(m, sim, events);
-}
-
-/// Initializes the AHCI guest driver (command list etc.). Call once before
-/// submitting I/O on AHCI machines.
-pub fn init_guest_driver(m: &mut Machine, sim: &mut MachineSim) {
-    let mut events = Vec::new();
-    {
-        let mut bus = MachineBus {
-            hw: &mut m.hw,
-            vmm: &mut m.vmm,
-            events: &mut events,
-            now: sim.now(),
-        };
-        if let GuestDriver::Ahci(d) = &mut m.guest.driver {
-            d.init(&mut bus);
-        }
-    }
-    process_hw_events(m, sim, events);
+    with_bus(m, sim, |driver, bus| driver.block().submit(req, bus));
 }
 
 fn process_hw_events(m: &mut Machine, sim: &mut MachineSim, events: Vec<HwEvent>) {
     for ev in events {
         match ev {
-            HwEvent::IdeReady => start_ide_media(m, sim, Origin::Guest),
-            HwEvent::AhciIssued { slots } => {
-                for slot in 0..32u8 {
-                    if slots & (1 << slot) != 0 {
-                        start_ahci_media(m, sim, slot, Origin::Guest);
-                    }
-                }
-            }
-            HwEvent::StartIdeRedirect(r) => begin_ide_redirect(m, sim, r),
-            HwEvent::StartAhciRedirect(rs) => begin_ahci_redirect(m, sim, rs),
+            HwEvent::Start(slot) => start_media(m, sim, slot, Origin::Guest),
+            HwEvent::Redirect(target) => begin_redirect(m, sim, target),
         }
     }
 }
 
-/// Propagates the injector's slow-disk factor onto the local disk before
-/// an access is timed (write errors stay scoped to the server disk).
-fn apply_local_disk_faults(m: &mut Machine, now: SimTime) {
+/// Starts the command armed on `slot` on the media and schedules its
+/// completion.
+fn start_media(m: &mut Machine, sim: &mut MachineSim, slot: Slot, origin: Origin) {
+    // The injector's slow-disk factor applies before the access is timed
+    // (write errors stay scoped to the server disk).
     if let Some(inj) = m.faults.as_mut() {
-        let factor = inj.disk_latency_factor(now);
-        m.hw.disk.set_fault_latency_factor(factor);
+        m.hw.disk
+            .set_fault_latency_factor(inj.disk_latency_factor(sim.now()));
     }
-}
-
-/// Starts the pending IDE command on the media and schedules completion.
-fn start_ide_media(m: &mut Machine, sim: &mut MachineSim, origin: Origin) {
-    apply_local_disk_faults(m, sim.now());
-    let Some(cmd) = m.hw.ide.start_ready() else {
-        return;
+    let hw = &mut m.hw;
+    let (op, range) = match slot {
+        Slot::Ide => match hw.ide.start_ready() {
+            Some(cmd) => (cmd.op, cmd.range),
+            None => return,
+        },
+        Slot::Ahci(s) => {
+            let Some(cmd) = hw.ahci.decode_slot(&hw.mem, 0, s) else {
+                return;
+            };
+            hw.ahci.start_slot(0, s);
+            (cmd.op, cmd.range)
+        }
     };
-    let t = match cmd.op {
-        AtaOp::ReadDma => m.hw.disk.access_time(DiskOp::Read, cmd.range),
-        AtaOp::WriteDma => m.hw.disk.access_time(DiskOp::Write, cmd.range),
+    let t = match op {
+        AtaOp::ReadDma => m.hw.disk.access_time(DiskOp::Read, range),
+        AtaOp::WriteDma => m.hw.disk.access_time(DiskOp::Write, range),
         AtaOp::Flush => SimDuration::from_millis(2),
         AtaOp::Identify => SimDuration::from_micros(300),
     };
@@ -1041,45 +1228,18 @@ fn start_ide_media(m: &mut Machine, sim: &mut MachineSim, origin: Origin) {
         m.metrics.inc("machine.local_ios");
         // Elasticity bookkeeping: every guest write diverges the local
         // disk from the golden image, so snapshot-back must stream it.
-        if cmd.op == AtaOp::WriteDma {
+        if op == AtaOp::WriteDma {
             if let Some(vmm) = m.vmm.as_mut() {
-                vmm.dirty.record(cmd.range);
+                vmm.dirty.record(range);
             }
         }
     }
     sim.schedule_in(t, move |m: &mut Machine, sim| {
-        m.hw.ide.complete_active(&mut m.hw.mem, &mut m.hw.disk);
-        finish_media(m, sim, origin);
-    });
-}
-
-/// Starts an issued AHCI slot on the media and schedules completion.
-fn start_ahci_media(m: &mut Machine, sim: &mut MachineSim, slot: u8, origin: Origin) {
-    apply_local_disk_faults(m, sim.now());
-    let Some(cmd) = m.hw.ahci.decode_slot(&m.hw.mem, 0, slot) else {
-        return;
-    };
-    m.hw.ahci.start_slot(0, slot);
-    let t = match cmd.op {
-        AtaOp::ReadDma => m.hw.disk.access_time(DiskOp::Read, cmd.range),
-        AtaOp::WriteDma => m.hw.disk.access_time(DiskOp::Write, cmd.range),
-        AtaOp::Flush => SimDuration::from_millis(2),
-        AtaOp::Identify => SimDuration::from_micros(300),
-    };
-    if origin == Origin::Guest {
-        m.stats.local_ios += 1;
-        m.metrics.inc("machine.local_ios");
-        // Same dirty-block bookkeeping as the IDE path.
-        if cmd.op == AtaOp::WriteDma {
-            if let Some(vmm) = m.vmm.as_mut() {
-                vmm.dirty.record(cmd.range);
-            }
+        let hw = &mut m.hw;
+        match slot {
+            Slot::Ide => hw.ide.complete_active(&mut hw.mem, &mut hw.disk),
+            Slot::Ahci(s) => hw.ahci.complete_slot(&mut hw.mem, &mut hw.disk, 0, s),
         }
-    }
-    sim.schedule_in(t, move |m: &mut Machine, sim| {
-        m.hw
-            .ahci
-            .complete_slot(&mut m.hw.mem, &mut m.hw.disk, 0, slot);
         finish_media(m, sim, origin);
     });
 }
@@ -1123,7 +1283,9 @@ fn finish_media(m: &mut Machine, sim: &mut MachineSim, origin: Origin) {
                 if is != 0 {
                     m.hw.ahci.mmio_write(PORT_BASE + preg::IS, is);
                 }
-                continue_multiplex(m, sim);
+                if m.vmm.as_ref().is_some_and(|v| v.multiplex.is_some()) {
+                    multiplex_next_piece(m, sim);
+                }
             });
         }
     }
@@ -1132,20 +1294,7 @@ fn finish_media(m: &mut Machine, sim: &mut MachineSim, origin: Origin) {
 /// Delivers a completion interrupt to the guest: runs the driver ISR and
 /// the program callbacks.
 fn deliver_guest_irq(m: &mut Machine, sim: &mut MachineSim) {
-    let mut events = Vec::new();
-    let completions = {
-        let mut bus = MachineBus {
-            hw: &mut m.hw,
-            vmm: &mut m.vmm,
-            events: &mut events,
-            now: sim.now(),
-        };
-        match &mut m.guest.driver {
-            GuestDriver::Ide(d) => d.on_irq(&mut bus),
-            GuestDriver::Ahci(d) => d.on_irq(&mut bus),
-        }
-    };
-    process_hw_events(m, sim, events);
+    let completions = with_bus(m, sim, |driver, bus| driver.block().on_irq(bus));
     for io in completions {
         if let Some(issued) = m.guest.pending_io.remove(&io.id) {
             let latency = sim.now().duration_since(issued);
@@ -1208,49 +1357,26 @@ fn run_program_dyn(m: &mut Machine, sim: &mut MachineSim, f: ProgramVisit<'_>) {
     }
 }
 
-/// Kicks off the guest program.
+/// Kicks off the guest program, once the AHCI guest driver has set up its
+/// command list.
 pub fn start_program(m: &mut Machine, sim: &mut MachineSim) {
-    init_guest_driver(m, sim);
+    with_bus(m, sim, |driver, bus| {
+        if let GuestDriver::Ahci(d) = driver {
+            d.init(bus);
+        }
+    });
     run_program(m, sim, |p, ctl| p.start(ctl));
 }
 
 // --------------------------- redirection ------------------------------
 
-fn begin_ide_redirect(m: &mut Machine, sim: &mut MachineSim, r: crate::mediator::IdeRedirect) {
+fn begin_redirect(m: &mut Machine, sim: &mut MachineSim, target: RedirectTarget) {
+    let (range, protected) = match target {
+        RedirectTarget::Ide(r) => (r.cmd.range, r.protected),
+        RedirectTarget::Ahci(r) => (r.range, r.protected),
+    };
     m.stats.redirected_ios += 1;
     m.metrics.inc("machine.redirected_ios");
-    let target = RedirectTarget::Ide { cmd: r.cmd };
-    begin_redirect(m, sim, target, r.cmd.range, r.protected);
-}
-
-fn begin_ahci_redirect(m: &mut Machine, sim: &mut MachineSim, rs: Vec<AhciRedirect>) {
-    // Serve slots one at a time; our drivers rarely co-issue redirects.
-    for r in rs {
-        m.stats.redirected_ios += 1;
-        m.metrics.inc("machine.redirected_ios");
-        let prdt = m
-            .hw
-            .mem
-            .get::<AhciCmdTable>(r.table)
-            .expect("redirected slot's table vanished")
-            .prdt
-            .clone();
-        let target = RedirectTarget::Ahci {
-            slot: r.slot,
-            table: r.table,
-            prdt,
-        };
-        begin_redirect(m, sim, target, r.range, r.protected);
-    }
-}
-
-fn begin_redirect(
-    m: &mut Machine,
-    sim: &mut MachineSim,
-    target: RedirectTarget,
-    range: BlockRange,
-    protected: bool,
-) {
     m.tracer.emit(sim.now(), "machine", "redirect", || {
         format!(
             "{} sectors at {:?}{}",
@@ -1274,49 +1400,33 @@ fn begin_redirect(
         vmm.redirect.is_none(),
         "one redirect at a time per controller"
     );
-    if protected {
-        // Converted access: no fetch; the guest gets dummy data.
-        vmm.redirect = Some(RedirectInFlight {
-            target,
-            outstanding: 0,
-            collected: vec![(range, vec![SectorData(0xD077); range.sectors as usize])],
-            fetched: Vec::new(),
-            finalizing: false,
-            span,
-            child,
-        });
-        sim.schedule_in(SimDuration::from_micros(50), |m: &mut Machine, sim| {
-            try_finish_redirect(m, sim);
-        });
-        return;
-    }
-
-    let holes = vmm.bitmap.empty_subranges(range);
-    let mut filled: Vec<BlockRange> = Vec::new();
-    {
-        // Complement of holes within range.
-        let mut cursor = range.lba;
-        for h in &holes {
-            if h.lba > cursor {
-                filled.push(BlockRange::new(cursor, (h.lba.0 - cursor.0) as u32));
-            }
-            cursor = h.end();
-        }
-        if cursor < range.end() {
-            filled.push(BlockRange::new(cursor, (range.end().0 - cursor.0) as u32));
-        }
-    }
-
+    // A converted (protected) access fetches nothing: the guest gets
+    // dummy data.
+    let (holes, filled, collected) = if protected {
+        let dummy = vec![SectorData(0xD077); range.sectors as usize];
+        (Vec::new(), Vec::new(), vec![(range, dummy)])
+    } else {
+        let bitmap = &vmm.bitmap;
+        (
+            bitmap.empty_subranges(range),
+            bitmap.filled_subranges(range),
+            Vec::new(),
+        )
+    };
     let plans = crate::transport::for_kind(vmm.cfg.transport).plan_reads(&vmm.client, &holes);
     vmm.redirect = Some(RedirectInFlight {
         target,
         outstanding: plans.len() + filled.len(),
-        collected: Vec::new(),
+        collected,
         fetched: Vec::new(),
         finalizing: false,
         span,
         child,
     });
+    if protected {
+        sim.schedule_in(SimDuration::from_micros(50), try_finish_redirect);
+        return;
+    }
 
     // Fetch empty sectors from the server; each AoE round-trip span
     // nests under the redirect's fetch child. The transport decides how
@@ -1408,89 +1518,44 @@ fn finish_redirect_now(m: &mut Machine, sim: &mut MachineSim) {
     m.stats.redirected_bytes += fetched_bytes;
     m.metrics.add("machine.redirected_bytes", fetched_bytes);
 
-    match r.target {
-        RedirectTarget::Ide { cmd } => {
-            // Virtual DMA: copy into the guest's PRD buffers.
-            if let Some(prd_addr) = cmd.prd {
-                let prd = m
-                    .hw
-                    .mem
-                    .get::<PrdTable>(prd_addr)
-                    .expect("guest PRD vanished")
-                    .clone();
-                let mut offset = 0usize;
-                for entry in &prd.entries {
-                    let n = entry.sectors as usize;
-                    let buf = m
-                        .hw
-                        .mem
-                        .get_mut::<DmaBuffer>(entry.buf)
-                        .expect("guest DMA buffer vanished");
-                    buf.sectors.clear();
-                    buf.sectors
-                        .extend_from_slice(&all[offset..(offset + n).min(all.len())]);
-                    offset += n;
-                }
-            }
-            let vmm = m.vmm.as_mut().expect("still here");
-            vmm.ide_med.note_now(now);
-            let queued = vmm.ide_med.finish_redirect();
-            let dummy = IdeMediator::dummy_restart(vmm.dummy_prd);
-            m.hw.ide.inject_command(dummy);
-            start_ide_media(m, sim, Origin::RedirectRestart);
-            replay_ide_writes(m, sim, queued);
+    // Virtual DMA: copy the data into the guest's PRD buffers.
+    let mem = &mut m.hw.mem;
+    let prdt = match r.target {
+        RedirectTarget::Ide(r) => {
+            r.cmd.prd.map(|prd| mem.get::<PrdTable>(prd).expect("guest PRD vanished"))
         }
-        RedirectTarget::Ahci { slot, table, prdt } => {
-            let mut offset = 0usize;
-            for entry in &prdt.entries {
-                let n = entry.sectors as usize;
-                let buf = m
-                    .hw
-                    .mem
-                    .get_mut::<DmaBuffer>(entry.buf)
-                    .expect("guest DMA buffer vanished");
-                buf.sectors.clear();
-                buf.sectors
-                    .extend_from_slice(&all[offset..(offset + n).min(all.len())]);
-                offset += n;
-            }
-            let vmm = m.vmm.as_mut().expect("still here");
-            let dummy_buf = vmm.dummy_buf;
-            AhciMediator::rewrite_for_dummy(&mut m.hw.mem, table, dummy_buf);
-            let vmm = m.vmm.as_mut().expect("still here");
-            vmm.ahci_med.note_now(now);
-            vmm.ahci_med.release_held(slot);
-            // Issue the guest's own slot: the device raises the interrupt.
-            if let Some(hwsim::ahci::AhciAction::SlotsIssued { slots, .. }) = m
-                .hw
-                .ahci
-                .mmio_write(PORT_BASE + preg::CI, 1u64 << slot)
-            {
-                debug_assert_eq!(slots, 1 << slot);
-            }
-            start_ahci_media(m, sim, slot, Origin::RedirectRestart);
+        RedirectTarget::Ahci(r) => {
+            Some(&mem.get::<AhciCmdTable>(r.table).expect("redirected slot's table vanished").prdt)
         }
+    };
+    let prdt = prdt.cloned().unwrap_or_default();
+    let mut rest = &all[..];
+    for entry in &prdt.entries {
+        let (head, tail) = rest.split_at((entry.sectors as usize).min(rest.len()));
+        rest = tail;
+        let buf = mem
+            .get_mut::<DmaBuffer>(entry.buf)
+            .expect("guest DMA buffer vanished");
+        buf.sectors = head.to_vec();
     }
+    let vmm = m.vmm.as_mut().expect("still here");
+    let dummy = (vmm.dummy_buf, vmm.dummy_prd);
+    let (slot, replay) = vmm.port.restart_redirect(now, &mut m.hw, r.target, dummy);
+    start_media(m, sim, slot, Origin::RedirectRestart);
+    replay_guest_writes(m, sim, replay);
     kick_writer(m, sim);
 }
 
-fn replay_ide_writes(m: &mut Machine, sim: &mut MachineSim, queued: Vec<(IdeReg, u32)>) {
-    if queued.is_empty() {
-        return;
-    }
-    let mut events = Vec::new();
-    {
-        let mut bus = MachineBus {
-            hw: &mut m.hw,
-            vmm: &mut m.vmm,
-            events: &mut events,
-            now: sim.now(),
-        };
-        for (reg, val) in queued {
-            bus.pio_write(reg.port(), val);
+/// Replays guest register writes the mediator queued, through the bus.
+fn replay_guest_writes(m: &mut Machine, sim: &mut MachineSim, writes: Vec<GuestWrite>) {
+    with_bus(m, sim, |_, bus| {
+        for write in writes {
+            match write {
+                GuestWrite::Pio(port, val) => bus.pio_write(port, val),
+                GuestWrite::Mmio(addr, val) => bus.mmio_write(addr, val),
+            }
         }
-    }
-    process_hw_events(m, sim, events);
+    });
 }
 
 // ------------------------------ fabric --------------------------------
@@ -1604,7 +1669,7 @@ fn server_rx(m: &mut Machine, sim: &mut MachineSim, payload: FrameBytes) {
 }
 
 /// Drains the VMM NIC's TX ring for a fleet-run machine (one built by
-/// [`Machine::bmcast_fleet`], whose `net` is `None` so [`pump_vmm_tx`]
+/// [`Machine::bmcast_fleet`], whose `net` is `None` so `pump_vmm_tx`
 /// is a no-op), performing exactly the per-frame bookkeeping the
 /// single-machine pump does — stats, metrics, per-frame CPU — and
 /// returning the payloads for the fleet to put on the shared fabric.
@@ -1653,9 +1718,7 @@ fn vmm_nic_rx(m: &mut Machine, sim: &mut MachineSim, payload: FrameBytes) {
     }
     // The polling thread notices on its next tick.
     let slack = vmm.cfg.poll_interval / 2;
-    sim.schedule_in(slack, |m: &mut Machine, sim| {
-        vmm_poll(m, sim);
-    });
+    sim.schedule_in(slack, vmm_poll);
 }
 
 /// One VMM polling pass: drain the NIC, feed the AoE client, dispatch
@@ -1952,9 +2015,7 @@ fn retriever_fire(m: &mut Machine, sim: &mut MachineSim) {
     // only probe the server again once the window opens.
     let ready = vmm.bg.fetch_ready_at();
     if ready > sim.now() {
-        sim.schedule_at(ready, |m: &mut Machine, sim| {
-            retriever_fire(m, sim);
-        });
+        sim.schedule_at(ready, retriever_fire);
         return;
     }
     // Post-boot sprint: the guest is done, so the moderation below has
@@ -1972,9 +2033,7 @@ fn retriever_fire(m: &mut Machine, sim: &mut MachineSim) {
         if let Some(busy_at) = vmm.client.server_busy_at() {
             let until = busy_at + busy_backoff;
             if until > sim.now() {
-                sim.schedule_at(until, |m: &mut Machine, sim| {
-                    retriever_fire(m, sim);
-                });
+                sim.schedule_at(until, retriever_fire);
                 return;
             }
         }
@@ -2036,11 +2095,7 @@ fn writer_tick_acts(m: &Machine) -> bool {
     let Some(vmm) = m.vmm.as_ref().filter(|v| v.is_active()) else {
         return true;
     };
-    let can = match m.guest.driver {
-        GuestDriver::Ide(_) => vmm.ide_med.can_multiplex() && !m.hw.ide.is_busy(),
-        GuestDriver::Ahci(_) => vmm.ahci_med.can_multiplex(m.hw.ahci.is_busy(0)),
-    };
-    can && vmm.redirect.is_none() && vmm.multiplex.is_none()
+    vmm.port.can_multiplex(&m.hw) && vmm.redirect.is_none() && vmm.multiplex.is_none()
 }
 
 fn writer_fire(m: &mut Machine, sim: &mut MachineSim) {
@@ -2062,16 +2117,7 @@ fn writer_fire(m: &mut Machine, sim: &mut MachineSim) {
         return;
     };
     vmm.cpu_time += VMM_OP_CPU;
-    match m.guest.driver {
-        GuestDriver::Ide(_) => {
-            vmm.ide_med.note_now(sim.now());
-            vmm.ide_med.begin_multiplex();
-        }
-        GuestDriver::Ahci(_) => {
-            vmm.ahci_med.note_now(sim.now());
-            vmm.ahci_med.begin_multiplex(31);
-        }
-    }
+    vmm.port.begin_multiplex(sim.now());
     vmm.multiplex = Some(MultiplexInFlight {
         pieces,
         next: 0,
@@ -2085,127 +2131,34 @@ fn multiplex_next_piece(m: &mut Machine, sim: &mut MachineSim) {
     let vmm = m.vmm.as_mut().expect("multiplex without vmm");
     let mx = vmm.multiplex.as_mut().expect("no multiplex in flight");
     // Free the previous piece's buffers.
-    if let Some(b) = mx.buf.take() {
-        m.hw.mem.free(b);
+    for addr in [mx.buf.take(), mx.prd.take()].into_iter().flatten() {
+        m.hw.mem.free(addr);
     }
-    if let Some(p) = mx.prd.take() {
-        m.hw.mem.free(p);
-    }
-    let vmm = m.vmm.as_mut().expect("multiplex without vmm");
-    let mx = vmm.multiplex.as_mut().expect("no multiplex in flight");
-    if mx.next >= mx.pieces.len() {
-        finish_multiplex(m, sim);
-        return;
-    }
-    let piece = mx.pieces[mx.next].clone();
+    let Some(piece) = mx.pieces.get(mx.next).cloned() else {
+        return finish_multiplex(m, sim);
+    };
     mx.next += 1;
-    let buf = m.hw.mem.alloc(DmaBuffer {
-        sectors: piece.data.to_vec(),
-    });
-    let prd = m.hw.mem.alloc(PrdTable {
-        entries: vec![PrdEntry {
-            buf,
-            sectors: piece.range.sectors,
-        }],
-    });
-    let vmm = m.vmm.as_mut().expect("still multiplexing");
-    let mx = vmm.multiplex.as_mut().expect("still multiplexing");
-    mx.buf = Some(buf);
-    mx.prd = Some(prd);
-    match m.guest.driver {
-        GuestDriver::Ide(_) => {
-            m.hw.ide.inject_command(IdeCommandBlock {
-                op: AtaOp::WriteDma,
-                range: piece.range,
-                prd: Some(prd),
-            });
-            start_ide_media(m, sim, Origin::VmmWrite);
-        }
-        GuestDriver::Ahci(_) => {
-            // Build the VMM's slot-31 structures in the guest's command
-            // list, or in the VMM's own list while the guest driver has
-            // not initialized the port yet.
-            let clb = match vmm.ahci_med.clb().or(vmm.vmm_clb) {
-                Some(clb) => clb,
-                None => {
-                    let clb = m.hw.mem.alloc(hwsim::ahci::AhciCmdList::new());
-                    m.hw.ahci.mmio_write(PORT_BASE + preg::CLB, clb.0);
-                    vmm.vmm_clb = Some(clb);
-                    clb
-                }
-            };
-            let table = m.hw.mem.alloc(AhciCmdTable {
-                cfis: hwsim::ahci::H2dFis {
-                    op: AtaOp::WriteDma,
-                    range: piece.range,
-                },
-                prdt: PrdTable {
-                    entries: vec![PrdEntry {
-                        buf,
-                        sectors: piece.range.sectors,
-                    }],
-                },
-            });
-            let list = m
-                .hw
-                .mem
-                .get_mut::<hwsim::ahci::AhciCmdList>(clb)
-                .expect("command list vanished");
-            list.slots[31] = Some(hwsim::ahci::AhciCmdHeader {
-                ctba: table,
-                write: true,
-            });
-            m.hw.ahci.mmio_write(PORT_BASE + preg::CI, 1u64 << 31);
-            start_ahci_media(m, sim, 31, Origin::VmmWrite);
-        }
-    }
-}
-
-fn continue_multiplex(m: &mut Machine, sim: &mut MachineSim) {
-    if m.vmm.as_ref().and_then(|v| v.multiplex.as_ref()).is_some() {
-        multiplex_next_piece(m, sim);
-    }
+    let (range, sectors) = (piece.range, piece.data.to_vec());
+    let buf = m.hw.mem.alloc(DmaBuffer { sectors });
+    let entries = vec![PrdEntry {
+        buf,
+        sectors: range.sectors,
+    }];
+    let prd = m.hw.mem.alloc(PrdTable { entries });
+    (mx.buf, mx.prd) = (Some(buf), Some(prd));
+    let slot = vmm
+        .port
+        .inject_write(&mut m.hw, &mut vmm.vmm_clb, range, prd);
+    start_media(m, sim, slot, Origin::VmmWrite);
 }
 
 fn finish_multiplex(m: &mut Machine, sim: &mut MachineSim) {
     let vmm = m.vmm.as_mut().expect("multiplex without vmm");
     vmm.multiplex = None;
-    match m.guest.driver {
-        GuestDriver::Ide(_) => {
-            vmm.ide_med.note_now(sim.now());
-            let queued = vmm.ide_med.finish_multiplex();
-            replay_ide_writes(m, sim, queued);
-        }
-        GuestDriver::Ahci(_) => {
-            vmm.ahci_med.note_now(sim.now());
-            let queued_ci = vmm.ahci_med.finish_multiplex();
-            let queued_mmio = vmm.ahci_med.take_queued_mmio();
-            // Clear the VMM's slot header in whichever list carried it.
-            if let Some(clb) = vmm.ahci_med.clb().or(vmm.vmm_clb) {
-                if let Some(list) = m.hw.mem.get_mut::<hwsim::ahci::AhciCmdList>(clb) {
-                    list.slots[31] = None;
-                }
-            }
-            if !queued_mmio.is_empty() || queued_ci != 0 {
-                let mut events = Vec::new();
-                {
-                    let mut bus = MachineBus {
-                        hw: &mut m.hw,
-                        vmm: &mut m.vmm,
-                        events: &mut events,
-                        now: sim.now(),
-                    };
-                    for (offset, val) in queued_mmio {
-                        bus.mmio_write(ABAR + offset, val);
-                    }
-                    if queued_ci != 0 {
-                        bus.mmio_write(ABAR + PORT_BASE + preg::CI, queued_ci as u64);
-                    }
-                }
-                process_hw_events(m, sim, events);
-            }
-        }
-    }
+    let replay = vmm
+        .port
+        .finish_multiplex(sim.now(), &mut m.hw.mem, vmm.vmm_clb);
+    replay_guest_writes(m, sim, replay);
     // Pace the next write per moderation (fills are exempt, and so is
     // the post-boot sprint — a finished guest has no I/O to disturb),
     // then continue.
@@ -2374,14 +2327,9 @@ pub fn start_revirt(m: &mut Machine, sim: &mut MachineSim) {
             }
             vmm.devirt
                 .revirtualize_cpu_at(sim.now(), i, &mut m.hw.cpus[i]);
-            // Back in VMX root: re-arm the mediator's trap set and the
-            // polling tick, exactly as at first boot. From here this
-            // CPU's device accesses exit into the VMM again.
-            for reg in IdeReg::ALL {
-                m.hw.cpus[i].trap_pio_range(reg.port(), reg.port());
-            }
-            m.hw.cpus[i].trap_mmio_range(ABAR, ABAR + hwsim::ahci::ABAR_SIZE - 1);
-            m.hw.cpus[i].set_preemption_timer(Some(poll));
+            // Back in VMX root: from here this CPU's device accesses exit
+            // into the VMM again.
+            arm_vmm_traps(&mut m.hw.cpus[i], poll);
             if vmm.devirt.all_virtualized() {
                 let revirt_at = vmm.revirt_start_at.unwrap_or(sim.now());
                 m.spans.record(
@@ -2419,50 +2367,39 @@ fn begin_snapshot_back(m: &mut Machine, sim: &mut MachineSim) {
 /// the same NIC/retransmit path as deployment. Reschedules itself after
 /// a failure back-off; completes via [`maybe_finish_snapshot`].
 fn snapshot_pump(m: &mut Machine, sim: &mut MachineSim) {
-    {
-        let Some(vmm) = m.vmm.as_mut() else { return };
-        if vmm.phase != Phase::SnapshotBack || vmm.reclaim_error.is_some() {
-            return;
-        }
-        let Some(snap) = vmm.snap.as_ref() else { return };
-        // Post-failure back-off: the sender goes quiet for the same
-        // exponential window the background retriever uses.
-        let ready = snap.send_ready_at();
-        if ready > sim.now() {
-            sim.schedule_at(ready, snapshot_pump);
-            return;
-        }
+    let Some(vmm) = m.vmm.as_mut() else { return };
+    if vmm.phase != Phase::SnapshotBack || vmm.reclaim_error.is_some() {
+        return;
+    }
+    let Some(snap) = vmm.snap.as_mut() else {
+        return;
+    };
+    // Post-failure back-off: the sender goes quiet for the same
+    // exponential window the background retriever uses.
+    let ready = snap.send_ready_at();
+    if ready > sim.now() {
+        sim.schedule_at(ready, snapshot_pump);
+        return;
     }
     let mut claims = Vec::new();
-    loop {
-        let Some(vmm) = m.vmm.as_mut() else { return };
-        let Some(snap) = vmm.snap.as_mut() else { return };
-        let Some(range) = snap.next_send_at(sim.now(), &mut vmm.dirty) else {
-            break;
-        };
+    while let Some(range) = snap.next_send_at(sim.now(), &mut vmm.dirty) {
         claims.push(range);
     }
     // The transport decides the wire shape: one write per dirty claim
     // for plain AoE, adjacent claims fused into single larger writes for
     // the batched/RDMA transports (acks map back per claim).
     let mut all_frames = Vec::new();
-    {
-        let Some(vmm) = m.vmm.as_mut() else { return };
-        let plans =
-            crate::transport::for_kind(vmm.cfg.transport).plan_writes(&vmm.client, &claims);
-        for plan in plans {
-            let parent = vmm
-                .snap
-                .as_ref()
-                .expect("pumping snapshot")
-                .send_span(plan.members[0].lba.0);
-            // Read the dirty run from the local disk in VMM context.
-            let (_t, data) = m.hw.disk.read(plan.range);
-            vmm.cpu_time += VMM_OP_CPU;
-            let (id, frames) = vmm.client.write_traced(sim.now(), plan.range, &data, parent);
-            vmm.aoe_waiters.insert(id, AoeWaiter::Snapshot(plan.members));
-            all_frames.extend(frames);
-        }
+    for plan in crate::transport::for_kind(vmm.cfg.transport).plan_writes(&vmm.client, &claims) {
+        let parent = snap.send_span(plan.members[0].lba.0);
+        // Read the dirty run from the local disk in VMM context.
+        let (_t, data) = m.hw.disk.read(plan.range);
+        vmm.cpu_time += VMM_OP_CPU;
+        let (id, frames) = vmm
+            .client
+            .write_traced(sim.now(), plan.range, &data, parent);
+        vmm.aoe_waiters
+            .insert(id, AoeWaiter::Snapshot(plan.members));
+        all_frames.extend(frames);
     }
     if !all_frames.is_empty() {
         send_vmm_frames(m, sim, all_frames);
@@ -2524,11 +2461,8 @@ pub fn reclaim(m: &mut Machine, sim: &mut MachineSim, spec: &MachineSpec) -> Res
         return Err(e);
     }
     if vmm.phase != Phase::SnapshotBack || vmm.snapshot_done_at.is_none() {
-        let inflight = vmm
-            .snap
-            .as_ref()
-            .map(|s| (s.inflight() as u64) * u64::from(vmm.cfg.copy_block_sectors))
-            .unwrap_or(0);
+        let block = u64::from(vmm.cfg.copy_block_sectors);
+        let inflight = vmm.snap.as_ref().map_or(0, |s| s.inflight() as u64 * block);
         return Err(ReclaimError::SnapshotIncomplete {
             dirty_sectors: vmm.dirty.dirty_sectors() + inflight,
         });
@@ -2538,93 +2472,35 @@ pub fn reclaim(m: &mut Machine, sim: &mut MachineSim, spec: &MachineSpec) -> Res
         spec.cpus,
         "reclaim cannot change the CPU count"
     );
-    let cfg = vmm.cfg.clone();
 
     // Fresh tenant-visible hardware state: a zeroed disk whose mirror is
     // the *new* tenant image, and clean controllers.
-    let params = DiskParams {
-        capacity_sectors: spec.capacity_sectors,
-        ..DiskParams::default()
-    };
-    m.hw.disk = DiskModel::new(
-        params,
-        BlockStore::zeroed_with_mirror(spec.capacity_sectors, spec.image_seed),
-    );
+    let store = BlockStore::zeroed_with_mirror(spec.capacity_sectors, spec.image_seed);
+    m.hw.disk = new_disk(spec.capacity_sectors, store);
     m.hw.ide = IdeController::new();
     m.hw.ahci = AhciController::new(1);
 
-    // Fresh deployment bitmap + persisted-bitmap home, exactly as in
-    // `Machine::bmcast`.
-    let mut bitmap = BlockBitmap::new(spec.capacity_sectors);
-    if spec.image_sectors < spec.capacity_sectors {
-        bitmap.mark_filled(BlockRange::new(
-            Lba(spec.image_sectors),
-            (spec.capacity_sectors - spec.image_sectors) as u32,
-        ));
-    }
-    let persisted = u64::from(bitmap.persisted_sectors());
-    let bitmap_region = if spec.capacity_sectors >= spec.image_sectors + persisted {
-        BlockRange::new(Lba(spec.image_sectors), persisted as u32)
-    } else {
-        let region = BlockRange::new(Lba(spec.capacity_sectors - persisted), persisted as u32);
-        bitmap.mark_filled(region);
-        region
-    };
-
-    let vmm = m.vmm.as_mut().expect("still here");
-    vmm.ide_med = IdeMediator::new(Some(bitmap_region));
-    vmm.ahci_med = AhciMediator::new(Some(bitmap_region));
-    vmm.bitmap = bitmap;
-    vmm.bitmap_region = bitmap_region;
-    vmm.bg = BackgroundCopy::new(
-        cfg.copy_block_sectors,
-        cfg.fifo_capacity,
-        cfg.retriever_depth,
-        spec.capacity_sectors,
-    );
-    vmm.client = AoeClient::new(ClientConfig {
-        mtu: cfg.mtu,
-        rto: SimDuration::from_millis(50),
-        ..ClientConfig::default()
+    // Fresh per-tenant VMM state, built exactly as in `Machine::bmcast`.
+    // Only the machine's own plumbing carries over: the initialized NIC
+    // and its RDMA completion queue, the restart DMA target in VMM
+    // memory, and the config (the transport survives with it, so the
+    // next deployment runs on the same fabric plan). Moderation restarts
+    // from now.
+    let old = m.vmm.take().expect("still here");
+    m.vmm = Some(Vmm {
+        nic: old.nic,
+        rdma_cq: old.rdma_cq,
+        writer_next_allowed: now,
+        ..Vmm::new(spec, old.cfg, old.dummy_buf, old.dummy_prd)
     });
-    // The transport survives reclaim with the rest of the config: the
-    // next tenant's deployment runs on the same fabric plan.
-    crate::transport::for_kind(cfg.transport).configure_client(&mut vmm.client);
-    vmm.devirt = DevirtSequencer::new(spec.cpus);
-    vmm.dirty = DirtyTracker::new(spec.image_sectors);
-    vmm.snap = None;
-    vmm.phase = Phase::Initialization;
-    vmm.cpu_time = SimDuration::ZERO;
-    vmm.redirect = None;
-    vmm.multiplex = None;
-    vmm.aoe_waiters.clear();
-    vmm.vmm_clb = None;
-    vmm.writer_idle = true;
-    vmm.writer_next_allowed = now;
-    vmm.consecutive_failures = 0;
-    vmm.deploy_error = None;
-    vmm.reclaim_error = None;
-    vmm.devirt_requested = false;
-    vmm.deployment_start_at = None;
-    vmm.deployment_done_at = None;
-    vmm.bare_metal_at = None;
-    vmm.revirt_start_at = None;
-    vmm.snapshot_start_at = None;
-    vmm.snapshot_done_at = None;
-    vmm.redirect_span = NO_SPAN;
-    vmm.restart_span = NO_SPAN;
 
     // Fresh guest for the next tenant.
     m.guest = Guest::new(spec.controller);
 
     // Re-attach observability to the replacement components — they share
     // the machine's existing registries, so figures keep one timeline.
-    let metrics = m.metrics.clone();
-    let tracer = m.tracer.clone();
-    m.set_telemetry(metrics, tracer);
-    let spans = m.spans.clone();
-    let sampler = m.sampler.clone();
-    m.set_flight_recorder(spans, sampler);
+    m.set_telemetry(m.metrics.clone(), m.tracer.clone());
+    m.set_flight_recorder(m.spans.clone(), m.sampler.clone());
 
     m.tracer.emit(now, "phase", "reclaimed", || {
         format!("reset for new tenant image seed {:#x}", spec.image_seed)
@@ -2656,11 +2532,8 @@ pub fn shutdown_for_reboot(mut m: Machine) -> RebootState {
     // Crash consistency: a multiplexed write claims its blocks in the
     // bitmap *before* the data is durable. Un-claim anything still in
     // flight so the resumed deployment re-copies it (idempotent).
-    if let Some(mx) = vmm.multiplex.as_ref() {
-        let ranges: Vec<BlockRange> = mx.pieces.iter().map(|p| p.range).collect();
-        for range in ranges {
-            vmm.bitmap.clear(range);
-        }
+    for piece in vmm.multiplex.iter().flat_map(|mx| &mx.pieces) {
+        vmm.bitmap.clear(piece.range);
     }
     vmm.bitmap.save_to(m.hw.disk.store_mut(), region);
     let vmm = m.vmm.take().expect("just had it");
@@ -2732,10 +2605,7 @@ mod tests {
     fn run_one_read(controller: ControllerKind, with_vmm: bool) -> (Machine, SimTime) {
         let spec = small_spec(controller);
         let mut m = if with_vmm {
-            Machine::bmcast(&spec, BmcastConfig {
-                controller,
-                ..BmcastConfig::default()
-            })
+            Machine::bmcast(&spec, BmcastConfig::default())
         } else {
             Machine::bare_metal(&spec)
         };
@@ -2772,7 +2642,6 @@ mod tests {
             let mut m = Machine::bmcast(
                 &spec,
                 BmcastConfig {
-                    controller,
                     // Quiet the background copy so only copy-on-read runs.
                     moderation: crate::config::Moderation {
                         vmm_write_interval: SimDuration::from_secs(3600),
@@ -2963,7 +2832,6 @@ mod tests {
         let mut m = Machine::bmcast(
             &spec,
             BmcastConfig {
-                controller,
                 vmxoff_after_deploy: vmxoff,
                 moderation: crate::config::Moderation::full_speed(),
                 ..BmcastConfig::default()

@@ -27,9 +27,8 @@ fn small_spec(controller: ControllerKind) -> MachineSpec {
     }
 }
 
-fn full_speed_cfg(controller: ControllerKind) -> BmcastConfig {
+fn full_speed_cfg() -> BmcastConfig {
     BmcastConfig {
-        controller,
         moderation: Moderation::full_speed(),
         ..BmcastConfig::default()
     }
@@ -56,7 +55,7 @@ fn assert_disk_matches_image(runner: &Runner, spec: &MachineSpec) {
 #[test]
 fn full_deployment_via_ide_mediator() {
     let spec = small_spec(ControllerKind::Ide);
-    let mut runner = Runner::bmcast(&spec, full_speed_cfg(ControllerKind::Ide));
+    let mut runner = Runner::bmcast(&spec, full_speed_cfg());
     let done = runner.run_to_bare_metal(SimTime::from_secs(600));
     assert!(done.is_some(), "deployment must complete");
     assert_eq!(runner.machine().phase(), Phase::BareMetal);
@@ -66,7 +65,7 @@ fn full_deployment_via_ide_mediator() {
 #[test]
 fn full_deployment_via_ahci_mediator() {
     let spec = small_spec(ControllerKind::Ahci);
-    let mut runner = Runner::bmcast(&spec, full_speed_cfg(ControllerKind::Ahci));
+    let mut runner = Runner::bmcast(&spec, full_speed_cfg());
     let done = runner.run_to_bare_metal(SimTime::from_secs(600));
     assert!(done.is_some(), "deployment must complete");
     assert_eq!(runner.machine().phase(), Phase::BareMetal);
@@ -115,7 +114,6 @@ fn copy_on_read_returns_exactly_the_servers_bytes() {
         let spec = small_spec(controller);
         // Quiet background copy: every read must be served by redirection.
         let cfg = BmcastConfig {
-            controller,
             moderation: Moderation {
                 vmm_write_interval: SimDuration::from_secs(3600),
                 vmm_write_suspend_interval: SimDuration::from_secs(3600),
@@ -161,7 +159,7 @@ fn copy_on_read_returns_exactly_the_servers_bytes() {
 fn guest_writes_always_win_over_background_copy() {
     for controller in [ControllerKind::Ide, ControllerKind::Ahci] {
         let spec = small_spec(controller);
-        let mut runner = Runner::bmcast(&spec, full_speed_cfg(controller));
+        let mut runner = Runner::bmcast(&spec, full_speed_cfg());
         // Hammer writes over a region while the copy races.
         runner.start_program(Box::new(StreamProgram::sequential(
             BlockRange::new(Lba(2_000), 4_096),
@@ -212,7 +210,7 @@ fn deployment_completes_under_frame_loss() {
 #[test]
 fn bitmap_is_persisted_before_vmxoff() {
     let spec = small_spec(ControllerKind::Ide);
-    let mut runner = Runner::bmcast(&spec, full_speed_cfg(ControllerKind::Ide));
+    let mut runner = Runner::bmcast(&spec, full_speed_cfg());
     runner.run_to_bare_metal(SimTime::from_secs(600)).unwrap();
     let m = runner.machine();
     let vmm = m.vmm.as_ref().unwrap();
@@ -225,7 +223,7 @@ fn bitmap_is_persisted_before_vmxoff() {
 #[test]
 fn phases_progress_in_order() {
     let spec = small_spec(ControllerKind::Ide);
-    let mut runner = Runner::bmcast(&spec, full_speed_cfg(ControllerKind::Ide));
+    let mut runner = Runner::bmcast(&spec, full_speed_cfg());
     let mut observed = vec![runner.machine().phase()];
     for step in 1..600 {
         runner.run_until(SimTime::from_millis(step * 100));
@@ -323,7 +321,7 @@ fn resident_vmm_hides_management_nic_with_zero_exits() {
 fn vmxoff_mode_leaves_nic_visible() {
     use bmcast_repro::bmcast::machine::MGMT_NIC_BDF;
     let spec = small_spec(ControllerKind::Ide);
-    let mut runner = Runner::bmcast(&spec, full_speed_cfg(ControllerKind::Ide));
+    let mut runner = Runner::bmcast(&spec, full_speed_cfg());
     runner
         .run_to_bare_metal(SimTime::from_secs(600))
         .expect("deployment completes");
@@ -341,7 +339,7 @@ fn deployment_resumes_after_reboot() {
         image_sectors: 1 << 16,
         ..small_spec(ControllerKind::Ide)
     };
-    let cfg = full_speed_cfg(ControllerKind::Ide);
+    let cfg = full_speed_cfg();
 
     // Deploy partway, then power off.
     let mut runner = Runner::bmcast(&spec, cfg.clone());
@@ -495,11 +493,7 @@ fn disk_digest(runner: &Runner) -> u64 {
 /// digest.
 fn busy_guest_deploy(controller: ControllerKind) -> (u64, u64, u64, u64, u64) {
     let spec = small_spec(controller);
-    let cfg = BmcastConfig {
-        controller,
-        ..BmcastConfig::default()
-    };
-    let mut runner = Runner::bmcast(&spec, cfg);
+    let mut runner = Runner::bmcast(&spec, BmcastConfig::default());
     runner.start_program(Box::new(StreamProgram::sequential(
         BlockRange::new(Lba(8_192), 4_096),
         false,
@@ -514,15 +508,11 @@ fn busy_guest_deploy(controller: ControllerKind) -> (u64, u64, u64, u64, u64) {
         .run_to_bare_metal(SimTime::from_secs(600))
         .expect("deployment completes");
     let vmm = runner.machine().vmm.as_ref().unwrap();
-    let multiplexes = match controller {
-        ControllerKind::Ide => vmm.ide_med.stats().multiplexes,
-        _ => vmm.ahci_med.stats().multiplexes,
-    };
     (
         finished.as_nanos(),
         vmm.deployment_done_at.unwrap().as_nanos(),
         bare.as_nanos(),
-        multiplexes,
+        vmm.port.stats().multiplexes,
         disk_digest(&runner),
     )
 }

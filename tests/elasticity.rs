@@ -47,7 +47,6 @@ fn deploy_to_bare_metal(controller: ControllerKind) -> (Machine, MachineSim) {
     let mut m = Machine::bmcast(
         &spec(controller, OLD_SEED),
         BmcastConfig {
-            controller,
             moderation: Moderation::full_speed(),
             ..BmcastConfig::default()
         },
@@ -153,25 +152,43 @@ fn lifecycle_round_trip_restores_server_image() {
     }
 }
 
+/// FNV-1a 64 over every sector fingerprint of the local disk.
+fn disk_digest(m: &Machine) -> u64 {
+    let store = m.hw.disk.store();
+    (0..store.capacity_sectors())
+        .flat_map(|lba| store.read(Lba(lba)).0.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
 /// The full elasticity loop: after snapshot-back, reclaim the machine for
 /// a new tenant image and deploy it; the old tenant's bytes are gone and
-/// the new image lands everywhere.
-#[test]
-fn reclaim_then_redeploy_lands_the_new_tenant() {
-    let (mut m, mut sim) = deploy_to_bare_metal(ControllerKind::Ide);
+/// the new image lands everywhere. Returns the snapshot-done and
+/// redeployed bare-metal ticks, the executed event count, the mediator's
+/// multiplex count and the local-disk digest.
+fn reclaim_then_redeploy(controller: ControllerKind) -> (u64, u64, u64, u64, u64) {
+    let (mut m, mut sim) = deploy_to_bare_metal(controller);
     m.set_program(Box::new(WriteBurst::new(dirty_writes())));
     start_program(&mut m, &mut sim);
-    assert!(sim.run_while(&mut m, |m| !m.guest.finished));
+    assert!(
+        sim.run_while(&mut m, |m| !m.guest.finished),
+        "{controller:?}"
+    );
 
     // Reclaiming a bare-metal machine (no snapshot) must fail cleanly.
-    let new_spec = spec(ControllerKind::Ide, NEW_SEED);
+    let new_spec = spec(controller, NEW_SEED);
     match reclaim(&mut m, &mut sim, &new_spec) {
         Err(ReclaimError::SnapshotIncomplete { .. }) => {}
-        other => panic!("expected SnapshotIncomplete, got {other:?}"),
+        other => panic!("{controller:?}: expected SnapshotIncomplete, got {other:?}"),
     }
 
     start_revirt(&mut m, &mut sim);
-    assert!(sim.run_while(&mut m, |m| !m.snapshot_complete()));
+    assert!(
+        sim.run_while(&mut m, |m| !m.snapshot_complete()),
+        "{controller:?}"
+    );
+    let snapshot_done = m.vmm.as_ref().unwrap().snapshot_done_at.unwrap();
 
     // The provisioner swaps the server volume for the new tenant's image.
     m.net.as_mut().unwrap().server = AoeServer::new(
@@ -185,21 +202,52 @@ fn reclaim_then_redeploy_lands_the_new_tenant() {
         ),
     );
     reclaim(&mut m, &mut sim, &new_spec).expect("snapshot done; reclaim succeeds");
-    assert_eq!(m.phase(), Phase::Initialization);
+    assert_eq!(m.phase(), Phase::Initialization, "{controller:?}");
     assert_eq!(
         m.hw.disk.store().read(Lba(112)),
         SectorData(0),
-        "old tenant's data must not survive reclaim"
+        "{controller:?}: old tenant's data must not survive reclaim"
     );
 
     start_deployment(&mut m, &mut sim);
     sim.run_until(&mut m, sim.now() + SimDuration::from_secs(120));
-    assert_eq!(m.phase(), Phase::BareMetal);
+    assert_eq!(m.phase(), Phase::BareMetal, "{controller:?}");
     for lba in (0..IMAGE).step_by(7) {
         assert_eq!(
             m.hw.disk.store().read(Lba(lba)),
             BlockStore::image_content(NEW_SEED, Lba(lba)),
-            "new image at sector {lba}"
+            "{controller:?}: new image at sector {lba}"
+        );
+    }
+    let vmm = m.vmm.as_ref().unwrap();
+    (
+        snapshot_done.as_nanos(),
+        vmm.bare_metal_at.unwrap().as_nanos(),
+        sim.executed_events(),
+        vmm.port.stats().multiplexes,
+        disk_digest(&m),
+    )
+}
+
+/// Snapshot done and redeployed bare metal (ns), executed events,
+/// multiplexes and disk digest of [`reclaim_then_redeploy`]. IDE and
+/// AHCI share the disk model and the one-write-at-a-time guest, so both
+/// controllers land on the same tuple.
+const RECLAIM_PIN: (u64, u64, u64, u64, u64) = (
+    110_361_390,
+    152_250_223,
+    1_503,
+    2,
+    1_929_633_563_737_760_430,
+);
+
+#[test]
+fn reclaim_then_redeploy_lands_the_new_tenant() {
+    for controller in [ControllerKind::Ide, ControllerKind::Ahci] {
+        assert_eq!(
+            reclaim_then_redeploy(controller),
+            RECLAIM_PIN,
+            "{controller:?}"
         );
     }
 }

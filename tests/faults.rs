@@ -38,9 +38,8 @@ fn spec(controller: ControllerKind) -> MachineSpec {
     }
 }
 
-fn faulted_cfg(controller: ControllerKind, plan: FaultPlan) -> BmcastConfig {
+fn faulted_cfg(plan: FaultPlan) -> BmcastConfig {
     BmcastConfig {
-        controller,
         moderation: Moderation::full_speed(),
         faults: Some(plan),
         ..BmcastConfig::default()
@@ -68,7 +67,7 @@ fn assert_disk_matches_image(runner: &Runner, spec: &MachineSpec, skip: &[BlockR
 /// Deploys under `plan` and checks completion + image integrity.
 fn deploy_under(controller: ControllerKind, plan: FaultPlan) -> Runner {
     let s = spec(controller);
-    let mut runner = Runner::bmcast(&s, faulted_cfg(controller, plan));
+    let mut runner = Runner::bmcast(&s, faulted_cfg(plan));
     let done = runner.run_to_bare_metal(SimTime::from_secs(3600));
     assert!(
         done.is_some(),
@@ -155,7 +154,7 @@ fn same_seed_replays_chaos_byte_identically() {
         let s = spec(ControllerKind::Ide);
         let mut runner = Runner::bmcast_instrumented(
             &s,
-            faulted_cfg(ControllerKind::Ide, FaultPlan::chaos(SEED)),
+            faulted_cfg(FaultPlan::chaos(SEED)),
         );
         let done = runner.run_to_bare_metal(SimTime::from_secs(3600));
         assert!(done.is_some(), "chaos deployment completes");
@@ -245,7 +244,7 @@ fn guest_reads_keep_completing_through_a_server_stall() {
     let stall = Window::new(SimTime::from_millis(200), SimTime::from_millis(1200));
     let mut plan = FaultPlan::quiet(SEED);
     plan.server.stall = Some(stall);
-    let mut runner = Runner::bmcast(&s, faulted_cfg(ControllerKind::Ide, plan));
+    let mut runner = Runner::bmcast(&s, faulted_cfg(plan));
 
     let completions = Arc::new(Mutex::new(Vec::new()));
     // Keep clear of the bitmap-persistence region at the start of the
@@ -300,7 +299,7 @@ fn permanent_outage_trips_the_retry_budget() {
     ));
     let cfg = BmcastConfig {
         deploy_failure_budget: 4,
-        ..faulted_cfg(ControllerKind::Ide, plan)
+        ..faulted_cfg(plan)
     };
     let mut runner = Runner::bmcast(&s, cfg);
     let done = runner.run_to_bare_metal(SimTime::from_secs(3600));
@@ -337,7 +336,7 @@ fn background_copier_backs_off_during_stall() {
         // Keep the run far from the terminal budget; this test is about
         // backing off and resuming, not giving up.
         deploy_failure_budget: 10_000,
-        ..faulted_cfg(ControllerKind::Ide, plan)
+        ..faulted_cfg(plan)
     };
     let mut runner = Runner::bmcast_instrumented(&s, cfg);
     let done = runner.run_to_bare_metal(SimTime::from_secs(3600));
@@ -476,7 +475,7 @@ fn multiplexing_under_slow_disk_never_loses_or_duplicates_guest_io() {
         // path constantly.
         let mut plan = FaultPlan::quiet(SEED);
         plan.disk.latency_factor = 8.0;
-        let mut runner = Runner::bmcast(&s, faulted_cfg(controller, plan));
+        let mut runner = Runner::bmcast(&s, faulted_cfg(plan));
 
         let ranges: Vec<BlockRange> = (0..64)
             .map(|i| BlockRange::new(Lba(199 * i + 32), 8))

@@ -538,7 +538,6 @@ proptest! {
             controller: if ahci { ControllerKind::Ahci } else { ControllerKind::Ide },
         };
         let cfg = BmcastConfig {
-            controller: spec.controller,
             moderation: Moderation {
                 guest_io_threshold_per_sec: f64::INFINITY,
                 vmm_write_interval: SimDuration::from_micros(interval_us),
