@@ -34,7 +34,7 @@
 //! that server alive, not the rest of the fleet, so it holds the retry
 //! budget open only for requests pending on that endpoint.
 
-use crate::wire::{sectors_per_frame, AoePdu, FrameBytes, Tag};
+use crate::wire::{sectors_per_frame, AoePdu, FrameBytes, Tag, WireFrame};
 use hwsim::block::{BlockRange, SectorData};
 use simkit::{Metrics, Prng, SimDuration, SimTime, SpanId, Spans, Tracer, NO_SPAN};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -119,6 +119,23 @@ fn fragment_subranges<'a>(
             BlockRange::new(r.lba + offset as u64, spf.min(r.sectors - offset))
         })
     })
+}
+
+/// The `frag`-th item of [`fragment_subranges`], found in O(runs);
+/// `None` past the last fragment.
+fn fragment_subrange(runs: &[BlockRange], spf: u32, mut frag: u32) -> Option<BlockRange> {
+    for r in runs {
+        let frags = r.sectors.div_ceil(spf);
+        if frag < frags {
+            let offset = frag * spf;
+            return Some(BlockRange::new(
+                r.lba + offset as u64,
+                spf.min(r.sectors - offset),
+            ));
+        }
+        frag -= frags;
+    }
+    None
 }
 
 /// A finished request.
@@ -219,6 +236,7 @@ pub struct AoeClient {
     completions: u64,
     stale_replies: u64,
     decode_errors: u64,
+    bad_fragments: u64,
     /// Reads issued per target shelf, in shelf order. The straggler
     /// attribution report derives each machine's peer-vs-origin read mix
     /// from this (peer shelves live in a distinct address range).
@@ -262,6 +280,7 @@ impl AoeClient {
             completions: 0,
             stale_replies: 0,
             decode_errors: 0,
+            bad_fragments: 0,
             shelf_reads: BTreeMap::new(),
             busy_at: BTreeMap::new(),
             sprint: false,
@@ -317,6 +336,12 @@ impl AoeClient {
     /// version, checksum mismatch — i.e. corruption caught on the wire).
     pub fn decode_errors(&self) -> u64 {
         self.decode_errors
+    }
+
+    /// Checksum-valid read fragments dropped because their range or
+    /// sector count did not match the fragment slot their tag named.
+    pub fn bad_fragments(&self) -> u64 {
+        self.bad_fragments
     }
 
     /// Reads issued per target shelf, in shelf order. Counts initial
@@ -681,8 +706,12 @@ impl AoeClient {
     /// this frame finished a request. Unknown, duplicate, and
     /// non-response frames are ignored (the fabric may duplicate after a
     /// spurious retransmit).
-    pub fn on_frame(&mut self, now: SimTime, bytes: &[u8]) -> Option<Completion> {
-        let pdu = match AoePdu::decode(bytes) {
+    pub fn on_frame<F: WireFrame + ?Sized>(
+        &mut self,
+        now: SimTime,
+        frame: &F,
+    ) -> Option<Completion> {
+        let pdu = match frame.decode_pdu() {
             Ok(pdu) => pdu,
             Err(_) => {
                 // Truncated, old-version, or corrupted frame: drop it and
@@ -718,11 +747,34 @@ impl AoeClient {
             self.metrics.inc("aoe.client.dup_frags");
             return None;
         }
-        pending.frags[frag] = Some(if pending.is_write {
+        let data = if pending.is_write {
             Vec::new()
         } else {
-            pdu.data.unwrap_or_default()
-        });
+            // A read fragment fills its slot only if it carries exactly
+            // the subrange the slot stands for. Anything else (a wrong
+            // range, or data that does not match its sector count) is
+            // dropped, and retransmission re-requests the slot.
+            let whole = std::slice::from_ref(&pending.range);
+            let runs: &[BlockRange] = if pending.runs.is_empty() {
+                whole
+            } else {
+                &pending.runs
+            };
+            let expected = fragment_subrange(runs, sectors_per_frame(self.cfg.mtu), frag as u32);
+            match pdu.data {
+                Some(data)
+                    if Some(pdu.range) == expected && data.len() == pdu.range.sectors as usize =>
+                {
+                    data
+                }
+                _ => {
+                    self.bad_fragments += 1;
+                    self.metrics.inc("aoe.client.bad_fragments");
+                    return None;
+                }
+            }
+        };
+        pending.frags[frag] = Some(data);
         if !pending.done() {
             // Fragment progress proves the request is in service: push
             // the retransmission deadline out so a reply train strung
@@ -900,8 +952,11 @@ mod tests {
     use super::*;
     use hwsim::block::Lba;
 
-    fn mk_response(request: &[u8], frag_data: &[(u32, BlockRange, Vec<SectorData>)]) -> Vec<Vec<u8>> {
-        let req = AoePdu::decode(request).unwrap();
+    fn mk_response(
+        request: &FrameBytes,
+        frag_data: &[(u32, BlockRange, Vec<SectorData>)],
+    ) -> Vec<Vec<u8>> {
+        let req = AoePdu::decode_frame(request).unwrap();
         frag_data
             .iter()
             .map(|(frag, range, data)| {
@@ -974,7 +1029,7 @@ mod tests {
         assert_eq!(frames.len(), 2, "20 sectors at 17/frame → 2 fragments");
         // Ack each fragment.
         for frame in &frames {
-            let req = AoePdu::decode(frame).unwrap();
+            let req = AoePdu::decode_frame(frame).unwrap();
             let mut ack = req.clone();
             ack.response = true;
             ack.data = None;
@@ -1086,8 +1141,8 @@ mod tests {
         // Nothing arrived: one frame, byte-identical to the original —
         // the server sees the same cache key and can dedup it.
         assert_eq!(resent.len(), 1);
-        assert_eq!(resent[0].as_ref(), frames[0].as_ref());
-        let pdu = AoePdu::decode(&resent[0]).unwrap();
+        assert_eq!(resent[0], frames[0]);
+        let pdu = AoePdu::decode_frame(&resent[0]).unwrap();
         assert_eq!(pdu.range, range);
         assert_eq!(pdu.tag, Tag::new(id, 0));
     }
@@ -1107,7 +1162,7 @@ mod tests {
         let due = c.next_retransmit_at().unwrap();
         let resent = c.poll_retransmit(due);
         assert_eq!(resent.len(), 1);
-        let pdu = AoePdu::decode(&resent[0]).unwrap();
+        let pdu = AoePdu::decode_frame(&resent[0]).unwrap();
         assert_eq!(pdu.range, BlockRange::new(Lba(spf as u64), spf));
         assert_eq!(pdu.tag.fragment(), 1);
     }
@@ -1145,7 +1200,7 @@ mod tests {
         let (_, frames) = c.read(SimTime::ZERO, range);
         // A busy error-reply delivers the hint without completing the
         // request (error replies are otherwise ignored).
-        let mut busy = AoePdu::decode(&frames[0]).unwrap();
+        let mut busy = AoePdu::decode_frame(&frames[0]).unwrap();
         busy.response = true;
         busy.busy = true;
         busy.error = Some(1);
@@ -1174,18 +1229,18 @@ mod tests {
         c.set_read_endpoints(vec![(0, 0), (1, 0), (2, 0)]);
         for (lba, want_shelf) in [(0u64, 0u16), (8, 1), (16, 2), (24, 0), (7, 0), (9, 1)] {
             let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(lba), 1));
-            let pdu = AoePdu::decode(&frames[0]).unwrap();
+            let pdu = AoePdu::decode_frame(&frames[0]).unwrap();
             assert_eq!(pdu.shelf, want_shelf, "lba {lba} steered to wrong endpoint");
         }
         // Writes ignore the stripe: the primary is the write-ordering point.
         let (_, frames) = c.write(SimTime::ZERO, BlockRange::new(Lba(16), 1), &[SectorData(1)]);
-        assert_eq!(AoePdu::decode(&frames[0]).unwrap().shelf, 0);
+        assert_eq!(AoePdu::decode_frame(&frames[0]).unwrap().shelf, 0);
         // A peer registered mid-run only affects future reads.
         c.add_read_endpoint((9, 0));
         c.add_read_endpoint((9, 0)); // duplicate registration is a no-op
         assert_eq!(c.read_endpoints().len(), 4);
         let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(24), 1));
-        assert_eq!(AoePdu::decode(&frames[0]).unwrap().shelf, 9);
+        assert_eq!(AoePdu::decode_frame(&frames[0]).unwrap().shelf, 9);
     }
 
     #[test]
@@ -1217,7 +1272,7 @@ mod tests {
         assert_eq!(c.read_endpoints(), &[(0, 0), (2, 0)]);
         for lba in (0..64).step_by(8) {
             let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(lba), 1));
-            let pdu = AoePdu::decode(&frames[0]).unwrap();
+            let pdu = AoePdu::decode_frame(&frames[0]).unwrap();
             assert_ne!(pdu.shelf, 1, "reclaimed endpoint must see no reads");
         }
         // The last endpoint is never removed.
@@ -1237,11 +1292,11 @@ mod tests {
         c.set_write_target(0, 7);
         assert_eq!(c.write_endpoint(), (0, 7));
         let (_, frames) = c.write(SimTime::ZERO, BlockRange::new(Lba(3), 1), &[SectorData(5)]);
-        let pdu = AoePdu::decode(&frames[0]).unwrap();
+        let pdu = AoePdu::decode_frame(&frames[0]).unwrap();
         assert_eq!((pdu.shelf, pdu.slot), (0, 7), "write goes to the archive");
         // Reads still stripe over the read set.
         let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(8), 1));
-        assert_eq!(AoePdu::decode(&frames[0]).unwrap().slot, 0);
+        assert_eq!(AoePdu::decode_frame(&frames[0]).unwrap().slot, 0);
         c.clear_write_target();
         assert_eq!(c.write_endpoint(), (0, 0));
     }
@@ -1305,7 +1360,7 @@ mod tests {
         c.set_read_endpoints(vec![(0, 0), (1, 0)]);
         c.set_sprint(true);
         let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(8), 40));
-        let pdu = AoePdu::decode(&frames[0]).unwrap();
+        let pdu = AoePdu::decode_frame(&frames[0]).unwrap();
         assert_eq!((pdu.shelf, pdu.sprint), (1, true));
         // Even after the endpoint set and sprint mode change, a full-loss
         // retransmit is byte-identical to the original frame.
@@ -1313,7 +1368,7 @@ mod tests {
         c.set_sprint(false);
         let resent = c.poll_retransmit(c.next_retransmit_at().unwrap());
         assert_eq!(resent.len(), 1);
-        assert_eq!(resent[0].as_ref(), frames[0].as_ref());
+        assert_eq!(resent[0], frames[0]);
         // Partial-loss subrange retransmits also stick to the endpoint.
         let spf = sectors_per_frame(c.config().mtu);
         let first = BlockRange::new(Lba(8), spf);
@@ -1323,7 +1378,7 @@ mod tests {
         );
         assert!(c.on_frame(SimTime::ZERO, &rs[0]).is_none());
         let resent = c.poll_retransmit(c.next_retransmit_at().unwrap());
-        let pdu = AoePdu::decode(&resent[0]).unwrap();
+        let pdu = AoePdu::decode_frame(&resent[0]).unwrap();
         assert_eq!((pdu.shelf, pdu.sprint), (1, true));
     }
 
@@ -1363,7 +1418,7 @@ mod tests {
         let range = BlockRange::new(Lba(0), 1);
         let (_, frames) = c.read(SimTime::ZERO, range);
         assert_eq!(c.server_busy_at(), None);
-        let mut reply = AoePdu::decode(&frames[0]).unwrap();
+        let mut reply = AoePdu::decode_frame(&frames[0]).unwrap();
         reply.response = true;
         reply.busy = true;
         reply.data = Some(vec![SectorData(1)]);
@@ -1373,7 +1428,7 @@ mod tests {
         // A later calm reply does not clear the latch; the caller owns
         // the backoff-window comparison.
         let (_, frames) = c.read(at, range);
-        let mut calm = AoePdu::decode(&frames[0]).unwrap();
+        let mut calm = AoePdu::decode_frame(&frames[0]).unwrap();
         calm.response = true;
         calm.data = Some(vec![SectorData(1)]);
         assert!(c.on_frame(SimTime::from_millis(9), &calm.encode()).is_some());
@@ -1408,7 +1463,7 @@ mod tests {
         let runs = vec![BlockRange::new(Lba(0), 20), BlockRange::new(Lba(100), 5)];
         let (id, frames) = c.read_multi(SimTime::ZERO, runs.clone());
         assert_eq!(frames.len(), 1, "a batched read is one v3 frame");
-        let req = AoePdu::decode(&frames[0]).unwrap();
+        let req = AoePdu::decode_frame(&frames[0]).unwrap();
         assert_eq!(req.ranges, runs);
         let d0: Vec<SectorData> = (0..17).map(SectorData).collect();
         let d1: Vec<SectorData> = (17..20).map(SectorData).collect();
@@ -1444,7 +1499,7 @@ mod tests {
         c.set_sprint(false);
         let resent = c.poll_retransmit(c.next_retransmit_at().unwrap());
         assert_eq!(resent.len(), 1);
-        assert_eq!(resent[0].as_ref(), frames[0].as_ref(), "byte-identical");
+        assert_eq!(resent[0], frames[0], "byte-identical");
     }
 
     #[test]
@@ -1462,11 +1517,11 @@ mod tests {
         assert!(c.on_frame(SimTime::ZERO, &rs[0]).is_none());
         let resent = c.poll_retransmit(c.next_retransmit_at().unwrap());
         assert_eq!(resent.len(), 2, "two missing fragments re-requested");
-        let p0 = AoePdu::decode(&resent[0]).unwrap();
+        let p0 = AoePdu::decode_frame(&resent[0]).unwrap();
         assert_eq!(p0.tag, Tag::new(id, 0));
         assert_eq!(p0.range, BlockRange::new(Lba(0), 17));
         assert!(p0.ranges.is_empty(), "subrange rereads are plain v2");
-        let p2 = AoePdu::decode(&resent[1]).unwrap();
+        let p2 = AoePdu::decode_frame(&resent[1]).unwrap();
         assert_eq!(p2.tag, Tag::new(id, 2));
         assert_eq!(p2.range, BlockRange::new(Lba(100), 5));
     }
@@ -1476,26 +1531,26 @@ mod tests {
         let mut c = AoeClient::new(ClientConfig::default());
         c.set_rdma(true);
         let (_, single) = c.read(SimTime::ZERO, BlockRange::new(Lba(0), 40));
-        assert!(AoePdu::decode(&single[0]).unwrap().rdma);
+        assert!(AoePdu::decode_frame(&single[0]).unwrap().rdma);
         let (_, multi) = c.read_multi(SimTime::ZERO, vec![BlockRange::new(Lba(50), 4)]);
-        assert!(AoePdu::decode(&multi[0]).unwrap().rdma);
+        assert!(AoePdu::decode_frame(&multi[0]).unwrap().rdma);
         // The flag survives mode changes on every retransmit shape.
         // (Poll past both jittered deadlines so each request resends.)
         c.set_rdma(false);
         let resent = c.poll_retransmit(SimTime::from_secs(5));
         assert_eq!(resent.len(), 2);
         for frame in &resent {
-            assert!(AoePdu::decode(frame).unwrap().rdma, "retransmit lost the flag");
+            assert!(AoePdu::decode_frame(frame).unwrap().rdma, "retransmit lost the flag");
         }
         // Writes never carry it (RDMA-assisted snapback is future work).
         let (_, w) = c.write(SimTime::ZERO, BlockRange::new(Lba(0), 1), &[SectorData(1)]);
-        assert!(!AoePdu::decode(&w[0]).unwrap().rdma);
+        assert!(!AoePdu::decode_frame(&w[0]).unwrap().rdma);
     }
 
     #[test]
     fn unknown_frames_ignored() {
         let mut c = AoeClient::new(ClientConfig::default());
-        assert!(c.on_frame(SimTime::ZERO, &[1, 2, 3]).is_none());
+        assert!(c.on_frame(SimTime::ZERO, &[1, 2, 3][..]).is_none());
         let mut stray = AoePdu::read_request(0, 0, Tag::new(999, 0), BlockRange::new(Lba(0), 1));
         stray.response = true;
         stray.data = Some(vec![SectorData(1)]);

@@ -31,6 +31,6 @@ pub use client::{AoeClient, ClientConfig, Completion};
 pub use server::{AoeServer, ServerConfig};
 pub use server::Enqueued;
 pub use wire::{
-    peek_rdma, peek_shelf_slot, sectors_per_frame, AoeCommand, AoePdu, FrameBytes, Tag,
+    peek_rdma, peek_shelf_slot, sectors_per_frame, AoeCommand, AoePdu, FrameBytes, Tag, WireFrame,
     AOE_HEADER_BYTES,
 };

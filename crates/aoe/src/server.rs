@@ -10,7 +10,7 @@
 //! With `workers = 1` the server serializes (original vblade); with a pool
 //! it overlaps disk time across requests.
 
-use crate::wire::{sectors_per_frame, AoePdu, DecodeError, FrameBytes, Tag};
+use crate::wire::{sectors_per_frame, AoePdu, DecodeError, FrameBytes, Tag, WireFrame};
 use hwsim::block::BlockRange;
 use hwsim::disk::{DiskModel, DiskOp};
 use hwsim::ib::{IbConfig, IbHca};
@@ -511,8 +511,12 @@ impl AoeServer {
     /// Returns [`DecodeError`] for undecodable frames. Frames addressed to
     /// another shelf/slot, and response frames, are answered with `None`
     /// inside an `Ok` — they are simply not for us.
-    pub fn handle(&mut self, now: SimTime, bytes: &[u8]) -> Result<Option<ServerReply>, DecodeError> {
-        let pdu = AoePdu::decode(bytes)?;
+    pub fn handle<F: WireFrame + ?Sized>(
+        &mut self,
+        now: SimTime,
+        frame: &F,
+    ) -> Result<Option<ServerReply>, DecodeError> {
+        let pdu = frame.decode_pdu()?;
         if pdu.response || pdu.shelf != self.cfg.shelf || !self.serves_slot(pdu.slot) {
             return Ok(None);
         }
@@ -722,13 +726,13 @@ impl AoeServer {
     ///
     /// Returns [`DecodeError`] for undecodable frames, exactly like
     /// [`AoeServer::handle`].
-    pub fn enqueue(
+    pub fn enqueue<F: WireFrame + ?Sized>(
         &mut self,
         now: SimTime,
         client: usize,
-        bytes: &[u8],
+        frame: &F,
     ) -> Result<Enqueued, DecodeError> {
-        let pdu = AoePdu::decode(bytes)?;
+        let pdu = frame.decode_pdu()?;
         if pdu.response || pdu.shelf != self.cfg.shelf || !self.serves_slot(pdu.slot) {
             return Ok(Enqueued::NotForUs);
         }
@@ -897,14 +901,14 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(reply.frames.len(), 3, "40 sectors at 17/frame");
-        let first = AoePdu::decode(&reply.frames[0]).unwrap();
+        let first = AoePdu::decode_frame(&reply.frames[0]).unwrap();
         assert!(first.response);
         assert_eq!(first.tag.fragment(), 0);
         assert_eq!(
             first.data.unwrap()[0],
             BlockStore::image_content(0xCAFE, Lba(100))
         );
-        let last = AoePdu::decode(&reply.frames[2]).unwrap();
+        let last = AoePdu::decode_frame(&reply.frames[2]).unwrap();
         assert_eq!(last.range.sectors, 6);
         assert_eq!(s.sectors_read(), 40);
     }
@@ -916,7 +920,7 @@ mod tests {
         let req = AoePdu::write_request(0, 0, Tag::new(2, 0), BlockRange::new(Lba(7), 2), data);
         let reply = s.handle(SimTime::ZERO, &req.encode()).unwrap().unwrap();
         assert_eq!(reply.frames.len(), 1);
-        let ack = AoePdu::decode(&reply.frames[0]).unwrap();
+        let ack = AoePdu::decode_frame(&reply.frames[0]).unwrap();
         assert!(ack.response);
         assert!(ack.data.is_none());
         assert_eq!(s.disk().store().read(Lba(7)), SectorData(123));
@@ -934,7 +938,7 @@ mod tests {
     #[test]
     fn garbage_is_a_decode_error() {
         let mut s = server(1);
-        assert!(s.handle(SimTime::ZERO, &[0xFF; 3]).is_err());
+        assert!(s.handle(SimTime::ZERO, &[0xFF; 3][..]).is_err());
     }
 
     #[test]
@@ -980,7 +984,7 @@ mod tests {
         let data = vec![SectorData(999)];
         let req = AoePdu::write_request(0, 0, Tag::new(3, 0), BlockRange::new(Lba(7), 1), data);
         let reply = s.handle(SimTime::ZERO, &req.encode()).unwrap().unwrap();
-        let ack = AoePdu::decode(&reply.frames[0]).unwrap();
+        let ack = AoePdu::decode_frame(&reply.frames[0]).unwrap();
         assert_eq!(ack.error, Some(AOE_ERR_DEVICE_UNAVAILABLE));
         assert_eq!(s.disk().store().read(Lba(7)), before, "nothing committed");
         assert_eq!(s.write_errors(), 1);
@@ -990,7 +994,7 @@ mod tests {
         let data = vec![SectorData(999)];
         let req = AoePdu::write_request(0, 0, Tag::new(4, 0), BlockRange::new(Lba(7), 1), data);
         let reply = s.handle(SimTime::ZERO, &req.encode()).unwrap().unwrap();
-        assert!(AoePdu::decode(&reply.frames[0]).unwrap().error.is_none());
+        assert!(AoePdu::decode_frame(&reply.frames[0]).unwrap().error.is_none());
         assert_eq!(s.disk().store().read(Lba(7)), SectorData(999));
     }
 
@@ -1051,8 +1055,8 @@ mod tests {
         );
         // Same bytes either way: the cache prices reads, it holds none.
         assert_eq!(
-            AoePdu::decode(&miss.frames[0]).unwrap().data,
-            AoePdu::decode(&hit.frames[0]).unwrap().data
+            AoePdu::decode_frame(&miss.frames[0]).unwrap().data,
+            AoePdu::decode_frame(&hit.frames[0]).unwrap().data
         );
     }
 
@@ -1145,13 +1149,13 @@ mod tests {
         let b = s.handle(SimTime::ZERO, &req(1, 2)).unwrap().unwrap();
         assert_eq!((s.cache_hits(), s.cache_misses()), (0, 2), "cross-image leak");
         assert_eq!(
-            AoePdu::decode(&b.frames[0]).unwrap().data.unwrap()[0],
+            AoePdu::decode_frame(&b.frames[0]).unwrap().data.unwrap()[0],
             BlockStore::image_content(0xBBBB, Lba(100)),
             "served the wrong tenant's blocks"
         );
         assert_ne!(
-            AoePdu::decode(&a.frames[0]).unwrap().data,
-            AoePdu::decode(&b.frames[0]).unwrap().data
+            AoePdu::decode_frame(&a.frames[0]).unwrap().data,
+            AoePdu::decode_frame(&b.frames[0]).unwrap().data
         );
         // Each tenant's own re-read is the hit the cache exists for.
         s.handle(SimTime::ZERO, &req(0, 3)).unwrap().unwrap();
@@ -1361,12 +1365,12 @@ mod tests {
             s.enqueue(SimTime::ZERO, 0, &read_req(i + 1, (i as u64) * 1024, 8)).unwrap();
         }
         let (_, reply) = s.dispatch(SimTime::ZERO).unwrap();
-        assert!(!AoePdu::decode(&reply.frames[0]).unwrap().busy);
+        assert!(!AoePdu::decode_frame(&reply.frames[0]).unwrap().busy);
         assert_eq!(s.busy_replies(), 0);
         // A second client tips the same backlog into congestion.
         s.enqueue(SimTime::ZERO, 1, &read_req(100, 200_000, 8)).unwrap();
         let (_, reply) = s.dispatch(s.next_dispatch_at().unwrap()).unwrap();
-        assert!(AoePdu::decode(&reply.frames[0]).unwrap().busy);
+        assert!(AoePdu::decode_frame(&reply.frames[0]).unwrap().busy);
         assert!(s.busy_replies() > 0);
         // Backlog below threshold: calm again, even with two clients.
         let mut now = s.next_dispatch_at().unwrap();
@@ -1374,7 +1378,7 @@ mod tests {
         while s.queued_total() > 0 {
             match s.dispatch(now) {
                 Some((_, reply)) => {
-                    last_busy = AoePdu::decode(&reply.frames[0]).unwrap().busy;
+                    last_busy = AoePdu::decode_frame(&reply.frames[0]).unwrap().busy;
                 }
                 None => now = s.next_dispatch_at().expect("work remains"),
             }
@@ -1443,7 +1447,7 @@ mod tests {
         let stray = AoePdu::read_request(9, 9, Tag::new(1, 0), BlockRange::new(Lba(0), 1));
         assert_eq!(s.enqueue(SimTime::ZERO, 0, &stray.encode()).unwrap(), Enqueued::NotForUs);
         assert_eq!(s.queued_total(), 0);
-        assert!(s.enqueue(SimTime::ZERO, 0, &[0xFF; 3]).is_err());
+        assert!(s.enqueue(SimTime::ZERO, 0, &[0xFF; 3][..]).is_err());
     }
 
     #[test]
@@ -1501,10 +1505,10 @@ mod tests {
         let frags: Vec<u32> = reply
             .frames
             .iter()
-            .map(|f| AoePdu::decode(f).unwrap().tag.fragment())
+            .map(|f| AoePdu::decode_frame(f).unwrap().tag.fragment())
             .collect();
         assert_eq!(frags, vec![0, 1, 2]);
-        let second_run = AoePdu::decode(&reply.frames[2]).unwrap();
+        let second_run = AoePdu::decode_frame(&reply.frames[2]).unwrap();
         assert_eq!(second_run.range, BlockRange::new(Lba(500), 5));
         assert_eq!(
             second_run.data.unwrap()[0],
@@ -1537,7 +1541,7 @@ mod tests {
             "one-sided READ never waits for the busy worker"
         );
         for frame in &reply.frames {
-            let pdu = AoePdu::decode(frame).unwrap();
+            let pdu = AoePdu::decode_frame(frame).unwrap();
             assert!(pdu.rdma, "replies echo the rdma flag for IB-lane routing");
             assert!(!pdu.busy, "no queue, no busy hint");
         }
@@ -1550,7 +1554,7 @@ mod tests {
         let mut s = server(1);
         let reply = s.handle(SimTime::ZERO, &rdma_read_req(1, 0, 8)).unwrap().unwrap();
         assert_eq!(s.rdma_reads(), 0);
-        let pdu = AoePdu::decode(&reply.frames[0]).unwrap();
+        let pdu = AoePdu::decode_frame(&reply.frames[0]).unwrap();
         assert!(!pdu.rdma, "flag is not echoed when served by a worker");
     }
 
@@ -1605,7 +1609,7 @@ mod tests {
         let at = SimTime::from_secs(1);
         let (client, reply) = s.dispatch(at).expect("rdma head drains first");
         assert_eq!(client, 2);
-        assert!(AoePdu::decode(&reply.frames[0]).unwrap().rdma);
+        assert!(AoePdu::decode_frame(&reply.frames[0]).unwrap().rdma);
         assert_eq!(s.rdma_reads(), 1);
         // The worker lane is untouched and still drains normally.
         assert_eq!(s.queued_total(), queued_before);
@@ -1614,8 +1618,8 @@ mod tests {
 
     #[test]
     fn rdma_replies_travel_as_shared_arc_views_not_copies() {
-        // The zero-copy pin: an rdma reply burst is a set of
-        // `FrameBytes` (`Arc<[u8]>`) allocations, and every hop of the
+        // The zero-copy pin: an rdma reply burst is a set of shared
+        // `FrameBytes` allocations, and every hop of the
         // fabric — switch, egress, the fleet's IB-lane Deliver event —
         // moves *views* of those allocations. Cloning must be a
         // refcount bump (same allocation address), and the view the
@@ -1629,13 +1633,12 @@ mod tests {
         for frame in &reply.frames {
             let fabric_hop: FrameBytes = frame.clone();
             assert!(
-                std::sync::Arc::ptr_eq(frame, &fabric_hop),
+                FrameBytes::ptr_eq(frame, &fabric_hop),
                 "cloning a frame must share the allocation, not copy it"
             );
-            assert_eq!(frame.as_ptr(), fabric_hop.as_ptr());
             // The delivered view decodes to the same wire contents.
-            let a = AoePdu::decode(frame).unwrap();
-            let b = AoePdu::decode(&fabric_hop).unwrap();
+            let a = AoePdu::decode_frame(frame).unwrap();
+            let b = AoePdu::decode_frame(&fabric_hop).unwrap();
             assert_eq!(a, b);
             assert!(b.rdma);
         }

@@ -71,16 +71,153 @@ use hwsim::block::{BlockRange, Lba, SectorData, SECTOR_SIZE};
 use std::fmt;
 use std::sync::Arc;
 
-/// An encoded frame as shared immutable bytes.
+/// An encoded frame, shared and immutable.
 ///
-/// Frames fan out along the data path — kept pending for
+/// Frames fan out along the data path — held pending for
 /// retransmission, queued on NIC rings, scheduled across the fabric —
-/// and `Arc<[u8]>` makes every one of those hand-offs a reference-count
-/// bump instead of a payload copy.
-pub type FrameBytes = Arc<[u8]>;
+/// and the `Arc` inside makes every one of those hand-offs a
+/// reference-count bump instead of a payload copy.
+///
+/// A frame has one of two forms; both stand for the same byte image:
+/// - a *sector frame* holds the 24-byte header and one fingerprint per
+///   512-byte sector unit. Its byte image is the header followed, for
+///   each sector, by the fingerprint big-endian and 504 zero bytes.
+///   [`AoePdu::encode_frame`] builds one for every v2 frame that
+///   carries data (read replies and write requests), so the padding is
+///   never written, hashed or scanned;
+/// - a *byte frame* holds the image itself: header-only frames, v3
+///   range tables, and anything made from raw bytes (`From<Vec<u8>>`),
+///   such as a frame corrupted in flight.
+///
+/// [`len`](Self::len) is the image's length, the frame's wire size.
+/// Nothing mutates a frame in place: a change goes through
+/// [`to_vec`](Self::to_vec) and back through `into()`, which yields a
+/// byte frame that [`AoePdu::decode_frame`] checks byte by byte.
+#[derive(Debug, Clone)]
+pub struct FrameBytes(Repr);
+
+#[derive(Debug, Clone)]
+enum Repr {
+    Sectors(Arc<SectorFrame>),
+    Bytes(Arc<[u8]>),
+}
+
+#[derive(Debug)]
+struct SectorFrame {
+    /// The header, checksum included.
+    head: [u8; HEAD],
+    /// One fingerprint per sector unit, in order.
+    units: Box<[SectorData]>,
+}
+
+impl FrameBytes {
+    /// Length of the frame's byte image: its size on the wire.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Repr::Sectors(f) => HEAD + f.units.len() * SECTOR_SIZE as usize,
+            Repr::Bytes(b) => b.len(),
+        }
+    }
+
+    /// Whether the byte image is empty (only a raw byte frame can be).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The first [`AOE_HEADER_BYTES`] bytes of the image (all of it when
+    /// shorter): what the routing peeks [`peek_shelf_slot`] and
+    /// [`peek_rdma`] read.
+    pub fn head(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Sectors(f) => &f.head,
+            Repr::Bytes(b) => &b[..b.len().min(HEAD)],
+        }
+    }
+
+    /// A sector frame's fingerprints, one per 512-byte unit; `None` for
+    /// a byte frame.
+    pub fn sectors(&self) -> Option<&[SectorData]> {
+        match &self.0 {
+            Repr::Sectors(f) => Some(&f.units),
+            Repr::Bytes(_) => None,
+        }
+    }
+
+    /// Whether `a` and `b` share one allocation (one is a clone of the
+    /// other), as [`Arc::ptr_eq`].
+    pub fn ptr_eq(a: &FrameBytes, b: &FrameBytes) -> bool {
+        match (&a.0, &b.0) {
+            (Repr::Sectors(a), Repr::Sectors(b)) => Arc::ptr_eq(a, b),
+            (Repr::Bytes(a), Repr::Bytes(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// The frame's full byte image.
+    pub fn to_vec(&self) -> Vec<u8> {
+        match &self.0 {
+            Repr::Sectors(f) => {
+                let mut out = vec![0; self.len()];
+                out[..HEAD].copy_from_slice(&f.head);
+                put_units(&mut out[HEAD..], &f.units);
+                out
+            }
+            Repr::Bytes(b) => b.to_vec(),
+        }
+    }
+}
+
+/// Frames are equal when their byte images are, whatever their forms.
+impl PartialEq for FrameBytes {
+    fn eq(&self, other: &FrameBytes) -> bool {
+        self.len() == other.len() && self.to_vec() == other.to_vec()
+    }
+}
+
+impl Eq for FrameBytes {}
+
+impl From<Vec<u8>> for FrameBytes {
+    /// A byte frame holding `bytes` as they are.
+    fn from(bytes: Vec<u8>) -> FrameBytes {
+        FrameBytes(Repr::Bytes(bytes.into()))
+    }
+}
+
+/// A received frame in either form the endpoints take: a shared
+/// [`FrameBytes`] off the fabric, or the dense bytes of a caller that
+/// encoded with [`AoePdu::encode`].
+pub trait WireFrame {
+    /// Decodes the PDU the frame carries.
+    ///
+    /// # Errors
+    ///
+    /// As [`AoePdu::decode`].
+    fn decode_pdu(&self) -> Result<AoePdu, DecodeError>;
+}
+
+impl WireFrame for FrameBytes {
+    fn decode_pdu(&self) -> Result<AoePdu, DecodeError> {
+        AoePdu::decode_frame(self)
+    }
+}
+
+impl WireFrame for [u8] {
+    fn decode_pdu(&self) -> Result<AoePdu, DecodeError> {
+        AoePdu::decode(self)
+    }
+}
+
+impl WireFrame for Vec<u8> {
+    fn decode_pdu(&self) -> Result<AoePdu, DecodeError> {
+        AoePdu::decode(self)
+    }
+}
 
 /// AoE + ATA-argument header size in bytes (excludes the Ethernet header).
 pub const AOE_HEADER_BYTES: u32 = 24;
+
+/// [`AOE_HEADER_BYTES`] as an index.
+const HEAD: usize = AOE_HEADER_BYTES as usize;
 
 /// AoE protocol version carried in every PDU. Version 2 adds the frame
 /// checksum in the former reserved bytes; older frames are rejected.
@@ -166,11 +303,8 @@ fn fnv1a_word(h: u64, zero_words: &mut usize, w: &[u8]) -> u64 {
 /// scales with the bytes that carry data while the wire format is
 /// unchanged.
 pub fn frame_checksum(bytes: &[u8]) -> u16 {
-    let (head, body) = bytes.split_at(bytes.len().min(AOE_HEADER_BYTES as usize));
-    let mut h = fnv1a(FNV_OFFSET, &head[..head.len().min(CHECKSUM_OFFSET)]);
-    for _ in CHECKSUM_OFFSET..head.len() {
-        h = h.wrapping_mul(FNV_PRIME); // checksum bytes hash as zero
-    }
+    let (head, body) = bytes.split_at(bytes.len().min(HEAD));
+    let mut h = head_hash(head);
     let mut zero_words = 0;
     let mut blocks = body.chunks_exact(64);
     for block in &mut blocks {
@@ -189,8 +323,42 @@ pub fn frame_checksum(bytes: &[u8]) -> u16 {
     for w in &mut words {
         h = fnv1a_word(h, &mut zero_words, w);
     }
-    h = fnv1a(fnv1a_zero_words(h, zero_words), words.remainder());
+    fold16(fnv1a(fnv1a_zero_words(h, zero_words), words.remainder()))
+}
+
+/// [`frame_checksum`] of a sector frame's byte image, in O(sectors):
+/// per unit, FNV-1a over the fingerprint's 8 bytes, then one multiply
+/// for the 63 zero words of padding.
+fn sector_checksum(head: &[u8], units: &[SectorData]) -> u16 {
+    fold16(units.iter().fold(head_hash(head), |h, s| {
+        fnv1a_zero_words(fnv1a(h, &s.0.to_be_bytes()), ZERO_RUN_MAX)
+    }))
+}
+
+/// FNV-1a 64 from the offset basis over the header bytes, the checksum
+/// field hashed as zero.
+fn head_hash(head: &[u8]) -> u64 {
+    let mut h = fnv1a(FNV_OFFSET, &head[..head.len().min(CHECKSUM_OFFSET)]);
+    for _ in CHECKSUM_OFFSET..head.len() {
+        h = h.wrapping_mul(FNV_PRIME); // checksum bytes hash as zero
+    }
+    h
+}
+
+/// Folds the 64-bit hash to the 16-bit checksum field.
+fn fold16(h: u64) -> u16 {
     (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) as u16
+}
+
+/// Writes each fingerprint big-endian into the first 8 bytes of its
+/// 512-byte unit of `payload`, a zero-filled buffer.
+fn put_units(payload: &mut [u8], units: &[SectorData]) {
+    for (s, unit) in units
+        .iter()
+        .zip(payload.chunks_exact_mut(SECTOR_SIZE as usize))
+    {
+        unit[..8].copy_from_slice(&s.0.to_be_bytes());
+    }
 }
 
 /// A fragmentation-aware tag: `(request id, fragment index)` packed into
@@ -396,29 +564,59 @@ impl AoePdu {
         AOE_HEADER_BYTES + payload
     }
 
-    /// Encodes to bytes.
+    /// Encodes to bytes: the dense byte image, every padding byte
+    /// written and checksummed.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = vec![0; self.encoded_len() as usize];
-        self.encode_into(&mut out);
+        out[..HEAD].copy_from_slice(&self.encode_head());
+        let payload = &mut out[HEAD..];
+        if !self.ranges.is_empty() {
+            // v3 payload: the range table.
+            debug_assert!(self.data.is_none(), "multi-range frames carry no sectors");
+            payload[..2].copy_from_slice(&(self.ranges.len() as u16).to_be_bytes());
+            for (r, entry) in self
+                .ranges
+                .iter()
+                .zip(payload[2..].chunks_exact_mut(RANGE_ENTRY_BYTES))
+            {
+                entry[..6].copy_from_slice(&r.lba.0.to_be_bytes()[2..8]);
+                entry[6..].copy_from_slice(&r.sectors.to_be_bytes());
+            }
+        } else if let Some(data) = &self.data {
+            // v2 payload: one 512-byte unit per sector, fingerprint in
+            // the first 8 bytes, remainder zero.
+            put_units(payload, data);
+        }
+        let sum = frame_checksum(&out);
+        out[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 2].copy_from_slice(&sum.to_be_bytes());
         out
     }
 
-    /// Encodes to shared immutable bytes, ready to be held pending and
-    /// put on the wire without further copies. The frame is encoded in
-    /// place in its shared allocation, so no intermediate buffer is
-    /// copied either.
+    /// Encodes to a shared frame, ready to be held pending and put on
+    /// the wire without further copies. A v2 frame carrying data becomes
+    /// a sector frame: header and fingerprints only, checksummed in
+    /// O(sectors). Any other frame is a byte frame of
+    /// [`encode`](Self::encode)'s bytes. Either way
+    /// [`FrameBytes::to_vec`] equals [`encode`](Self::encode).
     pub fn encode_frame(&self) -> FrameBytes {
-        let mut frame: FrameBytes = std::iter::repeat_n(0, self.encoded_len() as usize).collect();
-        self.encode_into(Arc::get_mut(&mut frame).expect("a new frame has one owner"));
-        frame
+        match &self.data {
+            Some(data) if self.ranges.is_empty() && !data.is_empty() => {
+                let mut head = self.encode_head();
+                let sum = sector_checksum(&head, data);
+                head[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 2].copy_from_slice(&sum.to_be_bytes());
+                FrameBytes(Repr::Sectors(Arc::new(SectorFrame {
+                    head,
+                    units: data.as_slice().into(),
+                })))
+            }
+            _ => self.encode().into(),
+        }
     }
 
-    /// Writes the frame into `out`, a zero-filled buffer of
-    /// [`encoded_len`](Self::encoded_len) bytes, in one pass: header
-    /// fields and payload words land at their offsets (sector padding
-    /// stays the buffer's zeros), then the checksum is patched in.
-    fn encode_into(&self, out: &mut [u8]) {
-        debug_assert_eq!(out.len() as u32, self.encoded_len());
+    /// The 24-byte header with the checksum field zero: the one header
+    /// encoder both frame forms share.
+    fn encode_head(&self) -> [u8; HEAD] {
+        let mut out = [0; HEAD];
         let ver = if self.ranges.is_empty() {
             AOE_VERSION
         } else {
@@ -441,105 +639,100 @@ impl AoePdu {
         out[11] = if self.busy { 0x01 } else { 0x00 }; // err/feature: busy hint
         out[12..16].copy_from_slice(&self.range.sectors.to_be_bytes());
         out[16..22].copy_from_slice(&self.range.lba.0.to_be_bytes()[2..8]); // 48-bit LBA
-        let payload = &mut out[AOE_HEADER_BYTES as usize..];
-        if !self.ranges.is_empty() {
-            // v3 payload: the range table.
-            debug_assert!(self.data.is_none(), "multi-range frames carry no sectors");
-            payload[..2].copy_from_slice(&(self.ranges.len() as u16).to_be_bytes());
-            for (r, entry) in self
-                .ranges
-                .iter()
-                .zip(payload[2..].chunks_exact_mut(RANGE_ENTRY_BYTES))
-            {
-                entry[..6].copy_from_slice(&r.lba.0.to_be_bytes()[2..8]);
-                entry[6..].copy_from_slice(&r.sectors.to_be_bytes());
-            }
-        } else if let Some(data) = &self.data {
-            // v2 payload: one 512-byte unit per sector, fingerprint in
-            // the first 8 bytes, remainder zero.
-            for (s, unit) in data
-                .iter()
-                .zip(payload.chunks_exact_mut(SECTOR_SIZE as usize))
-            {
-                unit[..8].copy_from_slice(&s.0.to_be_bytes());
-            }
-        }
-        let sum = frame_checksum(out);
-        out[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 2].copy_from_slice(&sum.to_be_bytes());
+        out
     }
 
     /// Decodes a PDU from bytes.
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] on short input, a bad version, or a payload
-    /// that is not a whole number of sectors.
+    /// Returns [`DecodeError`] on short input, a bad version, a checksum
+    /// mismatch, an empty range, a payload that is not a whole number of
+    /// sectors, or a malformed v3 range table.
     pub fn decode(bytes: &[u8]) -> Result<AoePdu, DecodeError> {
-        if bytes.len() < AOE_HEADER_BYTES as usize {
+        if bytes.len() < HEAD {
             return Err(DecodeError::Truncated {
                 got: bytes.len(),
-                need: AOE_HEADER_BYTES as usize,
+                need: HEAD,
             });
         }
-        let ver = bytes[0] >> 4;
+        let (ver, mut pdu) = Self::decode_head(&bytes[..HEAD], || frame_checksum(bytes))?;
+        let payload = &bytes[HEAD..];
+        if ver == AOE_VERSION_BATCH {
+            pdu.ranges = Self::decode_range_table(pdu.write, pdu.range, payload)?;
+        } else if !payload.is_empty() {
+            if !payload.len().is_multiple_of(SECTOR_SIZE as usize) {
+                return Err(DecodeError::RaggedPayload(payload.len()));
+            }
+            pdu.data = Some(
+                payload
+                    .chunks_exact(SECTOR_SIZE as usize)
+                    .map(|c| SectorData(u64::from_be_bytes(c[..8].try_into().unwrap())))
+                    .collect(),
+            );
+        }
+        Ok(pdu)
+    }
+
+    /// Decodes a shared frame. A sector frame's checksum is verified and
+    /// its fingerprints read in O(sectors), with no byte scan; a byte
+    /// frame goes through [`decode`](Self::decode). The result equals
+    /// `decode(&frame.to_vec())` on every frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`](Self::decode).
+    pub fn decode_frame(frame: &FrameBytes) -> Result<AoePdu, DecodeError> {
+        match &frame.0 {
+            Repr::Bytes(bytes) => Self::decode(bytes),
+            Repr::Sectors(f) => {
+                let (ver, mut pdu) =
+                    Self::decode_head(&f.head, || sector_checksum(&f.head, &f.units))?;
+                debug_assert_eq!(ver, AOE_VERSION, "sector frames are v2");
+                pdu.data = Some(f.units.to_vec());
+                Ok(pdu)
+            }
+        }
+    }
+
+    /// Parses the 24-byte header: the version, then the carried checksum
+    /// against `checksum()` (the sum of the whole frame), then the
+    /// fields. The one header parser both frame forms share. Returns the
+    /// version and the PDU without payload.
+    fn decode_head(
+        head: &[u8],
+        checksum: impl FnOnce() -> u16,
+    ) -> Result<(u8, AoePdu), DecodeError> {
+        let ver = head[0] >> 4;
         if ver != AOE_VERSION && ver != AOE_VERSION_BATCH {
             return Err(DecodeError::BadVersion(ver));
         }
-        let want = u16::from_be_bytes([bytes[CHECKSUM_OFFSET], bytes[CHECKSUM_OFFSET + 1]]);
-        let got = frame_checksum(bytes);
+        let want = u16::from_be_bytes([head[CHECKSUM_OFFSET], head[CHECKSUM_OFFSET + 1]]);
+        let got = checksum();
         if got != want {
             return Err(DecodeError::BadChecksum { got, want });
         }
-        let response = bytes[0] & 0x08 != 0;
-        let error = (bytes[0] & 0x04 != 0).then_some(bytes[1]);
-        let shelf = u16::from_be_bytes([bytes[2], bytes[3]]);
-        let slot = bytes[4];
-        let tag = Tag::from_raw(u32::from_be_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]));
-        let write = bytes[10] & 0x01 != 0;
-        let sprint = bytes[10] & 0x02 != 0;
-        let rdma = bytes[10] & 0x04 != 0;
-        let busy = bytes[11] & 0x01 != 0;
-        let sectors = u32::from_be_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
+        let sectors = u32::from_be_bytes([head[12], head[13], head[14], head[15]]);
         if sectors == 0 {
             return Err(DecodeError::EmptyRange);
         }
         let mut lba_bytes = [0u8; 8];
-        lba_bytes[2..8].copy_from_slice(&bytes[16..22]);
-        let range = BlockRange::new(Lba(u64::from_be_bytes(lba_bytes)), sectors);
-
-        let payload = &bytes[AOE_HEADER_BYTES as usize..];
-        let (ranges, data) = if ver == AOE_VERSION_BATCH {
-            (Self::decode_range_table(write, range, payload)?, None)
-        } else if payload.is_empty() {
-            (Vec::new(), None)
-        } else {
-            if !payload.len().is_multiple_of(SECTOR_SIZE as usize) {
-                return Err(DecodeError::RaggedPayload(payload.len()));
-            }
-            let data = payload
-                .chunks_exact(SECTOR_SIZE as usize)
-                .map(|c| {
-                    SectorData(u64::from_be_bytes([
-                        c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
-                    ]))
-                })
-                .collect();
-            (Vec::new(), Some(data))
+        lba_bytes[2..8].copy_from_slice(&head[16..22]);
+        let pdu = AoePdu {
+            response: head[0] & 0x08 != 0,
+            error: (head[0] & 0x04 != 0).then_some(head[1]),
+            shelf: u16::from_be_bytes([head[2], head[3]]),
+            slot: head[4],
+            tag: Tag::from_raw(u32::from_be_bytes([head[6], head[7], head[8], head[9]])),
+            write: head[10] & 0x01 != 0,
+            sprint: head[10] & 0x02 != 0,
+            busy: head[11] & 0x01 != 0,
+            rdma: head[10] & 0x04 != 0,
+            range: BlockRange::new(Lba(u64::from_be_bytes(lba_bytes)), sectors),
+            ranges: Vec::new(),
+            data: None,
         };
-        Ok(AoePdu {
-            response,
-            error,
-            shelf,
-            slot,
-            tag,
-            write,
-            sprint,
-            busy,
-            rdma,
-            range,
-            ranges,
-            data,
-        })
+        Ok((ver, pdu))
     }
 
     /// Parses and validates a v3 range table against the header's
@@ -586,7 +779,7 @@ impl AoePdu {
 /// shorter than the fixed header or carries an unknown version; checksum
 /// validation is left to the addressed server's real decode.
 pub fn peek_shelf_slot(bytes: &[u8]) -> Option<(u16, u8)> {
-    if bytes.len() < AOE_HEADER_BYTES as usize {
+    if bytes.len() < HEAD {
         return None;
     }
     let ver = bytes[0] >> 4;
@@ -604,7 +797,7 @@ pub fn peek_rdma(bytes: &[u8]) -> bool {
     peek_shelf_slot(bytes).is_some() && bytes[10] & 0x04 != 0
 }
 
-/// Errors from [`AoePdu::decode`].
+/// Errors from [`AoePdu::decode`] and [`AoePdu::decode_frame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// Input shorter than the fixed header.
@@ -872,17 +1065,17 @@ mod tests {
         let data = (0..17).map(SectorData).collect();
         let mut pdu =
             AoePdu::write_request(2, 1, Tag::new(5, 4), BlockRange::new(Lba(99), 17), data);
-        assert_eq!(&pdu.encode_frame()[..], &pdu.encode()[..]);
+        assert_eq!(pdu.encode_frame().to_vec(), pdu.encode());
         pdu.data = None;
         pdu.write = false;
-        assert_eq!(&pdu.encode_frame()[..], &pdu.encode()[..]);
+        assert_eq!(pdu.encode_frame().to_vec(), pdu.encode());
         let multi = AoePdu::read_multi_request(
             0,
             0,
             Tag::new(1, 0),
             vec![BlockRange::new(Lba(8), 8), BlockRange::new(Lba(80), 3)],
         );
-        assert_eq!(&multi.encode_frame()[..], &multi.encode()[..]);
+        assert_eq!(multi.encode_frame().to_vec(), multi.encode());
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! so the speedup is measured in the same run.
 //!
 //! The `aoe_wire` targets time one frame of the wire layer: checksum,
-//! encode and decode of an MTU-sized data frame, and a v3 multi-range
-//! request. `checksum_mtu_frame_byte_serial_reference` is the seed's
-//! byte-serial checksum, for the same in-run comparison.
+//! encode and decode of an MTU-sized read reply, and a v3 multi-range
+//! request. The reply is timed on the sector path (`encode_frame`,
+//! `decode_frame`) next to the dense byte path it replaced;
+//! `checksum_mtu_frame_byte_serial_reference` is the seed's byte-serial
+//! checksum, for the same in-run comparison. The `aoe_server` targets
+//! time `AoeServer::handle` on one 8-sector read, cache hit and miss.
 
 use aoe::wire::{frame_checksum, sectors_per_frame, AoePdu, Tag};
 use aoe::{AoeClient, AoeServer, ClientConfig, ServerConfig};
@@ -140,6 +143,61 @@ fn bench_bitmap(c: &mut Criterion) {
     group.finish();
 }
 
+/// `AoeServer::handle` for one 8-sector read request: decode, cache
+/// lookup, disk pricing on a miss, worker assignment and the one-frame
+/// reply. The hit target re-reads one warm range; the miss target walks
+/// ranges four times the cache's capacity, so every lookup misses and
+/// evicts.
+fn bench_server(c: &mut Criterion) {
+    let mut group = c.benchmark_group("aoe_server");
+    group
+        .sample_size(1_000)
+        .warm_up_time(Duration::from_secs(1))
+        .measurement_time(Duration::from_secs(3));
+
+    const CACHE: usize = 64;
+    let server = || {
+        let params = DiskParams {
+            capacity_sectors: 1 << 16,
+            ..DiskParams::default()
+        };
+        let store = BlockStore::image(params.capacity_sectors, 7);
+        let cfg = ServerConfig {
+            cache_entries: CACHE,
+            ..ServerConfig::default()
+        };
+        AoeServer::new(cfg, DiskModel::new(params, store))
+    };
+    let requests: Vec<Vec<u8>> = (0..4 * CACHE as u64)
+        .map(|i| {
+            let range = BlockRange::new(Lba(i * 8), 8);
+            AoePdu::read_request(0, 0, Tag::new(i as u32, 0), range).encode()
+        })
+        .collect();
+
+    group.bench_function("handle_read_cache_hit", |b| {
+        let mut s = server();
+        s.handle(SimTime::ZERO, &requests[0]).expect("decodes");
+        b.iter(|| {
+            s.handle(SimTime::ZERO, black_box(&requests[0]))
+                .expect("decodes")
+                .expect("replies")
+        })
+    });
+    group.bench_function("handle_read_cache_miss", |b| {
+        let mut s = server();
+        let mut next = requests.iter().cycle();
+        b.iter(|| {
+            let req = next.next().expect("cycles forever");
+            s.handle(SimTime::ZERO, black_box(req))
+                .expect("decodes")
+                .expect("replies")
+        })
+    });
+
+    group.finish();
+}
+
 fn bench_aoe(c: &mut Criterion) {
     let mut group = c.benchmark_group("aoe_roundtrip");
     group
@@ -190,8 +248,8 @@ fn frame_checksum_byte_serial(bytes: &[u8]) -> u16 {
 }
 
 /// The AoE wire layer on its own, one frame per iteration: a 9000-MTU
-/// data frame (17 sectors, 8,728 bytes — a read reply fragment or a
-/// snapshot-back write) and a v3 multi-range read of 64 runs (the
+/// read reply fragment (17 sectors, 8,728 bytes; a snapshot-back write
+/// has the same shape) and a v3 multi-range read of 64 runs (the
 /// batched transport's request).
 fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("aoe_wire");
@@ -206,8 +264,11 @@ fn bench_wire(c: &mut Criterion) {
         .iter()
         .map(|l| BlockStore::image_content(7, l))
         .collect();
-    let mtu = AoePdu::write_request(0, 0, Tag::new(1, 0), range, data);
+    let mut mtu = AoePdu::read_request(0, 0, Tag::new(1, 0), range);
+    mtu.response = true;
+    mtu.data = Some(data);
     let mtu_bytes = mtu.encode();
+    let mtu_frame = mtu.encode_frame();
 
     group.bench_function("checksum_mtu_frame", |b| {
         b.iter(|| frame_checksum(black_box(&mtu_bytes)))
@@ -215,9 +276,14 @@ fn bench_wire(c: &mut Criterion) {
     group.bench_function("checksum_mtu_frame_byte_serial_reference", |b| {
         b.iter(|| frame_checksum_byte_serial(black_box(&mtu_bytes)))
     });
-    group.bench_function("encode_mtu_frame", |b| b.iter(|| mtu.encode()));
-    group.bench_function("encode_frame_mtu_frame", |b| b.iter(|| mtu.encode_frame()));
-    group.bench_function("decode_mtu_frame", |b| {
+    group.bench_function("encode_frame_mtu_reply", |b| b.iter(|| mtu.encode_frame()));
+    group.bench_function("encode_mtu_reply_dense_reference", |b| {
+        b.iter(|| mtu.encode())
+    });
+    group.bench_function("decode_frame_mtu_reply", |b| {
+        b.iter(|| AoePdu::decode_frame(black_box(&mtu_frame)).expect("frame decodes"))
+    });
+    group.bench_function("decode_mtu_reply_dense_reference", |b| {
         b.iter(|| AoePdu::decode(black_box(&mtu_bytes)).expect("frame decodes"))
     });
 
@@ -237,5 +303,5 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_bitmap, bench_aoe, bench_wire);
+criterion_group!(benches, bench_bitmap, bench_aoe, bench_server, bench_wire);
 criterion_main!(benches);

@@ -1602,7 +1602,7 @@ impl Fleet {
         for payload in fleet_harvest_tx(&mut self.machines[i].0) {
             // Route on the shelf the client addressed; a frame for a
             // shelf nobody serves just vanishes, like on a real wire.
-            let Some(&node) = peek_shelf_slot(&payload)
+            let Some(&node) = peek_shelf_slot(payload.head())
                 .and_then(|(shelf, _)| self.shelf_nodes.get(&shelf))
             else {
                 continue;
@@ -1720,7 +1720,7 @@ impl Fleet {
             n.egress_inflight_bytes += reply
                 .frames
                 .iter()
-                .filter(|f| !peek_rdma(f))
+                .filter(|f| !peek_rdma(f.head()))
                 .map(|f| f.len() as u64 + hwsim::eth::FRAME_OVERHEAD as u64)
                 .sum::<u64>();
             self.push(
@@ -1753,7 +1753,7 @@ impl Fleet {
             // fabric) and lands after the fixed propagation delay,
             // [`Fleet::lookahead`]. The payload Arc moves through
             // untouched — zero-copy end to end.
-            if peek_rdma(&payload) {
+            if peek_rdma(payload.head()) {
                 let at = now + self.lookahead();
                 self.push(at, FleetEvent::Deliver { machine, payload });
                 continue;

@@ -1571,7 +1571,9 @@ fn send_vmm_frames(m: &mut Machine, sim: &mut MachineSim, frames: Vec<FrameBytes
 
 /// Applies a corruption verdict: flip one payload byte picked by the
 /// injector's entropy (the mask is forced non-zero so the flip is real).
-pub(crate) fn corrupt_frame_bytes(payload: &FrameBytes, entropy: u64) -> FrameBytes {
+/// The frame's byte image is materialised and the result is a byte
+/// frame, so the receiver's decode checks every byte.
+pub fn corrupt_frame_bytes(payload: &FrameBytes, entropy: u64) -> FrameBytes {
     let mut bytes = payload.to_vec();
     if !bytes.is_empty() {
         let idx = (entropy as usize) % bytes.len();
@@ -1699,7 +1701,7 @@ pub fn fleet_deliver_rx(m: &mut Machine, sim: &mut MachineSim, payload: FrameByt
 
 fn vmm_nic_rx(m: &mut Machine, sim: &mut MachineSim, payload: FrameBytes) {
     let Some(vmm) = m.vmm.as_mut() else { return };
-    if aoe::peek_rdma(&payload) {
+    if aoe::peek_rdma(payload.head()) {
         // A reply placed by a one-sided RDMA READ: the HCA has already
         // written the bytes into registered memory, so the frame never
         // crosses the Ethernet RX ring. It lands on the completion

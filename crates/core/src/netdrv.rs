@@ -23,7 +23,7 @@ use hwsim::nic::{Nic, NicModel};
 /// let mut drv = PolledNic::new(NicModel::IntelPro1000, MacAddr::host(1));
 /// assert!(drv.is_initialized());
 /// drv.send(MacAddr::host(2), vec![1, 2, 3].into());
-/// assert_eq!(&drv.nic_mut().pop_tx().unwrap().payload[..], &[1, 2, 3]);
+/// assert_eq!(drv.nic_mut().pop_tx().unwrap().payload.to_vec(), [1, 2, 3]);
 /// ```
 #[derive(Debug)]
 pub struct PolledNic {

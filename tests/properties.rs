@@ -1,11 +1,14 @@
 //! Property-based tests over the core invariants.
 
-use bmcast_repro::aoe::wire::{frame_checksum, sectors_per_frame, AoePdu, DecodeError, Tag};
+use bmcast_repro::aoe::wire::{
+    frame_checksum, peek_rdma, peek_shelf_slot, sectors_per_frame, AoePdu, DecodeError, FrameBytes,
+    Tag,
+};
 use bmcast_repro::aoe::{AoeClient, ClientConfig};
 use bmcast_repro::bmcast::bitmap::BlockBitmap;
 use bmcast_repro::bmcast::config::{BmcastConfig, ControllerKind, Moderation};
 use bmcast_repro::bmcast::deploy::Runner;
-use bmcast_repro::bmcast::machine::MachineSpec;
+use bmcast_repro::bmcast::machine::{corrupt_frame_bytes, MachineSpec};
 use bmcast_repro::bmcast::programs::StreamProgram;
 use bmcast_repro::bmcast::snapback::{DirtyTracker, SnapshotBack};
 use bmcast_repro::bmcast::transport::coalesce_runs;
@@ -42,7 +45,208 @@ fn frame_checksum_of_reference_reply_is_pinned() {
     assert_eq!(bytes.len(), 8728);
     assert_eq!(frame_checksum(&bytes), 0x2816);
     assert_eq!(u16::from_be_bytes([bytes[22], bytes[23]]), 0x2816);
-    assert_eq!(&pdu.encode_frame()[..], &bytes[..]);
+    // The sector frame carries the same checksum, computed without the
+    // padding, and the same byte image.
+    let frame = pdu.encode_frame();
+    assert_eq!(frame.sectors(), pdu.data.as_deref());
+    assert_eq!(
+        u16::from_be_bytes([frame.head()[22], frame.head()[23]]),
+        0x2816
+    );
+    assert_eq!(frame.len(), 8728);
+    assert_eq!(frame.to_vec(), bytes);
+}
+
+/// A checksum-valid response fragment of request `req` for `range`,
+/// carrying `sectors` sectors of data, as the sector frame the fabric
+/// would deliver.
+fn read_reply(req: &AoePdu, frag: u32, range: BlockRange, sectors: u32) -> FrameBytes {
+    let mut pdu = AoePdu::read_request(
+        req.shelf,
+        req.slot,
+        Tag::new(req.tag.request_id(), frag),
+        range,
+    );
+    pdu.response = true;
+    pdu.data = Some(
+        (0..sectors as u64)
+            .map(|i| SectorData(range.lba.0 * 3 + i + 1))
+            .collect(),
+    );
+    pdu.encode_frame()
+}
+
+/// A read fragment must match the slot its tag names: a v2 read of 8
+/// sectors never completes on a reply whose range or data holds fewer.
+/// Each wrong-shaped fragment is dropped and counted, and the
+/// retransmitted request's well-formed reply completes the read.
+#[test]
+fn read_fragment_of_the_wrong_shape_is_dropped() {
+    let mut client = AoeClient::new(ClientConfig::default());
+    let range = BlockRange::new(Lba(64), 8);
+    let (id, frames) = client.read(SimTime::ZERO, range);
+    let req = AoePdu::decode_frame(&frames[0]).unwrap();
+    for (bad, sectors) in [
+        (BlockRange::new(Lba(64), 1), 1), // 1 sector of data for 8
+        (BlockRange::new(Lba(65), 8), 8), // the wrong 8 sectors
+        (range, 1),                       // header says 8, data holds 1
+    ] {
+        assert!(client
+            .on_frame(SimTime::ZERO, &read_reply(&req, 0, bad, sectors))
+            .is_none());
+    }
+    assert_eq!(client.bad_fragments(), 3);
+    assert_eq!(client.outstanding(), 1, "the read stays pending");
+    let due = client.next_retransmit_at().expect("a deadline is armed");
+    assert_eq!(
+        client.poll_retransmit(due).len(),
+        1,
+        "the read is re-requested"
+    );
+    let good = read_reply(&req, 0, range, 8);
+    let done = client
+        .on_frame(due, &good)
+        .expect("the well-formed reply completes");
+    assert_eq!(done.request_id, id);
+    assert_eq!(Some(done.data), AoePdu::decode_frame(&good).unwrap().data);
+    assert_eq!(client.bad_fragments(), 3);
+}
+
+/// A batched read given 1-sector fragments for its two 4-sector runs
+/// drops both (it used to complete and then panic splitting the data
+/// per run), and so does a fragment in the other run's slot; the
+/// well-formed fragments then complete it with the right parts.
+#[test]
+fn batched_read_fragment_of_the_wrong_shape_is_dropped() {
+    let mut client = AoeClient::new(ClientConfig::default());
+    let runs = vec![BlockRange::new(Lba(0), 4), BlockRange::new(Lba(100), 4)];
+    let (_, frames) = client.read_multi(SimTime::ZERO, runs.clone());
+    let req = AoePdu::decode_frame(&frames[0]).unwrap();
+    let one = |r: BlockRange| BlockRange::new(r.lba, 1);
+    assert!(client
+        .on_frame(SimTime::ZERO, &read_reply(&req, 0, one(runs[0]), 1))
+        .is_none());
+    assert!(client
+        .on_frame(SimTime::ZERO, &read_reply(&req, 1, one(runs[1]), 1))
+        .is_none());
+    assert!(client
+        .on_frame(SimTime::ZERO, &read_reply(&req, 0, runs[1], 4))
+        .is_none());
+    assert_eq!(client.bad_fragments(), 3);
+    assert_eq!(client.outstanding(), 1);
+    let good: Vec<FrameBytes> = (0..2)
+        .map(|i| read_reply(&req, i, runs[i as usize], 4))
+        .collect();
+    assert!(client.on_frame(SimTime::ZERO, &good[0]).is_none());
+    let done = client.on_frame(SimTime::ZERO, &good[1]).expect("completes");
+    let parts: Vec<_> = runs
+        .iter()
+        .zip(&good)
+        .map(|(r, f)| (*r, AoePdu::decode_frame(f).unwrap().data.unwrap()))
+        .collect();
+    assert_eq!(done.parts, parts);
+}
+
+/// A legal PDU of `kind` 0 (v2 header-only), 1 (v2 with data, zero
+/// fingerprints included) or 2 (v3 multi-range read over `runs`), with
+/// the response, write, sprint, busy and rdma flags from the bits of
+/// `flags` and any error code. The write flag is never set on v3.
+fn legal_pdu(
+    kind: u8,
+    flags: u8,
+    error: Option<u8>,
+    (shelf, slot, tag): (u16, u8, Tag),
+    range: BlockRange,
+    seed: u64,
+    runs: &[(u64, u32)],
+) -> AoePdu {
+    let mut pdu = match kind {
+        0 => AoePdu::read_request(shelf, slot, tag, range),
+        1 => {
+            let data = (0..range.sectors as u64)
+                .map(|i| {
+                    SectorData(if seed >> (i % 64) & 1 == 0 {
+                        0
+                    } else {
+                        seed ^ i
+                    })
+                })
+                .collect();
+            AoePdu::write_request(shelf, slot, tag, range, data)
+        }
+        _ => {
+            let runs = runs
+                .iter()
+                .map(|&(l, n)| BlockRange::new(Lba(l), n))
+                .collect();
+            AoePdu::read_multi_request(shelf, slot, tag, runs)
+        }
+    };
+    let bit = |i: u8| flags >> i & 1 == 1;
+    pdu.response = bit(0);
+    pdu.write = bit(1) && kind != 2;
+    (pdu.sprint, pdu.busy, pdu.rdma) = (bit(2), bit(3), bit(4));
+    pdu.error = error;
+    pdu
+}
+
+proptest! {
+    /// The shared frame and the dense encoding are one wire image: same
+    /// bytes, same length, same peeks, same decode. Every v2 frame with
+    /// data takes the sector form.
+    #[test]
+    fn frame_forms_agree_on_legal_pdus(
+        kind in 0u8..3,
+        flags in any::<u8>(),
+        error in proptest::option::of(any::<u8>()),
+        shelf in any::<u16>(),
+        slot in any::<u8>(),
+        id in 0..=Tag::MAX_REQUEST_ID,
+        frag in 0..=Tag::MAX_FRAGMENT,
+        lba in 0u64..(1 << 47),
+        sectors in 1u32..40,
+        seed in any::<u64>(),
+        runs in proptest::collection::vec((0u64..(1 << 47), 1u32..4096), 1..8),
+    ) {
+        let range = BlockRange::new(Lba(lba), sectors);
+        let pdu = legal_pdu(kind, flags, error, (shelf, slot, Tag::new(id, frag)), range, seed, &runs);
+        let dense = pdu.encode();
+        let frame = pdu.encode_frame();
+        prop_assert_eq!(frame.to_vec(), dense.clone());
+        prop_assert_eq!(frame.len(), dense.len());
+        prop_assert_eq!(peek_shelf_slot(frame.head()), peek_shelf_slot(&dense));
+        prop_assert_eq!(peek_rdma(frame.head()), peek_rdma(&dense));
+        prop_assert_eq!(AoePdu::decode_frame(&frame), AoePdu::decode(&dense));
+        prop_assert_eq!(frame.sectors().is_some(), pdu.data.is_some());
+        prop_assert_eq!(AoePdu::decode_frame(&frame), Ok(pdu));
+    }
+
+    /// A frame corrupted in flight becomes a byte frame one byte away
+    /// from the clean image, and its decode verdict is the dense
+    /// verdict on those bytes.
+    #[test]
+    fn corrupted_frames_decode_as_their_dense_bytes(
+        kind in 0u8..3,
+        flags in any::<u8>(),
+        error in proptest::option::of(any::<u8>()),
+        lba in 0u64..(1 << 47),
+        sectors in 1u32..40,
+        seed in any::<u64>(),
+        runs in proptest::collection::vec((0u64..(1 << 47), 1u32..4096), 1..8),
+        entropy in any::<u64>(),
+    ) {
+        let range = BlockRange::new(Lba(lba), sectors);
+        let pdu = legal_pdu(kind, flags, error, (1, 2, Tag::new(9, 4)), range, seed, &runs);
+        let frame = pdu.encode_frame();
+        let corrupted = corrupt_frame_bytes(&frame, entropy);
+        let bytes = corrupted.to_vec();
+        prop_assert!(corrupted.sectors().is_none());
+        prop_assert_eq!(bytes.len(), frame.len());
+        prop_assert_eq!(bytes.iter().zip(frame.to_vec()).filter(|(a, b)| **a != *b).count(), 1);
+        prop_assert_eq!(AoePdu::decode_frame(&corrupted), AoePdu::decode(&bytes));
+        prop_assert_eq!(peek_shelf_slot(corrupted.head()), peek_shelf_slot(&bytes));
+        prop_assert_eq!(peek_rdma(corrupted.head()), peek_rdma(&bytes));
+    }
 }
 
 proptest! {
@@ -309,7 +513,7 @@ proptest! {
         let mut client = AoeClient::new(ClientConfig::default());
         let range = BlockRange::new(Lba(1000), sectors);
         let (_, frames) = client.read(SimTime::ZERO, range);
-        let req = AoePdu::decode(&frames[0]).unwrap();
+        let req = AoePdu::decode_frame(&frames[0]).unwrap();
 
         // Build the server's fragments.
         let spf = bmcast_repro::aoe::wire::sectors_per_frame(9000);
