@@ -9,6 +9,12 @@
 //!           [fig04 fig05 ... | all]
 //! ```
 //!
+//! Every figure's pass/fail invariants are gate checks (see
+//! [`Check::gate`]): `reproduce` prints its tables and writes its JSON
+//! records and artifacts, then exits 1 naming every gate that failed.
+//! Comparisons against the paper's numbers are informational. An
+//! invalid command line exits 2 with the usage text before any work.
+//!
 //! `--scaleout` runs the *measured* fleet scale-out figure: one
 //! [`bmcast::fleet::Fleet`] per point (n machines, one shared
 //! switch/server with the block cache and DRR scheduler), points spread
@@ -21,8 +27,7 @@
 //! the observability plane (flight recorder, SLO watchdogs, straggler
 //! attribution) on. A single extension kind always races against the
 //! plain-AoE baseline. Writes `BENCH_transport.json` (points plus the
-//! per-transport two-run chaos determinism lock) and exits non-zero on
-//! a divergence.
+//! per-transport two-run chaos determinism lock).
 //!
 //! `--elasticity` runs the reverse-lifecycle figure: rolling image
 //! upgrades (re-virtualize → snapshot-back → reclaim → redeploy) and
@@ -30,8 +35,7 @@
 //! snapshot-back survivability and a two-run chaos determinism lock.
 //! Writes `BENCH_elasticity.json`; with `--trace-out <dir>` the first
 //! chaos wave's flight-recorder trace lands in
-//! `<dir>/elasticity_trace.json`. Exits non-zero on a chaos determinism
-//! break.
+//! `<dir>/elasticity_trace.json`.
 //!
 //! `--fleet-obs <dir>` adds one fully-instrumented observability fleet
 //! to each of `--scaleout` and `--elasticity`: telemetry registries,
@@ -41,8 +45,8 @@
 //! Perfetto trace, digests — see `bmcast_bench::obs`). The scaleout
 //! obs fleet is the figure's n=64 peer-to-peer point; the elasticity
 //! one runs the same fleet under the chaos fault plan. Artifacts are
-//! byte-identical across same-seed runs (`check_figures.py --obs`
-//! validates a directory).
+//! byte-identical across same-seed runs, and their consistency checks
+//! are gates too.
 //!
 //! `--metrics` runs one instrumented deployment first and prints the
 //! observability report (per-phase timings, redirect/fill/discard/
@@ -61,6 +65,10 @@
 //! matrix). With no explicit figure ids, *only* the fault figures run,
 //! so `reproduce --quick --faults all` is the CI fault-matrix job.
 //!
+//! The paper figures run when named (`fig04`, ..., `all`) or with
+//! `--faults`, and by default when none of `--scaleout`,
+//! `--elasticity`, `--metrics` or `--trace-out` was given.
+//!
 //! `--quick` shrinks image sizes and run lengths (same mechanisms, same
 //! shape); the default is the paper's parameters.
 //!
@@ -71,8 +79,8 @@
 //! per-figure wall-clock so the perf trajectory is tracked over time.
 
 use bmcast_bench::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use simkit::fault::FaultPlan;
+use std::path::Path;
 use std::time::Instant;
 
 type FigureFn = fn(Scale) -> Figure;
@@ -103,44 +111,76 @@ struct FigureRun {
     wall_s: f64,
 }
 
-/// Runs the selected figures on at most `jobs` worker threads and returns
-/// the results in the original figure order regardless of completion
-/// order (work-stealing via a shared index; slot-addressed results).
-fn run_figures(jobs: usize, scale: Scale, selected: &[(&'static str, FigureFn)]) -> Vec<FigureRun> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<FigureRun>>> =
-        selected.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(selected.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(id, f)) = selected.get(i) else {
-                    break;
-                };
-                eprintln!("[reproduce] running {id} at {scale:?} scale ...");
-                let started = Instant::now();
-                let fig = f(scale);
-                let wall_s = started.elapsed().as_secs_f64();
-                eprintln!("[reproduce] {id} done in {wall_s:.1}s");
-                *slots[i].lock().unwrap() = Some(FigureRun { id, fig, wall_s });
-            });
+/// Every gate that failed in this run, one line each.
+#[derive(Default)]
+struct FailedGates(Vec<String>);
+
+impl FailedGates {
+    /// Records the failed gates among `checks`, from `source`.
+    fn collect<'a>(&mut self, source: &str, checks: impl IntoIterator<Item = &'a Check>) {
+        for c in checks.into_iter().filter(|c| c.failed()) {
+            self.0.push(format!(
+                "{source}: {} (measured {}, required {})",
+                c.metric, c.measured, c.paper
+            ));
         }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("figure slot filled"))
-        .collect()
+    }
+
+    /// Names every failed gate and exits 1; returns if all held.
+    fn exit_if_any(self) {
+        if self.0.is_empty() {
+            return;
+        }
+        for line in &self.0 {
+            eprintln!("[reproduce] FAILED GATE {line}");
+        }
+        eprintln!("[reproduce] {} gate(s) failed", self.0.len());
+        std::process::exit(1);
+    }
+}
+
+/// Writes one record or artifact (creating its directory), or exits 1.
+fn write_file(path: &Path, body: &str) {
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, body));
+    match written {
+        Ok(()) => eprintln!("[reproduce] wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("[reproduce] failed to write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Runs one extension figure (`run` returns the figure, its JSON record
+/// and its bench data), prints it, writes `BENCH_<name>.json`, and
+/// collects its failed gates. Returns the bench data.
+fn extension<B>(
+    name: &str,
+    what: &str,
+    scale: Scale,
+    jobs: usize,
+    gates: &mut FailedGates,
+    run: impl FnOnce() -> (Figure, String, B),
+) -> B {
+    eprintln!("[reproduce] {what} at {scale:?} scale ({jobs} jobs) ...");
+    let started = Instant::now();
+    let (fig, json, bench) = run();
+    eprintln!(
+        "[reproduce] {name} done in {:.1}s wall",
+        started.elapsed().as_secs_f64()
+    );
+    println!("{fig}");
+    write_file(Path::new(&format!("BENCH_{name}.json")), &json);
+    gates.collect(fig.id, &fig.checks);
+    bench
 }
 
 /// Hand-rolled JSON (the workspace deliberately carries no serde): the
 /// schema is flat enough that string assembly is clearer than a codec.
-fn write_bench_json(
-    path: &str,
-    scale: Scale,
-    jobs: usize,
-    total_wall_s: f64,
-    runs: &[FigureRun],
-) -> std::io::Result<()> {
+fn bench_json(scale: Scale, jobs: usize, total_wall_s: f64, runs: &[FigureRun]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
@@ -165,14 +205,14 @@ fn write_bench_json(
         ));
     }
     out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
+    out
 }
 
 /// Runs one fully-instrumented observability fleet (the scale-out
 /// figure's n=64 p2p point; `chaos` adds the chaos fault plan for the
-/// elasticity flavor) and writes its artifact directory under
-/// `<dir>/<kind>/`.
-fn write_fleet_obs(dir: &str, kind: &str, chaos: bool) {
+/// elasticity flavor), writes its artifact directory under
+/// `<dir>/<kind>/`, and collects its failed gates.
+fn write_fleet_obs(dir: &str, kind: &str, chaos: bool, gates: &mut FailedGates) {
     eprintln!(
         "[reproduce] collecting {kind} observability fleet (n={}, p2p{}) ...",
         obs::OBS_FLEET_N,
@@ -181,11 +221,11 @@ fn write_fleet_obs(dir: &str, kind: &str, chaos: bool) {
     let started = Instant::now();
     let mut cfg = obs::obs_fleet_cfg(ext_scaleout::Topology::PeerToPeer);
     if chaos {
-        cfg.faults = simkit::fault::FaultPlan::preset("chaos", 7);
+        cfg.faults = FaultPlan::preset("chaos", 7);
     }
     let (_, profile) = ext_scaleout::fleet_geometry();
     let o = obs::collect_fleet_obs(cfg, &profile);
-    let out = std::path::Path::new(dir).join(kind);
+    let out = Path::new(dir).join(kind);
     match o.write(&out) {
         Ok(()) => eprintln!(
             "[reproduce] wrote {} ({} booted, {} alert raises) in {:.1}s wall",
@@ -199,6 +239,110 @@ fn write_fleet_obs(dir: &str, kind: &str, chaos: bool) {
             std::process::exit(1);
         }
     }
+    gates.collect(&format!("obs/{kind}"), &o.gates());
+}
+
+/// Runs the selected paper figures (and the `--faults` figures) on the
+/// worker pool, prints them in figure order with the summary, and
+/// writes `BENCH_reproduce.json`.
+fn run_paper_figures(
+    scale: Scale,
+    jobs: usize,
+    wanted: &[&str],
+    faults_sel: Option<&str>,
+    gates: &mut FailedGates,
+) {
+    let all = wanted.is_empty() || wanted.contains(&"all");
+    let figures: Vec<(&'static str, FigureFn)> = vec![
+        ("fig04", fig04_startup::run),
+        ("fig05", fig05_database::run),
+        ("fig06", fig06_mpi::run),
+        ("fig07", fig07_kernbench::run),
+        ("fig08", fig08_threads::run),
+        ("fig09", fig09_memory::run),
+        ("fig10", fig10_storage_tput::run),
+        ("fig11", fig11_storage_lat::run),
+        ("fig12", fig12_ib_tput::run),
+        ("fig13", fig13_ib_lat::run),
+        ("fig14", fig14_moderation::run),
+        ("ext01", ext_ablation::run),
+        ("ext02", ext_scaleout::run),
+    ];
+    let mut selected: Vec<(&'static str, FigureFn)> = if faults_sel.is_some() && wanted.is_empty() {
+        // --faults alone: run only the fault matrix.
+        Vec::new()
+    } else {
+        figures
+            .into_iter()
+            .filter(|(id, _)| all || wanted.contains(id))
+            .collect()
+    };
+    if let Some(sel) = faults_sel {
+        selected.extend(
+            faults::registry()
+                .into_iter()
+                .filter(|(id, _)| sel == "all" || id.strip_prefix("faults_") == Some(sel)),
+        );
+    }
+
+    let started = Instant::now();
+    let runs = par_map(jobs, &selected, |&(id, f)| {
+        eprintln!("[reproduce] running {id} at {scale:?} scale ...");
+        let started = Instant::now();
+        let fig = f(scale);
+        let wall_s = started.elapsed().as_secs_f64();
+        eprintln!("[reproduce] {id} done in {wall_s:.1}s");
+        FigureRun { id, fig, wall_s }
+    });
+    let total_wall_s = started.elapsed().as_secs_f64();
+
+    for r in &runs {
+        println!("{}", r.fig);
+        gates.collect(r.id, &r.fig.checks);
+    }
+
+    // Summary table across all checks.
+    if runs.len() > 1 {
+        println!("== summary: paper vs measured across all figures ==");
+        let mut worst: Option<&Check> = None;
+        let mut total = 0usize;
+        let mut within_10 = 0usize;
+        for r in &runs {
+            for c in &r.fig.checks {
+                total += 1;
+                if c.deviation() <= 0.10 {
+                    within_10 += 1;
+                }
+                if worst.map(|w| c.deviation() > w.deviation()).unwrap_or(true) {
+                    worst = Some(c);
+                }
+            }
+        }
+        println!("  checks: {total}, within 10% of paper: {within_10}");
+        if let Some(w) = worst {
+            println!(
+                "  largest deviation: {} ({:.1}%)",
+                w.metric,
+                w.deviation() * 100.0
+            );
+        }
+    }
+
+    let json_path = Path::new("BENCH_reproduce.json");
+    if runs.is_empty() {
+        // Nothing to record (unknown figure ids only): keep the last
+        // record rather than overwrite it with an empty one.
+        eprintln!(
+            "[reproduce] no figures ran; {} left unchanged",
+            json_path.display()
+        );
+        return;
+    }
+    eprintln!(
+        "[reproduce] {} figures in {total_wall_s:.1}s wall ({jobs} jobs)",
+        runs.len()
+    );
+    write_file(json_path, &bench_json(scale, jobs, total_wall_s, &runs));
 }
 
 /// Prints `problem` and the usage text, then exits 2 before any work.
@@ -264,138 +408,71 @@ fn main() {
     );
     let trace_ring = value("--trace-ring").map(|v| positive("--trace-ring", v));
     let faults_sel = value("--faults");
-    let trace_out = value("--trace-out");
-    let fleet_obs = value("--fleet-obs");
-    let transport_sel = value("--transport");
-
-    // `--scaleout --transport <kind|all>` runs the transport race
-    // instead of the topology figure; plain `--scaleout` is untouched
-    // (byte-identical artifacts).
-    if let Some(sel) = transport_sel {
-        assert!(on("--scaleout"), "--transport requires --scaleout");
-        let kinds = ext_transport::kinds_for(sel)
-            .unwrap_or_else(|| panic!("--transport takes aoe|batched|rdma|all, got {sel:?}"));
-        eprintln!(
-            "[reproduce] racing deployment transports {:?} at {scale:?} scale ({jobs} jobs) ...",
-            kinds.iter().map(|k| k.label()).collect::<Vec<_>>()
-        );
-        let started = Instant::now();
-        let (fig, bench) = ext_transport::run_transport(scale, jobs, &kinds);
-        eprintln!(
-            "[reproduce] transport race done in {:.1}s wall",
-            started.elapsed().as_secs_f64()
-        );
-        println!("{fig}");
-        if let Some(c) = bench.chaos.iter().find(|c| !c.identical) {
-            eprintln!(
-                "[reproduce] CHAOS DETERMINISM BREAK on {} transport: run A {} vs run B {}",
-                c.transport, c.digest_a, c.digest_b
-            );
-            std::process::exit(1);
-        }
-        let json_path = "BENCH_transport.json";
-        match ext_transport::write_transport_json(json_path, scale, &bench) {
-            Ok(()) => eprintln!("[reproduce] wrote {json_path}"),
-            Err(e) => {
-                eprintln!("[reproduce] failed to write {json_path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        if wanted.is_empty()
-            && faults_sel.is_none()
-            && trace_out.is_none()
-            && !on("--elasticity")
-        {
-            return;
+    if let Some(sel) = faults_sel {
+        if sel != "all" && !FaultPlan::PRESET_NAMES.contains(&sel) {
+            usage_error(&format!(
+                "--faults takes one of {:?} or all, got {sel:?}",
+                FaultPlan::PRESET_NAMES
+            ));
         }
     }
+    let trace_out = value("--trace-out");
+    let fleet_obs = value("--fleet-obs");
+    // `--scaleout --transport <kind|all>` runs the transport race
+    // instead of the topology figure.
+    let transport = value("--transport").map(|sel| {
+        if !on("--scaleout") {
+            usage_error("--transport requires --scaleout");
+        }
+        ext_transport::kinds_for(sel).unwrap_or_else(|| {
+            usage_error(&format!(
+                "--transport takes aoe|batched|rdma|all, got {sel:?}"
+            ))
+        })
+    });
 
-    if on("--scaleout") && transport_sel.is_none() {
-        eprintln!("[reproduce] measuring fleet scale-out at {scale:?} scale ({jobs} jobs) ...");
-        let started = Instant::now();
-        let (fig, points) = ext_scaleout::run_scaleout(scale, jobs);
-        eprintln!(
-            "[reproduce] scaleout done in {:.1}s wall",
-            started.elapsed().as_secs_f64()
-        );
-        println!("{fig}");
-        let json_path = "BENCH_scaleout.json";
-        match ext_scaleout::write_scaleout_json(json_path, scale, &points) {
-            Ok(()) => eprintln!("[reproduce] wrote {json_path}"),
-            Err(e) => {
-                eprintln!("[reproduce] failed to write {json_path}: {e}");
-                std::process::exit(1);
-            }
-        }
+    let mut gates = FailedGates::default();
+    if let Some(kinds) = &transport {
+        let labels: Vec<&str> = kinds.iter().map(|k| k.label()).collect();
+        let what = format!("racing deployment transports {labels:?}");
+        extension("transport", &what, scale, jobs, &mut gates, || {
+            let (fig, bench) = ext_transport::run_transport(scale, jobs, kinds);
+            (fig, ext_transport::transport_json(scale, &bench), ())
+        });
+    } else if on("--scaleout") {
+        let what = "measuring fleet scale-out";
+        extension("scaleout", what, scale, jobs, &mut gates, || {
+            let (fig, points) = ext_scaleout::run_scaleout(scale, jobs);
+            (fig, ext_scaleout::scaleout_json(scale, &points), ())
+        });
         if let Some(dir) = fleet_obs {
-            write_fleet_obs(dir, "scaleout", false);
-        }
-        if wanted.is_empty()
-            && faults_sel.is_none()
-            && trace_out.is_none()
-            && !on("--elasticity")
-        {
-            return;
+            write_fleet_obs(dir, "scaleout", false, &mut gates);
         }
     }
 
     if on("--elasticity") {
-        eprintln!(
-            "[reproduce] measuring elasticity lifecycle at {scale:?} scale ({jobs} jobs) ..."
-        );
-        let started = Instant::now();
-        let (fig, bench) = ext_elasticity::run_elasticity(scale, jobs);
-        eprintln!(
-            "[reproduce] elasticity done in {:.1}s wall",
-            started.elapsed().as_secs_f64()
-        );
-        println!("{fig}");
-        if !(bench.chaos.identical && bench.chaos.trace_identical) {
-            eprintln!(
-                "[reproduce] CHAOS DETERMINISM BREAK: run A {} vs run B {} (traces identical: {})",
-                bench.chaos.digest_a, bench.chaos.digest_b, bench.chaos.trace_identical
-            );
-            std::process::exit(1);
-        }
-        let json_path = "BENCH_elasticity.json";
-        match ext_elasticity::write_elasticity_json(json_path, scale, &bench) {
-            Ok(()) => eprintln!("[reproduce] wrote {json_path}"),
-            Err(e) => {
-                eprintln!("[reproduce] failed to write {json_path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let what = "measuring elasticity lifecycle";
+        let chaos_trace = extension("elasticity", what, scale, jobs, &mut gates, || {
+            let (fig, bench) = ext_elasticity::run_elasticity(scale, jobs);
+            let json = ext_elasticity::elasticity_json(scale, &bench);
+            (fig, json, bench.chaos_trace)
+        });
         if let Some(dir) = fleet_obs {
-            write_fleet_obs(dir, "elasticity", true);
+            write_fleet_obs(dir, "elasticity", true, &mut gates);
         }
+        // `--trace-out` records the first chaos wave's trace here
+        // instead of a deployment trace.
         if let Some(dir) = trace_out {
-            let path = std::path::Path::new(dir).join("elasticity_trace.json");
-            match std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(&path, &bench.chaos_trace))
-            {
-                Ok(()) => eprintln!("[reproduce] wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("[reproduce] failed to write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-        // `--trace-out` is consumed above (the chaos wave's trace), so it
-        // alone does not pull in the default deployment-trace recording.
-        if wanted.is_empty() && faults_sel.is_none() {
-            return;
+            write_file(&Path::new(dir).join("elasticity_trace.json"), &chaos_trace);
         }
     }
 
     if on("--metrics") {
         eprintln!("[reproduce] running instrumented deployment at {scale:?} scale ...");
         print!("{}", telemetry::report(scale, trace_ring.unwrap_or(4096)));
-        if wanted.is_empty() && trace_out.is_none() {
-            return;
-        }
     }
 
-    if let Some(dir) = trace_out {
+    if let Some(dir) = trace_out.filter(|_| !on("--elasticity")) {
         // `--faults all` exercises the whole matrix below; record the
         // chaos plan, the superset, in the trace.
         let preset = faults_sel.map(|s| if s == "all" { "chaos" } else { s });
@@ -407,7 +484,7 @@ fn main() {
             "[reproduce] recording flight-recorded deployment at {scale:?} scale{} ...",
             preset.map(|p| format!(" under {p} faults")).unwrap_or_default()
         );
-        match flight::write_artifacts(scale, std::path::Path::new(dir), rec, preset) {
+        match flight::write_artifacts(scale, Path::new(dir), rec, preset) {
             Ok(s) => {
                 eprintln!(
                     "[reproduce] bare metal at {}; wrote {} spans, {} timeline rows to {dir}/",
@@ -426,95 +503,14 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        if wanted.is_empty() && faults_sel.is_none() {
-            return;
-        }
     }
 
-    let all = wanted.is_empty() || wanted.contains(&"all");
-    let want = |id: &str| all || wanted.contains(&id);
-
-    let figures: Vec<(&'static str, FigureFn)> = vec![
-        ("fig04", fig04_startup::run),
-        ("fig05", fig05_database::run),
-        ("fig06", fig06_mpi::run),
-        ("fig07", fig07_kernbench::run),
-        ("fig08", fig08_threads::run),
-        ("fig09", fig09_memory::run),
-        ("fig10", fig10_storage_tput::run),
-        ("fig11", fig11_storage_lat::run),
-        ("fig12", fig12_ib_tput::run),
-        ("fig13", fig13_ib_lat::run),
-        ("fig14", fig14_moderation::run),
-        ("ext01", ext_ablation::run),
-        ("ext02", ext_scaleout::run),
-    ];
-    let mut selected: Vec<(&'static str, FigureFn)> = if faults_sel.is_some() && wanted.is_empty() {
-        // --faults alone: run only the fault matrix.
-        Vec::new()
-    } else {
-        figures.into_iter().filter(|(id, _)| want(id)).collect()
-    };
-    if let Some(sel) = faults_sel {
-        let matching: Vec<(&'static str, FigureFn)> = faults::registry()
-            .into_iter()
-            .filter(|(id, _)| sel == "all" || id.strip_prefix("faults_") == Some(sel))
-            .collect();
-        assert!(
-            !matching.is_empty(),
-            "--faults takes one of {:?} or 'all'",
-            simkit::fault::FaultPlan::PRESET_NAMES
-        );
-        selected.extend(matching);
+    // The paper figures run when asked for by id or by `--faults`, and
+    // by default when no other section was asked for.
+    let other_sections =
+        on("--scaleout") || on("--elasticity") || on("--metrics") || trace_out.is_some();
+    if !wanted.is_empty() || faults_sel.is_some() || !other_sections {
+        run_paper_figures(scale, jobs, &wanted, faults_sel, &mut gates);
     }
-
-    let started = Instant::now();
-    let runs = run_figures(jobs, scale, &selected);
-    let total_wall_s = started.elapsed().as_secs_f64();
-
-    for r in &runs {
-        println!("{}", r.fig);
-    }
-
-    // Summary table across all checks.
-    if runs.len() > 1 {
-        println!("== summary: paper vs measured across all figures ==");
-        let mut worst: Option<&Check> = None;
-        let mut total = 0usize;
-        let mut within_10 = 0usize;
-        for r in &runs {
-            for c in &r.fig.checks {
-                total += 1;
-                if c.deviation() <= 0.10 {
-                    within_10 += 1;
-                }
-                if worst.map(|w| c.deviation() > w.deviation()).unwrap_or(true) {
-                    worst = Some(c);
-                }
-            }
-        }
-        println!("  checks: {total}, within 10% of paper: {within_10}");
-        if let Some(w) = worst {
-            println!(
-                "  largest deviation: {} ({:.1}%)",
-                w.metric,
-                w.deviation() * 100.0
-            );
-        }
-    }
-
-    let json_path = "BENCH_reproduce.json";
-    if runs.is_empty() {
-        // Nothing to record (unknown figure ids only): keep the last
-        // record rather than overwrite it with an empty one.
-        eprintln!("[reproduce] no figures ran; {json_path} left unchanged");
-        return;
-    }
-    match write_bench_json(json_path, scale, jobs, total_wall_s, &runs) {
-        Ok(()) => eprintln!(
-            "[reproduce] {} figures in {total_wall_s:.1}s wall ({jobs} jobs); wrote {json_path}",
-            runs.len()
-        ),
-        Err(e) => eprintln!("[reproduce] failed to write {json_path}: {e}"),
-    }
+    gates.exit_if_any();
 }

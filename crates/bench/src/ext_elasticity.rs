@@ -29,7 +29,7 @@
 //! same-seed runs produce byte-identical artifacts.
 
 use crate::ext_scaleout::fnv1a64;
-use crate::{Check, Figure, Row, Scale};
+use crate::{par_map, Check, Figure, Row, Scale};
 use bmcast::deploy::FlightRecorderConfig;
 use bmcast::fleet::{Fleet, FleetConfig, LifecycleStage};
 use bmcast::machine::{GuestProgram, MachineSpec};
@@ -38,8 +38,6 @@ use guestsim::os::BootProfile;
 use hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use simkit::fault::{FaultCounters, FaultPlan};
 use simkit::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The *next* tenant image deployed by every upgrade / scale-up wave.
 pub const UPGRADE_IMAGE_SEED: u64 = 0xE1A5_11FE;
@@ -575,22 +573,7 @@ pub fn run_elasticity(scale: Scale, jobs: usize) -> (Figure, ElasticityBench) {
     }
     tasks.push(Task::Wave);
 
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Out>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(tasks.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                *slots[i].lock().unwrap() = Some(run_task(task));
-            });
-        }
-    });
-    let mut outs = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("task slot filled"))
-        .collect::<Vec<_>>()
-        .into_iter();
+    let mut outs = par_map(jobs, &tasks, run_task).into_iter();
     let mut take_run = || match outs.next().expect("outs align with tasks") {
         Out::Run(m) => m,
         Out::Wave(_) => unreachable!("task order: runs before the wave"),
@@ -664,68 +647,72 @@ pub fn run_elasticity(scale: Scale, jobs: usize) -> (Figure, ElasticityBench) {
         ));
     }
 
-    let bool_check = |metric: &str, holds: bool| Check::new(metric, 1.0, holds as u32 as f64, "");
-    let largest = points.last().expect("non-empty grid");
-    let all_round_trip = points.iter().all(|m| {
-        m.point.survived
-            && m.point.archives_verified == m.point.n
-            && m.point.images_verified == m.point.n
-    });
-    let reclaim_errs: u32 = points.iter().map(|m| m.point.reclaim_errors).sum();
-    let survives = survivability
-        .iter()
-        .all(|s| s.survived && s.class_fired > 0 && s.reclaim_errors == 0);
-    let checks = vec![
-        Check::new(
-            format!("upgrade queue drops at n={}", largest.point.n),
-            0.0,
-            largest.point.queue_drops as f64,
-            "",
-        ),
-        bool_check(
-            "every archive matches the departing tenant disk (1=yes)",
-            all_round_trip,
-        ),
-        Check::new(
-            "reclaim errors across fault-free waves",
-            0.0,
-            reclaim_errs as f64,
-            "",
-        ),
-        bool_check(
-            "chaos double-run byte-identical (1=yes)",
-            chaos.identical && chaos.trace_identical,
-        ),
-        bool_check(
-            "snapshot-back survives drop/corrupt/stall/chaos (1=yes)",
-            survives,
-        ),
-        bool_check(
-            "scale-down parks empty, scale-up restores (1=yes)",
-            wave.parked_emptied == wave.parked
-                && wave.images_verified == wave.parked
-                && wave.queue_drops == 0,
-        ),
-    ];
-
+    let bench = ElasticityBench {
+        points,
+        wave,
+        survivability,
+        chaos,
+        chaos_trace: chaos_a.trace.unwrap_or_default(),
+    };
     let fig = Figure {
         id: "elasticity",
         title: "reverse lifecycle: rolling upgrades, scale waves, snapshot-back survivability",
         unit: "mixed",
         rows,
-        checks,
+        checks: elasticity_checks(&bench),
     };
-    let chaos_trace = chaos_a.trace.clone().unwrap_or_default();
-    (
-        fig,
-        ElasticityBench {
-            points,
-            wave,
-            survivability,
-            chaos,
-            chaos_trace,
-        },
-    )
+    (fig, bench)
+}
+
+/// The elasticity figure's gates over its bench record.
+pub fn elasticity_checks(bench: &ElasticityBench) -> Vec<Check> {
+    let points: Vec<&UpgradePoint> = bench.points.iter().map(|m| &m.point).collect();
+    let largest = points.last().expect("non-empty grid");
+    let all_round_trip = points
+        .iter()
+        .all(|p| p.survived && p.archives_verified == p.n && p.images_verified == p.n);
+    let drops: u64 = points.iter().map(|p| p.queue_drops).sum();
+    // A completed wave has a positive median and a makespan no shorter
+    // than its p99 member.
+    let plausible = points
+        .iter()
+        .all(|p| p.upgrade_p50_s > 0.0 && p.makespan_s >= p.upgrade_p99_s);
+    let reclaim_errs: u32 = points.iter().map(|p| p.reclaim_errors).sum();
+    let survives = bench
+        .survivability
+        .iter()
+        .all(|s| s.survived && s.class_fired > 0 && s.reclaim_errors == 0);
+    let (chaos, wave) = (&bench.chaos, &bench.wave);
+    vec![
+        Check::zero(
+            format!("upgrade queue drops at n={}", largest.n),
+            largest.queue_drops,
+        ),
+        Check::zero("upgrade queue drops across all waves", drops),
+        Check::holds("upgrade durations plausible at every n (1=yes)", plausible),
+        Check::holds(
+            "every archive matches the departing tenant disk (1=yes)",
+            all_round_trip,
+        ),
+        Check::zero(
+            "reclaim errors across fault-free waves",
+            reclaim_errs as u64,
+        ),
+        Check::holds(
+            "chaos double-run byte-identical (1=yes)",
+            chaos.identical && chaos.trace_identical,
+        ),
+        Check::holds(
+            "snapshot-back survives drop/corrupt/stall/chaos (1=yes)",
+            survives,
+        ),
+        Check::holds(
+            "scale-down parks empty, scale-up restores (1=yes)",
+            wave.parked_emptied == wave.parked
+                && wave.images_verified == wave.parked
+                && wave.queue_drops == 0,
+        ),
+    ]
 }
 
 /// One point's JSON object, fixed precision — hashed for digests
@@ -805,15 +792,6 @@ pub fn elasticity_json(scale: Scale, bench: &ElasticityBench) -> String {
     out
 }
 
-/// Writes `BENCH_elasticity.json`.
-pub fn write_elasticity_json(
-    path: &str,
-    scale: Scale,
-    bench: &ElasticityBench,
-) -> std::io::Result<()> {
-    std::fs::write(path, elasticity_json(scale, bench))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -876,11 +854,15 @@ mod tests {
         );
     }
 
-    #[test]
-    fn elasticity_json_has_the_documented_schema() {
+    /// A bench record that holds every gate: upgrade waves at n = 2, 8.
+    fn synthetic_bench() -> ElasticityBench {
         let m = synthetic(777);
-        let bench = ElasticityBench {
-            points: vec![synthetic(777)],
+        let mut big = synthetic(888);
+        big.point.n = 8;
+        big.point.archives_verified = 8;
+        big.point.images_verified = 8;
+        ElasticityBench {
+            points: vec![synthetic(777), big],
             wave: WaveRun {
                 n: 4,
                 parked: 2,
@@ -906,7 +888,59 @@ mod tests {
                 trace_identical: true,
             },
             chaos_trace: String::new(),
+        }
+    }
+
+    #[test]
+    fn each_elasticity_gate_fails_on_its_own_violation() {
+        let failed = |bench: &ElasticityBench| -> Vec<String> {
+            elasticity_checks(bench)
+                .into_iter()
+                .filter(Check::failed)
+                .map(|c| c.metric)
+                .collect()
         };
+        assert_eq!(failed(&synthetic_bench()), Vec::<String>::new());
+        type Break = fn(&mut ElasticityBench);
+        let cases: [(&[&str], Break); 8] = [
+            (
+                &["upgrade queue drops at n=8", "upgrade queue drops across"],
+                |b| b.points[1].point.queue_drops = 1,
+            ),
+            (&["upgrade queue drops across"], |b| {
+                b.points[0].point.queue_drops = 1
+            }),
+            (&["upgrade durations plausible"], |b| {
+                b.points[0].point.makespan_s = 24.0
+            }),
+            (&["every archive matches"], |b| {
+                b.points[1].point.images_verified = 7
+            }),
+            (&["reclaim errors across"], |b| {
+                b.points[0].point.reclaim_errors = 1
+            }),
+            (&["chaos double-run byte-identical"], |b| {
+                b.chaos.trace_identical = false
+            }),
+            (&["snapshot-back survives"], |b| {
+                b.survivability[0].class_fired = 0
+            }),
+            (&["scale-down parks empty"], |b| b.wave.parked_emptied = 1),
+        ];
+        for (gates, break_it) in cases {
+            let mut bench = synthetic_bench();
+            break_it(&mut bench);
+            let failed = failed(&bench);
+            assert_eq!(failed.len(), gates.len(), "{gates:?}: {failed:?}");
+            for (f, g) in failed.iter().zip(gates) {
+                assert!(f.starts_with(g), "{gates:?}: {failed:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn elasticity_json_has_the_documented_schema() {
+        let bench = synthetic_bench();
         let json = elasticity_json(Scale::Quick, &bench);
         for key in [
             "\"scale\": \"Quick\"",

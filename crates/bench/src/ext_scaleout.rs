@@ -25,16 +25,14 @@
 //!   concurrently on a bounded pool; the artifact
 //!   `BENCH_scaleout.json` is byte-identical across same-seed runs.
 
-use crate::{Check, Figure, Row, Scale};
+use crate::{par_map, Check, Figure, Row, Scale};
+use bmcast::deploy::Runner;
 use bmcast::fleet::{Fleet, FleetConfig};
 use bmcast::machine::MachineSpec;
 use bmcast::programs::BootProgram;
-use bmcast::deploy::Runner;
 use bmcast_baselines::image_copy::ImageCopyPlan;
 use guestsim::os::BootProfile;
 use simkit::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Server + gigabit-link effective capacity for deployment traffic, MB/s.
 const SERVER_CAPACITY_MBPS: f64 = 107.0;
@@ -170,7 +168,7 @@ pub enum Topology {
 }
 
 impl Topology {
-    /// Column label used in rows, JSON, and `check_figures.py`.
+    /// Column label used in rows and JSON.
     pub fn label(self) -> &'static str {
         match self {
             Topology::SingleServer => "1-server",
@@ -387,21 +385,7 @@ pub fn measure_scaleout(scale: Scale, jobs: usize) -> Vec<ScaleoutPoint> {
         .flat_map(|(t, ns)| ns.into_iter().map(move |n| (t, n)))
         .collect();
 
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ScaleoutPoint>>> = work.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(work.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(t, n)) = work.get(i) else { break };
-                *slots[i].lock().unwrap() = Some(measure_point(t, n, &spec, &profile));
-            });
-        }
-    });
-    let mut points: Vec<ScaleoutPoint> = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("point slot filled"))
-        .collect();
+    let mut points = par_map(jobs, &work, |&(t, n)| measure_point(t, n, &spec, &profile));
 
     // Calibrate the analytic model from the measured 1-server n=1 run:
     // redirect count and volume from the fleet's own stats, the CPU
@@ -448,9 +432,7 @@ pub fn measure_scaleout(scale: Scale, jobs: usize) -> Vec<ScaleoutPoint> {
 /// Returns the figure plus the points `BENCH_scaleout.json` is built
 /// from.
 pub fn run_scaleout(scale: Scale, jobs: usize) -> (Figure, Vec<ScaleoutPoint>) {
-    let measured = measure_scaleout(scale, jobs);
-    let points: Vec<&ScaleoutPoint> = measured.iter().collect();
-
+    let points = measure_scaleout(scale, jobs);
     let rows = points
         .iter()
         .map(|p| {
@@ -469,17 +451,35 @@ pub fn run_scaleout(scale: Scale, jobs: usize) -> (Figure, Vec<ScaleoutPoint>) {
             )
         })
         .collect();
+    let fig = Figure {
+        id: "scaleout",
+        title: "measured fleet startups: n machines per topology, shared fabric",
+        unit: "seconds",
+        checks: scaleout_checks(&points),
+        rows,
+    };
+    (fig, points)
+}
 
+/// The scale-out figure's checks over its points (grouped by topology
+/// in grid order): a gate for every load-bearing claim, plus the
+/// informational paper and model comparisons.
+pub fn scaleout_checks(points: &[ScaleoutPoint]) -> Vec<Check> {
     let of = |t: Topology| -> Vec<&ScaleoutPoint> {
-        points
-            .iter()
-            .copied()
-            .filter(|p| p.topology == t.label())
-            .collect()
+        points.iter().filter(|p| p.topology == t.label()).collect()
     };
     let single = of(Topology::SingleServer);
     let multi = of(Topology::MultiServer);
     let p2p = of(Topology::PeerToPeer);
+    // `col`'s p99 stays within 2% of the 1-server p99 at every n from
+    // `min_n` up that both columns measured.
+    let holds_single = |col: &[&ScaleoutPoint], min_n: u32| {
+        single.iter().filter(|s| s.n >= min_n).all(|s| {
+            col.iter()
+                .find(|p| p.n == s.n)
+                .is_none_or(|p| p.startup_p99_s <= s.startup_p99_s * 1.02)
+        })
+    };
 
     // The single origin must pay for scale monotonically. The k-server
     // column is *not* monotone at small n — striping removes the
@@ -489,92 +489,55 @@ pub fn run_scaleout(scale: Scale, jobs: usize) -> (Figure, Vec<ScaleoutPoint>) {
     let monotone = single
         .windows(2)
         .all(|w| w[1].startup_p99_s >= w[0].startup_p99_s * 0.999);
-    let kserver_wins = single.iter().all(|s| {
-        multi
-            .iter()
-            .find(|p| p.n == s.n)
-            .is_none_or(|p| p.startup_p99_s <= s.startup_p99_s * 1.02)
-    });
     let beats_ic = points.iter().all(|p| p.startup_p99_s < p.image_copy_s);
     let hit_at_8 = single
         .iter()
         .find(|p| p.n == 8)
         .map(|p| p.cache_hit_ratio)
         .unwrap_or(0.0);
+    // p2p members serve from their own golden image, so the origin's
+    // cache carries a shrinking share by design: the hit-ratio floor
+    // applies to the server-bound columns only.
+    let cache_floor = single
+        .iter()
+        .chain(&multi)
+        .filter(|p| p.n >= 8)
+        .all(|p| p.cache_hit_ratio >= 0.5);
     let worst_err = points.iter().map(|p| p.rel_err).fold(0.0f64, f64::max);
-    // Peer serving must not lose to the single server once there are
-    // enough machines for peers to matter (joint fleet sizes ≥ 8).
-    let p2p_wins = single.iter().filter(|s| s.n >= 8).all(|s| {
-        p2p.iter()
-            .find(|p| p.n == s.n)
-            .is_none_or(|p| p.startup_p99_s <= s.startup_p99_s * 1.02)
-    });
     // The elasticity headline: the largest p2p fleet's p99 within 2×
     // the lone-machine baseline, with zero queue drops anywhere in the
     // column.
     let baseline = single.first().map(|p| p.startup_p99_s).unwrap_or(0.0);
     let p2p_flat = p2p
         .last()
-        .map(|p| p.startup_p99_s <= baseline * 2.0)
-        .unwrap_or(false);
+        .is_some_and(|p| p.startup_p99_s <= baseline * 2.0);
     let p2p_drops: u64 = p2p.iter().map(|p| p.queue_drops).sum();
 
-    let fig = Figure {
-        id: "scaleout",
-        title: "measured fleet startups: n machines per topology, shared fabric",
-        unit: "seconds",
-        checks: vec![
-            Check::new(
-                "1-server p99 monotone in n (1=yes)",
-                1.0,
-                monotone as u32 as f64,
-                "",
-            ),
-            Check::new(
-                "k-server p99 never above 1-server (1=yes)",
-                1.0,
-                kserver_wins as u32 as f64,
-                "",
-            ),
-            Check::new(
-                "BMcast under image copy at every n (1=yes)",
-                1.0,
-                beats_ic as u32 as f64,
-                "",
-            ),
-            Check::new("server cache hit ratio at n=8", 7.0 / 8.0, hit_at_8, ""),
-            Check::new(
-                "p2p p99 beats 1-server at joint n>=8 (1=yes)",
-                1.0,
-                p2p_wins as u32 as f64,
-                "",
-            ),
-            Check::new(
-                "p2p p99 at n_max within 2x n=1 baseline (1=yes)",
-                1.0,
-                p2p_flat as u32 as f64,
-                "",
-            ),
-            Check::new("p2p queue drops", 0.0, p2p_drops as f64, ""),
-            // Validation flag, not a pass/fail gate: how far the
-            // analytic curve drifts from the measured one at its worst
-            // point (>25% means the model misses something real).
-            Check::new("analytic model divergence (worst)", 0.25, worst_err, "x"),
-        ],
-        rows,
-    };
-    (fig, measured)
-}
-
-/// Writes `BENCH_scaleout.json`. Hand-rolled JSON (the workspace
-/// carries no serde) with fixed-precision floats: same-seed runs
-/// produce byte-identical artifacts.
-pub fn write_scaleout_json(
-    path: &str,
-    scale: Scale,
-    points: &[ScaleoutPoint],
-) -> std::io::Result<()> {
-    std::fs::write(path, scaleout_json(scale, points))
+    vec![
+        Check::holds("1-server p99 monotone in n (1=yes)", monotone),
+        Check::holds(
+            "k-server p99 never above 1-server (1=yes)",
+            holds_single(&multi, 0),
+        ),
+        Check::holds("BMcast under image copy at every n (1=yes)", beats_ic),
+        Check::new("server cache hit ratio at n=8", 7.0 / 8.0, hit_at_8, ""),
+        Check::holds(
+            "cache hit ratio >= 0.5 at n>=8, 1-/k-server (1=yes)",
+            cache_floor,
+        ),
+        // Peer serving must not lose to the single server once there
+        // are enough machines for peers to matter (joint n >= 8).
+        Check::holds(
+            "p2p p99 beats 1-server at joint n>=8 (1=yes)",
+            holds_single(&p2p, 8),
+        ),
+        Check::holds("p2p p99 at n_max within 2x n=1 baseline (1=yes)", p2p_flat),
+        Check::zero("p2p queue drops", p2p_drops),
+        // Informational, not a gate: how far the analytic curve drifts
+        // from the measured one at its worst point (>25% means the
+        // model misses something real).
+        Check::new("analytic model divergence (worst)", 0.25, worst_err, "x"),
+    ]
 }
 
 /// One point's JSON object, fixed precision.
@@ -601,7 +564,9 @@ pub fn point_json(p: &ScaleoutPoint) -> String {
     )
 }
 
-/// The `BENCH_scaleout.json` document body.
+/// The `BENCH_scaleout.json` document body. Hand-rolled JSON (the
+/// workspace carries no serde) with fixed-precision floats: same-seed
+/// runs produce byte-identical artifacts.
 pub fn scaleout_json(scale: Scale, points: &[ScaleoutPoint]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -686,6 +651,91 @@ mod tests {
         // by the serialization bound: same values as the M/M/1 curve.
         let bm64 = analytic_bmcast_startup_secs(64, 30.4, 4000.0, 0.018, 7.0);
         assert!((bm64 - 137.0).abs() < 1.0, "n=64 paper regime {bm64:.1}s");
+    }
+
+    #[test]
+    fn grid_measures_every_topology_at_both_scales() {
+        for scale in [Scale::Quick, Scale::Paper] {
+            let grid = topology_grid(scale);
+            let columns: Vec<Topology> = grid.iter().map(|(t, _)| *t).collect();
+            assert_eq!(
+                columns,
+                [
+                    Topology::SingleServer,
+                    Topology::MultiServer,
+                    Topology::PeerToPeer
+                ]
+            );
+            assert!(grid.iter().all(|(_, ns)| ns.len() >= 2 && ns.contains(&8)));
+        }
+    }
+
+    /// Three columns at n = 1, 8, 16 that hold every gate.
+    fn passing_points() -> Vec<ScaleoutPoint> {
+        let mut points = Vec::new();
+        for t in [
+            Topology::SingleServer,
+            Topology::MultiServer,
+            Topology::PeerToPeer,
+        ] {
+            for (n, p99) in [(1, 4.0), (8, 5.0), (16, 6.0)] {
+                points.push(ScaleoutPoint {
+                    topology: t.label(),
+                    n,
+                    servers: 1,
+                    peers: 0,
+                    startup_p50_s: p99,
+                    startup_p99_s: p99,
+                    fairness_ratio: 1.0,
+                    cache_hit_ratio: 0.9,
+                    bytes_moved: 0,
+                    queue_drops: 0,
+                    analytic_s: 0.0,
+                    rel_err: 0.0,
+                    image_copy_s: 100.0,
+                });
+            }
+        }
+        points
+    }
+
+    fn failed_gates(points: &[ScaleoutPoint]) -> Vec<String> {
+        scaleout_checks(points)
+            .into_iter()
+            .filter(Check::failed)
+            .map(|c| c.metric)
+            .collect()
+    }
+
+    #[test]
+    fn each_scaleout_gate_fails_on_its_own_violation() {
+        let mut points = passing_points();
+        // The p2p column is exempt from the cache floor.
+        points[8].cache_hit_ratio = 0.1;
+        assert_eq!(failed_gates(&points), Vec::<String>::new());
+        // Indices: 1-server 0..3, k-server 3..6, p2p 6..9 (n = 1, 8, 16).
+        type Break = fn(&mut Vec<ScaleoutPoint>);
+        let cases: [(&str, Break); 7] = [
+            ("1-server p99 monotone", |p| p[0].startup_p99_s = 5.5),
+            ("k-server p99 never above", |p| p[4].startup_p99_s = 5.2),
+            ("BMcast under image copy", |p| p[8].image_copy_s = 6.0),
+            ("cache hit ratio >= 0.5", |p| p[5].cache_hit_ratio = 0.4),
+            ("p2p p99 beats 1-server", |p| p[7].startup_p99_s = 5.2),
+            ("p2p p99 at n_max within 2x", |p| {
+                let mut big = p[8].clone();
+                big.n = 64;
+                big.startup_p99_s = 8.5;
+                p.push(big);
+            }),
+            ("p2p queue drops", |p| p[7].queue_drops = 1),
+        ];
+        for (gate, break_it) in cases {
+            let mut points = passing_points();
+            break_it(&mut points);
+            let failed = failed_gates(&points);
+            assert_eq!(failed.len(), 1, "{gate}: {failed:?}");
+            assert!(failed[0].starts_with(gate), "{gate}: {failed:?}");
+        }
     }
 
     #[test]

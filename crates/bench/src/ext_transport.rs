@@ -23,7 +23,7 @@
 //! determinism lock per transport.
 
 use crate::ext_scaleout::{fleet_geometry, fnv1a64, topology_fleet_cfg, Topology};
-use crate::{Check, Figure, Row, Scale};
+use crate::{par_map, Check, Figure, Row, Scale};
 use bmcast::deploy::FlightRecorderConfig;
 use bmcast::fleet::Fleet;
 use bmcast::programs::BootProgram;
@@ -31,8 +31,6 @@ use bmcast::TransportKind;
 use simkit::fault::FaultPlan;
 use simkit::slo::SloConfig;
 use simkit::SimTime;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Seed of the chaos determinism lock's fault plan.
 pub const TRANSPORT_FAULT_SEED: u64 = 7;
@@ -233,8 +231,6 @@ pub struct TransportBench {
 pub fn measure_transport(scale: Scale, jobs: usize, kinds: &[TransportKind]) -> TransportBench {
     let ns = transport_grid(scale);
     // One flat work list: grid points, then per-kind (a, b) chaos runs.
-    // Slot-addressed results keep the output deterministic under work
-    // stealing.
     #[derive(Clone, Copy)]
     enum Job {
         Grid(TransportKind, u32),
@@ -251,30 +247,14 @@ pub fn measure_transport(scale: Scale, jobs: usize, kinds: &[TransportKind]) -> 
         work.push(Job::Chaos(k));
     }
 
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<MeasuredTransport>>> =
-        work.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(work.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&job) = work.get(i) else { break };
-                let m = match job {
-                    Job::Grid(k, n) => measure_transport_point(k, n, None),
-                    Job::Chaos(k) => measure_transport_point(
-                        k,
-                        LOCK_FLEET_N,
-                        FaultPlan::preset("chaos", TRANSPORT_FAULT_SEED),
-                    ),
-                };
-                *slots[i].lock().unwrap() = Some(m);
-            });
-        }
+    let mut measured = par_map(jobs, &work, |&job| match job {
+        Job::Grid(k, n) => measure_transport_point(k, n, None),
+        Job::Chaos(k) => measure_transport_point(
+            k,
+            LOCK_FLEET_N,
+            FaultPlan::preset("chaos", TRANSPORT_FAULT_SEED),
+        ),
     });
-    let mut measured: Vec<MeasuredTransport> = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("transport slot filled"))
-        .collect();
 
     let chaos_runs = measured.split_off(kinds.len() * ns.len());
     let points = measured;
@@ -302,19 +282,18 @@ pub fn measure_transport(scale: Scale, jobs: usize, kinds: &[TransportKind]) -> 
 }
 
 /// The transport-race figure (the `reproduce --scaleout --transport`
-/// path). Cross-transport checks engage only when the baseline and the
-/// extension transports were both raced.
+/// path).
 pub fn run_transport(
     scale: Scale,
     jobs: usize,
     kinds: &[TransportKind],
 ) -> (Figure, TransportBench) {
     let bench = measure_transport(scale, jobs, kinds);
-    let points: Vec<&TransportPoint> = bench.points.iter().map(|m| &m.point).collect();
-
-    let rows = points
+    let rows = bench
+        .points
         .iter()
-        .map(|p| {
+        .map(|m| {
+            let p = &m.point;
             Row::new(
                 format!("{:<7} {:>3} machines", p.transport, p.n),
                 vec![
@@ -330,16 +309,32 @@ pub fn run_transport(
             )
         })
         .collect();
+    let fig = Figure {
+        id: "transport",
+        title: "deployment transport race: n machines, one origin server",
+        unit: "seconds",
+        checks: transport_checks(&bench),
+        rows,
+    };
+    (fig, bench)
+}
 
-    let n_max = transport_grid(scale).last().copied().unwrap_or(1);
-    let at = |kind: TransportKind, n: u32| -> Option<&&TransportPoint> {
+/// The transport race's gates. Cross-transport gates engage only when
+/// the baseline and the extension transport were both raced.
+pub fn transport_checks(bench: &TransportBench) -> Vec<Check> {
+    let points: Vec<&TransportPoint> = bench.points.iter().map(|m| &m.point).collect();
+    let n_max = points.iter().map(|p| p.n).max().unwrap_or(1);
+    let n_min = points.iter().map(|p| p.n).min().unwrap_or(1);
+    let at = |kind: TransportKind, n: u32| -> Option<&TransportPoint> {
         points
             .iter()
+            .copied()
             .find(|p| p.transport == kind.label() && p.n == n)
     };
     let plain = at(TransportKind::Aoe, n_max);
     let batched = at(TransportKind::Batched, n_max);
     let rdma = at(TransportKind::Rdma, n_max);
+    let is_rdma = |p: &TransportPoint| p.transport == TransportKind::Rdma.label();
 
     // The headline: RDMA beats plain AoE on fleet p99 at the largest
     // raced n, and the win is visible in the attribution columns.
@@ -370,72 +365,50 @@ pub fn run_transport(
         (Some(a), Some(b)) => b.startup_p99_s <= a.startup_p99_s * 1.02,
         _ => true,
     };
-    let n_min = transport_grid(scale).first().copied().unwrap_or(1);
     let batched_shrinks = points
         .iter()
         .filter(|p| {
             p.transport == TransportKind::Batched.label()
                 || (p.transport != TransportKind::Aoe.label() && p.n == n_min)
         })
-        .all(|p| {
-            at(TransportKind::Aoe, p.n)
-                .map(|a| p.requests < a.requests)
-                .unwrap_or(true)
-        });
+        .all(|p| at(TransportKind::Aoe, p.n).is_none_or(|a| p.requests < a.requests));
+    // One-sided serving is exclusive to the rdma column.
     let rdma_one_sided = points
         .iter()
-        .filter(|p| p.transport == TransportKind::Rdma.label())
+        .filter(|p| is_rdma(p))
         .all(|p| p.rdma_reads > 0);
+    let rdma_reads_elsewhere: u64 = points
+        .iter()
+        .filter(|p| !is_rdma(p))
+        .map(|p| p.rdma_reads)
+        .sum();
+    // Zero drops everywhere: the IB lane is lossless, the Ethernet
+    // lane backpressured.
     let drops: u64 = points.iter().map(|p| p.queue_drops).sum();
     let chaos_ok = bench.chaos.iter().all(|c| c.identical);
 
-    let yes = |b: bool| b as u32 as f64;
-    let fig = Figure {
-        id: "transport",
-        title: "deployment transport race: n machines, one origin server",
-        unit: "seconds",
-        checks: vec![
-            Check::new(
-                format!("rdma p99 beats plain aoe at n={n_max} (1=yes)"),
-                1.0,
-                yes(rdma_wins),
-                "",
-            ),
-            Check::new(
-                "rdma win attributable: lower median rtt + queueing (1=yes)",
-                1.0,
-                yes(rdma_attributable),
-                "",
-            ),
-            Check::new(
-                format!("batched p99 holds plain aoe at n={n_max} (1=yes)"),
-                1.0,
-                yes(batched_holds),
-                "",
-            ),
-            Check::new(
-                "batched planning shrinks the request stream (1=yes)",
-                1.0,
-                yes(batched_shrinks),
-                "",
-            ),
-            Check::new(
-                "rdma column served one-sided (1=yes)",
-                1.0,
-                yes(rdma_one_sided),
-                "",
-            ),
-            Check::new("queue drops across all transports", 0.0, drops as f64, ""),
-            Check::new(
-                "chaos double-runs byte-identical (1=yes)",
-                1.0,
-                yes(chaos_ok),
-                "",
-            ),
-        ],
-        rows,
-    };
-    (fig, bench)
+    vec![
+        Check::holds(
+            format!("rdma p99 beats plain aoe at n={n_max} (1=yes)"),
+            rdma_wins,
+        ),
+        Check::holds(
+            "rdma win attributable: lower median rtt + queueing (1=yes)",
+            rdma_attributable,
+        ),
+        Check::holds(
+            format!("batched p99 holds plain aoe at n={n_max} (1=yes)"),
+            batched_holds,
+        ),
+        Check::holds(
+            "batched planning shrinks the request stream (1=yes)",
+            batched_shrinks,
+        ),
+        Check::holds("rdma column served one-sided (1=yes)", rdma_one_sided),
+        Check::zero("one-sided reads off the rdma column", rdma_reads_elsewhere),
+        Check::zero("queue drops across all transports", drops),
+        Check::holds("chaos double-runs byte-identical (1=yes)", chaos_ok),
+    ]
 }
 
 /// The `BENCH_transport.json` document body. Hand-rolled JSON (the
@@ -479,15 +452,6 @@ pub fn transport_json(scale: Scale, bench: &TransportBench) -> String {
     out
 }
 
-/// Writes `BENCH_transport.json`.
-pub fn write_transport_json(
-    path: &str,
-    scale: Scale,
-    bench: &TransportBench,
-) -> std::io::Result<()> {
-    std::fs::write(path, transport_json(scale, bench))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,6 +476,93 @@ mod tests {
                 straggler_queue_excess_s: 1.0,
             },
             events,
+        }
+    }
+
+    /// A race that holds every gate: all three transports at n = 1, 64.
+    fn passing_bench() -> TransportBench {
+        // (transport, n, p99 s, requests, rdma reads, median rtt s)
+        let rows: [(&'static str, u32, f64, u64, u64, f64); 6] = [
+            ("aoe", 1, 4.5, 227, 0, 1.0),
+            ("aoe", 64, 22.0, 8493, 0, 62.0),
+            ("batched", 1, 4.55, 215, 0, 0.8),
+            ("batched", 64, 22.1, 6381, 0, 28.0),
+            ("rdma", 1, 4.08, 204, 204, 0.07),
+            ("rdma", 64, 4.1, 15209, 15209, 0.1),
+        ];
+        let points = rows
+            .iter()
+            .map(|&(transport, n, p99, requests, rdma_reads, rtt)| {
+                let mut m = synthetic_point(transport, 1);
+                m.point.n = n;
+                m.point.startup_p99_s = p99;
+                m.point.requests = requests;
+                m.point.rdma_reads = rdma_reads;
+                m.point.median_rtt_total_s = rtt;
+                m.point.median_queue_excess_s = if transport == "rdma" { 0.0 } else { 1.0 };
+                m
+            })
+            .collect();
+        let chaos = TransportKind::ALL
+            .iter()
+            .map(|k| TransportChaos {
+                transport: k.label(),
+                digest_a: "aa".into(),
+                digest_b: "aa".into(),
+                identical: true,
+            })
+            .collect();
+        TransportBench {
+            kinds: TransportKind::ALL.to_vec(),
+            points,
+            chaos,
+        }
+    }
+
+    #[test]
+    fn each_transport_gate_fails_on_its_own_violation() {
+        let failed = |bench: &TransportBench| -> Vec<String> {
+            transport_checks(bench)
+                .into_iter()
+                .filter(Check::failed)
+                .map(|c| c.metric)
+                .collect()
+        };
+        assert_eq!(failed(&passing_bench()), Vec::<String>::new());
+        // Point indices: aoe 0..2, batched 2..4, rdma 4..6 (n = 1, 64).
+        type Break = fn(&mut TransportBench);
+        let cases: [(&str, Break); 8] = [
+            ("rdma p99 beats plain aoe at n=64", |b| {
+                b.points[5].point.startup_p99_s = 22.0
+            }),
+            ("rdma win attributable", |b| {
+                b.points[5].point.median_queue_excess_s = 1.001
+            }),
+            ("batched p99 holds plain aoe at n=64", |b| {
+                b.points[3].point.startup_p99_s = 22.5
+            }),
+            ("batched planning shrinks", |b| {
+                b.points[3].point.requests = 8493
+            }),
+            ("rdma column served one-sided", |b| {
+                b.points[4].point.rdma_reads = 0
+            }),
+            ("one-sided reads off the rdma column", |b| {
+                b.points[0].point.rdma_reads = 1
+            }),
+            ("queue drops across all transports", |b| {
+                b.points[2].point.queue_drops = 1
+            }),
+            ("chaos double-runs byte-identical", |b| {
+                b.chaos[2].identical = false
+            }),
+        ];
+        for (gate, break_it) in cases {
+            let mut bench = passing_bench();
+            break_it(&mut bench);
+            let failed = failed(&bench);
+            assert_eq!(failed.len(), 1, "{gate}: {failed:?}");
+            assert!(failed[0].starts_with(gate), "{gate}: {failed:?}");
         }
     }
 

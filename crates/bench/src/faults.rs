@@ -10,9 +10,9 @@
 //! from the same seed must agree on the final time and every injector
 //! counter, byte for byte.
 //!
-//! All checks are pass/fail invariants encoded as `paper=1.0` /
-//! `measured∈{0,1}` so the JSON's `within_10pct == checks` exactly when
-//! the scenario holds.
+//! All checks are gates encoded as `paper=1.0` / `measured∈{0,1}`:
+//! `reproduce` exits 1 when one fails, and the JSON's
+//! `within_10pct == checks` exactly when the scenario holds.
 
 use crate::{Check, Figure, Row, Scale};
 use bmcast::config::{BmcastConfig, Moderation};
@@ -118,7 +118,7 @@ fn class_count(preset: &str, r: &FaultRun) -> u64 {
 }
 
 fn bool_check(metric: impl Into<String>, holds: bool) -> Check {
-    Check::new(metric, 1.0, holds as u32 as f64, "bool")
+    Check::gate(metric, 1.0, holds as u32 as f64, "bool")
 }
 
 fn fault_figure(
@@ -128,38 +128,60 @@ fn fault_figure(
     preset: &'static str,
 ) -> Figure {
     let spec = spec(scale);
-    let plan = FaultPlan::preset(preset, FAULT_SEED).expect("known preset");
-    let r = deploy_under(&spec, plan);
+    let run = || {
+        deploy_under(
+            &spec,
+            FaultPlan::preset(preset, FAULT_SEED).expect("known preset"),
+        )
+    };
+    let r = run();
+    // Determinism lock at the harness level: under chaos, a second
+    // independent run from the same seed must agree on everything.
+    let again = (preset == "chaos").then(run);
 
-    let mut rows = vec![Row::new(
-        format!("{preset} plan"),
-        vec![
-            ("deploy s".into(), r.deploy_s),
-            ("retransmits".into(), r.retransmits as f64),
-            ("stale".into(), r.stale_replies as f64),
-            ("decode err".into(), r.decode_errors as f64),
-        ],
-    )];
-    rows.push(Row::new(
-        "injector",
-        vec![
-            ("dropped".into(), r.counters.link_dropped as f64),
-            ("duplicated".into(), r.counters.link_duplicated as f64),
-            ("reordered".into(), r.counters.link_reordered as f64),
-            ("corrupted".into(), r.counters.link_corrupted as f64),
-            ("srv drop".into(), r.counters.server_dropped as f64),
-            ("srv restart".into(), r.counters.server_restarts as f64),
-            ("disk slow".into(), r.counters.disk_slowed as f64),
-            ("disk werr".into(), r.counters.disk_write_faults as f64),
-        ],
-    ));
+    let rows = vec![
+        Row::new(
+            format!("{preset} plan"),
+            vec![
+                ("deploy s".into(), r.deploy_s),
+                ("retransmits".into(), r.retransmits as f64),
+                ("stale".into(), r.stale_replies as f64),
+                ("decode err".into(), r.decode_errors as f64),
+            ],
+        ),
+        Row::new(
+            "injector",
+            vec![
+                ("dropped".into(), r.counters.link_dropped as f64),
+                ("duplicated".into(), r.counters.link_duplicated as f64),
+                ("reordered".into(), r.counters.link_reordered as f64),
+                ("corrupted".into(), r.counters.link_corrupted as f64),
+                ("srv drop".into(), r.counters.server_dropped as f64),
+                ("srv restart".into(), r.counters.server_restarts as f64),
+                ("disk slow".into(), r.counters.disk_slowed as f64),
+                ("disk werr".into(), r.counters.disk_write_faults as f64),
+            ],
+        ),
+    ];
 
+    Figure {
+        id,
+        title,
+        unit: "mixed",
+        rows,
+        checks: fault_checks(preset, &r, again.as_ref()),
+    }
+}
+
+/// The gates of one fault figure: `r` is the run under `preset`,
+/// `again` the same-seed rerun when the figure locks determinism.
+fn fault_checks(preset: &str, r: &FaultRun, again: Option<&FaultRun>) -> Vec<Check> {
     let mut checks = vec![
         bool_check(format!("deployment completes under {preset}"), r.completed),
         bool_check("local disk matches image fingerprint", r.disk_matches),
         bool_check(
             format!("{preset} fault class observed by injector"),
-            class_count(preset, &r) > 0,
+            class_count(preset, r) > 0,
         ),
     ];
     match preset {
@@ -171,27 +193,17 @@ fn fault_figure(
             "corrupted frames rejected by checksum",
             r.decode_errors > 0 || r.counters.link_corrupted == 0,
         )),
-        "chaos" => {
-            // Determinism lock at the harness level: a second independent
-            // run from the same seed must agree on everything.
-            let again = deploy_under(&spec, FaultPlan::preset(preset, FAULT_SEED).unwrap());
-            checks.push(bool_check(
-                "same seed reproduces identical run",
-                again.deploy_s == r.deploy_s
-                    && again.counters == r.counters
-                    && again.retransmits == r.retransmits,
-            ));
-        }
         _ => {}
     }
-
-    Figure {
-        id,
-        title,
-        unit: "mixed",
-        rows,
-        checks,
+    if let Some(again) = again {
+        checks.push(bool_check(
+            "same seed reproduces identical run",
+            again.deploy_s == r.deploy_s
+                && again.counters == r.counters
+                && again.retransmits == r.retransmits,
+        ));
     }
+    checks
 }
 
 /// `(figure id, preset name, runner)` for every fault figure, in suite
@@ -240,8 +252,70 @@ mod tests {
     #[test]
     fn drop_figure_holds_at_quick_scale() {
         let fig = run_drop(Scale::Quick);
+        assert_eq!(fig.checks.len(), 3);
         for c in &fig.checks {
+            assert!(c.gate, "{}", c.metric);
             assert_eq!(c.measured, 1.0, "{}", c.metric);
+        }
+        assert_eq!(fig.failed_gates().count(), 0);
+    }
+
+    /// A run that holds every gate of every preset.
+    fn clean_run() -> FaultRun {
+        FaultRun {
+            completed: true,
+            deploy_s: 12.5,
+            disk_matches: true,
+            retransmits: 40,
+            stale_replies: 2,
+            decode_errors: 3,
+            counters: FaultCounters {
+                link_dropped: 5,
+                link_duplicated: 2,
+                link_reordered: 2,
+                link_corrupted: 3,
+                server_dropped: 1,
+                server_restarts: 1,
+                disk_slowed: 4,
+                disk_write_faults: 1,
+            },
+            server_restarts: 1,
+        }
+    }
+
+    #[test]
+    fn each_fault_gate_fails_on_its_own_violation() {
+        let failed = |preset: &str, r: &FaultRun, again: Option<&FaultRun>| -> Vec<String> {
+            fault_checks(preset, r, again)
+                .into_iter()
+                .filter(Check::failed)
+                .map(|c| c.metric)
+                .collect()
+        };
+        for &preset in FaultPlan::PRESET_NAMES {
+            let again = (preset == "chaos").then(clean_run);
+            assert_eq!(failed(preset, &clean_run(), again.as_ref()), Vec::<String>::new());
+        }
+        type Break = fn(&mut FaultRun);
+        let cases: [(&str, &str, Break); 6] = [
+            ("drop", "deployment completes under drop", |r| r.completed = false),
+            ("stall", "local disk matches", |r| r.disk_matches = false),
+            ("slowdisk", "slowdisk fault class observed", |r| {
+                r.counters.disk_slowed = 0
+            }),
+            ("crash", "server cold-restarted exactly once", |r| {
+                r.server_restarts = 2
+            }),
+            ("corrupt", "corrupted frames rejected", |r| r.decode_errors = 0),
+            ("chaos", "same seed reproduces", |r| r.retransmits += 1),
+        ];
+        for (preset, gate, break_it) in cases {
+            let mut r = clean_run();
+            let again = (preset == "chaos").then(clean_run);
+            break_it(&mut r);
+            let failed = failed(preset, &r, again.as_ref());
+            assert_eq!(failed.len(), 1, "{gate}: {failed:?}");
+            assert!(failed[0].starts_with(gate), "{gate}: {failed:?}");
         }
     }
 }

@@ -7,7 +7,8 @@
 //! while preserving every mechanism.
 //!
 //! The `reproduce` binary prints figures and the paper-vs-measured
-//! comparison table recorded in `EXPERIMENTS.md`.
+//! comparison table recorded in `EXPERIMENTS.md`, and exits 1 when a
+//! figure's pass/fail invariant (a gate [`Check`]) does not hold.
 
 pub mod ext_ablation;
 pub mod ext_elasticity;
@@ -30,6 +31,8 @@ pub mod obs;
 pub mod telemetry;
 
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,28 +77,60 @@ impl Row {
     }
 }
 
-/// A paper-vs-measured comparison point.
+/// A paper-vs-measured comparison point, or a gate: a pass/fail
+/// invariant that holds iff `measured == paper`.
 #[derive(Debug, Clone)]
 pub struct Check {
     /// What is being compared.
     pub metric: String,
-    /// The paper's reported value.
+    /// The paper's reported value (a gate's required value).
     pub paper: f64,
     /// Our measured value.
     pub measured: f64,
     /// Unit for display.
     pub unit: &'static str,
+    /// Whether this is a gate; `reproduce` exits 1 when one fails.
+    pub gate: bool,
 }
 
 impl Check {
-    /// Builds a check.
+    /// Builds an informational check.
     pub fn new(metric: impl Into<String>, paper: f64, measured: f64, unit: &'static str) -> Check {
         Check {
             metric: metric.into(),
             paper,
             measured,
             unit,
+            gate: false,
         }
+    }
+
+    /// Builds a gate: it holds iff `measured == required`.
+    pub fn gate(
+        metric: impl Into<String>,
+        required: f64,
+        measured: f64,
+        unit: &'static str,
+    ) -> Check {
+        Check {
+            gate: true,
+            ..Check::new(metric, required, measured, unit)
+        }
+    }
+
+    /// A boolean gate, shown as `paper 1` / `measured 1` (or `0`).
+    pub fn holds(metric: impl Into<String>, holds: bool) -> Check {
+        Check::gate(metric, 1.0, holds as u32 as f64, "")
+    }
+
+    /// A gate on a count that must be zero.
+    pub fn zero(metric: impl Into<String>, count: u64) -> Check {
+        Check::gate(metric, 0.0, count as f64, "")
+    }
+
+    /// Whether this is a gate that does not hold.
+    pub fn failed(&self) -> bool {
+        self.gate && self.measured != self.paper
     }
 
     /// Relative deviation from the paper value (0.0 = exact).
@@ -105,6 +140,36 @@ impl Check {
         }
         (self.measured - self.paper).abs() / self.paper.abs()
     }
+}
+
+impl Figure {
+    /// The gates that do not hold, in check order.
+    pub fn failed_gates(&self) -> impl Iterator<Item = &Check> {
+        self.checks.iter().filter(|c| c.failed())
+    }
+}
+
+/// Maps `f` over `items` on at most `jobs` scoped worker threads and
+/// returns the results in `items` order, whatever order they finish in:
+/// each worker takes the next unclaimed index and fills that index's
+/// slot. Every caller's items own their whole simulated world, so the
+/// results are the same at any `jobs`.
+pub fn par_map<T: Sync, R: Send>(jobs: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..jobs.min(items.len()).max(1) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                *slots[i].lock().unwrap() = Some(f(item));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().unwrap().expect("every slot filled"))
+        .collect()
 }
 
 impl fmt::Display for Figure {
@@ -173,6 +238,38 @@ mod tests {
         assert!(s.contains("figXX"));
         assert!(s.contains("x") && s.contains("y"));
         assert!(s.contains("+10.0%"));
+    }
+
+    #[test]
+    fn failed_gates_names_only_the_gates_that_do_not_hold() {
+        let fig = Figure {
+            id: "figXX",
+            title: "demo",
+            unit: "",
+            rows: Vec::new(),
+            checks: vec![
+                Check::new("informational, far off", 1.0, 9.0, "s"),
+                Check::holds("holds", true),
+                Check::holds("broken", false),
+                Check::zero("no drops", 0),
+                Check::zero("drops", 3),
+                Check::gate("exact", 2.0, 2.0, "x"),
+            ],
+        };
+        let failed: Vec<&str> = fig.failed_gates().map(|c| c.metric.as_str()).collect();
+        assert_eq!(failed, ["broken", "drops"]);
+        // A gate prints like any other check.
+        assert!(fig.to_string().contains("broken"));
+    }
+
+    #[test]
+    fn par_map_keeps_item_order_at_any_job_count() {
+        let items: Vec<u64> = (0..37).collect();
+        let want: Vec<u64> = items.iter().map(|i| i * i).collect();
+        for jobs in [1, 2, 5, 64] {
+            assert_eq!(par_map(jobs, &items, |i| i * i), want, "jobs={jobs}");
+        }
+        assert!(par_map(4, &[] as &[u64], |i| *i).is_empty());
     }
 
     #[test]

@@ -18,16 +18,19 @@
 //!
 //! Every byte is a function of the fleet configuration alone: the same
 //! config produces identical directories across repeated runs (the CI
-//! `obs-smoke` job diffs two whole directories).
+//! `obs-smoke` job diffs two whole directories). [`FleetObs::gates`]
+//! checks the artifacts' internal consistency in memory, before they
+//! are rendered; `reproduce` exits 1 when one fails.
 
 use crate::ext_scaleout::{fnv1a64, fleet_geometry, topology_fleet_cfg, Topology};
+use crate::Check;
 use bmcast::deploy::FlightRecorderConfig;
 use bmcast::fleet::{Fleet, FleetConfig, StragglerReport, StragglerRow};
 use bmcast::programs::BootProgram;
 use guestsim::os::BootProfile;
 use simkit::export::{alerts_json, alerts_text};
-use simkit::slo::{Alert, SloConfig};
-use simkit::SimTime;
+use simkit::slo::{Alert, SloConfig, SloRule};
+use simkit::{MetricsSnapshot, SimTime};
 use std::io;
 use std::path::Path;
 
@@ -50,8 +53,8 @@ pub const OBS_ARTIFACTS: [&str; 6] = [
 /// The rendered artifacts of one observability run.
 #[derive(Debug, Clone)]
 pub struct FleetObs {
-    /// `fleet_snapshot.json`.
-    pub snapshot_json: String,
+    /// The merged fleet metrics snapshot (`fleet_snapshot.json`).
+    pub snapshot: MetricsSnapshot,
     /// The raw alert edges (for in-process assertions).
     pub alerts: Vec<Alert>,
     /// `straggler_report.*` source data.
@@ -86,10 +89,7 @@ pub fn collect_fleet_obs(cfg: FleetConfig, profile: &BootProfile) -> FleetObs {
         .straggler_attribution()
         .expect("flight recorder is on");
     FleetObs {
-        snapshot_json: fleet
-            .fleet_snapshot()
-            .expect("telemetry is on")
-            .to_json(),
+        snapshot: fleet.fleet_snapshot().expect("telemetry is on"),
         alerts: fleet.alerts().to_vec(),
         booted: report.booted,
         report,
@@ -102,7 +102,7 @@ impl FleetObs {
     /// file last.
     pub fn artifacts(&self) -> Vec<(&'static str, String)> {
         let mut files = vec![
-            (OBS_ARTIFACTS[0], self.snapshot_json.clone()),
+            (OBS_ARTIFACTS[0], self.snapshot.to_json()),
             (OBS_ARTIFACTS[1], alerts_json(&self.alerts)),
             (OBS_ARTIFACTS[2], alerts_text(&self.alerts)),
             (OBS_ARTIFACTS[3], straggler_json(&self.report)),
@@ -126,6 +126,64 @@ impl FleetObs {
     /// Alerts that raised (excludes clear edges).
     pub fn raises(&self) -> usize {
         self.alerts.iter().filter(|a| a.raised).count()
+    }
+
+    /// The artifacts' consistency gates, computed on the in-memory run.
+    pub fn gates(&self) -> Vec<Check> {
+        // Member series live under `machine.{i}.`; their sum is the
+        // `fleet.` aggregate.
+        let member_reads: Vec<u64> = self
+            .snapshot
+            .counters
+            .iter()
+            .filter(|(name, _)| {
+                name.strip_prefix("machine.")
+                    .and_then(|rest| rest.strip_suffix(".aoe.client.reads"))
+                    .is_some_and(|i| !i.is_empty() && i.bytes().all(|b| b.is_ascii_digit()))
+            })
+            .map(|(_, &reads)| reads)
+            .collect();
+        let namespaced = !member_reads.is_empty()
+            && self.snapshot.counters.get("fleet.aoe.client.reads")
+                == Some(&member_reads.iter().sum());
+        // Every clear edge closes an earlier raise of the same rule.
+        let mut open: Vec<SloRule> = Vec::new();
+        let raise_before_clear = self.alerts.iter().all(|a| {
+            if a.raised {
+                open.push(a.rule);
+                return true;
+            }
+            let raised = open.iter().position(|&r| r == a.rule);
+            raised.map(|i| open.swap_remove(i)).is_some()
+        });
+        let r = &self.report;
+        let stragglers = r.booted > 0
+            && !r.stragglers.is_empty()
+            && r.stragglers
+                .iter()
+                .all(|s| s.boot_s >= r.median.boot_s && s.peer_reads + s.origin_reads == s.reads);
+        vec![
+            Check::holds(
+                "obs member reads sum to the fleet aggregate (1=yes)",
+                namespaced,
+            ),
+            Check::holds(
+                "obs fleet.machines_booted above zero (1=yes)",
+                self.snapshot.gauge("fleet.machines_booted") > 0,
+            ),
+            Check::holds(
+                "obs alerts raise before they clear (1=yes)",
+                raise_before_clear,
+            ),
+            Check::holds(
+                "obs stragglers at or above median, read mix adds up (1=yes)",
+                stragglers,
+            ),
+            Check::holds(
+                "obs fleet trace carries spans (1=yes)",
+                self.trace_json.contains("\"ph\": \"X\""),
+            ),
+        ]
     }
 }
 
@@ -266,7 +324,6 @@ pub fn straggler_text(report: &StragglerReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::slo::SloRule;
 
     #[test]
     fn straggler_renderers_are_fixed_precision() {
@@ -311,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn quiet_run_digest_covers_every_artifact() {
+    fn quiet_run_holds_every_gate_and_its_written_digest_recomputes() {
         use bmcast::machine::MachineSpec;
         let cfg = FleetConfig {
             n: 2,
@@ -329,11 +386,111 @@ mod tests {
             .alerts
             .iter()
             .any(|a| a.rule == SloRule::RetransmitStorm));
-        let files = obs.artifacts();
-        assert_eq!(files.len(), OBS_ARTIFACTS.len() + 1);
-        let digest = &files.last().unwrap().1;
-        for name in OBS_ARTIFACTS {
-            assert!(digest.contains(name), "digest missing {name}");
+        let failed: Vec<Check> = obs.gates().into_iter().filter(Check::failed).collect();
+        assert!(failed.is_empty(), "{failed:?}");
+
+        // Written to disk and read back, the artifacts digest to
+        // exactly what `obs_digest.json` records.
+        let dir = std::env::temp_dir().join(format!("fleet-obs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        obs.write(&dir).unwrap();
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        let files: Vec<(&'static str, String)> =
+            OBS_ARTIFACTS.iter().map(|&name| (name, read(name))).collect();
+        assert_eq!(read("obs_digest.json"), digest_json(&files));
+        let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        on_disk.sort();
+        let mut want: Vec<&str> = OBS_ARTIFACTS.to_vec();
+        want.push("obs_digest.json");
+        want.sort();
+        assert_eq!(on_disk, want);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A two-member run whose artifacts hold every gate.
+    fn consistent_obs() -> FleetObs {
+        let mut snapshot = MetricsSnapshot::default();
+        for (name, v) in [
+            ("machine.0.aoe.client.reads", 10),
+            ("machine.1.aoe.client.reads", 5),
+            ("machine.1.aoe.client.retransmits", 7),
+            ("fleet.aoe.client.reads", 15),
+        ] {
+            snapshot.counters.insert(name.into(), v);
+        }
+        snapshot.gauges.insert("fleet.machines_booted".into(), 2);
+        let edge = |secs: u64, raised: bool| Alert {
+            at: SimTime::from_secs(secs),
+            rule: SloRule::CacheCollapse,
+            raised,
+            detail: String::new(),
+        };
+        let row = |machine: usize, boot_s: f64| StragglerRow {
+            machine,
+            boot_s,
+            init_s: 0.0,
+            deploy_s: 4.5,
+            devirt_s: 0.0001,
+            rtt_total_s: 2.25,
+            rtt_mean_us: 17578.125,
+            reads: 128,
+            retransmits: 3,
+            busy_hints: 2,
+            budget_holds: 1,
+            busy_backoff_s: 0.02,
+            queue_excess_s: 0.75,
+            peer_reads: 96,
+            origin_reads: 32,
+        };
+        FleetObs {
+            snapshot,
+            alerts: vec![edge(3, true), edge(5, false), edge(6, true)],
+            report: StragglerReport {
+                stragglers: vec![row(1, 9.5)],
+                median: row(0, 6.25),
+                booted: 2,
+            },
+            trace_json: "{\"traceEvents\": [\n  {\"name\": \"boot\", \"ph\": \"X\"}\n]}\n".into(),
+            booted: 2,
+        }
+    }
+
+    #[test]
+    fn each_obs_gate_fails_on_its_own_violation() {
+        let failed = |obs: &FleetObs| -> Vec<String> {
+            obs.gates()
+                .into_iter()
+                .filter(Check::failed)
+                .map(|c| c.metric)
+                .collect()
+        };
+        assert_eq!(failed(&consistent_obs()), Vec::<String>::new());
+        type Break = fn(&mut FleetObs);
+        let cases: [(&str, Break); 6] = [
+            ("obs member reads sum", |o| {
+                o.snapshot.counters.insert("fleet.aoe.client.reads".into(), 14);
+            }),
+            ("obs fleet.machines_booted", |o| {
+                o.snapshot.gauges.insert("fleet.machines_booted".into(), 0);
+            }),
+            ("obs alerts raise before", |o| {
+                o.alerts.remove(0);
+            }),
+            ("obs stragglers", |o| o.report.stragglers[0].boot_s = 6.0),
+            ("obs stragglers", |o| o.report.stragglers[0].origin_reads = 31),
+            ("obs fleet trace carries spans", |o| {
+                o.trace_json = "{\"traceEvents\": [\n  {\"ph\": \"M\"}\n]}\n".into()
+            }),
+        ];
+        for (gate, break_it) in cases {
+            let mut obs = consistent_obs();
+            break_it(&mut obs);
+            let failed = failed(&obs);
+            assert_eq!(failed.len(), 1, "{gate}: {failed:?}");
+            assert!(failed[0].starts_with(gate), "{gate}: {failed:?}");
         }
     }
 }

@@ -1,5 +1,5 @@
-//! `reproduce` refuses a mistyped flag or a value flag without its value
-//! before it runs anything: no figure, no `BENCH_*.json` written into
+//! `reproduce` refuses a mistyped flag, a value flag without its value,
+//! or an invalid flag value or combination before it runs anything: no figure, no `BENCH_*.json` written into
 //! the working directory.
 
 use std::path::PathBuf;
@@ -87,5 +87,32 @@ fn value_flags_without_a_value_fail_before_any_work() {
             stderr.contains(&format!("{flag} takes a value")),
             "{args:?}: {stderr}"
         );
+    }
+}
+
+#[test]
+fn invalid_flag_values_fail_before_any_work() {
+    // Each of these used to panic (exit 101); the unknown fault preset
+    // only after the whole scale-out figure had run and written its
+    // record.
+    for (tag, args, problem) in [
+        (
+            "transport-alone",
+            &["--quick", "--transport", "all"][..],
+            "--transport requires --scaleout",
+        ),
+        (
+            "transport-kind",
+            &["--quick", "--scaleout", "--transport", "bogus"][..],
+            "--transport takes aoe|batched|rdma|all",
+        ),
+        (
+            "faults-preset",
+            &["--quick", "--scaleout", "--faults", "bogus"][..],
+            "--faults takes one of",
+        ),
+    ] {
+        let stderr = refused(tag, args);
+        assert!(stderr.contains(problem), "{args:?}: {stderr}");
     }
 }

@@ -150,8 +150,6 @@ impl Runner {
     /// Like [`Runner::bmcast`] but with metrics and tracing attached
     /// *before* deployment is armed, so even the retriever's first fetch
     /// burst and the `phase.deployment` transition are observed.
-    /// ([`Runner::enable_telemetry`] attaches mid-flight and misses
-    /// whatever already happened.)
     pub fn bmcast_instrumented(spec: &MachineSpec, cfg: BmcastConfig) -> Runner {
         Runner::bmcast_instrumented_with_ring(spec, cfg, 4096)
     }
@@ -217,15 +215,6 @@ impl Runner {
         self.machine
     }
 
-    /// Turns on metrics and tracing for this machine and everything it
-    /// owns (mediators, background copy, AoE endpoints). Idempotent but
-    /// resets any counts accumulated so far. Costs one branch per
-    /// instrumentation point; disabled is the default.
-    pub fn enable_telemetry(&mut self) {
-        self.machine
-            .set_telemetry(Metrics::enabled(), Tracer::enabled(4096));
-    }
-
     /// A point-in-time snapshot of every metric (`None` if telemetry is
     /// off). The tracer's own accounting is mirrored into the snapshot as
     /// `trace.emitted` / `trace.dropped` gauges, so ring overflow is
@@ -243,8 +232,8 @@ impl Runner {
         self.machine.metrics.snapshot()
     }
 
-    /// The machine's tracer handle (disabled unless
-    /// [`Runner::enable_telemetry`] ran).
+    /// The machine's tracer handle (disabled unless the runner was built
+    /// instrumented or flight-recorded).
     pub fn tracer(&self) -> &Tracer {
         &self.machine.tracer
     }

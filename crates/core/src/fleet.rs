@@ -656,7 +656,7 @@ impl Fleet {
                 BlockStore::image(cfg.spec.image_sectors, cfg.spec.image_seed),
             );
             let server = AoeServer::new(
-                crate::transport::for_kind(cfg.machine_cfg.transport).server_config(
+                cfg.machine_cfg.transport.server_config(
                     ServerConfig {
                         mtu: cfg.machine_cfg.mtu,
                         shelf: j as u16,
@@ -1175,7 +1175,7 @@ impl Fleet {
             BlockStore::image(self.cfg.spec.image_sectors, self.member_seed[i]),
         );
         let mut server = AoeServer::new(
-            crate::transport::for_kind(self.cfg.machine_cfg.transport).server_config(
+            self.cfg.machine_cfg.transport.server_config(
                 ServerConfig {
                     mtu: self.cfg.machine_cfg.mtu,
                     shelf,

@@ -553,7 +553,7 @@ impl Vmm {
             rto: SimDuration::from_millis(50),
             ..ClientConfig::default()
         });
-        crate::transport::for_kind(cfg.transport).configure_client(&mut client);
+        cfg.transport.configure_client(&mut client);
         Vmm {
             port: StoragePort::new(spec.controller, bitmap_region),
             bitmap,
@@ -868,7 +868,7 @@ impl Machine {
             BlockStore::image(spec.image_sectors, spec.image_seed),
         );
         let server = AoeServer::new(
-            crate::transport::for_kind(cfg.transport).server_config(ServerConfig {
+            cfg.transport.server_config(ServerConfig {
                 mtu: cfg.mtu,
                 ..ServerConfig::default()
             }),
@@ -1413,7 +1413,7 @@ fn begin_redirect(m: &mut Machine, sim: &mut MachineSim, target: RedirectTarget)
             Vec::new(),
         )
     };
-    let plans = crate::transport::for_kind(vmm.cfg.transport).plan_reads(&vmm.client, &holes);
+    let plans = vmm.cfg.transport.plan_reads(&vmm.client, &holes);
     vmm.redirect = Some(RedirectInFlight {
         target,
         outstanding: plans.len() + filled.len(),
@@ -1857,7 +1857,7 @@ fn schedule_retransmit_guard(m: &mut Machine, sim: &mut MachineSim) {
         for members in reissue_redirects {
             let vmm = m.vmm.as_mut().expect("still here");
             let plans =
-                crate::transport::for_kind(vmm.cfg.transport).plan_reads(&vmm.client, &members);
+                vmm.cfg.transport.plan_reads(&vmm.client, &members);
             let mut fs_all = Vec::new();
             for plan in plans {
                 let (id, fs) =
@@ -2048,7 +2048,7 @@ fn retriever_fire(m: &mut Machine, sim: &mut MachineSim) {
     // The transport turns the claimed blocks into wire requests: one
     // per block for plain AoE (the historical shape), coalesced
     // multi-range batches for the batched/RDMA transports.
-    let plans = crate::transport::for_kind(vmm.cfg.transport).plan_reads(&vmm.client, &claims);
+    let plans = vmm.cfg.transport.plan_reads(&vmm.client, &claims);
     let mut frames = Vec::new();
     for plan in plans {
         // The AoE round-trip span nests under the first covered block's
@@ -2391,7 +2391,7 @@ fn snapshot_pump(m: &mut Machine, sim: &mut MachineSim) {
     // for plain AoE, adjacent claims fused into single larger writes for
     // the batched/RDMA transports (acks map back per claim).
     let mut all_frames = Vec::new();
-    for plan in crate::transport::for_kind(vmm.cfg.transport).plan_writes(&vmm.client, &claims) {
+    for plan in vmm.cfg.transport.plan_writes(&vmm.client, &claims) {
         let parent = snap.send_span(plan.members[0].lba.0);
         // Read the dirty run from the local disk in VMM context.
         let (_t, data) = m.hw.disk.read(plan.range);

@@ -217,8 +217,8 @@ pub fn chrome_trace_json_multi(processes: &[(&str, &[Span], &[SampleRow])]) -> S
 }
 
 /// Renders the timeline alone as a line-oriented JSON document
-/// (`{"rows": [{"t_s": ..., "series": {...}}, ...]}`) — the artifact
-/// `check_figures.py --trace` validates for monotone bitmap fill.
+/// (`{"rows": [{"t_s": ..., "series": {...}}, ...]}`) — the
+/// `timeline.json` artifact of `reproduce --trace-out`.
 pub fn timeline_json(samples: &[SampleRow]) -> String {
     let mut out = String::from("{\"rows\": [\n");
     for (i, row) in samples.iter().enumerate() {
@@ -248,8 +248,8 @@ pub fn timeline_json(samples: &[SampleRow]) -> String {
 
 /// Renders the SLO alert timeline as a line-oriented JSON document
 /// (`{"alerts": [{"t_s": ..., "rule": ..., "edge": ..., "detail": ...},
-/// ...]}`) — the `fleet_alerts.json` artifact `check_figures.py --obs`
-/// validates. Edge events appear in firing order; deterministic.
+/// ...]}`) — the `fleet_alerts.json` artifact of `reproduce
+/// --fleet-obs`. Edge events appear in firing order; deterministic.
 pub fn alerts_json(alerts: &[Alert]) -> String {
     let mut out = String::from("{\"alerts\": [\n");
     for (i, a) in alerts.iter().enumerate() {
