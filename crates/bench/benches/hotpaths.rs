@@ -14,13 +14,21 @@
 //! `checksum_mtu_frame_byte_serial_reference` is the seed's byte-serial
 //! checksum, for the same in-run comparison. The `aoe_server` targets
 //! time `AoeServer::handle` on one 8-sector read, cache hit and miss.
+//!
+//! The `hw_disk` targets time the disk layer every copy-on-read fill,
+//! background write and dummy-sector read goes through: the drive
+//! model's `access_time` (a cached and a cold 1 MiB read, and one
+//! sector against the worst-case window of 4,096 one-sector runs, as a
+//! miss and as a hit), `BlockStore::write_range` of a 1 MiB image block
+//! into a mirror store, with and without 32 MiB of tenant pages, and
+//! `read_range` of one 17-sector MTU fragment from an image store.
 
 use aoe::wire::{frame_checksum, sectors_per_frame, AoePdu, Tag};
 use aoe::{AoeClient, AoeServer, ClientConfig, ServerConfig};
 use bmcast::bitmap::BlockBitmap;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hwsim::block::{BlockRange, BlockStore, Lba};
-use hwsim::disk::{DiskModel, DiskParams};
+use hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
+use hwsim::disk::{DiskModel, DiskOp, DiskParams};
 use simkit::SimTime;
 use std::time::Duration;
 
@@ -303,5 +311,91 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_bitmap, bench_aoe, bench_server, bench_wire);
+/// The hw disk layer, one call per iteration. Every target leaves the
+/// model as it found it, or cycles through states of the same cost.
+fn bench_disk(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hw_disk");
+    group
+        .sample_size(2_000)
+        .warm_up_time(Duration::from_secs(1))
+        .measurement_time(Duration::from_secs(3));
+    let params = DiskParams::default();
+    let cap = params.capacity_sectors;
+    let disk = || DiskModel::new(params.clone(), BlockStore::zeroed(cap));
+    let mib = |i: u64| BlockRange::new(Lba(i * 2048), 2048);
+
+    // A cached read is answered without being remembered again.
+    let mut cached = disk();
+    cached.access_time(DiskOp::Write, mib(0));
+    group.bench_function("access_time_1mib_read_cached", |b| {
+        b.iter(|| cached.access_time(DiskOp::Read, black_box(mib(0))))
+    });
+    // Three 1 MiB ranges in turn against a 2 MiB window: always a miss.
+    let mut cold = disk();
+    let mut turn = 0u64;
+    group.bench_function("access_time_1mib_read_cold", |b| {
+        b.iter(|| {
+            turn = (turn + 1) % 3;
+            cold.access_time(DiskOp::Read, black_box(mib(turn * 1000)))
+        })
+    });
+    // 4,097 one-sector runs two sectors apart, pushed in turn: the window
+    // holds all but the one evicted last, so probing them in push order
+    // misses every time and keeps the window at 4,096 runs.
+    let runs = params.cache_sectors as u64 + 1;
+    let one = |i: u64| BlockRange::new(Lba(2 * (i % runs)), 1);
+    let mut window = disk();
+    for i in 0..runs {
+        window.access_time(DiskOp::Write, one(i));
+    }
+    let mut next = 0u64;
+    group.bench_function("access_time_4096_runs_miss", |b| {
+        b.iter(|| {
+            let t = window.access_time(DiskOp::Read, black_box(one(next)));
+            next += 1;
+            t
+        })
+    });
+    // The newest run: a hit found at the end of a full pass.
+    let newest = one(next + runs - 1);
+    assert!(window.cache_hit(newest));
+    group.bench_function("access_time_4096_runs_hit", |b| {
+        b.iter(|| window.access_time(DiskOp::Read, black_box(newest)))
+    });
+
+    let seed = 0x1DE;
+    let block = mib(4096);
+    let image: Vec<_> = block
+        .iter()
+        .map(|l| BlockStore::image_content(seed, l))
+        .collect();
+    let mut mirror = BlockStore::zeroed_with_mirror(SECTORS_32GB, seed);
+    group.bench_function("write_range_1mib_image_block_mirror", |b| {
+        b.iter(|| mirror.write_range(black_box(block), &image))
+    });
+    // 32 MiB of tenant data elsewhere: one page lookup per 64 sectors.
+    let tenant = vec![SectorData(7); 2048];
+    for i in 0..32 {
+        mirror.write_range(mib(i * 2), &tenant);
+    }
+    group.bench_function("write_range_1mib_image_block_mirror_32mib_tenant", |b| {
+        b.iter(|| mirror.write_range(black_box(block), &image))
+    });
+
+    let server = BlockStore::image(SECTORS_32GB, seed);
+    let fragment = BlockRange::new(Lba(4096), sectors_per_frame(9000));
+    group.bench_function("read_range_mtu_fragment_image", |b| {
+        b.iter(|| server.read_range(black_box(fragment)))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_bitmap,
+    bench_aoe,
+    bench_server,
+    bench_wire,
+    bench_disk
+);
 criterion_main!(benches);

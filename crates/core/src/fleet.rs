@@ -523,6 +523,9 @@ pub struct Fleet {
     lifecycle: Vec<LifecycleStage>,
     /// Members that still gate the current lifecycle wave's completion.
     wave_pending: Vec<bool>,
+    /// Set entries of `wave_pending`, kept by `set_wave_pending` so the
+    /// run loop's exit check is O(1), like `booted_n`'s.
+    wave_pending_n: usize,
     /// Scale-down flag: hold the member empty after reclaim instead of
     /// redeploying.
     park_after_reclaim: Vec<bool>,
@@ -712,6 +715,7 @@ impl Fleet {
             peer_pending: vec![false; n],
             lifecycle: vec![LifecycleStage::Idle; n],
             wave_pending: vec![false; n],
+            wave_pending_n: 0,
             park_after_reclaim: vec![false; n],
             lifecycle_mode: false,
             upgrade_queue: VecDeque::new(),
@@ -962,10 +966,26 @@ impl Fleet {
         }
     }
 
+    /// Sets whether member `i` gates the current lifecycle wave.
+    fn set_wave_pending(&mut self, i: usize, pending: bool) {
+        if self.wave_pending[i] != pending {
+            self.wave_pending[i] = pending;
+            if pending {
+                self.wave_pending_n += 1;
+            } else {
+                self.wave_pending_n -= 1;
+            }
+        }
+    }
+
     /// Whether the current run (boot or lifecycle wave) is complete.
     fn run_done(&self) -> bool {
         if self.lifecycle_mode {
-            !self.wave_pending.iter().any(|p| *p)
+            debug_assert_eq!(
+                self.wave_pending_n,
+                self.wave_pending.iter().filter(|p| **p).count()
+            );
+            self.wave_pending_n == 0
         } else {
             self.booted_count() == self.machines.len()
         }
@@ -1089,7 +1109,7 @@ impl Fleet {
         self.member_seed[i] = self.upgrade_seed;
         if self.park_after_reclaim[i] {
             self.lifecycle[i] = LifecycleStage::Parked;
-            self.wave_pending[i] = false;
+            self.set_wave_pending(i, false);
             self.admit_upgrade_next(at);
         } else {
             self.lifecycle[i] = LifecycleStage::Redeploying;
@@ -1100,7 +1120,7 @@ impl Fleet {
     fn note_redeployed(&mut self, i: usize, at: SimTime) {
         self.lifecycle[i] = LifecycleStage::Done;
         self.redeploy_done[i] = Some(at);
-        self.wave_pending[i] = false;
+        self.set_wave_pending(i, false);
         self.admit_upgrade_next(at);
     }
 
@@ -1373,7 +1393,7 @@ impl Fleet {
             );
             self.nodes[0].server.add_volume(slot, disk);
             self.lifecycle[i] = LifecycleStage::Queued;
-            self.wave_pending[i] = true;
+            self.set_wave_pending(i, true);
             self.park_after_reclaim[i] = park;
             self.redeploy_done[i] = None;
         }
@@ -1479,7 +1499,7 @@ impl Fleet {
                 "machine {i} is not parked"
             );
             self.lifecycle[i] = LifecycleStage::Redeploying;
-            self.wave_pending[i] = true;
+            self.set_wave_pending(i, true);
             self.redeploy_done[i] = None;
             self.member_seed[i] = new_seed;
             let boxed = program(i);

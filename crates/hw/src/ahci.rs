@@ -14,8 +14,8 @@
 
 use crate::block::BlockRange;
 use crate::disk::DiskModel;
-use crate::ide::{AtaOp, PrdTable};
-use crate::mem::{DmaBuffer, PhysAddr, PhysMem};
+use crate::ide::{dma_transfer, AtaOp, PrdTable};
+use crate::mem::{PhysAddr, PhysMem};
 
 /// Physical base address of the HBA's MMIO window (ABAR).
 pub const ABAR: u64 = 0xFEB0_0000;
@@ -328,40 +328,11 @@ impl AhciController {
             );
         }
         if cmd.op.is_dma() {
-            let header_ctba = cmd.prd;
-            let table = mem
-                .get::<AhciCmdTable>(header_ctba)
-                .expect("command table vanished")
-                .clone();
-            assert_eq!(
-                table.prdt.total_sectors(),
-                cmd.range.sectors,
-                "PRDT sectors disagree with FIS"
-            );
-            let mut lba = cmd.range.lba;
-            for entry in &table.prdt.entries {
-                let span = BlockRange::new(lba, entry.sectors);
-                match cmd.op {
-                    AtaOp::ReadDma => {
-                        let data = disk.store().read_range(span);
-                        let buf = mem
-                            .get_mut::<DmaBuffer>(entry.buf)
-                            .expect("DMA buffer not in memory");
-                        buf.sectors.clear();
-                        buf.sectors.extend_from_slice(&data);
-                    }
-                    AtaOp::WriteDma => {
-                        let data = mem
-                            .get::<DmaBuffer>(entry.buf)
-                            .expect("DMA buffer not in memory")
-                            .sectors
-                            .clone();
-                        disk.store_mut().write_range(span, &data);
-                    }
-                    _ => unreachable!(),
-                }
-                lba = span.end();
-            }
+            dma_transfer(mem, disk, cmd.op, cmd.range, cmd.prd, |mem, addr| {
+                &mem.get::<AhciCmdTable>(addr)
+                    .expect("command table vanished")
+                    .prdt
+            });
         }
         let p = &mut self.ports[port];
         p.executing &= !(1 << slot);
@@ -379,6 +350,7 @@ mod tests {
     use crate::block::{BlockStore, Lba, SectorData};
     use crate::disk::DiskParams;
     use crate::ide::PrdEntry;
+    use crate::mem::DmaBuffer;
 
     fn rig() -> (AhciController, PhysMem, DiskModel) {
         let params = DiskParams {

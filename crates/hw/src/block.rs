@@ -7,7 +7,8 @@
 //! is never overwritten by the background copy" — remains an exact equality
 //! check on fingerprints.
 
-use std::collections::HashMap;
+use crate::hash::U64Map;
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::ops::{Add, Deref};
 use std::sync::Arc;
@@ -210,7 +211,31 @@ enum DefaultContent {
     Image { seed: u64 },
 }
 
+/// Sectors per page of a [`BlockStore`]'s written data.
+const PAGE_SECTORS: u64 = 64;
+
+/// The written sectors of one 64-sector-aligned page of a store.
+#[derive(Debug, Clone)]
+struct Page {
+    /// Bit `i` set: `data[i]` holds sector `64·page + i`. Never zero for
+    /// a page in the map.
+    present: u64,
+    data: [SectorData; PAGE_SECTORS as usize],
+}
+
+/// The bits of the page-relative sectors `from..from + len`
+/// (`from + len ≤ 64`, `len ≥ 1`).
+fn page_mask(from: u64, len: u64) -> u64 {
+    (u64::MAX >> (PAGE_SECTORS - len)) << from
+}
+
 /// A sparse store of sector contents with a default-content generator.
+///
+/// Written sectors live in 64-sector pages (a present mask plus 64
+/// fingerprints), keyed by page index in a map that is never iterated.
+/// A page is created by its first non-mirrored write and dropped when its
+/// last sector leaves, so a range call costs at most one map lookup per
+/// page it spans and none while the store holds no page.
 ///
 /// # Examples
 ///
@@ -229,51 +254,49 @@ enum DefaultContent {
 pub struct BlockStore {
     capacity_sectors: u64,
     default: DefaultContent,
-    written: HashMap<u64, SectorData>,
+    /// Written sectors not held as mirror bits, by page index.
+    pages: U64Map<Box<Page>>,
+    /// Present bits over all pages: [`BlockStore::written_sectors`].
+    written: usize,
     /// Space optimization for deployment targets: sectors whose written
     /// content equals `image_content(mirror_seed, lba)` are tracked as one
-    /// bit instead of a map entry, so copying a whole 32-GB image costs
-    /// megabytes, not gigabytes. Semantically invisible.
+    /// bit instead of a page entry, so copying a whole 32-GB image costs
+    /// megabytes, not gigabytes. One word per page; a sector is never
+    /// both a mirror bit and present in a page. Semantically invisible.
     mirror_seed: Option<u64>,
     mirror_bits: Vec<u64>,
 }
 
 impl BlockStore {
+    fn new(capacity_sectors: u64, default: DefaultContent, mirror_seed: Option<u64>) -> BlockStore {
+        let mirror_words = mirror_seed.map_or(0, |_| capacity_sectors.div_ceil(PAGE_SECTORS));
+        BlockStore {
+            capacity_sectors,
+            default,
+            pages: U64Map::default(),
+            written: 0,
+            mirror_seed,
+            mirror_bits: vec![0; mirror_words as usize],
+        }
+    }
+
     /// A blank store (all sectors zero until written), e.g. a freshly
     /// leased bare-metal instance's local disk.
     pub fn zeroed(capacity_sectors: u64) -> BlockStore {
-        BlockStore {
-            capacity_sectors,
-            default: DefaultContent::Zeroes,
-            written: HashMap::new(),
-            mirror_seed: None,
-            mirror_bits: Vec::new(),
-        }
+        BlockStore::new(capacity_sectors, DefaultContent::Zeroes, None)
     }
 
     /// A blank store expected to be filled with the image keyed by `seed`:
     /// writes that match the image's content are stored compactly.
     /// Contents behave identically to [`BlockStore::zeroed`].
     pub fn zeroed_with_mirror(capacity_sectors: u64, seed: u64) -> BlockStore {
-        BlockStore {
-            capacity_sectors,
-            default: DefaultContent::Zeroes,
-            written: HashMap::new(),
-            mirror_seed: Some(seed),
-            mirror_bits: vec![0; capacity_sectors.div_ceil(64) as usize],
-        }
+        BlockStore::new(capacity_sectors, DefaultContent::Zeroes, Some(seed))
     }
 
     /// A store pre-filled with a deterministic image keyed by `seed`, e.g.
     /// the OS image on the storage server.
     pub fn image(capacity_sectors: u64, seed: u64) -> BlockStore {
-        BlockStore {
-            capacity_sectors,
-            default: DefaultContent::Image { seed },
-            written: HashMap::new(),
-            mirror_seed: None,
-            mirror_bits: Vec::new(),
-        }
+        BlockStore::new(capacity_sectors, DefaultContent::Image { seed }, None)
     }
 
     /// The deterministic content of sector `lba` of an image with `seed`.
@@ -298,9 +321,49 @@ impl BlockStore {
         self.capacity_sectors * SECTOR_SIZE
     }
 
-    /// Number of sectors that have been explicitly written.
+    /// Number of sectors holding a written value that is not tracked as a
+    /// mirror bit. On a mirror store ([`BlockStore::zeroed_with_mirror`])
+    /// an image-matching write is kept as a bit and not counted: it also
+    /// drops any earlier value of that sector from the count.
     pub fn written_sectors(&self) -> usize {
-        self.written.len()
+        self.written
+    }
+
+    /// Splits `lba .. lba + sectors` into page-aligned chunks, calling
+    /// `f(page, from, len)` with the page index and the chunk's
+    /// page-relative start and length, in ascending order.
+    fn for_each_chunk(lba: u64, sectors: u64, mut f: impl FnMut(u64, u64, u64)) {
+        let (mut at, end) = (lba, lba + sectors);
+        while at < end {
+            let (page, from) = (at / PAGE_SECTORS, at % PAGE_SECTORS);
+            let len = (PAGE_SECTORS - from).min(end - at);
+            f(page, from, len);
+            at += len;
+        }
+    }
+
+    /// The page holding `page`'s written sectors, skipping the lookup
+    /// while the store holds no page.
+    fn page(&self, page: u64) -> Option<&Page> {
+        if self.pages.is_empty() {
+            return None;
+        }
+        self.pages.get(&page).map(|p| &**p)
+    }
+
+    /// Sector `i` of page `page`, whose written sectors are `written`.
+    fn sector_in(&self, written: Option<&Page>, page: u64, i: u64) -> SectorData {
+        if let Some(p) = written.filter(|p| p.present & 1 << i != 0) {
+            return p.data[i as usize];
+        }
+        let lba = Lba(page * PAGE_SECTORS + i);
+        match (self.mirror_seed, self.default) {
+            (Some(seed), _) if self.mirror_bits[page as usize] & 1 << i != 0 => {
+                Self::image_content(seed, lba)
+            }
+            (_, DefaultContent::Zeroes) => SectorData::ZERO,
+            (_, DefaultContent::Image { seed }) => Self::image_content(seed, lba),
+        }
     }
 
     /// Reads one sector.
@@ -310,18 +373,8 @@ impl BlockStore {
     /// Panics if `lba` is beyond the store's capacity.
     pub fn read(&self, lba: Lba) -> SectorData {
         assert!(lba.0 < self.capacity_sectors, "read past end of store: {lba}");
-        if let Some(&d) = self.written.get(&lba.0) {
-            return d;
-        }
-        if let Some(seed) = self.mirror_seed {
-            if self.mirror_bits[(lba.0 / 64) as usize] & (1 << (lba.0 % 64)) != 0 {
-                return Self::image_content(seed, lba);
-            }
-        }
-        match self.default {
-            DefaultContent::Zeroes => SectorData::ZERO,
-            DefaultContent::Image { seed } => Self::image_content(seed, lba),
-        }
+        let page = lba.0 / PAGE_SECTORS;
+        self.sector_in(self.page(page), page, lba.0 % PAGE_SECTORS)
     }
 
     /// Reads a whole range into a vector.
@@ -334,9 +387,30 @@ impl BlockStore {
     /// Appends a whole range to `out`, reusing its allocation — the
     /// copy-light path for callers that recycle buffers or fill one
     /// buffer from several ranges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range extends past the store's capacity.
     pub fn read_range_into(&self, range: BlockRange, out: &mut Vec<SectorData>) {
+        let sectors = range.sectors as u64;
+        if sectors == 0 {
+            return;
+        }
+        self.check_in_bounds(range, "read");
         out.reserve(range.sectors as usize);
-        out.extend(range.iter().map(|lba| self.read(lba)));
+        Self::for_each_chunk(range.lba.0, sectors, |page, from, len| {
+            let written = self.page(page);
+            out.extend((from..from + len).map(|i| self.sector_in(written, page, i)));
+        });
+    }
+
+    /// Panics, naming the first sector past the end, unless `range` fits.
+    fn check_in_bounds(&self, range: BlockRange, what: &str) {
+        assert!(
+            range.end().0 <= self.capacity_sectors,
+            "{what} past end of store: {}",
+            Lba(range.lba.0.max(self.capacity_sectors))
+        );
     }
 
     /// Writes one sector.
@@ -345,20 +419,7 @@ impl BlockStore {
     ///
     /// Panics if `lba` is beyond the store's capacity.
     pub fn write(&mut self, lba: Lba, data: SectorData) {
-        assert!(
-            lba.0 < self.capacity_sectors,
-            "write past end of store: {lba}"
-        );
-        if let Some(seed) = self.mirror_seed {
-            let (w, b) = ((lba.0 / 64) as usize, 1u64 << (lba.0 % 64));
-            if data == Self::image_content(seed, lba) {
-                self.mirror_bits[w] |= b;
-                self.written.remove(&lba.0);
-                return;
-            }
-            self.mirror_bits[w] &= !b;
-        }
-        self.written.insert(lba.0, data);
+        self.write_range(BlockRange::new(lba, 1), &[data]);
     }
 
     /// Writes a range from a slice of sector contents.
@@ -373,8 +434,53 @@ impl BlockStore {
             range.sectors as usize,
             "write_range: data length must match range"
         );
-        for (lba, &d) in range.iter().zip(data) {
-            self.write(lba, d);
+        if data.is_empty() {
+            return;
+        }
+        self.check_in_bounds(range, "write");
+        let start = range.lba.0;
+        Self::for_each_chunk(start, data.len() as u64, |page, from, len| {
+            let at = (page * PAGE_SECTORS + from - start) as usize;
+            self.write_chunk(page, from, &data[at..at + len as usize]);
+        });
+    }
+
+    /// Writes `data` to page `page` from page-relative sector `from`.
+    fn write_chunk(&mut self, page: u64, from: u64, data: &[SectorData]) {
+        let mask = page_mask(from, data.len() as u64);
+        // Sectors that go into the page; the rest become mirror bits.
+        let mut kept = mask;
+        if let Some(seed) = self.mirror_seed {
+            let base = page * PAGE_SECTORS + from;
+            let image = data
+                .iter()
+                .enumerate()
+                .filter(|&(k, &d)| d == Self::image_content(seed, Lba(base + k as u64)))
+                .fold(0u64, |bits, (k, _)| bits | 1 << (from + k as u64));
+            kept &= !image;
+            let word = &mut self.mirror_bits[page as usize];
+            *word = (*word | image) & !kept;
+        }
+        if kept == 0 && self.pages.is_empty() {
+            return;
+        }
+        let mut slot = match self.pages.entry(page) {
+            Entry::Occupied(slot) => slot,
+            Entry::Vacant(slot) if kept != 0 => slot.insert_entry(Box::new(Page {
+                present: 0,
+                data: [SectorData::ZERO; PAGE_SECTORS as usize],
+            })),
+            // Image-matching writes to a page without tenant data.
+            Entry::Vacant(_) => return,
+        };
+        let p = slot.get_mut();
+        let before = p.present.count_ones() as usize;
+        let from = from as usize;
+        p.data[from..from + data.len()].copy_from_slice(data);
+        p.present = (p.present & !mask) | kept;
+        self.written = self.written - before + p.present.count_ones() as usize;
+        if p.present == 0 {
+            slot.remove();
         }
     }
 }
@@ -480,6 +586,31 @@ mod tests {
         mirrored.write(Lba(5), img);
         assert_eq!(mirrored.read(Lba(5)), img);
         assert_eq!(mirrored.written_sectors(), 0);
+    }
+
+    #[test]
+    fn image_matching_write_drops_an_earlier_tenant_value() {
+        let mut s = BlockStore::zeroed_with_mirror(1000, 0x42);
+        // Tenant data straddling the first page boundary.
+        s.write_range(BlockRange::new(Lba(60), 8), &[SectorData(9); 8]);
+        assert_eq!(s.written_sectors(), 8);
+        // Writing the image's content over one of them keeps a mirror
+        // bit instead, and the tenant value leaves the count.
+        let img = BlockStore::image_content(0x42, Lba(62));
+        s.write(Lba(62), img);
+        assert_eq!(s.read(Lba(62)), img);
+        assert_eq!(s.read(Lba(63)), SectorData(9));
+        assert_eq!(s.written_sectors(), 7);
+        // Mirroring the rest of the first page empties it; the second
+        // page keeps its four tenant sectors.
+        for l in [60, 61, 63] {
+            s.write(Lba(l), BlockStore::image_content(0x42, Lba(l)));
+        }
+        assert_eq!(s.written_sectors(), 4);
+        assert_eq!(
+            s.read_range(BlockRange::new(Lba(64), 4)),
+            vec![SectorData(9); 4]
+        );
     }
 
     #[test]

@@ -3,14 +3,99 @@
 //! Models the evaluation machine's Seagate Constellation.2 ST9500620NS
 //! (500 GB, 7200 rpm SATA): seek as `a + b·sqrt(distance)`, half-rotation
 //! latency on non-sequential access, constant media transfer rate, a small
-//! on-disk cache (recently accessed sectors and readahead), and per-command
-//! overhead. The model is stateful — it tracks head position — so
-//! interleaving guest and VMM accesses to different disk regions produces
-//! the seek interference the paper observes in Figure 14.
+//! on-disk cache (the last few thousand sectors serviced; no readahead is
+//! modelled), and per-command overhead. The model is stateful — it tracks
+//! head position — so interleaving guest and VMM accesses to different
+//! disk regions produces the seek interference the paper observes in
+//! Figure 14.
 
 use crate::block::{BlockRange, BlockStore, Lba, SectorData};
 use simkit::SimDuration;
 use std::collections::VecDeque;
+
+/// The on-disk cache window: the last `cap` sector instances the media
+/// serviced, reads and writes alike, duplicates included, oldest first.
+///
+/// Stored as a FIFO of `(start_lba, sectors)` runs. Each access appends
+/// its range as one run (merged into the newest run when it continues
+/// it), then the oldest runs are trimmed from the front until at most
+/// `cap` instances remain. This holds exactly the window a per-sector
+/// FIFO popped after every push would hold: a range is pushed in
+/// ascending LBA order, so trimming after the whole push keeps the same
+/// suffix, and eviction only ever shortens the oldest run from its front.
+#[derive(Debug, Clone, Default)]
+struct DriveCache {
+    runs: VecDeque<(u64, u64)>,
+    /// Sector instances held: the sum of the runs' lengths.
+    held: u64,
+}
+
+impl DriveCache {
+    /// Appends `range`'s sectors, then trims the window to `cap`. A
+    /// zero-sector range is never remembered.
+    fn remember(&mut self, range: BlockRange, cap: u64) {
+        let (start, sectors) = (range.lba.0, range.sectors as u64);
+        if sectors == 0 {
+            return;
+        }
+        match self.runs.back_mut() {
+            Some((s, n)) if *s + *n == start => *n += sectors,
+            _ => self.runs.push_back((start, sectors)),
+        }
+        self.held += sectors;
+        while self.held > cap {
+            let excess = self.held - cap;
+            let (s, n) = self.runs.front_mut().expect("held sectors without a run");
+            if *n <= excess {
+                self.held -= *n;
+                self.runs.pop_front();
+            } else {
+                *s += excess;
+                *n -= excess;
+                self.held -= excess;
+            }
+        }
+    }
+
+    /// Whether every sector of `range` is covered by some run in the
+    /// window (vacuously true for zero sectors).
+    ///
+    /// A cursor starts at the range's first sector; each pass over the
+    /// runs, oldest first, moves it past every run that contains it. The
+    /// answer is known when it reaches the range's end (hit) or a pass
+    /// moves it nowhere (miss). Each pass but the last moves the cursor
+    /// past at least one run for good, so the cost is at most one pass
+    /// per run the cover needs, plus one. A 1-sector probe, a range
+    /// inside one run, or a range covered by an ascending stream of runs
+    /// costs a single pass over the window's runs, with no per-sector
+    /// work and no allocation.
+    fn covers(&self, range: BlockRange) -> bool {
+        let (mut at, end) = (range.lba.0, range.end().0);
+        if at == end {
+            return true;
+        }
+        // The window holds `held` instances, so at most `held` distinct
+        // sectors.
+        if end - at > self.held {
+            return false;
+        }
+        loop {
+            let from = at;
+            for &(s, n) in &self.runs {
+                // `s <= at < s + n` in one comparison.
+                if at.wrapping_sub(s) < n {
+                    at = s + n;
+                    if at >= end {
+                        return true;
+                    }
+                }
+            }
+            if at == from {
+                return false;
+            }
+        }
+    }
+}
 
 /// Physical parameters of the disk model.
 ///
@@ -34,7 +119,12 @@ pub struct DiskParams {
     pub cmd_overhead: SimDuration,
     /// Service time for a read hitting the on-disk cache.
     pub cache_hit: SimDuration,
-    /// Number of recently accessed sectors the on-disk cache remembers.
+    /// Size of the on-disk cache window, in serviced sector instances:
+    /// the cache remembers the last `cache_sectors` sectors the media
+    /// serviced (every write, and every read the cache missed), counting a
+    /// sector once per access. Rewriting the same sectors, or re-reading
+    /// them in a read that misses elsewhere, therefore fills the window
+    /// with duplicates; a read served from the cache is not remembered.
     pub cache_sectors: usize,
 }
 
@@ -93,8 +183,8 @@ pub struct DiskModel {
     store: BlockStore,
     /// Next LBA the head would reach without repositioning.
     head: Lba,
-    /// Recently serviced sectors retained in the on-disk cache (FIFO).
-    cache: VecDeque<u64>,
+    /// Recently serviced sectors retained in the on-disk cache.
+    cache: DriveCache,
     total_busy: SimDuration,
     /// Fault-injection multiplier on every access time (1.0 = healthy).
     fault_latency_factor: f64,
@@ -119,7 +209,7 @@ impl DiskModel {
             params,
             store,
             head: Lba(0),
-            cache: VecDeque::new(),
+            cache: DriveCache::default(),
             total_busy: SimDuration::ZERO,
             fault_latency_factor: 1.0,
             fault_write_errors: false,
@@ -187,16 +277,7 @@ impl DiskModel {
 
     /// Whether a read of `range` would be served from the on-disk cache.
     pub fn cache_hit(&self, range: BlockRange) -> bool {
-        range.iter().all(|lba| self.cache.contains(&lba.0))
-    }
-
-    fn remember(&mut self, range: BlockRange) {
-        for lba in range.iter() {
-            self.cache.push_back(lba.0);
-            if self.cache.len() > self.params.cache_sectors {
-                self.cache.pop_front();
-            }
-        }
+        self.cache.covers(range)
     }
 
     /// Computes the service time for an access, updating head position and
@@ -241,7 +322,7 @@ impl DiskModel {
         t += SimDuration::from_nanos(range.bytes() * 1_000_000_000 / rate);
 
         self.head = range.end();
-        self.remember(range);
+        self.cache.remember(range, self.params.cache_sectors as u64);
         t
     }
 
@@ -332,6 +413,38 @@ mod tests {
         assert!(second < first);
         assert!(second <= SimDuration::from_micros(200));
         assert!(d.cache_hit(r));
+    }
+
+    #[test]
+    fn cache_window_counts_duplicate_sectors() {
+        // 8 early sectors plus 511 rewrites of 8 others fill the 4,096
+        // instance window exactly; the 512th rewrite evicts the early
+        // range although only 16 distinct sectors were ever touched.
+        let mut d = small_disk();
+        let early = BlockRange::new(Lba(100), 8);
+        let hot = BlockRange::new(Lba(5_000), 8);
+        d.access_time(DiskOp::Read, early);
+        for _ in 0..511 {
+            d.access_time(DiskOp::Write, hot);
+        }
+        assert!(d.cache_hit(early));
+        d.access_time(DiskOp::Write, hot);
+        assert!(!d.cache_hit(early), "duplicates pushed the early range out");
+        assert!(d.cache_hit(hot));
+    }
+
+    #[test]
+    fn reads_served_from_cache_are_not_remembered() {
+        // Re-reading 8 cached sectors 512 times adds nothing to the
+        // window: only the first read, a miss, is remembered.
+        let mut d = small_disk();
+        let early = BlockRange::new(Lba(100), 8);
+        let hot = BlockRange::new(Lba(5_000), 8);
+        d.access_time(DiskOp::Read, early);
+        for _ in 0..512 {
+            d.access_time(DiskOp::Read, hot);
+        }
+        assert!(d.cache_hit(early));
     }
 
     #[test]

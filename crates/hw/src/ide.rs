@@ -168,6 +168,53 @@ impl PrdTable {
     }
 }
 
+/// Moves a DMA command's data for `range` between `disk` and the buffers
+/// of the PRD table `prd(mem, table)`, in place: a read lands straight in
+/// each [`DmaBuffer`] and a write goes to the disk from the borrowed
+/// buffer, so neither the sectors nor the descriptors are copied. Shared
+/// by the IDE bus-master engine and the AHCI HBA.
+///
+/// # Panics
+///
+/// Panics if the table's sector total differs from `range`, a buffer is
+/// missing, or `op` is not a DMA operation.
+pub(crate) fn dma_transfer(
+    mem: &mut PhysMem,
+    disk: &mut DiskModel,
+    op: AtaOp,
+    range: BlockRange,
+    table: PhysAddr,
+    prd: fn(&PhysMem, PhysAddr) -> &PrdTable,
+) {
+    assert_eq!(
+        prd(mem, table).total_sectors(),
+        range.sectors,
+        "PRD sectors disagree with command"
+    );
+    let mut lba = range.lba;
+    for i in 0..prd(mem, table).entries.len() {
+        let entry = prd(mem, table).entries[i];
+        let span = BlockRange::new(lba, entry.sectors);
+        match op {
+            AtaOp::ReadDma => {
+                let buf = mem
+                    .get_mut::<DmaBuffer>(entry.buf)
+                    .expect("DMA buffer not in memory");
+                buf.sectors.clear();
+                disk.store().read_range_into(span, &mut buf.sectors);
+            }
+            AtaOp::WriteDma => {
+                let buf = mem
+                    .get::<DmaBuffer>(entry.buf)
+                    .expect("DMA buffer not in memory");
+                disk.store_mut().write_range(span, &buf.sectors);
+            }
+            _ => unreachable!("not a DMA operation"),
+        }
+        lba = span.end();
+    }
+}
+
 /// Events the controller reports to whoever owns the event loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdeAction {
@@ -450,40 +497,10 @@ impl IdeController {
     pub fn complete_active(&mut self, mem: &mut PhysMem, disk: &mut DiskModel) {
         let cmd = self.active.take().expect("complete_active: nothing active");
         if cmd.op.is_dma() {
-            let prd_addr = cmd.prd.expect("DMA command without PRD");
-            let prd = mem
-                .get::<PrdTable>(prd_addr)
-                .expect("PRD table not in memory")
-                .clone();
-            assert_eq!(
-                prd.total_sectors(),
-                cmd.range.sectors,
-                "PRD sectors disagree with command"
-            );
-            let mut lba = cmd.range.lba;
-            for entry in &prd.entries {
-                let span = BlockRange::new(lba, entry.sectors);
-                match cmd.op {
-                    AtaOp::ReadDma => {
-                        let data = disk.store().read_range(span);
-                        let buf = mem
-                            .get_mut::<DmaBuffer>(entry.buf)
-                            .expect("DMA buffer not in memory");
-                        buf.sectors.clear();
-                        buf.sectors.extend_from_slice(&data);
-                    }
-                    AtaOp::WriteDma => {
-                        let data = mem
-                            .get::<DmaBuffer>(entry.buf)
-                            .expect("DMA buffer not in memory")
-                            .sectors
-                            .clone();
-                        disk.store_mut().write_range(span, &data);
-                    }
-                    _ => unreachable!(),
-                }
-                lba = span.end();
-            }
+            let prd = cmd.prd.expect("DMA command without PRD");
+            dma_transfer(mem, disk, cmd.op, cmd.range, prd, |mem, addr| {
+                mem.get::<PrdTable>(addr).expect("PRD table not in memory")
+            });
             self.bm_status &= !0x01; // engine idle
             self.bm_status |= 0x04; // interrupt bit
         }

@@ -31,6 +31,7 @@
 //! interfaces and the VMM's control flow.
 
 pub mod ahci;
+mod hash;
 pub mod block;
 pub mod disk;
 pub mod e1000;

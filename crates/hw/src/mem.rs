@@ -9,8 +9,8 @@
 //! ("in association with in-memory data structures").
 
 use crate::block::SectorData;
+use crate::hash::U64Map;
 use std::any::Any;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A physical memory address.
@@ -84,7 +84,9 @@ pub enum E820Kind {
 pub struct PhysMem {
     total_bytes: u64,
     vmm_reserved: Option<(PhysAddr, u64)>,
-    objects: HashMap<u64, Box<dyn Any + Send>>,
+    /// Objects by address, hashed with the crate's fixed hasher (the map
+    /// is never iterated).
+    objects: U64Map<Box<dyn Any + Send>>,
     next_addr: u64,
 }
 
@@ -94,7 +96,7 @@ impl PhysMem {
         PhysMem {
             total_bytes,
             vmm_reserved: None,
-            objects: HashMap::new(),
+            objects: U64Map::default(),
             // Object allocations start high, clear of the identity-mapped
             // low ranges the firmware map describes.
             next_addr: 0x1000_0000,

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Prints the `sim digest` line of every pass of one untimed bmbench run
 # per workload, host timings stripped, so two trees can be compared
-# line for line. CI diffs the seed-0 output against
-# scripts/bmbench_digests.txt.
+# line for line. CI diffs the seed-0 output followed by the seed-7
+# output against scripts/bmbench_digests.txt.
 #
 #   scripts/bmbench_digests.sh [seed]
 #

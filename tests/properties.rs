@@ -16,6 +16,7 @@ use bmcast_repro::hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use bmcast_repro::hwsim::disk::{DiskModel, DiskOp, DiskParams};
 use bmcast_repro::simkit::{Sim, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Byte-serial FNV-1a 64 with bytes 22–23 (the checksum field) hashed
 /// as zero, folded to 16 bits: the wire-v2 checksum's definition.
@@ -1050,5 +1051,280 @@ proptest! {
         let chained = run_poll_world(false, &script, &drive);
         let parked = run_poll_world(true, &script, &drive);
         prop_assert_eq!(chained, parked);
+    }
+}
+
+/// The drive model as it was before its cache window became a run FIFO:
+/// one `VecDeque` entry per serviced sector instance, popped after every
+/// push. The per-sector count map only stands in for `VecDeque::contains`
+/// so the oracle stays quick in debug builds; it answers the same
+/// membership question.
+struct SectorFifoDisk {
+    params: DiskParams,
+    head: u64,
+    fifo: VecDeque<u64>,
+    held: HashMap<u64, u32>,
+    busy: SimDuration,
+}
+
+impl SectorFifoDisk {
+    fn new(params: DiskParams) -> SectorFifoDisk {
+        SectorFifoDisk {
+            params,
+            head: 0,
+            fifo: VecDeque::new(),
+            held: HashMap::new(),
+            busy: SimDuration::ZERO,
+        }
+    }
+
+    fn cache_hit(&self, range: BlockRange) -> bool {
+        range.iter().all(|lba| self.held.contains_key(&lba.0))
+    }
+
+    fn seek_time(&self, distance: u64) -> SimDuration {
+        let p = &self.params;
+        let third = (p.capacity_sectors / 3).max(1) as f64;
+        let b = (p.avg_seek.as_nanos() as f64 - p.min_seek.as_nanos() as f64) / third.sqrt();
+        SimDuration::from_nanos(
+            (p.min_seek.as_nanos() as f64 + b * (distance as f64).sqrt()) as u64,
+        )
+    }
+
+    fn access_time(&mut self, op: DiskOp, range: BlockRange) -> SimDuration {
+        let t = if op == DiskOp::Read && self.cache_hit(range) {
+            self.params.cmd_overhead + self.params.cache_hit
+        } else {
+            let distance = self.head.abs_diff(range.lba.0);
+            let mut t = self.params.cmd_overhead;
+            if distance != 0 {
+                t += self.seek_time(distance) + self.params.rotation() / 2;
+            }
+            let rate = match op {
+                DiskOp::Read => self.params.read_bps,
+                DiskOp::Write => self.params.write_bps,
+            };
+            t += SimDuration::from_nanos(range.bytes() * 1_000_000_000 / rate);
+            self.head = range.end().0;
+            for lba in range.iter() {
+                self.fifo.push_back(lba.0);
+                *self.held.entry(lba.0).or_default() += 1;
+                if self.fifo.len() > self.params.cache_sectors {
+                    let old = self.fifo.pop_front().unwrap();
+                    let n = self.held.get_mut(&old).unwrap();
+                    *n -= 1;
+                    if *n == 0 {
+                        self.held.remove(&old);
+                    }
+                }
+            }
+            t
+        };
+        self.busy += t;
+        t
+    }
+}
+
+/// A range near one of four cluster bases, so hits, partial overlaps and
+/// sequential continuations are common. `sectors` may be zero.
+fn clustered_range(cap: u64, cluster: u64, offset: u64, sectors: u32) -> BlockRange {
+    let base = [0, 4_096, 300_000, cap - 8_000][cluster as usize];
+    BlockRange {
+        lba: Lba(base + offset),
+        sectors,
+    }
+}
+
+/// A strategy for a range length: mostly short, sometimes up to 6,000.
+fn range_len() -> impl Strategy<Value = u32> {
+    prop_oneof![1u32..9, 1u32..65, 1u32..6_001]
+}
+
+/// A store of one of the three kinds, and its naive twin.
+fn store_pair(kind: u8, cap: u64, seed: u64) -> (BlockStore, SectorMapStore) {
+    let store = match kind {
+        0 => BlockStore::zeroed(cap),
+        1 => BlockStore::zeroed_with_mirror(cap, seed),
+        _ => BlockStore::image(cap, seed),
+    };
+    let oracle = SectorMapStore {
+        written: HashMap::new(),
+        mirrored: HashSet::new(),
+        mirror_seed: (kind == 1).then_some(seed),
+        image_seed: (kind == 2).then_some(seed),
+    };
+    (store, oracle)
+}
+
+/// The block store as it was before pages: one `HashMap` entry per
+/// written sector, and one mirror flag per image-matching sector of a
+/// mirror store.
+#[derive(Clone)]
+struct SectorMapStore {
+    written: HashMap<u64, SectorData>,
+    mirrored: HashSet<u64>,
+    mirror_seed: Option<u64>,
+    image_seed: Option<u64>,
+}
+
+impl SectorMapStore {
+    fn read(&self, lba: u64) -> SectorData {
+        if let Some(&d) = self.written.get(&lba) {
+            return d;
+        }
+        match (self.mirror_seed, self.image_seed) {
+            (Some(seed), _) if self.mirrored.contains(&lba) => {
+                BlockStore::image_content(seed, Lba(lba))
+            }
+            (_, Some(seed)) => BlockStore::image_content(seed, Lba(lba)),
+            _ => SectorData::ZERO,
+        }
+    }
+
+    fn write(&mut self, lba: u64, data: SectorData) {
+        if let Some(seed) = self.mirror_seed {
+            if data == BlockStore::image_content(seed, Lba(lba)) {
+                self.mirrored.insert(lba);
+                self.written.remove(&lba);
+                return;
+            }
+            self.mirrored.remove(&lba);
+        }
+        self.written.insert(lba, data);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    /// The run-FIFO drive cache is the per-sector FIFO it replaced: at
+    /// every step of a random access sequence (reads, writes, bursts of
+    /// 1-sector dummy reads, zero-sector accesses, chunked streams in
+    /// either direction) the service time,
+    /// head, busy total and a probe `cache_hit` agree, at window sizes
+    /// from none to the default 4,096 sectors.
+    #[test]
+    fn drive_cache_equals_sector_fifo(
+        window in 0usize..4,
+        steps in proptest::collection::vec(
+            ((0u8..5, 0u64..4, 0u64..2_000, range_len()), (0u64..4, 0u64..2_000, range_len())),
+            1..48,
+        ),
+    ) {
+        let params = DiskParams {
+            capacity_sectors: 1 << 20,
+            cache_sectors: [0, 1, 7, 4_096][window],
+            ..DiskParams::default()
+        };
+        let cap = params.capacity_sectors;
+        let mut disk = DiskModel::new(params.clone(), BlockStore::zeroed(cap));
+        let mut oracle = SectorFifoDisk::new(params);
+        for ((kind, cluster, offset, sectors), (p_cluster, p_offset, p_sectors)) in steps {
+            let mut range = clustered_range(cap, cluster, offset, sectors);
+            let accesses = match kind {
+                0 => vec![(DiskOp::Read, range)],
+                1 => vec![(DiskOp::Write, range)],
+                // A burst of 1-sector dummy reads over two sectors.
+                2 => (0..sectors % 24 + 1)
+                    .map(|k| (DiskOp::Read, BlockRange::new(range.lba + (k % 2) as u64, 1)))
+                    .collect(),
+                3 => {
+                    let op = if offset % 2 == 0 { DiskOp::Read } else { DiskOp::Write };
+                    vec![(op, BlockRange { sectors: 0, ..range })]
+                }
+                // A stream of adjacent chunks, ascending or descending,
+                // with a far dummy read after each so no two chunks
+                // merge; `range` becomes the whole stream, whose cover
+                // spans one run per chunk.
+                _ => {
+                    let (chunks, len) = (2 + offset % 5, (sectors % 64 + 1) as u64);
+                    range.sectors = (chunks * len) as u32;
+                    let op = if sectors % 3 == 0 { DiskOp::Read } else { DiskOp::Write };
+                    (0..chunks)
+                        .map(|i| if offset % 2 == 0 { i } else { chunks - 1 - i })
+                        .flat_map(|i| {
+                            [
+                                (op, BlockRange::new(range.lba + i * len, len as u32)),
+                                (DiskOp::Read, BlockRange::new(Lba(cap - 1), 1)),
+                            ]
+                        })
+                        .collect()
+                }
+            };
+            for (op, r) in accesses {
+                prop_assert_eq!(disk.access_time(op, r), oracle.access_time(op, r), "{:?} {:?}", op, r);
+                prop_assert_eq!(disk.head(), Lba(oracle.head));
+                prop_assert_eq!(disk.total_busy(), oracle.busy);
+            }
+            let probe = clustered_range(cap, p_cluster, p_offset, p_sectors);
+            prop_assert_eq!(disk.cache_hit(probe), oracle.cache_hit(probe), "probe {:?}", probe);
+            prop_assert_eq!(disk.cache_hit(range), oracle.cache_hit(range), "range {:?}", range);
+        }
+    }
+
+    /// The paged block store is the per-sector map it replaced, for all
+    /// three store kinds: random single and range writes (image-matching
+    /// and tenant data mixed, ranges straddling pages and ending at
+    /// capacity), reads, appending range reads and clones agree with the
+    /// naive map on every read and on `written_sectors()` at every step.
+    #[test]
+    fn block_store_equals_sector_map(
+        kind in 0u8..3,
+        seed in any::<u64>(),
+        ops in proptest::collection::vec((0u8..6, 0u64..400, 1u32..140, any::<u64>()), 1..60),
+    ) {
+        // Five full pages and a partial one.
+        let cap = 5 * 64 + 17;
+        let (mut store, mut oracle) = store_pair(kind, cap, seed);
+        let mut forks = Vec::new();
+        for (op, lba, sectors, salt) in ops {
+            let lba = lba % cap;
+            // Kind 5 ends the range exactly at capacity.
+            let sectors = if op == 5 { (cap - lba) as u32 } else { sectors.min((cap - lba) as u32) };
+            let range = BlockRange::new(Lba(lba), sectors);
+            // Per sector: the image's content (of the mirror or image
+            // seed), or one of a few tenant values.
+            let data: Vec<SectorData> = range
+                .iter()
+                .map(|l| {
+                    let mix = salt.rotate_left((l.0 % 64) as u32);
+                    if mix % 3 == 0 {
+                        SectorData(mix % 5)
+                    } else {
+                        BlockStore::image_content(seed, l)
+                    }
+                })
+                .collect();
+            match op {
+                0 => {
+                    store.write(Lba(lba), data[0]);
+                    oracle.write(lba, data[0]);
+                }
+                1 | 5 => {
+                    store.write_range(range, &data);
+                    for (l, &d) in range.iter().zip(&data) {
+                        oracle.write(l.0, d);
+                    }
+                }
+                2 => prop_assert_eq!(store.read(Lba(lba)), oracle.read(lba)),
+                3 => {
+                    let mut out = vec![SectorData(salt)];
+                    store.read_range_into(range, &mut out);
+                    let mut expect = vec![SectorData(salt)];
+                    expect.extend(range.iter().map(|l| oracle.read(l.0)));
+                    prop_assert_eq!(out, expect);
+                }
+                _ => {
+                    forks.push((store.clone(), oracle.clone()));
+                }
+            }
+            prop_assert_eq!(store.written_sectors(), oracle.written.len());
+        }
+        forks.push((store, oracle));
+        for (store, oracle) in forks {
+            let all = store.read_range(BlockRange::new(Lba(0), cap as u32));
+            let expect: Vec<SectorData> = (0..cap).map(|l| oracle.read(l)).collect();
+            prop_assert_eq!(all, expect);
+            prop_assert_eq!(store.written_sectors(), oracle.written.len());
+        }
     }
 }
