@@ -15,7 +15,7 @@
 //! Comparisons against the paper's numbers are informational. An
 //! invalid command line exits 2 with the usage text before any work.
 //!
-//! `--scaleout` runs the *measured* fleet scale-out figure: one
+//! `--scaleout` runs the fleet scale-out topology figure: one
 //! [`bmcast::fleet::Fleet`] per point (n machines, one shared
 //! switch/server with the block cache and DRR scheduler), points spread
 //! over `--jobs` threads, and writes `BENCH_scaleout.json`. With no

@@ -128,8 +128,6 @@ fn chaos_json_once(servers: usize) -> String {
         cache_hit_ratio: fleet.cache_hit_ratio(),
         bytes_moved: fleet.server_bytes_read(),
         queue_drops: fleet.queue_drops_total(),
-        analytic_s: 0.0,
-        rel_err: 0.0,
         image_copy_s: 0.0,
     };
     scaleout_json(Scale::Quick, &[point])

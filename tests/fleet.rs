@@ -1,12 +1,15 @@
 //! Fleet pins that tier-1 reaches: a tiny peer-to-peer boot and a tiny
 //! rolling upgrade, each checked against boot ticks, the event count
 //! and a digest of the fleet snapshot recorded from the fleet engine,
-//! plus a same-seed chaos double run compared byte for byte.
+//! plus a same-seed chaos double run compared byte for byte, and the
+//! tie between the scale-out figure's n = 1 fleet and fig04's BMcast
+//! boot.
 //!
 //! A pin that moves means the fleet's event interleave moved: every
 //! committed scale-out, transport and obs artifact moves with it.
 
-use bmcast_repro::bmcast::deploy::FlightRecorderConfig;
+use bmcast_repro::bmcast::config::BmcastConfig;
+use bmcast_repro::bmcast::deploy::{FlightRecorderConfig, Runner};
 use bmcast_repro::bmcast::fleet::{Fleet, FleetConfig};
 use bmcast_repro::bmcast::machine::{GuestProgram, MachineSpec};
 use bmcast_repro::bmcast::programs::BootProgram;
@@ -169,4 +172,29 @@ fn same_seed_chaos_runs_are_byte_identical() {
     assert_eq!(a.1, b.1, "event counts diverged");
     assert!(a.2 == b.2, "fleet snapshot bytes diverged");
     assert!(a.3 == b.3, "trace bytes diverged");
+}
+
+/// `ext02`'s n = 1 point is fig04's BMcast OS boot: a one-machine
+/// single-server fleet at the paper geometry (32 GB disk, the Ubuntu
+/// 14.04 profile), with the figure's 50 ms arrival stagger, boots at
+/// exactly the single-machine runner's instant.
+#[test]
+fn one_machine_fleet_boots_at_the_fig04_bmcast_instant() {
+    let spec = MachineSpec::default();
+    let profile = BootProfile::ubuntu_14_04(7);
+    let limit = SimTime::from_secs(1_800);
+
+    let mut single = Runner::bmcast(&spec, BmcastConfig::default());
+    single.start_program(Box::new(BootProgram::new(profile.clone())));
+    let single_boot = single.run_to_finish(limit).expect("BMcast boot finishes");
+
+    let mut fleet = Fleet::new(FleetConfig {
+        n: 1,
+        spec,
+        start_stagger: SimDuration::from_millis(50),
+        ..FleetConfig::default()
+    });
+    fleet.start(move |_| Box::new(BootProgram::new(profile.clone())));
+    let boots = fleet.run_to_all_booted(limit).expect("fleet boots");
+    assert_eq!(boots, [single_boot], "fleet n=1 vs fig04 BMcast boot");
 }
