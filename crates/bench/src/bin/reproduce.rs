@@ -48,17 +48,17 @@
 //! byte-identical across same-seed runs, and their consistency checks
 //! are gates too.
 //!
-//! `--metrics` runs one instrumented deployment first and prints the
-//! observability report (per-phase timings, redirect/fill/discard/
-//! retransmit counters, FIFO depth, guest I/O latency percentiles).
-//!
-//! `--trace-out <dir>` runs one flight-recorded deployment and writes
-//! the trace artifacts into `<dir>`: `trace.json` (Perfetto-loadable),
-//! `timeline.json`, `report.json`, `report.txt`, `metrics.json`. With
-//! `--faults <plan>` the recorded run executes under that fault plan
-//! (`all` records the chaos plan). `--trace-ring N` sizes the
-//! trace-event ring (default 16384 for trace runs, 4096 for
-//! `--metrics`; evictions are reported).
+//! `--metrics` and `--trace-out <dir>` observe one flight-recorded
+//! deployment (`bmcast_bench::flight`), recorded once when both are
+//! given. `--metrics` prints its telemetry report (per-phase timings,
+//! redirect/fill/discard/retransmit counters, FIFO depth, guest I/O
+//! latency percentiles, the full snapshot and the trace tail);
+//! `--trace-out` writes its artifacts into `<dir>`: `trace.json`
+//! (Perfetto-loadable), `timeline.json`, `report.json`, `report.txt`,
+//! `metrics.json`. With `--faults <plan>` the recorded run executes
+//! under that fault plan (`all` records the chaos plan). `--trace-ring N`
+//! sizes the trace-event ring (default 16384, `FlightRecorderConfig`'s;
+//! evictions are reported).
 //!
 //! `--faults <plan>` adds the fault-injection scenario figures for the
 //! named preset (`drop`, `stall`, `chaos`, ... — or `all` for the whole
@@ -467,14 +467,11 @@ fn main() {
         }
     }
 
-    if on("--metrics") {
-        eprintln!("[reproduce] running instrumented deployment at {scale:?} scale ...");
-        print!("{}", telemetry::report(scale, trace_ring.unwrap_or(4096)));
-    }
-
-    if let Some(dir) = trace_out.filter(|_| !on("--elasticity")) {
+    // `--metrics` and a deployment `--trace-out` read one recording.
+    let deploy_trace = trace_out.filter(|_| !on("--elasticity"));
+    if on("--metrics") || deploy_trace.is_some() {
         // `--faults all` exercises the whole matrix below; record the
-        // chaos plan, the superset, in the trace.
+        // chaos plan, the superset.
         let preset = faults_sel.map(|s| if s == "all" { "chaos" } else { s });
         let mut rec = bmcast::deploy::FlightRecorderConfig::default();
         if let Some(n) = trace_ring {
@@ -484,23 +481,27 @@ fn main() {
             "[reproduce] recording flight-recorded deployment at {scale:?} scale{} ...",
             preset.map(|p| format!(" under {p} faults")).unwrap_or_default()
         );
-        match flight::write_artifacts(scale, Path::new(dir), rec, preset) {
-            Ok(s) => {
-                eprintln!(
-                    "[reproduce] bare metal at {}; wrote {} spans, {} timeline rows to {dir}/",
-                    s.bare_metal_at, s.spans, s.rows
-                );
-                if s.trace_dropped > 0 {
-                    eprintln!(
-                        "[reproduce] warning: {} trace events evicted from the ring; \
-                         raise --trace-ring to keep them",
-                        s.trace_dropped
-                    );
-                }
-            }
-            Err(e) => {
+        let run = flight::record(scale, rec, preset);
+        if on("--metrics") {
+            print!("{}", run.report(scale));
+        }
+        if let Some(dir) = deploy_trace {
+            if let Err(e) = run.write_artifacts(Path::new(dir)) {
                 eprintln!("[reproduce] failed to write trace artifacts to {dir}: {e}");
                 std::process::exit(1);
+            }
+            eprintln!(
+                "[reproduce] bare metal at {}; wrote {} spans, {} timeline rows to {dir}/",
+                run.bare_metal_at,
+                run.spans.len(),
+                run.samples.len()
+            );
+            let dropped = run.metrics.gauge("trace.dropped");
+            if dropped > 0 {
+                eprintln!(
+                    "[reproduce] warning: {dropped} trace events evicted from the ring; \
+                     raise --trace-ring to keep them"
+                );
             }
         }
     }

@@ -29,7 +29,6 @@ use bmcast::fleet::Fleet;
 use bmcast::programs::BootProgram;
 use bmcast::TransportKind;
 use simkit::fault::FaultPlan;
-use simkit::slo::SloConfig;
 use simkit::SimTime;
 
 /// Seed of the chaos determinism lock's fault plan.
@@ -125,7 +124,6 @@ pub fn measure_transport_point(
     let mut fleet = Fleet::new(cfg);
     fleet.enable_telemetry();
     fleet.enable_flight_recorder(FlightRecorderConfig::default());
-    fleet.enable_slo(SloConfig::default());
     let p = profile.clone();
     fleet.start(move |_| Box::new(BootProgram::new(p.clone())));
     fleet

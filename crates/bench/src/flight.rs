@@ -1,5 +1,7 @@
-//! `reproduce --trace-out <dir>`: one flight-recorded deployment whose
-//! observability state becomes on-disk artifacts.
+//! One flight-recorded deployment, the single source of both
+//! `reproduce --metrics` (the telemetry report on stdout) and
+//! `reproduce --trace-out <dir>` (on-disk artifacts). Given both flags,
+//! the deployment is recorded once.
 //!
 //! | file            | contents                                            |
 //! |-----------------|-----------------------------------------------------|
@@ -9,14 +11,14 @@
 //! | `report.txt`    | the same report, human-readable                     |
 //! | `metrics.json`  | full counter/gauge/histogram snapshot               |
 //!
-//! Recording is split from writing so tests can assert on the recorder
-//! contents (phase spans tile the run, timelines replay byte-identically)
-//! without touching the filesystem.
+//! Recording is split from rendering and writing so tests can assert on
+//! the recorder contents (phase spans tile the run, timelines replay
+//! byte-identically) without touching the filesystem.
 
 use crate::faults::FAULT_SEED;
 use crate::Scale;
 use bmcast::config::{BmcastConfig, Moderation};
-use bmcast::deploy::{FlightRecorderConfig, Runner};
+use bmcast::deploy::{FlightRecorderConfig, PhaseTimings, Runner};
 use bmcast::machine::MachineSpec;
 use bmcast::programs::FioProgram;
 use guestsim::workload::fio::FioJob;
@@ -24,8 +26,12 @@ use hwsim::block::Lba;
 use simkit::export::{chrome_trace_json, report_json, report_text, timeline_json};
 use simkit::fault::FaultPlan;
 use simkit::metrics::LogHistogram;
-use simkit::{SampleRow, SimDuration, SimTime, Span};
+use simkit::{MetricsSnapshot, SampleRow, SimDuration, SimTime, Span, TraceEvent};
+use std::fmt::Write as _;
 use std::path::Path;
+
+/// Trace events the telemetry report lists at its end.
+const TRACE_TAIL: usize = 16;
 
 /// Everything one flight-recorded deployment captured, detached from the
 /// machine so exporters and assertions can consume it freely.
@@ -37,14 +43,15 @@ pub struct FlightRun {
     pub kinds: Vec<(&'static str, LogHistogram)>,
     /// Sampled timeline rows.
     pub samples: Vec<SampleRow>,
-    /// Rendered metrics snapshot (JSON).
-    pub metrics_json: String,
+    /// Every metric at the end of the run, the tracer's own accounting
+    /// (`trace.emitted` / `trace.dropped`) included.
+    pub metrics: MetricsSnapshot,
+    /// Per-phase wall-clock timings.
+    pub timings: PhaseTimings,
+    /// The last 16 trace events, oldest first.
+    pub trace_tail: Vec<TraceEvent>,
     /// When the machine reached bare metal.
     pub bare_metal_at: SimTime,
-    /// Trace events emitted / evicted from the ring.
-    pub trace_emitted: u64,
-    /// See [`FlightRun::trace_emitted`].
-    pub trace_dropped: u64,
 }
 
 fn spec(scale: Scale) -> MachineSpec {
@@ -102,56 +109,98 @@ pub fn record(scale: Scale, rec: FlightRecorderConfig, fault_preset: Option<&str
         .expect("flight-recorded deployment completes");
     runner.record_final_sample();
 
-    let metrics_json = runner
+    let metrics = runner
         .metrics_snapshot()
-        .expect("flight recorder enables metrics")
-        .to_json();
+        .expect("flight recorder enables metrics");
+    let events = runner.tracer().events();
     FlightRun {
         spans: runner.spans().finished(),
         kinds: runner.spans().kind_histograms(),
         samples: runner.sampler().rows(),
-        metrics_json,
+        metrics,
+        timings: runner.phase_timings(),
+        trace_tail: events[events.len().saturating_sub(TRACE_TAIL)..].to_vec(),
         bare_metal_at,
-        trace_emitted: runner.tracer().emitted(),
-        trace_dropped: runner.tracer().dropped(),
     }
 }
 
-/// What [`write_artifacts`] put on disk, for the CLI's log line.
-pub struct FlightSummary {
-    /// When the machine reached bare metal.
-    pub bare_metal_at: SimTime,
-    /// Finished spans exported into `trace.json`.
-    pub spans: usize,
-    /// Timeline rows exported into `timeline.json`.
-    pub rows: usize,
-    /// Trace events evicted from the ring (0 unless the ring was
-    /// undersized).
-    pub trace_dropped: u64,
-}
+impl FlightRun {
+    /// The telemetry report `reproduce --metrics` prints: per-phase
+    /// timings, the counters that explain *why* the deployment took that
+    /// long (copy-on-read redirects, background fills and discards, AoE
+    /// retransmits, FIFO pressure), guest I/O latency percentiles, the
+    /// full snapshot and the trace tail. Ring evictions produce a
+    /// warning line.
+    pub fn report(&self, scale: Scale) -> String {
+        let snap = &self.metrics;
+        let mut out = String::new();
+        let _ = writeln!(out, "== deployment telemetry ({scale:?} scale) ==");
+        let _ = writeln!(out, "phase timings:");
+        let _ = writeln!(out, "{}", self.timings);
+        let _ = writeln!(out, "key counters:");
+        let key = [
+            ("redirected guest reads", "machine.redirected_ios"),
+            ("background fills", "bg.fills"),
+            ("blocks discarded (guest won)", "bg.blocks_discarded"),
+            ("blocks written", "bg.blocks_written"),
+            ("AoE retransmits", "aoe.client.retransmits"),
+        ];
+        for (label, name) in key {
+            let _ = writeln!(out, "  {label:<30} {}", snap.counter(name));
+        }
+        let _ = writeln!(
+            out,
+            "  {:<30} {}",
+            "FIFO depth (final gauge)",
+            snap.gauge("bg.fifo_depth")
+        );
+        if let Some(h) = snap.histogram("guest.io_latency_us") {
+            let _ = writeln!(
+                out,
+                "  {:<30} p50 {} us, p99 {} us",
+                "guest I/O latency",
+                h.quantile(0.5),
+                h.quantile(0.99)
+            );
+        }
+        let _ = writeln!(out, "full snapshot:");
+        let _ = write!(out, "{snap}");
+        let dropped = snap.gauge("trace.dropped");
+        let _ = writeln!(
+            out,
+            "trace: {} events emitted, {dropped} dropped; last {}:",
+            snap.gauge("trace.emitted"),
+            self.trace_tail.len()
+        );
+        for ev in &self.trace_tail {
+            let _ = writeln!(out, "  {ev}");
+        }
+        if dropped > 0 {
+            let _ = writeln!(
+                out,
+                "warning: {dropped} trace events were evicted from the ring; \
+                 re-run with a larger ring (reproduce --trace-ring) to keep them",
+            );
+        }
+        out
+    }
 
-/// Records one deployment ([`record`]) and writes all five artifacts
-/// into `dir` (created if missing).
-pub fn write_artifacts(
-    scale: Scale,
-    dir: &Path,
-    rec: FlightRecorderConfig,
-    fault_preset: Option<&str>,
-) -> std::io::Result<FlightSummary> {
-    let run = record(scale, rec, fault_preset);
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(
-        dir.join("trace.json"),
-        chrome_trace_json(&run.spans, &run.samples),
-    )?;
-    std::fs::write(dir.join("timeline.json"), timeline_json(&run.samples))?;
-    std::fs::write(dir.join("report.json"), report_json(&run.spans, &run.kinds))?;
-    std::fs::write(dir.join("report.txt"), report_text(&run.spans, &run.kinds))?;
-    std::fs::write(dir.join("metrics.json"), &run.metrics_json)?;
-    Ok(FlightSummary {
-        bare_metal_at: run.bare_metal_at,
-        spans: run.spans.len(),
-        rows: run.samples.len(),
-        trace_dropped: run.trace_dropped,
-    })
+    /// Writes all five artifacts into `dir` (created if missing).
+    pub fn write_artifacts(&self, dir: &Path) -> std::io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        std::fs::write(
+            dir.join("trace.json"),
+            chrome_trace_json(&self.spans, &self.samples),
+        )?;
+        std::fs::write(dir.join("timeline.json"), timeline_json(&self.samples))?;
+        std::fs::write(
+            dir.join("report.json"),
+            report_json(&self.spans, &self.kinds),
+        )?;
+        std::fs::write(
+            dir.join("report.txt"),
+            report_text(&self.spans, &self.kinds),
+        )?;
+        std::fs::write(dir.join("metrics.json"), self.metrics.to_json())
+    }
 }

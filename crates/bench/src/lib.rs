@@ -28,7 +28,6 @@ pub mod fig13_ib_lat;
 pub mod fig14_moderation;
 pub mod flight;
 pub mod obs;
-pub mod telemetry;
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};

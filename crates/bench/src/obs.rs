@@ -29,7 +29,7 @@ use bmcast::fleet::{Fleet, FleetConfig, StragglerReport, StragglerRow};
 use bmcast::programs::BootProgram;
 use guestsim::os::BootProfile;
 use simkit::export::{alerts_json, alerts_text};
-use simkit::slo::{Alert, SloConfig, SloRule};
+use simkit::slo::{Alert, SloRule};
 use simkit::{MetricsSnapshot, SimTime};
 use std::io;
 use std::path::Path;
@@ -79,7 +79,6 @@ pub fn collect_fleet_obs(cfg: FleetConfig, profile: &BootProfile) -> FleetObs {
     let mut fleet = Fleet::new(cfg);
     fleet.enable_telemetry();
     fleet.enable_flight_recorder(FlightRecorderConfig::default());
-    fleet.enable_slo(SloConfig::default());
     let p = profile.clone();
     fleet.start(move |_| Box::new(BootProgram::new(p.clone())));
     fleet

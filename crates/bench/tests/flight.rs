@@ -1,6 +1,7 @@
 //! Acceptance tests for the deployment flight recorder: phase spans tile
-//! the run, the per-I/O hierarchy is internally consistent, and the
-//! sampled timeline is deterministic — including under chaos faults.
+//! the run, the per-I/O hierarchy is internally consistent, the sampled
+//! timeline is deterministic — including under chaos faults — and the
+//! `--metrics` report renders from the recording.
 
 use bmcast::deploy::FlightRecorderConfig;
 use bmcast_bench::flight::{record, FlightRun};
@@ -145,4 +146,18 @@ fn sampled_fill_is_monotone_and_ends_full() {
         assert!(w[1] >= w[0], "bitmap fill must be monotone: {fills:?}");
     }
     assert_eq!(*fills.last().unwrap(), 100.0, "timeline ends at 100%");
+}
+
+#[test]
+fn quick_report_carries_signal() {
+    let s = quick_run().report(Scale::Quick);
+    assert!(s.contains("== deployment telemetry (Quick scale) =="), "{s}");
+    assert!(s.contains("phase timings"), "{s}");
+    assert!(s.contains("deployment"), "{s}");
+    assert!(s.contains("machine.redirected_ios"), "{s}");
+    assert!(s.contains("bg.fills"), "{s}");
+    assert!(s.contains("phase.bare_metal"), "{s}");
+    // The tracer's own accounting is mirrored into the snapshot.
+    assert!(s.contains("trace.emitted"), "{s}");
+    assert!(s.contains("trace.dropped"), "{s}");
 }

@@ -141,39 +141,16 @@ impl Runner {
     /// A BMcast machine with deployment armed (it starts when
     /// [`Runner::start_program`] or any `run_*` method first runs the clock).
     pub fn bmcast(spec: &MachineSpec, cfg: BmcastConfig) -> Runner {
-        let mut machine = Machine::bmcast(spec, cfg);
-        let mut sim = MachineSim::new();
-        start_deployment(&mut machine, &mut sim);
-        Runner { machine, sim }
+        Runner::from_machine(Machine::bmcast(spec, cfg))
     }
 
-    /// Like [`Runner::bmcast`] but with metrics and tracing attached
-    /// *before* deployment is armed, so even the retriever's first fetch
-    /// burst and the `phase.deployment` transition are observed.
-    pub fn bmcast_instrumented(spec: &MachineSpec, cfg: BmcastConfig) -> Runner {
-        Runner::bmcast_instrumented_with_ring(spec, cfg, 4096)
-    }
-
-    /// [`Runner::bmcast_instrumented`] with an explicit trace-event ring
-    /// capacity (the `reproduce --trace-ring` knob).
-    pub fn bmcast_instrumented_with_ring(
-        spec: &MachineSpec,
-        cfg: BmcastConfig,
-        trace_ring: usize,
-    ) -> Runner {
-        let mut machine = Machine::bmcast(spec, cfg);
-        machine.set_telemetry(Metrics::enabled(), Tracer::enabled(trace_ring));
-        let mut sim = MachineSim::new();
-        start_deployment(&mut machine, &mut sim);
-        Runner { machine, sim }
-    }
-
-    /// Like [`Runner::bmcast_instrumented`] with the full flight
-    /// recorder on top: hierarchical spans wired through the mediators,
-    /// background copy, AoE endpoints and de-virtualization sequencer,
-    /// plus the periodic timeline sampler. Everything attaches *before*
-    /// deployment is armed, so the first row and the
-    /// `phase.initialization` span cover the whole run.
+    /// Like [`Runner::bmcast`] with the whole observability plane on:
+    /// metrics, the trace ring, hierarchical spans wired through the
+    /// mediators, background copy, AoE endpoints and de-virtualization
+    /// sequencer, and the periodic timeline sampler. Everything attaches
+    /// *before* deployment is armed, so the retriever's first fetch
+    /// burst, the first row and the `phase.initialization` span cover
+    /// the whole run. Observing never moves the simulation.
     pub fn bmcast_flight_recorded(
         spec: &MachineSpec,
         cfg: BmcastConfig,
@@ -185,10 +162,7 @@ impl Runner {
             Spans::enabled(rec.span_capacity),
             Sampler::enabled(rec.sample_interval),
         );
-        let mut sim = MachineSim::new();
-        start_deployment(&mut machine, &mut sim);
-        start_flight_sampler(&mut machine, &mut sim);
-        Runner { machine, sim }
+        Runner::from_machine(machine)
     }
 
     /// A bare-metal machine with the image pre-installed.
@@ -201,11 +175,13 @@ impl Runner {
 
     /// Wraps an existing machine (e.g. one rebuilt with
     /// [`Machine::bmcast_resumed`] after a reboot), re-arming deployment
-    /// if a VMM is present.
+    /// and the timeline sampler (a no-op unless one is attached) if a
+    /// VMM is present.
     pub fn from_machine(mut machine: Machine) -> Runner {
         let mut sim = MachineSim::new();
         if machine.vmm.is_some() {
             start_deployment(&mut machine, &mut sim);
+            start_flight_sampler(&mut machine, &mut sim);
         }
         Runner { machine, sim }
     }
@@ -233,7 +209,7 @@ impl Runner {
     }
 
     /// The machine's tracer handle (disabled unless the runner was built
-    /// instrumented or flight-recorded).
+    /// with [`Runner::bmcast_flight_recorded`]).
     pub fn tracer(&self) -> &Tracer {
         &self.machine.tracer
     }

@@ -340,6 +340,14 @@ enum FleetEvent {
     Sample,
 }
 
+/// Starts a member's deployment with its installed guest program, and
+/// its timeline sampler (a no-op unless the flight recorder is on).
+fn deploy_member(m: &mut Machine, sim: &mut MachineSim) {
+    start_deployment(m, sim);
+    start_program(m, sim);
+    start_flight_sampler(m, sim);
+}
+
 /// Member-side arm of [`FleetEvent::UpgradeStart`]: once the machine
 /// reaches bare metal (a booted guest can still be filling its copy in
 /// the background — re-virtualization must wait for devirtualization
@@ -584,19 +592,12 @@ pub struct Fleet {
     /// Latest scheduled start, so ramp releases keep the stagger
     /// spacing.
     last_sched_start: SimTime,
-    /// Whether the flight recorder was armed at [`Fleet::start`].
-    record: bool,
-    /// Per-member metrics registries, index-aligned (empty unless
-    /// [`Fleet::enable_telemetry`] ran): each member owns its registry
-    /// so the fleet can both aggregate ([`Fleet::metrics_snapshot`])
-    /// and attribute ([`Fleet::fleet_snapshot`]'s `machine.{i}.*`
-    /// namespaces and the straggler report).
-    member_metrics: Vec<Metrics>,
     /// Fabric-side registry: server nodes and the fault injector.
     fabric_metrics: Metrics,
     /// Shared trace ring (member events plus SLO alert edges).
     fleet_tracer: Tracer,
-    /// Sim-time SLO watchdogs, evaluated on the fleet sampler tick.
+    /// Sim-time SLO watchdogs, evaluated on the fleet sampler tick
+    /// (armed with the flight recorder).
     slo: Option<SloEngine>,
     /// Per-machine flight recorders, when enabled: `(spans, sampler)`.
     recorders: Vec<(Spans, Sampler)>,
@@ -737,8 +738,6 @@ impl Fleet {
             program: None,
             admitted: 0,
             last_sched_start: SimTime::ZERO,
-            record: false,
-            member_metrics: Vec::new(),
             fabric_metrics: Metrics::disabled(),
             fleet_tracer: Tracer::disabled(),
             slo: None,
@@ -748,19 +747,17 @@ impl Fleet {
         }
     }
 
-    /// Attaches a metrics registry to every member (its own), the
-    /// servers and fault injector (a shared fabric registry), and one
-    /// shared tracer. [`Fleet::metrics_snapshot`] still folds everything
-    /// into one aggregate (`server.cache.*`, `server.queue.*`,
+    /// Attaches a metrics registry to every member (its own
+    /// [`Machine::metrics`], which reclaim re-attaches), the servers and
+    /// fault injector (a shared fabric registry), and one shared tracer.
+    /// [`Fleet::metrics_snapshot`] still folds everything into one
+    /// aggregate (`server.cache.*`, `server.queue.*`,
     /// `machine.frames_tx`, ...), while [`Fleet::fleet_snapshot`] keeps
     /// the per-member attribution. Call before [`Fleet::start`].
     pub fn enable_telemetry(&mut self) {
         let tracer = Tracer::enabled(4096);
-        self.member_metrics.clear();
         for (m, _) in &mut self.machines {
-            let metrics = Metrics::enabled();
-            m.set_telemetry(metrics.clone(), tracer.clone());
-            self.member_metrics.push(metrics);
+            m.set_telemetry(Metrics::enabled(), tracer.clone());
         }
         let fabric = Metrics::enabled();
         for node in &mut self.nodes {
@@ -776,8 +773,11 @@ impl Fleet {
     /// Attaches a flight recorder to every member (its own span store
     /// and timeline sampler, exported as one Perfetto process per
     /// machine by [`Fleet::chrome_trace`]), a span store to the servers,
-    /// and the fleet-level timeline sampler (server cache hit ratio and
-    /// queue depths over time). Call before [`Fleet::start`].
+    /// the fleet-level timeline sampler (server cache hit ratio and
+    /// queue depths over time), and the SLO watchdogs, which evaluate on
+    /// that sampler's tick. Alert edges land in [`Fleet::alerts`], in
+    /// the fleet timeline's `fleet.alerts` column, and in the shared
+    /// trace ring when telemetry is on. Call before [`Fleet::start`].
     pub fn enable_flight_recorder(&mut self, rec: FlightRecorderConfig) {
         self.recorders.clear();
         for (m, _) in &mut self.machines {
@@ -791,31 +791,16 @@ impl Fleet {
             node.server.set_spans(self.server_spans.clone());
         }
         self.fleet_sampler = Sampler::enabled(rec.sample_interval);
-    }
-
-    /// Arms the SLO watchdogs. Rules are evaluated on the fleet sampler
-    /// tick, so the flight recorder must already be enabled; alert
-    /// edges land in the shared trace ring (when telemetry is enabled)
-    /// and in [`Fleet::alerts`]. Call before [`Fleet::start`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Fleet::enable_flight_recorder`] has not run.
-    pub fn enable_slo(&mut self, cfg: SloConfig) {
-        assert!(
-            self.fleet_sampler.is_enabled(),
-            "enable_flight_recorder first: SLO rules evaluate on the fleet sampler tick"
-        );
-        self.slo = Some(SloEngine::new(cfg));
+        self.slo = Some(SloEngine::new(SloConfig::default()));
     }
 
     /// All SLO alert edges fired so far, in firing order (empty unless
-    /// [`Fleet::enable_slo`] ran).
+    /// [`Fleet::enable_flight_recorder`] ran).
     pub fn alerts(&self) -> &[Alert] {
         self.slo.as_ref().map(|s| s.alerts()).unwrap_or(&[])
     }
 
-    /// The SLO engine, if armed.
+    /// The SLO engine (armed by [`Fleet::enable_flight_recorder`]).
     pub fn slo(&self) -> Option<&SloEngine> {
         self.slo.as_ref()
     }
@@ -828,7 +813,6 @@ impl Fleet {
     /// ([`FleetConfig::admission_base`]) only the first `base` machines
     /// are released here; the rest are released as peers convert.
     pub fn start(&mut self, program: impl FnMut(usize) -> Box<dyn GuestProgram> + 'static) {
-        self.record = !self.recorders.is_empty();
         self.program = Some(Box::new(program));
         let initial = match self.cfg.admission_base {
             0 => self.machines.len(),
@@ -860,27 +844,16 @@ impl Fleet {
         };
         self.last_sched_start = at;
         self.start_at[i] = at;
-        let record = self.record;
         let program = self.program.as_mut().expect("start() installed the factory");
         let (m, sim) = &mut self.machines[i];
         m.set_program(program(i));
         if at == SimTime::ZERO && self.now == SimTime::ZERO {
-            start_deployment(m, sim);
-            start_program(m, sim);
-            if record {
-                start_flight_sampler(m, sim);
-            }
+            deploy_member(m, sim);
             self.forward_requests(i, SimTime::ZERO);
         } else {
             // A deferred start is just a machine-sim event: the run
             // loop harvests the fetch burst right after stepping it.
-            sim.schedule_at(at, move |m: &mut Machine, sim| {
-                start_deployment(m, sim);
-                start_program(m, sim);
-                if record {
-                    start_flight_sampler(m, sim);
-                }
-            });
+            sim.schedule_at(at, deploy_member);
         }
         self.index_machine(i);
     }
@@ -1284,7 +1257,6 @@ impl Fleet {
         spec.image_seed = self.upgrade_seed;
         let servers = self.cfg.servers as u16;
         let stripe = self.cfg.stripe_sectors;
-        let record = self.record;
         let program = if park {
             None
         } else {
@@ -1306,11 +1278,7 @@ impl Fleet {
             }
             if let Some(program) = program {
                 m.set_program(program);
-                start_deployment(m, sim);
-                start_program(m, sim);
-                if record {
-                    start_flight_sampler(m, sim);
-                }
+                deploy_member(m, sim);
             }
         });
         self.index_machine(i);
@@ -1488,7 +1456,6 @@ impl Fleet {
         self.lifecycle_mode = true;
         self.upgrade_seed = new_seed;
         self.export_upgrade_volume(new_seed);
-        let record = self.record;
         let servers = self.cfg.servers as u16;
         let stripe = self.cfg.stripe_sectors;
         let at = self.now + self.lookahead();
@@ -1514,11 +1481,7 @@ impl Fleet {
                     vmm.client.set_stripe_sectors(stripe);
                 }
                 m.set_program(boxed);
-                start_deployment(m, sim);
-                start_program(m, sim);
-                if record {
-                    start_flight_sampler(m, sim);
-                }
+                deploy_member(m, sim);
             });
             self.index_machine(i);
         }
@@ -2061,8 +2024,8 @@ impl Fleet {
     /// the scale-out story.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         let mut snap = self.fabric_metrics.snapshot()?;
-        for m in &self.member_metrics {
-            if let Some(ms) = m.snapshot() {
+        for (m, _) in &self.machines {
+            if let Some(ms) = m.metrics.snapshot() {
                 snap.merge(&ms);
             }
         }
@@ -2082,8 +2045,8 @@ impl Fleet {
     pub fn fleet_snapshot(&self) -> Option<MetricsSnapshot> {
         let mut out = self.fabric_metrics.snapshot()?;
         let mut aggregate = MetricsSnapshot::default();
-        for (i, m) in self.member_metrics.iter().enumerate() {
-            if let Some(ms) = m.snapshot() {
+        for (i, (m, _)) in self.machines.iter().enumerate() {
+            if let Some(ms) = m.metrics.snapshot() {
                 out.merge(&ms.namespaced(&format!("machine.{i}.")));
                 aggregate.merge(&ms);
             }
@@ -2119,7 +2082,7 @@ impl Fleet {
         };
         let rtt = kind("aoe.rtt");
         let rtt_total_s = rtt.sum() as f64 / 1e6;
-        let snap = self.member_metrics[i].snapshot().unwrap_or_default();
+        let snap = self.machines[i].0.metrics.snapshot().unwrap_or_default();
         let reads = snap.counter("aoe.client.reads");
         let busy_hints = snap.counter("aoe.client.busy_hints");
         let expected_rtt_s = reads as f64 * median_rtt_mean_us / 1e6;
@@ -2170,7 +2133,7 @@ impl Fleet {
     /// [`Fleet::enable_flight_recorder`] ran, or before any member
     /// boots.
     pub fn straggler_attribution(&self) -> Option<StragglerReport> {
-        if self.member_metrics.is_empty() || self.recorders.is_empty() {
+        if !self.fabric_metrics.is_enabled() || self.recorders.is_empty() {
             return None;
         }
         // Booted members, slowest elapsed boot first, ties by index —
@@ -2760,14 +2723,13 @@ mod tests {
         assert_holds_image(&fleet, 0, 0xB002);
     }
 
-    /// Full-obs run: telemetry + flight recorder + SLO watchdogs.
+    /// Full-obs run: telemetry + flight recorder (SLO watchdogs ride it).
     /// Returns the three obs artifacts the determinism test compares
     /// byte-for-byte.
     fn obs_run(cfg: FleetConfig) -> (String, Vec<Alert>, StragglerReport) {
         let mut fleet = Fleet::new(cfg);
         fleet.enable_telemetry();
         fleet.enable_flight_recorder(FlightRecorderConfig::default());
-        fleet.enable_slo(SloConfig::default());
         fleet.start(|_| Box::new(BootProgram::new(BootProfile::tiny(7))));
         fleet
             .run_to_all_booted(SimTime::from_secs(3600))
@@ -2849,9 +2811,23 @@ mod tests {
             worst.reads,
             "read mix partitions the reads"
         );
-        // No watchdogs armed, no alerts; quiet boots also keep an armed
-        // engine silent (see fleet_obs_artifacts test for armed runs).
-        assert!(fleet.alerts().is_empty());
+        // The flight recorder armed the watchdogs. The 5 s stagger lets
+        // machine 0 read alone through the cache rule's 20-tick warmup,
+        // so every lookup so far missed: cache-collapse raises at the
+        // first tick after warmup and clears one tick later, once
+        // machine 1 re-reads the same blocks.
+        let edges: Vec<_> = fleet
+            .alerts()
+            .iter()
+            .map(|a| (a.at, a.rule, a.raised))
+            .collect();
+        assert_eq!(
+            edges,
+            [
+                (SimTime::from_millis(5_000), simkit::slo::SloRule::CacheCollapse, true),
+                (SimTime::from_millis(5_250), simkit::slo::SloRule::CacheCollapse, false),
+            ]
+        );
     }
 
     #[test]
@@ -2886,7 +2862,6 @@ mod tests {
             let mut fleet = Fleet::new(cfg);
             fleet.enable_telemetry();
             fleet.enable_flight_recorder(FlightRecorderConfig::default());
-            fleet.enable_slo(SloConfig::default());
             let profile = BootProfile::custom("scaleout-boot", 7, 400, 24 << 20, 2000, 24 << 20);
             fleet.start(move |_| Box::new(BootProgram::new(profile.clone())));
             fleet

@@ -1971,7 +1971,8 @@ pub fn sample_flight_row(m: &Machine, now: SimTime) {
         ],
     );
     // Reverse-lifecycle rows, only while a snapshot-back is live so
-    // deployment-only timelines keep their exact historical shape.
+    // deployment-only timelines keep their exact historical shape
+    // (taken when the stream starts and when it completes).
     if let Some(snap) = vmm.snap.as_ref() {
         m.sampler.record_row(
             now,
@@ -2360,6 +2361,10 @@ fn begin_snapshot_back(m: &mut Machine, sim: &mut MachineSim) {
     snap.set_telemetry(m.metrics.clone());
     snap.set_spans(m.spans.clone());
     vmm.snap = Some(snap);
+    // The deployment sampler chain ended at bare metal; the reverse
+    // lifecycle's rows are taken at its two edges instead, so no event
+    // chain is added.
+    sample_flight_row(m, sim.now());
     snapshot_pump(m, sim);
 }
 
@@ -2437,6 +2442,7 @@ fn maybe_finish_snapshot(m: &mut Machine, sim: &mut MachineSim) {
     m.tracer.emit(sim.now(), "phase", "snapshot_done", || {
         format!("snapshot-back complete ({sectors} sectors); machine reclaimable")
     });
+    sample_flight_row(m, sim.now());
 }
 
 /// Resets a reclaimed machine for its next tenant: fresh zeroed disk and

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use bmcast_repro::aoe::{AoeClient, AoeServer, ClientConfig, ServerConfig};
 use bmcast_repro::bmcast::config::{BmcastConfig, ControllerKind, Moderation};
-use bmcast_repro::bmcast::deploy::Runner;
+use bmcast_repro::bmcast::deploy::{FlightRecorderConfig, Runner};
 use bmcast_repro::bmcast::devirt::Phase;
 use bmcast_repro::bmcast::machine::{DeployError, GuestCtl, GuestProgram, MachineSpec};
 use bmcast_repro::guestsim::io::{CompletedIo, IoRequest, RequestId};
@@ -152,9 +152,10 @@ fn chaos_plan_survivable_on_ide_and_ahci() {
 fn same_seed_replays_chaos_byte_identically() {
     let run = || {
         let s = spec(ControllerKind::Ide);
-        let mut runner = Runner::bmcast_instrumented(
+        let mut runner = Runner::bmcast_flight_recorded(
             &s,
             faulted_cfg(FaultPlan::chaos(SEED)),
+            FlightRecorderConfig::default(),
         );
         let done = runner.run_to_bare_metal(SimTime::from_secs(3600));
         assert!(done.is_some(), "chaos deployment completes");
@@ -338,7 +339,7 @@ fn background_copier_backs_off_during_stall() {
         deploy_failure_budget: 10_000,
         ..faulted_cfg(plan)
     };
-    let mut runner = Runner::bmcast_instrumented(&s, cfg);
+    let mut runner = Runner::bmcast_flight_recorded(&s, cfg, FlightRecorderConfig::default());
     let done = runner.run_to_bare_metal(SimTime::from_secs(3600));
     assert!(done.is_some(), "deployment completes after the stall");
     let snap = runner.metrics_snapshot().unwrap();

@@ -198,3 +198,32 @@ fn one_machine_fleet_boots_at_the_fig04_bmcast_instant() {
     let boots = fleet.run_to_all_booted(limit).expect("fleet boots");
     assert_eq!(boots, [single_boot], "fleet n=1 vs fig04 BMcast boot");
 }
+
+/// The reverse lifecycle reaches the timeline: every wave member's
+/// sampler holds `snap.*` rows from its snapshot-back, and the last one
+/// shows a clean dirty tracker.
+#[test]
+fn rolling_upgrade_timeline_records_snapshot_back() {
+    let mut fleet = Fleet::new(tiny_cfg(4));
+    fleet.enable_flight_recorder(FlightRecorderConfig::default());
+    fleet.start(boot_program);
+    fleet
+        .run_to_all_booted(SimTime::from_secs(3600))
+        .expect("fleet boots");
+    fleet
+        .run_rolling_upgrade(0xB002, 2, boot_program, SimTime::from_secs(7200))
+        .expect("the wave completes");
+    for (i, (_, sampler)) in fleet.recorders().iter().enumerate() {
+        let dirty: Vec<f64> = sampler
+            .rows()
+            .iter()
+            .filter_map(|r| r.value("snap.dirty_sectors"))
+            .collect();
+        assert!(!dirty.is_empty(), "machine {i} recorded no snapshot-back rows");
+        assert_eq!(
+            dirty.last(),
+            Some(&0.0),
+            "machine {i} snapshot-back ends clean: {dirty:?}"
+        );
+    }
+}

@@ -1,13 +1,18 @@
 //! Integration tests for the observability layer: every metric the
 //! instrumentation publishes must agree with the machine's own
-//! ground-truth counters, and the trace ring must record the lifecycle.
+//! ground-truth counters, the trace ring must record the lifecycle, the
+//! phase spans must tile the deployment, and observing a run — one
+//! machine or a fleet — must never move it.
 
 use bmcast_repro::bmcast::config::{BmcastConfig, ControllerKind, Moderation};
-use bmcast_repro::bmcast::deploy::Runner;
+use bmcast_repro::bmcast::deploy::{FlightRecorderConfig, Runner};
+use bmcast_repro::bmcast::fleet::{Fleet, FleetConfig};
 use bmcast_repro::bmcast::machine::MachineSpec;
-use bmcast_repro::bmcast::programs::StreamProgram;
+use bmcast_repro::bmcast::programs::{BootProgram, StreamProgram};
+use bmcast_repro::guestsim::os::BootProfile;
 use bmcast_repro::hwsim::block::{BlockRange, Lba};
-use bmcast_repro::simkit::{SimDuration, SimTime};
+use bmcast_repro::simkit::fault::FaultPlan;
+use bmcast_repro::simkit::{SimDuration, SimTime, Span};
 
 fn spec() -> MachineSpec {
     MachineSpec {
@@ -29,7 +34,7 @@ fn metrics_agree_with_machine_ground_truth() {
         fabric_loss_rate: 0.01,
         ..BmcastConfig::default()
     };
-    let mut runner = Runner::bmcast_instrumented(&spec(), cfg);
+    let mut runner = Runner::bmcast_flight_recorded(&spec(), cfg, FlightRecorderConfig::default());
     runner.start_program(Box::new(StreamProgram::sequential(
         BlockRange::new(Lba(8_000), 4_096),
         false,
@@ -105,12 +110,13 @@ fn metrics_agree_with_machine_ground_truth() {
 
 #[test]
 fn tracer_records_the_lifecycle_in_order() {
-    let mut runner = Runner::bmcast_instrumented(
+    let mut runner = Runner::bmcast_flight_recorded(
         &spec(),
         BmcastConfig {
             moderation: Moderation::full_speed(),
             ..BmcastConfig::default()
         },
+        FlightRecorderConfig::default(),
     );
     runner
         .run_to_bare_metal(SimTime::from_secs(600))
@@ -153,4 +159,129 @@ fn telemetry_off_by_default_and_free() {
     assert!(runner.tracer().events().is_empty());
     // Ground truth still accumulates regardless.
     assert!(runner.machine().stats.frames_rx > 0);
+}
+
+/// Guest reads ahead of the background copy, as in
+/// `metrics_agree_with_machine_ground_truth`.
+fn read_ahead() -> Box<StreamProgram> {
+    Box::new(StreamProgram::sequential(
+        BlockRange::new(Lba(8_000), 4_096),
+        false,
+        64,
+        SimTime::from_millis(800),
+        5,
+    ))
+}
+
+#[test]
+fn phase_spans_tile_the_deployment() {
+    let mut runner = Runner::bmcast_flight_recorded(
+        &spec(),
+        BmcastConfig {
+            moderation: Moderation::full_speed(),
+            fabric_loss_rate: 0.01,
+            ..BmcastConfig::default()
+        },
+        FlightRecorderConfig::default(),
+    );
+    runner.start_program(read_ahead());
+    runner.run_to_finish(SimTime::from_secs(300));
+    let bare_metal = runner
+        .run_to_bare_metal(SimTime::from_secs(600))
+        .expect("deployment completes");
+    let mut phases: Vec<Span> = runner
+        .spans()
+        .finished()
+        .into_iter()
+        .filter(|s| s.track == "phase")
+        .collect();
+    phases.sort_by_key(|s| s.start);
+    let kinds: Vec<&str> = phases.iter().map(|s| s.kind).collect();
+    assert_eq!(
+        kinds,
+        [
+            "phase.initialization",
+            "phase.deployment",
+            "phase.devirtualization"
+        ]
+    );
+    // Exactly [0, bare_metal_at], with no gap and no overlap.
+    assert_eq!(phases[0].start, SimTime::ZERO);
+    assert_eq!(phases[2].end, bare_metal);
+    for w in phases.windows(2) {
+        assert_eq!(w[0].end, w[1].start, "{} -> {}", w[0].kind, w[1].kind);
+    }
+}
+
+/// The flight recorder only reads the machine: a recorded run and a
+/// plain one from the same config reach bare metal at the same instant
+/// with the same retransmits and frames, with loss and under chaos.
+#[test]
+fn observation_is_inert_on_one_machine() {
+    let base = BmcastConfig {
+        moderation: Moderation::full_speed(),
+        ..BmcastConfig::default()
+    };
+    let lossy = BmcastConfig {
+        fabric_loss_rate: 0.01,
+        ..base.clone()
+    };
+    let chaos = BmcastConfig {
+        faults: Some(FaultPlan::chaos(7)),
+        ..base
+    };
+    for cfg in [lossy, chaos] {
+        let run = |mut runner: Runner| {
+            runner.start_program(read_ahead());
+            runner.run_to_finish(SimTime::from_secs(300));
+            let bare_metal = runner
+                .run_to_bare_metal(SimTime::from_secs(600))
+                .expect("deployment completes");
+            let m = runner.machine();
+            let retransmits = m.vmm.as_ref().unwrap().client.retransmits();
+            (bare_metal, retransmits, m.stats.frames_tx, m.stats.frames_rx)
+        };
+        let plain = run(Runner::bmcast(&spec(), cfg.clone()));
+        let observed = run(Runner::bmcast_flight_recorded(
+            &spec(),
+            cfg,
+            FlightRecorderConfig::default(),
+        ));
+        assert!(plain.1 > 0, "loss forced retransmits");
+        assert_eq!(plain, observed, "(bare metal, retransmits, frames tx, rx)");
+    }
+}
+
+/// Fleet-wide, telemetry plus the flight recorder (and the SLO
+/// watchdogs it arms) leave every boot instant where it was, without
+/// faults and under chaos.
+#[test]
+fn observation_is_inert_on_a_fleet() {
+    for faults in [None, FaultPlan::preset("chaos", 7)] {
+        let boots = |observed: bool| {
+            let mut fleet = Fleet::new(FleetConfig {
+                n: 4,
+                spec: MachineSpec {
+                    capacity_sectors: (1u64 << 22) / 512,
+                    image_sectors: (1u64 << 21) / 512,
+                    ..MachineSpec::default()
+                },
+                faults: faults.clone(),
+                ..FleetConfig::default()
+            });
+            if observed {
+                fleet.enable_telemetry();
+                fleet.enable_flight_recorder(FlightRecorderConfig::default());
+            }
+            fleet.start(|_| {
+                Box::new(BootProgram::new(BootProfile::custom(
+                    "inert", 7, 50, 2 << 20, 500, 1 << 20,
+                )))
+            });
+            fleet
+                .run_to_all_booted(SimTime::from_secs(3600))
+                .expect("fleet boots")
+        };
+        assert_eq!(boots(false), boots(true), "faults: {}", faults.is_some());
+    }
 }
