@@ -36,7 +36,7 @@
 
 use crate::wire::{sectors_per_frame, AoePdu, FrameBytes, Tag, WireFrame};
 use hwsim::block::{BlockRange, SectorData};
-use simkit::{Metrics, Prng, SimDuration, SimTime, SpanId, Spans, Tracer, NO_SPAN};
+use simkit::{Metrics, Prng, SimDuration, SimTime, SpanId, Spans, Tracer};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// How many completed/failed request ids are remembered for stale-reply
@@ -187,7 +187,7 @@ struct Pending {
     deadline: SimTime,
     retries: u32,
     /// Flight-recorder round-trip span, open from issue to completion
-    /// or failure ([`NO_SPAN`] when the recorder is off).
+    /// or failure ([`NO_SPAN`](simkit::NO_SPAN) when the recorder is off).
     span: SpanId,
 }
 
@@ -209,10 +209,10 @@ impl Pending {
 /// ```
 /// use aoe::{AoeClient, ClientConfig};
 /// use hwsim::block::{BlockRange, Lba};
-/// use simkit::SimTime;
+/// use simkit::{SimTime, NO_SPAN};
 ///
 /// let mut client = AoeClient::new(ClientConfig::default());
-/// let (id, frames) = client.read(SimTime::ZERO, BlockRange::new(Lba(0), 8));
+/// let (id, frames) = client.read(SimTime::ZERO, BlockRange::new(Lba(0), 8), NO_SPAN);
 /// assert_eq!(frames.len(), 1); // a read request is one frame
 /// assert_eq!(client.outstanding(), 1);
 /// # let _ = id;
@@ -502,15 +502,12 @@ impl AoeClient {
         sectors.div_ceil(spf)
     }
 
-    /// Issues a read of `range`. Returns the request id and the encoded
-    /// request frame(s) to transmit (always exactly one for reads).
-    pub fn read(&mut self, now: SimTime, range: BlockRange) -> (u32, Vec<FrameBytes>) {
-        self.read_traced(now, range, NO_SPAN)
-    }
-
-    /// [`AoeClient::read`] with the round-trip span nested under
-    /// `parent` (e.g. the redirect fetch that issued it).
-    pub fn read_traced(
+    /// Issues a read of `range`, its round-trip span nested under
+    /// `parent` (e.g. the redirect fetch that issued it;
+    /// [`NO_SPAN`](simkit::NO_SPAN) for none). Returns the request id and
+    /// the encoded request frame(s) to transmit (always exactly one for
+    /// reads).
+    pub fn read(
         &mut self,
         now: SimTime,
         range: BlockRange,
@@ -557,24 +554,13 @@ impl AoeClient {
     /// burst whose fragment indices run globally across the table. The
     /// caller groups runs by endpoint first (see
     /// [`AoeClient::endpoint_for`]); the batch is issued to the first
-    /// run's endpoint.
+    /// run's endpoint. The round-trip span nests under `parent`.
     ///
     /// # Panics
     ///
     /// Panics if `runs` is empty or the reply burst would overflow the
     /// 12-bit fragment index.
-    pub fn read_multi(&mut self, now: SimTime, runs: Vec<BlockRange>) -> (u32, Vec<FrameBytes>) {
-        self.read_multi_traced(now, runs, NO_SPAN)
-    }
-
-    /// [`AoeClient::read_multi`] with the round-trip span nested under
-    /// `parent`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs` is empty or the reply burst would overflow the
-    /// 12-bit fragment index.
-    pub fn read_multi_traced(
+    pub fn read_multi(
         &mut self,
         now: SimTime,
         runs: Vec<BlockRange>,
@@ -628,27 +614,13 @@ impl AoeClient {
 
     /// Issues a write of `data` to `range`. Large writes are fragmented
     /// into one request frame per MTU-sized piece; each fragment is acked
-    /// independently and the write completes when all acks arrive.
+    /// independently and the write completes when all acks arrive. The
+    /// round-trip span nests under `parent`.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != range.sectors`.
     pub fn write(
-        &mut self,
-        now: SimTime,
-        range: BlockRange,
-        data: &[SectorData],
-    ) -> (u32, Vec<FrameBytes>) {
-        self.write_traced(now, range, data, NO_SPAN)
-    }
-
-    /// [`AoeClient::write`] with the round-trip span nested under
-    /// `parent`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != range.sectors`.
-    pub fn write_traced(
         &mut self,
         now: SimTime,
         range: BlockRange,
@@ -950,6 +922,7 @@ impl AoeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::NO_SPAN;
     use hwsim::block::Lba;
 
     fn mk_response(
@@ -977,7 +950,7 @@ mod tests {
     fn single_fragment_read_completes() {
         let mut c = AoeClient::new(ClientConfig::default());
         let range = BlockRange::new(Lba(100), 8);
-        let (id, frames) = c.read(SimTime::ZERO, range);
+        let (id, frames) = c.read(SimTime::ZERO, range, NO_SPAN);
         let data: Vec<SectorData> = (0..8).map(SectorData).collect();
         let responses = mk_response(&frames[0], &[(0, range, data.clone())]);
         let done = c.on_frame(SimTime::ZERO, &responses[0]).unwrap();
@@ -992,7 +965,7 @@ mod tests {
         let mut c = AoeClient::new(ClientConfig::default());
         // 40 sectors at MTU 9000 → 17 + 17 + 6.
         let range = BlockRange::new(Lba(0), 40);
-        let (_, frames) = c.read(SimTime::ZERO, range);
+        let (_, frames) = c.read(SimTime::ZERO, range, NO_SPAN);
         let d0: Vec<SectorData> = (0..17).map(SectorData).collect();
         let d1: Vec<SectorData> = (17..34).map(SectorData).collect();
         let d2: Vec<SectorData> = (34..40).map(SectorData).collect();
@@ -1014,7 +987,7 @@ mod tests {
     fn duplicate_fragments_ignored() {
         let mut c = AoeClient::new(ClientConfig::default());
         let range = BlockRange::new(Lba(0), 1);
-        let (_, frames) = c.read(SimTime::ZERO, range);
+        let (_, frames) = c.read(SimTime::ZERO, range, NO_SPAN);
         let rs = mk_response(&frames[0], &[(0, range, vec![SectorData(1)])]);
         assert!(c.on_frame(SimTime::ZERO, &rs[0]).is_some());
         assert!(c.on_frame(SimTime::ZERO, &rs[0]).is_none(), "late duplicate is dropped");
@@ -1025,7 +998,7 @@ mod tests {
         let mut c = AoeClient::new(ClientConfig::default());
         let range = BlockRange::new(Lba(0), 20);
         let data: Vec<SectorData> = (0..20).map(SectorData).collect();
-        let (id, frames) = c.write(SimTime::ZERO, range, &data);
+        let (id, frames) = c.write(SimTime::ZERO, range, &data, NO_SPAN);
         assert_eq!(frames.len(), 2, "20 sectors at 17/frame → 2 fragments");
         // Ack each fragment.
         for frame in &frames {
@@ -1050,7 +1023,7 @@ mod tests {
             rto: SimDuration::from_millis(10),
             ..ClientConfig::default()
         });
-        c.read(SimTime::ZERO, BlockRange::new(Lba(0), 1));
+        c.read(SimTime::ZERO, BlockRange::new(Lba(0), 1), NO_SPAN);
         // Before the first deadline (≥ rto) nothing is due.
         assert!(c.poll_retransmit(SimTime::from_millis(5)).is_empty());
         let due = c.next_retransmit_at().unwrap();
@@ -1070,7 +1043,7 @@ mod tests {
             max_retries: 20,
             ..ClientConfig::default()
         });
-        c.read(SimTime::ZERO, BlockRange::new(Lba(0), 1));
+        c.read(SimTime::ZERO, BlockRange::new(Lba(0), 1), NO_SPAN);
         // Intervals between consecutive deadlines: 10, 20, 40, 40, ... ms,
         // each stretched by at most interval/4 of jitter.
         let mut prev = SimTime::ZERO;
@@ -1093,7 +1066,7 @@ mod tests {
         let mut c = AoeClient::new(ClientConfig::default());
         let deadlines: Vec<SimTime> = (0..8)
             .map(|_| {
-                c.read(SimTime::ZERO, BlockRange::new(Lba(0), 1));
+                c.read(SimTime::ZERO, BlockRange::new(Lba(0), 1), NO_SPAN);
                 c.pending.values().last().unwrap().deadline
             })
             .collect();
@@ -1103,7 +1076,7 @@ mod tests {
         let mut c2 = AoeClient::new(ClientConfig::default());
         let again: Vec<SimTime> = (0..8)
             .map(|_| {
-                c2.read(SimTime::ZERO, BlockRange::new(Lba(0), 1));
+                c2.read(SimTime::ZERO, BlockRange::new(Lba(0), 1), NO_SPAN);
                 c2.pending.values().last().unwrap().deadline
             })
             .collect();
@@ -1117,7 +1090,7 @@ mod tests {
             max_retries: 2,
             ..ClientConfig::default()
         });
-        let (id, _) = c.read(SimTime::ZERO, BlockRange::new(Lba(0), 1));
+        let (id, _) = c.read(SimTime::ZERO, BlockRange::new(Lba(0), 1), NO_SPAN);
         let mut polls = 0;
         while c.outstanding() > 0 {
             let due = c.next_retransmit_at().unwrap();
@@ -1135,7 +1108,7 @@ mod tests {
         let mut c = AoeClient::new(ClientConfig::default());
         // Large enough to span several reply fragments.
         let range = BlockRange::new(Lba(0), 40);
-        let (id, frames) = c.read(SimTime::ZERO, range);
+        let (id, frames) = c.read(SimTime::ZERO, range, NO_SPAN);
         let due = c.next_retransmit_at().unwrap();
         let resent = c.poll_retransmit(due);
         // Nothing arrived: one frame, byte-identical to the original —
@@ -1152,7 +1125,7 @@ mod tests {
         let mut c = AoeClient::new(ClientConfig::default());
         let spf = sectors_per_frame(ClientConfig::default().mtu);
         let range = BlockRange::new(Lba(0), 2 * spf);
-        let (_, frames) = c.read(SimTime::ZERO, range);
+        let (_, frames) = c.read(SimTime::ZERO, range, NO_SPAN);
         let first = BlockRange::new(Lba(0), spf);
         let rs = mk_response(
             &frames[0],
@@ -1172,7 +1145,7 @@ mod tests {
         let mut c = AoeClient::new(ClientConfig::default());
         let spf = sectors_per_frame(ClientConfig::default().mtu);
         let range = BlockRange::new(Lba(0), 2 * spf);
-        let (_, frames) = c.read(SimTime::ZERO, range);
+        let (_, frames) = c.read(SimTime::ZERO, range, NO_SPAN);
         let before = c.next_retransmit_at().unwrap();
         // One fragment lands just shy of the deadline: the reply train
         // is in flight, so the deadline moves out past it.
@@ -1197,7 +1170,7 @@ mod tests {
             ..ClientConfig::default()
         });
         let range = BlockRange::new(Lba(0), 1);
-        let (_, frames) = c.read(SimTime::ZERO, range);
+        let (_, frames) = c.read(SimTime::ZERO, range, NO_SPAN);
         // A busy error-reply delivers the hint without completing the
         // request (error replies are otherwise ignored).
         let mut busy = AoePdu::decode_frame(&frames[0]).unwrap();
@@ -1228,18 +1201,23 @@ mod tests {
         });
         c.set_read_endpoints(vec![(0, 0), (1, 0), (2, 0)]);
         for (lba, want_shelf) in [(0u64, 0u16), (8, 1), (16, 2), (24, 0), (7, 0), (9, 1)] {
-            let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(lba), 1));
+            let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(lba), 1), NO_SPAN);
             let pdu = AoePdu::decode_frame(&frames[0]).unwrap();
             assert_eq!(pdu.shelf, want_shelf, "lba {lba} steered to wrong endpoint");
         }
         // Writes ignore the stripe: the primary is the write-ordering point.
-        let (_, frames) = c.write(SimTime::ZERO, BlockRange::new(Lba(16), 1), &[SectorData(1)]);
+        let (_, frames) = c.write(
+            SimTime::ZERO,
+            BlockRange::new(Lba(16), 1),
+            &[SectorData(1)],
+            NO_SPAN,
+        );
         assert_eq!(AoePdu::decode_frame(&frames[0]).unwrap().shelf, 0);
         // A peer registered mid-run only affects future reads.
         c.add_read_endpoint((9, 0));
         c.add_read_endpoint((9, 0)); // duplicate registration is a no-op
         assert_eq!(c.read_endpoints().len(), 4);
-        let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(24), 1));
+        let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(24), 1), NO_SPAN);
         assert_eq!(AoePdu::decode_frame(&frames[0]).unwrap().shelf, 9);
     }
 
@@ -1251,12 +1229,12 @@ mod tests {
         });
         c.set_read_endpoints(vec![(0, 0), (1, 0)]);
         for lba in [0u64, 8, 16, 24] {
-            c.read(SimTime::ZERO, BlockRange::new(Lba(lba), 1));
+            c.read(SimTime::ZERO, BlockRange::new(Lba(lba), 1), NO_SPAN);
         }
         assert_eq!(c.reads_by_shelf().get(&0), Some(&2));
         assert_eq!(c.reads_by_shelf().get(&1), Some(&2));
         // Writes are not reads: the tally must not move.
-        c.write(SimTime::ZERO, BlockRange::new(Lba(0), 1), &[SectorData(1)]);
+        c.write(SimTime::ZERO, BlockRange::new(Lba(0), 1), &[SectorData(1)], NO_SPAN);
         assert_eq!(c.reads_by_shelf().values().sum::<u64>(), 4);
     }
 
@@ -1271,7 +1249,7 @@ mod tests {
         c.remove_read_endpoint((1, 0));
         assert_eq!(c.read_endpoints(), &[(0, 0), (2, 0)]);
         for lba in (0..64).step_by(8) {
-            let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(lba), 1));
+            let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(lba), 1), NO_SPAN);
             let pdu = AoePdu::decode_frame(&frames[0]).unwrap();
             assert_ne!(pdu.shelf, 1, "reclaimed endpoint must see no reads");
         }
@@ -1291,11 +1269,16 @@ mod tests {
         assert_eq!(c.write_endpoint(), (0, 0));
         c.set_write_target(0, 7);
         assert_eq!(c.write_endpoint(), (0, 7));
-        let (_, frames) = c.write(SimTime::ZERO, BlockRange::new(Lba(3), 1), &[SectorData(5)]);
+        let (_, frames) = c.write(
+            SimTime::ZERO,
+            BlockRange::new(Lba(3), 1),
+            &[SectorData(5)],
+            NO_SPAN,
+        );
         let pdu = AoePdu::decode_frame(&frames[0]).unwrap();
         assert_eq!((pdu.shelf, pdu.slot), (0, 7), "write goes to the archive");
         // Reads still stripe over the read set.
-        let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(8), 1));
+        let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(8), 1), NO_SPAN);
         assert_eq!(AoePdu::decode_frame(&frames[0]).unwrap().slot, 0);
         c.clear_write_target();
         assert_eq!(c.write_endpoint(), (0, 0));
@@ -1325,7 +1308,7 @@ mod tests {
         // verdict must land — shelf 0's life says nothing about shelf 1.
         let mut c = AoeClient::new(cfg.clone());
         c.set_read_endpoints(vec![(0, 0), (1, 0)]);
-        let (id, _) = c.read(SimTime::ZERO, BlockRange::new(Lba(8), 1));
+        let (id, _) = c.read(SimTime::ZERO, BlockRange::new(Lba(8), 1), NO_SPAN);
         let mut now = SimTime::ZERO;
         while c.outstanding() > 0 {
             assert!(c.on_frame(now, &busy_from(0)).is_none());
@@ -1338,7 +1321,7 @@ mod tests {
         // own endpoint: the budget is held open.
         let mut c = AoeClient::new(cfg);
         c.set_read_endpoints(vec![(0, 0), (1, 0)]);
-        c.read(SimTime::ZERO, BlockRange::new(Lba(8), 1));
+        c.read(SimTime::ZERO, BlockRange::new(Lba(8), 1), NO_SPAN);
         let mut now = SimTime::ZERO;
         for _ in 0..4 {
             assert!(c.on_frame(now, &busy_from(1)).is_none());
@@ -1359,7 +1342,7 @@ mod tests {
         });
         c.set_read_endpoints(vec![(0, 0), (1, 0)]);
         c.set_sprint(true);
-        let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(8), 40));
+        let (_, frames) = c.read(SimTime::ZERO, BlockRange::new(Lba(8), 40), NO_SPAN);
         let pdu = AoePdu::decode_frame(&frames[0]).unwrap();
         assert_eq!((pdu.shelf, pdu.sprint), (1, true));
         // Even after the endpoint set and sprint mode change, a full-loss
@@ -1386,7 +1369,7 @@ mod tests {
     fn stale_replies_are_suppressed_and_counted() {
         let mut c = AoeClient::new(ClientConfig::default());
         let range = BlockRange::new(Lba(0), 1);
-        let (_, frames) = c.read(SimTime::ZERO, range);
+        let (_, frames) = c.read(SimTime::ZERO, range, NO_SPAN);
         let rs = mk_response(&frames[0], &[(0, range, vec![SectorData(1)])]);
         assert!(c.on_frame(SimTime::ZERO, &rs[0]).is_some());
         // The same reply again: the request is gone, so this is stale.
@@ -1404,7 +1387,7 @@ mod tests {
     fn corrupted_frames_count_as_decode_errors() {
         let mut c = AoeClient::new(ClientConfig::default());
         let range = BlockRange::new(Lba(0), 1);
-        let (_, frames) = c.read(SimTime::ZERO, range);
+        let (_, frames) = c.read(SimTime::ZERO, range, NO_SPAN);
         let mut reply = mk_response(&frames[0], &[(0, range, vec![SectorData(1)])]).remove(0);
         reply[30] ^= 0xFF; // corrupt the payload: checksum must catch it
         assert!(c.on_frame(SimTime::ZERO, &reply).is_none());
@@ -1416,7 +1399,7 @@ mod tests {
     fn busy_hint_latches_with_reply_timestamp() {
         let mut c = AoeClient::new(ClientConfig::default());
         let range = BlockRange::new(Lba(0), 1);
-        let (_, frames) = c.read(SimTime::ZERO, range);
+        let (_, frames) = c.read(SimTime::ZERO, range, NO_SPAN);
         assert_eq!(c.server_busy_at(), None);
         let mut reply = AoePdu::decode_frame(&frames[0]).unwrap();
         reply.response = true;
@@ -1427,7 +1410,7 @@ mod tests {
         assert_eq!(c.server_busy_at(), Some(at));
         // A later calm reply does not clear the latch; the caller owns
         // the backoff-window comparison.
-        let (_, frames) = c.read(at, range);
+        let (_, frames) = c.read(at, range, NO_SPAN);
         let mut calm = AoePdu::decode_frame(&frames[0]).unwrap();
         calm.response = true;
         calm.data = Some(vec![SectorData(1)]);
@@ -1444,7 +1427,7 @@ mod tests {
             }
             (0..8)
                 .map(|_| {
-                    c.read(SimTime::ZERO, BlockRange::new(Lba(0), 1));
+                    c.read(SimTime::ZERO, BlockRange::new(Lba(0), 1), NO_SPAN);
                     c.pending.values().last().unwrap().deadline
                 })
                 .collect()
@@ -1461,7 +1444,7 @@ mod tests {
         // Runs of 20 (2 fragments at 17/frame) and 5 (1 fragment):
         // global fragment indices 0,1 then 2.
         let runs = vec![BlockRange::new(Lba(0), 20), BlockRange::new(Lba(100), 5)];
-        let (id, frames) = c.read_multi(SimTime::ZERO, runs.clone());
+        let (id, frames) = c.read_multi(SimTime::ZERO, runs.clone(), NO_SPAN);
         assert_eq!(frames.len(), 1, "a batched read is one v3 frame");
         let req = AoePdu::decode_frame(&frames[0]).unwrap();
         assert_eq!(req.ranges, runs);
@@ -1494,7 +1477,7 @@ mod tests {
         let mut c = AoeClient::new(ClientConfig::default());
         c.set_sprint(true);
         let runs = vec![BlockRange::new(Lba(8), 40), BlockRange::new(Lba(200), 8)];
-        let (_, frames) = c.read_multi(SimTime::ZERO, runs);
+        let (_, frames) = c.read_multi(SimTime::ZERO, runs, NO_SPAN);
         // Mode changes after issue must not leak into the retransmit.
         c.set_sprint(false);
         let resent = c.poll_retransmit(c.next_retransmit_at().unwrap());
@@ -1508,7 +1491,7 @@ mod tests {
         // Run 0: 20 sectors → fragments 0 (lba 0 x17) and 1 (lba 17 x3);
         // run 1: 5 sectors → fragment 2 (lba 100 x5).
         let runs = vec![BlockRange::new(Lba(0), 20), BlockRange::new(Lba(100), 5)];
-        let (id, frames) = c.read_multi(SimTime::ZERO, runs);
+        let (id, frames) = c.read_multi(SimTime::ZERO, runs, NO_SPAN);
         // Only global fragment 1 arrives.
         let rs = mk_response(
             &frames[0],
@@ -1530,9 +1513,9 @@ mod tests {
     fn rdma_mode_flags_reads_and_their_retransmits() {
         let mut c = AoeClient::new(ClientConfig::default());
         c.set_rdma(true);
-        let (_, single) = c.read(SimTime::ZERO, BlockRange::new(Lba(0), 40));
+        let (_, single) = c.read(SimTime::ZERO, BlockRange::new(Lba(0), 40), NO_SPAN);
         assert!(AoePdu::decode_frame(&single[0]).unwrap().rdma);
-        let (_, multi) = c.read_multi(SimTime::ZERO, vec![BlockRange::new(Lba(50), 4)]);
+        let (_, multi) = c.read_multi(SimTime::ZERO, vec![BlockRange::new(Lba(50), 4)], NO_SPAN);
         assert!(AoePdu::decode_frame(&multi[0]).unwrap().rdma);
         // The flag survives mode changes on every retransmit shape.
         // (Poll past both jittered deadlines so each request resends.)
@@ -1543,7 +1526,7 @@ mod tests {
             assert!(AoePdu::decode_frame(frame).unwrap().rdma, "retransmit lost the flag");
         }
         // Writes never carry it (RDMA-assisted snapback is future work).
-        let (_, w) = c.write(SimTime::ZERO, BlockRange::new(Lba(0), 1), &[SectorData(1)]);
+        let (_, w) = c.write(SimTime::ZERO, BlockRange::new(Lba(0), 1), &[SectorData(1)], NO_SPAN);
         assert!(!AoePdu::decode_frame(&w[0]).unwrap().rdma);
     }
 

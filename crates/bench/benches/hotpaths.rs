@@ -29,7 +29,7 @@ use bmcast::bitmap::BlockBitmap;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use hwsim::disk::{DiskModel, DiskOp, DiskParams};
-use simkit::SimTime;
+use simkit::{SimTime, NO_SPAN};
 use std::time::Duration;
 
 /// 32 GB of 512-byte sectors — the paper's deployment image size.
@@ -227,7 +227,7 @@ fn bench_aoe(c: &mut Criterion) {
         let mut client = AoeClient::new(ClientConfig::default());
         let range = BlockRange::new(Lba(0), 2048);
         b.iter(|| {
-            let (_, frames) = client.read(SimTime::ZERO, range);
+            let (_, frames) = client.read(SimTime::ZERO, range, NO_SPAN);
             let reply = server
                 .handle(SimTime::ZERO, &frames[0])
                 .expect("decodes")

@@ -118,45 +118,9 @@ impl BackgroundCopy {
 
     /// Attaches a flight-recorder span handle; every in-flight fetch gets
     /// a `bg.fetch` span on the `background` track (ended on delivery or
-    /// final failure via the `*_at` variants).
+    /// final failure).
     pub fn set_spans(&mut self, spans: Spans) {
         self.spans = spans;
-    }
-
-    /// [`BackgroundCopy::next_fetch`] plus flight-recorder bookkeeping:
-    /// a chosen block opens a `bg.fetch` span at `now`.
-    pub fn next_fetch_at(&mut self, now: SimTime, bitmap: &BlockBitmap) -> Option<BlockRange> {
-        let range = self.next_fetch(bitmap)?;
-        if self.spans.is_enabled() {
-            let id = self.spans.begin(now, "background", "bg.fetch", NO_SPAN, || {
-                format!("fetch lba {} x{}", range.lba.0, range.sectors)
-            });
-            self.fetch_spans.insert(range.lba.0, id);
-        }
-        Some(range)
-    }
-
-    /// [`BackgroundCopy::deliver`] plus flight-recorder bookkeeping: the
-    /// block's `bg.fetch` span ends at `now`.
-    pub fn deliver_at(&mut self, now: SimTime, block: FetchedBlock) {
-        if let Some(id) = self.fetch_spans.remove(&block.range.lba.0) {
-            self.spans.end(now, id);
-        }
-        self.deliver(block);
-    }
-
-    /// [`BackgroundCopy::fetch_failed`] plus flight-recorder bookkeeping:
-    /// the block's `bg.fetch` span ends at `now` and a `bg.fetch_failed`
-    /// instant marks the abandonment.
-    pub fn fetch_failed_at(&mut self, now: SimTime, range: BlockRange) {
-        if let Some(id) = self.fetch_spans.remove(&range.lba.0) {
-            self.spans
-                .instant(now, "background", "bg.fetch_failed", id, || {
-                    format!("lba {} x{}", range.lba.0, range.sectors)
-                });
-            self.spans.end(now, id);
-        }
-        self.fetch_failed(range);
     }
 
     /// Publishes the FIFO and pipeline depths as gauges.
@@ -236,9 +200,10 @@ impl BackgroundCopy {
 
     /// Picks the next block for the retriever: starts at the cursor
     /// (adjacent to recent guest activity), aligned to the copy-block
-    /// grid, skipping blocks already requested or already filled. Returns
-    /// `None` when nothing is left to request or the pipeline is full.
-    pub fn next_fetch(&mut self, bitmap: &BlockBitmap) -> Option<BlockRange> {
+    /// grid, skipping blocks already requested or already filled. A chosen
+    /// block opens a `bg.fetch` span at `now`. Returns `None` when nothing
+    /// is left to request or the pipeline is full.
+    pub fn next_fetch(&mut self, now: SimTime, bitmap: &BlockBitmap) -> Option<BlockRange> {
         if !self.can_fetch() {
             return None;
         }
@@ -256,6 +221,12 @@ impl BackgroundCopy {
             self.inflight += 1;
             self.metrics.inc("bg.fetches");
             self.update_depth_gauges();
+            if self.spans.is_enabled() {
+                let id = self.spans.begin(now, "background", "bg.fetch", NO_SPAN, || {
+                    format!("fetch lba {} x{}", range.lba.0, range.sectors)
+                });
+                self.fetch_spans.insert(range.lba.0, id);
+            }
             return Some(range);
         }
     }
@@ -293,8 +264,17 @@ impl BackgroundCopy {
     }
 
     /// Records that a fetch failed (retry budget exhausted): the sectors
-    /// become requestable again so the deployment cannot stall.
-    pub fn fetch_failed(&mut self, range: BlockRange) {
+    /// become requestable again so the deployment cannot stall. The
+    /// block's `bg.fetch` span ends at `now` and a `bg.fetch_failed`
+    /// instant marks the abandonment.
+    pub fn fetch_failed(&mut self, now: SimTime, range: BlockRange) {
+        if let Some(id) = self.fetch_spans.remove(&range.lba.0) {
+            self.spans
+                .instant(now, "background", "bg.fetch_failed", id, || {
+                    format!("lba {} x{}", range.lba.0, range.sectors)
+                });
+            self.spans.end(now, id);
+        }
         assert!(self.inflight > 0, "failure without a fetch in flight");
         self.inflight -= 1;
         self.metrics.inc("bg.fetch_failures");
@@ -305,12 +285,16 @@ impl BackgroundCopy {
         }
     }
 
-    /// Delivers a fetched block into the FIFO (retriever side).
+    /// Delivers a fetched block into the FIFO (retriever side); the
+    /// block's `bg.fetch` span ends at `now`.
     ///
     /// # Panics
     ///
     /// Panics if nothing was in flight.
-    pub fn deliver(&mut self, block: FetchedBlock) {
+    pub fn deliver(&mut self, now: SimTime, block: FetchedBlock) {
+        if let Some(id) = self.fetch_spans.remove(&block.range.lba.0) {
+            self.spans.end(now, id);
+        }
         assert!(self.inflight > 0, "deliver without a fetch in flight");
         self.inflight -= 1;
         self.bytes_fetched += block.range.bytes();
@@ -393,8 +377,8 @@ mod tests {
     fn fetch_tiles_low_to_high() {
         let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
         let bitmap = BlockBitmap::new(1024);
-        let a = bg.next_fetch(&bitmap).unwrap();
-        let b = bg.next_fetch(&bitmap).unwrap();
+        let a = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
+        let b = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
         assert_eq!(a, BlockRange::new(Lba(0), 64));
         assert_eq!(b, BlockRange::new(Lba(64), 64));
     }
@@ -404,7 +388,7 @@ mod tests {
         let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
         let mut bitmap = BlockBitmap::new(1024);
         bitmap.mark_filled(BlockRange::new(Lba(0), 130));
-        let a = bg.next_fetch(&bitmap).unwrap();
+        let a = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
         // First empty sector is 130 → aligned block 128..192.
         assert_eq!(a, BlockRange::new(Lba(128), 64));
     }
@@ -414,7 +398,7 @@ mod tests {
         let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
         let bitmap = BlockBitmap::new(4096);
         bg.note_guest_io(SimTime::ZERO, Lba(1000));
-        let a = bg.next_fetch(&bitmap).unwrap();
+        let a = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
         assert_eq!(a.lba, Lba(960), "aligned next to the guest access");
     }
 
@@ -422,9 +406,9 @@ mod tests {
     fn fifo_backpressure_limits_inflight() {
         let mut bg = BackgroundCopy::new(64, 2, 4, 1 << 16);
         let bitmap = BlockBitmap::new(4096);
-        assert!(bg.next_fetch(&bitmap).is_some());
-        assert!(bg.next_fetch(&bitmap).is_some());
-        assert!(bg.next_fetch(&bitmap).is_none(), "capacity 2 reached");
+        assert!(bg.next_fetch(SimTime::ZERO, &bitmap).is_some());
+        assert!(bg.next_fetch(SimTime::ZERO, &bitmap).is_some());
+        assert!(bg.next_fetch(SimTime::ZERO, &bitmap).is_none(), "capacity 2 reached");
         assert_eq!(bg.inflight(), 2);
     }
 
@@ -432,8 +416,8 @@ mod tests {
     fn writer_claims_and_writes() {
         let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
         let mut bitmap = BlockBitmap::new(4096);
-        let r = bg.next_fetch(&bitmap).unwrap();
-        bg.deliver(fetched(r, 7));
+        let r = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
+        bg.deliver(SimTime::ZERO, fetched(r, 7));
         let pieces = bg.pop_for_write(&mut bitmap).unwrap();
         assert_eq!(pieces.len(), 1);
         assert_eq!(pieces[0].range, r);
@@ -446,10 +430,10 @@ mod tests {
         // The §3.3 race, end to end at the policy level.
         let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
         let mut bitmap = BlockBitmap::new(4096);
-        let r = bg.next_fetch(&bitmap).unwrap();
+        let r = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
         // Guest writes sectors 10..20 while the fetch is in flight.
         bitmap.mark_filled(BlockRange::new(Lba(10), 10));
-        bg.deliver(fetched(r, 7));
+        bg.deliver(SimTime::ZERO, fetched(r, 7));
         let pieces = bg.pop_for_write(&mut bitmap).unwrap();
         assert_eq!(
             pieces.iter().map(|p| p.range).collect::<Vec<_>>(),
@@ -462,9 +446,9 @@ mod tests {
     fn fully_guest_written_block_discarded() {
         let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
         let mut bitmap = BlockBitmap::new(4096);
-        let r = bg.next_fetch(&bitmap).unwrap();
+        let r = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
         bitmap.mark_filled(r);
-        bg.deliver(fetched(r, 7));
+        bg.deliver(SimTime::ZERO, fetched(r, 7));
         assert!(bg.pop_for_write(&mut bitmap).is_none());
         assert_eq!(bg.blocks_discarded(), 1);
     }
@@ -476,24 +460,24 @@ mod tests {
         // fetches — only the failed block may be reissued, exactly once.
         let mut bg = BackgroundCopy::new(64, 8, 8, 1 << 16);
         let bitmap = BlockBitmap::new(4096);
-        let a = bg.next_fetch(&bitmap).unwrap();
-        let b = bg.next_fetch(&bitmap).unwrap();
-        let c = bg.next_fetch(&bitmap).unwrap();
+        let a = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
+        let b = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
+        let c = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
         assert_eq!(a, BlockRange::new(Lba(0), 64));
         assert_eq!(b, BlockRange::new(Lba(64), 64));
         assert_eq!(c, BlockRange::new(Lba(128), 64));
 
-        bg.fetch_failed(b);
+        bg.fetch_failed(SimTime::ZERO, b);
         assert_eq!(bg.inflight(), 2);
 
         // The retry walks past `a` and `c` (still requested, still in
         // flight) and lands exactly on the failed block.
-        let retry = bg.next_fetch(&bitmap).unwrap();
+        let retry = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
         assert_eq!(retry, b, "failed block is re-requested");
         assert_eq!(bg.inflight(), 3);
 
         // No duplicate: the next pick resumes after the in-flight tail.
-        let next = bg.next_fetch(&bitmap).unwrap();
+        let next = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
         assert_eq!(next, BlockRange::new(Lba(192), 64), "no block fetched twice");
         assert_eq!(bg.inflight(), 4);
     }
@@ -537,6 +521,6 @@ mod tests {
         let mut bg = BackgroundCopy::new(64, 4, 4, 128);
         let mut bitmap = BlockBitmap::new(128);
         bitmap.mark_filled(BlockRange::new(Lba(0), 128));
-        assert!(bg.next_fetch(&bitmap).is_none());
+        assert!(bg.next_fetch(SimTime::ZERO, &bitmap).is_none());
     }
 }

@@ -89,26 +89,10 @@ impl Moderation {
 /// Top-level BMcast configuration.
 #[derive(Debug, Clone)]
 pub struct BmcastConfig {
-    /// Memory reserved for the VMM (128 MB in the prototype).
-    pub vmm_memory_bytes: u64,
-    /// Polling granularity: the mediator detects device/network completion
-    /// on its next poll, so completions see on average half this much
-    /// added latency. Driven by the VMX preemption timer.
-    pub poll_interval: SimDuration,
-    /// Extra per-redirect latency of the prototype's completion polling
-    /// during copy-on-read: §4.1's poll scheduling is driven by
-    /// *estimated* round-trip and I/O latencies, and a conservative or
-    /// cold estimator overshoots. Calibrated so the §5.1 boot (72 MB over
-    /// ~900 reads) lands near the measured 58 s. Does not affect
-    /// pass-through I/O (Figures 10/11's Deploy bars involve no
-    /// redirects).
-    pub redirect_poll_penalty: SimDuration,
     /// Background-copy block size in sectors (1024 KB in §5.6).
     pub copy_block_sectors: u32,
     /// Background-copy requests kept in flight by the retriever thread.
     pub retriever_depth: usize,
-    /// FIFO capacity (blocks) between retriever and writer threads.
-    pub fifo_capacity: usize,
     /// Moderation parameters.
     pub moderation: Moderation,
     /// Dedicated NIC model.
@@ -121,14 +105,6 @@ pub struct BmcastConfig {
     /// Whether to execute VMXOFF after deployment (fully implemented here;
     /// the paper's prototype needed a guest module).
     pub vmxoff_after_deploy: bool,
-    /// Extra IRQ-delivery latency while the VMM stays resident after
-    /// deployment (§4.3: VMX remains on, EPT and traps are disabled, but
-    /// external interrupts still transit the thin resident shim). Only
-    /// applied when `vmxoff_after_deploy` is false and the machine has
-    /// reached the bare-metal phase. Calibrated so Figure 10's Devirt row
-    /// (fio 1 MB direct I/O, ~8.6 ms per request) loses ≈1.7% versus bare
-    /// metal, matching the paper's measurement.
-    pub resident_irq_delay: SimDuration,
     /// Deterministic fault-injection plan. `None` runs a clean fabric;
     /// `Some(plan)` threads a seeded [`simkit::fault::FaultInjector`]
     /// through the switch, AoE server, and disks so any failure scenario
@@ -149,18 +125,13 @@ pub struct BmcastConfig {
 impl Default for BmcastConfig {
     fn default() -> Self {
         BmcastConfig {
-            vmm_memory_bytes: 128 << 20,
-            poll_interval: SimDuration::from_micros(400),
-            redirect_poll_penalty: SimDuration::from_micros(6_300),
             copy_block_sectors: 2048, // 1024 KB
             retriever_depth: 4,
-            fifo_capacity: 16,
             moderation: Moderation::default(),
             nic: NicModel::IntelPro1000,
             mtu: 9000,
             fabric_loss_rate: 0.0,
             vmxoff_after_deploy: true,
-            resident_irq_delay: SimDuration::from_micros(150),
             faults: None,
             deploy_failure_budget: 32,
             transport: TransportKind::default(),

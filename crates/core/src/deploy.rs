@@ -267,11 +267,6 @@ impl Runner {
         &self.machine
     }
 
-    /// Mutable machine access.
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
     /// Runs until `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.sim.run_until(&mut self.machine, deadline);

@@ -60,11 +60,12 @@ impl std::fmt::Display for Phase {
 /// ```
 /// use bmcast::devirt::DevirtSequencer;
 /// use hwsim::vtx::VtxCpu;
+/// use simkit::SimTime;
 ///
 /// let mut cpus: Vec<VtxCpu> = (0..4).map(|_| { let mut c = VtxCpu::new(); c.vmxon(); c }).collect();
 /// let mut seq = DevirtSequencer::new(cpus.len());
 /// for i in 0..cpus.len() {
-///     seq.devirtualize_cpu(i, &mut cpus[i]);
+///     seq.devirtualize_cpu(SimTime::ZERO, i, &mut cpus[i]);
 /// }
 /// assert!(seq.all_done());
 /// for cpu in &cpus {
@@ -94,44 +95,21 @@ impl DevirtSequencer {
     }
 
     /// Attaches a flight-recorder span handle; per-CPU teardown spans on
-    /// the `devirt` track land there (via the `*_at` variants).
+    /// the `devirt` track land there.
     pub fn set_spans(&mut self, spans: Spans) {
         self.spans = spans;
     }
 
-    /// [`DevirtSequencer::devirtualize_cpu`] plus flight-recorder
-    /// bookkeeping: the teardown cost becomes a complete `devirt.cpu`
-    /// span starting at `now`.
-    pub fn devirtualize_cpu_at(
+    /// De-virtualizes one CPU: EPT off, local TLB invalidation, trap
+    /// clearing, VMXOFF. Each CPU can run this at any time relative to
+    /// the others. Returns the cost on that CPU, recorded as a complete
+    /// `devirt.cpu` span starting at `now`. Idempotent.
+    pub fn devirtualize_cpu(
         &mut self,
         now: SimTime,
         index: usize,
         cpu: &mut VtxCpu,
     ) -> SimDuration {
-        let cost = self.devirtualize_cpu(index, cpu);
-        if cost > SimDuration::ZERO {
-            self.spans
-                .record(now, now + cost, "devirt", "devirt.cpu", NO_SPAN, || {
-                    format!("cpu {index} vmxoff")
-                });
-        }
-        cost
-    }
-
-    /// [`DevirtSequencer::mark_resident`] plus flight-recorder
-    /// bookkeeping: a `devirt.resident` instant marks the CPU.
-    pub fn mark_resident_at(&mut self, now: SimTime, index: usize) {
-        self.spans
-            .instant(now, "devirt", "devirt.resident", NO_SPAN, || {
-                format!("cpu {index} resident mode")
-            });
-        self.mark_resident(index);
-    }
-
-    /// De-virtualizes one CPU: EPT off, local TLB invalidation, trap
-    /// clearing, VMXOFF. Each CPU can run this at any time relative to
-    /// the others. Returns the cost on that CPU. Idempotent.
-    pub fn devirtualize_cpu(&mut self, index: usize, cpu: &mut VtxCpu) -> SimDuration {
         if self.done[index] {
             return SimDuration::ZERO;
         }
@@ -142,33 +120,23 @@ impl DevirtSequencer {
         cost += SimDuration::from_micros(5);
         self.done[index] = true;
         self.total_cost += cost;
+        self.spans
+            .record(now, now + cost, "devirt", "devirt.cpu", NO_SPAN, || {
+                format!("cpu {index} vmxoff")
+            });
         cost
     }
 
     /// Records that a CPU finished the *resident-mode* teardown (EPT and
     /// traps off, VMX still on so the VMM can keep hiding the management
-    /// NIC). Counts toward [`DevirtSequencer::all_done`].
-    pub fn mark_resident(&mut self, index: usize) {
+    /// NIC). Counts toward [`DevirtSequencer::all_done`]; a
+    /// `devirt.resident` instant at `now` marks the CPU.
+    pub fn mark_resident(&mut self, now: SimTime, index: usize) {
+        self.spans
+            .instant(now, "devirt", "devirt.resident", NO_SPAN, || {
+                format!("cpu {index} resident mode")
+            });
         self.done[index] = true;
-    }
-
-    /// [`DevirtSequencer::revirtualize_cpu`] plus flight-recorder
-    /// bookkeeping: the re-entry cost becomes a complete `revirt.cpu`
-    /// span on the `devirt` track starting at `now`.
-    pub fn revirtualize_cpu_at(
-        &mut self,
-        now: SimTime,
-        index: usize,
-        cpu: &mut VtxCpu,
-    ) -> SimDuration {
-        let cost = self.revirtualize_cpu(index, cpu);
-        if cost > SimDuration::ZERO {
-            self.spans
-                .record(now, now + cost, "devirt", "revirt.cpu", NO_SPAN, || {
-                    format!("cpu {index} vmxon")
-                });
-        }
-        cost
     }
 
     /// Re-virtualizes one CPU: VMXON, identity EPT re-established, TLB
@@ -176,9 +144,15 @@ impl DevirtSequencer {
     /// so each CPU re-enters VMX at its own pace. Stale trap ranges from
     /// the previous tenancy are dropped — the caller re-arms the device
     /// trap set and the polling preemption timer afterwards. Returns the
-    /// cost on that CPU; idempotent (a CPU that never de-virtualized, or
-    /// was already re-virtualized, costs nothing).
-    pub fn revirtualize_cpu(&mut self, index: usize, cpu: &mut VtxCpu) -> SimDuration {
+    /// cost on that CPU, recorded as a complete `revirt.cpu` span on the
+    /// `devirt` track starting at `now`; idempotent (a CPU that never
+    /// de-virtualized, or was already re-virtualized, costs nothing).
+    pub fn revirtualize_cpu(
+        &mut self,
+        now: SimTime,
+        index: usize,
+        cpu: &mut VtxCpu,
+    ) -> SimDuration {
         if !self.done[index] {
             return SimDuration::ZERO;
         }
@@ -189,6 +163,10 @@ impl DevirtSequencer {
         let cost = SimDuration::from_micros(7);
         self.done[index] = false;
         self.total_cost += cost;
+        self.spans
+            .record(now, now + cost, "devirt", "revirt.cpu", NO_SPAN, || {
+                format!("cpu {index} vmxon")
+            });
         cost
     }
 
@@ -236,7 +214,7 @@ mod tests {
         // Out of order, as the paper allows ("at different timings").
         for i in [2, 0, 3, 1] {
             assert!(!seq.all_done());
-            let cost = seq.devirtualize_cpu(i, &mut cpus[i]);
+            let cost = seq.devirtualize_cpu(SimTime::ZERO, i, &mut cpus[i]);
             assert!(cost > SimDuration::ZERO);
             assert!(!cpus[i].vmx_on());
             assert!(!cpus[i].ept_on());
@@ -249,7 +227,7 @@ mod tests {
     fn partially_devirtualized_machine_mixes_states() {
         let mut cpus = virt_cpus(2);
         let mut seq = DevirtSequencer::new(2);
-        seq.devirtualize_cpu(0, &mut cpus[0]);
+        seq.devirtualize_cpu(SimTime::ZERO, 0, &mut cpus[0]);
         assert!(!cpus[0].exits_on_pio(0x1F0), "cpu0 is bare metal");
         assert!(cpus[1].exits_on_pio(0x1F0), "cpu1 still traps");
     }
@@ -258,8 +236,8 @@ mod tests {
     fn idempotent_per_cpu() {
         let mut cpus = virt_cpus(1);
         let mut seq = DevirtSequencer::new(1);
-        let first = seq.devirtualize_cpu(0, &mut cpus[0]);
-        let second = seq.devirtualize_cpu(0, &mut cpus[0]);
+        let first = seq.devirtualize_cpu(SimTime::ZERO, 0, &mut cpus[0]);
+        let second = seq.devirtualize_cpu(SimTime::ZERO, 0, &mut cpus[0]);
         assert!(first > SimDuration::ZERO);
         assert_eq!(second, SimDuration::ZERO);
         assert_eq!(seq.total_cost(), first);
@@ -272,7 +250,7 @@ mod tests {
         let mut cpus = virt_cpus(24);
         let mut seq = DevirtSequencer::new(24);
         for (i, cpu) in cpus.iter_mut().enumerate() {
-            seq.devirtualize_cpu(i, cpu);
+            seq.devirtualize_cpu(SimTime::ZERO, i, cpu);
         }
         assert!(seq.total_cost() < SimDuration::from_millis(1));
     }
@@ -282,13 +260,13 @@ mod tests {
         let mut cpus = virt_cpus(4);
         let mut seq = DevirtSequencer::new(4);
         for (i, cpu) in cpus.iter_mut().enumerate() {
-            seq.devirtualize_cpu(i, cpu);
+            seq.devirtualize_cpu(SimTime::ZERO, i, cpu);
         }
         assert!(seq.all_done());
         // Re-enter out of order, as independently as the teardown.
         for i in [3, 1, 0, 2] {
             assert!(!seq.all_virtualized());
-            let cost = seq.revirtualize_cpu(i, &mut cpus[i]);
+            let cost = seq.revirtualize_cpu(SimTime::ZERO, i, &mut cpus[i]);
             assert!(cost > SimDuration::ZERO);
             assert!(cpus[i].vmx_on());
             assert!(cpus[i].ept_on());
@@ -302,16 +280,16 @@ mod tests {
         let mut cpus = virt_cpus(1);
         let mut seq = DevirtSequencer::new(1);
         // A CPU that never de-virtualized re-enters for free.
-        assert_eq!(seq.revirtualize_cpu(0, &mut cpus[0]), SimDuration::ZERO);
-        seq.devirtualize_cpu(0, &mut cpus[0]);
+        assert_eq!(seq.revirtualize_cpu(SimTime::ZERO, 0, &mut cpus[0]), SimDuration::ZERO);
+        seq.devirtualize_cpu(SimTime::ZERO, 0, &mut cpus[0]);
         // vmxoff leaves the old trap vector in place (it is dead while
         // VMX is off); re-entry must not resurrect it.
-        let first = seq.revirtualize_cpu(0, &mut cpus[0]);
+        let first = seq.revirtualize_cpu(SimTime::ZERO, 0, &mut cpus[0]);
         assert!(first > SimDuration::ZERO);
         assert!(!cpus[0].exits_on_pio(0x1F0), "stale tenant traps dropped");
         cpus[0].trap_pio_range(0x1F0, 0x1F7);
         assert!(cpus[0].exits_on_pio(0x1F0), "caller re-arms traps");
-        assert_eq!(seq.revirtualize_cpu(0, &mut cpus[0]), SimDuration::ZERO);
+        assert_eq!(seq.revirtualize_cpu(SimTime::ZERO, 0, &mut cpus[0]), SimDuration::ZERO);
     }
 
     #[test]
@@ -320,11 +298,11 @@ mod tests {
         let mut seq = DevirtSequencer::new(2);
         for _cycle in 0..3 {
             for (i, cpu) in cpus.iter_mut().enumerate() {
-                seq.devirtualize_cpu(i, cpu);
+                seq.devirtualize_cpu(SimTime::ZERO, i, cpu);
             }
             assert!(seq.all_done());
             for (i, cpu) in cpus.iter_mut().enumerate() {
-                seq.revirtualize_cpu(i, cpu);
+                seq.revirtualize_cpu(SimTime::ZERO, i, cpu);
             }
             assert!(seq.all_virtualized());
         }

@@ -32,7 +32,9 @@
 //! - **Sharded/replicated** (`servers: k`): `k` origin servers each
 //!   hold a full replica of the golden image on their own switch port
 //!   and egress link. Clients stripe *reads* across the replicas by
-//!   LBA ([`FleetConfig::stripe_sectors`]); *writes* — none occur
+//!   LBA, one background-copy block
+//!   ([`BmcastConfig::copy_block_sectors`]) per stripe so a copy block
+//!   never straddles two servers; *writes* — none occur
 //!   during a deployment, guest writes land in the machine's local
 //!   copy — would go to the primary `(0, 0)` alone, preserving one
 //!   write-ordering point.
@@ -95,9 +97,9 @@ use crate::config::BmcastConfig;
 use crate::deploy::FlightRecorderConfig;
 use crate::devirt::Phase;
 use crate::machine::{
-    corrupt_frame_bytes, fleet_deliver_rx, fleet_harvest_tx, reclaim, sample_flight_row,
-    start_deployment, start_flight_sampler, start_program, start_revirt, DeployError,
-    GuestProgram, Machine, MachineSim, MachineSpec, SERVER_MAC, VMM_MAC,
+    corrupt_frame_bytes, pop_vmm_tx, reclaim, sample_flight_row, start_deployment,
+    start_flight_sampler, start_program, start_revirt, vmm_nic_rx, DeployError, GuestProgram,
+    Machine, MachineSim, MachineSpec, SERVER_MAC, VMM_MAC,
 };
 use aoe::{peek_rdma, peek_shelf_slot, AoeServer, FrameBytes, ServerConfig};
 use hwsim::block::BlockStore;
@@ -153,6 +155,15 @@ pub enum LifecycleStage {
     Done,
 }
 
+/// Uplink (machines → server) line rate, bits per second.
+const UPLINK_BPS: u64 = 1_000_000_000;
+/// Uplink one-way latency.
+const UPLINK_LATENCY: SimDuration = SimDuration::from_micros(30);
+/// Server egress (server → machines) line rate, bits per second.
+const EGRESS_BPS: u64 = 1_000_000_000;
+/// Server egress one-way latency.
+const EGRESS_LATENCY: SimDuration = SimDuration::from_micros(30);
+
 /// Fleet-wide configuration: the member machines, the shared fabric,
 /// and the storage servers.
 #[derive(Debug, Clone)]
@@ -176,11 +187,6 @@ pub struct FleetConfig {
     /// stripe reads across them by LBA; 1 reproduces the original
     /// single-server fleet bit-for-bit.
     pub servers: usize,
-    /// Read-striping granularity in sectors: LBA block `lba / stripe`
-    /// maps to read endpoint `(lba / stripe) % endpoints`. The default
-    /// matches the background copier's block size so one copy block
-    /// never straddles two servers.
-    pub stripe_sectors: u32,
     /// Peer-serving mode: a machine whose bitmap fills becomes a
     /// read-only origin for the others (see the module docs).
     pub peer_serving: bool,
@@ -207,14 +213,6 @@ pub struct FleetConfig {
     /// Additional machines released per active peer (see
     /// [`FleetConfig::admission_base`]).
     pub admission_per_peer: usize,
-    /// Uplink (machines → server) line rate, bits per second.
-    pub uplink_bps: u64,
-    /// Uplink one-way latency.
-    pub uplink_latency: SimDuration,
-    /// Server egress (server → machines) line rate, bits per second.
-    pub egress_bps: u64,
-    /// Server egress one-way latency.
-    pub egress_latency: SimDuration,
     /// Egress backlog (in serialization time) above which a server
     /// stops dispatching — the NIC ring is finite, so a disk-and-cache
     /// pipeline that outruns the wire must stall, not buffer without
@@ -259,15 +257,10 @@ impl Default for FleetConfig {
                 ..ServerConfig::default()
             },
             servers: 1,
-            stripe_sectors: 2048,
             peer_serving: false,
             start_stagger: SimDuration::ZERO,
             admission_base: 0,
             admission_per_peer: 0,
-            uplink_bps: 1_000_000_000,
-            uplink_latency: SimDuration::from_micros(30),
-            egress_bps: 1_000_000_000,
-            egress_latency: SimDuration::from_micros(30),
             egress_queue_cap: SimDuration::from_millis(20),
             fabric_loss_rate: 0.0,
             seed: 0xF1EE7,
@@ -594,8 +587,6 @@ pub struct Fleet {
     last_sched_start: SimTime,
     /// Fabric-side registry: server nodes and the fault injector.
     fabric_metrics: Metrics,
-    /// Shared trace ring (member events plus SLO alert edges).
-    fleet_tracer: Tracer,
     /// Sim-time SLO watchdogs, evaluated on the fleet sampler tick
     /// (armed with the flight recorder).
     slo: Option<SloEngine>,
@@ -650,7 +641,7 @@ impl Fleet {
             } else {
                 MacAddr::host(256 + j as u16)
             };
-            let port = switch.attach(mac, Link::new(cfg.uplink_bps, cfg.uplink_latency));
+            let port = switch.attach(mac, Link::new(UPLINK_BPS, UPLINK_LATENCY));
             let server_params = DiskParams {
                 capacity_sectors: cfg.spec.image_sectors,
                 ..DiskParams::default()
@@ -675,7 +666,7 @@ impl Fleet {
                 server,
                 mac,
                 port,
-                egress: Link::new(cfg.egress_bps, cfg.egress_latency),
+                egress: Link::new(EGRESS_BPS, EGRESS_LATENCY),
                 egress_inflight_bytes: 0,
                 pending_dispatch: None,
                 origin: true,
@@ -697,7 +688,7 @@ impl Fleet {
                 if cfg.servers > 1 {
                     vmm.client
                         .set_read_endpoints((0..cfg.servers).map(|j| (j as u16, 0)).collect());
-                    vmm.client.set_stripe_sectors(cfg.stripe_sectors);
+                    vmm.client.set_stripe_sectors(cfg.machine_cfg.copy_block_sectors);
                 }
             }
             machines.push((m, MachineSim::new()));
@@ -739,7 +730,6 @@ impl Fleet {
             admitted: 0,
             last_sched_start: SimTime::ZERO,
             fabric_metrics: Metrics::disabled(),
-            fleet_tracer: Tracer::disabled(),
             slo: None,
             recorders: Vec::new(),
             server_spans: Spans::disabled(),
@@ -748,16 +738,17 @@ impl Fleet {
     }
 
     /// Attaches a metrics registry to every member (its own
-    /// [`Machine::metrics`], which reclaim re-attaches), the servers and
-    /// fault injector (a shared fabric registry), and one shared tracer.
+    /// [`Machine::metrics`], which reclaim re-attaches) and to the
+    /// servers and fault injector (a shared fabric registry). Members
+    /// get no trace ring: a fleet's events are read from its flight
+    /// recorder.
     /// [`Fleet::metrics_snapshot`] still folds everything into one
     /// aggregate (`server.cache.*`, `server.queue.*`,
     /// `machine.frames_tx`, ...), while [`Fleet::fleet_snapshot`] keeps
     /// the per-member attribution. Call before [`Fleet::start`].
     pub fn enable_telemetry(&mut self) {
-        let tracer = Tracer::enabled(4096);
         for (m, _) in &mut self.machines {
-            m.set_telemetry(Metrics::enabled(), tracer.clone());
+            m.set_telemetry(Metrics::enabled(), Tracer::disabled());
         }
         let fabric = Metrics::enabled();
         for node in &mut self.nodes {
@@ -767,7 +758,6 @@ impl Fleet {
             inj.set_metrics(fabric.clone());
         }
         self.fabric_metrics = fabric;
-        self.fleet_tracer = tracer;
     }
 
     /// Attaches a flight recorder to every member (its own span store
@@ -775,9 +765,9 @@ impl Fleet {
     /// machine by [`Fleet::chrome_trace`]), a span store to the servers,
     /// the fleet-level timeline sampler (server cache hit ratio and
     /// queue depths over time), and the SLO watchdogs, which evaluate on
-    /// that sampler's tick. Alert edges land in [`Fleet::alerts`], in
-    /// the fleet timeline's `fleet.alerts` column, and in the shared
-    /// trace ring when telemetry is on. Call before [`Fleet::start`].
+    /// that sampler's tick. Alert edges land in [`Fleet::alerts`] and in
+    /// the fleet timeline's `fleet.alerts` column. Call before
+    /// [`Fleet::start`].
     pub fn enable_flight_recorder(&mut self, rec: FlightRecorderConfig) {
         self.recorders.clear();
         for (m, _) in &mut self.machines {
@@ -892,7 +882,7 @@ impl Fleet {
     /// back. Peer activation, reclaim and wave admission all land this
     /// long after the member step that decided them.
     pub fn lookahead(&self) -> SimDuration {
-        self.cfg.uplink_latency + self.cfg.egress_latency
+        UPLINK_LATENCY + EGRESS_LATENCY
     }
 
     /// Opens the admission window to `base + per_peer × peers` and
@@ -1155,7 +1145,7 @@ impl Fleet {
         let mac = MacAddr::host(1024 + i as u16);
         let port = self
             .switch
-            .attach(mac, Link::new(self.cfg.uplink_bps, self.cfg.uplink_latency));
+            .attach(mac, Link::new(UPLINK_BPS, UPLINK_LATENCY));
         let disk = DiskModel::new(
             DiskParams {
                 capacity_sectors: self.cfg.spec.image_sectors,
@@ -1189,7 +1179,7 @@ impl Fleet {
             server,
             mac,
             port,
-            egress: Link::new(self.cfg.egress_bps, self.cfg.egress_latency),
+            egress: Link::new(EGRESS_BPS, EGRESS_LATENCY),
             egress_inflight_bytes: 0,
             pending_dispatch: None,
             origin: false,
@@ -1256,7 +1246,7 @@ impl Fleet {
         let mut spec = self.cfg.spec.clone();
         spec.image_seed = self.upgrade_seed;
         let servers = self.cfg.servers as u16;
-        let stripe = self.cfg.stripe_sectors;
+        let stripe = self.cfg.machine_cfg.copy_block_sectors;
         let program = if park {
             None
         } else {
@@ -1457,7 +1447,7 @@ impl Fleet {
         self.upgrade_seed = new_seed;
         self.export_upgrade_volume(new_seed);
         let servers = self.cfg.servers as u16;
-        let stripe = self.cfg.stripe_sectors;
+        let stripe = self.cfg.machine_cfg.copy_block_sectors;
         let at = self.now + self.lookahead();
         for &i in members {
             assert_eq!(
@@ -1540,7 +1530,7 @@ impl Fleet {
             FleetEvent::Deliver { machine, payload } => {
                 let (_, sim) = &mut self.machines[machine];
                 sim.schedule_at(t, move |m: &mut Machine, sim| {
-                    fleet_deliver_rx(m, sim, payload);
+                    vmm_nic_rx(m, sim, payload);
                 });
                 self.index_machine(machine);
             }
@@ -1582,7 +1572,7 @@ impl Fleet {
     /// frame is routed to the server node owning its AoE shelf — the
     /// client addressed the request, the fabric just switches it.
     fn forward_requests(&mut self, i: usize, now: SimTime) {
-        for payload in fleet_harvest_tx(&mut self.machines[i].0) {
+        while let Some(Frame { payload, .. }) = pop_vmm_tx(&mut self.machines[i].0) {
             // Route on the shelf the client addressed; a frame for a
             // shelf nobody serves just vanishes, like on a real wire.
             let Some(&node) = peek_shelf_slot(payload.head())
@@ -1664,7 +1654,7 @@ impl Fleet {
         let n = &self.nodes[node];
         let queued = n.egress.next_free().saturating_duration_since(now);
         let inflight = SimDuration::from_nanos(
-            n.egress_inflight_bytes * 8 * 1_000_000_000 / self.cfg.egress_bps.max(1),
+            n.egress_inflight_bytes * 8 * 1_000_000_000 / EGRESS_BPS,
         );
         queued + inflight
     }
@@ -1846,20 +1836,14 @@ impl Fleet {
                 cache_misses: misses,
                 fill_progress,
                 machines_booted: self.booted_n as u64,
+                machines_started: (0..self.admitted)
+                    .filter(|&i| self.start_at[i] <= now)
+                    .count() as u64,
                 machines_total: self.machines.len() as u64,
                 projected_p99_s,
             };
-            let edges = slo.evaluate(&input);
+            slo.evaluate(&input);
             active_alerts = slo.active_count() as f64;
-            for edge in &edges {
-                let detail = format!(
-                    "{} {}",
-                    if edge.raised { "RAISE" } else { "clear" },
-                    edge.detail
-                );
-                self.fleet_tracer
-                    .emit(now, "fleet.slo", edge.rule.name(), || detail.clone());
-            }
         }
         self.fleet_sampler.record_row(
             now,
@@ -1949,11 +1933,6 @@ impl Fleet {
     /// scheduler counters).
     pub fn server(&self) -> &AoeServer {
         &self.nodes[0].server
-    }
-
-    /// Origin replica count (the configured `servers`).
-    pub fn origin_servers(&self) -> usize {
-        self.cfg.servers
     }
 
     /// How many members have converted into read-only serving peers.
@@ -2185,12 +2164,6 @@ impl Fleet {
     /// [`Fleet::enable_flight_recorder`]).
     pub fn fleet_sampler(&self) -> &Sampler {
         &self.fleet_sampler
-    }
-
-    /// The shared trace ring (alert edges land here; enabled by
-    /// [`Fleet::enable_telemetry`]).
-    pub fn tracer(&self) -> &Tracer {
-        &self.fleet_tracer
     }
 
     /// Per-machine `(spans, sampler)` recorders (empty unless
@@ -2811,23 +2784,10 @@ mod tests {
             worst.reads,
             "read mix partitions the reads"
         );
-        // The flight recorder armed the watchdogs. The 5 s stagger lets
-        // machine 0 read alone through the cache rule's 20-tick warmup,
-        // so every lookup so far missed: cache-collapse raises at the
-        // first tick after warmup and clears one tick later, once
-        // machine 1 re-reads the same blocks.
-        let edges: Vec<_> = fleet
-            .alerts()
-            .iter()
-            .map(|a| (a.at, a.rule, a.raised))
-            .collect();
-        assert_eq!(
-            edges,
-            [
-                (SimTime::from_millis(5_000), simkit::slo::SloRule::CacheCollapse, true),
-                (SimTime::from_millis(5_250), simkit::slo::SloRule::CacheCollapse, false),
-            ]
-        );
+        // The flight recorder armed the watchdogs, and this healthy
+        // boot raises none: the cache warmup waits for machine 1, so
+        // machine 0's lone cold misses cannot read as a collapse.
+        assert!(fleet.alerts().is_empty(), "{:?}", fleet.alerts());
     }
 
     #[test]

@@ -57,6 +57,30 @@ pub const SERVER_MAC: MacAddr = MacAddr::host(1);
 /// Fixed MAC of the instance's dedicated (VMM) NIC.
 pub const VMM_MAC: MacAddr = MacAddr::host(2);
 
+/// Memory reserved for the VMM (128 MB in the prototype).
+const VMM_MEMORY_BYTES: u64 = 128 << 20;
+/// Polling granularity: the mediator detects device/network completion
+/// on its next poll, so completions see on average half this much added
+/// latency. Driven by the VMX preemption timer.
+const POLL_INTERVAL: SimDuration = SimDuration::from_micros(400);
+/// Extra per-redirect latency of the prototype's completion polling
+/// during copy-on-read: §4.1's poll scheduling is driven by *estimated*
+/// round-trip and I/O latencies, and a conservative or cold estimator
+/// overshoots. Calibrated so the §5.1 boot (72 MB over ~900 reads) lands
+/// near the measured 58 s. Does not affect pass-through I/O (Figures
+/// 10/11's Deploy bars involve no redirects).
+const REDIRECT_POLL_PENALTY: SimDuration = SimDuration::from_micros(6_300);
+/// FIFO capacity (blocks) between the retriever and writer threads.
+const FIFO_CAPACITY: usize = 16;
+/// Extra IRQ-delivery latency while the VMM stays resident after
+/// deployment (§4.3: VMX remains on, EPT and traps are disabled, but
+/// external interrupts still transit the thin resident shim). Only
+/// applied when `vmxoff_after_deploy` is false and the machine has
+/// reached the bare-metal phase. Calibrated so Figure 10's Devirt row
+/// (fio 1 MB direct I/O, ~8.6 ms per request) loses ≈1.7% versus bare
+/// metal, matching the paper's measurement.
+const RESIDENT_IRQ_DELAY: SimDuration = SimDuration::from_micros(150);
+
 /// Hardware owned by one machine.
 #[derive(Debug)]
 pub struct Hardware {
@@ -111,12 +135,12 @@ fn standard_pci_bus() -> PciBus {
 /// taskfile ports, the AHCI register window, and the preemption timer
 /// that drives the VMM's polling. Used at first boot and again at
 /// re-virtualization, so both arm exactly the same set.
-fn arm_vmm_traps(cpu: &mut VtxCpu, poll_interval: SimDuration) {
+fn arm_vmm_traps(cpu: &mut VtxCpu) {
     for reg in IdeReg::ALL {
         cpu.trap_pio_range(reg.port(), reg.port());
     }
     cpu.trap_mmio_range(ABAR, ABAR + hwsim::ahci::ABAR_SIZE - 1);
-    cpu.set_preemption_timer(Some(poll_interval));
+    cpu.set_preemption_timer(Some(POLL_INTERVAL));
 }
 
 /// The management fabric: switch plus the storage server.
@@ -559,7 +583,7 @@ impl Vmm {
             bitmap,
             bg: BackgroundCopy::new(
                 cfg.copy_block_sectors,
-                cfg.fifo_capacity,
+                FIFO_CAPACITY,
                 cfg.retriever_depth,
                 spec.capacity_sectors,
             ),
@@ -845,7 +869,7 @@ impl Machine {
         let store = BlockStore::zeroed_with_mirror(spec.capacity_sectors, spec.image_seed);
         let disk = new_disk(spec.capacity_sectors, store);
         let mut mem = PhysMem::new(spec.mem_bytes);
-        mem.reserve_for_vmm(cfg.vmm_memory_bytes);
+        mem.reserve_for_vmm(VMM_MEMORY_BYTES);
 
         // The VMM's dummy DMA target for restarts.
         let dummy_buf = mem.alloc(DmaBuffer::new(1));
@@ -859,7 +883,7 @@ impl Machine {
         let mut cpus: Vec<VtxCpu> = (0..spec.cpus).map(|_| VtxCpu::new()).collect();
         for cpu in &mut cpus {
             cpu.vmxon();
-            arm_vmm_traps(cpu, cfg.poll_interval);
+            arm_vmm_traps(cpu);
         }
 
         // Server: the image disk behind a thread-pooled vblade.
@@ -891,9 +915,9 @@ impl Machine {
 
     /// A BMcast machine for fleet runs: same hardware, VMM, and guest as
     /// [`Machine::bmcast`], but no private fabric — the fleet owns the
-    /// shared switch and storage server, harvests TX frames after each
-    /// step with [`fleet_harvest_tx`], and delivers replies through
-    /// [`fleet_deliver_rx`]. Fault injection likewise moves to the fleet
+    /// shared switch and storage server, drains TX frames after each
+    /// step with [`pop_vmm_tx`], and delivers replies through
+    /// [`vmm_nic_rx`]. Fault injection likewise moves to the fleet
     /// (faults live on the shared fabric and server, not inside one
     /// machine), so any per-machine plan in `cfg` is ignored.
     pub fn bmcast_fleet(spec: &MachineSpec, cfg: BmcastConfig) -> Machine {
@@ -1259,24 +1283,25 @@ fn finish_media(m: &mut Machine, sim: &mut MachineSim, origin: Origin) {
             // §4.3 resident mode: VMX stays on after deployment (EPT and
             // traps off), so external interrupts still transit the thin
             // resident shim before reaching the now-unmediated guest.
-            let resident_delay = m.vmm.as_ref().and_then(|v| {
-                (!v.cfg.vmxoff_after_deploy && v.phase == Phase::BareMetal)
-                    .then_some(v.cfg.resident_irq_delay)
-            });
-            match resident_delay {
-                Some(d) if d > SimDuration::ZERO => sim.schedule_in(d, deliver_guest_irq),
-                _ => deliver_guest_irq(m, sim),
+            let resident = m
+                .vmm
+                .as_ref()
+                .is_some_and(|v| !v.cfg.vmxoff_after_deploy && v.phase == Phase::BareMetal);
+            if resident {
+                sim.schedule_in(RESIDENT_IRQ_DELAY, deliver_guest_irq);
+            } else {
+                deliver_guest_irq(m, sim);
             }
         }
         Origin::VmmWrite => {
             // The VMM detects completion by polling: consume the interrupt
             // directly (a status read / IS ack in VMM context) after the
             // polling slack, then continue the writer chain.
-            let slack = m
-                .vmm
-                .as_ref()
-                .map(|v| v.cfg.poll_interval / 2)
-                .unwrap_or(SimDuration::ZERO);
+            let slack = if m.vmm.is_some() {
+                POLL_INTERVAL / 2
+            } else {
+                SimDuration::ZERO
+            };
             sim.schedule_in(slack, |m: &mut Machine, sim| {
                 m.hw.ide.read_reg(IdeReg::Command); // clears INTRQ if set
                 let is = m.hw.ahci.mmio_read(PORT_BASE + preg::IS);
@@ -1459,7 +1484,7 @@ fn begin_redirect(m: &mut Machine, sim: &mut MachineSim, target: RedirectTarget)
 }
 
 /// Completes the redirect if all pieces arrived: after the completion
-/// polling converges (the `redirect_poll_penalty`), virtual-DMA the data
+/// polling converges ([`REDIRECT_POLL_PENALTY`]), virtual-DMA the data
 /// into the guest buffers, queue the local fill, and restart via dummy.
 fn try_finish_redirect(m: &mut Machine, sim: &mut MachineSim) {
     let Some(vmm) = m.vmm.as_mut() else { return };
@@ -1477,8 +1502,7 @@ fn try_finish_redirect(m: &mut Machine, sim: &mut MachineSim) {
     r.child = m.spans.begin(now, "machine", "redirect.finalize", r.span, || {
         "completion poll + virtual DMA".into()
     });
-    let penalty = vmm.cfg.redirect_poll_penalty;
-    sim.schedule_in(penalty, finish_redirect_now);
+    sim.schedule_in(REDIRECT_POLL_PENALTY, finish_redirect_now);
 }
 
 fn finish_redirect_now(m: &mut Machine, sim: &mut MachineSim) {
@@ -1582,14 +1606,28 @@ pub fn corrupt_frame_bytes(payload: &FrameBytes, entropy: u64) -> FrameBytes {
     bytes.into()
 }
 
+/// Pops one frame off the VMM NIC's TX ring with its per-frame
+/// bookkeeping (the `frames_tx` stat and metric, 3 µs of VMM CPU). The
+/// private switch's pump and the fleet fabric both drain the ring
+/// through it; a fleet member (built by [`Machine::bmcast_fleet`], no
+/// private switch) is drained after every step of its sim, so its
+/// frames leave at the step's own timestamp, as the pump sends them
+/// inside the event.
+pub fn pop_vmm_tx(m: &mut Machine) -> Option<Frame<FrameBytes>> {
+    let vmm = m.vmm.as_mut()?;
+    let frame = vmm.nic.nic_mut().pop_tx()?;
+    m.stats.frames_tx += 1;
+    m.metrics.inc("machine.frames_tx");
+    vmm.cpu_time += SimDuration::from_micros(3);
+    Some(frame)
+}
+
 fn pump_vmm_tx(m: &mut Machine, sim: &mut MachineSim) {
-    let (Some(vmm), Some(net)) = (m.vmm.as_mut(), m.net.as_mut()) else {
+    if m.net.is_none() {
         return;
-    };
-    while let Some(mut frame) = vmm.nic.nic_mut().pop_tx() {
-        m.stats.frames_tx += 1;
-        m.metrics.inc("machine.frames_tx");
-        vmm.cpu_time += SimDuration::from_micros(3);
+    }
+    while let Some(mut frame) = pop_vmm_tx(m) {
+        let Some(net) = m.net.as_mut() else { return };
         let verdict = match m.faults.as_mut() {
             Some(inj) => inj.link_verdict_tx(sim.now()),
             None => LinkVerdict::Deliver,
@@ -1670,36 +1708,10 @@ fn server_rx(m: &mut Machine, sim: &mut MachineSim, payload: FrameBytes) {
     }
 }
 
-/// Drains the VMM NIC's TX ring for a fleet-run machine (one built by
-/// [`Machine::bmcast_fleet`], whose `net` is `None` so `pump_vmm_tx`
-/// is a no-op), performing exactly the per-frame bookkeeping the
-/// single-machine pump does — stats, metrics, per-frame CPU — and
-/// returning the payloads for the fleet to put on the shared fabric.
-/// Call it after every step of this machine's sim: frames queued during
-/// the step are then forwarded at the step's own timestamp, matching
-/// the single-machine path where the pump runs inside the event.
-pub fn fleet_harvest_tx(m: &mut Machine) -> Vec<FrameBytes> {
-    let Some(vmm) = m.vmm.as_mut() else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    while let Some(frame) = vmm.nic.nic_mut().pop_tx() {
-        m.stats.frames_tx += 1;
-        m.metrics.inc("machine.frames_tx");
-        vmm.cpu_time += SimDuration::from_micros(3);
-        out.push(frame.payload);
-    }
-    out
-}
-
-/// Delivers one reply frame from the fleet fabric into this machine's
-/// VMM NIC — the fleet-side twin of the internal switch delivery path
-/// (same NIC deposit, same half-poll-interval pickup slack).
-pub fn fleet_deliver_rx(m: &mut Machine, sim: &mut MachineSim, payload: FrameBytes) {
-    vmm_nic_rx(m, sim, payload);
-}
-
-fn vmm_nic_rx(m: &mut Machine, sim: &mut MachineSim, payload: FrameBytes) {
+/// Delivers one reply frame into this machine's VMM NIC — from the
+/// private switch or the fleet fabric alike — and schedules the polling
+/// thread's pickup half a poll interval later.
+pub fn vmm_nic_rx(m: &mut Machine, sim: &mut MachineSim, payload: FrameBytes) {
     let Some(vmm) = m.vmm.as_mut() else { return };
     if aoe::peek_rdma(payload.head()) {
         // A reply placed by a one-sided RDMA READ: the HCA has already
@@ -1719,8 +1731,7 @@ fn vmm_nic_rx(m: &mut Machine, sim: &mut MachineSim, payload: FrameBytes) {
         });
     }
     // The polling thread notices on its next tick.
-    let slack = vmm.cfg.poll_interval / 2;
-    sim.schedule_in(slack, vmm_poll);
+    sim.schedule_in(POLL_INTERVAL / 2, vmm_poll);
 }
 
 /// One VMM polling pass: drain the NIC, feed the AoE client, dispatch
@@ -1763,7 +1774,7 @@ fn vmm_poll(m: &mut Machine, sim: &mut MachineSim) {
             Some(AoeWaiter::Background(members)) => {
                 vmm.bg.note_fetch_success();
                 for (range, data) in split_by_members(&members, done.data) {
-                    vmm.bg.deliver_at(
+                    vmm.bg.deliver(
                         sim.now(),
                         FetchedBlock {
                             range,
@@ -1777,7 +1788,7 @@ fn vmm_poll(m: &mut Machine, sim: &mut MachineSim) {
             Some(AoeWaiter::Snapshot(members)) => {
                 if let Some(snap) = vmm.snap.as_mut() {
                     for range in members {
-                        snap.ack_at(sim.now(), range);
+                        snap.ack(sim.now(), range);
                     }
                 }
                 snapshot_pump(m, sim);
@@ -1811,7 +1822,7 @@ fn schedule_retransmit_guard(m: &mut Machine, sim: &mut MachineSim) {
                     // Make the blocks requestable again; the retriever
                     // will reissue them after its back-off window.
                     for range in members {
-                        vmm.bg.fetch_failed_at(sim.now(), range);
+                        vmm.bg.fetch_failed(sim.now(), range);
                     }
                     vmm.bg.note_fetch_failure(sim.now());
                 }
@@ -1824,7 +1835,7 @@ fn schedule_retransmit_guard(m: &mut Machine, sim: &mut MachineSim) {
                     // them after its back-off window.
                     if let Some(snap) = vmm.snap.as_mut() {
                         for range in members {
-                            snap.send_failed_at(sim.now(), range, &mut vmm.dirty);
+                            snap.send_failed(sim.now(), range, &mut vmm.dirty);
                         }
                     }
                 }
@@ -2042,7 +2053,7 @@ fn retriever_fire(m: &mut Machine, sim: &mut MachineSim) {
         }
     }
     let mut claims = Vec::new();
-    while let Some(range) = vmm.bg.next_fetch_at(sim.now(), &vmm.bitmap) {
+    while let Some(range) = vmm.bg.next_fetch(sim.now(), &vmm.bitmap) {
         vmm.cpu_time += VMM_OP_CPU;
         claims.push(range);
     }
@@ -2238,7 +2249,7 @@ fn begin_devirt(m: &mut Machine, sim: &mut MachineSim) {
         sim.schedule_in(jitter, move |m: &mut Machine, sim| {
             let Some(vmm) = m.vmm.as_mut() else { return };
             if vmxoff {
-                vmm.devirt.devirtualize_cpu_at(sim.now(), i, &mut m.hw.cpus[i]);
+                vmm.devirt.devirtualize_cpu(sim.now(), i, &mut m.hw.cpus[i]);
             } else {
                 // Resident mode (§4.3/§6): nested paging and all traps go,
                 // but the VMM stays in VMX root to keep the management NIC
@@ -2247,7 +2258,7 @@ fn begin_devirt(m: &mut Machine, sim: &mut MachineSim) {
                 m.hw.cpus[i].disable_ept();
                 m.hw.cpus[i].clear_traps();
                 m.hw.cpus[i].set_preemption_timer(None);
-                vmm.devirt.mark_resident_at(sim.now(), i);
+                vmm.devirt.mark_resident(sim.now(), i);
             }
             if vmm.devirt.all_done() {
                 vmm.phase = Phase::BareMetal;
@@ -2320,7 +2331,6 @@ pub fn start_revirt(m: &mut Machine, sim: &mut MachineSim) {
         // needs it back before it can talk to the storage server.
         m.hw.pci.unhide(MGMT_NIC_BDF);
     }
-    let poll = vmm.cfg.poll_interval;
     for i in 0..m.hw.cpus.len() {
         let jitter = SimDuration::from_micros(7 * (i as u64 + 1));
         sim.schedule_in(jitter, move |m: &mut Machine, sim| {
@@ -2329,10 +2339,10 @@ pub fn start_revirt(m: &mut Machine, sim: &mut MachineSim) {
                 return;
             }
             vmm.devirt
-                .revirtualize_cpu_at(sim.now(), i, &mut m.hw.cpus[i]);
+                .revirtualize_cpu(sim.now(), i, &mut m.hw.cpus[i]);
             // Back in VMX root: from here this CPU's device accesses exit
             // into the VMM again.
-            arm_vmm_traps(&mut m.hw.cpus[i], poll);
+            arm_vmm_traps(&mut m.hw.cpus[i]);
             if vmm.devirt.all_virtualized() {
                 let revirt_at = vmm.revirt_start_at.unwrap_or(sim.now());
                 m.spans.record(
@@ -2389,7 +2399,7 @@ fn snapshot_pump(m: &mut Machine, sim: &mut MachineSim) {
         return;
     }
     let mut claims = Vec::new();
-    while let Some(range) = snap.next_send_at(sim.now(), &mut vmm.dirty) {
+    while let Some(range) = snap.next_send(sim.now(), &mut vmm.dirty) {
         claims.push(range);
     }
     // The transport decides the wire shape: one write per dirty claim
@@ -2403,7 +2413,7 @@ fn snapshot_pump(m: &mut Machine, sim: &mut MachineSim) {
         vmm.cpu_time += VMM_OP_CPU;
         let (id, frames) = vmm
             .client
-            .write_traced(sim.now(), plan.range, &data, parent);
+            .write(sim.now(), plan.range, &data, parent);
         vmm.aoe_waiters
             .insert(id, AoeWaiter::Snapshot(plan.members));
         all_frames.extend(frames);

@@ -564,8 +564,8 @@ mod tests {
         let mut bm = BlockBitmap::new(1 << 16);
         let mut bg = BackgroundCopy::new(64, 8, 4, 1 << 16);
 
-        let r0 = bg.next_fetch(&bm).unwrap();
-        let r1 = bg.next_fetch(&bm).unwrap();
+        let r0 = bg.next_fetch(SimTime::ZERO, &bm).unwrap();
+        let r1 = bg.next_fetch(SimTime::ZERO, &bm).unwrap();
         assert_eq!(r1, BlockRange::new(Lba(64), 64));
 
         // Guest writes 10 sectors strictly inside the in-flight block
@@ -577,7 +577,7 @@ mod tests {
         assert!(bm.all_filled(BlockRange::new(Lba(100), 10)));
 
         for r in [r0, r1] {
-            bg.deliver(FetchedBlock {
+            bg.deliver(SimTime::ZERO, FetchedBlock {
                 data: r
                     .iter()
                     .map(|lba| BlockStore::image_content(7, lba))

@@ -619,7 +619,9 @@ mod tests {
 
         // Three copy blocks go on the wire before the guest touches
         // anything.
-        let fetches: Vec<BlockRange> = (0..3).map(|_| bg.next_fetch(&bm).unwrap()).collect();
+        let fetches: Vec<BlockRange> = (0..3)
+            .map(|_| bg.next_fetch(SimTime::ZERO, &bm).unwrap())
+            .collect();
         assert_eq!(fetches[1], BlockRange::new(Lba(64), 64));
 
         // While they are in flight, the guest writes 70 sectors at LBA
@@ -631,7 +633,7 @@ mod tests {
 
         // The stale fetches land afterwards.
         for r in &fetches {
-            bg.deliver(FetchedBlock {
+            bg.deliver(SimTime::ZERO, FetchedBlock {
                 data: r
                     .iter()
                     .map(|lba| BlockStore::image_content(7, lba))

@@ -244,25 +244,12 @@ impl SnapshotBack {
         self.send_spans.get(&lba).copied().unwrap_or(NO_SPAN)
     }
 
-    /// [`SnapshotBack::next_send`] plus flight-recorder bookkeeping: a
-    /// chosen range opens a `snap.send` span at `now`.
-    pub fn next_send_at(&mut self, now: SimTime, tracker: &mut DirtyTracker) -> Option<BlockRange> {
-        let range = self.next_send(tracker)?;
-        if self.spans.is_enabled() {
-            let id = self.spans.begin(now, "snapback", "snap.send", NO_SPAN, || {
-                format!("send lba {} x{}", range.lba.0, range.sectors)
-            });
-            self.send_spans.insert(range.lba.0, id);
-        }
-        Some(range)
-    }
-
     /// Picks the next dirty run to stream, *claiming* it in the tracker:
     /// the run starts at the first dirty sector at or after the cursor
     /// (wrapping once) and extends through contiguous dirty sectors up to
-    /// the block grid. Returns `None` when nothing is dirty or the
-    /// pipeline is full.
-    pub fn next_send(&mut self, tracker: &mut DirtyTracker) -> Option<BlockRange> {
+    /// the block grid. A chosen run opens a `snap.send` span at `now`.
+    /// Returns `None` when nothing is dirty or the pipeline is full.
+    pub fn next_send(&mut self, now: SimTime, tracker: &mut DirtyTracker) -> Option<BlockRange> {
         if self.inflight >= self.max_inflight {
             return None;
         }
@@ -276,25 +263,26 @@ impl SnapshotBack {
         self.sends += 1;
         self.metrics.inc("snap.sends");
         self.metrics.gauge_set("snap.inflight", self.inflight as i64);
+        if self.spans.is_enabled() {
+            let id = self.spans.begin(now, "snapback", "snap.send", NO_SPAN, || {
+                format!("send lba {} x{}", run.lba.0, run.sectors)
+            });
+            self.send_spans.insert(run.lba.0, id);
+        }
         Some(run)
     }
 
-    /// [`SnapshotBack::ack`] plus flight-recorder bookkeeping: the
-    /// range's `snap.send` span ends at `now`.
-    pub fn ack_at(&mut self, now: SimTime, range: BlockRange) {
-        if let Some(id) = self.send_spans.remove(&range.lba.0) {
-            self.spans.end(now, id);
-        }
-        self.ack(range);
-    }
-
     /// The server acknowledged a send: the sectors are durable in the
-    /// snapshot and the failure streak resets.
+    /// snapshot and the failure streak resets. The range's `snap.send`
+    /// span ends at `now`.
     ///
     /// # Panics
     ///
     /// Panics if nothing was in flight.
-    pub fn ack(&mut self, range: BlockRange) {
+    pub fn ack(&mut self, now: SimTime, range: BlockRange) {
+        if let Some(id) = self.send_spans.remove(&range.lba.0) {
+            self.spans.end(now, id);
+        }
         assert!(self.inflight > 0, "ack without a send in flight");
         self.inflight -= 1;
         self.sectors_sent += range.sectors as u64;
@@ -304,10 +292,15 @@ impl SnapshotBack {
         self.metrics.gauge_set("snap.inflight", self.inflight as i64);
     }
 
-    /// [`SnapshotBack::send_failed`] plus flight-recorder bookkeeping:
-    /// the range's `snap.send` span ends at `now` with a
-    /// `snap.send_failed` instant, and the back-off gate advances.
-    pub fn send_failed_at(&mut self, now: SimTime, range: BlockRange, tracker: &mut DirtyTracker) {
+    /// A send exhausted its wire retries: the range is re-marked dirty
+    /// (so it will be re-sent), the cursor rewinds to cover it, and the
+    /// back-off gate advances from `now`. The range's `snap.send` span
+    /// ends at `now` with a `snap.send_failed` instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing was in flight.
+    pub fn send_failed(&mut self, now: SimTime, range: BlockRange, tracker: &mut DirtyTracker) {
         if let Some(id) = self.send_spans.remove(&range.lba.0) {
             self.spans
                 .instant(now, "snapback", "snap.send_failed", id, || {
@@ -315,17 +308,6 @@ impl SnapshotBack {
                 });
             self.spans.end(now, id);
         }
-        self.send_failed(range, tracker);
-        self.note_send_failure(now);
-    }
-
-    /// A send exhausted its wire retries: the range is re-marked dirty
-    /// (so it will be re-sent) and the cursor rewinds to cover it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing was in flight.
-    pub fn send_failed(&mut self, range: BlockRange, tracker: &mut DirtyTracker) {
         assert!(self.inflight > 0, "failure without a send in flight");
         self.inflight -= 1;
         self.send_failures += 1;
@@ -335,11 +317,12 @@ impl SnapshotBack {
         if range.lba < self.cursor {
             self.cursor = range.lba;
         }
+        self.note_send_failure(now);
     }
 
     /// Notes a send failure for back-off purposes: the sender waits
     /// `base · 2^(failures-1)` (capped) before probing the server again.
-    pub fn note_send_failure(&mut self, now: SimTime) {
+    fn note_send_failure(&mut self, now: SimTime) {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let shift = (self.consecutive_failures - 1).min(16);
         let delay = SimDuration::from_nanos(
@@ -386,13 +369,13 @@ mod tests {
         dt.record(BlockRange::new(Lba(100), 10));
         dt.record(BlockRange::new(Lba(300), 200));
         let mut sb = SnapshotBack::new(64, 8);
-        assert_eq!(sb.next_send(&mut dt), Some(BlockRange::new(Lba(100), 10)));
+        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(BlockRange::new(Lba(100), 10)));
         // A long run is sent in block-grid pieces.
-        assert_eq!(sb.next_send(&mut dt), Some(BlockRange::new(Lba(300), 64)));
-        assert_eq!(sb.next_send(&mut dt), Some(BlockRange::new(Lba(364), 64)));
-        assert_eq!(sb.next_send(&mut dt), Some(BlockRange::new(Lba(428), 64)));
-        assert_eq!(sb.next_send(&mut dt), Some(BlockRange::new(Lba(492), 8)));
-        assert_eq!(sb.next_send(&mut dt), None, "everything claimed");
+        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(BlockRange::new(Lba(300), 64)));
+        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(BlockRange::new(Lba(364), 64)));
+        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(BlockRange::new(Lba(428), 64)));
+        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(BlockRange::new(Lba(492), 8)));
+        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), None, "everything claimed");
         assert!(dt.is_clean());
         assert!(!sb.complete(&dt), "claims are still in flight");
         for r in [
@@ -402,7 +385,7 @@ mod tests {
             BlockRange::new(Lba(428), 64),
             BlockRange::new(Lba(492), 8),
         ] {
-            sb.ack(r);
+            sb.ack(SimTime::ZERO, r);
         }
         assert!(sb.complete(&dt));
         assert_eq!(sb.sectors_sent(), 210);
@@ -413,9 +396,9 @@ mod tests {
         let mut dt = DirtyTracker::new(4096);
         dt.record(BlockRange::new(Lba(0), 1024));
         let mut sb = SnapshotBack::new(64, 2);
-        assert!(sb.next_send(&mut dt).is_some());
-        assert!(sb.next_send(&mut dt).is_some());
-        assert!(sb.next_send(&mut dt).is_none(), "depth 2 reached");
+        assert!(sb.next_send(SimTime::ZERO, &mut dt).is_some());
+        assert!(sb.next_send(SimTime::ZERO, &mut dt).is_some());
+        assert!(sb.next_send(SimTime::ZERO, &mut dt).is_none(), "depth 2 reached");
         assert_eq!(sb.inflight(), 2);
     }
 
@@ -424,11 +407,11 @@ mod tests {
         let mut dt = DirtyTracker::new(4096);
         dt.record(BlockRange::new(Lba(128), 64));
         let mut sb = SnapshotBack::new(64, 8);
-        let r = sb.next_send(&mut dt).unwrap();
-        sb.send_failed(r, &mut dt);
+        let r = sb.next_send(SimTime::ZERO, &mut dt).unwrap();
+        sb.send_failed(SimTime::ZERO, r, &mut dt);
         assert_eq!(dt.dirty_sectors(), 64, "failure re-marks the range");
-        assert_eq!(sb.next_send(&mut dt), Some(r), "cursor rewound to it");
-        sb.ack(r);
+        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(r), "cursor rewound to it");
+        sb.ack(SimTime::ZERO, r);
         assert!(sb.complete(&dt));
     }
 
@@ -439,12 +422,12 @@ mod tests {
         let mut dt = DirtyTracker::new(4096);
         dt.record(BlockRange::new(Lba(0), 64));
         let mut sb = SnapshotBack::new(64, 8);
-        let r = sb.next_send(&mut dt).unwrap();
+        let r = sb.next_send(SimTime::ZERO, &mut dt).unwrap();
         dt.record(BlockRange::new(Lba(10), 4)); // guest writes mid-flight
-        sb.ack(r);
+        sb.ack(SimTime::ZERO, r);
         assert!(!sb.complete(&dt), "re-dirtied sectors still pending");
-        assert_eq!(sb.next_send(&mut dt), Some(BlockRange::new(Lba(10), 4)));
-        sb.ack(BlockRange::new(Lba(10), 4));
+        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(BlockRange::new(Lba(10), 4)));
+        sb.ack(SimTime::ZERO, BlockRange::new(Lba(10), 4));
         assert!(sb.complete(&dt));
     }
 
@@ -466,8 +449,8 @@ mod tests {
         );
         let mut dt = DirtyTracker::new(64);
         dt.record(BlockRange::new(Lba(0), 1));
-        let r = sb.next_send(&mut dt).unwrap();
-        sb.ack(r);
+        let r = sb.next_send(SimTime::ZERO, &mut dt).unwrap();
+        sb.ack(SimTime::ZERO, r);
         assert_eq!(sb.send_ready_at(), SimTime::ZERO, "success resets");
         assert_eq!(sb.consecutive_failures(), 0);
     }

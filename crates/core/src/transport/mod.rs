@@ -164,9 +164,9 @@ pub fn issue_read(
     parent: SpanId,
 ) -> (u32, Vec<FrameBytes>) {
     if plan.runs.len() == 1 {
-        client.read_traced(now, plan.runs[0], parent)
+        client.read(now, plan.runs[0], parent)
     } else {
-        client.read_multi_traced(now, plan.runs.clone(), parent)
+        client.read_multi(now, plan.runs.clone(), parent)
     }
 }
 

@@ -43,14 +43,6 @@ pub struct BootProfile {
 }
 
 impl BootProfile {
-    /// Builds a profile from explicit steps.
-    pub fn from_steps(name: impl Into<String>, steps: Vec<BootStep>) -> BootProfile {
-        BootProfile {
-            name: name.into(),
-            steps,
-        }
-    }
-
     /// The Ubuntu 14.04 (kernel 3.13)-shaped profile used throughout the
     /// evaluation: ~72 MB over ~4000 small reads (real boots issue
     /// thousands of metadata/library reads). Deterministic in `seed`.

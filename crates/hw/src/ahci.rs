@@ -161,11 +161,6 @@ impl AhciController {
         }
     }
 
-    /// Number of ports.
-    pub fn port_count(&self) -> usize {
-        self.ports.len()
-    }
-
     /// Whether `addr` falls inside this HBA's MMIO window.
     pub fn owns_mmio(addr: u64) -> bool {
         (ABAR..ABAR + ABAR_SIZE).contains(&addr)
@@ -270,11 +265,6 @@ impl AhciController {
     /// Bitmask of slots issued on `port` (the `PxCI` value).
     pub fn issued_slots(&self, port: usize) -> u32 {
         self.ports[port].ci
-    }
-
-    /// Bitmask of slots currently executing on the media.
-    pub fn executing_slots(&self, port: usize) -> u32 {
-        self.ports[port].executing
     }
 
     /// Whether the port has any outstanding command.

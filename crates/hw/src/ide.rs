@@ -482,11 +482,6 @@ impl IdeController {
         Some(cmd)
     }
 
-    /// The in-flight command, if any.
-    pub fn active_command(&self) -> Option<IdeCommandBlock> {
-        self.active
-    }
-
     /// Completes the in-flight command: moves data between the PRD buffers
     /// and the disk, clears BSY, and asserts INTRQ.
     ///

@@ -149,11 +149,6 @@ impl Megasas {
         Some(f)
     }
 
-    /// The frame currently executing.
-    pub fn active_frame(&self) -> Option<PhysAddr> {
-        self.active
-    }
-
     /// Completes the active frame: moves data, sets status, queues the
     /// completion, raises the interrupt.
     ///

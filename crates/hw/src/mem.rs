@@ -131,11 +131,6 @@ impl PhysMem {
         self.vmm_reserved = None;
     }
 
-    /// The current VMM reservation, if any: `(base, bytes)`.
-    pub fn vmm_reservation(&self) -> Option<(PhysAddr, u64)> {
-        self.vmm_reserved
-    }
-
     /// The E820 map as the firmware would report it to the guest.
     pub fn e820_map(&self) -> Vec<E820Entry> {
         match self.vmm_reserved {

@@ -169,7 +169,6 @@ pub struct VtxCpu {
     costs: ExitCosts,
     ept: EptModel,
     exit_counts: [u64; 5],
-    exit_cost_total: SimDuration,
 }
 
 impl Default for VtxCpu {
@@ -190,7 +189,6 @@ impl VtxCpu {
             costs: ExitCosts::default(),
             ept: EptModel::default(),
             exit_counts: [0; 5],
-            exit_cost_total: SimDuration::ZERO,
         }
     }
 
@@ -215,16 +213,6 @@ impl VtxCpu {
     /// The configured exit-cost model.
     pub fn costs(&self) -> &ExitCosts {
         &self.costs
-    }
-
-    /// Replaces the exit-cost model (for baselines with heavier exits).
-    pub fn set_costs(&mut self, costs: ExitCosts) {
-        self.costs = costs;
-    }
-
-    /// The EPT TLB model.
-    pub fn ept_model(&self) -> &EptModel {
-        &self.ept
     }
 
     /// Adds an inclusive port range that triggers PIO exits.
@@ -276,7 +264,6 @@ impl VtxCpu {
         assert!(self.vmx_on, "VM exit while VMX is off");
         let cost = self.costs.cost(reason);
         self.exit_counts[reason.category().index()] += 1;
-        self.exit_cost_total += cost;
         cost
     }
 
@@ -288,11 +275,6 @@ impl VtxCpu {
     /// Total exits taken.
     pub fn total_exits(&self) -> u64 {
         self.exit_counts.iter().sum()
-    }
-
-    /// Total time spent in exits.
-    pub fn total_exit_cost(&self) -> SimDuration {
-        self.exit_cost_total
     }
 
     /// Runtime slowdown factor for a workload spending `tlb_share` of its

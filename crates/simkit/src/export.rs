@@ -70,7 +70,9 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
-/// Renders spans and timeline samples as Chrome trace-event JSON.
+/// Renders spans and timeline samples as Chrome trace-event JSON: the
+/// one-process case of [`chrome_trace_json_multi`], without a
+/// `process_name` event.
 ///
 /// Each distinct span `track` becomes one named thread (`M`
 /// thread_name metadata + a stable `tid` by first appearance); each
@@ -78,6 +80,43 @@ fn fmt_value(v: f64) -> String {
 /// ride in `args` so the hierarchy survives into Perfetto's detail
 /// pane.
 pub fn chrome_trace_json(spans: &[Span], samples: &[SampleRow]) -> String {
+    let mut events = Vec::new();
+    push_process_events(&mut events, 1, None, spans, samples);
+    trace_document(&events)
+}
+
+/// Renders several recorders as one Chrome trace with one *process*
+/// per entry — the multi-machine (fleet) form of
+/// [`chrome_trace_json`]. Each `(name, spans, samples)` tuple becomes
+/// pid `i + 1` with a `process_name` metadata event, its span tracks
+/// numbered per-process, and its counter tracks scoped to its pid, so
+/// Perfetto shows `machine0`, `machine1`, ... side by side.
+pub fn chrome_trace_json_multi(processes: &[(&str, &[Span], &[SampleRow])]) -> String {
+    let mut events = Vec::new();
+    for (i, (name, spans, samples)) in processes.iter().enumerate() {
+        push_process_events(&mut events, i + 1, Some(name), spans, samples);
+    }
+    trace_document(&events)
+}
+
+/// Appends one process's trace events as `pid`: its `process_name`
+/// (when named), one `thread_name` per span track, one `X` event per
+/// span and one `C` event per sample value.
+fn push_process_events(
+    events: &mut Vec<String>,
+    pid: usize,
+    name: Option<&str>,
+    spans: &[Span],
+    samples: &[SampleRow],
+) {
+    if let Some(name) = name {
+        events.push(format!(
+            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {}, \
+             \"args\": {{\"name\": \"{}\"}}}}",
+            pid,
+            json_escape(name)
+        ));
+    }
     let mut tracks: Vec<&'static str> = Vec::new();
     for s in spans {
         if !tracks.contains(&s.track) {
@@ -85,13 +124,12 @@ pub fn chrome_trace_json(spans: &[Span], samples: &[SampleRow]) -> String {
         }
     }
     let tid_of = |track: &str| tracks.iter().position(|t| *t == track).unwrap() + 1;
-
-    let mut events: Vec<String> = Vec::new();
-    for (i, track) in tracks.iter().enumerate() {
+    for (j, track) in tracks.iter().enumerate() {
         events.push(format!(
-            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {}, \
+            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {}, \"tid\": {}, \
              \"args\": {{\"name\": \"{}\"}}}}",
-            i + 1,
+            pid,
+            j + 1,
             json_escape(track)
         ));
     }
@@ -106,12 +144,13 @@ pub fn chrome_trace_json(spans: &[Span], samples: &[SampleRow]) -> String {
         }
         events.push(format!(
             "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \
-             \"dur\": {}.{:03}, \"pid\": 1, \"tid\": {}, \"args\": {{{}}}}}",
+             \"dur\": {}.{:03}, \"pid\": {}, \"tid\": {}, \"args\": {{{}}}}}",
             json_escape(s.kind),
             json_escape(s.track),
             ts_micros(s.start),
             dur_ns / 1_000,
             dur_ns % 1_000,
+            pid,
             tid_of(s.track),
             args
         ));
@@ -119,93 +158,19 @@ pub fn chrome_trace_json(spans: &[Span], samples: &[SampleRow]) -> String {
     for row in samples {
         for (name, value) in &row.values {
             events.push(format!(
-                "{{\"name\": \"{}\", \"ph\": \"C\", \"ts\": {}, \"pid\": 1, \
+                "{{\"name\": \"{}\", \"ph\": \"C\", \"ts\": {}, \"pid\": {}, \
                  \"args\": {{\"value\": {}}}}}",
                 json_escape(name),
                 ts_micros(row.at),
+                pid,
                 fmt_value(*value)
             ));
         }
     }
-
-    let mut out = String::from("{\"traceEvents\": [\n");
-    for (i, ev) in events.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(ev);
-        out.push_str(if i + 1 < events.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("], \"displayTimeUnit\": \"ms\"}\n");
-    out
 }
 
-/// Renders several recorders as one Chrome trace with one *process*
-/// per entry — the multi-machine (fleet) form of
-/// [`chrome_trace_json`]. Each `(name, spans, samples)` tuple becomes
-/// pid `i + 1` with a `process_name` metadata event, its span tracks
-/// numbered per-process, and its counter tracks scoped to its pid, so
-/// Perfetto shows `machine0`, `machine1`, ... side by side.
-pub fn chrome_trace_json_multi(processes: &[(&str, &[Span], &[SampleRow])]) -> String {
-    let mut events: Vec<String> = Vec::new();
-    for (i, (name, spans, samples)) in processes.iter().enumerate() {
-        let pid = i + 1;
-        events.push(format!(
-            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {}, \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            pid,
-            json_escape(name)
-        ));
-        let mut tracks: Vec<&'static str> = Vec::new();
-        for s in *spans {
-            if !tracks.contains(&s.track) {
-                tracks.push(s.track);
-            }
-        }
-        let tid_of = |track: &str| tracks.iter().position(|t| *t == track).unwrap() + 1;
-        for (j, track) in tracks.iter().enumerate() {
-            events.push(format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {}, \"tid\": {}, \
-                 \"args\": {{\"name\": \"{}\"}}}}",
-                pid,
-                j + 1,
-                json_escape(track)
-            ));
-        }
-        for s in *spans {
-            let dur_ns = s.duration().as_nanos();
-            let mut args = format!("\"id\": {}", s.id.0);
-            if s.parent != NO_SPAN {
-                let _ = write!(args, ", \"parent\": {}", s.parent.0);
-            }
-            if !s.detail.is_empty() {
-                let _ = write!(args, ", \"detail\": \"{}\"", json_escape(&s.detail));
-            }
-            events.push(format!(
-                "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \
-                 \"dur\": {}.{:03}, \"pid\": {}, \"tid\": {}, \"args\": {{{}}}}}",
-                json_escape(s.kind),
-                json_escape(s.track),
-                ts_micros(s.start),
-                dur_ns / 1_000,
-                dur_ns % 1_000,
-                pid,
-                tid_of(s.track),
-                args
-            ));
-        }
-        for row in *samples {
-            for (name, value) in &row.values {
-                events.push(format!(
-                    "{{\"name\": \"{}\", \"ph\": \"C\", \"ts\": {}, \"pid\": {}, \
-                     \"args\": {{\"value\": {}}}}}",
-                    json_escape(name),
-                    ts_micros(row.at),
-                    pid,
-                    fmt_value(*value)
-                ));
-            }
-        }
-    }
-
+/// Wraps trace events in the trace-event JSON object, one per line.
+fn trace_document(events: &[String]) -> String {
     let mut out = String::from("{\"traceEvents\": [\n");
     for (i, ev) in events.iter().enumerate() {
         out.push_str("  ");

@@ -19,9 +19,11 @@
 //!   answering. Healthy fleets burst past the rate during admission
 //!   waves; only a *sustained* elevation raises.
 //! - **cache-collapse** — server-side cache hit ratio below a floor
-//!   after warmup: deployment traffic has outrun the cache.
+//!   after warmup, which starts once two members have started (a lone
+//!   member's reads can only miss): deployment traffic has outrun the
+//!   cache.
 //! - **stalled-member** — no deployment progress anywhere for K
-//!   consecutive intervals while machines remain unbooted.
+//!   consecutive intervals while started machines remain unbooted.
 //! - **boot-budget** — the projected p99 boot time exceeds the budget:
 //!   the tail claim is failing *while the run is still going*.
 //!
@@ -40,6 +42,7 @@
 //!     cache_misses: 0,
 //!     fill_progress: 1.0,
 //!     machines_booted: 0,
+//!     machines_started: 4,
 //!     machines_total: 4,
 //!     projected_p99_s: 0.0,
 //! };
@@ -117,7 +120,10 @@ pub struct SloConfig {
     pub storm_ticks: u32,
     /// Hit-ratio floor for the server cache (0..1).
     pub cache_hit_floor: f64,
-    /// Sampler ticks to ignore the cache rule for while it warms up.
+    /// Sampler ticks to ignore the cache rule for while it warms up,
+    /// counted from the first tick at which two members have started:
+    /// before a second member re-reads what the first fetched, every
+    /// lookup is a cold miss.
     pub cache_warmup_ticks: u64,
     /// Consecutive no-progress ticks before stalled-member raises.
     pub stall_ticks: u32,
@@ -154,6 +160,9 @@ pub struct SloInput {
     pub fill_progress: f64,
     /// Members that have finished booting.
     pub machines_booted: u64,
+    /// Members whose deployment has started (a staggered member counts
+    /// from its scheduled start).
+    pub machines_started: u64,
     /// Total members in the run.
     pub machines_total: u64,
     /// Projected p99 boot time in seconds (0.0 when nothing booted
@@ -178,7 +187,8 @@ pub struct Alert {
 #[derive(Debug)]
 pub struct SloEngine {
     cfg: SloConfig,
-    ticks: u64,
+    /// Ticks seen since two members had started (the cache warmup).
+    warm_ticks: u64,
     last: Option<SloInput>,
     storm_run: u32,
     stall_run: u32,
@@ -192,7 +202,7 @@ impl SloEngine {
     pub fn new(cfg: SloConfig) -> SloEngine {
         SloEngine {
             cfg,
-            ticks: 0,
+            warm_ticks: 0,
             last: None,
             storm_run: 0,
             stall_run: 0,
@@ -211,7 +221,9 @@ impl SloEngine {
     /// [`SloEngine::alerts`]). Deterministic: same input sequence, same
     /// alert sequence.
     pub fn evaluate(&mut self, input: &SloInput) -> Vec<Alert> {
-        self.ticks += 1;
+        if input.machines_started >= 2 {
+            self.warm_ticks += 1;
+        }
 
         // retransmit-storm: rate over the window since the previous
         // tick, sustained for `storm_ticks` consecutive intervals.
@@ -236,22 +248,24 @@ impl SloEngine {
             _ => (false, String::new()),
         };
 
-        // cache-collapse: hit ratio under the floor, after warmup and
-        // only once the cache has seen traffic.
+        // cache-collapse: hit ratio under the floor, after a warmup that
+        // starts once two members have started, and only once the cache
+        // has seen traffic.
         let lookups = input.cache_hits + input.cache_misses;
         let ratio = if lookups > 0 {
             input.cache_hits as f64 / lookups as f64
         } else {
             1.0
         };
-        let collapse = self.ticks > self.cfg.cache_warmup_ticks
+        let collapse = self.warm_ticks > self.cfg.cache_warmup_ticks
             && lookups > 0
             && ratio < self.cfg.cache_hit_floor;
         let collapse_detail = format!("hit_ratio {ratio:.4} < {:.4}", self.cfg.cache_hit_floor);
 
         // stalled-member: progress scalar unchanged for K ticks while
-        // members remain unbooted.
-        let unfinished = input.machines_booted < input.machines_total;
+        // started members remain unbooted. A member waiting for its
+        // scheduled start has no progress to make.
+        let unfinished = input.machines_booted < input.machines_started;
         match &self.last {
             Some(prev) if unfinished && input.fill_progress == prev.fill_progress => {
                 self.stall_run += 1;
@@ -332,6 +346,7 @@ mod tests {
             cache_misses: 0,
             fill_progress: at_s as f64,
             machines_booted: 0,
+            machines_started: 4,
             machines_total: 4,
             projected_p99_s: 1.0,
         }
@@ -435,6 +450,34 @@ mod tests {
     }
 
     #[test]
+    fn cache_warmup_starts_with_the_second_member() {
+        let cfg = SloConfig {
+            cache_warmup_ticks: 3,
+            ..SloConfig::default()
+        };
+        let mut slo = SloEngine::new(cfg);
+        let cold = |s: u64, started: u64| SloInput {
+            cache_hits: 0,
+            cache_misses: 1000 * s,
+            machines_started: started,
+            ..quiet(s)
+        };
+        // A lone staggered member: every lookup misses, however long.
+        for s in 1..=10 {
+            assert!(slo.evaluate(&cold(s, 1)).is_empty(), "lone member, tick {s}");
+        }
+        // The second member starts: three warmup ticks, then a cache
+        // that still never hits has genuinely collapsed.
+        for s in 11..=13 {
+            assert!(slo.evaluate(&cold(s, 2)).is_empty(), "warmup tick {s}");
+        }
+        let edges = slo.evaluate(&cold(14, 2));
+        assert_eq!(edges.len(), 1);
+        assert_eq!(edges[0].rule, SloRule::CacheCollapse);
+        assert!(edges[0].raised);
+    }
+
+    #[test]
     fn stall_needs_k_consecutive_flat_ticks() {
         let cfg = SloConfig {
             stall_ticks: 3,
@@ -459,6 +502,36 @@ mod tests {
         let edges = slo.evaluate(&flat);
         assert_eq!(edges.len(), 1);
         assert!(!edges[0].raised);
+    }
+
+    #[test]
+    fn members_awaiting_their_start_do_not_stall() {
+        let cfg = SloConfig {
+            stall_ticks: 3,
+            ..SloConfig::default()
+        };
+        let mut slo = SloEngine::new(cfg);
+        // Two of four members started and booted; the other two wait
+        // for their scheduled starts while nothing moves.
+        let mut waiting = quiet(1);
+        waiting.fill_progress = 2.0;
+        waiting.machines_booted = 2;
+        waiting.machines_started = 2;
+        for s in 1..=10 {
+            waiting.at = SimTime::from_secs(s);
+            assert!(slo.evaluate(&waiting).is_empty(), "tick {s}");
+        }
+        // The third starts and makes no progress: a genuine stall.
+        waiting.machines_started = 3;
+        for s in 11..=12 {
+            waiting.at = SimTime::from_secs(s);
+            assert!(slo.evaluate(&waiting).is_empty(), "run too short at {s}");
+        }
+        waiting.at = SimTime::from_secs(13);
+        let edges = slo.evaluate(&waiting);
+        assert_eq!(edges.len(), 1);
+        assert_eq!(edges[0].rule, SloRule::StalledMember);
+        assert!(edges[0].raised);
     }
 
     #[test]

@@ -404,7 +404,9 @@ fn megasas_guest_writes_always_win_over_background_copy() {
     let server = BlockStore::image(CAP, SEED);
 
     // Four copy blocks go on the wire: [0,64) .. [192,256).
-    let fetches: Vec<BlockRange> = (0..4).map(|_| bg.next_fetch(&bitmap).unwrap()).collect();
+    let fetches: Vec<BlockRange> = (0..4)
+        .map(|_| bg.next_fetch(SimTime::ZERO, &bitmap).unwrap())
+        .collect();
     assert_eq!(fetches[3], BlockRange::new(Lba(192), 64));
 
     // While they are in flight, the guest posts an unaligned 70-sector
@@ -434,7 +436,7 @@ fn megasas_guest_writes_always_win_over_background_copy() {
     // The stale fetches land afterwards; the writer multiplexes the
     // surviving pieces onto the disk through the controller.
     for r in &fetches {
-        bg.deliver(FetchedBlock {
+        bg.deliver(SimTime::ZERO, FetchedBlock {
             data: server.read_range(*r).into(),
             range: *r,
         });

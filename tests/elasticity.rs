@@ -23,7 +23,7 @@ use bmcast_repro::hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use bmcast_repro::hwsim::disk::{DiskModel, DiskParams};
 use bmcast_repro::hwsim::megasas::{reg, Megasas, MegasasAction, MfiFrame, MfiOp, MfiStatus};
 use bmcast_repro::hwsim::mem::{DmaBuffer, PhysMem};
-use bmcast_repro::simkit::{SimDuration, SimTime};
+use bmcast_repro::simkit::{SimDuration, SimTime, NO_SPAN};
 
 const OLD_SEED: u64 = 0xE1A5_0001;
 const NEW_SEED: u64 = 0xE1A5_0002;
@@ -327,7 +327,7 @@ impl MegasasRig {
     /// Fetches `range` from the server and lands it on the local disk
     /// (the retriever + writer collapsed to their effect).
     fn fetch_and_fill(&mut self, range: BlockRange) -> Vec<SectorData> {
-        let (_, frames) = self.client.read(SimTime::ZERO, range);
+        let (_, frames) = self.client.read(SimTime::ZERO, range, NO_SPAN);
         let done = self.round_trip(frames);
         assert_eq!(done.range, range);
         for (i, lba) in range.iter().enumerate() {
@@ -436,18 +436,18 @@ fn lifecycle_round_trip_via_megasas_mediator() {
     let mut failed_once = false;
     while !snap.complete(&rig.tracker) {
         let run = snap
-            .next_send(&mut rig.tracker)
+            .next_send(SimTime::ZERO, &mut rig.tracker)
             .expect("dirty blocks remain, pipeline empty");
         if !failed_once {
             // First send exhausts its wire retries: re-marked, re-sent.
             failed_once = true;
-            snap.send_failed(run, &mut rig.tracker);
+            snap.send_failed(SimTime::ZERO, run, &mut rig.tracker);
             continue;
         }
         let payload: Vec<SectorData> = run.iter().map(|l| rig.disk.store().read(l)).collect();
-        let (_, frames) = rig.client.write(SimTime::ZERO, run, &payload);
+        let (_, frames) = rig.client.write(SimTime::ZERO, run, &payload, NO_SPAN);
         let done = rig.round_trip(frames);
-        snap.ack(done.range);
+        snap.ack(SimTime::ZERO, done.range);
     }
     assert_eq!(snap.send_failures(), 1);
     assert!(snap.sectors_sent() >= dirty_total);

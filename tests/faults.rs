@@ -20,7 +20,7 @@ use bmcast_repro::guestsim::io::{CompletedIo, IoRequest, RequestId};
 use bmcast_repro::hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use bmcast_repro::hwsim::disk::{DiskModel, DiskParams};
 use bmcast_repro::simkit::fault::{FaultPlan, Window};
-use bmcast_repro::simkit::{SimDuration, SimTime};
+use bmcast_repro::simkit::{SimDuration, SimTime, NO_SPAN};
 
 const SEED: u64 = 0xFA01_75ED;
 
@@ -353,6 +353,21 @@ fn background_copier_backs_off_during_stall() {
         0,
         "backoff state must reset once fetches succeed again"
     );
+    // The recorder saw every fetch: one finished `bg.fetch` span per
+    // fetch, one `bg.fetch_failed` instant per abandoned one, and no
+    // span left open at bare metal.
+    let spans = runner.spans();
+    assert!(snap.counter("bg.fetch_failures") > 0, "fetches failed");
+    assert_eq!(spans.dropped(), 0, "the ring kept every span");
+    assert_eq!(spans.open_count(), 0, "spans left open at bare metal");
+    assert_eq!(
+        spans.finished_of("bg.fetch").len() as u64,
+        snap.counter("bg.fetches")
+    );
+    assert_eq!(
+        spans.finished_of("bg.fetch_failed").len() as u64,
+        snap.counter("bg.fetch_failures")
+    );
 }
 
 /// Protocol-level write-error recovery, driven directly through the AoE
@@ -376,7 +391,7 @@ fn write_error_acks_then_retransmission_recovers() {
     server.disk_mut().set_fault_write_errors(true);
     let range = BlockRange::new(Lba(64), 8);
     let payload = vec![SectorData(0xD00D); 8];
-    let (id, frames) = client.write(SimTime::ZERO, range, &payload);
+    let (id, frames) = client.write(SimTime::ZERO, range, &payload, NO_SPAN);
     for f in &frames {
         let reply = server.handle(SimTime::ZERO, f).unwrap().unwrap();
         for rf in &reply.frames {

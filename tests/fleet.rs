@@ -227,3 +227,25 @@ fn rolling_upgrade_timeline_records_snapshot_back() {
         );
     }
 }
+
+/// A healthy fleet that powers on 5 s apart raises no watchdog alert.
+/// Before its second member starts, every server lookup is a cold miss
+/// (no cache-collapse yet), and a member waiting for its scheduled
+/// start has no progress to make (no stalled-member).
+#[test]
+fn staggered_fleet_raises_no_false_alert() {
+    let mut cfg = tiny_cfg(3);
+    cfg.start_stagger = SimDuration::from_secs(5);
+    let mut fleet = Fleet::new(cfg);
+    fleet.enable_flight_recorder(FlightRecorderConfig::default());
+    fleet.start(boot_program);
+    fleet
+        .run_to_all_booted(SimTime::from_secs(3600))
+        .expect("fleet boots");
+    let edges: Vec<_> = fleet
+        .alerts()
+        .iter()
+        .map(|a| (a.at, a.rule, a.raised))
+        .collect();
+    assert!(edges.is_empty(), "false alerts on a healthy boot: {edges:?}");
+}

@@ -14,7 +14,7 @@ use bmcast_repro::bmcast::snapback::{DirtyTracker, SnapshotBack};
 use bmcast_repro::bmcast::transport::coalesce_runs;
 use bmcast_repro::hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use bmcast_repro::hwsim::disk::{DiskModel, DiskOp, DiskParams};
-use bmcast_repro::simkit::{Sim, SimDuration, SimTime};
+use bmcast_repro::simkit::{Sim, SimDuration, SimTime, NO_SPAN};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -85,7 +85,7 @@ fn read_reply(req: &AoePdu, frag: u32, range: BlockRange, sectors: u32) -> Frame
 fn read_fragment_of_the_wrong_shape_is_dropped() {
     let mut client = AoeClient::new(ClientConfig::default());
     let range = BlockRange::new(Lba(64), 8);
-    let (id, frames) = client.read(SimTime::ZERO, range);
+    let (id, frames) = client.read(SimTime::ZERO, range, NO_SPAN);
     let req = AoePdu::decode_frame(&frames[0]).unwrap();
     for (bad, sectors) in [
         (BlockRange::new(Lba(64), 1), 1), // 1 sector of data for 8
@@ -121,7 +121,7 @@ fn read_fragment_of_the_wrong_shape_is_dropped() {
 fn batched_read_fragment_of_the_wrong_shape_is_dropped() {
     let mut client = AoeClient::new(ClientConfig::default());
     let runs = vec![BlockRange::new(Lba(0), 4), BlockRange::new(Lba(100), 4)];
-    let (_, frames) = client.read_multi(SimTime::ZERO, runs.clone());
+    let (_, frames) = client.read_multi(SimTime::ZERO, runs.clone(), NO_SPAN);
     let req = AoePdu::decode_frame(&frames[0]).unwrap();
     let one = |r: BlockRange| BlockRange::new(r.lba, 1);
     assert!(client
@@ -513,7 +513,7 @@ proptest! {
     ) {
         let mut client = AoeClient::new(ClientConfig::default());
         let range = BlockRange::new(Lba(1000), sectors);
-        let (_, frames) = client.read(SimTime::ZERO, range);
+        let (_, frames) = client.read(SimTime::ZERO, range, NO_SPAN);
         let req = AoePdu::decode_frame(&frames[0]).unwrap();
 
         // Build the server's fragments.
@@ -671,16 +671,16 @@ proptest! {
                       server: &mut Vec<SectorData>| {
             let mut n = 0usize;
             while !sb.complete(dt) {
-                let run = sb.next_send(dt).expect("dirty remains, pipeline empty");
+                let run = sb.next_send(SimTime::ZERO, dt).expect("dirty remains, pipeline empty");
                 n += 1;
                 if fail_every > 0 && n.is_multiple_of(fail_every + 1) {
-                    sb.send_failed(run, dt); // re-marked, re-sent later
+                    sb.send_failed(SimTime::ZERO, run, dt); // re-marked, re-sent later
                     continue;
                 }
                 for l in run.iter() {
                     server[l.0 as usize] = local[l.0 as usize];
                 }
-                sb.ack(run);
+                sb.ack(SimTime::ZERO, run);
             }
         };
         stream(&mut sb, &mut dt, &mut server);
