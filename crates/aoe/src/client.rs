@@ -377,7 +377,10 @@ impl AoeClient {
     ///
     /// Panics if `endpoints` is empty.
     pub fn set_read_endpoints(&mut self, endpoints: Vec<(u16, u8)>) {
-        assert!(!endpoints.is_empty(), "a client needs at least one endpoint");
+        assert!(
+            !endpoints.is_empty(),
+            "a client needs at least one endpoint"
+        );
         self.endpoints = endpoints;
     }
 
@@ -525,7 +528,10 @@ impl AoeClient {
         let nfrags = self.fragment_count(range.sectors);
         let deadline = now + self.cfg.backoff(0) + jitter(&mut self.prng, self.cfg.rto);
         let span = self.spans.begin(now, "aoe.client", "aoe.rtt", parent, || {
-            format!("read req {id} lba {} x{} @ {shelf}.{slot}", range.lba.0, range.sectors)
+            format!(
+                "read req {id} lba {} x{} @ {shelf}.{slot}",
+                range.lba.0, range.sectors
+            )
         });
         self.pending.insert(
             id,
@@ -872,8 +878,11 @@ impl AoeClient {
                 let spf = sectors_per_frame(cfg.mtu);
                 let whole = std::slice::from_ref(&p.range);
                 let runs: &[BlockRange] = if p.runs.is_empty() { whole } else { &p.runs };
-                for (i, (f, sub)) in
-                    p.frags.iter().zip(fragment_subranges(runs, spf)).enumerate()
+                for (i, (f, sub)) in p
+                    .frags
+                    .iter()
+                    .zip(fragment_subranges(runs, spf))
+                    .enumerate()
                 {
                     if f.is_some() {
                         continue;
@@ -922,8 +931,8 @@ impl AoeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::NO_SPAN;
     use hwsim::block::Lba;
+    use simkit::NO_SPAN;
 
     fn mk_response(
         request: &FrameBytes,
@@ -990,7 +999,10 @@ mod tests {
         let (_, frames) = c.read(SimTime::ZERO, range, NO_SPAN);
         let rs = mk_response(&frames[0], &[(0, range, vec![SectorData(1)])]);
         assert!(c.on_frame(SimTime::ZERO, &rs[0]).is_some());
-        assert!(c.on_frame(SimTime::ZERO, &rs[0]).is_none(), "late duplicate is dropped");
+        assert!(
+            c.on_frame(SimTime::ZERO, &rs[0]).is_none(),
+            "late duplicate is dropped"
+        );
     }
 
     #[test]
@@ -1032,7 +1044,9 @@ mod tests {
         assert_eq!(resent.len(), 1);
         assert_eq!(c.retransmits(), 1);
         // Clock hasn't reached the backed-off deadline: nothing more.
-        assert!(c.poll_retransmit(due + SimDuration::from_millis(1)).is_empty());
+        assert!(c
+            .poll_retransmit(due + SimDuration::from_millis(1))
+            .is_empty());
     }
 
     #[test]
@@ -1234,7 +1248,12 @@ mod tests {
         assert_eq!(c.reads_by_shelf().get(&0), Some(&2));
         assert_eq!(c.reads_by_shelf().get(&1), Some(&2));
         // Writes are not reads: the tally must not move.
-        c.write(SimTime::ZERO, BlockRange::new(Lba(0), 1), &[SectorData(1)], NO_SPAN);
+        c.write(
+            SimTime::ZERO,
+            BlockRange::new(Lba(0), 1),
+            &[SectorData(1)],
+            NO_SPAN,
+        );
         assert_eq!(c.reads_by_shelf().values().sum::<u64>(), 4);
     }
 
@@ -1329,7 +1348,10 @@ mod tests {
             assert!(!c.poll_retransmit(now).is_empty(), "kept retransmitting");
             assert_eq!(c.outstanding(), 1);
         }
-        assert!(c.take_failures().is_empty(), "live endpoint spuriously failed");
+        assert!(
+            c.take_failures().is_empty(),
+            "live endpoint spuriously failed"
+        );
         // The aggregate latch still reports the newest hint for moderation.
         assert_eq!(c.server_busy_at(), c.server_busy_at_endpoint((1, 0)));
     }
@@ -1414,7 +1436,9 @@ mod tests {
         let mut calm = AoePdu::decode_frame(&frames[0]).unwrap();
         calm.response = true;
         calm.data = Some(vec![SectorData(1)]);
-        assert!(c.on_frame(SimTime::from_millis(9), &calm.encode()).is_some());
+        assert!(c
+            .on_frame(SimTime::from_millis(9), &calm.encode())
+            .is_some());
         assert_eq!(c.server_busy_at(), Some(at));
     }
 
@@ -1435,7 +1459,11 @@ mod tests {
         let base = deadlines(None);
         let forked = deadlines(Some(0xF1EE7));
         assert_ne!(base, forked, "reseed left the jitter stream unchanged");
-        assert_eq!(forked, deadlines(Some(0xF1EE7)), "reseeded stream reproducible");
+        assert_eq!(
+            forked,
+            deadlines(Some(0xF1EE7)),
+            "reseeded stream reproducible"
+        );
     }
 
     #[test]
@@ -1468,7 +1496,10 @@ mod tests {
         assert_eq!(done.parts[0].0, runs[0]);
         assert_eq!(done.parts[0].1, (0..20).map(SectorData).collect::<Vec<_>>());
         assert_eq!(done.parts[1].0, runs[1]);
-        assert_eq!(done.parts[1].1, (100..105).map(SectorData).collect::<Vec<_>>());
+        assert_eq!(
+            done.parts[1].1,
+            (100..105).map(SectorData).collect::<Vec<_>>()
+        );
         assert_eq!(done.data.len(), 25, "concatenation across runs");
     }
 
@@ -1495,7 +1526,11 @@ mod tests {
         // Only global fragment 1 arrives.
         let rs = mk_response(
             &frames[0],
-            &[(1, BlockRange::new(Lba(17), 3), (17..20).map(SectorData).collect())],
+            &[(
+                1,
+                BlockRange::new(Lba(17), 3),
+                (17..20).map(SectorData).collect(),
+            )],
         );
         assert!(c.on_frame(SimTime::ZERO, &rs[0]).is_none());
         let resent = c.poll_retransmit(c.next_retransmit_at().unwrap());
@@ -1523,10 +1558,18 @@ mod tests {
         let resent = c.poll_retransmit(SimTime::from_secs(5));
         assert_eq!(resent.len(), 2);
         for frame in &resent {
-            assert!(AoePdu::decode_frame(frame).unwrap().rdma, "retransmit lost the flag");
+            assert!(
+                AoePdu::decode_frame(frame).unwrap().rdma,
+                "retransmit lost the flag"
+            );
         }
         // Writes never carry it (RDMA-assisted snapback is future work).
-        let (_, w) = c.write(SimTime::ZERO, BlockRange::new(Lba(0), 1), &[SectorData(1)], NO_SPAN);
+        let (_, w) = c.write(
+            SimTime::ZERO,
+            BlockRange::new(Lba(0), 1),
+            &[SectorData(1)],
+            NO_SPAN,
+        );
         assert!(!AoePdu::decode_frame(&w[0]).unwrap().rdma);
     }
 

@@ -28,8 +28,8 @@ pub mod server;
 pub mod wire;
 
 pub use client::{AoeClient, ClientConfig, Completion};
-pub use server::{AoeServer, ServerConfig};
 pub use server::Enqueued;
+pub use server::{AoeServer, ServerConfig};
 pub use wire::{
     peek_rdma, peek_shelf_slot, sectors_per_frame, AoeCommand, AoePdu, FrameBytes, Tag, WireFrame,
     AOE_HEADER_BYTES,

@@ -498,7 +498,10 @@ impl AoePdu {
     /// the 16-bit table count.
     pub fn read_multi_request(shelf: u16, slot: u8, tag: Tag, runs: Vec<BlockRange>) -> AoePdu {
         assert!(!runs.is_empty(), "multi-range read needs at least one run");
-        assert!(runs.len() <= u16::MAX as usize, "range table count overflow");
+        assert!(
+            runs.len() <= u16::MAX as usize,
+            "range table count overflow"
+        );
         let total: u32 = runs
             .iter()
             .map(|r| {
@@ -835,7 +838,10 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::BadVersion(v) => write!(f, "unsupported aoe version {v}"),
             DecodeError::BadChecksum { got, want } => {
-                write!(f, "frame checksum mismatch: got {got:#06x}, want {want:#06x}")
+                write!(
+                    f,
+                    "frame checksum mismatch: got {got:#06x}, want {want:#06x}"
+                )
             }
             DecodeError::EmptyRange => write!(f, "sector count of zero"),
             DecodeError::RaggedPayload(n) => {
@@ -978,8 +984,8 @@ mod tests {
             AoePdu::decode(&[0u8; 4]),
             Err(DecodeError::Truncated { .. })
         ));
-        let mut bytes = AoePdu::read_request(0, 0, Tag::new(1, 0), BlockRange::new(Lba(1), 1))
-            .encode();
+        let mut bytes =
+            AoePdu::read_request(0, 0, Tag::new(1, 0), BlockRange::new(Lba(1), 1)).encode();
         bytes[0] = 0x10; // version 1: pre-checksum wire format
         assert_eq!(AoePdu::decode(&bytes), Err(DecodeError::BadVersion(1)));
     }
@@ -1004,8 +1010,7 @@ mod tests {
 
     #[test]
     fn checksum_occupies_reserved_bytes() {
-        let bytes =
-            AoePdu::read_request(0, 0, Tag::new(1, 0), BlockRange::new(Lba(1), 1)).encode();
+        let bytes = AoePdu::read_request(0, 0, Tag::new(1, 0), BlockRange::new(Lba(1), 1)).encode();
         let carried = u16::from_be_bytes([bytes[22], bytes[23]]);
         assert_eq!(carried, frame_checksum(&bytes));
         assert_ne!(carried, 0, "this frame's checksum happens to be nonzero");
@@ -1051,10 +1056,11 @@ mod tests {
                 "length {len}"
             );
         }
-        let data = (0..17).map(|i| SectorData(0x1234_5678_9ABC_DEF0 ^ i)).collect();
+        let data = (0..17)
+            .map(|i| SectorData(0x1234_5678_9ABC_DEF0 ^ i))
+            .collect();
         let mut frame =
-            AoePdu::write_request(0, 0, Tag::new(3, 0), BlockRange::new(Lba(0), 17), data)
-                .encode();
+            AoePdu::write_request(0, 0, Tag::new(3, 0), BlockRange::new(Lba(0), 17), data).encode();
         assert_eq!(frame_checksum(&frame), frame_checksum_oracle(&frame));
         frame[4000] ^= 0x10;
         assert_eq!(frame_checksum(&frame), frame_checksum_oracle(&frame));
@@ -1201,12 +1207,8 @@ mod tests {
 
     #[test]
     fn peek_shelf_slot_accepts_v3() {
-        let pdu = AoePdu::read_multi_request(
-            0x1042,
-            3,
-            Tag::new(7, 0),
-            vec![BlockRange::new(Lba(9), 4)],
-        );
+        let pdu =
+            AoePdu::read_multi_request(0x1042, 3, Tag::new(7, 0), vec![BlockRange::new(Lba(9), 4)]);
         assert_eq!(peek_shelf_slot(&pdu.encode()), Some((0x1042, 3)));
     }
 

@@ -72,7 +72,8 @@ impl ImageCopyPlan {
         // only the very first one is — so the label avoids "firmware".
         tl.push(
             "restart (server POST)",
-            self.firmware.restart_time(BootPath::LocalDisk, self.link_bps),
+            self.firmware
+                .restart_time(BootPath::LocalDisk, self.link_bps),
         );
         tl.push("OS boot (local)", local_boot);
         let _ = profile; // shape documented by the caller's local_boot

@@ -115,11 +115,9 @@ impl KvmModel {
     pub fn lock_holder_factor(&self, job: &ThreadBenchJob, threads: u32, cores: u32) -> f64 {
         let preempt_rate_per_sec = if self.cpu_pinning { 200.0 } else { 450.0 };
         let resched_delay_sec = 0.00455; // ~half a host scheduling period
-        let crit_share =
-            job.crit_ns / (job.crit_ns + job.yield_ns);
+        let crit_share = job.crit_ns / (job.crit_ns + job.yield_ns);
         let waiters_per_lock = (threads as f64 / job.locks as f64 - 1.0).max(0.0);
-        let convoy =
-            preempt_rate_per_sec * resched_delay_sec * crit_share * waiters_per_lock;
+        let convoy = preempt_rate_per_sec * resched_delay_sec * crit_share * waiters_per_lock;
         let base_tax = 0.03; // exit/timer noise even uncontended
         let _ = cores;
         1.0 + base_tax + convoy
@@ -258,8 +256,16 @@ mod tests {
         let wl = kvm.fio_throughput_mbps(true, KvmStorage::LocalVirtio);
         let rn = kvm.fio_throughput_mbps(false, KvmStorage::Nfs);
         let wn = kvm.fio_throughput_mbps(true, KvmStorage::Nfs);
-        assert!((rl / 116.6 - 0.878).abs() < 0.015, "local read ratio {}", rl / 116.6);
-        assert!((wl / 111.9 - 0.846).abs() < 0.015, "local write ratio {}", wl / 111.9);
+        assert!(
+            (rl / 116.6 - 0.878).abs() < 0.015,
+            "local read ratio {}",
+            rl / 116.6
+        );
+        assert!(
+            (wl / 111.9 - 0.846).abs() < 0.015,
+            "local write ratio {}",
+            wl / 111.9
+        );
         assert!(rn < rl && wn < wl, "NFS is slower than local");
         assert!((rn / 116.6 - 0.856).abs() < 0.02);
         assert!((wn / 111.9 - 0.827).abs() < 0.02);

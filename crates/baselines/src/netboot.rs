@@ -102,7 +102,10 @@ mod tests {
         let plan = NetbootPlan::default();
         let r = plan.read_throughput_mbps();
         assert!(r < 116.6, "must be below local-disk rate, got {r:.1}");
-        assert!(r > 90.0, "gigabit NFS should still move >90 MB/s, got {r:.1}");
+        assert!(
+            r > 90.0,
+            "gigabit NFS should still move >90 MB/s, got {r:.1}"
+        );
         assert!(plan.write_throughput_mbps() < r);
     }
 

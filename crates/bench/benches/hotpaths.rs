@@ -69,9 +69,7 @@ fn mostly_filled() -> BlockBitmap {
 fn next_empty_per_sector(bm: &BlockBitmap, from: Lba) -> Option<Lba> {
     let cap = bm.capacity_sectors();
     let start = from.0.min(cap);
-    let probe = |lo: u64, hi: u64| {
-        (lo..hi).find(|&s| !bm.is_filled(Lba(s))).map(Lba)
-    };
+    let probe = |lo: u64, hi: u64| (lo..hi).find(|&s| !bm.is_filled(Lba(s))).map(Lba);
     probe(start, cap).or_else(|| probe(0, start))
 }
 

@@ -124,10 +124,7 @@ pub fn run(scale: Scale) -> Figure {
         }
         loss_rows.push(Row::new(
             format!("loss {:.0}%", loss * 100.0),
-            vec![
-                ("deploy s".into(), t),
-                ("retransmits".into(), retx as f64),
-            ],
+            vec![("deploy s".into(), t), ("retransmits".into(), retx as f64)],
         ));
     }
 
@@ -157,7 +154,10 @@ pub fn run(scale: Scale) -> Figure {
                 ("frames".into(), frames_1500 as f64),
             ],
         ),
-        Row::new("retriever depth 4 (pool)", vec![("deploy s".into(), t_pool)]),
+        Row::new(
+            "retriever depth 4 (pool)",
+            vec![("deploy s".into(), t_pool)],
+        ),
         Row::new(
             "retriever depth 1 (stock vblade)",
             vec![("deploy s".into(), t_single)],

@@ -261,7 +261,9 @@ pub fn measure_transport(scale: Scale, jobs: usize, kinds: &[TransportKind]) -> 
         .iter()
         .zip(chaos_runs.chunks(2))
         .map(|(&k, pair)| {
-            let [a, b] = pair else { unreachable!("chaos runs pushed in pairs") };
+            let [a, b] = pair else {
+                unreachable!("chaos runs pushed in pairs")
+            };
             let (da, db) = (transport_digest(a), transport_digest(b));
             TransportChaos {
                 transport: k.label(),
@@ -647,7 +649,10 @@ mod tests {
         let rdma = &points[1].point;
         assert_eq!(aoe.rdma_reads, 0);
         assert!(rdma.rdma_reads > 0, "rdma column served one-sided");
-        assert!(rdma.requests < aoe.requests, "batched planning shrinks requests");
+        assert!(
+            rdma.requests < aoe.requests,
+            "batched planning shrinks requests"
+        );
         assert!(
             rdma.median_rtt_total_s < aoe.median_rtt_total_s,
             "one-sided reads cut the median RTT total: {} vs {}",

@@ -225,15 +225,60 @@ macro_rules! fault_figures {
 }
 
 fault_figures!(
-    (run_drop, "faults_drop", "drop", "deployment under frame drops"),
-    (run_duplicate, "faults_duplicate", "duplicate", "deployment under frame duplication"),
-    (run_reorder, "faults_reorder", "reorder", "deployment under frame reordering"),
-    (run_corrupt, "faults_corrupt", "corrupt", "deployment under frame corruption"),
-    (run_stall, "faults_stall", "stall", "deployment across a server stall"),
-    (run_crash, "faults_crash", "crash", "deployment across a server crash+restart"),
-    (run_slowdisk, "faults_slowdisk", "slowdisk", "deployment with a slow server disk"),
-    (run_writeerr, "faults_writeerr", "writeerr", "deployment with disk write errors armed"),
-    (run_chaos, "faults_chaos", "chaos", "deployment under combined chaos plan"),
+    (
+        run_drop,
+        "faults_drop",
+        "drop",
+        "deployment under frame drops"
+    ),
+    (
+        run_duplicate,
+        "faults_duplicate",
+        "duplicate",
+        "deployment under frame duplication"
+    ),
+    (
+        run_reorder,
+        "faults_reorder",
+        "reorder",
+        "deployment under frame reordering"
+    ),
+    (
+        run_corrupt,
+        "faults_corrupt",
+        "corrupt",
+        "deployment under frame corruption"
+    ),
+    (
+        run_stall,
+        "faults_stall",
+        "stall",
+        "deployment across a server stall"
+    ),
+    (
+        run_crash,
+        "faults_crash",
+        "crash",
+        "deployment across a server crash+restart"
+    ),
+    (
+        run_slowdisk,
+        "faults_slowdisk",
+        "slowdisk",
+        "deployment with a slow server disk"
+    ),
+    (
+        run_writeerr,
+        "faults_writeerr",
+        "writeerr",
+        "deployment with disk write errors armed"
+    ),
+    (
+        run_chaos,
+        "faults_chaos",
+        "chaos",
+        "deployment under combined chaos plan"
+    ),
 );
 
 #[cfg(test)]
@@ -294,11 +339,16 @@ mod tests {
         };
         for &preset in FaultPlan::PRESET_NAMES {
             let again = (preset == "chaos").then(clean_run);
-            assert_eq!(failed(preset, &clean_run(), again.as_ref()), Vec::<String>::new());
+            assert_eq!(
+                failed(preset, &clean_run(), again.as_ref()),
+                Vec::<String>::new()
+            );
         }
         type Break = fn(&mut FaultRun);
         let cases: [(&str, &str, Break); 6] = [
-            ("drop", "deployment completes under drop", |r| r.completed = false),
+            ("drop", "deployment completes under drop", |r| {
+                r.completed = false
+            }),
             ("stall", "local disk matches", |r| r.disk_matches = false),
             ("slowdisk", "slowdisk fault class observed", |r| {
                 r.counters.disk_slowed = 0
@@ -306,7 +356,9 @@ mod tests {
             ("crash", "server cold-restarted exactly once", |r| {
                 r.server_restarts = 2
             }),
-            ("corrupt", "corrupted frames rejected", |r| r.decode_errors = 0),
+            ("corrupt", "corrupted frames rejected", |r| {
+                r.decode_errors = 0
+            }),
             ("chaos", "same seed reproduces", |r| r.retransmits += 1),
         ];
         for (preset, gate, break_it) in cases {

@@ -86,10 +86,7 @@ pub fn simulate_db(model: &DbPerfModel, with_commit_log: bool, scale: Scale) -> 
     };
     let mut runner = Runner::bmcast(&spec, cfg);
     let horizon = SimTime::from_secs(4 * 3600);
-    let log_region = BlockRange::new(
-        Lba(spec.image_sectors / 2),
-        (spec.image_sectors / 4) as u32,
-    );
+    let log_region = BlockRange::new(Lba(spec.image_sectors / 2), (spec.image_sectors / 4) as u32);
     if with_commit_log {
         // Commit log + memtable flushes live in the upper half of the
         // image, like a data partition.
@@ -285,20 +282,25 @@ pub fn run(scale: Scale) -> Figure {
             Check::new(
                 "memcached deployment-phase length",
                 16.0,
-                mem.bare_metal_at.map(|t| t.as_secs_f64() / 60.0).unwrap_or(0.0),
+                mem.bare_metal_at
+                    .map(|t| t.as_secs_f64() / 60.0)
+                    .unwrap_or(0.0),
                 "min",
             ),
             Check::new(
                 "cassandra deployment-phase length",
                 17.0,
-                cas.bare_metal_at.map(|t| t.as_secs_f64() / 60.0).unwrap_or(0.0),
+                cas.bare_metal_at
+                    .map(|t| t.as_secs_f64() / 60.0)
+                    .unwrap_or(0.0),
                 "min",
             ),
         ]);
     }
     Figure {
         id: "fig05",
-        title: "database performance across deployment and de-virtualization (ratios to bare metal)",
+        title:
+            "database performance across deployment and de-virtualization (ratios to bare metal)",
         unit: "ratio",
         rows,
         checks,

@@ -50,7 +50,12 @@ pub fn run(_scale: Scale) -> Figure {
         unit: "ms",
         rows,
         checks: vec![
-            Check::new("KVM overhead at 24 threads", 68.0, (kvm24 - 1.0) * 100.0, "%"),
+            Check::new(
+                "KVM overhead at 24 threads",
+                68.0,
+                (kvm24 - 1.0) * 100.0,
+                "%",
+            ),
             Check::new(
                 "BMcast overhead at 24 threads",
                 6.0,
@@ -94,7 +99,12 @@ mod tests {
     fn bmcast_stays_moderate_everywhere() {
         let fig = run(Scale::Quick);
         for row in &fig.rows {
-            let bare = row.values.iter().find(|(n, _)| n == "Baremetal ms").unwrap().1;
+            let bare = row
+                .values
+                .iter()
+                .find(|(n, _)| n == "Baremetal ms")
+                .unwrap()
+                .1;
             let deploy = row.values.iter().find(|(n, _)| n == "Deploy ms").unwrap().1;
             let kvm = row.values.iter().find(|(n, _)| n == "KVM ms").unwrap().1;
             assert!(deploy / bare <= 1.07, "{}: {}", row.label, deploy / bare);

@@ -83,7 +83,12 @@ mod tests {
     fn kvm_gap_widens_with_block_size() {
         let fig = run(Scale::Quick);
         let ratio = |row: &Row| {
-            let bare = row.values.iter().find(|(n, _)| n == "Baremetal MB/s").unwrap().1;
+            let bare = row
+                .values
+                .iter()
+                .find(|(n, _)| n == "Baremetal MB/s")
+                .unwrap()
+                .1;
             let kvm = row.values.iter().find(|(n, _)| n == "KVM MB/s").unwrap().1;
             bare / kvm
         };
@@ -94,7 +99,12 @@ mod tests {
     fn deploy_always_beats_kvm() {
         let fig = run(Scale::Quick);
         for row in &fig.rows {
-            let deploy = row.values.iter().find(|(n, _)| n == "Deploy MB/s").unwrap().1;
+            let deploy = row
+                .values
+                .iter()
+                .find(|(n, _)| n == "Deploy MB/s")
+                .unwrap()
+                .1;
             let kvm = row.values.iter().find(|(n, _)| n == "KVM MB/s").unwrap().1;
             assert!(deploy > kvm, "{}", row.label);
         }

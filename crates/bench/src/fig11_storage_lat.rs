@@ -50,8 +50,7 @@ fn probe_latency_ms(runner: &mut Runner, scale: Scale, file: Lba) -> f64 {
         .run_to_finish(runner.now() + SimDuration::from_secs(300))
         .expect("layout finishes");
     let before_n = runner.machine().guest.io_latency.len();
-    let before_sum =
-        runner.machine().guest.io_latency.mean() * before_n as f64;
+    let before_sum = runner.machine().guest.io_latency.mean() * before_n as f64;
     runner.start_program(Box::new(IopingProgram::new(probe_job(scale, file), 77)));
     runner
         .run_to_finish(runner.now() + SimDuration::from_secs(3_600))
@@ -124,18 +123,8 @@ pub fn run(scale: Scale) -> Figure {
         Row::new("Netboot", vec![("latency ms".into(), r.netboot)]),
     ];
     let checks = vec![
-        Check::new(
-            "Deploy added latency",
-            4.3,
-            r.deploy - r.baremetal,
-            "ms",
-        ),
-        Check::new(
-            "Devirt added latency",
-            0.0,
-            r.devirt - r.baremetal,
-            "ms",
-        ),
+        Check::new("Deploy added latency", 4.3, r.deploy - r.baremetal, "ms"),
+        Check::new("Devirt added latency", 0.0, r.devirt - r.baremetal, "ms"),
     ];
     Figure {
         id: "fig11",

@@ -53,8 +53,18 @@ pub fn run(scale: Scale) -> Figure {
         unit: "GB/s",
         rows,
         checks: vec![
-            Check::new("KVM throughput ratio to baremetal", 1.0, kvm_gbps / bare, "x"),
-            Check::new("Deploy throughput ratio to baremetal", 1.0, deploy / bare, "x"),
+            Check::new(
+                "KVM throughput ratio to baremetal",
+                1.0,
+                kvm_gbps / bare,
+                "x",
+            ),
+            Check::new(
+                "Deploy throughput ratio to baremetal",
+                1.0,
+                deploy / bare,
+                "x",
+            ),
         ],
     }
 }
@@ -66,11 +76,7 @@ mod tests {
     #[test]
     fn everyone_saturates_the_link() {
         let fig = run(Scale::Quick);
-        let values: Vec<f64> = fig
-            .rows
-            .iter()
-            .map(|r| r.values[0].1)
-            .collect();
+        let values: Vec<f64> = fig.rows.iter().map(|r| r.values[0].1).collect();
         let max = values.iter().cloned().fold(0.0, f64::max);
         let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(

@@ -63,14 +63,7 @@ mod tests {
     #[test]
     fn only_kvm_pays() {
         let fig = run(Scale::Quick);
-        let get = |label: &str| {
-            fig.rows
-                .iter()
-                .find(|r| r.label == label)
-                .unwrap()
-                .values[0]
-                .1
-        };
+        let get = |label: &str| fig.rows.iter().find(|r| r.label == label).unwrap().values[0].1;
         let bare = get("Baremetal");
         assert!((get("KVM/Direct") / bare - 1.236).abs() < 0.01);
         assert!(get("Deploy") / bare < 1.01, "BMcast under 1%");

@@ -52,11 +52,7 @@ fn spec(scale: Scale) -> MachineSpec {
 }
 
 /// Measures one sweep point.
-pub fn measure_point(
-    scale: Scale,
-    guest_write: bool,
-    interval: Option<SimDuration>,
-) -> SweepPoint {
+pub fn measure_point(scale: Scale, guest_write: bool, interval: Option<SimDuration>) -> SweepPoint {
     let spec = spec(scale);
     let moderation = match interval {
         Some(d) => Moderation {

@@ -28,6 +28,8 @@ fn main() {
         }
         last_written = w;
         last_t = t;
-        if vmm.bitmap.is_complete() { break; }
+        if vmm.bitmap.is_complete() {
+            break;
+        }
     }
 }

@@ -126,7 +126,8 @@ impl BackgroundCopy {
     /// Publishes the FIFO and pipeline depths as gauges.
     fn update_depth_gauges(&self) {
         if self.metrics.is_enabled() {
-            self.metrics.gauge_set("bg.fifo_depth", self.fifo.len() as i64);
+            self.metrics
+                .gauge_set("bg.fifo_depth", self.fifo.len() as i64);
             self.metrics.gauge_set("bg.inflight", self.inflight as i64);
         }
     }
@@ -171,8 +172,7 @@ impl BackgroundCopy {
     /// Whether the retriever may issue another request: FIFO has room for
     /// what's already coming and the pipeline depth allows it.
     pub fn can_fetch(&self) -> bool {
-        self.fifo.len() + self.inflight < self.fifo_capacity
-            && self.inflight < self.max_inflight
+        self.fifo.len() + self.inflight < self.fifo_capacity && self.inflight < self.max_inflight
     }
 
     /// Records a guest disk access: moves the cursor adjacent to it (seek
@@ -222,9 +222,11 @@ impl BackgroundCopy {
             self.metrics.inc("bg.fetches");
             self.update_depth_gauges();
             if self.spans.is_enabled() {
-                let id = self.spans.begin(now, "background", "bg.fetch", NO_SPAN, || {
-                    format!("fetch lba {} x{}", range.lba.0, range.sectors)
-                });
+                let id = self
+                    .spans
+                    .begin(now, "background", "bg.fetch", NO_SPAN, || {
+                        format!("fetch lba {} x{}", range.lba.0, range.sectors)
+                    });
                 self.fetch_spans.insert(range.lba.0, id);
             }
             return Some(range);
@@ -237,10 +239,9 @@ impl BackgroundCopy {
     pub fn note_fetch_failure(&mut self, now: SimTime) {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let shift = (self.consecutive_failures - 1).min(16);
-        let delay = SimDuration::from_nanos(
-            FETCH_BACKOFF_BASE.as_nanos().saturating_mul(1u64 << shift),
-        )
-        .min(FETCH_BACKOFF_CAP);
+        let delay =
+            SimDuration::from_nanos(FETCH_BACKOFF_BASE.as_nanos().saturating_mul(1u64 << shift))
+                .min(FETCH_BACKOFF_CAP);
         self.fetch_ready_at = now + delay;
         self.metrics.inc("bg.fetch_backoffs");
     }
@@ -408,7 +409,10 @@ mod tests {
         let bitmap = BlockBitmap::new(4096);
         assert!(bg.next_fetch(SimTime::ZERO, &bitmap).is_some());
         assert!(bg.next_fetch(SimTime::ZERO, &bitmap).is_some());
-        assert!(bg.next_fetch(SimTime::ZERO, &bitmap).is_none(), "capacity 2 reached");
+        assert!(
+            bg.next_fetch(SimTime::ZERO, &bitmap).is_none(),
+            "capacity 2 reached"
+        );
         assert_eq!(bg.inflight(), 2);
     }
 
@@ -478,7 +482,11 @@ mod tests {
 
         // No duplicate: the next pick resumes after the in-flight tail.
         let next = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
-        assert_eq!(next, BlockRange::new(Lba(192), 64), "no block fetched twice");
+        assert_eq!(
+            next,
+            BlockRange::new(Lba(192), 64),
+            "no block fetched twice"
+        );
         assert_eq!(bg.inflight(), 4);
     }
 

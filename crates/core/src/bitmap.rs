@@ -248,7 +248,10 @@ impl BlockBitmap {
             cursor = hole.end().0;
         }
         if cursor < range.end().0 {
-            out.push(BlockRange::new(Lba(cursor), (range.end().0 - cursor) as u32));
+            out.push(BlockRange::new(
+                Lba(cursor),
+                (range.end().0 - cursor) as u32,
+            ));
         }
         out
     }

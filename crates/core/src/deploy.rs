@@ -87,7 +87,12 @@ impl std::fmt::Display for PhaseTimings {
             None => "—".to_string(),
         };
         writeln!(f, "  {:<20} {}", "deployment", fmt(self.deployment))?;
-        write!(f, "  {:<20} {}", "devirtualization", fmt(self.devirtualization))
+        write!(
+            f,
+            "  {:<20} {}",
+            "devirtualization",
+            fmt(self.devirtualization)
+        )
     }
 }
 

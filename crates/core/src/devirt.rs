@@ -280,7 +280,10 @@ mod tests {
         let mut cpus = virt_cpus(1);
         let mut seq = DevirtSequencer::new(1);
         // A CPU that never de-virtualized re-enters for free.
-        assert_eq!(seq.revirtualize_cpu(SimTime::ZERO, 0, &mut cpus[0]), SimDuration::ZERO);
+        assert_eq!(
+            seq.revirtualize_cpu(SimTime::ZERO, 0, &mut cpus[0]),
+            SimDuration::ZERO
+        );
         seq.devirtualize_cpu(SimTime::ZERO, 0, &mut cpus[0]);
         // vmxoff leaves the old trap vector in place (it is dead while
         // VMX is off); re-entry must not resurrect it.
@@ -289,7 +292,10 @@ mod tests {
         assert!(!cpus[0].exits_on_pio(0x1F0), "stale tenant traps dropped");
         cpus[0].trap_pio_range(0x1F0, 0x1F7);
         assert!(cpus[0].exits_on_pio(0x1F0), "caller re-arms traps");
-        assert_eq!(seq.revirtualize_cpu(SimTime::ZERO, 0, &mut cpus[0]), SimDuration::ZERO);
+        assert_eq!(
+            seq.revirtualize_cpu(SimTime::ZERO, 0, &mut cpus[0]),
+            SimDuration::ZERO
+        );
     }
 
     #[test]

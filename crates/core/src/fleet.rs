@@ -623,11 +623,7 @@ impl Fleet {
         assert!(cfg.n >= 1, "a fleet needs at least one machine");
         assert!(cfg.servers >= 1, "a fleet needs at least one server");
         let mut seeds = Prng::new(cfg.seed);
-        let mut switch = Switch::new(
-            cfg.machine_cfg.mtu,
-            cfg.fabric_loss_rate,
-            seeds.next_u64(),
-        );
+        let mut switch = Switch::new(cfg.machine_cfg.mtu, cfg.fabric_loss_rate, seeds.next_u64());
         let reply_prng = Prng::new(seeds.next_u64());
 
         // Origin replicas: shelf j serves a full copy of the image on
@@ -651,14 +647,12 @@ impl Fleet {
                 BlockStore::image(cfg.spec.image_sectors, cfg.spec.image_seed),
             );
             let server = AoeServer::new(
-                cfg.machine_cfg.transport.server_config(
-                    ServerConfig {
-                        mtu: cfg.machine_cfg.mtu,
-                        shelf: j as u16,
-                        slot: 0,
-                        ..cfg.server_cfg.clone()
-                    },
-                ),
+                cfg.machine_cfg.transport.server_config(ServerConfig {
+                    mtu: cfg.machine_cfg.mtu,
+                    shelf: j as u16,
+                    slot: 0,
+                    ..cfg.server_cfg.clone()
+                }),
                 server_disk,
             );
             shelf_nodes.insert(j as u16, nodes.len());
@@ -688,7 +682,8 @@ impl Fleet {
                 if cfg.servers > 1 {
                     vmm.client
                         .set_read_endpoints((0..cfg.servers).map(|j| (j as u16, 0)).collect());
-                    vmm.client.set_stripe_sectors(cfg.machine_cfg.copy_block_sectors);
+                    vmm.client
+                        .set_stripe_sectors(cfg.machine_cfg.copy_block_sectors);
                 }
             }
             machines.push((m, MachineSim::new()));
@@ -829,12 +824,14 @@ impl Fleet {
         let at = if i == 0 {
             SimTime::ZERO
         } else {
-            self.now
-                .max(self.last_sched_start + self.cfg.start_stagger)
+            self.now.max(self.last_sched_start + self.cfg.start_stagger)
         };
         self.last_sched_start = at;
         self.start_at[i] = at;
-        let program = self.program.as_mut().expect("start() installed the factory");
+        let program = self
+            .program
+            .as_mut()
+            .expect("start() installed the factory");
         let (m, sim) = &mut self.machines[i];
         m.set_program(program(i));
         if at == SimTime::ZERO && self.now == SimTime::ZERO {
@@ -891,9 +888,8 @@ impl Fleet {
         if self.cfg.admission_base == 0 {
             return;
         }
-        let allowed = (self.cfg.admission_base
-            + self.cfg.admission_per_peer * self.peers_active())
-        .min(self.machines.len());
+        let allowed = (self.cfg.admission_base + self.cfg.admission_per_peer * self.peers_active())
+            .min(self.machines.len());
         while self.admitted < allowed {
             self.admit_next();
         }
@@ -996,12 +992,11 @@ impl Fleet {
                 // has failed terminally, no amount of simulated time
                 // will finish it.
                 if errored {
-                    let done_or_dead =
-                        self.machines.iter().enumerate().all(|(j, (m, _))| {
-                            !self.member_pending(j)
-                                || m.deploy_error().is_some()
-                                || m.reclaim_error().is_some()
-                        });
+                    let done_or_dead = self.machines.iter().enumerate().all(|(j, (m, _))| {
+                        !self.member_pending(j)
+                            || m.deploy_error().is_some()
+                            || m.reclaim_error().is_some()
+                    });
                     if done_or_dead {
                         return Err(self.stall(false, limit));
                     }
@@ -1052,8 +1047,7 @@ impl Fleet {
             }
             _ => {}
         }
-        self.machines[i].0.deploy_error().is_some()
-            || self.machines[i].0.reclaim_error().is_some()
+        self.machines[i].0.deploy_error().is_some() || self.machines[i].0.reclaim_error().is_some()
     }
 
     /// Member `i`'s snapshot-back completed at `at`: book the reclaim
@@ -1092,7 +1086,10 @@ impl Fleet {
     /// the slot opened, like every other fleet-timeline announcement.
     fn admit_upgrade_next(&mut self, at: SimTime) {
         if let Some(i) = self.upgrade_queue.pop_front() {
-            self.push(at + self.lookahead(), FleetEvent::UpgradeStart { machine: i });
+            self.push(
+                at + self.lookahead(),
+                FleetEvent::UpgradeStart { machine: i },
+            );
         }
     }
 
@@ -1102,7 +1099,10 @@ impl Fleet {
     /// propagate the rack.
     fn schedule_peer_activation(&mut self, i: usize, at: SimTime) {
         self.peer_pending[i] = true;
-        self.push(at + self.lookahead(), FleetEvent::PeerActivate { machine: i });
+        self.push(
+            at + self.lookahead(),
+            FleetEvent::PeerActivate { machine: i },
+        );
     }
 
     fn stall(&self, wedged: bool, limit: SimTime) -> FleetStall {
@@ -1158,14 +1158,12 @@ impl Fleet {
             BlockStore::image(self.cfg.spec.image_sectors, self.member_seed[i]),
         );
         let mut server = AoeServer::new(
-            self.cfg.machine_cfg.transport.server_config(
-                ServerConfig {
-                    mtu: self.cfg.machine_cfg.mtu,
-                    shelf,
-                    slot: 0,
-                    ..self.cfg.server_cfg.clone()
-                },
-            ),
+            self.cfg.machine_cfg.transport.server_config(ServerConfig {
+                mtu: self.cfg.machine_cfg.mtu,
+                shelf,
+                slot: 0,
+                ..self.cfg.server_cfg.clone()
+            }),
             disk,
         );
         if self.fabric_metrics.is_enabled() {
@@ -1250,7 +1248,10 @@ impl Fleet {
         let program = if park {
             None
         } else {
-            let factory = self.program.as_mut().expect("start() installed the factory");
+            let factory = self
+                .program
+                .as_mut()
+                .expect("start() installed the factory");
             Some(factory(i))
         };
         let (_, sim) = &mut self.machines[i];
@@ -1366,7 +1367,10 @@ impl Fleet {
     /// boot run's chain stops when its completion predicate holds).
     fn rearm_fleet_sampler(&mut self) {
         if self.fleet_sampler.is_enabled()
-            && !self.events.values().any(|e| matches!(e, FleetEvent::Sample))
+            && !self
+                .events
+                .values()
+                .any(|e| matches!(e, FleetEvent::Sample))
         {
             self.push(self.now + self.fleet_sampler.interval(), FleetEvent::Sample);
         }
@@ -1575,8 +1579,8 @@ impl Fleet {
         while let Some(Frame { payload, .. }) = pop_vmm_tx(&mut self.machines[i].0) {
             // Route on the shelf the client addressed; a frame for a
             // shelf nobody serves just vanishes, like on a real wire.
-            let Some(&node) = peek_shelf_slot(payload.head())
-                .and_then(|(shelf, _)| self.shelf_nodes.get(&shelf))
+            let Some(&node) =
+                peek_shelf_slot(payload.head()).and_then(|(shelf, _)| self.shelf_nodes.get(&shelf))
             else {
                 continue;
             };
@@ -1653,9 +1657,8 @@ impl Fleet {
     fn egress_backlog(&self, node: usize, now: SimTime) -> SimDuration {
         let n = &self.nodes[node];
         let queued = n.egress.next_free().saturating_duration_since(now);
-        let inflight = SimDuration::from_nanos(
-            n.egress_inflight_bytes * 8 * 1_000_000_000 / EGRESS_BPS,
-        );
+        let inflight =
+            SimDuration::from_nanos(n.egress_inflight_bytes * 8 * 1_000_000_000 / EGRESS_BPS);
         queued + inflight
     }
 
@@ -1786,7 +1789,8 @@ impl Fleet {
         let mut proj: Vec<f64> = (0..self.admitted.min(self.machines.len()))
             .map(|i| {
                 let done = self.startup[i].unwrap_or(now);
-                done.saturating_duration_since(self.start_at[i]).as_secs_f64()
+                done.saturating_duration_since(self.start_at[i])
+                    .as_secs_f64()
             })
             .collect();
         if proj.is_empty() {
@@ -2035,8 +2039,7 @@ impl Fleet {
         for d in self.startup_durations().into_iter().flatten() {
             startup_us.observe(d.as_nanos() / 1_000);
         }
-        out.histograms
-            .insert("fleet.startup_us".into(), startup_us);
+        out.histograms.insert("fleet.startup_us".into(), startup_us);
         out.gauges
             .insert("fleet.machines_booted".into(), self.booted_count() as i64);
         out.gauges
@@ -2258,7 +2261,10 @@ mod tests {
         // Striping by LBA keeps the shards within the same order of
         // magnitude (no writes occur, so no primary skew either).
         let (lo, hi) = (shard0.min(shard1), shard0.max(shard1));
-        assert!(hi < lo * 4, "striping balances shards: {shard0} vs {shard1}");
+        assert!(
+            hi < lo * 4,
+            "striping balances shards: {shard0} vs {shard1}"
+        );
     }
 
     #[test]
@@ -2581,7 +2587,11 @@ mod tests {
                     SimTime::from_secs(7200),
                 )
                 .expect("wave survives chaos");
-            (redeploys, fleet.server().requests(), fleet.events_executed())
+            (
+                redeploys,
+                fleet.server().requests(),
+                fleet.events_executed(),
+            )
         };
         let a = run();
         let b = run();
@@ -2657,10 +2667,7 @@ mod tests {
         let stall = fleet
             .run_to_all_booted(SimTime::ZERO + SimDuration::from_secs(50))
             .expect_err("machine 2 started 40s in and cannot be done");
-        assert!(matches!(
-            stall.outcomes[0],
-            MachineOutcome::Booted { .. }
-        ));
+        assert!(matches!(stall.outcomes[0], MachineOutcome::Booted { .. }));
         assert!(fleet.peer_active[0], "machine 0 converted into a peer");
         let peer_shelf = PEER_SHELF_BASE;
         assert!(fleet.shelf_nodes.contains_key(&peer_shelf));
@@ -2769,7 +2776,10 @@ mod tests {
         assert_eq!(report.stragglers.len(), 1, "decile of 3 is 1");
         let worst = &report.stragglers[0];
         assert!(worst.boot_s > 0.0);
-        assert!(worst.boot_s >= report.median.boot_s, "decile is the slow end");
+        assert!(
+            worst.boot_s >= report.median.boot_s,
+            "decile is the slow end"
+        );
         assert!(worst.reads > 0, "attribution counts the straggler's reads");
         // Fleet members arm deployment at power-on, so initialization
         // must exclude the admission stagger, not report it as work.
@@ -2862,9 +2872,6 @@ mod tests {
         assert!(rows
             .iter()
             .any(|r| r.value("server.cache.hit_ratio").is_some()));
-        assert!(rows
-            .iter()
-            .any(|r| r.value("fleet.peers_active").is_some()));
+        assert!(rows.iter().any(|r| r.value("fleet.peers_active").is_some()));
     }
 }
-

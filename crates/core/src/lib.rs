@@ -60,9 +60,9 @@ pub mod transport;
 
 pub use bitmap::BlockBitmap;
 pub use config::{BmcastConfig, ControllerKind, Moderation};
-pub use transport::TransportKind;
 pub use deploy::Runner;
 pub use devirt::Phase;
 pub use fleet::{Fleet, FleetConfig, LifecycleStage};
 pub use machine::{DeployError, Machine, MachineSpec};
 pub use snapback::{DirtyTracker, ReclaimError, SnapshotBack};
+pub use transport::TransportKind;

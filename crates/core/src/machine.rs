@@ -108,11 +108,24 @@ pub const MGMT_NIC_BDF: Bdf = Bdf {
 fn standard_pci_bus() -> PciBus {
     let mut pci = PciBus::new();
     pci.insert(
-        Bdf { bus: 0, device: 1, function: 0 },
-        PciDevice { vendor: 0x8086, device: 0x7010, class: PciClass::StorageIde, bar0: None },
+        Bdf {
+            bus: 0,
+            device: 1,
+            function: 0,
+        },
+        PciDevice {
+            vendor: 0x8086,
+            device: 0x7010,
+            class: PciClass::StorageIde,
+            bar0: None,
+        },
     );
     pci.insert(
-        Bdf { bus: 0, device: 2, function: 0 },
+        Bdf {
+            bus: 0,
+            device: 2,
+            function: 0,
+        },
         PciDevice {
             vendor: 0x8086,
             device: 0x2922,
@@ -121,12 +134,26 @@ fn standard_pci_bus() -> PciBus {
         },
     );
     pci.insert(
-        Bdf { bus: 0, device: 3, function: 0 },
-        PciDevice { vendor: 0x15B3, device: 0x673C, class: PciClass::Infiniband, bar0: None },
+        Bdf {
+            bus: 0,
+            device: 3,
+            function: 0,
+        },
+        PciDevice {
+            vendor: 0x15B3,
+            device: 0x673C,
+            class: PciClass::Infiniband,
+            bar0: None,
+        },
     );
     pci.insert(
         MGMT_NIC_BDF,
-        PciDevice { vendor: 0x8086, device: 0x10D3, class: PciClass::Network, bar0: None },
+        PciDevice {
+            vendor: 0x8086,
+            device: 0x10D3,
+            class: PciClass::Network,
+            bar0: None,
+        },
     );
     pci
 }
@@ -975,7 +1002,10 @@ impl Machine {
 
     /// Deployment progress `[0, 1]`; 1.0 on bare-metal machines.
     pub fn deployment_progress(&self) -> f64 {
-        self.vmm.as_ref().map(|v| v.bitmap.progress()).unwrap_or(1.0)
+        self.vmm
+            .as_ref()
+            .map(|v| v.bitmap.progress())
+            .unwrap_or(1.0)
     }
 
     /// The current lifecycle phase.
@@ -994,7 +1024,9 @@ impl Machine {
     /// Whether snapshot-back finished, i.e. the machine may be
     /// [`reclaim`]ed for its next tenant.
     pub fn snapshot_complete(&self) -> bool {
-        self.vmm.as_ref().is_some_and(|v| v.snapshot_done_at.is_some())
+        self.vmm
+            .as_ref()
+            .is_some_and(|v| v.snapshot_done_at.is_some())
     }
 
     /// Terminal snapshot-back failure, if the retry budget tripped.
@@ -1160,9 +1192,7 @@ impl GuestBus for MachineBus<'_> {
 
 impl MachineBus<'_> {
     fn forward_mmio(&mut self, offset: u64, val: u64) {
-        if let Some(AhciAction::SlotsIssued { slots, .. }) =
-            self.hw.ahci.mmio_write(offset, val)
-        {
+        if let Some(AhciAction::SlotsIssued { slots, .. }) = self.hw.ahci.mmio_write(offset, val) {
             let issued = (0..32u8).filter(|s| slots & (1 << s) != 0);
             self.events
                 .extend(issued.map(|s| HwEvent::Start(Slot::Ahci(s))));
@@ -1324,7 +1354,8 @@ fn deliver_guest_irq(m: &mut Machine, sim: &mut MachineSim) {
         if let Some(issued) = m.guest.pending_io.remove(&io.id) {
             let latency = sim.now().duration_since(issued);
             m.guest.io_latency.record(latency.as_secs_f64());
-            m.metrics.observe("guest.io_latency_us", latency.as_micros());
+            m.metrics
+                .observe("guest.io_latency_us", latency.as_micros());
         }
         m.guest.ios_completed += 1;
         m.guest.bytes_completed += io.range.bytes();
@@ -1414,7 +1445,12 @@ fn begin_redirect(m: &mut Machine, sim: &mut MachineSim, target: RedirectTarget)
     // of its contiguous children (fetch → finalize → restart) open.
     let now = sim.now();
     let span = m.spans.begin(now, "machine", "io.redirect", NO_SPAN, || {
-        format!("lba {} x{}{}", range.lba.0, range.sectors, if protected { " protected" } else { "" })
+        format!(
+            "lba {} x{}{}",
+            range.lba.0,
+            range.sectors,
+            if protected { " protected" } else { "" }
+        )
     });
     let child = m.spans.begin(now, "machine", "redirect.fetch", span, || {
         "server fetch + local reads".into()
@@ -1461,7 +1497,8 @@ fn begin_redirect(m: &mut Machine, sim: &mut MachineSim, target: RedirectTarget)
     for plan in plans {
         let vmm = m.vmm.as_mut().expect("just had it");
         let (id, fs) = crate::transport::issue_read(&mut vmm.client, sim.now(), &plan, child);
-        vmm.aoe_waiters.insert(id, AoeWaiter::Redirect(plan.members));
+        vmm.aoe_waiters
+            .insert(id, AoeWaiter::Redirect(plan.members));
         frames.extend(fs);
     }
     send_vmm_frames(m, sim, frames);
@@ -1499,9 +1536,11 @@ fn try_finish_redirect(m: &mut Machine, sim: &mut MachineSim) {
     // virtual DMA) starts back-to-back so children stay contiguous.
     let now = sim.now();
     m.spans.end(now, r.child);
-    r.child = m.spans.begin(now, "machine", "redirect.finalize", r.span, || {
-        "completion poll + virtual DMA".into()
-    });
+    r.child = m
+        .spans
+        .begin(now, "machine", "redirect.finalize", r.span, || {
+            "completion poll + virtual DMA".into()
+        });
     sim.schedule_in(REDIRECT_POLL_PENALTY, finish_redirect_now);
 }
 
@@ -1516,9 +1555,11 @@ fn finish_redirect_now(m: &mut Machine, sim: &mut MachineSim) {
     // leaked open.
     let now = sim.now();
     m.spans.end(now, r.child);
-    r.child = m.spans.begin(now, "machine", "redirect.restart", r.span, || {
-        "dummy restart to completion irq".into()
-    });
+    r.child = m
+        .spans
+        .begin(now, "machine", "redirect.restart", r.span, || {
+            "dummy restart to completion irq".into()
+        });
     let stale_restart = std::mem::replace(&mut vmm.restart_span, r.child);
     let stale_parent = std::mem::replace(&mut vmm.redirect_span, r.span);
     m.spans.end(now, stale_restart);
@@ -1545,12 +1586,15 @@ fn finish_redirect_now(m: &mut Machine, sim: &mut MachineSim) {
     // Virtual DMA: copy the data into the guest's PRD buffers.
     let mem = &mut m.hw.mem;
     let prdt = match r.target {
-        RedirectTarget::Ide(r) => {
-            r.cmd.prd.map(|prd| mem.get::<PrdTable>(prd).expect("guest PRD vanished"))
-        }
-        RedirectTarget::Ahci(r) => {
-            Some(&mem.get::<AhciCmdTable>(r.table).expect("redirected slot's table vanished").prdt)
-        }
+        RedirectTarget::Ide(r) => r
+            .cmd
+            .prd
+            .map(|prd| mem.get::<PrdTable>(prd).expect("guest PRD vanished")),
+        RedirectTarget::Ahci(r) => Some(
+            &mem.get::<AhciCmdTable>(r.table)
+                .expect("redirected slot's table vanished")
+                .prdt,
+        ),
     };
     let prdt = prdt.cloned().unwrap_or_default();
     let mut rest = &all[..];
@@ -1867,13 +1911,13 @@ fn schedule_retransmit_guard(m: &mut Machine, sim: &mut MachineSim) {
         }
         for members in reissue_redirects {
             let vmm = m.vmm.as_mut().expect("still here");
-            let plans =
-                vmm.cfg.transport.plan_reads(&vmm.client, &members);
+            let plans = vmm.cfg.transport.plan_reads(&vmm.client, &members);
             let mut fs_all = Vec::new();
             for plan in plans {
                 let (id, fs) =
                     crate::transport::issue_read(&mut vmm.client, sim.now(), &plan, NO_SPAN);
-                vmm.aoe_waiters.insert(id, AoeWaiter::Redirect(plan.members));
+                vmm.aoe_waiters
+                    .insert(id, AoeWaiter::Redirect(plan.members));
                 fs_all.extend(fs);
             }
             send_vmm_frames(m, sim, fs_all);
@@ -1894,15 +1938,20 @@ pub fn start_deployment(m: &mut Machine, sim: &mut MachineSim) {
     if let Some(vmm) = m.vmm.as_mut() {
         vmm.phase = Phase::Deployment;
         vmm.deployment_start_at = Some(sim.now());
-        m.tracer
-            .emit(sim.now(), "phase", "deployment", || "background copy starts".into());
+        m.tracer.emit(sim.now(), "phase", "deployment", || {
+            "background copy starts".into()
+        });
         // Phase spans are contiguous — initialization [0, dep_start],
         // deployment [dep_start, dep_done], devirtualization [dep_done,
         // bare_metal] — so their durations sum exactly to the total.
-        m.spans
-            .record(SimTime::ZERO, sim.now(), "phase", "phase.initialization", NO_SPAN, || {
-                "VMM boot + takeover".into()
-            });
+        m.spans.record(
+            SimTime::ZERO,
+            sim.now(),
+            "phase",
+            "phase.initialization",
+            NO_SPAN,
+            || "VMM boot + takeover".into(),
+        );
         // Warm the dummy sector so restarts hit the disk cache.
         let dummy = BlockRange::new(crate::mediator::ide::DUMMY_LBA, 1);
         m.hw.disk.access_time(DiskOp::Read, dummy);
@@ -1943,13 +1992,14 @@ pub fn sample_flight_row(m: &Machine, now: SimTime) {
         .as_secs_f64();
     // Peer-vs-origin read mix: share of reads steered to rack-local
     // serving peers (peer shelves live at PEER_SHELF_BASE and above).
-    let (peer_reads, total_reads) = vmm.client.reads_by_shelf().iter().fold(
-        (0u64, 0u64),
-        |(peer, total), (shelf, n)| {
-            let is_peer = *shelf >= crate::fleet::PEER_SHELF_BASE;
-            (peer + if is_peer { *n } else { 0 }, total + n)
-        },
-    );
+    let (peer_reads, total_reads) =
+        vmm.client
+            .reads_by_shelf()
+            .iter()
+            .fold((0u64, 0u64), |(peer, total), (shelf, n)| {
+                let is_peer = *shelf >= crate::fleet::PEER_SHELF_BASE;
+                (peer + if is_peer { *n } else { 0 }, total + n)
+            });
     let peer_share = if total_reads == 0 {
         0.0
     } else {
@@ -1977,7 +2027,10 @@ pub fn sample_flight_row(m: &Machine, now: SimTime) {
             ("moderation.guest_io_rate", vmm.bg.guest_io_rate(now)),
             ("moderation.throttle_wait_s", throttle_wait_s),
             ("nic.rx_pending", vmm.nic.nic().rx_pending() as f64),
-            ("faults.frames_dropped", (fc.link_dropped + fc.server_dropped) as f64),
+            (
+                "faults.frames_dropped",
+                (fc.link_dropped + fc.server_dropped) as f64,
+            ),
             ("faults.total", faults_total as f64),
         ],
     );
@@ -2067,7 +2120,8 @@ fn retriever_fire(m: &mut Machine, sim: &mut MachineSim) {
         // bg.fetch span.
         let parent = vmm.bg.fetch_span(plan.members[0].lba.0);
         let (id, fs) = crate::transport::issue_read(&mut vmm.client, sim.now(), &plan, parent);
-        vmm.aoe_waiters.insert(id, AoeWaiter::Background(plan.members));
+        vmm.aoe_waiters
+            .insert(id, AoeWaiter::Background(plan.members));
         frames.extend(fs);
     }
     if !frames.is_empty() {
@@ -2178,15 +2232,14 @@ fn finish_multiplex(m: &mut Machine, sim: &mut MachineSim) {
     // then continue.
     let guest_finished = m.guest.finished;
     let vmm = m.vmm.as_mut().expect("still here");
-    let delay = if vmm.bg.has_pending_fills()
-        || (guest_finished && vmm.cfg.moderation.post_boot_sprint)
-    {
-        SimDuration::ZERO
-    } else {
-        vmm.cfg
-            .moderation
-            .next_delay(vmm.bg.guest_io_rate(sim.now()))
-    };
+    let delay =
+        if vmm.bg.has_pending_fills() || (guest_finished && vmm.cfg.moderation.post_boot_sprint) {
+            SimDuration::ZERO
+        } else {
+            vmm.cfg
+                .moderation
+                .next_delay(vmm.bg.guest_io_rate(sim.now()))
+        };
     vmm.writer_idle = true;
     vmm.writer_next_allowed = sim.now() + delay;
     sim.schedule_in(delay, |m: &mut Machine, sim| {
@@ -2214,10 +2267,14 @@ fn maybe_begin_devirt(m: &mut Machine, sim: &mut MachineSim) {
     vmm.devirt_requested = true;
     vmm.deployment_done_at = Some(sim.now());
     let dep_start = vmm.deployment_start_at.unwrap_or(SimTime::ZERO);
-    m.spans
-        .record(dep_start, sim.now(), "phase", "phase.deployment", NO_SPAN, || {
-            "copy-on-read + background copy".into()
-        });
+    m.spans.record(
+        dep_start,
+        sim.now(),
+        "phase",
+        "phase.deployment",
+        NO_SPAN,
+        || "copy-on-read + background copy".into(),
+    );
     m.tracer.emit(sim.now(), "phase", "deployment_done", || {
         "bitmap complete, requesting de-virtualization".into()
     });
@@ -2315,10 +2372,14 @@ pub fn start_revirt(m: &mut Machine, sim: &mut MachineSim) {
     // stays contiguous: bare_metal [bm, revirt], re-virtualization
     // [revirt, snap], snapshot-back [snap, done].
     let bm_at = vmm.bare_metal_at.unwrap_or(sim.now());
-    m.spans
-        .record(bm_at, sim.now(), "phase", "phase.bare_metal", NO_SPAN, || {
-            "tenant on bare metal".into()
-        });
+    m.spans.record(
+        bm_at,
+        sim.now(),
+        "phase",
+        "phase.bare_metal",
+        NO_SPAN,
+        || "tenant on bare metal".into(),
+    );
     let vmxoff = vmm.cfg.vmxoff_after_deploy;
     m.tracer.emit(sim.now(), "phase", "revirtualization", || {
         format!(
@@ -2338,8 +2399,7 @@ pub fn start_revirt(m: &mut Machine, sim: &mut MachineSim) {
             if vmm.phase != Phase::Revirtualization {
                 return;
             }
-            vmm.devirt
-                .revirtualize_cpu(sim.now(), i, &mut m.hw.cpus[i]);
+            vmm.devirt.revirtualize_cpu(sim.now(), i, &mut m.hw.cpus[i]);
             // Back in VMX root: from here this CPU's device accesses exit
             // into the VMM again.
             arm_vmm_traps(&mut m.hw.cpus[i]);
@@ -2411,9 +2471,7 @@ fn snapshot_pump(m: &mut Machine, sim: &mut MachineSim) {
         // Read the dirty run from the local disk in VMM context.
         let (_t, data) = m.hw.disk.read(plan.range);
         vmm.cpu_time += VMM_OP_CPU;
-        let (id, frames) = vmm
-            .client
-            .write(sim.now(), plan.range, &data, parent);
+        let (id, frames) = vmm.client.write(sim.now(), plan.range, &data, parent);
         vmm.aoe_waiters
             .insert(id, AoeWaiter::Snapshot(plan.members));
         all_frames.extend(frames);
@@ -2435,20 +2493,21 @@ fn maybe_finish_snapshot(m: &mut Machine, sim: &mut MachineSim) {
     {
         return;
     }
-    let done = vmm
-        .snap
-        .as_ref()
-        .is_some_and(|s| s.complete(&vmm.dirty));
+    let done = vmm.snap.as_ref().is_some_and(|s| s.complete(&vmm.dirty));
     if !done {
         return;
     }
     vmm.snapshot_done_at = Some(sim.now());
     let snap_at = vmm.snapshot_start_at.unwrap_or(sim.now());
     let sectors = vmm.snap.as_ref().map(|s| s.sectors_sent()).unwrap_or(0);
-    m.spans
-        .record(snap_at, sim.now(), "phase", "phase.snapshot-back", NO_SPAN, || {
-            "dirty-block stream to server".into()
-        });
+    m.spans.record(
+        snap_at,
+        sim.now(),
+        "phase",
+        "phase.snapshot-back",
+        NO_SPAN,
+        || "dirty-block stream to server".into(),
+    );
     m.tracer.emit(sim.now(), "phase", "snapshot_done", || {
         format!("snapshot-back complete ({sectors} sectors); machine reclaimable")
     });
@@ -2472,7 +2531,11 @@ fn maybe_finish_snapshot(m: &mut Machine, sim: &mut MachineSim) {
 ///
 /// Panics on a machine without a VMM, or if `spec` changes the CPU
 /// count (reclaim re-images a machine, it does not re-build it).
-pub fn reclaim(m: &mut Machine, sim: &mut MachineSim, spec: &MachineSpec) -> Result<(), ReclaimError> {
+pub fn reclaim(
+    m: &mut Machine,
+    sim: &mut MachineSim,
+    spec: &MachineSpec,
+) -> Result<(), ReclaimError> {
     let now = sim.now();
     let vmm = m.vmm.as_mut().expect("reclaim: no VMM");
     if let Some(e) = vmm.reclaim_error {
@@ -2706,7 +2769,11 @@ mod tests {
         start_deployment(&mut m, &mut sim);
         sim.run_until(&mut m, SimTime::from_secs(120));
         let vmm = m.vmm.as_ref().unwrap();
-        assert!(vmm.bitmap.is_complete(), "progress {}", vmm.bitmap.progress());
+        assert!(
+            vmm.bitmap.is_complete(),
+            "progress {}",
+            vmm.bitmap.progress()
+        );
         assert_eq!(vmm.phase, Phase::BareMetal);
         assert!(vmm.bare_metal_at.is_some());
         for cpu in &m.hw.cpus {

@@ -203,7 +203,10 @@ impl AhciMediator {
             self.metrics.inc("mediator.ahci.interpreted_commands");
             self.spans
                 .instant(self.now, "mediator.ahci", "io.decode", NO_SPAN, || {
-                    format!("slot {slot} {:?} lba {} x{}", fis.op, fis.range.lba.0, fis.range.sectors)
+                    format!(
+                        "slot {slot} {:?} lba {} x{}",
+                        fis.op, fis.range.lba.0, fis.range.sectors
+                    )
                 });
             let protected = self.touches_protected(fis.range);
             let needs_redirect = match fis.op {
@@ -222,7 +225,10 @@ impl AhciMediator {
                 self.held_slots |= 1 << slot;
                 self.spans
                     .instant(self.now, "mediator.ahci", "io.interpret", NO_SPAN, || {
-                        format!("slot {slot} lba {} x{} -> redirect", fis.range.lba.0, fis.range.sectors)
+                        format!(
+                            "slot {slot} lba {} x{} -> redirect",
+                            fis.range.lba.0, fis.range.sectors
+                        )
                     });
                 redirects.push(AhciRedirect {
                     slot,
@@ -237,16 +243,21 @@ impl AhciMediator {
                 }
                 self.spans
                     .instant(self.now, "mediator.ahci", "io.interpret", NO_SPAN, || {
-                        format!("slot {slot} lba {} x{} -> forward", fis.range.lba.0, fis.range.sectors)
+                        format!(
+                            "slot {slot} lba {} x{} -> forward",
+                            fis.range.lba.0, fis.range.sectors
+                        )
                     });
                 forward |= 1 << slot;
             }
         }
         if !redirects.is_empty() {
             self.mode = MediatorMode::Redirecting;
-            self.hold_span = self.spans.begin(self.now, "mediator.ahci", "io.hold", NO_SPAN, || {
-                format!("redirect hold slots {:#x}", self.held_slots)
-            });
+            self.hold_span =
+                self.spans
+                    .begin(self.now, "mediator.ahci", "io.hold", NO_SPAN, || {
+                        format!("redirect hold slots {:#x}", self.held_slots)
+                    });
         }
         MmioVerdict::Ci {
             forward_mask: forward,
@@ -326,7 +337,8 @@ impl AhciMediator {
         self.held_slots &= !(1 << slot);
         if self.held_slots == 0 && self.mode == MediatorMode::Redirecting {
             self.mode = MediatorMode::Normal;
-            self.spans.end(self.now, std::mem::take(&mut self.hold_span));
+            self.spans
+                .end(self.now, std::mem::take(&mut self.hold_span));
         }
     }
 
@@ -346,9 +358,11 @@ impl AhciMediator {
         self.vmm_slot = Some(slot);
         self.stats.multiplexes += 1;
         self.metrics.inc("mediator.ahci.multiplexes");
-        self.hold_span = self.spans.begin(self.now, "mediator.ahci", "io.hold", NO_SPAN, || {
-            format!("multiplex hold slot {slot}")
-        });
+        self.hold_span = self
+            .spans
+            .begin(self.now, "mediator.ahci", "io.hold", NO_SPAN, || {
+                format!("multiplex hold slot {slot}")
+            });
     }
 
     /// Leaves multiplexing mode; returns guest CI bits queued meanwhile
@@ -361,7 +375,8 @@ impl AhciMediator {
         assert_eq!(self.mode, MediatorMode::Multiplexing, "not multiplexing");
         self.mode = MediatorMode::Normal;
         self.vmm_slot = None;
-        self.spans.end(self.now, std::mem::take(&mut self.hold_span));
+        self.spans
+            .end(self.now, std::mem::take(&mut self.hold_span));
         std::mem::take(&mut self.queued_ci)
     }
 
@@ -405,11 +420,10 @@ mod tests {
                 entries: vec![PrdEntry { buf, sectors }],
             },
         });
-        mem.get_mut::<AhciCmdList>(clb).unwrap().slots[slot as usize] =
-            Some(AhciCmdHeader {
-                ctba: table,
-                write: op == AtaOp::WriteDma,
-            });
+        mem.get_mut::<AhciCmdList>(clb).unwrap().slots[slot as usize] = Some(AhciCmdHeader {
+            ctba: table,
+            write: op == AtaOp::WriteDma,
+        });
         table
     }
 
@@ -517,12 +531,7 @@ mod tests {
         let mut med = AhciMediator::new(None);
         let mut bm = BlockBitmap::new(1 << 16);
         med.begin_multiplex(31);
-        let v = med.on_guest_write(
-            PORT_BASE + preg::IS,
-            (1u64 << 31) | 0b1,
-            &mem,
-            &mut bm,
-        );
+        let v = med.on_guest_write(PORT_BASE + preg::IS, (1u64 << 31) | 0b1, &mem, &mut bm);
         assert_eq!(v, MmioVerdict::ForwardMasked(0b1));
         let _ = mem;
     }
@@ -573,18 +582,27 @@ mod tests {
         let clb = setup(&mut mem, &mut med);
         fill_slot(&mut mem, clb, 0, AtaOp::WriteDma, 100, 10);
         let v = med.on_guest_write(PORT_BASE + preg::CI, 1, &mem, &mut bm);
-        assert!(matches!(v, MmioVerdict::Ci { forward_mask: 1, .. }));
+        assert!(matches!(
+            v,
+            MmioVerdict::Ci {
+                forward_mask: 1,
+                ..
+            }
+        ));
         assert!(bm.all_filled(BlockRange::new(Lba(100), 10)));
 
         for r in [r0, r1] {
-            bg.deliver(SimTime::ZERO, FetchedBlock {
-                data: r
-                    .iter()
-                    .map(|lba| BlockStore::image_content(7, lba))
-                    .collect::<Vec<_>>()
-                    .into(),
-                range: r,
-            });
+            bg.deliver(
+                SimTime::ZERO,
+                FetchedBlock {
+                    data: r
+                        .iter()
+                        .map(|lba| BlockStore::image_content(7, lba))
+                        .collect::<Vec<_>>()
+                        .into(),
+                    range: r,
+                },
+            );
         }
 
         // [0,64) lands whole; [64,128) splits around the guest's
@@ -613,7 +631,9 @@ mod tests {
         let clb = setup(&mut mem, &mut med);
         fill_slot(&mut mem, clb, 0, AtaOp::WriteDma, 2010, 4);
         let v = med.on_guest_write(PORT_BASE + preg::CI, 1, &mem, &mut bm);
-        let MmioVerdict::Ci { redirects, .. } = v else { panic!() };
+        let MmioVerdict::Ci { redirects, .. } = v else {
+            panic!()
+        };
         assert!(redirects[0].protected);
         assert_eq!(med.stats().protected_conversions, 1);
     }

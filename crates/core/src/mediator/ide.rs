@@ -182,9 +182,7 @@ impl IdeMediator {
     /// the bitmap.
     fn needs_redirect(&self, cmd: &IdeCommandBlock, bitmap: &BlockBitmap) -> bool {
         match cmd.op {
-            AtaOp::ReadDma => {
-                self.touches_protected(cmd.range) || bitmap.any_empty(cmd.range)
-            }
+            AtaOp::ReadDma => self.touches_protected(cmd.range) || bitmap.any_empty(cmd.range),
             AtaOp::WriteDma => self.touches_protected(cmd.range),
             _ => false,
         }
@@ -206,16 +204,27 @@ impl IdeMediator {
             self.mode = MediatorMode::Redirecting;
             self.spans
                 .instant(self.now, "mediator.ide", "io.interpret", NO_SPAN, || {
-                    format!("{:?} lba {} x{} -> redirect", cmd.op, cmd.range.lba.0, cmd.range.sectors)
+                    format!(
+                        "{:?} lba {} x{} -> redirect",
+                        cmd.op, cmd.range.lba.0, cmd.range.sectors
+                    )
                 });
-            self.hold_span = self.spans.begin(self.now, "mediator.ide", "io.hold", NO_SPAN, || {
-                format!("redirect hold lba {} x{}", cmd.range.lba.0, cmd.range.sectors)
-            });
+            self.hold_span = self
+                .spans
+                .begin(self.now, "mediator.ide", "io.hold", NO_SPAN, || {
+                    format!(
+                        "redirect hold lba {} x{}",
+                        cmd.range.lba.0, cmd.range.sectors
+                    )
+                });
             return PioVerdict::StartRedirect(IdeRedirect { cmd, protected });
         }
         self.spans
             .instant(self.now, "mediator.ide", "io.interpret", NO_SPAN, || {
-                format!("{:?} lba {} x{} -> forward", cmd.op, cmd.range.lba.0, cmd.range.sectors)
+                format!(
+                    "{:?} lba {} x{} -> forward",
+                    cmd.op, cmd.range.lba.0, cmd.range.sectors
+                )
             });
         // Pass-through. A guest write makes those sectors authoritative:
         // mark them filled so the background copy will never clobber them.
@@ -274,12 +283,7 @@ impl IdeMediator {
             IdeReg::BmCommand => {
                 let starting = val & 0x01 != 0 && !self.bm_started;
                 self.bm_started = val & 0x01 != 0;
-                if starting
-                    && self
-                        .pending_shadow
-                        .map(|c| c.op.is_dma())
-                        .unwrap_or(false)
-                {
+                if starting && self.pending_shadow.map(|c| c.op.is_dma()).unwrap_or(false) {
                     return self.arm(bitmap);
                 }
             }
@@ -344,9 +348,11 @@ impl IdeMediator {
         self.mode = MediatorMode::Multiplexing;
         self.stats.multiplexes += 1;
         self.metrics.inc("mediator.ide.multiplexes");
-        self.hold_span = self.spans.begin(self.now, "mediator.ide", "io.hold", NO_SPAN, || {
-            "multiplex hold".into()
-        });
+        self.hold_span = self
+            .spans
+            .begin(self.now, "mediator.ide", "io.hold", NO_SPAN, || {
+                "multiplex hold".into()
+            });
     }
 
     /// Leaves multiplexing mode, returning the queued guest accesses for
@@ -358,7 +364,8 @@ impl IdeMediator {
     pub fn finish_multiplex(&mut self) -> Vec<(IdeReg, u32)> {
         assert_eq!(self.mode, MediatorMode::Multiplexing, "not multiplexing");
         self.mode = MediatorMode::Normal;
-        self.spans.end(self.now, std::mem::take(&mut self.hold_span));
+        self.spans
+            .end(self.now, std::mem::take(&mut self.hold_span));
         std::mem::take(&mut self.queued)
     }
 
@@ -372,7 +379,8 @@ impl IdeMediator {
     pub fn finish_redirect(&mut self) -> Vec<(IdeReg, u32)> {
         assert_eq!(self.mode, MediatorMode::Redirecting, "not redirecting");
         self.mode = MediatorMode::Normal;
-        self.spans.end(self.now, std::mem::take(&mut self.hold_span));
+        self.spans
+            .end(self.now, std::mem::take(&mut self.hold_span));
         std::mem::take(&mut self.queued)
     }
 
@@ -398,8 +406,12 @@ mod tests {
     use super::*;
 
     /// Programs an EXT DMA read the way the guest driver does.
-    fn program_read(med: &mut IdeMediator, bitmap: &mut BlockBitmap, lba: u64, sectors: u32)
-        -> PioVerdict {
+    fn program_read(
+        med: &mut IdeMediator,
+        bitmap: &mut BlockBitmap,
+        lba: u64,
+        sectors: u32,
+    ) -> PioVerdict {
         let writes = [
             (IdeReg::BmPrdAddr, 0x2000u32),
             (IdeReg::SectorCount, (sectors >> 8) & 0xFF),
@@ -509,10 +521,7 @@ mod tests {
             PioVerdict::Swallow
         );
         let queued = med.finish_multiplex();
-        assert_eq!(
-            queued,
-            vec![(IdeReg::SectorCount, 1), (IdeReg::LbaLow, 9)]
-        );
+        assert_eq!(queued, vec![(IdeReg::SectorCount, 1), (IdeReg::LbaLow, 9)]);
         assert_eq!(med.mode(), MediatorMode::Normal);
         assert_eq!(med.stats().queued_accesses, 2);
     }
@@ -582,8 +591,12 @@ mod tests {
     }
 
     /// Programs an EXT DMA write the way the guest driver does.
-    fn program_write(med: &mut IdeMediator, bitmap: &mut BlockBitmap, lba: u64, sectors: u32)
-        -> PioVerdict {
+    fn program_write(
+        med: &mut IdeMediator,
+        bitmap: &mut BlockBitmap,
+        lba: u64,
+        sectors: u32,
+    ) -> PioVerdict {
         let writes = [
             (IdeReg::BmPrdAddr, 0x2000u32),
             (IdeReg::SectorCount, (sectors >> 8) & 0xFF),
@@ -633,14 +646,17 @@ mod tests {
 
         // The stale fetches land afterwards.
         for r in &fetches {
-            bg.deliver(SimTime::ZERO, FetchedBlock {
-                data: r
-                    .iter()
-                    .map(|lba| BlockStore::image_content(7, lba))
-                    .collect::<Vec<_>>()
-                    .into(),
-                range: *r,
-            });
+            bg.deliver(
+                SimTime::ZERO,
+                FetchedBlock {
+                    data: r
+                        .iter()
+                        .map(|lba| BlockStore::image_content(7, lba))
+                        .collect::<Vec<_>>()
+                        .into(),
+                    range: *r,
+                },
+            );
         }
 
         // The writer clips each block around the guest's sectors:

@@ -118,7 +118,10 @@ impl MegasasMediator {
         self.metrics.inc("mediator.megasas.interpreted_commands");
         self.spans
             .instant(self.now, "mediator.megasas", "io.decode", NO_SPAN, || {
-                format!("frame {:#x} {:?} lba {} x{}", frame_addr.0, frame.op, frame.range.lba.0, frame.range.sectors)
+                format!(
+                    "frame {:#x} {:?} lba {} x{}",
+                    frame_addr.0, frame.op, frame.range.lba.0, frame.range.sectors
+                )
             });
         match frame.op {
             MfiOp::LdWrite => {
@@ -129,14 +132,23 @@ impl MegasasMediator {
                 self.stats.redirects += 1;
                 self.metrics.inc("mediator.megasas.redirects");
                 self.mode = MediatorMode::Redirecting;
-                self.spans
-                    .instant(self.now, "mediator.megasas", "io.interpret", NO_SPAN, || {
-                        format!("lba {} x{} -> redirect", frame.range.lba.0, frame.range.sectors)
-                    });
+                self.spans.instant(
+                    self.now,
+                    "mediator.megasas",
+                    "io.interpret",
+                    NO_SPAN,
+                    || {
+                        format!(
+                            "lba {} x{} -> redirect",
+                            frame.range.lba.0, frame.range.sectors
+                        )
+                    },
+                );
                 self.hold_span =
-                    self.spans.begin(self.now, "mediator.megasas", "io.hold", NO_SPAN, || {
-                        format!("redirect hold frame {:#x}", frame_addr.0)
-                    });
+                    self.spans
+                        .begin(self.now, "mediator.megasas", "io.hold", NO_SPAN, || {
+                            format!("redirect hold frame {:#x}", frame_addr.0)
+                        });
                 MegasasVerdict::StartRedirect(MegasasRedirect {
                     frame: frame_addr,
                     range: frame.range,
@@ -186,7 +198,8 @@ impl MegasasMediator {
     pub fn finish_redirect(&mut self) -> Vec<PhysAddr> {
         assert_eq!(self.mode, MediatorMode::Redirecting, "not redirecting");
         self.mode = MediatorMode::Normal;
-        self.spans.end(self.now, std::mem::take(&mut self.hold_span));
+        self.spans
+            .end(self.now, std::mem::take(&mut self.hold_span));
         std::mem::take(&mut self.queued_posts)
     }
 
@@ -208,9 +221,11 @@ impl MegasasMediator {
         self.vmm_frames.push(vmm_frame);
         self.stats.multiplexes += 1;
         self.metrics.inc("mediator.megasas.multiplexes");
-        self.hold_span = self.spans.begin(self.now, "mediator.megasas", "io.hold", NO_SPAN, || {
-            format!("multiplex hold frame {:#x}", vmm_frame.0)
-        });
+        self.hold_span = self
+            .spans
+            .begin(self.now, "mediator.megasas", "io.hold", NO_SPAN, || {
+                format!("multiplex hold frame {:#x}", vmm_frame.0)
+            });
     }
 
     /// Leaves multiplexing, returning queued guest posts for replay.
@@ -221,7 +236,8 @@ impl MegasasMediator {
     pub fn finish_multiplex(&mut self) -> Vec<PhysAddr> {
         assert_eq!(self.mode, MediatorMode::Multiplexing, "not multiplexing");
         self.mode = MediatorMode::Normal;
-        self.spans.end(self.now, std::mem::take(&mut self.hold_span));
+        self.spans
+            .end(self.now, std::mem::take(&mut self.hold_span));
         std::mem::take(&mut self.queued_posts)
     }
 }
@@ -311,7 +327,10 @@ mod tests {
             med.on_guest_write(reg::IQP, wf.0, &mem, &mut bitmap),
             MegasasVerdict::Forward
         );
-        assert!(bitmap.all_filled(BlockRange::new(Lba(900), 4)), "write marked");
+        assert!(
+            bitmap.all_filled(BlockRange::new(Lba(900), 4)),
+            "write marked"
+        );
     }
 
     #[test]

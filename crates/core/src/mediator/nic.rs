@@ -145,13 +145,7 @@ impl NicMediator {
 
     /// Handles a trapped guest MMIO write. Nothing is forwarded: the
     /// guest's ring registers are fully virtualized.
-    pub fn on_guest_write(
-        &mut self,
-        offset: u64,
-        val: u64,
-        mem: &mut PhysMem,
-        phys: &mut E1000,
-    ) {
+    pub fn on_guest_write(&mut self, offset: u64, val: u64, mem: &mut PhysMem, phys: &mut E1000) {
         match offset {
             reg::TDBAL => self.guest_tdbal = PhysAddr(val),
             reg::TDLEN => self.guest_tdlen = val as u32,

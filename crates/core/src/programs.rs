@@ -210,8 +210,7 @@ impl KernbenchProgram {
         if self.cursor[lane] >= self.lanes[lane].len() {
             self.live_lanes -= 1;
             if self.live_lanes == 0 {
-                self.elapsed =
-                    Some(ctl.now().duration_since(self.started.expect("started")));
+                self.elapsed = Some(ctl.now().duration_since(self.started.expect("started")));
                 ctl.finish();
             }
             return;
@@ -483,6 +482,9 @@ mod tests {
             1,
         )));
         assert!(runner.run_to_finish(SimTime::from_secs(10)).is_some());
-        assert!(runner.machine().guest.ios_completed > 8, "wrapped at least once");
+        assert!(
+            runner.machine().guest.ios_completed > 8,
+            "wrapped at least once"
+        );
     }
 }

@@ -51,10 +51,16 @@ impl std::fmt::Display for ReclaimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ReclaimError::RetryBudgetExhausted { consecutive } => {
-                write!(f, "snapshot-back retry budget exhausted after {consecutive} consecutive failures")
+                write!(
+                    f,
+                    "snapshot-back retry budget exhausted after {consecutive} consecutive failures"
+                )
             }
             ReclaimError::SnapshotIncomplete { dirty_sectors } => {
-                write!(f, "snapshot-back incomplete: {dirty_sectors} dirty sectors unstreamed")
+                write!(
+                    f,
+                    "snapshot-back incomplete: {dirty_sectors} dirty sectors unstreamed"
+                )
             }
         }
     }
@@ -262,7 +268,8 @@ impl SnapshotBack {
         self.inflight += 1;
         self.sends += 1;
         self.metrics.inc("snap.sends");
-        self.metrics.gauge_set("snap.inflight", self.inflight as i64);
+        self.metrics
+            .gauge_set("snap.inflight", self.inflight as i64);
         if self.spans.is_enabled() {
             let id = self.spans.begin(now, "snapback", "snap.send", NO_SPAN, || {
                 format!("send lba {} x{}", run.lba.0, run.sectors)
@@ -289,7 +296,8 @@ impl SnapshotBack {
         self.consecutive_failures = 0;
         self.send_ready_at = SimTime::ZERO;
         self.metrics.add("snap.bytes_sent", range.bytes());
-        self.metrics.gauge_set("snap.inflight", self.inflight as i64);
+        self.metrics
+            .gauge_set("snap.inflight", self.inflight as i64);
     }
 
     /// A send exhausted its wire retries: the range is re-marked dirty
@@ -312,7 +320,8 @@ impl SnapshotBack {
         self.inflight -= 1;
         self.send_failures += 1;
         self.metrics.inc("snap.send_failures");
-        self.metrics.gauge_set("snap.inflight", self.inflight as i64);
+        self.metrics
+            .gauge_set("snap.inflight", self.inflight as i64);
         tracker.record(range);
         if range.lba < self.cursor {
             self.cursor = range.lba;
@@ -325,10 +334,9 @@ impl SnapshotBack {
     fn note_send_failure(&mut self, now: SimTime) {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let shift = (self.consecutive_failures - 1).min(16);
-        let delay = SimDuration::from_nanos(
-            SEND_BACKOFF_BASE.as_nanos().saturating_mul(1u64 << shift),
-        )
-        .min(SEND_BACKOFF_CAP);
+        let delay =
+            SimDuration::from_nanos(SEND_BACKOFF_BASE.as_nanos().saturating_mul(1u64 << shift))
+                .min(SEND_BACKOFF_CAP);
         self.send_ready_at = now + delay;
         self.metrics.inc("snap.send_backoffs");
     }
@@ -369,13 +377,32 @@ mod tests {
         dt.record(BlockRange::new(Lba(100), 10));
         dt.record(BlockRange::new(Lba(300), 200));
         let mut sb = SnapshotBack::new(64, 8);
-        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(BlockRange::new(Lba(100), 10)));
+        assert_eq!(
+            sb.next_send(SimTime::ZERO, &mut dt),
+            Some(BlockRange::new(Lba(100), 10))
+        );
         // A long run is sent in block-grid pieces.
-        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(BlockRange::new(Lba(300), 64)));
-        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(BlockRange::new(Lba(364), 64)));
-        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(BlockRange::new(Lba(428), 64)));
-        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(BlockRange::new(Lba(492), 8)));
-        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), None, "everything claimed");
+        assert_eq!(
+            sb.next_send(SimTime::ZERO, &mut dt),
+            Some(BlockRange::new(Lba(300), 64))
+        );
+        assert_eq!(
+            sb.next_send(SimTime::ZERO, &mut dt),
+            Some(BlockRange::new(Lba(364), 64))
+        );
+        assert_eq!(
+            sb.next_send(SimTime::ZERO, &mut dt),
+            Some(BlockRange::new(Lba(428), 64))
+        );
+        assert_eq!(
+            sb.next_send(SimTime::ZERO, &mut dt),
+            Some(BlockRange::new(Lba(492), 8))
+        );
+        assert_eq!(
+            sb.next_send(SimTime::ZERO, &mut dt),
+            None,
+            "everything claimed"
+        );
         assert!(dt.is_clean());
         assert!(!sb.complete(&dt), "claims are still in flight");
         for r in [
@@ -398,7 +425,10 @@ mod tests {
         let mut sb = SnapshotBack::new(64, 2);
         assert!(sb.next_send(SimTime::ZERO, &mut dt).is_some());
         assert!(sb.next_send(SimTime::ZERO, &mut dt).is_some());
-        assert!(sb.next_send(SimTime::ZERO, &mut dt).is_none(), "depth 2 reached");
+        assert!(
+            sb.next_send(SimTime::ZERO, &mut dt).is_none(),
+            "depth 2 reached"
+        );
         assert_eq!(sb.inflight(), 2);
     }
 
@@ -410,7 +440,11 @@ mod tests {
         let r = sb.next_send(SimTime::ZERO, &mut dt).unwrap();
         sb.send_failed(SimTime::ZERO, r, &mut dt);
         assert_eq!(dt.dirty_sectors(), 64, "failure re-marks the range");
-        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(r), "cursor rewound to it");
+        assert_eq!(
+            sb.next_send(SimTime::ZERO, &mut dt),
+            Some(r),
+            "cursor rewound to it"
+        );
         sb.ack(SimTime::ZERO, r);
         assert!(sb.complete(&dt));
     }
@@ -426,7 +460,10 @@ mod tests {
         dt.record(BlockRange::new(Lba(10), 4)); // guest writes mid-flight
         sb.ack(SimTime::ZERO, r);
         assert!(!sb.complete(&dt), "re-dirtied sectors still pending");
-        assert_eq!(sb.next_send(SimTime::ZERO, &mut dt), Some(BlockRange::new(Lba(10), 4)));
+        assert_eq!(
+            sb.next_send(SimTime::ZERO, &mut dt),
+            Some(BlockRange::new(Lba(10), 4))
+        );
         sb.ack(SimTime::ZERO, BlockRange::new(Lba(10), 4));
         assert!(sb.complete(&dt));
     }

@@ -102,10 +102,7 @@ impl AhciDriver {
         if self.active_count() >= self.max_slots {
             return None;
         }
-        self.slots
-            .iter()
-            .position(|s| s.is_none())
-            .map(|i| i as u8)
+        self.slots.iter().position(|s| s.is_none()).map(|i| i as u8)
     }
 
     fn issue(&mut self, slot: u8, req: IoRequest, bus: &mut dyn GuestBus) {

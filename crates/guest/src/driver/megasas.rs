@@ -82,10 +82,7 @@ impl BlockDriver for MegasasDriver {
             let Some((req, buffer)) = self.inflight.remove(&popped) else {
                 continue; // not ours (filtered VMM slot); ignore
             };
-            let frame = bus
-                .mem()
-                .get::<MfiFrame>(PhysAddr(popped))
-                .copied();
+            let frame = bus.mem().get::<MfiFrame>(PhysAddr(popped)).copied();
             debug_assert_eq!(
                 frame.map(|f| f.status),
                 Some(MfiStatus::Ok),

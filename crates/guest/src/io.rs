@@ -93,6 +93,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "payload/range mismatch")]
     fn mismatched_write_panics() {
-        IoRequest::write(RequestId(3), BlockRange::new(Lba(0), 2), vec![SectorData(1)]);
+        IoRequest::write(
+            RequestId(3),
+            BlockRange::new(Lba(0), 2),
+            vec![SectorData(1)],
+        );
     }
 }

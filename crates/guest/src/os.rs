@@ -98,8 +98,7 @@ impl BootProfile {
                 next_lba = Lba(prng.below(span_sectors.saturating_sub(1 << 14).max(1)));
             }
             // Sizes jitter around the average (0.5x .. 1.5x).
-            let sectors =
-                (avg_sectors / 2 + prng.below(avg_sectors.max(1))).clamp(1, 2048) as u32;
+            let sectors = (avg_sectors / 2 + prng.below(avg_sectors.max(1))).clamp(1, 2048) as u32;
             let range = BlockRange::new(next_lba, sectors);
             steps.push(BootStep {
                 cpu: cpu_per_step,
@@ -180,10 +179,7 @@ mod tests {
         // Count adjacent step pairs where the second read continues the
         // first: most reads should be sequential within a cluster.
         let reads: Vec<BlockRange> = p.steps().iter().filter_map(|s| s.read).collect();
-        let seq = reads
-            .windows(2)
-            .filter(|w| w[1].lba == w[0].end())
-            .count();
+        let seq = reads.windows(2).filter(|w| w[1].lba == w[0].end()).count();
         assert!(
             seq * 10 >= reads.len() * 7,
             "only {seq}/{} sequential",

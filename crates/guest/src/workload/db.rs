@@ -253,7 +253,10 @@ mod tests {
         for m in [DbPerfModel::memcached(), DbPerfModel::cassandra()] {
             assert_eq!(m.throughput_ratio(&PerfEnv::bare_metal()), 1.0);
             assert_eq!(m.latency_ratio(&PerfEnv::bare_metal()), 1.0);
-            assert_eq!(m.throughput_ktps(&PerfEnv::bare_metal()), m.base_throughput_ktps);
+            assert_eq!(
+                m.throughput_ktps(&PerfEnv::bare_metal()),
+                m.base_throughput_ktps
+            );
         }
     }
 

@@ -102,10 +102,7 @@ mod tests {
         assert_eq!(chunks.len(), 480);
         let total: f64 = chunks.iter().map(|c| c.cpu.as_secs_f64()).sum();
         // Total CPU across 12 jobs ≈ 14.6 s × 12, within jitter.
-        assert!(
-            (total - 175.2).abs() < 15.0,
-            "total cpu {total:.1}s"
-        );
+        assert!((total - 175.2).abs() < 15.0, "total cpu {total:.1}s");
     }
 
     #[test]
@@ -120,8 +117,10 @@ mod tests {
             .filter(|c| c.io.as_ref().is_some_and(|r| r.is_write()))
             .count();
         let none = chunks.iter().filter(|c| c.io.is_none()).count();
-        assert!(reads > 180 && writes > 100 && none > 30,
-            "mix was {reads}/{writes}/{none}");
+        assert!(
+            reads > 180 && writes > 100 && none > 30,
+            "mix was {reads}/{writes}/{none}"
+        );
     }
 
     #[test]

@@ -46,7 +46,10 @@ impl ThreadBenchJob {
     ///
     /// Panics if `threads` or `cores` is zero.
     pub fn native_elapsed_secs(&self, threads: u32, cores: u32) -> f64 {
-        assert!(threads > 0 && cores > 0, "threads and cores must be positive");
+        assert!(
+            threads > 0 && cores > 0,
+            "threads and cores must be positive"
+        );
         let per_lock = threads as f64 / self.locks as f64;
         // Expected queueing behind the lock: half the other contenders'
         // critical sections, only once a lock has >1 expected user.

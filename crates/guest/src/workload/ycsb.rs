@@ -73,8 +73,8 @@ impl Zipfian {
             (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
         } else {
             let head: f64 = (1..=EXACT).map(|i| 1.0 / (i as f64).powf(theta)).sum();
-            let tail = ((n as f64).powf(1.0 - theta) - (EXACT as f64).powf(1.0 - theta))
-                / (1.0 - theta);
+            let tail =
+                ((n as f64).powf(1.0 - theta) - (EXACT as f64).powf(1.0 - theta)) / (1.0 - theta);
             head + tail
         }
     }
@@ -252,12 +252,7 @@ mod tests {
         for _ in 0..100_000 {
             counts[s.next(&mut prng) as usize] += 1;
         }
-        let hottest = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, c)| c)
-            .unwrap()
-            .0;
+        let hottest = counts.iter().enumerate().max_by_key(|&(_, c)| c).unwrap().0;
         assert_ne!(hottest, 0, "scramble should move the hot key");
     }
 

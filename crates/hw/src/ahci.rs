@@ -306,7 +306,13 @@ impl AhciController {
     /// # Panics
     ///
     /// Panics if the slot is not executing or its structures are malformed.
-    pub fn complete_slot(&mut self, mem: &mut PhysMem, disk: &mut DiskModel, port: usize, slot: u8) {
+    pub fn complete_slot(
+        &mut self,
+        mem: &mut PhysMem,
+        disk: &mut DiskModel,
+        port: usize,
+        slot: u8,
+    ) {
         let cmd = self
             .decode_slot(mem, port, slot)
             .expect("complete_slot: cannot decode slot");
@@ -404,10 +410,7 @@ mod tests {
     fn issue_decode_complete_read() {
         let (mut hba, mut mem, mut disk) = rig();
         let (buf, _clb, action) = issue(&mut hba, &mut mem, 0, AtaOp::ReadDma, 123, 4, None);
-        assert_eq!(
-            action,
-            Some(AhciAction::SlotsIssued { port: 0, slots: 1 })
-        );
+        assert_eq!(action, Some(AhciAction::SlotsIssued { port: 0, slots: 1 }));
         let cmd = hba.decode_slot(&mem, 0, 0).unwrap();
         assert_eq!(cmd.range, BlockRange::new(Lba(123), 4));
         assert_eq!(cmd.op, AtaOp::ReadDma);
@@ -438,10 +441,7 @@ mod tests {
         let (mut hba, mut mem, mut disk) = rig();
         let (_b1, clb, _) = issue(&mut hba, &mut mem, 0, AtaOp::ReadDma, 10, 1, None);
         let (_b2, _, action) = issue(&mut hba, &mut mem, 1, AtaOp::ReadDma, 20, 1, Some(clb));
-        assert_eq!(
-            action,
-            Some(AhciAction::SlotsIssued { port: 0, slots: 2 })
-        );
+        assert_eq!(action, Some(AhciAction::SlotsIssued { port: 0, slots: 2 }));
         assert_eq!(hba.issued_slots(0), 0b11);
         hba.start_slot(0, 0);
         hba.complete_slot(&mut mem, &mut disk, 0, 0);

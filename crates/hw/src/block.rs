@@ -372,7 +372,10 @@ impl BlockStore {
     ///
     /// Panics if `lba` is beyond the store's capacity.
     pub fn read(&self, lba: Lba) -> SectorData {
-        assert!(lba.0 < self.capacity_sectors, "read past end of store: {lba}");
+        assert!(
+            lba.0 < self.capacity_sectors,
+            "read past end of store: {lba}"
+        );
         let page = lba.0 / PAGE_SECTORS;
         self.sector_in(self.page(page), page, lba.0 % PAGE_SECTORS)
     }

@@ -268,8 +268,7 @@ impl DiskModel {
         }
         // a + b*sqrt(d): calibrated so d = capacity/3 gives avg_seek.
         let third = (self.params.capacity_sectors / 3).max(1) as f64;
-        let b = (self.params.avg_seek.as_nanos() as f64
-            - self.params.min_seek.as_nanos() as f64)
+        let b = (self.params.avg_seek.as_nanos() as f64 - self.params.min_seek.as_nanos() as f64)
             / third.sqrt();
         let ns = self.params.min_seek.as_nanos() as f64 + b * (distance as f64).sqrt();
         SimDuration::from_nanos(ns as u64)
@@ -462,8 +461,10 @@ mod tests {
         let mut t_two = SimDuration::ZERO;
         for i in 0..100u64 {
             t_two += two.access_time(DiskOp::Write, BlockRange::new(Lba(i * chunk as u64), chunk));
-            t_two +=
-                two.access_time(DiskOp::Write, BlockRange::new(Lba(far + i * chunk as u64), chunk));
+            t_two += two.access_time(
+                DiskOp::Write,
+                BlockRange::new(Lba(far + i * chunk as u64), chunk),
+            );
         }
         assert!(
             t_two > t_one.mul_f64(1.5),

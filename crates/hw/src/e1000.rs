@@ -274,7 +274,14 @@ impl E1000 {
 mod tests {
     use super::*;
 
-    fn rig() -> (E1000, PhysMem, PhysAddr, Vec<PhysAddr>, PhysAddr, Vec<PhysAddr>) {
+    fn rig() -> (
+        E1000,
+        PhysMem,
+        PhysAddr,
+        Vec<PhysAddr>,
+        PhysAddr,
+        Vec<PhysAddr>,
+    ) {
         let mut mem = PhysMem::new(1 << 30);
         let mut nic = E1000::new(MacAddr::host(5));
         let (tx_ring, tx_bufs) = DescRing::with_buffers(&mut mem, 8);

@@ -354,7 +354,9 @@ mod tests {
         let mut sw: Switch<u32> = Switch::new(9000, 0.0, 1);
         sw.attach(MacAddr::host(1), Link::gigabit());
         let b = sw.attach(MacAddr::host(2), Link::gigabit());
-        let d = sw.forward(SimTime::ZERO, frame(MacAddr::host(2), 512)).unwrap();
+        let d = sw
+            .forward(SimTime::ZERO, frame(MacAddr::host(2), 512))
+            .unwrap();
         assert_eq!(d.port, b);
         assert!(d.at > SimTime::ZERO);
         assert_eq!(sw.forwarded(), 1);
@@ -460,7 +462,11 @@ mod tests {
     fn forward_with_drop_still_reports_real_errors() {
         let mut sw: Switch<u32> = Switch::new(1500, 0.0, 1);
         let err = sw
-            .forward_with(SimTime::ZERO, frame(MacAddr::host(9), 100), LinkVerdict::Drop)
+            .forward_with(
+                SimTime::ZERO,
+                frame(MacAddr::host(9), 100),
+                LinkVerdict::Drop,
+            )
             .unwrap_err();
         assert_eq!(err, SwitchError::UnknownDestination(MacAddr::host(9)));
         assert_eq!(sw.dropped(), 0);

@@ -91,8 +91,18 @@ mod tests {
     #[test]
     fn pxe_download_scales_with_payload() {
         let fw = FirmwareModel::primergy_rx200();
-        let small = fw.boot_handoff(BootPath::Pxe { payload_bytes: 1 << 20 }, 1_000_000_000);
-        let big = fw.boot_handoff(BootPath::Pxe { payload_bytes: 64 << 20 }, 1_000_000_000);
+        let small = fw.boot_handoff(
+            BootPath::Pxe {
+                payload_bytes: 1 << 20,
+            },
+            1_000_000_000,
+        );
+        let big = fw.boot_handoff(
+            BootPath::Pxe {
+                payload_bytes: 64 << 20,
+            },
+            1_000_000_000,
+        );
         assert!(big > small);
         // 64 MB at 1 Gb/s is about half a second of transfer.
         assert!(big.as_millis() > 1_900 && big.as_millis() < 2_200, "{big}");

@@ -335,10 +335,8 @@ impl IdeController {
                 self.bm_cmd = val as u8;
                 if val & 0x01 != 0 {
                     self.bm_status |= 0x01; // active
-                    // A 0→1 start transition arms a pending DMA command.
-                    if !was_started
-                        && self.pending.map(|c| c.op.is_dma()).unwrap_or(false)
-                    {
+                                            // A 0→1 start transition arms a pending DMA command.
+                    if !was_started && self.pending.map(|c| c.op.is_dma()).unwrap_or(false) {
                         return Some(IdeAction::CommandReady);
                     }
                 } else {
@@ -575,7 +573,10 @@ mod tests {
         ide.write_reg(IdeReg::LbaHigh, 0);
         ide.write_reg(IdeReg::Device, 0xE0);
         ide.write_reg(IdeReg::Command, 0xCA);
-        assert_eq!(ide.write_reg(IdeReg::BmCommand, 0x01), Some(IdeAction::CommandReady));
+        assert_eq!(
+            ide.write_reg(IdeReg::BmCommand, 0x01),
+            Some(IdeAction::CommandReady)
+        );
         ide.start_ready().unwrap();
         ide.complete_active(&mut mem, &mut disk);
         assert_eq!(disk.store().read(Lba(10)), SectorData(111));

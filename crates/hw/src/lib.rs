@@ -31,12 +31,12 @@
 //! interfaces and the VMM's control flow.
 
 pub mod ahci;
-mod hash;
 pub mod block;
 pub mod disk;
 pub mod e1000;
 pub mod eth;
 pub mod firmware;
+mod hash;
 pub mod ib;
 pub mod ide;
 pub mod megasas;

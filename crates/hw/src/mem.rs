@@ -116,10 +116,7 @@ impl PhysMem {
     /// Panics if `bytes` exceeds total memory or a reservation exists.
     pub fn reserve_for_vmm(&mut self, bytes: u64) -> PhysAddr {
         assert!(bytes <= self.total_bytes, "reservation larger than memory");
-        assert!(
-            self.vmm_reserved.is_none(),
-            "VMM memory already reserved"
-        );
+        assert!(self.vmm_reserved.is_none(), "VMM memory already reserved");
         let base = PhysAddr(self.total_bytes - bytes);
         self.vmm_reserved = Some((base, bytes));
         base

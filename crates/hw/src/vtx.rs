@@ -236,12 +236,20 @@ impl VtxCpu {
 
     /// Whether an access to `port` exits. Always false once VMX is off.
     pub fn exits_on_pio(&self, port: u16) -> bool {
-        self.vmx_on && self.pio_ranges.iter().any(|&(lo, hi)| (lo..=hi).contains(&port))
+        self.vmx_on
+            && self
+                .pio_ranges
+                .iter()
+                .any(|&(lo, hi)| (lo..=hi).contains(&port))
     }
 
     /// Whether an access to physical address `addr` exits.
     pub fn exits_on_mmio(&self, addr: u64) -> bool {
-        self.vmx_on && self.mmio_ranges.iter().any(|&(lo, hi)| (lo..=hi).contains(&addr))
+        self.vmx_on
+            && self
+                .mmio_ranges
+                .iter()
+                .any(|&(lo, hi)| (lo..=hi).contains(&addr))
     }
 
     /// Configures the VMX preemption timer (BMcast's polling tick), or

@@ -560,7 +560,10 @@ mod tests {
     #[test]
     fn crash_restarts_exactly_once() {
         let mut inj = FaultInjector::new(FaultPlan::crash(5));
-        assert_eq!(inj.server_health(SimTime::from_millis(100)), ServerHealth::Up);
+        assert_eq!(
+            inj.server_health(SimTime::from_millis(100)),
+            ServerHealth::Up
+        );
         assert_eq!(
             inj.server_health(SimTime::from_millis(200)),
             ServerHealth::Down
@@ -569,14 +572,20 @@ mod tests {
             inj.server_health(SimTime::from_millis(500)),
             ServerHealth::Restarting
         );
-        assert_eq!(inj.server_health(SimTime::from_millis(501)), ServerHealth::Up);
+        assert_eq!(
+            inj.server_health(SimTime::from_millis(501)),
+            ServerHealth::Up
+        );
         assert_eq!(inj.counters().server_restarts, 1);
     }
 
     #[test]
     fn stall_drops_inside_window_only() {
         let mut inj = FaultInjector::new(FaultPlan::stall(6));
-        assert_eq!(inj.server_health(SimTime::from_millis(100)), ServerHealth::Up);
+        assert_eq!(
+            inj.server_health(SimTime::from_millis(100)),
+            ServerHealth::Up
+        );
         assert_eq!(
             inj.server_health(SimTime::from_millis(600)),
             ServerHealth::Down
@@ -629,6 +638,9 @@ mod tests {
         }
         let snap = m.snapshot().unwrap();
         assert!(inj.counters().link_dropped > 0);
-        assert_eq!(snap.counter("fault.link_dropped"), inj.counters().link_dropped);
+        assert_eq!(
+            snap.counter("fault.link_dropped"),
+            inj.counters().link_dropped
+        );
     }
 }

@@ -250,7 +250,11 @@ impl<W> Sim<W> {
     /// # Panics
     ///
     /// Panics if `at` is in the past (before [`Sim::now`]).
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Sim<W>) + Send + 'static) {
+    pub fn schedule_at(
+        &mut self,
+        at: SimTime,
+        f: impl FnOnce(&mut W, &mut Sim<W>) + Send + 'static,
+    ) {
         assert!(
             at >= self.now,
             "cannot schedule event in the past: at={at:?} now={:?}",
@@ -274,7 +278,11 @@ impl<W> Sim<W> {
     }
 
     /// Schedules `f` to run after a delay of `d` from the current time.
-    pub fn schedule_in(&mut self, d: SimDuration, f: impl FnOnce(&mut W, &mut Sim<W>) + Send + 'static) {
+    pub fn schedule_in(
+        &mut self,
+        d: SimDuration,
+        f: impl FnOnce(&mut W, &mut Sim<W>) + Send + 'static,
+    ) {
         self.schedule_at(self.now + d, f);
     }
 
@@ -419,10 +427,7 @@ mod tests {
             });
         }
         sim.run(&mut w);
-        assert_eq!(
-            w.log,
-            vec![(5, "first"), (5, "second"), (5, "third")]
-        );
+        assert_eq!(w.log, vec![(5, "first"), (5, "second"), (5, "third")]);
     }
 
     #[test]
@@ -442,7 +447,9 @@ mod tests {
     fn run_until_stops_at_deadline() {
         let mut sim = Sim::<W>::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_nanos(10), |w: &mut W, _| w.log.push((10, "x")));
+        sim.schedule_at(SimTime::from_nanos(10), |w: &mut W, _| {
+            w.log.push((10, "x"))
+        });
         sim.schedule_at(SimTime::from_nanos(100), |w: &mut W, _| {
             w.log.push((100, "y"))
         });

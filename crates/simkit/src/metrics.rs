@@ -36,10 +36,10 @@
 //! ```
 
 use std::borrow::Cow;
-use std::sync::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// A log-scale (power-of-two bucket) histogram of `u64` samples.
 ///
@@ -261,13 +261,21 @@ impl MetricsSnapshot {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             out.push_str(&format!("\"{}\": {v}", escape(name)));
         }
-        out.push_str(if self.counters.is_empty() { "},\n" } else { "\n  },\n" });
+        out.push_str(if self.counters.is_empty() {
+            "},\n"
+        } else {
+            "\n  },\n"
+        });
         out.push_str("  \"gauges\": {");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             out.push_str(&format!("\"{}\": {v}", escape(name)));
         }
-        out.push_str(if self.gauges.is_empty() { "},\n" } else { "\n  },\n" });
+        out.push_str(if self.gauges.is_empty() {
+            "},\n"
+        } else {
+            "\n  },\n"
+        });
         out.push_str("  \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
@@ -283,7 +291,11 @@ impl MetricsSnapshot {
                 h.max()
             ));
         }
-        out.push_str(if self.histograms.is_empty() { "}\n" } else { "\n  }\n" });
+        out.push_str(if self.histograms.is_empty() {
+            "}\n"
+        } else {
+            "\n  }\n"
+        });
         out.push_str("}\n");
         out
     }
@@ -342,7 +354,11 @@ impl fmt::Debug for Metrics {
         write!(
             f,
             "Metrics({})",
-            if self.0.is_some() { "enabled" } else { "disabled" }
+            if self.0.is_some() {
+                "enabled"
+            } else {
+                "disabled"
+            }
         )
     }
 }
@@ -385,7 +401,8 @@ impl Metrics {
     /// Records one sample into histogram `name`.
     pub fn observe(&self, name: &'static str, value: u64) {
         if let Some(r) = &self.0 {
-            r.lock().unwrap()
+            r.lock()
+                .unwrap()
                 .histograms
                 .entry(name)
                 .or_default()

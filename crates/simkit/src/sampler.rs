@@ -32,9 +32,9 @@
 
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
-use std::sync::Mutex;
 use std::fmt;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// One timeline row: a sim-timestamp and named values.
 ///
@@ -74,7 +74,11 @@ impl fmt::Debug for Sampler {
         write!(
             f,
             "Sampler({})",
-            if self.0.is_some() { "enabled" } else { "disabled" }
+            if self.0.is_some() {
+                "enabled"
+            } else {
+                "disabled"
+            }
         )
     }
 }
@@ -139,7 +143,10 @@ impl Sampler {
 
     /// Number of rows recorded.
     pub fn len(&self) -> usize {
-        self.0.as_ref().map(|s| s.lock().unwrap().rows.len()).unwrap_or(0)
+        self.0
+            .as_ref()
+            .map(|s| s.lock().unwrap().rows.len())
+            .unwrap_or(0)
     }
 
     /// Whether no rows have been recorded.

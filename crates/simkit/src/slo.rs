@@ -230,8 +230,10 @@ impl SloEngine {
         let (storm, storm_detail) = match &self.last {
             Some(prev) if input.at > prev.at => {
                 let secs = (input.at - prev.at).as_secs_f64();
-                let rate =
-                    input.retransmits_total.saturating_sub(prev.retransmits_total) as f64 / secs;
+                let rate = input
+                    .retransmits_total
+                    .saturating_sub(prev.retransmits_total) as f64
+                    / secs;
                 if rate > self.cfg.retransmit_storm_per_sec {
                     self.storm_run = self.storm_run.saturating_add(1);
                 } else {
@@ -381,7 +383,11 @@ mod tests {
                 assert_eq!(edges.len(), 1, "tick {s} (elevated #{})", i + 1);
                 assert_eq!(edges[0].rule, SloRule::RetransmitStorm);
                 assert!(edges[0].raised);
-                assert!(edges[0].detail.contains("for 3 ticks"), "{}", edges[0].detail);
+                assert!(
+                    edges[0].detail.contains("for 3 ticks"),
+                    "{}",
+                    edges[0].detail
+                );
             }
         }
         assert!(slo.is_active(SloRule::RetransmitStorm));
@@ -422,10 +428,7 @@ mod tests {
         let mut slo = SloEngine::new(SloConfig::default());
         let mut first = quiet(1);
         first.retransmits_total = 1_000_000;
-        assert!(
-            slo.evaluate(&first).is_empty(),
-            "no previous tick, no rate"
-        );
+        assert!(slo.evaluate(&first).is_empty(), "no previous tick, no rate");
     }
 
     #[test]
@@ -464,7 +467,10 @@ mod tests {
         };
         // A lone staggered member: every lookup misses, however long.
         for s in 1..=10 {
-            assert!(slo.evaluate(&cold(s, 1)).is_empty(), "lone member, tick {s}");
+            assert!(
+                slo.evaluate(&cold(s, 1)).is_empty(),
+                "lone member, tick {s}"
+            );
         }
         // The second member starts: three warmup ticks, then a cache
         // that still never hits has genuinely collapsed.

@@ -38,10 +38,10 @@
 
 use crate::metrics::LogHistogram;
 use crate::time::SimTime;
-use std::sync::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// Opaque identifier of a span within one [`Spans`] store.
 ///
@@ -162,7 +162,11 @@ impl fmt::Debug for Spans {
         write!(
             f,
             "Spans({})",
-            if self.0.is_some() { "enabled" } else { "disabled" }
+            if self.0.is_some() {
+                "enabled"
+            } else {
+                "disabled"
+            }
         )
     }
 }
@@ -298,22 +302,34 @@ impl Spans {
 
     /// Spans begun and never ended (stuck work), oldest id first.
     pub fn open_count(&self) -> usize {
-        self.0.as_ref().map(|s| s.lock().unwrap().open.len()).unwrap_or(0)
+        self.0
+            .as_ref()
+            .map(|s| s.lock().unwrap().open.len())
+            .unwrap_or(0)
     }
 
     /// Total spans opened (including still-open and ring-dropped ones).
     pub fn started(&self) -> u64 {
-        self.0.as_ref().map(|s| s.lock().unwrap().started).unwrap_or(0)
+        self.0
+            .as_ref()
+            .map(|s| s.lock().unwrap().started)
+            .unwrap_or(0)
     }
 
     /// Total spans completed (histograms saw every one of these).
     pub fn finished_count(&self) -> u64 {
-        self.0.as_ref().map(|s| s.lock().unwrap().finished).unwrap_or(0)
+        self.0
+            .as_ref()
+            .map(|s| s.lock().unwrap().finished)
+            .unwrap_or(0)
     }
 
     /// Completed spans evicted from the ring.
     pub fn dropped(&self) -> u64 {
-        self.0.as_ref().map(|s| s.lock().unwrap().dropped).unwrap_or(0)
+        self.0
+            .as_ref()
+            .map(|s| s.lock().unwrap().dropped)
+            .unwrap_or(0)
     }
 
     /// Per-kind duration histograms (µs), ordered by kind name. Exact
@@ -322,7 +338,8 @@ impl Spans {
         self.0
             .as_ref()
             .map(|s| {
-                s.lock().unwrap()
+                s.lock()
+                    .unwrap()
                     .kinds
                     .iter()
                     .map(|(k, h)| (*k, h.clone()))
@@ -365,9 +382,12 @@ mod tests {
         assert_eq!(id, NO_SPAN);
         assert!(!id.is_some());
         s.end(SimTime::from_secs(1), id);
-        assert_eq!(s.record(SimTime::ZERO, SimTime::ZERO, "t", "k", NO_SPAN, || {
-            panic!("no render")
-        }), NO_SPAN);
+        assert_eq!(
+            s.record(SimTime::ZERO, SimTime::ZERO, "t", "k", NO_SPAN, || {
+                panic!("no render")
+            }),
+            NO_SPAN
+        );
         assert!(s.finished().is_empty());
         assert_eq!(s.started(), 0);
         assert!(s.kind_histograms().is_empty());

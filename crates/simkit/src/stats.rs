@@ -73,7 +73,11 @@ impl Histogram {
             .iter()
             .copied()
             .fold(f64::INFINITY, f64::min)
-            .min(if self.samples.is_empty() { 0.0 } else { f64::INFINITY })
+            .min(if self.samples.is_empty() {
+                0.0
+            } else {
+                f64::INFINITY
+            })
     }
 
     /// Largest sample, or 0.0 when empty.
@@ -81,7 +85,10 @@ impl Histogram {
         if self.samples.is_empty() {
             0.0
         } else {
-            self.samples.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+            self.samples
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max)
         }
     }
 
@@ -91,12 +98,8 @@ impl Histogram {
             return 0.0;
         }
         let m = self.mean();
-        let var = self
-            .samples
-            .iter()
-            .map(|v| (v - m) * (v - m))
-            .sum::<f64>()
-            / self.samples.len() as f64;
+        let var =
+            self.samples.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / self.samples.len() as f64;
         var.sqrt()
     }
 

@@ -114,7 +114,10 @@ impl SimTime {
     ///
     /// Panics if `earlier` is later than `self`.
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
-        assert!(earlier <= self, "duration_since: earlier is later than self");
+        assert!(
+            earlier <= self,
+            "duration_since: earlier is later than self"
+        );
         SimDuration(self.0 - earlier.0)
     }
 

@@ -32,10 +32,10 @@
 //! ```
 
 use crate::time::SimTime;
-use std::sync::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// One structured trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,7 +101,11 @@ impl fmt::Debug for Tracer {
         write!(
             f,
             "Tracer({})",
-            if self.0.is_some() { "enabled" } else { "disabled" }
+            if self.0.is_some() {
+                "enabled"
+            } else {
+                "disabled"
+            }
         )
     }
 }
@@ -161,7 +165,8 @@ impl Tracer {
         self.0
             .as_ref()
             .map(|r| {
-                r.lock().unwrap()
+                r.lock()
+                    .unwrap()
                     .buf
                     .iter()
                     .filter(|e| e.subsystem == subsystem)
@@ -173,12 +178,18 @@ impl Tracer {
 
     /// Total events emitted, including any that were dropped.
     pub fn emitted(&self) -> u64 {
-        self.0.as_ref().map(|r| r.lock().unwrap().emitted).unwrap_or(0)
+        self.0
+            .as_ref()
+            .map(|r| r.lock().unwrap().emitted)
+            .unwrap_or(0)
     }
 
     /// Events dropped because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.0.as_ref().map(|r| r.lock().unwrap().dropped).unwrap_or(0)
+        self.0
+            .as_ref()
+            .map(|r| r.lock().unwrap().dropped)
+            .unwrap_or(0)
     }
 }
 
@@ -258,7 +269,9 @@ mod tests {
     #[test]
     fn display_includes_names() {
         let t = Tracer::enabled(4);
-        t.emit(SimTime::from_micros(3), "phase", "devirt", || "cpu 0".into());
+        t.emit(SimTime::from_micros(3), "phase", "devirt", || {
+            "cpu 0".into()
+        });
         let s = t.events()[0].to_string();
         assert!(s.contains("phase.devirt"), "{s}");
         assert!(s.contains("cpu 0"), "{s}");

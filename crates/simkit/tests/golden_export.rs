@@ -50,9 +50,13 @@ fn recorder_fixture() -> String {
         || "tag 7".into(),
     );
     spans.end(SimTime::from_micros(500), fetch);
-    spans.instant(SimTime::from_micros(505), "aoe", "aoe.retransmit", NO_SPAN, || {
-        "tag 9 \"quoted\"".into()
-    });
+    spans.instant(
+        SimTime::from_micros(505),
+        "aoe",
+        "aoe.retransmit",
+        NO_SPAN,
+        || "tag 9 \"quoted\"".into(),
+    );
     spans.end(SimTime::from_micros(700), redirect);
     spans.end(SimTime::from_secs(2), dep);
 

@@ -50,7 +50,10 @@ fn main() {
         7,
     )));
 
-    println!("{:>6} {:>16} {:>12} {:>12} {:>10}", "t", "phase", "tput KT/s", "lat us", "deployed");
+    println!(
+        "{:>6} {:>16} {:>12} {:>12} {:>10}",
+        "t", "phase", "tput KT/s", "lat us", "deployed"
+    );
     let mut t = SimTime::ZERO;
     loop {
         t += SimDuration::from_secs(30);
@@ -59,7 +62,11 @@ fn main() {
         let phase = m.phase();
         let env = PerfEnv {
             mem_slowdown: m.hw.cpus[0].memory_slowdown(model.tlb_share),
-            vmm_cpu_share: if phase == Phase::Deployment { 0.06 } else { 0.0 },
+            vmm_cpu_share: if phase == Phase::Deployment {
+                0.06
+            } else {
+                0.0
+            },
             extra_io_latency_us: 0.0,
             extra_latency_us: 0.0,
         };

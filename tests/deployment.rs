@@ -215,7 +215,8 @@ fn bitmap_is_persisted_before_vmxoff() {
     let m = runner.machine();
     let vmm = m.vmm.as_ref().unwrap();
     assert!(
-        vmm.bitmap.matches_saved(m.hw.disk.store(), vmm.bitmap_region),
+        vmm.bitmap
+            .matches_saved(m.hw.disk.store(), vmm.bitmap_region),
         "the persisted bitmap must match the final in-memory bitmap"
     );
 }
@@ -431,15 +432,22 @@ fn megasas_guest_writes_always_win_over_background_copy() {
     ctl.start_next().unwrap();
     ctl.complete_active(&mut mem, &mut disk);
     let popped = ctl.mmio_read(reg::OQP);
-    assert_eq!(med.filter_oqp_pop(popped), frame.0, "guest sees its own completion");
+    assert_eq!(
+        med.filter_oqp_pop(popped),
+        frame.0,
+        "guest sees its own completion"
+    );
 
     // The stale fetches land afterwards; the writer multiplexes the
     // surviving pieces onto the disk through the controller.
     for r in &fetches {
-        bg.deliver(SimTime::ZERO, FetchedBlock {
-            data: server.read_range(*r).into(),
-            range: *r,
-        });
+        bg.deliver(
+            SimTime::ZERO,
+            FetchedBlock {
+                data: server.read_range(*r).into(),
+                range: *r,
+            },
+        );
     }
     while let Some(pieces) = bg.pop_for_write(&mut bitmap) {
         for piece in pieces {
@@ -466,7 +474,11 @@ fn megasas_guest_writes_always_win_over_background_copy() {
     // Every guest-written sector still holds the guest's data; the
     // clipped head and tail hold the server's.
     for lba in 100..170u64 {
-        assert_eq!(disk.store().read(Lba(lba)), guest_data, "guest sector {lba}");
+        assert_eq!(
+            disk.store().read(Lba(lba)),
+            guest_data,
+            "guest sector {lba}"
+        );
     }
     for lba in (64..100u64).chain(170..256) {
         assert_eq!(

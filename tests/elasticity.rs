@@ -131,7 +131,10 @@ fn lifecycle_round_trip_restores_server_image() {
         let vmm = m.vmm.as_ref().unwrap();
         assert!(vmm.dirty.is_clean(), "{controller:?}");
         // Union of the dirty writes, clipped at the image end: 33 sectors.
-        assert!(vmm.snap.as_ref().unwrap().sectors_sent() >= 33, "{controller:?}");
+        assert!(
+            vmm.snap.as_ref().unwrap().sectors_sent() >= 33,
+            "{controller:?}"
+        );
 
         let server = &m.net.as_ref().unwrap().server;
         for lba in 0..IMAGE {
@@ -362,7 +365,11 @@ impl MegasasRig {
         self.ctl.start_next().unwrap();
         self.ctl.complete_active(&mut self.mem, &mut self.disk);
         let popped = self.ctl.mmio_read(reg::OQP);
-        assert_eq!(self.med.filter_oqp_pop(popped), frame.0, "guest sees its own completion");
+        assert_eq!(
+            self.med.filter_oqp_pop(popped),
+            frame.0,
+            "guest sees its own completion"
+        );
         assert_eq!(
             self.mem.get::<MfiFrame>(frame).unwrap().status,
             MfiStatus::Ok

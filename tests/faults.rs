@@ -7,9 +7,9 @@
 //! while the storage server is unreachable, and the whole run replays
 //! byte-identically from its seed.
 
-use std::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 use bmcast_repro::aoe::{AoeClient, AoeServer, ClientConfig, ServerConfig};
 use bmcast_repro::bmcast::config::{BmcastConfig, ControllerKind, Moderation};
@@ -264,7 +264,8 @@ fn guest_reads_keep_completing_through_a_server_stall() {
         "reader must not wedge"
     );
     let during_stall = completions
-        .lock().unwrap()
+        .lock()
+        .unwrap()
         .iter()
         .filter(|t| stall.contains(**t))
         .count();

@@ -219,7 +219,10 @@ fn rolling_upgrade_timeline_records_snapshot_back() {
             .iter()
             .filter_map(|r| r.value("snap.dirty_sectors"))
             .collect();
-        assert!(!dirty.is_empty(), "machine {i} recorded no snapshot-back rows");
+        assert!(
+            !dirty.is_empty(),
+            "machine {i} recorded no snapshot-back rows"
+        );
         assert_eq!(
             dirty.last(),
             Some(&0.0),
@@ -247,5 +250,8 @@ fn staggered_fleet_raises_no_false_alert() {
         .iter()
         .map(|a| (a.at, a.rule, a.raised))
         .collect();
-    assert!(edges.is_empty(), "false alerts on a healthy boot: {edges:?}");
+    assert!(
+        edges.is_empty(),
+        "false alerts on a healthy boot: {edges:?}"
+    );
 }
