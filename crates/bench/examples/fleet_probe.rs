@@ -15,6 +15,7 @@ use bmcast::machine::MachineSpec;
 use bmcast::programs::BootProgram;
 use bmcast_bench::ext_scaleout::{scaleout_boot_profile, topology_fleet_cfg, Topology};
 use bmcast_bench::obs::straggler_text;
+use hwsim::block::{BlockRange, Lba};
 use simkit::{Histogram, SimTime};
 
 fn main() {
@@ -59,14 +60,20 @@ fn main() {
         at += slice;
         let done = fleet.run_to_all_booted(SimTime::from_secs(at));
         let snap = fleet.metrics_snapshot().expect("telemetry on");
+        // Fill of the image prefix only: scratch space past the image
+        // is born filled, so the whole-disk count would start above 100%.
+        let image = BlockRange::new(Lba(0), image_sectors as u32);
         let fills: Vec<u64> = (0..fleet.len())
             .map(|i| {
-                fleet
-                    .machine(i)
-                    .vmm
-                    .as_ref()
-                    .map(|v| v.bitmap.filled_sectors())
-                    .unwrap_or(image_sectors)
+                fleet.machine(i).vmm.as_ref().map_or(image_sectors, |v| {
+                    let empty: u64 = v
+                        .bitmap
+                        .empty_subranges(image)
+                        .iter()
+                        .map(|r| u64::from(r.sectors))
+                        .sum();
+                    image_sectors - empty
+                })
             })
             .collect();
         let min_fill = fills.iter().min().copied().unwrap_or(0);

@@ -1,18 +1,11 @@
 //! One flight-recorded deployment, the single source of both
-//! `reproduce --metrics` (the telemetry report on stdout) and
-//! `reproduce --trace-out <dir>` (on-disk artifacts). Given both flags,
-//! the deployment is recorded once.
+//! `reproduce --metrics` (the telemetry report on stdout) and the
+//! deployment bundle `reproduce --trace-out <dir>` writes
+//! ([`crate::obs::Bundle::deployment`]). Given both flags, the
+//! deployment is recorded once.
 //!
-//! | file            | contents                                            |
-//! |-----------------|-----------------------------------------------------|
-//! | `trace.json`    | Chrome trace-event JSON — load in ui.perfetto.dev   |
-//! | `timeline.json` | sampled sim-time series (bitmap fill, FIFO, ...)    |
-//! | `report.json`   | per-phase timings + per-span-kind p50/p99 summaries |
-//! | `report.txt`    | the same report, human-readable                     |
-//! | `metrics.json`  | full counter/gauge/histogram snapshot               |
-//!
-//! Recording is split from rendering and writing so tests can assert on
-//! the recorder contents (phase spans tile the run, timelines replay
+//! Recording is split from rendering so tests can assert on the
+//! recorder contents (phase spans tile the run, timelines replay
 //! byte-identically) without touching the filesystem.
 
 use crate::faults::FAULT_SEED;
@@ -23,12 +16,10 @@ use bmcast::machine::MachineSpec;
 use bmcast::programs::FioProgram;
 use guestsim::workload::fio::FioJob;
 use hwsim::block::Lba;
-use simkit::export::{chrome_trace_json, report_json, report_text, timeline_json};
 use simkit::fault::FaultPlan;
 use simkit::metrics::LogHistogram;
 use simkit::{MetricsSnapshot, SampleRow, SimDuration, SimTime, Span, TraceEvent};
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// Trace events the telemetry report lists at its end.
 const TRACE_TAIL: usize = 16;
@@ -65,7 +56,8 @@ fn spec(scale: Scale) -> MachineSpec {
     }
 }
 
-/// Runs one deployment with the full flight recorder attached.
+/// Runs one deployment with the full flight recorder attached, at its
+/// default sizes.
 ///
 /// `fault_preset` names a [`FaultPlan`] preset (seeded with
 /// [`FAULT_SEED`], like the fault figures) to run under; `None` instead
@@ -74,7 +66,7 @@ fn spec(scale: Scale) -> MachineSpec {
 /// # Panics
 ///
 /// Panics if the preset name is unknown or the deployment fails.
-pub fn record(scale: Scale, rec: FlightRecorderConfig, fault_preset: Option<&str>) -> FlightRun {
+pub fn record(scale: Scale, fault_preset: Option<&str>) -> FlightRun {
     let spec = spec(scale);
     let cfg = match fault_preset {
         Some(name) => BmcastConfig {
@@ -88,7 +80,7 @@ pub fn record(scale: Scale, rec: FlightRecorderConfig, fault_preset: Option<&str
             ..BmcastConfig::default()
         },
     };
-    let mut runner = Runner::bmcast_flight_recorded(&spec, cfg, rec);
+    let mut runner = Runner::bmcast_flight_recorded(&spec, cfg, FlightRecorderConfig::default());
 
     // Guest reads ahead of the background copy exercise the whole
     // per-I/O lifecycle: decode -> interpret -> redirect fetch -> DMA ->
@@ -178,29 +170,10 @@ impl FlightRun {
         if dropped > 0 {
             let _ = writeln!(
                 out,
-                "warning: {dropped} trace events were evicted from the ring; \
-                 re-run with a larger ring (reproduce --trace-ring) to keep them",
+                "warning: {dropped} trace events were evicted from the \
+                 FlightRecorderConfig::trace_ring ring",
             );
         }
         out
-    }
-
-    /// Writes all five artifacts into `dir` (created if missing).
-    pub fn write_artifacts(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(
-            dir.join("trace.json"),
-            chrome_trace_json(&self.spans, &self.samples),
-        )?;
-        std::fs::write(dir.join("timeline.json"), timeline_json(&self.samples))?;
-        std::fs::write(
-            dir.join("report.json"),
-            report_json(&self.spans, &self.kinds),
-        )?;
-        std::fs::write(
-            dir.join("report.txt"),
-            report_text(&self.spans, &self.kinds),
-        )?;
-        std::fs::write(dir.join("metrics.json"), self.metrics.to_json())
     }
 }

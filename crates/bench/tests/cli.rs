@@ -23,9 +23,19 @@ fn bench_files(dir: &PathBuf) -> Vec<String> {
 
 #[test]
 fn unknown_flags_fail_before_any_work() {
+    // `--fleet-obs` and `--trace-ring` were flags once; `--trace-out`
+    // writes every artifact bundle now, at one ring size.
     for (tag, args) in [
         ("quick", &["--quick", "--elasticty"][..]),
         ("paper", &["--scaleot"][..]),
+        (
+            "fleet-obs",
+            &["--quick", "--scaleout", "--fleet-obs", "obs"][..],
+        ),
+        (
+            "trace-ring",
+            &["--quick", "--metrics", "--trace-ring=64"][..],
+        ),
     ] {
         let dir = scratch_dir(tag);
         let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
@@ -34,7 +44,7 @@ fn unknown_flags_fail_before_any_work() {
             .output()
             .expect("reproduce runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{args:?} must fail");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must fail");
         assert!(
             stderr.contains("unknown flag") && stderr.contains("usage: reproduce"),
             "{args:?}: {stderr}"
