@@ -176,11 +176,6 @@ impl DevirtSequencer {
         self.done.iter().all(|&d| !d)
     }
 
-    /// CPUs de-virtualized so far.
-    pub fn done_count(&self) -> usize {
-        self.done.iter().filter(|&&d| d).count()
-    }
-
     /// Whether every CPU is bare-metal.
     pub fn all_done(&self) -> bool {
         self.done.iter().all(|&d| d)
@@ -220,7 +215,6 @@ mod tests {
             assert!(!cpus[i].ept_on());
         }
         assert!(seq.all_done());
-        assert_eq!(seq.done_count(), 4);
     }
 
     #[test]
@@ -272,7 +266,6 @@ mod tests {
             assert!(cpus[i].ept_on());
         }
         assert!(seq.all_virtualized());
-        assert_eq!(seq.done_count(), 0);
     }
 
     #[test]

@@ -50,9 +50,9 @@
 //!
 //! Peers join a *different failure domain* than the origin servers:
 //! the fleet-level [`FaultPlan`] (server health, disk faults) applies
-//! to origin nodes only, while the reply-path link verdicts and fabric
-//! loss apply uniformly — a rack-local peer shares the fabric but not
-//! the storage array's failure modes.
+//! to origin nodes only, while the link verdicts apply uniformly — a
+//! rack-local peer shares the fabric but not the storage array's
+//! failure modes.
 //!
 //! # Determinism
 //!
@@ -174,8 +174,8 @@ pub struct FleetConfig {
     /// like the paper's homogeneous rack).
     pub spec: MachineSpec,
     /// Per-machine BMcast configuration. The fleet ignores
-    /// `fabric_loss_rate` and `faults` here (the fabric is shared;
-    /// use [`FleetConfig::fabric_loss_rate`] / [`FleetConfig::faults`]).
+    /// `fabric_loss_rate` and `faults` here: the fabric is shared, and
+    /// its losses come from [`FleetConfig::faults`].
     pub machine_cfg: BmcastConfig,
     /// Storage-server configuration, applied to every origin replica
     /// and inherited by peer nodes. `mtu` is overridden with
@@ -221,10 +221,8 @@ pub struct FleetConfig {
     /// queue to protect, keeping the `n = 1` fleet identical to the
     /// single-machine deployment.
     pub egress_queue_cap: SimDuration,
-    /// Random frame-loss rate on the shared fabric, `[0, 1]`.
-    pub fabric_loss_rate: f64,
-    /// Master seed: forked into the switch loss stream, the reply-path
-    /// loss stream, and each machine's AoE-client jitter stream.
+    /// Master seed: forked, in a fixed order, into the (loss-free)
+    /// switch's seed and each machine's AoE-client jitter stream.
     pub seed: u64,
     /// Ignored: the fleet always runs its one sequential walk. Kept
     /// only because the `bmbench` package still sets it; no code in
@@ -262,7 +260,6 @@ impl Default for FleetConfig {
             admission_base: 0,
             admission_per_peer: 0,
             egress_queue_cap: SimDuration::from_millis(20),
-            fabric_loss_rate: 0.0,
             seed: 0xF1EE7,
             sim_threads: 1,
             faults: None,
@@ -552,8 +549,6 @@ pub struct Fleet {
     /// Per-member redeploy boot-finish instant for the current wave.
     redeploy_done: Vec<Option<SimTime>>,
     faults: Option<FaultInjector>,
-    /// Reply-path loss stream (the switch owns the request-path one).
-    reply_prng: Prng,
     /// Lazily validated index of member next-event times, keyed
     /// `(next_event_at, machine_index)`: the run loop pops its minimum
     /// instead of re-scanning every member's queue head per event.
@@ -623,8 +618,8 @@ impl Fleet {
         assert!(cfg.n >= 1, "a fleet needs at least one machine");
         assert!(cfg.servers >= 1, "a fleet needs at least one server");
         let mut seeds = Prng::new(cfg.seed);
-        let mut switch = Switch::new(cfg.machine_cfg.mtu, cfg.fabric_loss_rate, seeds.next_u64());
-        let reply_prng = Prng::new(seeds.next_u64());
+        let mut switch = Switch::new(cfg.machine_cfg.mtu, 0.0, seeds.next_u64());
+        seeds.next_u64(); // the retired reply-loss seed: member jitter seeds stay put
 
         // Origin replicas: shelf j serves a full copy of the image on
         // its own port. Node 0 keeps the single-server MAC so the
@@ -712,7 +707,6 @@ impl Fleet {
             upgrade_seeds: Vec::new(),
             redeploy_done: vec![None; n],
             faults,
-            reply_prng,
             next_index: BinaryHeap::new(),
             events: BTreeMap::new(),
             fleet_events_executed: 0,
@@ -1599,7 +1593,7 @@ impl Fleet {
                 payload_bytes: payload.len() as u32,
                 payload,
             };
-            // A lost frame (switch loss or injector drop) is recovered
+            // A lost frame (an injector drop) is recovered
             // by the client's retransmission, exactly as single-machine.
             let Ok(deliveries) = self.switch.forward_with(now, frame, verdict) else {
                 continue;
@@ -1717,10 +1711,9 @@ impl Fleet {
         }
     }
 
-    /// Reply frames leave server `node`: per-frame fault verdicts, the
-    /// reply-path loss draw, and serialization on the node's egress
-    /// link (its NIC — replies to different machines queue behind each
-    /// other here).
+    /// Reply frames leave server `node`: per-frame fault verdicts and
+    /// serialization on the node's egress link (its NIC — replies to
+    /// different machines queue behind each other here).
     fn reply_tx(&mut self, now: SimTime, node: usize, machine: usize, frames: Vec<FrameBytes>) {
         for payload in frames {
             // The IB lane: an rdma-flagged reply burst was placed by a
@@ -1754,11 +1747,6 @@ impl Fleet {
                 LinkVerdict::Deliver => (payload, 1, SimDuration::ZERO),
             };
             for _ in 0..copies {
-                if self.cfg.fabric_loss_rate > 0.0
-                    && self.reply_prng.chance(self.cfg.fabric_loss_rate)
-                {
-                    continue;
-                }
                 let wire = payload.len() as u32 + hwsim::eth::FRAME_OVERHEAD;
                 let at = self.nodes[node].egress.transmit(now, wire) + extra;
                 self.push(

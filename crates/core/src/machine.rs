@@ -2564,16 +2564,19 @@ pub fn reclaim(
     // Fresh per-tenant VMM state, built exactly as in `Machine::bmcast`.
     // Only the machine's own plumbing carries over: the initialized NIC
     // and its RDMA completion queue, the restart DMA target in VMM
-    // memory, and the config (the transport survives with it, so the
-    // next deployment runs on the same fabric plan). Moderation restarts
-    // from now.
+    // memory, the config (the transport survives with it, so the next
+    // deployment runs on the same fabric plan), and the client's
+    // per-shelf read tally, which must keep counting with the metrics
+    // and spans that outlive the client. Moderation restarts from now.
     let old = m.vmm.take().expect("still here");
-    m.vmm = Some(Vmm {
+    let mut vmm = Vmm {
         nic: old.nic,
         rdma_cq: old.rdma_cq,
         writer_next_allowed: now,
         ..Vmm::new(spec, old.cfg, old.dummy_buf, old.dummy_prd)
-    });
+    };
+    vmm.client.carry_reads_by_shelf(&old.client);
+    m.vmm = Some(vmm);
 
     // Fresh guest for the next tenant.
     m.guest = Guest::new(spec.controller);

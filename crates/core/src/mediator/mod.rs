@@ -30,12 +30,10 @@
 pub mod ahci;
 pub mod ide;
 pub mod megasas;
-pub mod nic;
 
 pub use ahci::{AhciMediator, AhciRedirect, MmioVerdict};
 pub use ide::{IdeMediator, IdeRedirect, PioVerdict};
 pub use megasas::{MegasasMediator, MegasasRedirect, MegasasVerdict};
-pub use nic::NicMediator;
 
 /// What a mediator is currently doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

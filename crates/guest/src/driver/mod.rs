@@ -8,7 +8,6 @@
 //! change.
 
 pub mod ahci;
-pub mod e1000;
 pub mod ide;
 pub mod megasas;
 

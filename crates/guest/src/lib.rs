@@ -17,9 +17,8 @@
 //! - [`os`] — boot profiles: the I/O + CPU demand stream of an OS boot
 //!   (Ubuntu 14.04-shaped by default: ~29 s, ~72 MB read).
 //! - [`workload`] — the evaluation's workload engines and demand models:
-//!   YCSB-style key generation, memcached/Cassandra database models,
-//!   kernbench, SysBench threads/memory, fio, ioping, and OSU-style MPI
-//!   collectives.
+//!   per-window memcached/Cassandra database models, kernbench, SysBench
+//!   threads/memory, fio, ioping, and OSU-style MPI collectives.
 
 pub mod bus;
 pub mod driver;

@@ -22,26 +22,6 @@ pub struct FioJob {
 }
 
 impl FioJob {
-    /// The paper's read job: 200 MB, 1 MB blocks.
-    pub fn paper_read(start: Lba) -> FioJob {
-        FioJob {
-            write: false,
-            total_bytes: 200 << 20,
-            block_bytes: 1 << 20,
-            start,
-        }
-    }
-
-    /// The paper's write job: 200 MB, 1 MB blocks.
-    pub fn paper_write(start: Lba) -> FioJob {
-        FioJob {
-            write: true,
-            total_bytes: 200 << 20,
-            block_bytes: 1 << 20,
-            start,
-        }
-    }
-
     /// Number of requests the job issues.
     pub fn request_count(&self) -> u64 {
         self.total_bytes / self.block_bytes
@@ -84,15 +64,20 @@ impl FioJob {
 mod tests {
     use super::*;
 
-    #[test]
-    fn paper_jobs_have_200_requests() {
-        assert_eq!(FioJob::paper_read(Lba(0)).request_count(), 200);
-        assert_eq!(FioJob::paper_write(Lba(0)).request_count(), 200);
+    /// The paper's read job: 200 MB in 1 MB blocks.
+    fn paper_read(start: Lba) -> FioJob {
+        FioJob {
+            write: false,
+            total_bytes: 200 << 20,
+            block_bytes: 1 << 20,
+            start,
+        }
     }
 
     #[test]
     fn requests_are_sequential_and_sized() {
-        let job = FioJob::paper_read(Lba(1000));
+        let job = paper_read(Lba(1000));
+        assert_eq!(job.request_count(), 200);
         let reqs = job.requests();
         assert_eq!(reqs.len(), 200);
         assert_eq!(reqs[0].range.lba, Lba(1000));
@@ -118,7 +103,7 @@ mod tests {
 
     #[test]
     fn throughput_math() {
-        let job = FioJob::paper_read(Lba(0));
+        let job = paper_read(Lba(0));
         let mbps = job.throughput_mbps(1.7986);
         assert!((mbps - 116.6).abs() < 0.5, "{mbps}");
         assert_eq!(job.throughput_mbps(0.0), 0.0);

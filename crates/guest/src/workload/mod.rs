@@ -11,8 +11,9 @@
 //!   modeled per sampling window from *measured* machine state (EPT on?
 //!   exits taken? VMM CPU share?): [`db`], [`sysbench`], [`mpi`].
 //!
-//! [`ycsb`] provides the YCSB-style key/operation generator (zipfian
-//! request distribution) used by the database workloads.
+//! No model here draws individual keys: the YCSB read/write mixes behind
+//! Fig 5 enter [`db`] only through each database's calibrated per-window
+//! model.
 
 pub mod db;
 pub mod fio;
@@ -20,4 +21,3 @@ pub mod ioping;
 pub mod kernbench;
 pub mod mpi;
 pub mod sysbench;
-pub mod ycsb;

@@ -277,13 +277,6 @@ impl AhciController {
         self.ports[port].irq
     }
 
-    /// Clears an issued slot *without* executing it — the mediator's
-    /// "block I/O access" step during redirection.
-    pub fn retract_slot(&mut self, port: usize, slot: u8) {
-        self.ports[port].ci &= !(1 << slot);
-        self.ports[port].executing &= !(1 << slot);
-    }
-
     /// Marks a slot as started on the media.
     ///
     /// # Panics
@@ -471,15 +464,6 @@ mod tests {
         let is = hba.mmio_read(PORT_BASE + preg::IS);
         hba.mmio_write(PORT_BASE + preg::IS, is);
         assert!(!hba.irq_pending(0));
-    }
-
-    #[test]
-    fn retract_blocks_command() {
-        let (mut hba, mut mem, _) = rig();
-        issue(&mut hba, &mut mem, 0, AtaOp::ReadDma, 10, 1, None);
-        hba.retract_slot(0, 0);
-        assert!(!hba.is_busy(0));
-        assert_eq!(hba.issued_slots(0), 0);
     }
 
     #[test]

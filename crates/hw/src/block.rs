@@ -316,11 +316,6 @@ impl BlockStore {
         self.capacity_sectors
     }
 
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_sectors * SECTOR_SIZE
-    }
-
     /// Number of sectors holding a written value that is not tracked as a
     /// mirror bit. On a mirror store ([`BlockStore::zeroed_with_mirror`])
     /// an image-matching write is kept as a bit and not counted: it also
@@ -620,6 +615,5 @@ mod tests {
     fn capacity_accessors() {
         let s = BlockStore::zeroed(2048);
         assert_eq!(s.capacity_sectors(), 2048);
-        assert_eq!(s.capacity_bytes(), 2048 * 512);
     }
 }

@@ -16,8 +16,6 @@
 //! - [`eth`] — Ethernet frames, links, and a store-and-forward switch with
 //!   loss injection
 //! - [`nic`] — a queue-level NIC model (the VMM's dedicated polled NIC)
-//! - [`e1000`] — a descriptor-ring-level Intel PRO/1000 model (for the
-//!   §6 shared-NIC mediator)
 //! - [`ib`] — an InfiniBand RDMA timing model
 //! - [`vtx`] — an Intel VT-x model: exit reasons and costs, EPT on/off with
 //!   a TLB-miss model, preemption timer, VMXOFF
@@ -33,7 +31,6 @@
 pub mod ahci;
 pub mod block;
 pub mod disk;
-pub mod e1000;
 pub mod eth;
 pub mod firmware;
 mod hash;

@@ -122,12 +122,6 @@ impl PhysMem {
         base
     }
 
-    /// Releases the VMM reservation (the paper notes a memory hot-plug
-    /// extension could return it to the guest; see `DESIGN.md`).
-    pub fn release_vmm_reservation(&mut self) {
-        self.vmm_reserved = None;
-    }
-
     /// The E820 map as the firmware would report it to the guest.
     pub fn e820_map(&self) -> Vec<E820Entry> {
         match self.vmm_reserved {
@@ -149,15 +143,6 @@ impl PhysMem {
                 },
             ],
         }
-    }
-
-    /// Bytes usable by the guest OS.
-    pub fn guest_usable_bytes(&self) -> u64 {
-        self.e820_map()
-            .iter()
-            .filter(|e| e.kind == E820Kind::Usable)
-            .map(|e| e.length)
-            .sum()
     }
 
     /// Allocates an object in memory and returns its physical address.
@@ -252,11 +237,10 @@ mod tests {
         assert_eq!(base.0, (96u64 << 30) - (128 << 20));
         let map = m.e820_map();
         assert_eq!(map.len(), 2);
+        assert_eq!(map[0].kind, E820Kind::Usable);
+        assert_eq!(map[0].length, (96u64 << 30) - (128 << 20));
         assert_eq!(map[1].kind, E820Kind::Reserved);
         assert_eq!(map[1].length, 128 << 20);
-        assert_eq!(m.guest_usable_bytes(), (96u64 << 30) - (128 << 20));
-        m.release_vmm_reservation();
-        assert_eq!(m.guest_usable_bytes(), 96u64 << 30);
     }
 
     #[test]

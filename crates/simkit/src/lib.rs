@@ -2,9 +2,9 @@
 //!
 //! `simkit` is the foundation of the BMcast reproduction: a virtual-time
 //! event loop ([`Sim`]), time types ([`SimTime`], [`SimDuration`]), a
-//! deterministic PRNG ([`rng::Prng`]), statistics collectors
-//! ([`stats::Histogram`], [`stats::TimeSeries`]), and the observability
-//! layer — a sim-timestamped trace ring ([`trace::Tracer`]), a
+//! deterministic PRNG ([`rng::Prng`]), an exact-sample histogram
+//! ([`stats::Histogram`]), and the observability layer — a
+//! sim-timestamped trace ring ([`trace::Tracer`]), a
 //! counter/gauge/histogram registry ([`metrics::Metrics`]), hierarchical
 //! flight-recorder spans ([`span::Spans`]), a periodic timeline sampler
 //! ([`sampler::Sampler`]), sim-time SLO watchdogs ([`slo::SloEngine`]),
@@ -51,7 +51,7 @@ pub use rng::Prng;
 pub use sampler::{SampleRow, Sampler};
 pub use slo::{Alert, SloConfig, SloEngine, SloInput, SloRule};
 pub use span::{Span, SpanId, Spans, NO_SPAN};
-pub use stats::{Counter, Histogram, TimeSeries};
+pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, Tracer};
 

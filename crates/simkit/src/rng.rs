@@ -77,19 +77,6 @@ impl Prng {
         }
     }
 
-    /// Uniform value in the inclusive range `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "range: lo must not exceed hi");
-        if lo == 0 && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -98,30 +85,6 @@ impl Prng {
     /// Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
-    }
-
-    /// Exponentially distributed value with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = loop {
-            let u = self.next_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        -mean * u.ln()
-    }
-
-    /// Standard-normal variate (Box–Muller).
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1 = loop {
-            let u = self.next_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        let u2 = self.next_f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        mean + std_dev * z
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -170,20 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn range_inclusive() {
-        let mut r = Prng::new(4);
-        let mut seen_lo = false;
-        let mut seen_hi = false;
-        for _ in 0..10_000 {
-            let v = r.range(5, 8);
-            assert!((5..=8).contains(&v));
-            seen_lo |= v == 5;
-            seen_hi |= v == 8;
-        }
-        assert!(seen_lo && seen_hi);
-    }
-
-    #[test]
     fn next_f64_in_unit_interval() {
         let mut r = Prng::new(5);
         for _ in 0..10_000 {
@@ -198,22 +147,6 @@ mod tests {
         let n = 100_000;
         let mean = (0..n).map(|_| r.next_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean was {mean}");
-    }
-
-    #[test]
-    fn exponential_mean_rough() {
-        let mut r = Prng::new(8);
-        let n = 100_000;
-        let mean = (0..n).map(|_| r.exponential(3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "mean was {mean}");
-    }
-
-    #[test]
-    fn normal_mean_rough() {
-        let mut r = Prng::new(9);
-        let n = 100_000;
-        let mean = (0..n).map(|_| r.normal(10.0, 2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1, "mean was {mean}");
     }
 
     #[test]

@@ -120,7 +120,6 @@ pub struct SpanStore {
     capacity: usize,
     next_id: u64,
     started: u64,
-    finished: u64,
     dropped: u64,
     kinds: BTreeMap<&'static str, LogHistogram>,
 }
@@ -133,7 +132,6 @@ impl SpanStore {
             capacity,
             next_id: 1,
             started: 0,
-            finished: 0,
             dropped: 0,
             kinds: BTreeMap::new(),
         }
@@ -149,7 +147,6 @@ impl SpanStore {
             self.dropped += 1;
         }
         self.done.push_back(span);
-        self.finished += 1;
     }
 }
 
@@ -316,14 +313,6 @@ impl Spans {
             .unwrap_or(0)
     }
 
-    /// Total spans completed (histograms saw every one of these).
-    pub fn finished_count(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map(|s| s.lock().unwrap().finished)
-            .unwrap_or(0)
-    }
-
     /// Completed spans evicted from the ring.
     pub fn dropped(&self) -> u64 {
         self.0
@@ -402,7 +391,6 @@ mod tests {
         }
         assert_eq!(s.finished().len(), 2);
         assert_eq!(s.dropped(), 3);
-        assert_eq!(s.finished_count(), 5);
         let kinds = s.kind_histograms();
         assert_eq!(kinds.len(), 1);
         assert_eq!(kinds[0].1.count(), 5, "histogram saw every span");
@@ -428,7 +416,7 @@ mod tests {
         let s = Spans::enabled(4);
         s.end(SimTime::ZERO, SpanId(99));
         s.end(SimTime::ZERO, NO_SPAN);
-        assert_eq!(s.finished_count(), 0);
+        assert!(s.finished().is_empty());
         assert_eq!(s.open_count(), 0);
     }
 
@@ -441,7 +429,7 @@ mod tests {
         s.end(SimTime::from_micros(1), a);
         assert_eq!(s.open_count(), 1);
         assert_eq!(s.started(), 2);
-        assert_eq!(s.finished_count(), 1);
+        assert_eq!(s.finished().len(), 1);
     }
 
     #[test]

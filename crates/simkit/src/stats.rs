@@ -1,12 +1,9 @@
-//! Statistics collectors used by the benchmark harness.
+//! The benchmark harness's statistics collector.
 //!
 //! [`Histogram`] stores exact samples for precise percentiles (evaluation
-//! runs here are at most millions of samples, so exactness is affordable),
-//! [`TimeSeries`] records `(time, value)` pairs for the figures that plot
-//! performance over elapsed time, and [`Counter`] is a simple monotonic
-//! event counter with rate extraction.
+//! runs here are at most millions of samples, so exactness is affordable).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// An exact-sample histogram with percentile and moment queries.
 ///
@@ -138,165 +135,6 @@ impl Histogram {
     }
 }
 
-/// A `(time, value)` series for figures plotted against elapsed time.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::{TimeSeries, SimTime};
-/// let mut ts = TimeSeries::new();
-/// ts.push(SimTime::from_secs(1), 10.0);
-/// ts.push(SimTime::from_secs(2), 20.0);
-/// assert_eq!(ts.len(), 2);
-/// assert_eq!(ts.mean(), 15.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries::default()
-    }
-
-    /// Appends a point. Points should be pushed in nondecreasing time
-    /// order; this is asserted in debug builds.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        debug_assert!(
-            self.points.last().is_none_or(|&(lt, _)| lt <= t),
-            "time series points must be pushed in order"
-        );
-        self.points.push((t, v));
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if the series has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Immutable view of the points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Mean of the values, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-        }
-    }
-
-    /// Mean of values within `[from, to)`, or 0.0 if none fall there.
-    pub fn mean_between(&self, from: SimTime, to: SimTime) -> f64 {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|&&(t, _)| t >= from && t < to)
-            .map(|&(_, v)| v)
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    }
-
-    /// Downsamples the series into `buckets` fixed-width windows between
-    /// the first and last timestamps, averaging values per window. Empty
-    /// windows are skipped. Useful for printing figure-shaped output.
-    pub fn bucketed(&self, buckets: usize) -> Vec<(SimTime, f64)> {
-        if self.points.is_empty() || buckets == 0 {
-            return Vec::new();
-        }
-        let t0 = self.points[0].0;
-        let t1 = self.points[self.points.len() - 1].0;
-        let span = (t1 - t0).as_nanos().max(1);
-        let width = (span / buckets as u64).max(1);
-        let mut out = Vec::new();
-        let mut idx = 0usize;
-        for b in 0..buckets {
-            let lo = t0 + SimDuration::from_nanos(b as u64 * width);
-            let hi = if b + 1 == buckets {
-                t1 + SimDuration::from_nanos(1)
-            } else {
-                t0 + SimDuration::from_nanos((b as u64 + 1) * width)
-            };
-            let mut sum = 0.0;
-            let mut n = 0u64;
-            while idx < self.points.len() && self.points[idx].0 < hi {
-                if self.points[idx].0 >= lo {
-                    sum += self.points[idx].1;
-                    n += 1;
-                }
-                idx += 1;
-            }
-            if n > 0 {
-                out.push((lo, sum / n as f64));
-            }
-        }
-        out
-    }
-}
-
-/// A monotonic event counter with rate extraction.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::{Counter, SimTime};
-/// let mut c = Counter::new();
-/// c.add(5);
-/// c.add(3);
-/// assert_eq!(c.value(), 8);
-/// assert_eq!(c.rate_per_sec(SimTime::from_secs(2)), 4.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Average rate per second over the interval `[0, now]`.
-    /// Returns 0.0 at time zero.
-    pub fn rate_per_sec(&self, now: SimTime) -> f64 {
-        let secs = now.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.value as f64 / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,45 +193,6 @@ mod tests {
         assert_eq!(a.mean(), 2.0);
     }
 
-    #[test]
-    fn series_mean_between() {
-        let mut ts = TimeSeries::new();
-        for s in 0..10u64 {
-            ts.push(SimTime::from_secs(s), s as f64);
-        }
-        assert_eq!(
-            ts.mean_between(SimTime::from_secs(2), SimTime::from_secs(5)),
-            3.0
-        );
-        assert_eq!(
-            ts.mean_between(SimTime::from_secs(20), SimTime::from_secs(30)),
-            0.0
-        );
-    }
-
-    #[test]
-    fn series_bucketing_averages() {
-        let mut ts = TimeSeries::new();
-        for s in 0..100u64 {
-            ts.push(SimTime::from_secs(s), 1.0);
-        }
-        let buckets = ts.bucketed(10);
-        assert_eq!(buckets.len(), 10);
-        for (_, v) in buckets {
-            assert_eq!(v, 1.0);
-        }
-    }
-
-    #[test]
-    fn counter_rate() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.rate_per_sec(SimTime::from_secs(5)), 2.0);
-        assert_eq!(c.rate_per_sec(SimTime::ZERO), 0.0);
-    }
-
     // Zero-duration / degenerate-input behavior is part of the public
     // contract the fleet observability plane builds on; the tests below
     // pin it so a refactor can't silently change the convention.
@@ -431,22 +230,5 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.len(), 1);
         assert_eq!(b.mean(), 2.0);
-    }
-
-    #[test]
-    fn counter_rate_at_zero_elapsed_is_zero_even_with_events() {
-        let mut c = Counter::new();
-        c.add(1_000_000);
-        // A counter that already has events at t=0 must not report an
-        // infinite or NaN rate: the convention is 0.0 until time moves.
-        assert_eq!(c.rate_per_sec(SimTime::ZERO), 0.0);
-        let tiny = c.rate_per_sec(SimTime::from_nanos(1));
-        assert!(tiny.is_finite());
-    }
-
-    #[test]
-    fn zero_counter_rate_is_zero_at_any_time() {
-        let c = Counter::new();
-        assert_eq!(c.rate_per_sec(SimTime::from_secs(100)), 0.0);
     }
 }

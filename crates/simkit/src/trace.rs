@@ -158,24 +158,6 @@ impl Tracer {
             .unwrap_or_default()
     }
 
-    /// The buffered events from one subsystem, oldest first (empty when
-    /// disabled). Saves callers re-filtering the whole tail when they
-    /// only care about, say, `"aoe.client"`.
-    pub fn events_for(&self, subsystem: &str) -> Vec<TraceEvent> {
-        self.0
-            .as_ref()
-            .map(|r| {
-                r.lock()
-                    .unwrap()
-                    .buf
-                    .iter()
-                    .filter(|e| e.subsystem == subsystem)
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Total events emitted, including any that were dropped.
     pub fn emitted(&self) -> u64 {
         self.0
@@ -229,21 +211,6 @@ mod tests {
         t.emit(SimTime::ZERO, "x", "y", || panic!("must not render"));
         assert!(t.events().is_empty());
         assert_eq!(t.emitted(), 0);
-    }
-
-    #[test]
-    fn events_for_filters_by_subsystem() {
-        let t = Tracer::enabled(8);
-        t.emit(SimTime::ZERO, "aoe.client", "tx", || "a".into());
-        t.emit(SimTime::ZERO, "machine", "redirect", || "b".into());
-        t.emit(SimTime::from_nanos(1), "aoe.client", "rx", || "c".into());
-        let aoe = t.events_for("aoe.client");
-        assert_eq!(
-            aoe.iter().map(|e| e.event).collect::<Vec<_>>(),
-            vec!["tx", "rx"]
-        );
-        assert!(t.events_for("nope").is_empty());
-        assert!(Tracer::disabled().events_for("aoe.client").is_empty());
     }
 
     #[test]

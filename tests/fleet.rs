@@ -255,3 +255,34 @@ fn staggered_fleet_raises_no_false_alert() {
         "false alerts on a healthy boot: {edges:?}"
     );
 }
+
+/// A lifecycle wave keeps each member's straggler row whole: the read
+/// counter, the spans and the per-shelf read tally all survive
+/// `reclaim`, so every read a row counts is either a peer or an origin
+/// read.
+#[test]
+fn straggler_read_mix_adds_up_after_a_rolling_upgrade() {
+    let mut fleet = armed(tiny_cfg(4));
+    fleet.enable_flight_recorder(FlightRecorderConfig::default());
+    fleet.start(boot_program);
+    fleet
+        .run_to_all_booted(SimTime::from_secs(3600))
+        .expect("fleet boots");
+    fleet
+        .run_rolling_upgrade(0xB002, 2, boot_program, SimTime::from_secs(7200))
+        .expect("the wave completes");
+    let report = fleet
+        .straggler_attribution()
+        .expect("telemetry and flight recorder on");
+    for row in report.stragglers.iter().chain([&report.median]) {
+        assert_eq!(
+            row.reads,
+            row.peer_reads + row.origin_reads,
+            "machine {}: reads {} but peer {} + origin {}",
+            row.machine,
+            row.reads,
+            row.peer_reads,
+            row.origin_reads
+        );
+    }
+}
