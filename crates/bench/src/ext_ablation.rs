@@ -15,12 +15,14 @@
 //! 3. **vblade worker pool** — single-threaded stock vblade vs the
 //!    paper's thread-pooled server, discrete.
 //! 4. **Retransmission under loss** — deployment completes under frame
-//!    loss, at bounded cost, discrete.
+//!    loss (the fault plan's link drop rate, both directions), at
+//!    bounded cost, discrete.
 
 use crate::{Check, Figure, Row, Scale};
 use bmcast::config::{BmcastConfig, Moderation};
 use bmcast::deploy::Runner;
 use bmcast::machine::MachineSpec;
+use simkit::fault::FaultPlan;
 use simkit::SimTime;
 
 fn spec(scale: Scale) -> MachineSpec {
@@ -109,10 +111,12 @@ pub fn run(scale: Scale) -> Figure {
     let mut t_loss0 = 0.0;
     let mut t_loss2 = 0.0;
     for loss in [0.0, 0.01, 0.02] {
+        let mut plan = FaultPlan::quiet(0x5EED);
+        plan.link.drop_rate = loss;
         let (t, _, retx) = deploy_seconds(
             &spec,
             BmcastConfig {
-                fabric_loss_rate: loss,
+                faults: Some(plan),
                 ..base.clone()
             },
         );

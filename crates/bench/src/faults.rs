@@ -61,6 +61,10 @@ fn deploy_under(spec: &MachineSpec, plan: FaultPlan) -> FaultRun {
     let done = runner.run_to_bare_metal(SimTime::from_secs(3600));
     let m = runner.machine();
     let vmm = m.vmm.as_ref().expect("vmm state survives devirt");
+    let fabric = m
+        .fabric
+        .as_ref()
+        .expect("a standalone machine owns its fabric");
     // Sample the disk against the image generator, skipping the tail
     // region that holds the persisted bitmap.
     let mut disk_matches = done.is_some();
@@ -85,12 +89,8 @@ fn deploy_under(spec: &MachineSpec, plan: FaultPlan) -> FaultRun {
         retransmits: vmm.client.retransmits(),
         stale_replies: vmm.client.stale_replies(),
         decode_errors: vmm.client.decode_errors(),
-        counters: m
-            .faults
-            .as_ref()
-            .map(|inj| inj.counters())
-            .unwrap_or_default(),
-        server_restarts: m.net.as_ref().map(|n| n.server.restarts()).unwrap_or(0),
+        counters: fabric.fault_counters().unwrap_or_default(),
+        server_restarts: fabric.server().restarts(),
     }
 }
 

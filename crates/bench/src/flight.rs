@@ -61,24 +61,26 @@ fn spec(scale: Scale) -> MachineSpec {
 ///
 /// `fault_preset` names a [`FaultPlan`] preset (seeded with
 /// [`FAULT_SEED`], like the fault figures) to run under; `None` instead
-/// adds a little fabric loss so the retransmission spans carry signal.
+/// drops a few frames (a quiet plan with 0.2% link loss) so the
+/// retransmission spans carry signal.
 ///
 /// # Panics
 ///
 /// Panics if the preset name is unknown or the deployment fails.
 pub fn record(scale: Scale, fault_preset: Option<&str>) -> FlightRun {
     let spec = spec(scale);
-    let cfg = match fault_preset {
-        Some(name) => BmcastConfig {
-            moderation: Moderation::full_speed(),
-            faults: Some(FaultPlan::preset(name, FAULT_SEED).expect("known fault preset")),
-            ..BmcastConfig::default()
-        },
-        None => BmcastConfig {
-            moderation: Moderation::full_speed(),
-            fabric_loss_rate: 0.002,
-            ..BmcastConfig::default()
-        },
+    let plan = match fault_preset {
+        Some(name) => FaultPlan::preset(name, FAULT_SEED).expect("known fault preset"),
+        None => {
+            let mut lossy = FaultPlan::quiet(FAULT_SEED);
+            lossy.link.drop_rate = 0.002;
+            lossy
+        }
+    };
+    let cfg = BmcastConfig {
+        moderation: Moderation::full_speed(),
+        faults: Some(plan),
+        ..BmcastConfig::default()
     };
     let mut runner = Runner::bmcast_flight_recorded(&spec, cfg, FlightRecorderConfig::default());
 

@@ -99,16 +99,15 @@ pub struct BmcastConfig {
     pub nic: NicModel,
     /// Fabric MTU (jumbo frames on the evaluation switch).
     pub mtu: u32,
-    /// Random frame-loss rate injected at the switch, `[0, 1]`; exercises
-    /// the AoE retransmission path.
-    pub fabric_loss_rate: f64,
     /// Whether to execute VMXOFF after deployment (fully implemented here;
     /// the paper's prototype needed a guest module).
     pub vmxoff_after_deploy: bool,
     /// Deterministic fault-injection plan. `None` runs a clean fabric;
-    /// `Some(plan)` threads a seeded [`simkit::fault::FaultInjector`]
-    /// through the switch, AoE server, and disks so any failure scenario
-    /// replays byte-identically.
+    /// `Some(plan)` gives the machine's fabric a seeded
+    /// [`simkit::fault::FaultInjector`] for its link verdicts, the AoE
+    /// server and the disks, so any failure scenario (frame loss is the
+    /// plan's `link.drop_rate`) replays byte-identically. A fleet member
+    /// ignores it: the fleet's one fabric carries the fleet's plan.
     pub faults: Option<FaultPlan>,
     /// Consecutive AoE request failures (each one a full client retry
     /// budget) tolerated before the deployment surfaces a
@@ -130,7 +129,6 @@ impl Default for BmcastConfig {
             moderation: Moderation::default(),
             nic: NicModel::IntelPro1000,
             mtu: 9000,
-            fabric_loss_rate: 0.0,
             vmxoff_after_deploy: true,
             faults: None,
             deploy_failure_budget: 32,

@@ -2,20 +2,19 @@
 //! fabric (§5.7's scale-out experiment, measured instead of modeled).
 //!
 //! A [`Fleet`] instantiates `n` full [`Machine`]s — each with its own
-//! [`simkit::Sim`] event queue — and couples them through a shared
-//! capacity-modeled fabric to a set of AoE storage servers:
+//! [`simkit::Sim`] event queue — and couples them through one shared
+//! [`Fabric`], the same fabric code a standalone machine runs with a
+//! single server:
 //!
-//! - **Requests** (machine → server) transit a shared
-//!   [`Switch`] whose server ports carry
-//!   configurable uplink [`Link`]s: per-frame serialization delay and
+//! - **Requests** (machine → server) transit the shared switch whose
+//!   server ports carry uplink links: per-frame serialization delay and
 //!   back-to-back queueing, so 64 machines' fetch bursts contend for
 //!   the same wires exactly like the paper's testbed.
 //! - **Replies** (server → machines) serialize on each server's own
-//!   egress [`Link`] modeling its NIC — the actual scale-out
-//!   bottleneck.
-//! - Every server runs the fleet-side queued path: per-client pending
-//!   queues drained by a deficit-round-robin scheduler
-//!   ([`AoeServer::dispatch`]), an LRU block cache that turns `n`
+//!   egress link modeling its NIC — the actual scale-out bottleneck.
+//! - Every server drains per-client pending queues with a
+//!   deficit-round-robin scheduler ([`AoeServer::dispatch`]). The
+//!   fleet's server config adds an LRU block cache that turns `n`
 //!   identical deployments into one disk read stream
 //!   (`server.cache.*`), and a **busy hint** piggybacked on replies
 //!   when the backlog crosses a threshold — machines react by pausing
@@ -58,10 +57,11 @@
 //!
 //! The fleet interleaves its member simulations in lockstep: every
 //! iteration executes the globally earliest event, with ties broken
-//! fleet-events-first, then by ascending machine index. Fabric and
-//! fault randomness come from PRNG streams forked off one fleet seed
-//! (per-machine client jitter included, so retransmission storms do not
-//! synchronize), and the fleet's own event queue is an ordered map
+//! fleet-events-first, then by ascending machine index. Per-machine
+//! client jitter comes from PRNG streams forked off one fleet seed (so
+//! retransmission storms do not synchronize), fault randomness from the
+//! fleet's fault plan, and the fleet's own event queue (its fabric
+//! events and lifecycle announcements) is an ordered map
 //! keyed by `(time, sequence)`. Peer activation is itself an event:
 //! a completed copy books a `FleetEvent::PeerActivate` one fabric
 //! lookahead later (attaching a switch port consumes no randomness),
@@ -96,16 +96,15 @@
 use crate::config::BmcastConfig;
 use crate::deploy::FlightRecorderConfig;
 use crate::devirt::Phase;
+use crate::fabric::{self, image_disk, image_server, Fabric, FabricEvent, SERVER_MAC};
 use crate::machine::{
-    corrupt_frame_bytes, pop_vmm_tx, reclaim, sample_flight_row, start_deployment,
-    start_flight_sampler, start_program, start_revirt, vmm_nic_rx, DeployError, GuestProgram,
-    Machine, MachineSim, MachineSpec, SERVER_MAC, VMM_MAC,
+    pop_vmm_tx, reclaim, sample_flight_row, start_deployment, start_flight_sampler, start_program,
+    start_revirt, vmm_nic_rx, DeployError, GuestProgram, Machine, MachineSim, MachineSpec,
 };
-use aoe::{peek_rdma, peek_shelf_slot, AoeServer, FrameBytes, ServerConfig};
-use hwsim::block::BlockStore;
-use hwsim::disk::{DiskModel, DiskParams};
-use hwsim::eth::{Frame, Link, MacAddr, Switch};
-use simkit::fault::{FaultCounters, FaultInjector, FaultPlan, LinkVerdict, ServerHealth};
+use aoe::{AoeServer, ServerConfig};
+use hwsim::disk::DiskModel;
+use hwsim::eth::MacAddr;
+use simkit::fault::{FaultCounters, FaultPlan};
 use simkit::slo::{Alert, SloConfig, SloEngine, SloInput};
 use simkit::{
     LogHistogram, Metrics, MetricsSnapshot, Prng, SampleRow, Sampler, SimDuration, SimTime, Span,
@@ -155,15 +154,6 @@ pub enum LifecycleStage {
     Done,
 }
 
-/// Uplink (machines → server) line rate, bits per second.
-const UPLINK_BPS: u64 = 1_000_000_000;
-/// Uplink one-way latency.
-const UPLINK_LATENCY: SimDuration = SimDuration::from_micros(30);
-/// Server egress (server → machines) line rate, bits per second.
-const EGRESS_BPS: u64 = 1_000_000_000;
-/// Server egress one-way latency.
-const EGRESS_LATENCY: SimDuration = SimDuration::from_micros(30);
-
 /// Fleet-wide configuration: the member machines, the shared fabric,
 /// and the storage servers.
 #[derive(Debug, Clone)]
@@ -173,9 +163,10 @@ pub struct FleetConfig {
     /// Per-machine hardware description (all members are identical,
     /// like the paper's homogeneous rack).
     pub spec: MachineSpec,
-    /// Per-machine BMcast configuration. The fleet ignores
-    /// `fabric_loss_rate` and `faults` here: the fabric is shared, and
-    /// its losses come from [`FleetConfig::faults`].
+    /// Per-machine BMcast configuration. The fleet ignores `faults`
+    /// here: members have no fabric of their own, and the shared
+    /// fabric's faults (frame loss included) come from
+    /// [`FleetConfig::faults`].
     pub machine_cfg: BmcastConfig,
     /// Storage-server configuration, applied to every origin replica
     /// and inherited by peer nodes. `mtu` is overridden with
@@ -221,16 +212,16 @@ pub struct FleetConfig {
     /// queue to protect, keeping the `n = 1` fleet identical to the
     /// single-machine deployment.
     pub egress_queue_cap: SimDuration,
-    /// Master seed: forked, in a fixed order, into the (loss-free)
-    /// switch's seed and each machine's AoE-client jitter stream.
+    /// Master seed: forked, in a fixed order, into each machine's
+    /// AoE-client jitter stream (after two retired draws).
     pub seed: u64,
     /// Ignored: the fleet always runs its one sequential walk. Kept
     /// only because the `bmbench` package still sets it; no code in
     /// this workspace writes it.
     pub sim_threads: usize,
     /// Fleet-level fault plan, applied on the shared fabric and the
-    /// origin servers (per-machine plans are disabled on fleet
-    /// members; peer nodes are outside the storage failure domain).
+    /// origin servers (per-machine plans are ignored on fleet members;
+    /// peer nodes are outside the storage failure domain).
     pub faults: Option<FaultPlan>,
 }
 
@@ -267,49 +258,13 @@ impl Default for FleetConfig {
     }
 }
 
-/// One storage server on the fabric: an origin replica or an activated
-/// peer, with its own switch port and egress link.
-struct ServerNode {
-    server: AoeServer,
-    mac: MacAddr,
-    /// Switch port this node's requests arrive on.
-    port: usize,
-    egress: Link,
-    /// Wire bytes of replies dispatched but not yet serialized onto
-    /// this node's egress link (their [`FleetEvent::ReplyTx`] is still
-    /// pending); counted into the backpressure backlog so one pump
-    /// can't outrun the wire unobserved.
-    egress_inflight_bytes: u64,
-    /// Earliest already-scheduled [`FleetEvent::Dispatch`] for this
-    /// node, so worker wake-ups are not scheduled redundantly.
-    pending_dispatch: Option<SimTime>,
-    /// Origin replica (true) or activated peer (false) — decides
-    /// whether the fleet fault plan's server/disk gates apply.
-    origin: bool,
-}
-
 /// An event on the fleet's own (fabric + server) timeline. Machine-side
 /// events stay inside each member's [`MachineSim`].
 #[derive(Debug)]
 enum FleetEvent {
-    /// A request frame arrives at server `node`'s NIC.
-    ServerRx {
-        node: usize,
-        machine: usize,
-        payload: FrameBytes,
-    },
-    /// A worker may have come free on `node`: try its DRR scheduler
-    /// again.
-    Dispatch { node: usize },
-    /// A reply becomes ready on server `node` and starts its egress
-    /// transmission toward `machine`.
-    ReplyTx {
-        node: usize,
-        machine: usize,
-        frames: Vec<FrameBytes>,
-    },
-    /// A reply frame arrives at `machine`'s NIC.
-    Deliver { machine: usize, payload: FrameBytes },
+    /// Work on the shared fabric; a delivered reply frame is handed to
+    /// its member's sim.
+    Fabric(FabricEvent),
     /// Machine `machine`'s full copy becomes visible to the rack: the
     /// fleet converts it into a read-only peer server. Booked one
     /// fabric lookahead after the bitmap fills: the control-plane
@@ -328,6 +283,21 @@ enum FleetEvent {
     Reclaim { machine: usize },
     /// Fleet-level timeline sampler tick.
     Sample,
+}
+
+/// The fleet's own event queue, an ordered map keyed by
+/// `(time, sequence)`.
+#[derive(Default)]
+struct Timeline {
+    events: BTreeMap<(SimTime, u64), FleetEvent>,
+    seq: u64,
+}
+
+impl Timeline {
+    fn push(&mut self, at: SimTime, event: FleetEvent) {
+        self.events.insert((at, self.seq), event);
+        self.seq += 1;
+    }
 }
 
 /// Starts a member's deployment with its installed guest program, and
@@ -507,11 +477,9 @@ type ProgramFactory = Box<dyn FnMut(usize) -> Box<dyn GuestProgram>>;
 pub struct Fleet {
     cfg: FleetConfig,
     machines: Vec<(Machine, MachineSim)>,
-    switch: Switch<FrameBytes>,
-    /// Origin replicas first (index = shelf), then activated peers.
-    nodes: Vec<ServerNode>,
-    /// AoE shelf → node index, for request routing.
-    shelf_nodes: BTreeMap<u16, usize>,
+    /// The shared switch, server nodes (origin replicas first, index =
+    /// shelf, then activated peers) and the fleet's fault injector.
+    fabric: Fabric,
     /// Which members have already been converted into peer nodes.
     peer_active: Vec<bool>,
     /// Members whose completed copy has been detected but whose
@@ -548,7 +516,6 @@ pub struct Fleet {
     upgrade_seeds: Vec<u64>,
     /// Per-member redeploy boot-finish instant for the current wave.
     redeploy_done: Vec<Option<SimTime>>,
-    faults: Option<FaultInjector>,
     /// Lazily validated index of member next-event times, keyed
     /// `(next_event_at, machine_index)`: the run loop pops its minimum
     /// instead of re-scanning every member's queue head per event.
@@ -556,11 +523,10 @@ pub struct Fleet {
     /// earlier event) are discarded on peek, one pop each; every head
     /// change re-indexes the member, so the true head is always present.
     next_index: BinaryHeap<Reverse<(SimTime, usize)>>,
-    events: BTreeMap<(SimTime, u64), FleetEvent>,
+    timeline: Timeline,
     /// Events executed on the fleet's own timeline (members count their
     /// own; see [`Fleet::events_executed`]).
     fleet_events_executed: u64,
-    seq: u64,
     now: SimTime,
     /// Per-machine deployment start instant (staggered arrivals;
     /// `ZERO` placeholder until an admission-gated machine is
@@ -580,15 +546,11 @@ pub struct Fleet {
     /// Latest scheduled start, so ramp releases keep the stagger
     /// spacing.
     last_sched_start: SimTime,
-    /// Fabric-side registry: server nodes and the fault injector.
-    fabric_metrics: Metrics,
     /// Sim-time SLO watchdogs, evaluated on the fleet sampler tick
     /// (armed with the flight recorder).
     slo: Option<SloEngine>,
     /// Per-machine flight recorders, when enabled: `(spans, sampler)`.
     recorders: Vec<(Spans, Sampler)>,
-    /// Server-side spans (fleet process in the exported trace).
-    server_spans: Spans,
     /// Fleet-level timeline: server cache/queue state over time.
     fleet_sampler: Sampler,
 }
@@ -607,8 +569,8 @@ impl std::fmt::Debug for Fleet {
 
 impl Fleet {
     /// Builds the fleet: `n` members via [`Machine::bmcast_fleet`], the
-    /// shared switch, `servers` origin replicas with their egress
-    /// links, and the forked PRNG streams. Deployment is armed by
+    /// shared fabric with `servers` origin replicas, and the forked PRNG
+    /// streams. Deployment is armed by
     /// [`Fleet::start`].
     ///
     /// # Panics
@@ -618,56 +580,38 @@ impl Fleet {
         assert!(cfg.n >= 1, "a fleet needs at least one machine");
         assert!(cfg.servers >= 1, "a fleet needs at least one server");
         let mut seeds = Prng::new(cfg.seed);
-        let mut switch = Switch::new(cfg.machine_cfg.mtu, 0.0, seeds.next_u64());
-        seeds.next_u64(); // the retired reply-loss seed: member jitter seeds stay put
+        // Two retired draws (once the switch's and the reply path's loss
+        // seeds) keep every member's jitter seed where it was.
+        seeds.next_u64();
+        seeds.next_u64();
 
         // Origin replicas: shelf j serves a full copy of the image on
-        // its own port. Node 0 keeps the single-server MAC so the
-        // `servers = 1` fabric is laid out exactly as before.
-        let mut nodes = Vec::with_capacity(cfg.servers);
-        let mut shelf_nodes = BTreeMap::new();
+        // its own port. Node 0 keeps the single-server MAC, as on a
+        // standalone machine's fabric.
+        let mut fabric = Fabric::new(
+            cfg.machine_cfg.mtu,
+            cfg.egress_queue_cap,
+            cfg.faults.clone(),
+        );
         for j in 0..cfg.servers {
             let mac = if j == 0 {
                 SERVER_MAC
             } else {
                 MacAddr::host(256 + j as u16)
             };
-            let port = switch.attach(mac, Link::new(UPLINK_BPS, UPLINK_LATENCY));
-            let server_params = DiskParams {
-                capacity_sectors: cfg.spec.image_sectors,
-                ..DiskParams::default()
-            };
-            let server_disk = DiskModel::new(
-                server_params,
-                BlockStore::image(cfg.spec.image_sectors, cfg.spec.image_seed),
+            let server = image_server(
+                &cfg.machine_cfg,
+                cfg.server_cfg.clone(),
+                j as u16,
+                cfg.spec.image_sectors,
+                cfg.spec.image_seed,
             );
-            let server = AoeServer::new(
-                cfg.machine_cfg.transport.server_config(ServerConfig {
-                    mtu: cfg.machine_cfg.mtu,
-                    shelf: j as u16,
-                    slot: 0,
-                    ..cfg.server_cfg.clone()
-                }),
-                server_disk,
-            );
-            shelf_nodes.insert(j as u16, nodes.len());
-            nodes.push(ServerNode {
-                server,
-                mac,
-                port,
-                egress: Link::new(EGRESS_BPS, EGRESS_LATENCY),
-                egress_inflight_bytes: 0,
-                pending_dispatch: None,
-                origin: true,
-            });
+            fabric.add_server(mac, server, true);
         }
 
-        let mut machine_cfg = cfg.machine_cfg.clone();
-        machine_cfg.fabric_loss_rate = 0.0;
-        machine_cfg.faults = None;
         let mut machines = Vec::with_capacity(cfg.n);
         for _ in 0..cfg.n {
-            let mut m = Machine::bmcast_fleet(&cfg.spec, machine_cfg.clone());
+            let mut m = Machine::bmcast_fleet(&cfg.spec, cfg.machine_cfg.clone());
             // Every member answers to the same shelf/slot, so the
             // default jitter seed would retransmit in lockstep; give
             // each client its own forked stream.
@@ -684,15 +628,12 @@ impl Fleet {
             machines.push((m, MachineSim::new()));
         }
 
-        let faults = cfg.faults.clone().map(FaultInjector::new);
         let n = cfg.n;
         let image_seed = cfg.spec.image_seed;
         Fleet {
             cfg,
             machines,
-            switch,
-            nodes,
-            shelf_nodes,
+            fabric,
             peer_active: vec![false; n],
             peer_pending: vec![false; n],
             lifecycle: vec![LifecycleStage::Idle; n],
@@ -706,11 +647,9 @@ impl Fleet {
             member_seed: vec![image_seed; n],
             upgrade_seeds: Vec::new(),
             redeploy_done: vec![None; n],
-            faults,
             next_index: BinaryHeap::new(),
-            events: BTreeMap::new(),
+            timeline: Timeline::default(),
             fleet_events_executed: 0,
-            seq: 0,
             now: SimTime::ZERO,
             start_at: vec![SimTime::ZERO; n],
             startup: vec![None; n],
@@ -718,10 +657,8 @@ impl Fleet {
             program: None,
             admitted: 0,
             last_sched_start: SimTime::ZERO,
-            fabric_metrics: Metrics::disabled(),
             slo: None,
             recorders: Vec::new(),
-            server_spans: Spans::disabled(),
             fleet_sampler: Sampler::disabled(),
         }
     }
@@ -739,14 +676,7 @@ impl Fleet {
         for (m, _) in &mut self.machines {
             m.set_telemetry(Metrics::enabled(), Tracer::disabled());
         }
-        let fabric = Metrics::enabled();
-        for node in &mut self.nodes {
-            node.server.set_telemetry(fabric.clone());
-        }
-        if let Some(inj) = self.faults.as_mut() {
-            inj.set_metrics(fabric.clone());
-        }
-        self.fabric_metrics = fabric;
+        self.fabric.set_telemetry(Metrics::enabled());
     }
 
     /// Attaches a flight recorder to every member (its own span store
@@ -765,10 +695,7 @@ impl Fleet {
             m.set_flight_recorder(spans.clone(), sampler.clone());
             self.recorders.push((spans, sampler));
         }
-        self.server_spans = Spans::enabled(rec.span_capacity);
-        for node in &mut self.nodes {
-            node.server.set_spans(self.server_spans.clone());
-        }
+        self.fabric.set_spans(Spans::enabled(rec.span_capacity));
         self.fleet_sampler = Sampler::enabled(rec.sample_interval);
         self.slo = Some(SloEngine::new(SloConfig::default()));
     }
@@ -803,7 +730,7 @@ impl Fleet {
         if self.fleet_sampler.is_enabled() {
             self.record_fleet_sample(SimTime::ZERO);
             let at = SimTime::ZERO + self.fleet_sampler.interval();
-            self.push(at, FleetEvent::Sample);
+            self.timeline.push(at, FleetEvent::Sample);
         }
     }
 
@@ -864,16 +791,6 @@ impl Fleet {
             self.next_index.pop();
         }
         None
-    }
-
-    /// The fabric round-trip floor used to delay control-plane
-    /// announcements: a frame leaving a machine takes at least the
-    /// uplink propagation delay to reach a server, and the earliest
-    /// reply it can trigger takes at least the egress propagation delay
-    /// back. Peer activation, reclaim and wave admission all land this
-    /// long after the member step that decided them.
-    pub fn lookahead(&self) -> SimDuration {
-        UPLINK_LATENCY + EGRESS_LATENCY
     }
 
     /// Opens the admission window to `base + per_peer × peers` and
@@ -963,7 +880,7 @@ impl Fleet {
             // The globally earliest event: fleet first, then members in
             // index order — the fixed iteration order that makes the
             // interleave deterministic.
-            let fleet_next = self.events.keys().next().map(|&(t, _)| t);
+            let fleet_next = self.timeline.events.keys().next().map(|&(t, _)| t);
             let machine_next = self.machine_floor();
             let step_machine = match (fleet_next, machine_next) {
                 (None, None) => return Err(self.stall(true, limit)),
@@ -1049,7 +966,8 @@ impl Fleet {
     /// announcement.
     fn note_snapshot_done(&mut self, i: usize, at: SimTime) {
         self.lifecycle[i] = LifecycleStage::Reclaiming;
-        self.push(at + self.lookahead(), FleetEvent::Reclaim { machine: i });
+        self.timeline
+            .push(at + fabric::lookahead(), FleetEvent::Reclaim { machine: i });
     }
 
     /// Member `i`'s scheduled reclaim executed at `at` (its phase left
@@ -1080,8 +998,8 @@ impl Fleet {
     /// the slot opened, like every other fleet-timeline announcement.
     fn admit_upgrade_next(&mut self, at: SimTime) {
         if let Some(i) = self.upgrade_queue.pop_front() {
-            self.push(
-                at + self.lookahead(),
+            self.timeline.push(
+                at + fabric::lookahead(),
                 FleetEvent::UpgradeStart { machine: i },
             );
         }
@@ -1093,8 +1011,8 @@ impl Fleet {
     /// propagate the rack.
     fn schedule_peer_activation(&mut self, i: usize, at: SimTime) {
         self.peer_pending[i] = true;
-        self.push(
-            at + self.lookahead(),
+        self.timeline.push(
+            at + fabric::lookahead(),
             FleetEvent::PeerActivate { machine: i },
         );
     }
@@ -1136,46 +1054,19 @@ impl Fleet {
     fn activate_peer(&mut self, i: usize) {
         self.peer_active[i] = true;
         let shelf = PEER_SHELF_BASE + i as u16;
-        let mac = MacAddr::host(1024 + i as u16);
-        let port = self
-            .switch
-            .attach(mac, Link::new(UPLINK_BPS, UPLINK_LATENCY));
-        let disk = DiskModel::new(
-            DiskParams {
-                capacity_sectors: self.cfg.spec.image_sectors,
-                ..DiskParams::default()
-            },
-            // The bitmap is full, so the machine's image copy is
-            // complete — the exported store is the same image the
-            // member currently holds (the golden seed, or the upgrade
-            // seed after a lifecycle wave) by construction.
-            BlockStore::image(self.cfg.spec.image_sectors, self.member_seed[i]),
+        // The bitmap is full, so the machine's image copy is complete:
+        // the exported store is the same image the member currently
+        // holds (the golden seed, or the upgrade seed after a lifecycle
+        // wave) by construction.
+        let server = image_server(
+            &self.cfg.machine_cfg,
+            self.cfg.server_cfg.clone(),
+            shelf,
+            self.cfg.spec.image_sectors,
+            self.member_seed[i],
         );
-        let mut server = AoeServer::new(
-            self.cfg.machine_cfg.transport.server_config(ServerConfig {
-                mtu: self.cfg.machine_cfg.mtu,
-                shelf,
-                slot: 0,
-                ..self.cfg.server_cfg.clone()
-            }),
-            disk,
-        );
-        if self.fabric_metrics.is_enabled() {
-            server.set_telemetry(self.fabric_metrics.clone());
-        }
-        if self.server_spans.is_enabled() {
-            server.set_spans(self.server_spans.clone());
-        }
-        self.shelf_nodes.insert(shelf, self.nodes.len());
-        self.nodes.push(ServerNode {
-            server,
-            mac,
-            port,
-            egress: Link::new(EGRESS_BPS, EGRESS_LATENCY),
-            egress_inflight_bytes: 0,
-            pending_dispatch: None,
-            origin: false,
-        });
+        self.fabric
+            .add_server(MacAddr::host(1024 + i as u16), server, false);
         let seed = self.member_seed[i];
         for (j, (m, _)) in self.machines.iter_mut().enumerate() {
             // Only members deploying the *same* image may stripe reads
@@ -1205,7 +1096,7 @@ impl Fleet {
         }
         self.peer_active[i] = false;
         let shelf = PEER_SHELF_BASE + i as u16;
-        self.shelf_nodes.remove(&shelf);
+        self.fabric.retire_shelf(shelf);
         for (j, (m, _)) in self.machines.iter_mut().enumerate() {
             if j == i {
                 continue;
@@ -1269,28 +1160,14 @@ impl Fleet {
         self.index_machine(i);
     }
 
-    /// A full replica of the image with seed `seed`, sized like the
-    /// origin volumes.
-    fn image_disk(&self, seed: u64) -> DiskModel {
-        DiskModel::new(
-            DiskParams {
-                capacity_sectors: self.cfg.spec.image_sectors,
-                ..DiskParams::default()
-            },
-            BlockStore::image(self.cfg.spec.image_sectors, seed),
-        )
-    }
-
     /// Exports the [`UPGRADE_SLOT`] volume (the `seed` image) on every
     /// origin replica, once — a second wave must carry the same image.
     fn export_upgrade_volume(&mut self, seed: u64) {
         match self.upgrade_volume_seed {
             None => {
-                let disks: Vec<DiskModel> = (0..self.cfg.servers)
-                    .map(|_| self.image_disk(seed))
-                    .collect();
-                for (node, disk) in self.nodes.iter_mut().filter(|n| n.origin).zip(disks) {
-                    node.server.add_volume(UPGRADE_SLOT, disk);
+                let sectors = self.cfg.spec.image_sectors;
+                for server in self.fabric.origins_mut() {
+                    server.add_volume(UPGRADE_SLOT, image_disk(sectors, seed));
                 }
                 self.upgrade_volume_seed = Some(seed);
             }
@@ -1328,7 +1205,12 @@ impl Fleet {
         }
         let archives: Vec<(usize, DiskModel)> = members
             .iter()
-            .map(|&i| (i, self.image_disk(self.member_seed[i])))
+            .map(|&i| {
+                (
+                    i,
+                    image_disk(self.cfg.spec.image_sectors, self.member_seed[i]),
+                )
+            })
             .collect();
         for (i, disk) in archives {
             assert!(
@@ -1341,10 +1223,10 @@ impl Fleet {
             );
             let slot = ARCHIVE_SLOT_BASE + i as u8;
             assert!(
-                !self.nodes[0].server.serves_slot(slot),
+                !self.fabric.server().serves_slot(slot),
                 "machine {i} already archived this run (one snapshot wave per member)"
             );
-            self.nodes[0].server.add_volume(slot, disk);
+            self.fabric.server_mut().add_volume(slot, disk);
             self.lifecycle[i] = LifecycleStage::Queued;
             self.set_wave_pending(i, true);
             self.park_after_reclaim[i] = park;
@@ -1362,11 +1244,13 @@ impl Fleet {
     fn rearm_fleet_sampler(&mut self) {
         if self.fleet_sampler.is_enabled()
             && !self
+                .timeline
                 .events
                 .values()
                 .any(|e| matches!(e, FleetEvent::Sample))
         {
-            self.push(self.now + self.fleet_sampler.interval(), FleetEvent::Sample);
+            self.timeline
+                .push(self.now + self.fleet_sampler.interval(), FleetEvent::Sample);
         }
     }
 
@@ -1446,7 +1330,7 @@ impl Fleet {
         self.export_upgrade_volume(new_seed);
         let servers = self.cfg.servers as u16;
         let stripe = self.cfg.machine_cfg.copy_block_sectors;
-        let at = self.now + self.lookahead();
+        let at = self.now + fabric::lookahead();
         for &i in members {
             assert_eq!(
                 self.lifecycle[i],
@@ -1490,7 +1374,7 @@ impl Fleet {
     /// `ARCHIVE_SLOT_BASE + i`): after its snapshot-back, the departing
     /// tenant's final disk state. `None` before any wave archived it.
     pub fn archive_volume(&self, i: usize) -> Option<&DiskModel> {
-        self.nodes[0].server.volume(ARCHIVE_SLOT_BASE + i as u8)
+        self.fabric.server().volume(ARCHIVE_SLOT_BASE + i as u8)
     }
 
     /// Per-member redeploy boot-finish instants for the current wave
@@ -1501,36 +1385,23 @@ impl Fleet {
 
     /// Pops and executes the earliest fleet event.
     fn step_fleet(&mut self) {
-        let Some((&key, _)) = self.events.iter().next() else {
+        let Some(((t, _), event)) = self.timeline.events.pop_first() else {
             return;
         };
-        let event = self.events.remove(&key).expect("just observed");
-        let (t, _) = key;
         self.now = self.now.max(t);
         self.fleet_events_executed += 1;
         match event {
-            FleetEvent::ServerRx {
-                node,
-                machine,
-                payload,
-            } => self.server_rx(t, node, machine, &payload),
-            FleetEvent::Dispatch { node } => {
-                if self.nodes[node].pending_dispatch == Some(t) {
-                    self.nodes[node].pending_dispatch = None;
-                }
-                self.pump_server(node, t);
-            }
-            FleetEvent::ReplyTx {
-                node,
-                machine,
-                frames,
-            } => self.reply_tx(t, node, machine, frames),
-            FleetEvent::Deliver { machine, payload } => {
-                let (_, sim) = &mut self.machines[machine];
-                sim.schedule_at(t, move |m: &mut Machine, sim| {
-                    vmm_nic_rx(m, sim, payload);
+            FleetEvent::Fabric(event) => {
+                let delivered = self.fabric.fire(t, event, &mut |at, e| {
+                    self.timeline.push(at, FleetEvent::Fabric(e))
                 });
-                self.index_machine(machine);
+                if let Some((machine, payload)) = delivered {
+                    let (_, sim) = &mut self.machines[machine];
+                    sim.schedule_at(t, move |m: &mut Machine, sim| {
+                        vmm_nic_rx(m, sim, payload);
+                    });
+                    self.index_machine(machine);
+                }
             }
             FleetEvent::PeerActivate { machine } => {
                 self.peer_pending[machine] = false;
@@ -1552,219 +1423,20 @@ impl Fleet {
                 self.record_fleet_sample(t);
                 if !self.run_done() {
                     let at = t + self.fleet_sampler.interval();
-                    self.push(at, FleetEvent::Sample);
+                    self.timeline.push(at, FleetEvent::Sample);
                 }
             }
         }
-    }
-
-    fn push(&mut self, at: SimTime, event: FleetEvent) {
-        let key = (at, self.seq);
-        self.seq += 1;
-        self.events.insert(key, event);
     }
 
     /// Drains machine `i`'s NIC TX ring onto the shared fabric at `now`
     /// (after every step of that machine, so frames leave at the same
-    /// instant the single-machine in-event pump would send them). Each
-    /// frame is routed to the server node owning its AoE shelf — the
-    /// client addressed the request, the fabric just switches it.
+    /// instant a standalone machine's in-event pump sends them).
     fn forward_requests(&mut self, i: usize, now: SimTime) {
-        while let Some(Frame { payload, .. }) = pop_vmm_tx(&mut self.machines[i].0) {
-            // Route on the shelf the client addressed; a frame for a
-            // shelf nobody serves just vanishes, like on a real wire.
-            let Some(&node) =
-                peek_shelf_slot(payload.head()).and_then(|(shelf, _)| self.shelf_nodes.get(&shelf))
-            else {
-                continue;
-            };
-            let verdict = match self.faults.as_mut() {
-                Some(inj) => inj.link_verdict_tx(now),
-                None => LinkVerdict::Deliver,
-            };
-            let payload = if let LinkVerdict::Corrupt { entropy } = verdict {
-                corrupt_frame_bytes(&payload, entropy)
-            } else {
-                payload
-            };
-            let frame = Frame {
-                src: VMM_MAC,
-                dst: self.nodes[node].mac,
-                payload_bytes: payload.len() as u32,
-                payload,
-            };
-            // A lost frame (an injector drop) is recovered
-            // by the client's retransmission, exactly as single-machine.
-            let Ok(deliveries) = self.switch.forward_with(now, frame, verdict) else {
-                continue;
-            };
-            for d in deliveries {
-                if d.port != self.nodes[node].port {
-                    continue;
-                }
-                self.push(
-                    d.at,
-                    FleetEvent::ServerRx {
-                        node,
-                        machine: i,
-                        payload: d.frame.payload,
-                    },
-                );
-            }
-        }
-    }
-
-    /// A request frame arrives at server `node`: fault gates (origin
-    /// replicas only — peers are outside the storage failure domain),
-    /// then the fleet queued path (enqueue + DRR pump).
-    fn server_rx(&mut self, now: SimTime, node: usize, machine: usize, payload: &FrameBytes) {
-        if self.nodes[node].origin {
-            if let Some(inj) = self.faults.as_mut() {
-                match inj.server_health(now) {
-                    ServerHealth::Down => return,
-                    ServerHealth::Restarting => {
-                        // The health plan models the storage array, so a
-                        // restart window bounces every origin replica.
-                        for n in self.nodes.iter_mut().filter(|n| n.origin) {
-                            n.server.restart();
-                        }
-                    }
-                    ServerHealth::Up => {}
-                }
-                let factor = inj.disk_latency_factor(now);
-                let write_faults = inj.disk_write_error(now);
-                let disk = self.nodes[node].server.disk_mut();
-                disk.set_fault_latency_factor(factor);
-                disk.set_fault_write_errors(write_faults);
-            }
-        }
-        // Decode failures and misaddressed frames just vanish, like on
-        // a real wire; queue-full drops are counted by the server.
-        let _ = self.nodes[node].server.enqueue(now, machine, payload);
-        self.pump_server(node, now);
-    }
-
-    /// Server `node`'s egress backlog at `now`, in serialization time:
-    /// what the link still has to put on the wire, plus replies
-    /// dispatched but whose [`FleetEvent::ReplyTx`] has not executed
-    /// yet.
-    fn egress_backlog(&self, node: usize, now: SimTime) -> SimDuration {
-        let n = &self.nodes[node];
-        let queued = n.egress.next_free().saturating_duration_since(now);
-        let inflight =
-            SimDuration::from_nanos(n.egress_inflight_bytes * 8 * 1_000_000_000 / EGRESS_BPS);
-        queued + inflight
-    }
-
-    /// Lets server `node`'s DRR scheduler dispatch everything it can at
-    /// `now`, then books a wake-up for the next worker-free instant.
-    ///
-    /// Dispatch also stalls while the node's egress backlog exceeds
-    /// [`FleetConfig::egress_queue_cap`] (with at least two clients on
-    /// record): the disk cache can serve retransmit bursts orders of
-    /// magnitude faster than a saturated wire drains them, and without
-    /// NIC backpressure that difference accumulates as an unbounded
-    /// reply queue. Requests wait in the bounded per-client queues
-    /// instead, where the busy hint and queue-full drops do their work.
-    fn pump_server(&mut self, node: usize, now: SimTime) {
-        let cap = self.cfg.egress_queue_cap;
-        loop {
-            let backlog = self.egress_backlog(node, now);
-            let n = &mut self.nodes[node];
-            if n.server.clients() >= 2 && backlog > cap {
-                if n.server.queued_total() > 0 {
-                    let resume = now + (backlog - cap);
-                    if n.pending_dispatch.is_none_or(|p| resume < p) {
-                        n.pending_dispatch = Some(resume);
-                        self.push(resume, FleetEvent::Dispatch { node });
-                    }
-                }
-                return;
-            }
-            let Some((client, reply)) = n.server.dispatch(now) else {
-                break;
-            };
-            // RDMA reply bursts travel the IB lane, not the Ethernet
-            // NIC, so they never join the egress in-flight tally the
-            // backpressure gate meters.
-            n.egress_inflight_bytes += reply
-                .frames
-                .iter()
-                .filter(|f| !peek_rdma(f.head()))
-                .map(|f| f.len() as u64 + hwsim::eth::FRAME_OVERHEAD as u64)
-                .sum::<u64>();
-            self.push(
-                reply.ready_at.max(now),
-                FleetEvent::ReplyTx {
-                    node,
-                    machine: client,
-                    frames: reply.frames,
-                },
-            );
-        }
-        let n = &mut self.nodes[node];
-        if let Some(at) = n.server.next_dispatch_at() {
-            if n.pending_dispatch.is_none_or(|p| at < p) {
-                n.pending_dispatch = Some(at);
-                self.push(at, FleetEvent::Dispatch { node });
-            }
-        }
-    }
-
-    /// Reply frames leave server `node`: per-frame fault verdicts and
-    /// serialization on the node's egress link (its NIC — replies to
-    /// different machines queue behind each other here).
-    fn reply_tx(&mut self, now: SimTime, node: usize, machine: usize, frames: Vec<FrameBytes>) {
-        for payload in frames {
-            // The IB lane: an rdma-flagged reply burst was placed by a
-            // one-sided READ, so it bypasses the Ethernet egress queue
-            // and its fault verdicts entirely (InfiniBand is a lossless
-            // fabric) and lands after the fixed propagation delay,
-            // [`Fleet::lookahead`]. The payload Arc moves through
-            // untouched — zero-copy end to end.
-            if peek_rdma(payload.head()) {
-                let at = now + self.lookahead();
-                self.push(at, FleetEvent::Deliver { machine, payload });
-                continue;
-            }
-            // The bytes move from "dispatched, pending" to the link's
-            // own horizon (or vanish to a fault verdict) — either way
-            // they leave the in-flight tally.
-            let wire = payload.len() as u64 + hwsim::eth::FRAME_OVERHEAD as u64;
-            self.nodes[node].egress_inflight_bytes =
-                self.nodes[node].egress_inflight_bytes.saturating_sub(wire);
-            let verdict = match self.faults.as_mut() {
-                Some(inj) => inj.link_verdict_rx(now),
-                None => LinkVerdict::Deliver,
-            };
-            let (payload, copies, extra) = match verdict {
-                LinkVerdict::Drop => continue,
-                LinkVerdict::Corrupt { entropy } => {
-                    (corrupt_frame_bytes(&payload, entropy), 1, SimDuration::ZERO)
-                }
-                LinkVerdict::Duplicate => (payload, 2, SimDuration::ZERO),
-                LinkVerdict::Delay(extra) => (payload, 1, extra),
-                LinkVerdict::Deliver => (payload, 1, SimDuration::ZERO),
-            };
-            for _ in 0..copies {
-                let wire = payload.len() as u32 + hwsim::eth::FRAME_OVERHEAD;
-                let at = self.nodes[node].egress.transmit(now, wire) + extra;
-                self.push(
-                    at,
-                    FleetEvent::Deliver {
-                        machine,
-                        payload: payload.clone(),
-                    },
-                );
-            }
-        }
-        // In-flight bytes just became link horizon (or fault-verdict
-        // losses); a backpressure-deferred dispatch may be admissible
-        // earlier than its booked resume. Outside backpressure this is
-        // a no-op: any free-worker dispatch at or before this instant
-        // already ran from its own event.
-        if self.nodes[node].server.queued_total() > 0 {
-            self.pump_server(node, now);
+        while let Some(frame) = pop_vmm_tx(&mut self.machines[i].0) {
+            self.fabric.forward(now, i, frame.payload, &mut |at, e| {
+                self.timeline.push(at, FleetEvent::Fabric(e))
+            });
         }
     }
 
@@ -1798,14 +1470,10 @@ impl Fleet {
             .iter()
             .map(|(m, _)| m.deployment_progress())
             .fold(1.0f64, f64::min);
-        let sum = |f: fn(&AoeServer) -> u64| self.nodes.iter().map(|n| f(&n.server)).sum::<u64>();
+        let sum = |f: fn(&AoeServer) -> u64| self.fabric.servers().map(f).sum::<u64>();
         let hits = sum(AoeServer::cache_hits);
         let misses = sum(AoeServer::cache_misses);
-        let hit_ratio = if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        };
+        let hit_ratio = self.cache_hit_ratio();
         // SLO watchdogs: evaluated here, on the fleet timeline.
         let mut active_alerts = 0.0;
         let projected_p99_s = self.projected_p99_s(now);
@@ -1849,16 +1517,16 @@ impl Fleet {
                 ),
                 (
                     "server.queue.total",
-                    self.nodes
-                        .iter()
-                        .map(|n| n.server.queued_total())
+                    self.fabric
+                        .servers()
+                        .map(AoeServer::queued_total)
                         .sum::<usize>() as f64,
                 ),
                 (
                     "server.queue.max_client",
-                    self.nodes
-                        .iter()
-                        .map(|n| n.server.max_client_queue_depth())
+                    self.fabric
+                        .servers()
+                        .map(AoeServer::max_client_queue_depth)
                         .max()
                         .unwrap_or(0) as f64,
                 ),
@@ -1924,7 +1592,7 @@ impl Fleet {
     /// The primary storage server (origin replica 0: cache and
     /// scheduler counters).
     pub fn server(&self) -> &AoeServer {
-        &self.nodes[0].server
+        self.fabric.server()
     }
 
     /// How many members have converted into read-only serving peers.
@@ -1934,8 +1602,8 @@ impl Fleet {
 
     /// Aggregate cache hit ratio across every server node.
     pub fn cache_hit_ratio(&self) -> f64 {
-        let hits: u64 = self.nodes.iter().map(|n| n.server.cache_hits()).sum();
-        let misses: u64 = self.nodes.iter().map(|n| n.server.cache_misses()).sum();
+        let hits: u64 = self.fabric.servers().map(AoeServer::cache_hits).sum();
+        let misses: u64 = self.fabric.servers().map(AoeServer::cache_misses).sum();
         if hits + misses == 0 {
             0.0
         } else {
@@ -1946,14 +1614,14 @@ impl Fleet {
     /// Total queue-full drops across every server node (the figure's
     /// "zero drops at the target scale" check).
     pub fn queue_drops_total(&self) -> u64 {
-        self.nodes.iter().map(|n| n.server.queue_drops()).sum()
+        self.fabric.servers().map(AoeServer::queue_drops).sum()
     }
 
     /// Counters of the shared-fabric fault injector (`None` when the
     /// fleet runs without a [`FleetConfig::faults`] plan) — the
     /// survivability rows' witness that a fault class actually fired.
     pub fn fault_counters(&self) -> Option<FaultCounters> {
-        self.faults.as_ref().map(|inj| inj.counters())
+        self.fabric.fault_counters()
     }
 
     /// Member `i`.
@@ -1981,9 +1649,9 @@ impl Fleet {
     /// cache hits included): the scale-out figure's "aggregate bytes
     /// moved".
     pub fn server_bytes_read(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.server.sectors_read() * 512)
+        self.fabric
+            .servers()
+            .map(|server| server.sectors_read() * 512)
             .sum()
     }
 
@@ -1994,7 +1662,7 @@ impl Fleet {
     /// `server.queue.{total,max_client}` — so the snapshot alone tells
     /// the scale-out story.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        let mut snap = self.fabric_metrics.snapshot()?;
+        let mut snap = self.fabric.metrics().snapshot()?;
         for (m, _) in &self.machines {
             if let Some(ms) = m.metrics.snapshot() {
                 snap.merge(&ms);
@@ -2014,7 +1682,7 @@ impl Fleet {
     /// never completion order, so any two same-seed runs produce
     /// byte-identical JSON.
     pub fn fleet_snapshot(&self) -> Option<MetricsSnapshot> {
-        let mut out = self.fabric_metrics.snapshot()?;
+        let mut out = self.fabric.metrics().snapshot()?;
         let mut aggregate = MetricsSnapshot::default();
         for (i, (m, _)) in self.machines.iter().enumerate() {
             if let Some(ms) = m.metrics.snapshot() {
@@ -2103,7 +1771,7 @@ impl Fleet {
     /// [`Fleet::enable_flight_recorder`] ran, or before any member
     /// boots.
     pub fn straggler_attribution(&self) -> Option<StragglerReport> {
-        if !self.fabric_metrics.is_enabled() || self.recorders.is_empty() {
+        if !self.fabric.metrics().is_enabled() || self.recorders.is_empty() {
             return None;
         }
         // Booted members, slowest elapsed boot first, ties by index —
@@ -2174,7 +1842,7 @@ impl Fleet {
             processes.push((spans.finished(), sampler.rows()));
         }
         names.push("fleet".to_string());
-        processes.push((self.server_spans.finished(), self.fleet_sampler.rows()));
+        processes.push((self.fabric.spans().finished(), self.fleet_sampler.rows()));
         let refs: Vec<(&str, &[Span], &[SampleRow])> = names
             .iter()
             .zip(&processes)
@@ -2242,8 +1910,8 @@ mod tests {
         cfg.servers = 2;
         let (fleet, startups) = boot_fleet(cfg);
         assert_eq!(startups.len(), 2);
-        let shard0 = fleet.nodes[0].server.requests();
-        let shard1 = fleet.nodes[1].server.requests();
+        let shards: Vec<u64> = fleet.fabric.servers().map(AoeServer::requests).collect();
+        let (shard0, shard1) = (shards[0], shards[1]);
         assert!(shard0 > 0, "replica 0 saw traffic");
         assert!(shard1 > 0, "replica 1 saw traffic");
         // Striping by LBA keeps the shards within the same order of
@@ -2283,11 +1951,12 @@ mod tests {
             fleet.peers_active() >= 1,
             "an early finisher converted into a peer"
         );
+        // Peer nodes follow the origin replicas.
         let peer_requests: u64 = fleet
-            .nodes
-            .iter()
-            .filter(|n| !n.origin)
-            .map(|n| n.server.requests())
+            .fabric
+            .servers()
+            .skip(fleet.cfg.servers)
+            .map(AoeServer::requests)
             .sum();
         assert!(peer_requests > 0, "peers actually served reads");
         assert_eq!(fleet.queue_drops_total(), 0);
@@ -2385,7 +2054,7 @@ mod tests {
         let (fleet_b, b) = boot_fleet(cfg);
         assert_eq!(a, b, "chaos runs with one seed must agree");
         assert_eq!(fleet_a.server().requests(), fleet_b.server().requests());
-        let counters = fleet_a.faults.as_ref().expect("plan installed").counters();
+        let counters = fleet_a.fault_counters().expect("plan installed");
         assert!(
             counters.link_dropped
                 + counters.link_corrupted
@@ -2453,7 +2122,7 @@ mod tests {
 
     use crate::machine::GuestCtl;
     use guestsim::io::{CompletedIo, IoRequest, RequestId};
-    use hwsim::block::{BlockRange, Lba, SectorData};
+    use hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 
     /// Tenant stand-in for lifecycle tests: writes one known range
     /// (dirty-tracked, so snapshot-back must carry it to the archive)
@@ -2658,7 +2327,8 @@ mod tests {
         assert!(matches!(stall.outcomes[0], MachineOutcome::Booted { .. }));
         assert!(fleet.peer_active[0], "machine 0 converted into a peer");
         let peer_shelf = PEER_SHELF_BASE;
-        assert!(fleet.shelf_nodes.contains_key(&peer_shelf));
+        let laggard = fleet.machine(2).vmm.as_ref().unwrap();
+        assert!(laggard.client.read_endpoints().contains(&(peer_shelf, 0)));
         assert!(
             fleet.machine(2).deployment_progress() < 1.0,
             "machine 2 must still be mid-deployment"

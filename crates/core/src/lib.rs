@@ -24,6 +24,7 @@
 //! | [`transport`] | §4.2, M3 | pluggable deployment transports: AoE, batched AoE, RDMA |
 //! | [`machine`] | §3–4 | the full machine: bus, exits, event chains |
 //! | [`deploy`] | §3.1 | deployment phases, timelines, the [`deploy::Runner`] |
+//! | [`fabric`] | §3, §5.1 | switch, AoE server nodes, egress links, fault injector: one for a machine or a fleet |
 //! | [`fleet`] | §5.7 | N-machine concurrent deployment over one shared fabric |
 //! | [`programs`] | §5 | guest programs: boot, fio, ioping, streams |
 //!
@@ -50,6 +51,7 @@ pub mod bitmap;
 pub mod config;
 pub mod deploy;
 pub mod devirt;
+pub mod fabric;
 pub mod fleet;
 pub mod machine;
 pub mod mediator;

@@ -23,12 +23,13 @@ use crate::background::{BackgroundCopy, FetchedBlock};
 use crate::bitmap::BlockBitmap;
 use crate::config::{BmcastConfig, ControllerKind};
 use crate::devirt::{DevirtSequencer, Phase};
+use crate::fabric::{image_server, Fabric, FabricEvent, SERVER_MAC, VMM_MAC};
 use crate::mediator::{
     AhciMediator, AhciRedirect, IdeMediator, IdeRedirect, MediatorStats, MmioVerdict, PioVerdict,
 };
 use crate::netdrv::PolledNic;
 use crate::snapback::{DirtyTracker, ReclaimError, SnapshotBack};
-use aoe::{AoeClient, AoeServer, ClientConfig, FrameBytes, ServerConfig};
+use aoe::{AoeClient, ClientConfig, FrameBytes, ServerConfig};
 use guestsim::bus::GuestBus;
 use guestsim::driver::{ahci::AhciDriver, ide::IdeDriver, BlockDriver};
 use guestsim::io::{CompletedIo, IoRequest, RequestId};
@@ -38,12 +39,11 @@ use hwsim::ahci::{
 };
 use hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use hwsim::disk::{DiskModel, DiskOp, DiskParams};
-use hwsim::eth::{Frame, Link, MacAddr, Switch};
+use hwsim::eth::Frame;
 use hwsim::ide::{AtaOp, IdeAction, IdeCommandBlock, IdeController, IdeReg, PrdEntry, PrdTable};
 use hwsim::mem::{DmaBuffer, PhysAddr, PhysMem};
 use hwsim::pci::{Bdf, PciBus, PciClass, PciDevice};
 use hwsim::vtx::{ExitReason, VtxCpu};
-use simkit::fault::{FaultInjector, LinkVerdict, ServerHealth};
 use simkit::{
     Histogram, Metrics, Sampler, Sim, SimDuration, SimTime, SpanId, Spans, Tracer, NO_SPAN,
 };
@@ -51,11 +51,6 @@ use std::collections::{HashMap, VecDeque};
 
 /// The simulator specialized to this world.
 pub type MachineSim = Sim<Machine>;
-
-/// Fixed MAC of the storage server on the management network.
-pub const SERVER_MAC: MacAddr = MacAddr::host(1);
-/// Fixed MAC of the instance's dedicated (VMM) NIC.
-pub const VMM_MAC: MacAddr = MacAddr::host(2);
 
 /// Memory reserved for the VMM (128 MB in the prototype).
 const VMM_MEMORY_BYTES: u64 = 128 << 20;
@@ -168,16 +163,6 @@ fn arm_vmm_traps(cpu: &mut VtxCpu) {
     }
     cpu.trap_mmio_range(ABAR, ABAR + hwsim::ahci::ABAR_SIZE - 1);
     cpu.set_preemption_timer(Some(POLL_INTERVAL));
-}
-
-/// The management fabric: switch plus the storage server.
-#[derive(Debug)]
-pub struct Network {
-    /// The Ethernet switch.
-    pub switch: Switch<FrameBytes>,
-    /// The AoE storage server.
-    pub server: AoeServer,
-    server_port: usize,
 }
 
 /// Who asked for a disk command — decides what happens at completion.
@@ -802,12 +787,11 @@ pub struct Machine {
     pub vmm: Option<Vmm>,
     /// The guest.
     pub guest: Guest,
-    /// The management network, when present.
-    pub net: Option<Network>,
+    /// The machine's own management fabric (server and fault injector),
+    /// when it runs standalone; a fleet member uses the fleet's.
+    pub fabric: Option<Fabric>,
     /// Counters.
     pub stats: MachineStats,
-    /// Deterministic fault injector, when the config carries a plan.
-    pub faults: Option<FaultInjector>,
     /// Shared metrics handle (disabled unless telemetry is attached).
     pub metrics: Metrics,
     /// Shared trace handle (disabled unless telemetry is attached).
@@ -849,7 +833,7 @@ impl Default for MachineSpec {
 }
 
 /// A disk of `capacity_sectors` holding `store`.
-fn new_disk(capacity_sectors: u64, store: BlockStore) -> DiskModel {
+pub(crate) fn new_disk(capacity_sectors: u64, store: BlockStore) -> DiskModel {
     let params = DiskParams {
         capacity_sectors,
         ..DiskParams::default()
@@ -872,9 +856,8 @@ impl Machine {
             },
             vmm: None,
             guest: Guest::new(spec.controller),
-            net: None,
+            fabric: None,
             stats: MachineStats::default(),
-            faults: None,
             metrics: Metrics::disabled(),
             tracer: Tracer::disabled(),
             spans: Spans::disabled(),
@@ -890,9 +873,32 @@ impl Machine {
         Machine::assemble(spec, PhysMem::new(spec.mem_bytes), disk, cpus)
     }
 
-    /// A BMcast machine: blank local disk, VMM interposed, AoE server on
-    /// the fabric holding the image.
+    /// A BMcast machine: blank local disk, VMM interposed, and a
+    /// one-server [`Fabric`] of its own: the AoE server holding the
+    /// image, plus the fault injector when `cfg` carries a plan. The
+    /// fabric's events run on the machine's own simulator.
     pub fn bmcast(spec: &MachineSpec, cfg: BmcastConfig) -> Machine {
+        // One client, so the egress backpressure gate never engages.
+        let mut fabric = Fabric::new(cfg.mtu, SimDuration::ZERO, cfg.faults.clone());
+        let server = image_server(
+            &cfg,
+            ServerConfig::default(),
+            0,
+            spec.image_sectors,
+            spec.image_seed,
+        );
+        fabric.add_server(SERVER_MAC, server, true);
+        let mut m = Machine::bmcast_fleet(spec, cfg);
+        m.fabric = Some(fabric);
+        m
+    }
+
+    /// A BMcast machine for fleet runs: same hardware, VMM, and guest as
+    /// [`Machine::bmcast`], but no fabric of its own. The fleet's shared
+    /// [`Fabric`] drains its TX frames after each step with
+    /// [`pop_vmm_tx`] and delivers replies through [`vmm_nic_rx`]. Faults
+    /// live on that shared fabric, so any plan in `cfg` is ignored.
+    pub fn bmcast_fleet(spec: &MachineSpec, cfg: BmcastConfig) -> Machine {
         let store = BlockStore::zeroed_with_mirror(spec.capacity_sectors, spec.image_seed);
         let disk = new_disk(spec.capacity_sectors, store);
         let mut mem = PhysMem::new(spec.mem_bytes);
@@ -913,44 +919,8 @@ impl Machine {
             arm_vmm_traps(cpu);
         }
 
-        // Server: the image disk behind a thread-pooled vblade.
-        let server_disk = new_disk(
-            spec.image_sectors,
-            BlockStore::image(spec.image_sectors, spec.image_seed),
-        );
-        let server = AoeServer::new(
-            cfg.transport.server_config(ServerConfig {
-                mtu: cfg.mtu,
-                ..ServerConfig::default()
-            }),
-            server_disk,
-        );
-        let mut switch = Switch::new(cfg.mtu, cfg.fabric_loss_rate, 0x5EED);
-        let server_port = switch.attach(SERVER_MAC, Link::gigabit());
-        switch.attach(VMM_MAC, Link::gigabit());
-
         let mut m = Machine::assemble(spec, mem, disk, cpus);
-        m.faults = cfg.faults.clone().map(FaultInjector::new);
-        m.net = Some(Network {
-            switch,
-            server,
-            server_port,
-        });
         m.vmm = Some(Vmm::new(spec, cfg, dummy_buf, dummy_prd));
-        m
-    }
-
-    /// A BMcast machine for fleet runs: same hardware, VMM, and guest as
-    /// [`Machine::bmcast`], but no private fabric — the fleet owns the
-    /// shared switch and storage server, drains TX frames after each
-    /// step with [`pop_vmm_tx`], and delivers replies through
-    /// [`vmm_nic_rx`]. Fault injection likewise moves to the fleet
-    /// (faults live on the shared fabric and server, not inside one
-    /// machine), so any per-machine plan in `cfg` is ignored.
-    pub fn bmcast_fleet(spec: &MachineSpec, cfg: BmcastConfig) -> Machine {
-        let mut m = Machine::bmcast(spec, cfg);
-        m.net = None;
-        m.faults = None;
         m
     }
 
@@ -964,11 +934,8 @@ impl Machine {
             vmm.bg.set_telemetry(metrics.clone());
             vmm.client.set_telemetry(metrics.clone(), tracer.clone());
         }
-        if let Some(net) = self.net.as_mut() {
-            net.server.set_telemetry(metrics.clone());
-        }
-        if let Some(inj) = self.faults.as_mut() {
-            inj.set_metrics(metrics.clone());
+        if let Some(fabric) = self.fabric.as_mut() {
+            fabric.set_telemetry(metrics.clone());
         }
         self.metrics = metrics;
         self.tracer = tracer;
@@ -986,8 +953,8 @@ impl Machine {
             vmm.client.set_spans(spans.clone());
             vmm.devirt.set_spans(spans.clone());
         }
-        if let Some(net) = self.net.as_mut() {
-            net.server.set_spans(spans.clone());
+        if let Some(fabric) = self.fabric.as_mut() {
+            fabric.set_spans(spans.clone());
         }
         self.spans = spans;
         self.sampler = sampler;
@@ -1253,7 +1220,7 @@ fn process_hw_events(m: &mut Machine, sim: &mut MachineSim, events: Vec<HwEvent>
 fn start_media(m: &mut Machine, sim: &mut MachineSim, slot: Slot, origin: Origin) {
     // The injector's slow-disk factor applies before the access is timed
     // (write errors stay scoped to the server disk).
-    if let Some(inj) = m.faults.as_mut() {
+    if let Some(inj) = m.fabric.as_mut().and_then(Fabric::faults_mut) {
         m.hw.disk
             .set_fault_latency_factor(inj.disk_latency_factor(sim.now()));
     }
@@ -1628,35 +1595,31 @@ fn replay_guest_writes(m: &mut Machine, sim: &mut MachineSim, writes: Vec<GuestW
 
 // ------------------------------ fabric --------------------------------
 
-/// Drains the VMM NIC's TX ring onto the switch, scheduling deliveries.
+/// Queues `frames` on the VMM NIC's TX ring and drains the ring onto
+/// the machine's own fabric, as client 0 (a fleet member has none: the
+/// fleet drains its ring).
 fn send_vmm_frames(m: &mut Machine, sim: &mut MachineSim, frames: Vec<FrameBytes>) {
     let Some(vmm) = m.vmm.as_mut() else { return };
     for f in frames {
         vmm.nic.send(SERVER_MAC, f);
     }
-    pump_vmm_tx(m, sim);
-}
-
-/// Applies a corruption verdict: flip one payload byte picked by the
-/// injector's entropy (the mask is forced non-zero so the flip is real).
-/// The frame's byte image is materialised and the result is a byte
-/// frame, so the receiver's decode checks every byte.
-pub fn corrupt_frame_bytes(payload: &FrameBytes, entropy: u64) -> FrameBytes {
-    let mut bytes = payload.to_vec();
-    if !bytes.is_empty() {
-        let idx = (entropy as usize) % bytes.len();
-        bytes[idx] ^= ((entropy >> 8) as u8) | 1;
+    if m.fabric.is_none() {
+        return;
     }
-    bytes.into()
+    while let Some(frame) = pop_vmm_tx(m) {
+        let fabric = m.fabric.as_mut().expect("checked above");
+        fabric.forward(sim.now(), 0, frame.payload, &mut |at, event| {
+            schedule_fabric_event(sim, at, event)
+        });
+    }
 }
 
 /// Pops one frame off the VMM NIC's TX ring with its per-frame
-/// bookkeeping (the `frames_tx` stat and metric, 3 µs of VMM CPU). The
-/// private switch's pump and the fleet fabric both drain the ring
-/// through it; a fleet member (built by [`Machine::bmcast_fleet`], no
-/// private switch) is drained after every step of its sim, so its
-/// frames leave at the step's own timestamp, as the pump sends them
-/// inside the event.
+/// bookkeeping (the `frames_tx` stat and metric, 3 µs of VMM CPU). A
+/// standalone machine drains the ring onto its own fabric inside the
+/// event that filled it; a fleet member (built by
+/// [`Machine::bmcast_fleet`], no fabric of its own) is drained after
+/// every step of its sim, so its frames leave at the same instant.
 pub fn pop_vmm_tx(m: &mut Machine) -> Option<Frame<FrameBytes>> {
     let vmm = m.vmm.as_mut()?;
     let frame = vmm.nic.nic_mut().pop_tx()?;
@@ -1666,95 +1629,25 @@ pub fn pop_vmm_tx(m: &mut Machine) -> Option<Frame<FrameBytes>> {
     Some(frame)
 }
 
-fn pump_vmm_tx(m: &mut Machine, sim: &mut MachineSim) {
-    if m.net.is_none() {
-        return;
-    }
-    while let Some(mut frame) = pop_vmm_tx(m) {
-        let Some(net) = m.net.as_mut() else { return };
-        let verdict = match m.faults.as_mut() {
-            Some(inj) => inj.link_verdict_tx(sim.now()),
-            None => LinkVerdict::Deliver,
+/// Puts one of the machine's own fabric events on its simulator.
+fn schedule_fabric_event(sim: &mut MachineSim, at: SimTime, event: FabricEvent) {
+    sim.schedule_at(at, move |m: &mut Machine, sim| {
+        let Some(fabric) = m.fabric.as_mut() else {
+            return;
         };
-        if let LinkVerdict::Corrupt { entropy } = verdict {
-            frame.payload = corrupt_frame_bytes(&frame.payload, entropy);
-        }
-        // On Err the frame is lost (or injector-dropped); the client's
-        // retransmission recovers.
-        let Ok(deliveries) = net.switch.forward_with(sim.now(), frame, verdict) else {
-            continue;
-        };
-        for delivery in deliveries {
-            if delivery.port != net.server_port {
-                continue;
-            }
-            let at = delivery.at;
-            let payload = delivery.frame.payload;
-            sim.schedule_at(at, move |m: &mut Machine, sim| {
-                server_rx(m, sim, payload);
-            });
-        }
-    }
-}
-
-fn server_rx(m: &mut Machine, sim: &mut MachineSim, payload: FrameBytes) {
-    let Some(net) = m.net.as_mut() else { return };
-    if let Some(inj) = m.faults.as_mut() {
-        match inj.server_health(sim.now()) {
-            // Stalled or crashed: the frame vanishes; the client's
-            // backoff keeps probing until the server returns.
-            ServerHealth::Down => return,
-            // First frame after a crash window: cold restart, in-flight
-            // worker state gone.
-            ServerHealth::Restarting => net.server.restart(),
-            ServerHealth::Up => {}
-        }
-        let factor = inj.disk_latency_factor(sim.now());
-        net.server.disk_mut().set_fault_latency_factor(factor);
-        let write_faults = inj.disk_write_error(sim.now());
-        net.server.disk_mut().set_fault_write_errors(write_faults);
-    }
-    let Some(net) = m.net.as_mut() else { return };
-    let Ok(Some(reply)) = net.server.handle(sim.now(), &payload) else {
-        return;
-    };
-    let ready = reply.ready_at.max(sim.now());
-    for frame_payload in reply.frames {
-        sim.schedule_at(ready, move |m: &mut Machine, sim| {
-            let verdict = match m.faults.as_mut() {
-                Some(inj) => inj.link_verdict_rx(sim.now()),
-                None => LinkVerdict::Deliver,
-            };
-            let payload = if let LinkVerdict::Corrupt { entropy } = verdict {
-                corrupt_frame_bytes(&frame_payload, entropy)
-            } else {
-                frame_payload.clone()
-            };
-            let Some(net) = m.net.as_mut() else { return };
-            let frame = Frame {
-                src: SERVER_MAC,
-                dst: VMM_MAC,
-                payload_bytes: payload.len() as u32,
-                payload,
-            };
-            // On Err the frame is dropped; retransmission recovers.
-            let Ok(deliveries) = net.switch.forward_with(sim.now(), frame, verdict) else {
-                return;
-            };
-            for delivery in deliveries {
-                let at = delivery.at;
-                let payload = delivery.frame.payload;
-                sim.schedule_at(at, move |m: &mut Machine, sim| {
-                    vmm_nic_rx(m, sim, payload);
-                });
-            }
+        let now = sim.now();
+        let delivered = fabric.fire(now, event, &mut |at, event| {
+            schedule_fabric_event(sim, at, event)
         });
-    }
+        if let Some((_, payload)) = delivered {
+            vmm_nic_rx(m, sim, payload);
+        }
+    });
 }
 
-/// Delivers one reply frame into this machine's VMM NIC — from the
-/// private switch or the fleet fabric alike — and schedules the polling
-/// thread's pickup half a poll interval later.
+/// Delivers one reply frame into this machine's VMM NIC, from its own
+/// fabric or the fleet's alike, and schedules the polling thread's
+/// pickup half a poll interval later.
 pub fn vmm_nic_rx(m: &mut Machine, sim: &mut MachineSim, payload: FrameBytes) {
     let Some(vmm) = m.vmm.as_mut() else { return };
     if aoe::peek_rdma(payload.head()) {
@@ -2005,7 +1898,11 @@ pub fn sample_flight_row(m: &Machine, now: SimTime) {
     } else {
         peer_reads as f64 / total_reads as f64
     };
-    let fc = m.faults.as_ref().map(|f| f.counters()).unwrap_or_default();
+    let fc = m
+        .fabric
+        .as_ref()
+        .and_then(Fabric::fault_counters)
+        .unwrap_or_default();
     let faults_total = fc.link_dropped
         + fc.link_duplicated
         + fc.link_reordered
@@ -3000,7 +2897,7 @@ mod tests {
             assert!(vmm.dirty.is_clean());
             assert!(vmm.snap.as_ref().unwrap().sectors_sent() >= 16);
             // The server image now holds the guest's final disk state.
-            let server = &m.net.as_ref().unwrap().server;
+            let server = m.fabric.as_ref().unwrap().server();
             for lba in 200..216u64 {
                 assert_eq!(
                     server.disk().store().read(Lba(lba)),
@@ -3059,7 +2956,7 @@ mod tests {
             capacity_sectors: spec.image_sectors,
             ..DiskParams::default()
         };
-        m.net.as_mut().unwrap().server = AoeServer::new(
+        *m.fabric.as_mut().unwrap().server_mut() = aoe::AoeServer::new(
             ServerConfig::default(),
             DiskModel::new(
                 server_params,

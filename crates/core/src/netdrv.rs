@@ -21,14 +21,12 @@ use hwsim::nic::{Nic, NicModel};
 /// use hwsim::eth::MacAddr;
 ///
 /// let mut drv = PolledNic::new(NicModel::IntelPro1000, MacAddr::host(1));
-/// assert!(drv.is_initialized());
 /// drv.send(MacAddr::host(2), vec![1, 2, 3].into());
 /// assert_eq!(drv.nic_mut().pop_tx().unwrap().payload.to_vec(), [1, 2, 3]);
 /// ```
 #[derive(Debug)]
 pub struct PolledNic {
     nic: Nic<FrameBytes>,
-    initialized: bool,
     polls: u64,
 }
 
@@ -46,16 +44,8 @@ impl PolledNic {
         };
         PolledNic {
             nic: Nic::new(model, mac, ring),
-            initialized: true,
             polls: 0,
         }
-    }
-
-    /// Whether initialization completed (always true after `new`; exists
-    /// so callers can express the paper's "VMM only initializes the
-    /// dedicated NIC" invariant in assertions).
-    pub fn is_initialized(&self) -> bool {
-        self.initialized
     }
 
     /// The driver's MAC address.

@@ -22,7 +22,7 @@ fn r(offset: u64) -> u64 {
 /// ```
 /// use guestsim::driver::megasas::MegasasDriver;
 /// let drv = MegasasDriver::new();
-/// assert_eq!(drv.in_flight_frames(), 0);
+/// assert_eq!(drv.completed(), 0);
 /// ```
 #[derive(Debug, Default)]
 pub struct MegasasDriver {
@@ -36,11 +36,6 @@ impl MegasasDriver {
     /// An idle driver.
     pub fn new() -> MegasasDriver {
         MegasasDriver::default()
-    }
-
-    /// Frames posted but not yet completed.
-    pub fn in_flight_frames(&self) -> usize {
-        self.inflight.len()
     }
 
     /// Requests completed so far.

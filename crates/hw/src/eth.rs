@@ -1,15 +1,15 @@
 //! Ethernet frames, links, and a store-and-forward switch.
 //!
 //! Models the evaluation fabric: a gigabit switch with a 9000-byte MTU
-//! (jumbo frames), per-link serialization delay, propagation latency, and
-//! optional random frame loss for exercising the AoE retransmission path.
+//! (jumbo frames), per-link serialization delay and propagation latency.
+//! The switch loses nothing on its own: lost, duplicated or delayed
+//! frames are fault-injection verdicts the fabric applies.
 //!
 //! Frames are generic over their payload type so upper layers (the AoE
 //! crate, the system crate) can carry typed messages without this crate
 //! depending on them.
 
-use simkit::fault::LinkVerdict;
-use simkit::{Prng, SimDuration, SimTime};
+use simkit::{SimDuration, SimTime};
 use std::fmt;
 
 /// A MAC address (stored as the low 48 bits of a `u64`).
@@ -122,7 +122,7 @@ impl Link {
     }
 }
 
-/// Why a switch refused or lost a frame.
+/// Why a switch refused a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchError {
     /// The frame exceeded the switch MTU.
@@ -134,8 +134,6 @@ pub enum SwitchError {
     },
     /// No port has learned the destination MAC.
     UnknownDestination(MacAddr),
-    /// The frame was randomly dropped (loss injection).
-    Dropped,
 }
 
 impl fmt::Display for SwitchError {
@@ -147,7 +145,6 @@ impl fmt::Display for SwitchError {
             SwitchError::UnknownDestination(mac) => {
                 write!(f, "no port for destination {mac}")
             }
-            SwitchError::Dropped => write!(f, "frame dropped by loss injection"),
         }
     }
 }
@@ -165,8 +162,7 @@ pub struct Delivery<P> {
     pub frame: Frame<P>,
 }
 
-/// A store-and-forward Ethernet switch with static MAC learning and
-/// optional loss injection.
+/// A store-and-forward Ethernet switch with static MAC learning.
 ///
 /// # Examples
 ///
@@ -174,7 +170,7 @@ pub struct Delivery<P> {
 /// use hwsim::eth::{Switch, Link, MacAddr, Frame};
 /// use simkit::SimTime;
 ///
-/// let mut sw: Switch<&'static str> = Switch::new(9000, 0.0, 1);
+/// let mut sw: Switch<&'static str> = Switch::new(9000);
 /// let a = sw.attach(MacAddr::host(1), Link::gigabit());
 /// let b = sw.attach(MacAddr::host(2), Link::gigabit());
 /// let frame = Frame { src: MacAddr::host(1), dst: MacAddr::host(2),
@@ -186,32 +182,18 @@ pub struct Delivery<P> {
 #[derive(Debug, Clone)]
 pub struct Switch<P> {
     mtu: u32,
-    loss_rate: f64,
     ports: Vec<(MacAddr, Link)>,
-    prng: Prng,
-    forwarded: u64,
-    dropped: u64,
     _marker: std::marker::PhantomData<fn() -> P>,
 }
 
 impl<P> Switch<P> {
-    /// Creates a switch with the given MTU (payload bytes), loss rate in
-    /// `[0, 1]`, and PRNG seed for loss injection.
-    pub fn new(mtu: u32, loss_rate: f64, seed: u64) -> Switch<P> {
+    /// Creates a switch with the given MTU (payload bytes).
+    pub fn new(mtu: u32) -> Switch<P> {
         Switch {
             mtu,
-            loss_rate,
             ports: Vec::new(),
-            prng: Prng::new(seed),
-            forwarded: 0,
-            dropped: 0,
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// The configured MTU in payload bytes.
-    pub fn mtu(&self) -> u32 {
-        self.mtu
     }
 
     /// Attaches a host; returns its port index.
@@ -220,23 +202,13 @@ impl<P> Switch<P> {
         self.ports.len() - 1
     }
 
-    /// Frames forwarded so far.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// Frames dropped by loss injection so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Forwards a frame submitted at `now`, charging serialization on the
     /// egress link.
     ///
     /// # Errors
     ///
-    /// Returns [`SwitchError`] if the frame exceeds the MTU, the
-    /// destination is unknown, or loss injection drops it.
+    /// Returns [`SwitchError`] if the frame exceeds the MTU or the
+    /// destination is unknown.
     pub fn forward(&mut self, now: SimTime, frame: Frame<P>) -> Result<Delivery<P>, SwitchError> {
         if frame.payload_bytes > self.mtu {
             return Err(SwitchError::FrameTooBig {
@@ -249,73 +221,9 @@ impl<P> Switch<P> {
             .iter()
             .position(|&(mac, _)| mac == frame.dst)
             .ok_or(SwitchError::UnknownDestination(frame.dst))?;
-        if self.loss_rate > 0.0 && self.prng.chance(self.loss_rate) {
-            self.dropped += 1;
-            return Err(SwitchError::Dropped);
-        }
         let wire = frame.wire_bytes();
         let at = self.ports[port].1.transmit(now, wire);
-        self.forwarded += 1;
         Ok(Delivery { port, at, frame })
-    }
-
-    /// Forwards a frame under a fault-injection verdict. Returns every
-    /// resulting delivery: one normally, two for [`LinkVerdict::Duplicate`]
-    /// (the copy queues behind the original on the egress link), none —
-    /// as [`SwitchError::Dropped`] — for [`LinkVerdict::Drop`].
-    /// [`LinkVerdict::Delay`] adds its extra latency after serialization,
-    /// reordering the frame past later traffic.
-    /// [`LinkVerdict::Corrupt`] delivers normally: payload mutation is the
-    /// caller's job, since the switch does not inspect payloads.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Switch::forward`], plus [`SwitchError::Dropped`] when the
-    /// verdict says drop.
-    pub fn forward_with(
-        &mut self,
-        now: SimTime,
-        frame: Frame<P>,
-        verdict: LinkVerdict,
-    ) -> Result<Vec<Delivery<P>>, SwitchError>
-    where
-        P: Clone,
-    {
-        match verdict {
-            LinkVerdict::Deliver | LinkVerdict::Corrupt { .. } => {
-                Ok(vec![self.forward(now, frame)?])
-            }
-            LinkVerdict::Drop => {
-                // Validate as usual so misaddressed frames still surface
-                // their real error, then count the injected loss.
-                if frame.payload_bytes > self.mtu {
-                    return Err(SwitchError::FrameTooBig {
-                        payload: frame.payload_bytes,
-                        mtu: self.mtu,
-                    });
-                }
-                if !self.ports.iter().any(|&(mac, _)| mac == frame.dst) {
-                    return Err(SwitchError::UnknownDestination(frame.dst));
-                }
-                self.dropped += 1;
-                Err(SwitchError::Dropped)
-            }
-            LinkVerdict::Duplicate => {
-                let first = self.forward(now, frame.clone())?;
-                let mut out = vec![first];
-                // The copy can itself fall to the switch's own loss
-                // injection; the original already made it through.
-                if let Ok(second) = self.forward(now, frame) {
-                    out.push(second);
-                }
-                Ok(out)
-            }
-            LinkVerdict::Delay(extra) => {
-                let mut d = self.forward(now, frame)?;
-                d.at += extra;
-                Ok(vec![d])
-            }
-        }
     }
 }
 
@@ -351,7 +259,7 @@ mod tests {
 
     #[test]
     fn switch_delivers_to_learned_port() {
-        let mut sw: Switch<u32> = Switch::new(9000, 0.0, 1);
+        let mut sw: Switch<u32> = Switch::new(9000);
         sw.attach(MacAddr::host(1), Link::gigabit());
         let b = sw.attach(MacAddr::host(2), Link::gigabit());
         let d = sw
@@ -359,12 +267,11 @@ mod tests {
             .unwrap();
         assert_eq!(d.port, b);
         assert!(d.at > SimTime::ZERO);
-        assert_eq!(sw.forwarded(), 1);
     }
 
     #[test]
     fn switch_rejects_oversize() {
-        let mut sw: Switch<u32> = Switch::new(1500, 0.0, 1);
+        let mut sw: Switch<u32> = Switch::new(1500);
         sw.attach(MacAddr::host(2), Link::gigabit());
         let err = sw
             .forward(SimTime::ZERO, frame(MacAddr::host(2), 1501))
@@ -374,7 +281,7 @@ mod tests {
 
     #[test]
     fn switch_rejects_unknown_destination() {
-        let mut sw: Switch<u32> = Switch::new(1500, 0.0, 1);
+        let mut sw: Switch<u32> = Switch::new(1500);
         let err = sw
             .forward(SimTime::ZERO, frame(MacAddr::host(9), 100))
             .unwrap_err();
@@ -382,29 +289,9 @@ mod tests {
     }
 
     #[test]
-    fn loss_injection_drops_roughly_at_rate() {
-        let mut sw: Switch<u32> = Switch::new(1500, 0.10, 42);
-        sw.attach(MacAddr::host(2), Link::gigabit());
-        let mut dropped = 0;
-        for _ in 0..10_000 {
-            if sw
-                .forward(SimTime::ZERO, frame(MacAddr::host(2), 100))
-                .is_err()
-            {
-                dropped += 1;
-            }
-        }
-        assert!(
-            (800..1200).contains(&dropped),
-            "10% loss gave {dropped}/10000"
-        );
-        assert_eq!(sw.dropped(), dropped);
-    }
-
-    #[test]
     fn gigabit_saturates_near_line_rate_with_jumbo() {
         // 9000-byte payloads: 100 MB should take ~0.81 s at 1 Gb/s.
-        let mut sw: Switch<u32> = Switch::new(9000, 0.0, 1);
+        let mut sw: Switch<u32> = Switch::new(9000);
         sw.attach(MacAddr::host(2), Link::gigabit());
         let frames = 100_000_000 / 9000;
         let mut last = SimTime::ZERO;
@@ -420,56 +307,6 @@ mod tests {
             (mbps - 120.0).abs() < 15.0,
             "jumbo gigabit rate was {mbps:.1} MB/s"
         );
-    }
-
-    #[test]
-    fn forward_with_applies_verdicts() {
-        let mut sw: Switch<u32> = Switch::new(9000, 0.0, 1);
-        sw.attach(MacAddr::host(1), Link::gigabit());
-        sw.attach(MacAddr::host(2), Link::gigabit());
-        let mk = || frame(MacAddr::host(2), 512);
-
-        let normal = sw
-            .forward_with(SimTime::ZERO, mk(), LinkVerdict::Deliver)
-            .unwrap();
-        assert_eq!(normal.len(), 1);
-
-        let dropped = sw.forward_with(SimTime::ZERO, mk(), LinkVerdict::Drop);
-        assert_eq!(dropped, Err(SwitchError::Dropped));
-        assert_eq!(sw.dropped(), 1);
-
-        let dup = sw
-            .forward_with(SimTime::ZERO, mk(), LinkVerdict::Duplicate)
-            .unwrap();
-        assert_eq!(dup.len(), 2);
-        assert!(dup[1].at > dup[0].at, "copy queues behind the original");
-
-        let base = sw
-            .forward_with(SimTime::ZERO, mk(), LinkVerdict::Deliver)
-            .unwrap()[0]
-            .at;
-        let delayed = sw
-            .forward_with(
-                SimTime::ZERO,
-                mk(),
-                LinkVerdict::Delay(SimDuration::from_millis(3)),
-            )
-            .unwrap();
-        assert!(delayed[0].at > base + SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn forward_with_drop_still_reports_real_errors() {
-        let mut sw: Switch<u32> = Switch::new(1500, 0.0, 1);
-        let err = sw
-            .forward_with(
-                SimTime::ZERO,
-                frame(MacAddr::host(9), 100),
-                LinkVerdict::Drop,
-            )
-            .unwrap_err();
-        assert_eq!(err, SwitchError::UnknownDestination(MacAddr::host(9)));
-        assert_eq!(sw.dropped(), 0);
     }
 
     #[test]

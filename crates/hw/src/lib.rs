@@ -13,8 +13,8 @@
 //!   on-disk cache) hosting a [`block::BlockStore`]
 //! - [`ide`] — a register-level IDE/ATA controller with bus-master DMA
 //! - [`ahci`] — a register-level AHCI HBA (ports, command lists, PRDT)
-//! - [`eth`] — Ethernet frames, links, and a store-and-forward switch with
-//!   loss injection
+//! - [`eth`] — Ethernet frames, links, and a store-and-forward switch
+//!   that applies fault verdicts
 //! - [`nic`] — a queue-level NIC model (the VMM's dedicated polled NIC)
 //! - [`ib`] — an InfiniBand RDMA timing model
 //! - [`vtx`] — an Intel VT-x model: exit reasons and costs, EPT on/off with

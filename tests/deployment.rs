@@ -12,6 +12,7 @@ use bmcast_repro::bmcast::programs::{BootProgram, StreamProgram};
 use bmcast_repro::guestsim::io::{CompletedIo, IoRequest, RequestId};
 use bmcast_repro::guestsim::os::BootProfile;
 use bmcast_repro::hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
+use bmcast_repro::simkit::fault::FaultPlan;
 use bmcast_repro::simkit::{SimDuration, SimTime};
 
 const SEED: u64 = 0xFEED_0001;
@@ -191,9 +192,11 @@ fn guest_writes_always_win_over_background_copy() {
 #[test]
 fn deployment_completes_under_frame_loss() {
     let spec = small_spec(ControllerKind::Ide);
+    let mut plan = FaultPlan::quiet(0x5EED);
+    plan.link.drop_rate = 0.02; // 2% of frames vanish, each direction
     let cfg = BmcastConfig {
         moderation: Moderation::full_speed(),
-        fabric_loss_rate: 0.02, // 2% of frames vanish
+        faults: Some(plan),
         ..BmcastConfig::default()
     };
     let mut runner = Runner::bmcast(&spec, cfg);

@@ -136,7 +136,7 @@ fn lifecycle_round_trip_restores_server_image() {
             "{controller:?}"
         );
 
-        let server = &m.net.as_ref().unwrap().server;
+        let server = m.fabric.as_ref().unwrap().server();
         for lba in 0..IMAGE {
             assert_eq!(
                 server.disk().store().read(Lba(lba)),
@@ -194,7 +194,7 @@ fn reclaim_then_redeploy(controller: ControllerKind) -> (u64, u64, u64, u64, u64
     let snapshot_done = m.vmm.as_ref().unwrap().snapshot_done_at.unwrap();
 
     // The provisioner swaps the server volume for the new tenant's image.
-    m.net.as_mut().unwrap().server = AoeServer::new(
+    *m.fabric.as_mut().unwrap().server_mut() = AoeServer::new(
         ServerConfig::default(),
         DiskModel::new(
             DiskParams {
@@ -235,11 +235,13 @@ fn reclaim_then_redeploy(controller: ControllerKind) -> (u64, u64, u64, u64, u64
 /// Snapshot done and redeployed bare metal (ns), executed events,
 /// multiplexes and disk digest of [`reclaim_then_redeploy`]. IDE and
 /// AHCI share the disk model and the one-write-at-a-time guest, so both
-/// controllers land on the same tuple.
+/// controllers land on the same tuple. The event count covers the
+/// machine's own fabric too: a served request costs one arrival, one
+/// reply-ready event and one delivery per frame.
 const RECLAIM_PIN: (u64, u64, u64, u64, u64) = (
     110_361_390,
     152_250_223,
-    1_503,
+    1_023,
     2,
     1_929_633_563_737_760_430,
 );

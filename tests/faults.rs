@@ -88,7 +88,7 @@ fn each_fault_class_is_survivable() {
         let plan = FaultPlan::preset(preset, SEED).unwrap();
         let runner = deploy_under(ControllerKind::Ide, plan);
         let m = runner.machine();
-        let c = m.faults.as_ref().unwrap().counters();
+        let c = m.fabric.as_ref().unwrap().fault_counters().unwrap();
         let observed = match *preset {
             "drop" => c.link_dropped,
             "duplicate" => c.link_duplicated,
@@ -114,7 +114,13 @@ fn recovery_machinery_is_exercised() {
 
     let runner = deploy_under(ControllerKind::Ide, FaultPlan::corrupt(SEED));
     let m = runner.machine();
-    let corrupted = m.faults.as_ref().unwrap().counters().link_corrupted;
+    let corrupted = m
+        .fabric
+        .as_ref()
+        .unwrap()
+        .fault_counters()
+        .unwrap()
+        .link_corrupted;
     let vmm = m.vmm.as_ref().unwrap();
     assert!(corrupted > 0, "corruption must fire");
     assert!(
@@ -130,11 +136,19 @@ fn server_crash_restarts_once_and_deployment_survives() {
     let runner = deploy_under(ControllerKind::Ide, FaultPlan::crash(SEED));
     let m = runner.machine();
     assert_eq!(
-        m.net.as_ref().unwrap().server.restarts(),
+        m.fabric.as_ref().unwrap().server().restarts(),
         1,
         "one crash window, one restart"
     );
-    assert_eq!(m.faults.as_ref().unwrap().counters().server_restarts, 1);
+    assert_eq!(
+        m.fabric
+            .as_ref()
+            .unwrap()
+            .fault_counters()
+            .unwrap()
+            .server_restarts,
+        1
+    );
 }
 
 /// The combined chaos plan on both wired mediators.
@@ -175,8 +189,8 @@ fn same_seed_replays_chaos_byte_identically() {
 
     let (ma, mb) = (a.machine(), b.machine());
     assert_eq!(
-        ma.faults.as_ref().unwrap().counters(),
-        mb.faults.as_ref().unwrap().counters(),
+        ma.fabric.as_ref().unwrap().fault_counters().unwrap(),
+        mb.fabric.as_ref().unwrap().fault_counters().unwrap(),
         "injector counters must be identical"
     );
     let (va, vb) = (ma.vmm.as_ref().unwrap(), mb.vmm.as_ref().unwrap());
@@ -278,7 +292,7 @@ fn guest_reads_keep_completing_through_a_server_stall() {
     let done = runner.run_to_bare_metal(SimTime::from_secs(3600));
     assert!(done.is_some(), "deployment completes after the stall lifts");
     let m = runner.machine();
-    let c = m.faults.as_ref().unwrap().counters();
+    let c = m.fabric.as_ref().unwrap().fault_counters().unwrap();
     assert!(c.server_dropped > 0, "the stall must have eaten frames");
     let vmm = m.vmm.as_ref().unwrap();
     assert!(
@@ -538,7 +552,13 @@ fn multiplexing_under_slow_disk_never_loses_or_duplicates_guest_io() {
             }
         }
         assert!(
-            m.faults.as_ref().unwrap().counters().disk_slowed > 0,
+            m.fabric
+                .as_ref()
+                .unwrap()
+                .fault_counters()
+                .unwrap()
+                .disk_slowed
+                > 0,
             "{controller:?}: the slow-disk fault must have fired"
         );
         assert_disk_matches_image(&runner, &s, &ranges);

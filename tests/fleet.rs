@@ -8,12 +8,15 @@
 //! A pin that moves means the fleet's event interleave moved: every
 //! committed scale-out, transport and obs artifact moves with it.
 
-use bmcast_repro::bmcast::config::BmcastConfig;
+use bmcast_repro::aoe::ServerConfig;
+use bmcast_repro::bmcast::config::{BmcastConfig, Moderation};
 use bmcast_repro::bmcast::deploy::{FlightRecorderConfig, Runner};
 use bmcast_repro::bmcast::fleet::{Fleet, FleetConfig};
 use bmcast_repro::bmcast::machine::{GuestProgram, MachineSpec};
-use bmcast_repro::bmcast::programs::BootProgram;
+use bmcast_repro::bmcast::programs::{BootProgram, StreamProgram};
+use bmcast_repro::bmcast::TransportKind;
 use bmcast_repro::guestsim::os::BootProfile;
+use bmcast_repro::hwsim::block::{BlockRange, Lba};
 use bmcast_repro::simkit::fault::FaultPlan;
 use bmcast_repro::simkit::{SimDuration, SimTime};
 
@@ -197,6 +200,73 @@ fn one_machine_fleet_boots_at_the_fig04_bmcast_instant() {
     fleet.start(move |_| Box::new(BootProgram::new(profile.clone())));
     let boots = fleet.run_to_all_booted(limit).expect("fleet boots");
     assert_eq!(boots, [single_boot], "fleet n=1 vs fig04 BMcast boot");
+}
+
+/// A standalone machine runs the same fabric code as a fleet, on its
+/// own simulator: with the same server config, a guest reading
+/// sequentially ahead of the copy finishes, and the machine reaches
+/// bare metal, at the same ticks as in an n = 1 fleet, on every
+/// transport. RDMA replies take the lossless IB lane in both.
+#[test]
+fn standalone_machine_matches_a_one_machine_fleet_on_every_transport() {
+    let spec = MachineSpec {
+        capacity_sectors: (1u64 << 25) / 512,
+        image_sectors: (1u64 << 24) / 512,
+        ..MachineSpec::default()
+    };
+    // 3 s of back-to-back 32 KiB reads over the image's second half; the
+    // full-speed copy reaches bare metal (near 2.4 s) while the guest
+    // still reads.
+    let reads = |_: usize| -> Box<dyn GuestProgram> {
+        Box::new(StreamProgram::sequential(
+            BlockRange::new(Lba(16_384), 16_384),
+            false,
+            64,
+            SimTime::from_millis(3000),
+            11,
+        ))
+    };
+    let limit = SimTime::from_secs(60);
+    for transport in [
+        TransportKind::Aoe,
+        TransportKind::Batched,
+        TransportKind::Rdma,
+    ] {
+        let cfg = BmcastConfig {
+            moderation: Moderation::full_speed(),
+            transport,
+            ..BmcastConfig::default()
+        };
+
+        let mut single = Runner::bmcast(&spec, cfg.clone());
+        single.start_program(reads(0));
+        let finished = single.run_to_finish(limit).expect("guest finishes");
+        let vmm = single.machine().vmm.as_ref().unwrap();
+        let single_ticks = (finished, vmm.bare_metal_at.expect("bare metal first"));
+
+        let mut fleet = Fleet::new(FleetConfig {
+            n: 1,
+            spec: spec.clone(),
+            machine_cfg: cfg,
+            server_cfg: ServerConfig::default(),
+            ..FleetConfig::default()
+        });
+        fleet.start(reads);
+        let boots = fleet
+            .run_to_all_booted(limit)
+            .expect("fleet guest finishes");
+        let vmm = fleet.machine(0).vmm.as_ref().unwrap();
+        let fleet_ticks = (boots[0], vmm.bare_metal_at.expect("bare metal first"));
+
+        assert!(
+            single.machine().stats.redirected_ios > 0,
+            "{transport:?}: the guest read ahead of the copy"
+        );
+        assert_eq!(
+            single_ticks, fleet_ticks,
+            "{transport:?}: (guest finish, bare metal), standalone vs fleet n = 1"
+        );
+    }
 }
 
 /// The reverse lifecycle reaches the timeline: every wave member's

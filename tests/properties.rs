@@ -8,7 +8,8 @@ use bmcast_repro::aoe::{AoeClient, ClientConfig};
 use bmcast_repro::bmcast::bitmap::BlockBitmap;
 use bmcast_repro::bmcast::config::{BmcastConfig, ControllerKind, Moderation};
 use bmcast_repro::bmcast::deploy::Runner;
-use bmcast_repro::bmcast::machine::{corrupt_frame_bytes, MachineSpec};
+use bmcast_repro::bmcast::fabric::corrupt_frame_bytes;
+use bmcast_repro::bmcast::machine::MachineSpec;
 use bmcast_repro::bmcast::programs::StreamProgram;
 use bmcast_repro::bmcast::snapback::{DirtyTracker, SnapshotBack};
 use bmcast_repro::bmcast::transport::coalesce_runs;

@@ -14,6 +14,13 @@ use bmcast_repro::hwsim::block::{BlockRange, Lba};
 use bmcast_repro::simkit::fault::FaultPlan;
 use bmcast_repro::simkit::{SimDuration, SimTime, Span};
 
+/// A quiet fault plan that drops 1% of the frames in each direction.
+fn one_percent_loss() -> Option<FaultPlan> {
+    let mut plan = FaultPlan::quiet(0x5EED);
+    plan.link.drop_rate = 0.01;
+    Some(plan)
+}
+
 fn spec() -> MachineSpec {
     MachineSpec {
         capacity_sectors: 1 << 14,
@@ -31,7 +38,7 @@ fn metrics_agree_with_machine_ground_truth() {
     // the copy exercise redirects, fills, and discards.
     let cfg = BmcastConfig {
         moderation: Moderation::full_speed(),
-        fabric_loss_rate: 0.01,
+        faults: one_percent_loss(),
         ..BmcastConfig::default()
     };
     let mut runner = Runner::bmcast_flight_recorded(&spec(), cfg, FlightRecorderConfig::default());
@@ -52,7 +59,7 @@ fn metrics_agree_with_machine_ground_truth() {
     let snap = runner.metrics_snapshot().expect("telemetry is on");
     let m = runner.machine();
     let vmm = m.vmm.as_ref().unwrap();
-    let net = m.net.as_ref().unwrap();
+    let server = m.fabric.as_ref().unwrap().server();
 
     // The run actually exercised the interesting paths.
     assert!(
@@ -93,10 +100,10 @@ fn metrics_agree_with_machine_ground_truth() {
         snap.counter("aoe.client.completions"),
         vmm.client.completions()
     );
-    assert_eq!(snap.counter("aoe.server.requests"), net.server.requests());
+    assert_eq!(snap.counter("aoe.server.requests"), server.requests());
     assert_eq!(
         snap.counter("aoe.server.sectors_read"),
-        net.server.sectors_read()
+        server.sectors_read()
     );
 
     // Mediator counters mirror MediatorStats.
@@ -190,7 +197,7 @@ fn phase_spans_tile_the_deployment() {
         &spec(),
         BmcastConfig {
             moderation: Moderation::full_speed(),
-            fabric_loss_rate: 0.01,
+            faults: one_percent_loss(),
             ..BmcastConfig::default()
         },
         FlightRecorderConfig::default(),
@@ -234,7 +241,7 @@ fn observation_is_inert_on_one_machine() {
         ..BmcastConfig::default()
     };
     let lossy = BmcastConfig {
-        fabric_loss_rate: 0.01,
+        faults: one_percent_loss(),
         ..base.clone()
     };
     let chaos = BmcastConfig {
