@@ -37,6 +37,7 @@
 use crate::wire::{sectors_per_frame, AoePdu, FrameBytes, Tag, WireFrame};
 use hwsim::block::{BlockRange, SectorData};
 use simkit::{Metrics, Prng, SimDuration, SimTime, SpanId, Spans, Tracer};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// How many completed/failed request ids are remembered for stale-reply
@@ -217,6 +218,9 @@ impl Pending {
 /// assert_eq!(client.outstanding(), 1);
 /// # let _ = id;
 /// ```
+/// A deadline no request has.
+const NEVER: SimTime = SimTime::from_nanos(u64::MAX);
+
 #[derive(Debug)]
 pub struct AoeClient {
     cfg: ClientConfig,
@@ -225,6 +229,10 @@ pub struct AoeClient {
     /// it, and iteration order decides retransmit order under loss — a
     /// hash map's per-process seed would make lossy runs nondeterministic.
     pending: BTreeMap<u32, Pending>,
+    /// At or below every outstanding request's retransmission deadline
+    /// (deadlines only ever move later): lets
+    /// [`AoeClient::retransmit_due`] answer most calls without a scan.
+    deadline_floor: Cell<SimTime>,
     /// Recently completed/failed ids, for stale-reply suppression. The
     /// set answers membership; the queue evicts FIFO at capacity.
     retired: BTreeSet<u32>,
@@ -248,6 +256,8 @@ pub struct AoeClient {
     /// hint. Fed into the background-copy throttle by fleet-aware
     /// moderation, and consulted per endpoint by the retry-budget hold.
     busy_at: BTreeMap<(u16, u8), SimTime>,
+    /// The latest of `busy_at`.
+    busy_latest: Option<SimTime>,
     /// When set, reads carry the completion-priority (sprint) flag.
     sprint: bool,
     /// When set, reads carry the rdma-lane flag (the RDMA transport):
@@ -273,6 +283,7 @@ impl AoeClient {
             endpoints,
             next_id: 1,
             pending: BTreeMap::new(),
+            deadline_floor: Cell::new(NEVER),
             retired: BTreeSet::new(),
             retired_order: VecDeque::new(),
             prng: Prng::new(seed),
@@ -283,6 +294,7 @@ impl AoeClient {
             bad_fragments: 0,
             shelf_reads: BTreeMap::new(),
             busy_at: BTreeMap::new(),
+            busy_latest: None,
             sprint: false,
             rdma: false,
             write_target: None,
@@ -315,6 +327,26 @@ impl AoeClient {
     /// Requests outstanding (issued, not yet completed or failed).
     pub fn outstanding(&self) -> usize {
         self.pending.len()
+    }
+
+    /// Whether some outstanding request's retransmission deadline is at
+    /// or before `at`, i.e. whether [`AoeClient::poll_retransmit`] at
+    /// `at` would do anything. A scan runs only once `at` reaches the
+    /// floor the last one left.
+    pub fn retransmit_due(&self, at: SimTime) -> bool {
+        if self.deadline_floor.get() > at {
+            return false;
+        }
+        let min = self.pending.values().map(|p| p.deadline).min();
+        self.deadline_floor.set(min.unwrap_or(NEVER));
+        min.is_some_and(|d| d <= at)
+    }
+
+    /// Tracks a newly issued request.
+    fn insert_pending(&mut self, id: u32, pending: Pending) {
+        self.deadline_floor
+            .set(self.deadline_floor.get().min(pending.deadline));
+        self.pending.insert(id, pending);
     }
 
     /// Total retransmitted frames.
@@ -363,7 +395,7 @@ impl AoeClient {
     /// backoff window to decide whether elastic traffic should yield —
     /// congestion anywhere in the store is reason to yield everywhere.
     pub fn server_busy_at(&self) -> Option<SimTime> {
-        self.busy_at.values().max().copied()
+        self.busy_latest
     }
 
     /// The current read endpoints, primary first.
@@ -433,6 +465,11 @@ impl AoeClient {
     /// peers sooner.
     pub fn set_sprint(&mut self, sprint: bool) {
         self.sprint = sprint;
+    }
+
+    /// Whether future reads carry the completion-priority flag.
+    pub fn sprint(&self) -> bool {
+        self.sprint
     }
 
     /// Turns the rdma-lane flag on or off for future reads. Set once at
@@ -529,7 +566,7 @@ impl AoeClient {
                 range.lba.0, range.sectors
             )
         });
-        self.pending.insert(
+        self.insert_pending(
             id,
             Pending {
                 range,
@@ -594,7 +631,7 @@ impl AoeClient {
                 cover.lba.0, cover.sectors
             )
         });
-        self.pending.insert(
+        self.insert_pending(
             id,
             Pending {
                 range: cover,
@@ -652,7 +689,7 @@ impl AoeClient {
         let span = self.spans.begin(now, "aoe.client", "aoe.rtt", parent, || {
             format!("write req {id} lba {} x{}", range.lba.0, range.sectors)
         });
-        self.pending.insert(
+        self.insert_pending(
             id,
             Pending {
                 range,
@@ -701,6 +738,7 @@ impl AoeClient {
             // request carried it — but it is news about one endpoint,
             // so it latches under that endpoint's key only.
             self.busy_at.insert((pdu.shelf, pdu.slot), now);
+            self.busy_latest = self.busy_latest.max(Some(now));
             self.metrics.inc("aoe.client.busy_hints");
         }
         if !pdu.response || pdu.error.is_some() {

@@ -208,7 +208,8 @@ impl BlockCache {
 /// One client's pending queue plus its deficit round-robin state.
 #[derive(Debug, Default)]
 struct ClientQueue {
-    queue: VecDeque<AoePdu>,
+    /// Pending requests with their arrival instants.
+    queue: VecDeque<(SimTime, AoePdu)>,
     /// Sectors of service this client may still consume this turn.
     deficit: u64,
     /// Whether the client's latest queued request carried the
@@ -341,8 +342,8 @@ impl AoeServer {
     }
 
     /// Attaches the flight-recorder span store; each served request
-    /// becomes an `aoe.server.request` span covering worker occupancy
-    /// (arrival to `ready_at`).
+    /// becomes an `aoe.server.request` span from its arrival (queue
+    /// wait included, on the queued fleet path) to `ready_at`.
     pub fn set_spans(&mut self, spans: Spans) {
         self.spans = spans;
     }
@@ -400,6 +401,25 @@ impl AoeServer {
                 .get_mut(&slot)
                 .expect("addressed slot is served")
         }
+    }
+
+    /// Adds `predecessor`'s lifetime counters (requests, sectors, cache
+    /// lookups, drops, dedups, busy replies, write errors, restarts,
+    /// RDMA reads) to this server's, so a server that takes over a
+    /// retired one's place keeps that place's totals.
+    pub fn carry_counters(&mut self, predecessor: &AoeServer) {
+        self.requests += predecessor.requests;
+        self.sectors_read += predecessor.sectors_read;
+        self.sectors_written += predecessor.sectors_written;
+        self.write_errors += predecessor.write_errors;
+        self.restarts += predecessor.restarts;
+        self.cache.hits += predecessor.cache.hits;
+        self.cache.misses += predecessor.cache.misses;
+        self.cache.evictions += predecessor.cache.evictions;
+        self.queue_drops += predecessor.queue_drops;
+        self.queue_dedups += predecessor.queue_dedups;
+        self.busy_replies += predecessor.busy_replies;
+        self.rdma_reads += predecessor.rdma_reads;
     }
 
     /// Requests served so far.
@@ -533,14 +553,14 @@ impl AoeServer {
         if pdu.response || pdu.shelf != self.cfg.shelf || !self.serves_slot(pdu.slot) {
             return Ok(None);
         }
-        Ok(Some(self.serve(now, pdu, false)))
+        Ok(Some(self.serve(now, now, pdu, false)))
     }
 
     /// Serves one decoded request at `now`: worker assignment, disk/cache
     /// timing, reply encoding. Shared by the synchronous path and the
     /// queued fleet path; `busy` stamps the congestion hint into every
     /// reply frame.
-    fn serve(&mut self, now: SimTime, pdu: AoePdu, busy: bool) -> ServerReply {
+    fn serve(&mut self, now: SimTime, arrived: SimTime, pdu: AoePdu, busy: bool) -> ServerReply {
         self.requests += 1;
         self.metrics.inc("aoe.server.requests");
         if busy {
@@ -558,7 +578,7 @@ impl AoeServer {
         // The worker knows its finish time up front, so the span is
         // recorded complete: arrival to ready_at is queue wait + service.
         self.spans.record(
-            now,
+            arrived,
             reply.ready_at,
             "aoe.server",
             "aoe.server.request",
@@ -765,17 +785,16 @@ impl AoeServer {
             return Ok(Enqueued::NotForUs);
         }
         if !pdu.write && pdu.rdma && self.hca.is_some() {
-            let reply = self.serve(now, pdu, false);
+            let reply = self.serve(now, now, pdu, false);
             let available_at = reply.ready_at;
             self.rdma_ready.push_back((client, reply, available_at));
             return Ok(Enqueued::Queued);
         }
         let limit = self.cfg.client_queue_limit;
         let q = self.queues.entry(client).or_default();
-        if q.queue
-            .iter()
-            .any(|held| held.tag == pdu.tag && held.range == pdu.range && held.write == pdu.write)
-        {
+        if q.queue.iter().any(|(_, held)| {
+            held.tag == pdu.tag && held.range == pdu.range && held.write == pdu.write
+        }) {
             // A retransmit of a request that is still queued: the first
             // copy will be served, so a second would double the disk,
             // CPU, and egress cost exactly when the server can least
@@ -794,7 +813,7 @@ impl AoeServer {
         // a machine in its post-boot endgame flags everything, one still
         // booting flags nothing, so the latch tracks the phase change.
         q.sprint = pdu.sprint;
-        q.queue.push_back(pdu);
+        q.queue.push_back((now, pdu));
         self.queued_total += 1;
         if was_empty {
             self.drr_ring.push_back(client);
@@ -855,6 +874,7 @@ impl AoeServer {
                 .queue
                 .front()
                 .expect("ring member queue is non-empty")
+                .1
                 .range
                 .sectors
                 .max(1) as u64;
@@ -874,7 +894,7 @@ impl AoeServer {
                 continue;
             }
             q.deficit -= cost;
-            let pdu = q.queue.pop_front().expect("non-empty");
+            let (arrived, pdu) = q.queue.pop_front().expect("non-empty");
             self.queued_total -= 1;
             if q.queue.is_empty() {
                 q.deficit = 0;
@@ -885,7 +905,7 @@ impl AoeServer {
             // queueing against itself is load, not contention.
             let busy = self.queued_total >= self.cfg.busy_queue_threshold && self.queues.len() >= 2;
             self.update_queue_gauges();
-            let reply = self.serve(now, pdu, busy);
+            let reply = self.serve(now, arrived, pdu, busy);
             return Some((client, reply));
         }
     }
@@ -1504,6 +1524,31 @@ mod tests {
         assert!(s.dispatch(SimTime::ZERO).is_some());
         assert!(s.dispatch(SimTime::ZERO).is_some());
         assert_eq!(s.enqueue(SimTime::ZERO, 0, &req).unwrap(), Enqueued::Queued);
+    }
+
+    #[test]
+    fn a_queued_request_span_covers_its_queue_wait() {
+        let mut s = server(1);
+        let spans = Spans::enabled(16);
+        s.set_spans(spans.clone());
+        s.enqueue(SimTime::ZERO, 0, &read_req(1, 0, 64)).unwrap();
+        s.enqueue(SimTime::ZERO, 1, &read_req(2, 4096, 64)).unwrap();
+        let (_, first) = s.dispatch(SimTime::ZERO).expect("a worker is free");
+        assert!(
+            s.dispatch(SimTime::ZERO).is_none(),
+            "the only worker is busy"
+        );
+        let free = s.next_dispatch_at().expect("client 1 still queued");
+        let (client, _) = s.dispatch(free).expect("the worker came free");
+        assert_eq!(client, 1);
+        let waited = free.duration_since(SimTime::ZERO);
+        assert!(waited >= first.ready_at.duration_since(SimTime::ZERO));
+        let second = spans
+            .finished_of("aoe.server.request")
+            .into_iter()
+            .find(|sp| sp.start == SimTime::ZERO && sp.end > free)
+            .expect("the waiting request's span");
+        assert!(second.duration() >= waited, "the span starts at arrival");
     }
 
     #[test]

@@ -175,6 +175,12 @@ impl BackgroundCopy {
         self.fifo.len() + self.inflight < self.fifo_capacity && self.inflight < self.max_inflight
     }
 
+    /// Whether [`BackgroundCopy::next_fetch`] would do anything: the
+    /// pipeline has room and some block is still unrequested.
+    pub fn wants_fetch(&self) -> bool {
+        self.can_fetch() && self.requested.next_empty(self.cursor).is_some()
+    }
+
     /// Records a guest disk access: moves the cursor adjacent to it (seek
     /// minimization) and feeds the moderation rate estimator.
     pub fn note_guest_io(&mut self, now: SimTime, end_of_access: Lba) {

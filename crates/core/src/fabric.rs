@@ -115,6 +115,9 @@ struct ServerNode {
     /// Origin replica (true) or activated peer (false): decides
     /// whether the fault plan's server and disk gates apply.
     origin: bool,
+    /// Queued [`FabricEvent`]s that name this node: a retired node's
+    /// place is reused only once none is left.
+    queued: u32,
 }
 
 /// One step of fabric work, due when the host's timeline holds it.
@@ -150,6 +153,9 @@ pub struct Fabric {
     nodes: Vec<ServerNode>,
     /// AoE shelf → node index, for request routing.
     shelf_nodes: BTreeMap<u16, usize>,
+    /// Retired shelf → the node that served it, for reuse when the
+    /// shelf is served again.
+    retired: BTreeMap<u16, usize>,
     faults: Option<FaultInjector>,
     /// Egress backlog (in serialization time) above which a node with
     /// at least two clients stops dispatching.
@@ -172,6 +178,7 @@ impl Fabric {
             switch: Switch::new(mtu),
             nodes: Vec::new(),
             shelf_nodes: BTreeMap::new(),
+            retired: BTreeMap::new(),
             faults: faults.map(FaultInjector::new),
             egress_queue_cap,
             metrics: Metrics::disabled(),
@@ -182,31 +189,58 @@ impl Fabric {
     /// Attaches `server` on its own uplink port and egress link, and
     /// routes its shelf to it. Only an origin sits inside the fault
     /// plan's storage failure domain. Draws no randomness.
+    ///
+    /// A shelf served again after [`Fabric::retire_shelf`] takes back
+    /// its retired node's place once no queued event names that node:
+    /// the new server starts from the old one's counters, so every
+    /// total over the servers reads as before, and the node list stays
+    /// one entry per shelf however many waves retire and re-activate it.
     pub(crate) fn add_server(&mut self, mac: MacAddr, mut server: AoeServer, origin: bool) {
-        self.switch.attach(mac, Link::gigabit());
         if self.metrics.is_enabled() {
             server.set_telemetry(self.metrics.clone());
         }
         if self.spans.is_enabled() {
             server.set_spans(self.spans.clone());
         }
-        self.shelf_nodes
-            .insert(server.config().shelf, self.nodes.len());
-        self.nodes.push(ServerNode {
+        let shelf = server.config().shelf;
+        let node = ServerNode {
             server,
             mac,
             egress: Link::gigabit(),
             egress_inflight_bytes: 0,
             pending_dispatch: None,
             origin,
-        });
+            queued: 0,
+        };
+        let reuse = self.retired.get(&shelf).copied();
+        let index = match reuse.filter(|&i| self.nodes[i].queued == 0) {
+            Some(i) => {
+                self.retired.remove(&shelf);
+                let old = std::mem::replace(&mut self.nodes[i], node);
+                self.nodes[i].server.carry_counters(&old.server);
+                // The switch forwards to the first port with a MAC, so
+                // a port already attached for it is the one in use.
+                if old.mac != mac {
+                    self.switch.attach(mac, Link::gigabit());
+                }
+                i
+            }
+            None => {
+                self.switch.attach(mac, Link::gigabit());
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            }
+        };
+        self.shelf_nodes.insert(shelf, index);
     }
 
     /// Takes `shelf` out of request routing: frames addressed to it
-    /// vanish. Its node stays, so indices are stable and queued replies
-    /// drain harmlessly.
+    /// vanish. Its node stays until the shelf is served again, so
+    /// queued replies drain harmlessly.
     pub(crate) fn retire_shelf(&mut self, shelf: u16) {
-        self.shelf_nodes.remove(&shelf);
+        if let Some(node) = self.shelf_nodes.remove(&shelf) {
+            self.retired.insert(shelf, node);
+        }
     }
 
     /// Attaches a metrics registry to the servers (added later ones
@@ -307,6 +341,7 @@ impl Fabric {
                 return;
             };
             let payload = d.frame.payload;
+            self.nodes[node].queued += 1;
             push(
                 d.at + extra,
                 FabricEvent::ServerRx {
@@ -327,6 +362,12 @@ impl Fabric {
         event: FabricEvent,
         push: &mut impl FnMut(SimTime, FabricEvent),
     ) -> Option<(usize, FrameBytes)> {
+        if let FabricEvent::ServerRx { node, .. }
+        | FabricEvent::Dispatch { node }
+        | FabricEvent::ReplyTx { node, .. } = event
+        {
+            self.nodes[node].queued -= 1;
+        }
         match event {
             FabricEvent::ServerRx {
                 node,
@@ -426,6 +467,7 @@ impl Fabric {
                     let resume = now + (backlog - cap);
                     if n.pending_dispatch.is_none_or(|p| resume < p) {
                         n.pending_dispatch = Some(resume);
+                        n.queued += 1;
                         push(resume, FabricEvent::Dispatch { node });
                     }
                 }
@@ -443,6 +485,7 @@ impl Fabric {
                 .filter(|f| !peek_rdma(f.head()))
                 .map(|f| f.len() as u64 + FRAME_OVERHEAD as u64)
                 .sum::<u64>();
+            n.queued += 1;
             push(
                 reply.ready_at.max(now),
                 FabricEvent::ReplyTx {
@@ -456,6 +499,7 @@ impl Fabric {
         if let Some(at) = n.server.next_dispatch_at() {
             if n.pending_dispatch.is_none_or(|p| at < p) {
                 n.pending_dispatch = Some(at);
+                n.queued += 1;
                 push(at, FabricEvent::Dispatch { node });
             }
         }

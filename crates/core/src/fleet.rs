@@ -111,7 +111,8 @@ use simkit::{
     Spans, Tracer,
 };
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// First shelf number used by peer server nodes (origin replicas use
 /// shelves `0..servers`); machine `i`'s peer answers on shelf
@@ -285,18 +286,52 @@ enum FleetEvent {
     Sample,
 }
 
-/// The fleet's own event queue, an ordered map keyed by
-/// `(time, sequence)`.
+/// The fleet's own event queue: a min-heap on `(time, sequence)`.
 #[derive(Default)]
 struct Timeline {
-    events: BTreeMap<(SimTime, u64), FleetEvent>,
+    events: BinaryHeap<Reverse<Timed>>,
     seq: u64,
+}
+
+/// A timeline entry, ordered by `(time, sequence)` alone.
+struct Timed {
+    at: SimTime,
+    seq: u64,
+    event: FleetEvent,
+}
+
+impl PartialEq for Timed {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+impl Eq for Timed {}
+impl PartialOrd for Timed {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Timed {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
 }
 
 impl Timeline {
     fn push(&mut self, at: SimTime, event: FleetEvent) {
-        self.events.insert((at, self.seq), event);
+        let seq = self.seq;
         self.seq += 1;
+        self.events.push(Reverse(Timed { at, seq, event }));
+    }
+
+    /// When the earliest event is due.
+    fn next_at(&self) -> Option<SimTime> {
+        self.events.peek().map(|Reverse(t)| t.at)
+    }
+
+    /// Takes the earliest event.
+    fn pop(&mut self) -> Option<(SimTime, FleetEvent)> {
+        self.events.pop().map(|Reverse(t)| (t.at, t.event))
     }
 }
 
@@ -776,6 +811,22 @@ impl Fleet {
         }
     }
 
+    /// Re-indexes member `i` after [`Fleet::machine_floor`] chose it and
+    /// it stepped: its old entry is the index's top, so it is replaced in
+    /// place rather than left for the floor to discard.
+    fn reindex_stepped(&mut self, i: usize) {
+        let next = self.machines[i].1.next_event_at();
+        if self.next_index.peek().is_some_and(|top| top.0 .1 == i) {
+            let mut top = self.next_index.peek_mut().expect("just peeked");
+            match next {
+                Some(t) => *top = Reverse((t, i)),
+                None => drop(PeekMut::pop(top)),
+            }
+        } else if let Some(t) = next {
+            self.next_index.push(Reverse((t, i)));
+        }
+    }
+
     /// The earliest member event as `(time, machine)`, ties broken by
     /// the lowest machine index — the same order the old O(n) per-event
     /// scan produced, at O(log n) amortized. Peeked entries are checked
@@ -880,7 +931,7 @@ impl Fleet {
             // The globally earliest event: fleet first, then members in
             // index order — the fixed iteration order that makes the
             // interleave deterministic.
-            let fleet_next = self.timeline.events.keys().next().map(|&(t, _)| t);
+            let fleet_next = self.timeline.next_at();
             let machine_next = self.machine_floor();
             let step_machine = match (fleet_next, machine_next) {
                 (None, None) => return Err(self.stall(true, limit)),
@@ -924,7 +975,7 @@ impl Fleet {
         sim.step(m);
         let stepped_to = sim.now();
         self.now = self.now.max(stepped_to);
-        self.index_machine(i);
+        self.reindex_stepped(i);
         self.forward_requests(i, stepped_to);
         if self.machines[i].0.guest.finished && self.startup[i].is_none() {
             self.startup[i] = Some(stepped_to);
@@ -1087,8 +1138,8 @@ impl Fleet {
     /// by retransmit-failover onto their remaining endpoints) and the
     /// endpoint leaves every other machine's read set, so no client
     /// can be handed old-tenant blocks once the image view goes stale.
-    /// The node object stays in `nodes` (indices are stable; queued
-    /// replies drain harmlessly), it just becomes unreachable.
+    /// The node stays on the fabric, unreachable, until the member
+    /// serves again and takes its place back (see `Fabric::add_server`).
     fn retire_peer(&mut self, i: usize) {
         self.peer_pending[i] = false;
         if !self.peer_active[i] {
@@ -1246,8 +1297,8 @@ impl Fleet {
             && !self
                 .timeline
                 .events
-                .values()
-                .any(|e| matches!(e, FleetEvent::Sample))
+                .iter()
+                .any(|Reverse(t)| matches!(t.event, FleetEvent::Sample))
         {
             self.timeline
                 .push(self.now + self.fleet_sampler.interval(), FleetEvent::Sample);
@@ -1385,7 +1436,7 @@ impl Fleet {
 
     /// Pops and executes the earliest fleet event.
     fn step_fleet(&mut self) {
-        let Some(((t, _), event)) = self.timeline.events.pop_first() else {
+        let Some((t, event)) = self.timeline.pop() else {
             return;
         };
         self.now = self.now.max(t);
@@ -1543,11 +1594,11 @@ impl Fleet {
 
     /// Total events executed so far: the fleet's own timeline plus
     /// every member simulation — the denominator behind the bench
-    /// harness's events/second figure. A parked poll's no-op ticks
-    /// (the background writer waiting for an idle window, see
-    /// `simkit::Sim::park`) are skipped, not executed, so they are not
-    /// counted and the host cost per counted event is higher than when
-    /// every tick was an event.
+    /// harness's events/second figure. Timer ticks that do nothing (the
+    /// writer waiting for an idle window, a gated retriever, an empty
+    /// retransmit round; see `simkit::Sim::arm`) are skipped, not
+    /// executed, so they are not counted and the host cost per counted
+    /// event is higher than when every tick was an event.
     pub fn events_executed(&self) -> u64 {
         self.fleet_events_executed
             + self
@@ -1627,6 +1678,11 @@ impl Fleet {
     /// Member `i`.
     pub fn machine(&self, i: usize) -> &Machine {
         &self.machines[i].0
+    }
+
+    /// Member `i`'s simulator.
+    pub fn member_sim(&self, i: usize) -> &MachineSim {
+        &self.machines[i].1
     }
 
     /// Number of members.
@@ -2181,6 +2237,36 @@ mod tests {
             checked += 1;
         }
         assert!(checked >= 10, "machine {i}: only {checked} sectors sampled");
+    }
+
+    #[test]
+    fn reactivated_peers_reuse_their_retired_nodes() {
+        let mut cfg = tiny_cfg(4);
+        cfg.peer_serving = true;
+        let mut fleet = Fleet::new(cfg);
+        fleet.start(|_| Box::new(BootProgram::new(BootProfile::tiny(7))));
+        fleet
+            .run_to_all_booted(SimTime::from_secs(3600))
+            .expect("fleet boots");
+        let after_boot = fleet.fabric.servers().count();
+        let (drops, bytes) = (fleet.queue_drops_total(), fleet.server_bytes_read());
+        fleet
+            .run_rolling_upgrade(
+                0xB002,
+                2,
+                |_| Box::new(BootProgram::new(BootProfile::tiny(7))),
+                SimTime::from_secs(7200),
+            )
+            .expect("the wave completes");
+        assert!(fleet.peers_active() >= 1, "upgraded members serve again");
+        assert_eq!(
+            fleet.fabric.servers().count(),
+            after_boot,
+            "one node per shelf across the wave"
+        );
+        // Totals carry over the retired nodes' counts.
+        assert!(fleet.queue_drops_total() >= drops);
+        assert!(fleet.server_bytes_read() > bytes);
     }
 
     #[test]

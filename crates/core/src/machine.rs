@@ -45,7 +45,8 @@ use hwsim::mem::{DmaBuffer, PhysAddr, PhysMem};
 use hwsim::pci::{Bdf, PciBus, PciClass, PciDevice};
 use hwsim::vtx::{ExitReason, VtxCpu};
 use simkit::{
-    Histogram, Metrics, Sampler, Sim, SimDuration, SimTime, SpanId, Spans, Tracer, NO_SPAN,
+    Histogram, Metrics, Rearms, Sampler, Sim, SimDuration, SimTime, SpanId, Spans, Tick, Timer,
+    Tracer, NO_SPAN,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -648,7 +649,7 @@ impl Vmm {
         self.reclaim_error
     }
 
-    /// Whether the background writer chain is parked (diagnostics).
+    /// Whether the background writer chain is idle (diagnostics).
     pub fn writer_idle(&self) -> bool {
         self.writer_idle
     }
@@ -1735,93 +1736,145 @@ fn vmm_poll(m: &mut Machine, sim: &mut MachineSim) {
     }
 }
 
-/// Periodic retransmission guard while AoE requests are outstanding.
+// The machine's keyed timers, one slot per purpose (see
+// `simkit::Sim::arm` and DESIGN §5.1). Each stands for every event
+// chain of its purpose; its plan names the ticks that would act.
+const WRITER_POLL_TIMER: Timer<Machine> = Timer {
+    slot: 0,
+    plan: writer_plan,
+    fire: writer_fire,
+};
+const RETRIEVER: Timer<Machine> = Timer {
+    slot: 1,
+    plan: retriever_plan,
+    fire: retriever_fire,
+};
+const RETRANSMIT_GUARD: Timer<Machine> = Timer {
+    slot: 2,
+    plan: guard_plan,
+    fire: guard_fire,
+};
+const SNAPSHOT_SENDER: Timer<Machine> = Timer {
+    slot: 3,
+    plan: snapshot_plan,
+    fire: snapshot_pump,
+};
+
+/// Periodic retransmission guard while AoE requests are outstanding:
+/// one tick an RTO on, on the guard's timer.
 fn schedule_retransmit_guard(m: &mut Machine, sim: &mut MachineSim) {
     let Some(vmm) = m.vmm.as_ref() else { return };
     if vmm.client.outstanding() == 0 {
         return;
     }
     let rto = vmm.client.config().rto;
-    sim.schedule_in(rto, |m: &mut Machine, sim| {
-        let Some(vmm) = m.vmm.as_mut() else { return };
-        if !vmm.is_active() || vmm.deploy_error.is_some() || vmm.reclaim_error.is_some() {
-            return;
-        }
-        let frames = vmm.client.poll_retransmit(sim.now());
-        let failures = vmm.client.take_failures();
-        vmm.consecutive_failures = vmm
-            .consecutive_failures
-            .saturating_add(failures.len() as u32);
-        let mut reissue_redirects = Vec::new();
-        for id in failures {
-            match vmm.aoe_waiters.remove(&id) {
-                Some(AoeWaiter::Background(members)) => {
-                    // Make the blocks requestable again; the retriever
-                    // will reissue them after its back-off window.
+    sim.arm(RETRANSMIT_GUARD, sim.now() + rto);
+}
+
+/// Whether a guard tick at `at` acts: a retransmission is due, or the
+/// calls it makes on the retriever and the snapshot sender would act
+/// (a multiplex pop frees FIFO room without kicking the retriever, and
+/// the guard is what picks that room up). An idle tick re-arms what
+/// those calls and the guard itself would, in their order.
+fn guard_plan(m: &Machine, at: SimTime, rearms: &mut Rearms<Machine>) -> Tick {
+    let Some(vmm) = m.vmm.as_ref() else {
+        return Tick::Idle;
+    };
+    if !vmm.is_active() || vmm.deploy_error.is_some() || vmm.reclaim_error.is_some() {
+        return Tick::Idle;
+    }
+    // Failures come only from due requests, so a tick with nothing due
+    // fails nothing either.
+    if vmm.client.retransmit_due(at)
+        || retriever_plan(m, at, rearms) == Tick::Act
+        || snapshot_plan(m, at, rearms) == Tick::Act
+    {
+        return Tick::Act;
+    }
+    if vmm.client.outstanding() > 0 {
+        rearms.arm(RETRANSMIT_GUARD, at + vmm.client.config().rto);
+    }
+    Tick::Idle
+}
+
+fn guard_fire(m: &mut Machine, sim: &mut MachineSim) {
+    let Some(vmm) = m.vmm.as_mut() else { return };
+    if !vmm.is_active() || vmm.deploy_error.is_some() || vmm.reclaim_error.is_some() {
+        return;
+    }
+    let frames = vmm.client.poll_retransmit(sim.now());
+    let failures = vmm.client.take_failures();
+    vmm.consecutive_failures = vmm
+        .consecutive_failures
+        .saturating_add(failures.len() as u32);
+    let mut reissue_redirects = Vec::new();
+    for id in failures {
+        match vmm.aoe_waiters.remove(&id) {
+            Some(AoeWaiter::Background(members)) => {
+                // Make the blocks requestable again; the retriever
+                // will reissue them after its back-off window.
+                for range in members {
+                    vmm.bg.fetch_failed(sim.now(), range);
+                }
+                vmm.bg.note_fetch_failure(sim.now());
+            }
+            Some(AoeWaiter::Redirect(members)) => {
+                // The guest is blocked on this data: reissue at once.
+                reissue_redirects.push(members);
+            }
+            Some(AoeWaiter::Snapshot(members)) => {
+                // Re-mark the ranges dirty; the sender will re-stream
+                // them after its back-off window.
+                if let Some(snap) = vmm.snap.as_mut() {
                     for range in members {
-                        vmm.bg.fetch_failed(sim.now(), range);
-                    }
-                    vmm.bg.note_fetch_failure(sim.now());
-                }
-                Some(AoeWaiter::Redirect(members)) => {
-                    // The guest is blocked on this data: reissue at once.
-                    reissue_redirects.push(members);
-                }
-                Some(AoeWaiter::Snapshot(members)) => {
-                    // Re-mark the ranges dirty; the sender will re-stream
-                    // them after its back-off window.
-                    if let Some(snap) = vmm.snap.as_mut() {
-                        for range in members {
-                            snap.send_failed(sim.now(), range, &mut vmm.dirty);
-                        }
+                        snap.send_failed(sim.now(), range, &mut vmm.dirty);
                     }
                 }
-                None => {}
             }
+            None => {}
         }
-        if vmm.consecutive_failures > vmm.cfg.deploy_failure_budget {
-            // Graceful degradation's end: surface the error instead of
-            // retrying forever. Outstanding work drains; the runner sees
-            // the error and stops.
-            let consecutive = vmm.consecutive_failures;
-            if vmm.phase == Phase::SnapshotBack {
-                vmm.reclaim_error = Some(ReclaimError::RetryBudgetExhausted { consecutive });
-                m.metrics.inc("machine.reclaim_errors");
-                m.tracer.emit(sim.now(), "machine", "reclaim_error", || {
-                    format!(
-                        "snapshot-back retry budget exhausted after {consecutive} \
-                         consecutive failures"
-                    )
-                });
-            } else {
-                vmm.deploy_error = Some(DeployError::RetryBudgetExhausted { consecutive });
-                m.metrics.inc("machine.deploy_errors");
-                m.tracer.emit(sim.now(), "machine", "deploy_error", || {
-                    format!("retry budget exhausted after {consecutive} consecutive failures")
-                });
-            }
-            return;
+    }
+    if vmm.consecutive_failures > vmm.cfg.deploy_failure_budget {
+        // Graceful degradation's end: surface the error instead of
+        // retrying forever. Outstanding work drains; the runner sees
+        // the error and stops.
+        let consecutive = vmm.consecutive_failures;
+        if vmm.phase == Phase::SnapshotBack {
+            vmm.reclaim_error = Some(ReclaimError::RetryBudgetExhausted { consecutive });
+            m.metrics.inc("machine.reclaim_errors");
+            m.tracer.emit(sim.now(), "machine", "reclaim_error", || {
+                format!(
+                    "snapshot-back retry budget exhausted after {consecutive} \
+                     consecutive failures"
+                )
+            });
+        } else {
+            vmm.deploy_error = Some(DeployError::RetryBudgetExhausted { consecutive });
+            m.metrics.inc("machine.deploy_errors");
+            m.tracer.emit(sim.now(), "machine", "deploy_error", || {
+                format!("retry budget exhausted after {consecutive} consecutive failures")
+            });
         }
-        for members in reissue_redirects {
-            let vmm = m.vmm.as_mut().expect("still here");
-            let plans = vmm.cfg.transport.plan_reads(&vmm.client, &members);
-            let mut fs_all = Vec::new();
-            for plan in plans {
-                let (id, fs) =
-                    crate::transport::issue_read(&mut vmm.client, sim.now(), &plan, NO_SPAN);
-                vmm.aoe_waiters
-                    .insert(id, AoeWaiter::Redirect(plan.members));
-                fs_all.extend(fs);
-            }
-            send_vmm_frames(m, sim, fs_all);
+        return;
+    }
+    for members in reissue_redirects {
+        let vmm = m.vmm.as_mut().expect("still here");
+        let plans = vmm.cfg.transport.plan_reads(&vmm.client, &members);
+        let mut fs_all = Vec::new();
+        for plan in plans {
+            let (id, fs) = crate::transport::issue_read(&mut vmm.client, sim.now(), &plan, NO_SPAN);
+            vmm.aoe_waiters
+                .insert(id, AoeWaiter::Redirect(plan.members));
+            fs_all.extend(fs);
         }
-        if !frames.is_empty() {
-            send_vmm_frames(m, sim, frames);
-        }
-        retriever_fire(m, sim);
-        snapshot_pump(m, sim);
-        schedule_retransmit_guard(m, sim);
-    });
+        send_vmm_frames(m, sim, fs_all);
+    }
+    if !frames.is_empty() {
+        send_vmm_frames(m, sim, frames);
+    }
+    retriever_fire(m, sim);
+    snapshot_pump(m, sim);
+    schedule_retransmit_guard(m, sim);
 }
 
 // -------------------------- background copy ---------------------------
@@ -1969,6 +2022,47 @@ fn flight_sampler_tick(m: &mut Machine, sim: &mut MachineSim) {
     sim.schedule_in(interval, flight_sampler_tick);
 }
 
+/// The retriever's server-busy gate: background fetches yield until
+/// this instant after a reply carried the busy hint (never while
+/// sprinting).
+fn busy_until(vmm: &Vmm, sprinting: bool) -> Option<SimTime> {
+    let backoff = vmm.cfg.moderation.server_busy_backoff;
+    if backoff == SimDuration::ZERO || sprinting {
+        return None;
+    }
+    vmm.client.server_busy_at().map(|busy_at| busy_at + backoff)
+}
+
+/// What a retriever tick at `at` would do: re-arm at a closed gate's
+/// deadline, act (claim blocks, flip the sprint flag, or request
+/// devirtualization), or nothing.
+fn retriever_plan(m: &Machine, at: SimTime, rearms: &mut Rearms<Machine>) -> Tick {
+    let Some(vmm) = m.vmm.as_ref() else {
+        return Tick::Idle;
+    };
+    if vmm.phase != Phase::Deployment || vmm.deploy_error.is_some() {
+        return Tick::Idle;
+    }
+    let ready = vmm.bg.fetch_ready_at();
+    if ready > at {
+        rearms.arm(RETRIEVER, ready);
+        return Tick::Idle;
+    }
+    let sprinting = m.guest.finished && vmm.cfg.moderation.post_boot_sprint;
+    if vmm.client.sprint() != sprinting {
+        return Tick::Act;
+    }
+    if let Some(until) = busy_until(vmm, sprinting).filter(|&u| u > at) {
+        rearms.arm(RETRIEVER, until);
+        return Tick::Idle;
+    }
+    if vmm.bg.wants_fetch() || devirt_due(vmm) {
+        Tick::Act
+    } else {
+        Tick::Idle
+    }
+}
+
 fn retriever_fire(m: &mut Machine, sim: &mut MachineSim) {
     let guest_finished = m.guest.finished;
     let Some(vmm) = m.vmm.as_mut() else { return };
@@ -1979,7 +2073,7 @@ fn retriever_fire(m: &mut Machine, sim: &mut MachineSim) {
     // only probe the server again once the window opens.
     let ready = vmm.bg.fetch_ready_at();
     if ready > sim.now() {
-        sim.schedule_at(ready, retriever_fire);
+        sim.arm(RETRIEVER, ready);
         return;
     }
     // Post-boot sprint: the guest is done, so the moderation below has
@@ -1992,15 +2086,9 @@ fn retriever_fire(m: &mut Machine, sim: &mut MachineSim) {
     // hint, so other machines' copy-on-read is queueing behind elastic
     // traffic. Background fetches yield the backoff window; redirects
     // (a blocked guest) are never gated here.
-    let busy_backoff = vmm.cfg.moderation.server_busy_backoff;
-    if busy_backoff > SimDuration::ZERO && !sprinting {
-        if let Some(busy_at) = vmm.client.server_busy_at() {
-            let until = busy_at + busy_backoff;
-            if until > sim.now() {
-                sim.schedule_at(until, retriever_fire);
-                return;
-            }
-        }
+    if let Some(until) = busy_until(vmm, sprinting).filter(|&u| u > sim.now()) {
+        sim.arm(RETRIEVER, until);
+        return;
     }
     let mut claims = Vec::new();
     while let Some(range) = vmm.bg.next_fetch(sim.now(), &vmm.bitmap) {
@@ -2046,7 +2134,7 @@ fn kick_writer(m: &mut Machine, sim: &mut MachineSim) {
     } else {
         vmm.writer_next_allowed.saturating_duration_since(sim.now())
     };
-    sim.schedule_in(delay, writer_fire);
+    sim.arm(WRITER_POLL_TIMER, sim.now() + delay);
 }
 
 /// The writer's idle-window poll period (the paper's preemption-timer
@@ -2063,11 +2151,20 @@ fn writer_tick_acts(m: &Machine) -> bool {
     vmm.port.can_multiplex(&m.hw) && vmm.redirect.is_none() && vmm.multiplex.is_none()
 }
 
+/// A writer tick polls on until it acts: the poll ticks that find the
+/// device still busy cost nothing.
+fn writer_plan(m: &Machine, _at: SimTime, _rearms: &mut Rearms<Machine>) -> Tick {
+    if writer_tick_acts(m) {
+        Tick::Act
+    } else {
+        Tick::Poll(WRITER_POLL)
+    }
+}
+
 fn writer_fire(m: &mut Machine, sim: &mut MachineSim) {
     if !writer_tick_acts(m) {
-        // Wait for an idle window; the parked poll costs nothing per
-        // tick that finds the device still busy.
-        sim.park(WRITER_POLL, writer_tick_acts, writer_fire);
+        // Wait for an idle window on the poll grid.
+        sim.arm(WRITER_POLL_TIMER, sim.now() + WRITER_POLL);
         return;
     }
     let Some(vmm) = m.vmm.as_mut().filter(|v| v.is_active()) else {
@@ -2149,16 +2246,21 @@ fn finish_multiplex(m: &mut Machine, sim: &mut MachineSim) {
 
 // --------------------------- de-virtualization ------------------------
 
+/// Whether the deployment is done and devirtualization not yet asked
+/// for: the bitmap is complete and nothing is queued or in flight.
+fn devirt_due(vmm: &Vmm) -> bool {
+    vmm.phase == Phase::Deployment
+        && vmm.bitmap.is_complete()
+        && !vmm.bg.has_pending_writes()
+        && vmm.bg.inflight() == 0
+        && vmm.redirect.is_none()
+        && vmm.multiplex.is_none()
+        && !vmm.devirt_requested
+}
+
 fn maybe_begin_devirt(m: &mut Machine, sim: &mut MachineSim) {
     let Some(vmm) = m.vmm.as_mut() else { return };
-    if vmm.phase != Phase::Deployment
-        || !vmm.bitmap.is_complete()
-        || vmm.bg.has_pending_writes()
-        || vmm.bg.inflight() > 0
-        || vmm.redirect.is_some()
-        || vmm.multiplex.is_some()
-        || vmm.devirt_requested
-    {
+    if !devirt_due(vmm) {
         return;
     }
     vmm.devirt_requested = true;
@@ -2335,11 +2437,35 @@ fn begin_snapshot_back(m: &mut Machine, sim: &mut MachineSim) {
     snapshot_pump(m, sim);
 }
 
+/// What a sender tick at `at` would do: re-arm at the back-off
+/// deadline, act (claim dirty runs or close the phase), or nothing.
+fn snapshot_plan(m: &Machine, at: SimTime, rearms: &mut Rearms<Machine>) -> Tick {
+    let Some(vmm) = m.vmm.as_ref() else {
+        return Tick::Idle;
+    };
+    if vmm.phase != Phase::SnapshotBack || vmm.reclaim_error.is_some() {
+        return Tick::Idle;
+    }
+    let Some(snap) = vmm.snap.as_ref() else {
+        return Tick::Idle;
+    };
+    let ready = snap.send_ready_at();
+    if ready > at {
+        rearms.arm(SNAPSHOT_SENDER, ready);
+        return Tick::Idle;
+    }
+    if snap.can_send(&vmm.dirty) || snapshot_done_due(vmm) {
+        Tick::Act
+    } else {
+        Tick::Idle
+    }
+}
+
 /// The snapshot-back sender: retriever and writer in one. Claims dirty
 /// runs from the tracker (up to the in-flight window), reads them from
 /// the local disk, and streams them to the server as AoE writes through
 /// the same NIC/retransmit path as deployment. Reschedules itself after
-/// a failure back-off; completes via [`maybe_finish_snapshot`].
+/// a failure back-off on its timer; completes via [`maybe_finish_snapshot`].
 fn snapshot_pump(m: &mut Machine, sim: &mut MachineSim) {
     let Some(vmm) = m.vmm.as_mut() else { return };
     if vmm.phase != Phase::SnapshotBack || vmm.reclaim_error.is_some() {
@@ -2352,7 +2478,7 @@ fn snapshot_pump(m: &mut Machine, sim: &mut MachineSim) {
     // exponential window the background retriever uses.
     let ready = snap.send_ready_at();
     if ready > sim.now() {
-        sim.schedule_at(ready, snapshot_pump);
+        sim.arm(SNAPSHOT_SENDER, ready);
         return;
     }
     let mut claims = Vec::new();
@@ -2382,16 +2508,18 @@ fn snapshot_pump(m: &mut Machine, sim: &mut MachineSim) {
 
 /// Closes the snapshot-back phase once the tracker is clean and no sends
 /// are in flight. Re-entrant: called after every ack and pump round.
+/// Whether the snapshot-back phase is ready to close: the tracker is
+/// clean and no send is in flight.
+fn snapshot_done_due(vmm: &Vmm) -> bool {
+    vmm.phase == Phase::SnapshotBack
+        && vmm.snapshot_done_at.is_none()
+        && vmm.reclaim_error.is_none()
+        && vmm.snap.as_ref().is_some_and(|s| s.complete(&vmm.dirty))
+}
+
 fn maybe_finish_snapshot(m: &mut Machine, sim: &mut MachineSim) {
     let Some(vmm) = m.vmm.as_mut() else { return };
-    if vmm.phase != Phase::SnapshotBack
-        || vmm.snapshot_done_at.is_some()
-        || vmm.reclaim_error.is_some()
-    {
-        return;
-    }
-    let done = vmm.snap.as_ref().is_some_and(|s| s.complete(&vmm.dirty));
-    if !done {
+    if !snapshot_done_due(vmm) {
         return;
     }
     vmm.snapshot_done_at = Some(sim.now());

@@ -250,6 +250,12 @@ impl SnapshotBack {
         self.send_spans.get(&lba).copied().unwrap_or(NO_SPAN)
     }
 
+    /// Whether [`SnapshotBack::next_send`] would claim a run: the
+    /// window has room and a dirty sector is left.
+    pub fn can_send(&self, tracker: &DirtyTracker) -> bool {
+        self.inflight < self.max_inflight && tracker.next_dirty(self.cursor).is_some()
+    }
+
     /// Picks the next dirty run to stream, *claiming* it in the tracker:
     /// the run starts at the first dirty sector at or after the cursor
     /// (wrapping once) and extends through contiguous dirty sectors up to

@@ -18,7 +18,7 @@ use bmcast_repro::bmcast::TransportKind;
 use bmcast_repro::guestsim::os::BootProfile;
 use bmcast_repro::hwsim::block::{BlockRange, Lba};
 use bmcast_repro::simkit::fault::FaultPlan;
-use bmcast_repro::simkit::{SimDuration, SimTime};
+use bmcast_repro::simkit::{self, SimDuration, SimTime};
 
 /// A 2 MiB image on a 4 MiB disk: small enough that a debug build runs
 /// every test here in about a second, large enough that peers convert
@@ -87,6 +87,50 @@ fn snapshot_digest(fleet: &Fleet) -> u64 {
     )
 }
 
+// The pinned event counts exclude timer ticks that do nothing: the
+// writer's idle polls, the retriever's gated re-arms and the retransmit
+// guard's empty rounds are skipped, not executed (`simkit::Sim::arm`).
+
+/// An n = 8 single-server boot storm, checked after every millisecond
+/// of it: no member's keyed timers pile up. The stacked event chains
+/// they replace kept one event per call (every reply in a busy window
+/// started another retriever chain); a timer keeps one tick per instant
+/// it wakes at. The writer poll is a single chain; the retriever wakes
+/// at gate deadlines and the retransmit guard at its RTO phases, which
+/// the measured run keeps well under the bound.
+#[test]
+fn keyed_timers_stay_bounded_through_a_boot_storm() {
+    let n = 8;
+    let mut fleet = Fleet::new(tiny_cfg(n));
+    fleet.start(boot_program);
+    let mut peak = [0usize; simkit::MAX_TIMERS];
+    let mut until = SimTime::ZERO;
+    loop {
+        until += SimDuration::from_millis(1);
+        let run = fleet.run_to_all_booted(until);
+        for i in 0..n {
+            for (slot, peak) in peak.iter_mut().enumerate() {
+                let ticks = fleet.member_sim(i).timer_ticks(slot);
+                assert!(
+                    ticks.windows(2).all(|w| w[0] <= w[1]),
+                    "machine {i}, timer {slot}: ticks out of order"
+                );
+                *peak = (*peak).max(ticks.len());
+            }
+        }
+        match run {
+            Ok(_) => break,
+            Err(stall) if !stall.wedged => assert!(until < SimTime::from_secs(600)),
+            Err(stall) => panic!("boot storm wedged: {stall}"),
+        }
+    }
+    assert!(peak.iter().sum::<usize>() > 0, "the timers were armed");
+    assert!(
+        peak.iter().all(|&p| p <= 64),
+        "timer ticks piled up: {peak:?}"
+    );
+}
+
 #[test]
 fn p2p_fleet_matches_its_pin() {
     let mut fleet = armed(p2p_cfg(8));
@@ -112,7 +156,7 @@ fn p2p_fleet_matches_its_pin() {
                 824_391_900,
                 874_391_900,
             ],
-            7_418,
+            7_371,
             15_947_513_041_578_365_859,
         ),
         "p2p n=8 boot ticks, event count, snapshot digest"
@@ -140,7 +184,7 @@ fn rolling_upgrade_matches_its_pin() {
         (
             vec![720_210_491, 524_572_572, 734_911_259, 735_405_467],
             vec![1_437_968_950, 1_260_002_039, 1_784_597_939, 1_962_564_850],
-            9_264,
+            9_051,
             685_838_263_184_392_707,
         ),
         "upgrade n=4 boot ticks, redeploy ticks, event count, snapshot digest"

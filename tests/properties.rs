@@ -15,7 +15,7 @@ use bmcast_repro::bmcast::snapback::{DirtyTracker, SnapshotBack};
 use bmcast_repro::bmcast::transport::coalesce_runs;
 use bmcast_repro::hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use bmcast_repro::hwsim::disk::{DiskModel, DiskOp, DiskParams};
-use bmcast_repro::simkit::{Sim, SimDuration, SimTime, NO_SPAN};
+use bmcast_repro::simkit::{Rearms, Sim, SimDuration, SimTime, Tick, Timer, NO_SPAN};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -879,8 +879,8 @@ proptest! {
     }
 }
 
-/// The poll period of the `park` equivalence world. Event times and
-/// delays below are multiples of 10 ns, so many land exactly on a
+/// The poll period of the poll-timer equivalence world. Event times
+/// and delays below are multiples of 10 ns, so many land exactly on a
 /// poll grid instant.
 const POLL: SimDuration = SimDuration::from_nanos(50);
 /// Trace label of the poll's acting tick.
@@ -901,10 +901,10 @@ enum PollOp {
 }
 
 /// A world whose poll waits for `!busy`, run once with the poll as a
-/// re-arming event chain and once with it parked.
+/// re-arming event chain and once on a keyed timer.
 #[derive(Default)]
 struct PollWorld {
-    parked: bool,
+    keyed: bool,
     busy: bool,
     polling: bool,
     trace: Vec<(u64, u32)>,
@@ -928,12 +928,24 @@ fn chained_tick(w: &mut PollWorld, sim: &mut Sim<PollWorld>) {
     }
 }
 
-/// The same tick, waiting through `Sim::park`.
-fn parked_tick(w: &mut PollWorld, sim: &mut Sim<PollWorld>) {
+/// The same poll on a keyed timer: idle ticks wait as one poll.
+const POLL_TIMER: Timer<PollWorld> = Timer {
+    slot: 0,
+    plan: |w, _, _| {
+        if poll_ready(w) {
+            Tick::Act
+        } else {
+            Tick::Poll(POLL)
+        }
+    },
+    fire: keyed_tick,
+};
+
+fn keyed_tick(w: &mut PollWorld, sim: &mut Sim<PollWorld>) {
     if poll_ready(w) {
         poll_act(w, sim);
     } else {
-        sim.park(POLL, poll_ready, parked_tick);
+        sim.arm(POLL_TIMER, sim.now() + POLL);
     }
 }
 
@@ -945,8 +957,12 @@ fn scripted(label: u32, op: PollOp) -> impl FnOnce(&mut PollWorld, &mut Sim<Poll
             PollOp::Kick(delay) => {
                 if !w.polling {
                     w.polling = true;
-                    let tick = if w.parked { parked_tick } else { chained_tick };
-                    sim.schedule_in(SimDuration::from_nanos(delay), tick);
+                    let at = sim.now() + SimDuration::from_nanos(delay);
+                    if w.keyed {
+                        sim.arm(POLL_TIMER, at);
+                    } else {
+                        sim.schedule_at(at, chained_tick);
+                    }
                 }
             }
             PollOp::Follow(delay) => {
@@ -983,13 +999,13 @@ fn poll_op() -> impl Strategy<Value = PollOp> {
 /// Runs the script and the drive plan; returns the firing trace and
 /// `pending_events()` after every drive step.
 fn run_poll_world(
-    parked: bool,
+    keyed: bool,
     script: &[(u64, PollOp)],
     drive: &[Drive],
 ) -> (Vec<(u64, u32)>, Vec<usize>) {
     let mut sim = Sim::<PollWorld>::new();
     let mut w = PollWorld {
-        parked,
+        keyed,
         busy: true,
         ..PollWorld::default()
     };
@@ -1001,7 +1017,7 @@ fn run_poll_world(
         match *d {
             Drive::Step(n) => {
                 // A dormant tick is a step of the chain but not of the
-                // parked sim, so step by logged events: until the trace
+                // keyed sim, so step by logged events: until the trace
                 // grows, or only a poll that cannot fire is left.
                 for _ in 0..n {
                     let logged = w.trace.len();
@@ -1032,11 +1048,12 @@ fn run_poll_world(
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
-    /// `Sim::park` is indistinguishable from the event chain it
-    /// replaces: the same `(time, label)` firing trace, the same clock
-    /// after every deadline and the same pending count, whatever the
-    /// event times (grid instants and zero-delay follow-ups included),
-    /// the readiness flips, the outside inserts and the deadlines.
+    /// A poll on a keyed timer is indistinguishable from the event
+    /// chain it replaces: the same `(time, label)` firing trace, the
+    /// same clock after every deadline and the same pending count,
+    /// whatever the event times (grid instants and zero-delay
+    /// follow-ups included), the readiness flips, the outside inserts
+    /// and the deadlines.
     #[test]
     fn parked_poll_equals_rearming_chain(
         script in proptest::collection::vec((0u64..200, poll_op()), 1..40),
@@ -1050,8 +1067,276 @@ proptest! {
         ),
     ) {
         let chained = run_poll_world(false, &script, &drive);
-        let parked = run_poll_world(true, &script, &drive);
-        prop_assert_eq!(chained, parked);
+        let keyed = run_poll_world(true, &script, &drive);
+        prop_assert_eq!(chained, keyed);
+    }
+}
+
+/// Trace labels of the stacked-chains world's acting ticks.
+const RETRY_ACTED: u32 = u32::MAX - 2;
+const CLOCK_ACTED: u32 = u32::MAX - 3;
+/// The clock's period: a multiple of the grid, so clock ticks, poll
+/// ticks and scripted events keep landing on one instant.
+const CLOCK: SimDuration = SimDuration::from_nanos(70);
+
+/// A world with the three kinds of chain a BMcast machine runs, driven
+/// once as stacked event chains and once on keyed timers:
+/// - a gated retry (the retriever): a tick before `gate` re-arms at
+///   `gate`; one after it claims all `work`, if any;
+/// - a clock (the retransmit guard): a tick acts when a deadline is
+///   due, calls the retry as the guard calls the retriever, and re-arms
+///   one period on while `alive`;
+/// - the poll of [`PollWorld`] (the writer), waiting for `ready`.
+#[derive(Default)]
+struct ChainWorld {
+    keyed: bool,
+    gate: u64,
+    work: u32,
+    deadlines: Vec<u64>,
+    alive: bool,
+    ready: bool,
+    polling: bool,
+    trace: Vec<(u64, u32)>,
+}
+
+/// What a scripted event of the chain world does after logging.
+#[derive(Clone, Copy, Debug)]
+enum ChainOp {
+    /// Calls the retry `n` times at once (duplicate arms).
+    Retry(u8),
+    /// Closes the retry's gate until `d` ns on (0 opens it).
+    Gate(u64),
+    /// Adds work without calling the retry (a multiplex pop).
+    Work,
+    /// Starts a clock chain one period on.
+    Clock,
+    /// Adds a clock deadline `d` ns on.
+    Deadline(u64),
+    /// Sets whether clock chains live on.
+    Alive(bool),
+    /// Starts the poll `d` ns on, unless one is pending.
+    Poll(u64),
+    /// Sets whether the poll's resource is ready.
+    Ready(bool),
+    /// Runs `op` again `d` ns on (0 allowed): same-instant events.
+    Follow(u64, u8),
+}
+
+fn chain_op() -> impl Strategy<Value = ChainOp> {
+    // Short delays on a 10 ns grid, so arms, gates and follow-ups keep
+    // meeting at one instant.
+    prop_oneof![
+        (1u8..3).prop_map(ChainOp::Retry),
+        (0u64..6).prop_map(|d| ChainOp::Gate(d * 10)),
+        Just(ChainOp::Work),
+        Just(ChainOp::Clock),
+        (0u64..8).prop_map(|d| ChainOp::Deadline(d * 10)),
+        any::<bool>().prop_map(ChainOp::Alive),
+        (0u64..6).prop_map(|d| ChainOp::Poll(d * 10)),
+        any::<bool>().prop_map(ChainOp::Ready),
+        ((0u64..6), 0u8..8).prop_map(|(d, op)| ChainOp::Follow(d * 10, op)),
+    ]
+}
+
+/// The leaf op a `Follow` replays.
+fn follow_op(n: u8) -> ChainOp {
+    match n {
+        0 => ChainOp::Retry(1),
+        1 => ChainOp::Work,
+        2 => ChainOp::Gate(0),
+        3 => ChainOp::Clock,
+        4 => ChainOp::Deadline(0),
+        5 => ChainOp::Ready(true),
+        6 => ChainOp::Ready(false),
+        _ => ChainOp::Alive(false),
+    }
+}
+
+const RETRY_TIMER: Timer<ChainWorld> = Timer {
+    slot: 1,
+    plan: retry_plan,
+    fire: retry_fire,
+};
+const CLOCK_TIMER: Timer<ChainWorld> = Timer {
+    slot: 2,
+    plan: clock_plan,
+    fire: clock_fire,
+};
+const CHAIN_POLL_TIMER: Timer<ChainWorld> = Timer {
+    slot: 0,
+    plan: |w, _, _| {
+        if w.ready {
+            Tick::Act
+        } else {
+            Tick::Poll(POLL)
+        }
+    },
+    fire: chain_poll_fire,
+};
+
+fn retry_plan(w: &ChainWorld, at: SimTime, rearms: &mut Rearms<ChainWorld>) -> Tick {
+    if at.as_nanos() < w.gate {
+        rearms.arm(RETRY_TIMER, SimTime::from_nanos(w.gate));
+        Tick::Idle
+    } else if w.work > 0 {
+        Tick::Act
+    } else {
+        Tick::Idle
+    }
+}
+
+/// One retry tick, or a direct call: chained, a closed gate schedules
+/// another chain; keyed, it arms the retry timer.
+fn retry_fire(w: &mut ChainWorld, sim: &mut Sim<ChainWorld>) {
+    let now = sim.now().as_nanos();
+    if now < w.gate {
+        let at = SimTime::from_nanos(w.gate);
+        if w.keyed {
+            sim.arm(RETRY_TIMER, at);
+        } else {
+            sim.schedule_at(at, retry_fire);
+        }
+    } else if w.work > 0 {
+        w.trace.push((now, RETRY_ACTED));
+        w.work = 0;
+    }
+}
+
+fn clock_plan(w: &ChainWorld, at: SimTime, rearms: &mut Rearms<ChainWorld>) -> Tick {
+    if w.deadlines.iter().any(|&d| d <= at.as_nanos()) || retry_plan(w, at, rearms) == Tick::Act {
+        return Tick::Act;
+    }
+    if w.alive {
+        rearms.arm(CLOCK_TIMER, at + CLOCK);
+    }
+    Tick::Idle
+}
+
+fn clock_fire(w: &mut ChainWorld, sim: &mut Sim<ChainWorld>) {
+    let now = sim.now().as_nanos();
+    if w.deadlines.iter().any(|&d| d <= now) {
+        w.trace.push((now, CLOCK_ACTED));
+        w.deadlines.retain(|&d| d > now);
+    }
+    retry_fire(w, sim);
+    if w.alive {
+        start_clock(w, sim);
+    }
+}
+
+fn start_clock(w: &mut ChainWorld, sim: &mut Sim<ChainWorld>) {
+    let at = sim.now() + CLOCK;
+    if w.keyed {
+        sim.arm(CLOCK_TIMER, at);
+    } else {
+        sim.schedule_at(at, clock_fire);
+    }
+}
+
+fn chain_poll_fire(w: &mut ChainWorld, sim: &mut Sim<ChainWorld>) {
+    if w.ready {
+        w.trace.push((sim.now().as_nanos(), POLL_FIRED));
+        w.polling = false;
+    } else if w.keyed {
+        sim.arm(CHAIN_POLL_TIMER, sim.now() + POLL);
+    } else {
+        sim.schedule_in(POLL, chain_poll_fire);
+    }
+}
+
+fn chain_step(
+    label: u32,
+    op: ChainOp,
+) -> impl FnOnce(&mut ChainWorld, &mut Sim<ChainWorld>) + Send {
+    move |w: &mut ChainWorld, sim: &mut Sim<ChainWorld>| {
+        let now = sim.now().as_nanos();
+        w.trace.push((now, label));
+        match op {
+            ChainOp::Retry(n) => {
+                for _ in 0..n {
+                    retry_fire(w, sim);
+                }
+            }
+            ChainOp::Gate(d) => w.gate = now + d,
+            ChainOp::Work => w.work += 1,
+            ChainOp::Clock => start_clock(w, sim),
+            ChainOp::Deadline(d) => w.deadlines.push(now + d),
+            ChainOp::Alive(a) => w.alive = a,
+            ChainOp::Poll(d) => {
+                if !w.polling {
+                    w.polling = true;
+                    let at = sim.now() + SimDuration::from_nanos(d);
+                    if w.keyed {
+                        sim.arm(CHAIN_POLL_TIMER, at);
+                    } else {
+                        sim.schedule_at(at, chain_poll_fire);
+                    }
+                }
+            }
+            ChainOp::Ready(r) => w.ready = r,
+            ChainOp::Follow(d, n) => {
+                sim.schedule_in(
+                    SimDuration::from_nanos(d),
+                    chain_step(label + 1000, follow_op(n)),
+                );
+            }
+        }
+    }
+}
+
+/// Runs the script, with outside inserts and `run_until` deadlines in
+/// between; returns the trace of scripted events and acting ticks.
+fn run_chain_world(
+    keyed: bool,
+    script: &[(u64, ChainOp)],
+    drive: &[(u64, Option<ChainOp>)],
+) -> Vec<(u64, u32)> {
+    let mut sim = Sim::<ChainWorld>::new();
+    let mut w = ChainWorld {
+        keyed,
+        alive: true,
+        ..ChainWorld::default()
+    };
+    for (label, &(at, op)) in script.iter().enumerate() {
+        sim.schedule_at(SimTime::from_nanos(at * 10), chain_step(label as u32, op));
+    }
+    for (i, &(ns, insert)) in drive.iter().enumerate() {
+        let deadline = sim.now() + SimDuration::from_nanos(ns);
+        sim.run_until(&mut w, deadline);
+        w.trace.push((sim.now().as_nanos(), DEADLINE));
+        if let Some(op) = insert {
+            let now = sim.now();
+            sim.schedule_at(now, chain_step(500 + i as u32, op));
+        }
+    }
+    // Drain past every scripted time; live clocks and a poll that can
+    // never fire keep ticking, so stop at a horizon.
+    let horizon = sim.now() + SimDuration::from_micros(20);
+    sim.run_until(&mut w, horizon);
+    w.trace.push((sim.now().as_nanos(), DEADLINE));
+    w.trace
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+    /// Keyed timers are indistinguishable from the stacked event chains
+    /// they stand for: K retry chains, clock chains and a poll, with
+    /// duplicate arms at one instant, gates that move earlier and
+    /// later, work that appears between same-instant ticks without a
+    /// call (the multiplex-pop case), outside inserts and `run_until`
+    /// deadlines give the same `(time, label)` trace of scripted events
+    /// and acting ticks.
+    #[test]
+    fn keyed_timers_equal_stacked_chains(
+        script in proptest::collection::vec((0u64..60, chain_op()), 1..40),
+        drive in proptest::collection::vec(
+            ((0u64..60).prop_map(|d| d * 10), proptest::option::of(chain_op())),
+            0..12,
+        ),
+    ) {
+        let chained = run_chain_world(false, &script, &drive);
+        let keyed = run_chain_world(true, &script, &drive);
+        prop_assert_eq!(chained, keyed);
     }
 }
 
