@@ -364,6 +364,16 @@ impl AoeServer {
         &mut self.disk
     }
 
+    /// Sets the disk fault state on every exported volume, the primary
+    /// and the additional ones alike: a disk fault plan models the
+    /// storage array, which holds them all.
+    pub fn set_disk_faults(&mut self, latency_factor: f64, write_errors: bool) {
+        for disk in std::iter::once(&mut self.disk).chain(self.volumes.values_mut()) {
+            disk.set_fault_latency_factor(latency_factor);
+            disk.set_fault_write_errors(write_errors);
+        }
+    }
+
     /// Exports an additional volume at `slot` — a different image behind
     /// the same server. All volumes share the worker pool; the block
     /// cache keys entries by slot so their timing never cross-talks.

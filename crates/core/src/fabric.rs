@@ -418,9 +418,9 @@ impl Fabric {
                 }
                 let factor = inj.disk_latency_factor(now);
                 let write_faults = inj.disk_write_error(now);
-                let disk = self.nodes[node].server.disk_mut();
-                disk.set_fault_latency_factor(factor);
-                disk.set_fault_write_errors(write_faults);
+                self.nodes[node]
+                    .server
+                    .set_disk_faults(factor, write_faults);
             }
         }
         // Decode failures and misaddressed frames just vanish, like on

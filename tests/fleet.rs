@@ -11,13 +11,13 @@
 use bmcast_repro::aoe::ServerConfig;
 use bmcast_repro::bmcast::config::{BmcastConfig, Moderation};
 use bmcast_repro::bmcast::deploy::{FlightRecorderConfig, Runner};
-use bmcast_repro::bmcast::fleet::{Fleet, FleetConfig};
+use bmcast_repro::bmcast::fleet::{Fleet, FleetConfig, LifecycleStage};
 use bmcast_repro::bmcast::machine::{GuestProgram, MachineSpec};
 use bmcast_repro::bmcast::programs::{BootProgram, StreamProgram};
 use bmcast_repro::bmcast::TransportKind;
 use bmcast_repro::guestsim::os::BootProfile;
-use bmcast_repro::hwsim::block::{BlockRange, Lba};
-use bmcast_repro::simkit::fault::FaultPlan;
+use bmcast_repro::hwsim::block::{BlockRange, BlockStore, Lba};
+use bmcast_repro::simkit::fault::{FaultPlan, Window};
 use bmcast_repro::simkit::{self, SimDuration, SimTime};
 
 /// A 2 MiB image on a 4 MiB disk: small enough that a debug build runs
@@ -397,6 +397,111 @@ fn straggler_read_mix_adds_up_after_a_rolling_upgrade() {
             row.reads,
             row.peer_reads,
             row.origin_reads
+        );
+    }
+}
+
+/// FNV-1a 64 over every image sector of a disk store.
+fn disk_digest(store: &BlockStore, sectors: u64) -> u64 {
+    let bytes: Vec<u8> = (0..sectors)
+        .flat_map(|lba| store.read(Lba(lba)).0.to_le_bytes())
+        .collect();
+    fnv1a(&bytes)
+}
+
+/// A scale-down wave parks two of four members, and a scale-up wave
+/// redeploys them with a new image: pinned by the instant the last
+/// member parked, the redeploy ticks, the event count, and a digest of
+/// both members' archive volumes and redeployed local disks.
+#[test]
+fn scale_down_then_up_matches_its_pin() {
+    let cfg = tiny_cfg(4);
+    let sectors = cfg.spec.image_sectors;
+    let mut fleet = armed(cfg);
+    fleet.start(boot_program);
+    fleet
+        .run_to_all_booted(SimTime::from_secs(3600))
+        .expect("fleet boots");
+    fleet
+        .run_scale_down(&[1, 2], 2, SimTime::from_secs(7200))
+        .expect("scale-down completes");
+    let parked = fleet.now();
+    for i in [1, 2] {
+        assert_eq!(fleet.lifecycle_stage(i), LifecycleStage::Parked);
+    }
+    let redeploys = fleet
+        .run_scale_up(&[1, 2], 0xCAFE, boot_program, SimTime::from_secs(7200))
+        .expect("scale-up completes");
+    let disks: Vec<u64> = [1, 2]
+        .into_iter()
+        .flat_map(|i| {
+            let archive = fleet.archive_volume(i).expect("archived").store();
+            let local = fleet.machine(i).hw.disk.store();
+            [disk_digest(archive, sectors), disk_digest(local, sectors)]
+        })
+        .collect();
+    assert_eq!(
+        (
+            parked.as_nanos(),
+            ticks(&redeploys),
+            fleet.events_executed(),
+            fnv1a(format!("{disks:?}").as_bytes()),
+        ),
+        (
+            735_609_467,
+            vec![1_438_028_950, 1_260_062_039],
+            7_317,
+            18_005_795_049_180_909_329,
+        ),
+        "scale-down/up n=4 parked tick, redeploy ticks, event count, disk digest"
+    );
+}
+
+/// A wave whose archive writes all fail stops with each member's
+/// reclaim error. The origin disk rejects every write for the whole
+/// run; the tenants' writes land on their local disks, so the first
+/// rejected write is the wave's first snapshot-back send, and every
+/// member exhausts its retry budget.
+#[test]
+fn a_wave_whose_reclaims_all_fail_names_their_errors() {
+    let mut cfg = tiny_cfg(2);
+    let mut plan = FaultPlan::quiet(7);
+    plan.disk.write_error_window = Some(Window::new(SimTime::ZERO, SimTime::from_secs(1 << 20)));
+    cfg.faults = Some(plan);
+    let mut fleet = Fleet::new(cfg);
+    // 100 ms of 4 KiB writes: dirty blocks snapshot-back must archive.
+    fleet.start(|i| {
+        Box::new(StreamProgram::sequential(
+            BlockRange::new(Lba(1024), 256),
+            true,
+            8,
+            SimTime::from_millis(100),
+            i as u64,
+        ))
+    });
+    fleet
+        .run_to_all_booted(SimTime::from_secs(3600))
+        .expect("the tenants' writes stay local");
+    let outcomes = fleet.outcomes();
+    let stall = fleet
+        .run_rolling_upgrade(0xB002, 2, boot_program, SimTime::from_secs(7200))
+        .expect_err("no archive write can land");
+    assert!(!stall.wedged);
+    assert_eq!(
+        fleet.outcomes(),
+        outcomes,
+        "outcomes() reports the boot run"
+    );
+    let text = stall.to_string();
+    assert!(
+        text.contains("all remaining machines failed"),
+        "the stall names its reason: {text}"
+    );
+    for i in 0..2 {
+        let error = fleet.machine(i).reclaim_error().expect("reclaim failed");
+        assert!(
+            text.contains(&format!("machine{i} reclaim: {error}")),
+            "the stall names machine {i}'s reclaim error: {text}"
         );
     }
 }
