@@ -34,7 +34,9 @@
 //! that server alive, not the rest of the fleet, so it holds the retry
 //! budget open only for requests pending on that endpoint.
 
-use crate::wire::{sectors_per_frame, AoePdu, FrameBytes, Tag, WireFrame};
+use crate::wire::{
+    fragment_subranges, sectors_per_frame, AoePdu, BurstEncoder, FrameBytes, Tag, WireFrame,
+};
 use hwsim::block::{BlockRange, SectorData};
 use simkit::{Metrics, Prng, SimDuration, SimTime, SpanId, Spans, Tracer};
 use std::cell::Cell;
@@ -106,22 +108,6 @@ fn jitter(prng: &mut Prng, interval: SimDuration) -> SimDuration {
     SimDuration::from_nanos(prng.below(interval.as_nanos() / 4 + 1))
 }
 
-/// The reply-fragment subranges of a request over `runs`, in global
-/// fragment order: each run fragments at the MTU independently and the
-/// indices run across the whole table (how the server numbers a batched
-/// reply burst).
-fn fragment_subranges<'a>(
-    runs: &'a [BlockRange],
-    spf: u32,
-) -> impl Iterator<Item = BlockRange> + 'a {
-    runs.iter().flat_map(move |r| {
-        (0..r.sectors.div_ceil(spf)).map(move |i| {
-            let offset = i * spf;
-            BlockRange::new(r.lba + offset as u64, spf.min(r.sectors - offset))
-        })
-    })
-}
-
 /// The `frag`-th item of [`fragment_subranges`], found in O(runs);
 /// `None` past the last fragment.
 fn fragment_subrange(runs: &[BlockRange], spf: u32, mut frag: u32) -> Option<BlockRange> {
@@ -179,6 +165,9 @@ struct Pending {
     runs: Vec<BlockRange>,
     /// Per-fragment reassembly slots (reads) or ack flags (writes).
     frags: Vec<Option<Vec<SectorData>>>,
+    /// How many of `frags` are filled: the completion check and the
+    /// nothing-arrived check read it instead of scanning the slots.
+    filled: usize,
     /// Write fragments kept for retransmission, shared with the frames
     /// handed to the wire (a retransmit is a reference-count bump).
     /// Empty for reads: missing read fragments are re-encoded as
@@ -194,7 +183,7 @@ struct Pending {
 
 impl Pending {
     fn done(&self) -> bool {
-        self.frags.iter().all(|f| f.is_some())
+        self.filled == self.frags.len()
     }
 }
 
@@ -577,6 +566,7 @@ impl AoeClient {
                 rdma,
                 runs: Vec::new(),
                 frags: vec![None; nfrags as usize],
+                filled: 0,
                 // Reads keep nothing: retransmission re-encodes exactly
                 // the missing subranges (see `poll_retransmit`).
                 request_frames: Vec::new(),
@@ -642,6 +632,7 @@ impl AoeClient {
                 rdma,
                 runs,
                 frags: vec![None; nfrags as usize],
+                filled: 0,
                 request_frames: Vec::new(),
                 deadline,
                 retries: 0,
@@ -671,20 +662,14 @@ impl AoeClient {
         let id = self.alloc_id();
         let (wshelf, wslot) = self.write_endpoint();
         let spf = sectors_per_frame(self.cfg.mtu);
-        let mut frames = Vec::new();
-        let mut offset = 0u32;
-        let mut frag = 0u32;
-        while offset < range.sectors {
-            let n = spf.min(range.sectors - offset);
-            let sub = BlockRange::new(range.lba + offset as u64, n);
-            let payload = data[offset as usize..(offset + n) as usize].to_vec();
-            frames.push(
-                AoePdu::write_request(wshelf, wslot, Tag::new(id, frag), sub, payload)
-                    .encode_frame(),
-            );
-            offset += n;
-            frag += 1;
+        let mut burst = BurstEncoder::with_capacity(range.sectors.div_ceil(spf) as usize);
+        let subs = fragment_subranges(std::slice::from_ref(&range), spf);
+        for ((frag, sub), payload) in (0..).zip(subs).zip(data.chunks(spf as usize)) {
+            let pdu =
+                AoePdu::write_request(wshelf, wslot, Tag::new(id, frag), sub, payload.to_vec());
+            burst.push(pdu);
         }
+        let frames = burst.finish();
         let deadline = now + self.cfg.backoff(0) + jitter(&mut self.prng, self.cfg.rto);
         let span = self.spans.begin(now, "aoe.client", "aoe.rtt", parent, || {
             format!("write req {id} lba {} x{}", range.lba.0, range.sectors)
@@ -702,7 +687,8 @@ impl AoeClient {
                 sprint: false,
                 rdma: false,
                 runs: Vec::new(),
-                frags: vec![None; frag as usize],
+                frags: vec![None; frames.len()],
+                filled: 0,
                 // Shares the allocations just handed to the wire.
                 request_frames: frames.clone(),
                 deadline,
@@ -787,6 +773,7 @@ impl AoeClient {
             }
         };
         pending.frags[frag] = Some(data);
+        pending.filled += 1;
         if !pending.done() {
             // Fragment progress proves the request is in service: push
             // the retransmission deadline out so a reply train strung
@@ -885,7 +872,7 @@ impl AoeClient {
                         metrics.inc("aoe.client.retransmits");
                     }
                 }
-            } else if p.frags.iter().all(|f| f.is_none()) {
+            } else if p.filled == 0 {
                 // Nothing arrived: resend the original full read to its
                 // original endpoint. Identical bytes mean the server
                 // sees the same cache key (a drop-then-retransmit still

@@ -10,7 +10,10 @@
 //! With `workers = 1` the server serializes (original vblade); with a pool
 //! it overlaps disk time across requests.
 
-use crate::wire::{sectors_per_frame, AoePdu, DecodeError, FrameBytes, Tag, WireFrame};
+use crate::wire::{
+    fragment_subranges, sectors_per_frame, AoePdu, BurstEncoder, DecodeError, FrameBytes, Tag,
+    WireFrame,
+};
 use hwsim::block::BlockRange;
 use hwsim::disk::{DiskModel, DiskOp};
 use hwsim::ib::{IbConfig, IbHca};
@@ -629,37 +632,29 @@ impl AoeServer {
         rdma: bool,
     ) -> Vec<FrameBytes> {
         let spf = sectors_per_frame(self.cfg.mtu);
-        let mut frames = Vec::new();
-        let mut frag = pdu.tag.fragment();
-        for run in runs {
-            let mut offset = 0u32;
-            while offset < run.sectors {
-                let n = spf.min(run.sectors - offset);
-                let sub = BlockRange::new(run.lba + offset as u64, n);
-                let mut reply = AoePdu::read_request(
-                    pdu.shelf,
-                    pdu.slot,
-                    Tag::new(pdu.tag.request_id(), frag),
-                    sub,
-                );
-                reply.response = true;
-                reply.busy = busy;
-                reply.rdma = rdma;
-                // Each fragment is read straight from the addressed
-                // volume's store into its own payload: no whole-request
-                // staging buffer, no re-slicing copy per fragment.
-                reply.data = Some(
-                    self.volume(pdu.slot)
-                        .expect("addressed slot is served")
-                        .store()
-                        .read_range(sub),
-                );
-                frames.push(reply.encode_frame());
-                offset += n;
-                frag += 1;
-            }
+        let store = self
+            .volume(pdu.slot)
+            .expect("addressed slot is served")
+            .store();
+        let frags: u32 = runs.iter().map(|r| r.sectors.div_ceil(spf)).sum();
+        let mut burst = BurstEncoder::with_capacity(frags as usize);
+        for (frag, sub) in (pdu.tag.fragment()..).zip(fragment_subranges(runs, spf)) {
+            let mut reply = AoePdu::read_request(
+                pdu.shelf,
+                pdu.slot,
+                Tag::new(pdu.tag.request_id(), frag),
+                sub,
+            );
+            reply.response = true;
+            reply.busy = busy;
+            reply.rdma = rdma;
+            // Each fragment is read straight from the addressed
+            // volume's store into its own payload, which then moves
+            // into its frame: no staging buffer, no copy.
+            reply.data = Some(store.read_range(sub));
+            burst.push(reply);
         }
-        frames
+        burst.finish()
     }
 
     fn handle_read(&mut self, now: SimTime, pdu: AoePdu, busy: bool) -> ServerReply {

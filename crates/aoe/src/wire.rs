@@ -82,9 +82,9 @@ use std::sync::Arc;
 /// - a *sector frame* holds the 24-byte header and one fingerprint per
 ///   512-byte sector unit. Its byte image is the header followed, for
 ///   each sector, by the fingerprint big-endian and 504 zero bytes.
-///   [`AoePdu::encode_frame`] builds one for every v2 frame that
-///   carries data (read replies and write requests), so the padding is
-///   never written, hashed or scanned;
+///   [`AoePdu::encode_frame`] and [`BurstEncoder`] build one for every
+///   v2 frame that carries data (read replies and write requests), so
+///   the padding is never written, hashed or scanned;
 /// - a *byte frame* holds the image itself: header-only frames, v3
 ///   range tables, and anything made from raw bytes (`From<Vec<u8>>`),
 ///   such as a frame corrupted in flight.
@@ -102,12 +102,16 @@ enum Repr {
     Bytes(Arc<[u8]>),
 }
 
+/// Built only by the encoders, which write the checksum into `head`
+/// from `units` once; never mutated after. So the carried checksum is
+/// the frame's checksum, and [`AoePdu::decode_frame`] takes it as it is.
 #[derive(Debug)]
 struct SectorFrame {
     /// The header, checksum included.
     head: [u8; HEAD],
-    /// One fingerprint per sector unit, in order.
-    units: Box<[SectorData]>,
+    /// One fingerprint per sector unit, in order: the encoded PDU's
+    /// data, moved in (the server's `read_range` result, say).
+    units: Vec<SectorData>,
 }
 
 impl FrameBytes {
@@ -326,13 +330,32 @@ pub fn frame_checksum(bytes: &[u8]) -> u16 {
     fold16(fnv1a(fnv1a_zero_words(h, zero_words), words.remainder()))
 }
 
-/// [`frame_checksum`] of a sector frame's byte image, in O(sectors):
-/// per unit, FNV-1a over the fingerprint's 8 bytes, then one multiply
-/// for the 63 zero words of padding.
+/// FNV-1a 64 steps over one sector unit: the fingerprint's 8 bytes,
+/// then one multiply for the 63 zero words of padding.
+fn unit_hash(h: u64, s: &SectorData) -> u64 {
+    fnv1a(h, &s.0.to_be_bytes()).wrapping_mul(ZERO_RUN_MUL[ZERO_RUN_MAX])
+}
+
+/// [`frame_checksum`] of a sector frame's byte image, in O(sectors).
 fn sector_checksum(head: &[u8], units: &[SectorData]) -> u16 {
-    fold16(units.iter().fold(head_hash(head), |h, s| {
-        fnv1a_zero_words(fnv1a(h, &s.0.to_be_bytes()), ZERO_RUN_MAX)
-    }))
+    fold16(units.iter().fold(head_hash(head), unit_hash))
+}
+
+/// [`sector_checksum`] of four frames at once. Each FNV-1a chain is a
+/// run of dependent multiplies; stepping the four chains in turn lets
+/// one chain's multiplies overlap the others'. Same values.
+fn sector_checksums4(frames: &[Held; LANES]) -> [u16; LANES] {
+    let mut h = frames.each_ref().map(|(head, _)| head_hash(head));
+    let common = frames.iter().map(|(_, u)| u.len()).min().unwrap_or(0);
+    for i in 0..common {
+        for (h, (_, units)) in h.iter_mut().zip(frames) {
+            *h = unit_hash(*h, &units[i]);
+        }
+    }
+    for (h, (_, units)) in h.iter_mut().zip(frames) {
+        *h = units[common..].iter().fold(*h, unit_hash);
+    }
+    h.map(fold16)
 }
 
 /// FNV-1a 64 from the offset basis over the header bytes, the checksum
@@ -348,6 +371,19 @@ fn head_hash(head: &[u8]) -> u64 {
 /// Folds the 64-bit hash to the 16-bit checksum field.
 fn fold16(h: u64) -> u16 {
     (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) as u16
+}
+
+/// A sector frame's header (checksum field zero) and fingerprints,
+/// before its checksum is known.
+type Held = ([u8; HEAD], Vec<SectorData>);
+
+/// How many frames [`BurstEncoder`] sums at once.
+const LANES: usize = 4;
+
+/// The sector frame of `held` carrying checksum `sum`.
+fn sector_frame((mut head, units): Held, sum: u16) -> FrameBytes {
+    head[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 2].copy_from_slice(&sum.to_be_bytes());
+    FrameBytes(Repr::Sectors(Arc::new(SectorFrame { head, units })))
 }
 
 /// Writes each fingerprint big-endian into the first 8 bytes of its
@@ -597,23 +633,26 @@ impl AoePdu {
 
     /// Encodes to a shared frame, ready to be held pending and put on
     /// the wire without further copies. A v2 frame carrying data becomes
-    /// a sector frame: header and fingerprints only, checksummed in
-    /// O(sectors). Any other frame is a byte frame of
+    /// a sector frame: header and a copy of the fingerprints,
+    /// checksummed in O(sectors) ([`BurstEncoder`] moves the data in
+    /// instead). Any other frame is a byte frame of
     /// [`encode`](Self::encode)'s bytes. Either way
     /// [`FrameBytes::to_vec`] equals [`encode`](Self::encode).
     pub fn encode_frame(&self) -> FrameBytes {
         match &self.data {
-            Some(data) if self.ranges.is_empty() && !data.is_empty() => {
-                let mut head = self.encode_head();
+            Some(data) if self.is_sector_frame() => {
+                let head = self.encode_head();
                 let sum = sector_checksum(&head, data);
-                head[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 2].copy_from_slice(&sum.to_be_bytes());
-                FrameBytes(Repr::Sectors(Arc::new(SectorFrame {
-                    head,
-                    units: data.as_slice().into(),
-                })))
+                sector_frame((head, data.clone()), sum)
             }
             _ => self.encode().into(),
         }
+    }
+
+    /// Whether [`encode_frame`](Self::encode_frame) makes this PDU a
+    /// sector frame: v2, carrying at least one sector.
+    fn is_sector_frame(&self) -> bool {
+        self.ranges.is_empty() && self.data.as_ref().is_some_and(|d| !d.is_empty())
     }
 
     /// The 24-byte header with the checksum field zero: the one header
@@ -677,9 +716,11 @@ impl AoePdu {
         Ok(pdu)
     }
 
-    /// Decodes a shared frame. A sector frame's checksum is verified and
-    /// its fingerprints read in O(sectors), with no byte scan; a byte
-    /// frame goes through [`decode`](Self::decode). The result equals
+    /// Decodes a shared frame. A sector frame's fingerprints are read in
+    /// O(sectors), with no byte scan, and its checksum is not summed
+    /// again: the encoder summed these very fingerprints and nothing can
+    /// change them (debug builds re-check it). A byte frame goes through
+    /// [`decode`](Self::decode), every byte summed. The result equals
     /// `decode(&frame.to_vec())` on every frame.
     ///
     /// # Errors
@@ -689,8 +730,15 @@ impl AoePdu {
         match &frame.0 {
             Repr::Bytes(bytes) => Self::decode(bytes),
             Repr::Sectors(f) => {
-                let (ver, mut pdu) =
-                    Self::decode_head(&f.head, || sector_checksum(&f.head, &f.units))?;
+                // The carried sum was taken from these units when the
+                // frame was built, and nothing has changed them since.
+                let carried = || {
+                    let sum =
+                        u16::from_be_bytes([f.head[CHECKSUM_OFFSET], f.head[CHECKSUM_OFFSET + 1]]);
+                    debug_assert_eq!(sum, sector_checksum(&f.head, &f.units));
+                    sum
+                };
+                let (ver, mut pdu) = Self::decode_head(&f.head, carried)?;
                 debug_assert_eq!(ver, AOE_VERSION, "sector frames are v2");
                 pdu.data = Some(f.units.to_vec());
                 Ok(pdu)
@@ -777,6 +825,81 @@ impl AoePdu {
     }
 }
 
+/// Encodes a train of data fragments: a server's read reply burst or a
+/// client's write fragments. Each PDU's data moves into its frame (no
+/// copy), and the frames are checksummed four at a time, their FNV-1a
+/// chains interleaved, with the values one-at-a-time
+/// [`AoePdu::encode_frame`] gives. The frames come out in push order;
+/// past the output `Vec`, a burst allocates only the frames themselves.
+///
+/// # Examples
+///
+/// ```
+/// use aoe::wire::{AoePdu, BurstEncoder, Tag};
+/// use hwsim::block::{BlockRange, Lba, SectorData};
+///
+/// let pdus: Vec<AoePdu> = (0..5u32)
+///     .map(|i| {
+///         let range = BlockRange::new(Lba(17 * i as u64), 17);
+///         AoePdu::write_request(0, 0, Tag::new(1, i), range, vec![SectorData(i as u64); 17])
+///     })
+///     .collect();
+/// let mut burst = BurstEncoder::with_capacity(pdus.len());
+/// for pdu in pdus.iter().cloned() {
+///     burst.push(pdu);
+/// }
+/// let frames = burst.finish();
+/// assert!(frames.iter().zip(&pdus).all(|(f, p)| f.to_vec() == p.encode()));
+/// ```
+#[derive(Debug)]
+pub struct BurstEncoder {
+    frames: Vec<FrameBytes>,
+    /// Frames waiting for their checksums; the first `held_n` are live.
+    held: [Held; LANES],
+    held_n: usize,
+}
+
+impl BurstEncoder {
+    /// An encoder for a burst of about `frames` frames.
+    pub fn with_capacity(frames: usize) -> BurstEncoder {
+        BurstEncoder {
+            frames: Vec::with_capacity(frames),
+            held: Default::default(),
+            held_n: 0,
+        }
+    }
+
+    /// Appends the frame of `pdu`, taking its data.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `pdu` is a v2 frame carrying at least one sector
+    /// (one that [`AoePdu::encode_frame`] makes a sector frame).
+    pub fn push(&mut self, mut pdu: AoePdu) {
+        assert!(pdu.is_sector_frame(), "a burst carries v2 data frames");
+        let units = pdu.data.take().expect("checked above");
+        self.held[self.held_n] = (pdu.encode_head(), units);
+        self.held_n += 1;
+        if self.held_n == LANES {
+            let sums = sector_checksums4(&self.held);
+            for (held, sum) in self.held.iter_mut().zip(sums) {
+                self.frames.push(sector_frame(std::mem::take(held), sum));
+            }
+            self.held_n = 0;
+        }
+    }
+
+    /// The burst's frames, in push order. Fewer than four left over take
+    /// the one-frame sum.
+    pub fn finish(mut self) -> Vec<FrameBytes> {
+        for held in &mut self.held[..self.held_n] {
+            let sum = sector_checksum(&held.0, &held.1);
+            self.frames.push(sector_frame(std::mem::take(held), sum));
+        }
+        self.frames
+    }
+}
+
 /// Reads the shelf/slot address out of an encoded frame without a full
 /// decode — the fabric's routing peek. Returns `None` when the frame is
 /// shorter than the fixed header or carries an unknown version; checksum
@@ -855,6 +978,20 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// The fragment subranges of a reply burst over `runs` at `spf`
+/// sectors per frame, in fragment order: each run fragments
+/// independently and the indices run across the whole table. How a
+/// server numbers a (batched) reply burst, and how a client numbers its
+/// reassembly slots.
+pub fn fragment_subranges(runs: &[BlockRange], spf: u32) -> impl Iterator<Item = BlockRange> + '_ {
+    runs.iter().flat_map(move |r| {
+        (0..r.sectors.div_ceil(spf)).map(move |i| {
+            let offset = i * spf;
+            BlockRange::new(r.lba + offset as u64, spf.min(r.sectors - offset))
+        })
+    })
+}
 
 /// How many sectors fit in one response frame at the given MTU.
 ///

@@ -13,7 +13,11 @@
 //! `decode_frame`) next to the dense byte path it replaced;
 //! `checksum_mtu_frame_byte_serial_reference` is the seed's byte-serial
 //! checksum, for the same in-run comparison. The `aoe_server` targets
-//! time `AoeServer::handle` on one 8-sector read, cache hit and miss.
+//! time the queued server path (`enqueue` + `dispatch`) on one 8-sector
+//! read, cache hit and miss, and on one warm 1 MiB copy block.
+//!
+//! The `mediator` targets time command decode: an IDE READ DMA EXT's
+//! register sequence and an AHCI command issue, each passed through.
 //!
 //! The `hw_disk` targets time the disk layer every copy-on-read fill,
 //! background write and dummy-sector read goes through: the drive
@@ -23,12 +27,17 @@
 //! into a mirror store, with and without 32 MiB of tenant pages, and
 //! `read_range` of one 17-sector MTU fragment from an image store.
 
+use aoe::server::ServerReply;
 use aoe::wire::{frame_checksum, sectors_per_frame, AoePdu, Tag};
-use aoe::{AoeClient, AoeServer, ClientConfig, ServerConfig};
+use aoe::{AoeClient, AoeServer, ClientConfig, Enqueued, ServerConfig};
 use bmcast::bitmap::BlockBitmap;
+use bmcast::mediator::{AhciMediator, IdeMediator, PioVerdict};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use hwsim::ahci::{preg, AhciCmdHeader, AhciCmdList, AhciCmdTable, H2dFis, PORT_BASE};
 use hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use hwsim::disk::{DiskModel, DiskOp, DiskParams};
+use hwsim::ide::{AtaOp, IdeReg, PrdEntry, PrdTable};
+use hwsim::mem::{DmaBuffer, PhysMem};
 use simkit::{SimTime, NO_SPAN};
 use std::time::Duration;
 
@@ -149,11 +158,23 @@ fn bench_bitmap(c: &mut Criterion) {
     group.finish();
 }
 
-/// `AoeServer::handle` for one 8-sector read request: decode, cache
-/// lookup, disk pricing on a miss, worker assignment and the one-frame
-/// reply. The hit target re-reads one warm range; the miss target walks
-/// ranges four times the cache's capacity, so every lookup misses and
-/// evicts.
+/// Serves `frame` on the queued path every simulated run takes: enqueue
+/// it, then dispatch it once a worker is free, `now` moving on to that
+/// instant.
+fn serve_queued(server: &mut AoeServer, now: &mut SimTime, frame: &[u8]) -> ServerReply {
+    let queued = server.enqueue(*now, 0, frame).expect("decodes");
+    assert_eq!(queued, Enqueued::Queued);
+    *now = (*now).max(server.next_dispatch_at().expect("a request is queued"));
+    server.dispatch(*now).expect("a worker is free").1
+}
+
+/// The queued server path (`enqueue` + `dispatch`) for one read request:
+/// decode, queueing, the DRR pick, cache lookup, disk pricing on a miss,
+/// worker assignment and the reply burst. The 8-sector hit target
+/// re-reads one warm range; the miss target walks ranges four times the
+/// cache's capacity, so every lookup misses and evicts.
+/// `dispatch_read_1mib` serves one warm 1 MiB copy block: its 121-frame
+/// reply burst.
 fn bench_server(c: &mut Criterion) {
     let mut group = c.benchmark_group("aoe_server");
     group
@@ -174,31 +195,98 @@ fn bench_server(c: &mut Criterion) {
         };
         AoeServer::new(cfg, DiskModel::new(params, store))
     };
-    let requests: Vec<Vec<u8>> = (0..4 * CACHE as u64)
-        .map(|i| {
-            let range = BlockRange::new(Lba(i * 8), 8);
-            AoePdu::read_request(0, 0, Tag::new(i as u32, 0), range).encode()
-        })
-        .collect();
+    let read = |id: usize, lba: u64, sectors: u32| {
+        let range = BlockRange::new(Lba(lba), sectors);
+        AoePdu::read_request(0, 0, Tag::new(id as u32, 0), range).encode()
+    };
+    let requests: Vec<Vec<u8>> = (0..4 * CACHE).map(|i| read(i, i as u64 * 8, 8)).collect();
 
-    group.bench_function("handle_read_cache_hit", |b| {
-        let mut s = server();
-        s.handle(SimTime::ZERO, &requests[0]).expect("decodes");
-        b.iter(|| {
-            s.handle(SimTime::ZERO, black_box(&requests[0]))
-                .expect("decodes")
-                .expect("replies")
-        })
+    group.bench_function("dispatch_read_cache_hit", |b| {
+        let (mut s, mut now) = (server(), SimTime::ZERO);
+        serve_queued(&mut s, &mut now, &requests[0]);
+        b.iter(|| serve_queued(&mut s, &mut now, black_box(&requests[0])))
     });
-    group.bench_function("handle_read_cache_miss", |b| {
-        let mut s = server();
+    group.bench_function("dispatch_read_cache_miss", |b| {
+        let (mut s, mut now) = (server(), SimTime::ZERO);
         let mut next = requests.iter().cycle();
         b.iter(|| {
             let req = next.next().expect("cycles forever");
-            s.handle(SimTime::ZERO, black_box(req))
-                .expect("decodes")
-                .expect("replies")
+            serve_queued(&mut s, &mut now, black_box(req))
         })
+    });
+    let block = read(1, 4096, 2048);
+    group.bench_function("dispatch_read_1mib", |b| {
+        let (mut s, mut now) = (server(), SimTime::ZERO);
+        serve_queued(&mut s, &mut now, &block);
+        b.iter(|| serve_queued(&mut s, &mut now, black_box(&block)))
+    });
+
+    group.finish();
+}
+
+/// Mediator decode, one guest command per iteration, each a read over
+/// filled sectors, so it passes through and the mediator ends as it
+/// began: the IDE target is a READ DMA EXT's whole register sequence
+/// (PRD pointer, the two-byte taskfile, device, command) through
+/// `IdeMediator::on_guest_write`, then the bus-master start that arms it
+/// and the stop; the AHCI target is one `PxCI` write issuing a
+/// READ DMA slot, which `AhciMediator::on_guest_write` decodes by
+/// walking the guest's command list and table.
+fn bench_mediator(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mediator");
+    group
+        .sample_size(10_000)
+        .warm_up_time(Duration::from_secs(1))
+        .measurement_time(Duration::from_secs(3));
+    let mut bitmap = BlockBitmap::new(1 << 16);
+    bitmap.mark_filled(BlockRange::new(Lba(0), 1 << 16));
+
+    let mut ide = IdeMediator::new(None);
+    let sequence = [
+        (IdeReg::BmPrdAddr, 0x1000),
+        (IdeReg::SectorCount, 0),
+        (IdeReg::SectorCount, 8),
+        (IdeReg::LbaLow, 0),
+        (IdeReg::LbaLow, 64),
+        (IdeReg::LbaMid, 0),
+        (IdeReg::LbaMid, 0),
+        (IdeReg::LbaHigh, 0),
+        (IdeReg::LbaHigh, 0),
+        (IdeReg::Device, 0x40),
+        (IdeReg::Command, 0x25),
+        (IdeReg::BmCommand, 0x01),
+        (IdeReg::BmCommand, 0x00),
+    ];
+    group.bench_function("ide_read_dma_ext_register_sequence", |b| {
+        b.iter(|| {
+            for &(reg, val) in &sequence {
+                let verdict = ide.on_guest_write(reg, black_box(val), &mut bitmap);
+                assert_eq!(verdict, PioVerdict::Forward);
+            }
+        })
+    });
+
+    let mut mem = PhysMem::new(1 << 30);
+    let mut ahci = AhciMediator::new(None);
+    let clb = mem.alloc(AhciCmdList::new());
+    ahci.on_guest_write(PORT_BASE + preg::CLB, clb.0, &mem, &mut bitmap);
+    let range = BlockRange::new(Lba(64), 8);
+    let buf = mem.alloc(DmaBuffer::new(8));
+    let table = mem.alloc(AhciCmdTable {
+        cfis: H2dFis {
+            op: AtaOp::ReadDma,
+            range,
+        },
+        prdt: PrdTable {
+            entries: vec![PrdEntry { buf, sectors: 8 }],
+        },
+    });
+    mem.get_mut::<AhciCmdList>(clb).expect("command list").slots[0] = Some(AhciCmdHeader {
+        ctba: table,
+        write: false,
+    });
+    group.bench_function("ahci_command_issue", |b| {
+        b.iter(|| ahci.on_guest_write(PORT_BASE + preg::CI, black_box(1), &mem, &mut bitmap))
     });
 
     group.finish();
@@ -393,6 +481,7 @@ criterion_group!(
     bench_bitmap,
     bench_aoe,
     bench_server,
+    bench_mediator,
     bench_wire,
     bench_disk
 );

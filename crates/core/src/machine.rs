@@ -1682,11 +1682,9 @@ fn vmm_poll(m: &mut Machine, sim: &mut MachineSim) {
     // RDMA completions first — the CQ poll runs ahead of the ring
     // drain, and its per-completion cost is the same frame-processing
     // charge (the client still reassembles fragments; only the server
-    // stayed out of the data path).
-    let mut payloads: Vec<FrameBytes> = vmm.rdma_cq.drain(..).collect();
-    payloads.extend(vmm.nic.drain());
+    // stayed out of the data path). Frame by frame, nothing collected.
     let mut completions = Vec::new();
-    for p in payloads {
+    while let Some(p) = vmm.rdma_cq.pop_front().or_else(|| vmm.nic.poll()) {
         m.stats.frames_rx += 1;
         m.metrics.inc("machine.frames_rx");
         vmm.cpu_time += SimDuration::from_micros(3);

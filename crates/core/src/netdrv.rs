@@ -81,15 +81,6 @@ impl PolledNic {
         self.nic.poll_rx().map(|f| f.payload)
     }
 
-    /// Drains every pending received payload.
-    pub fn drain(&mut self) -> Vec<FrameBytes> {
-        let mut out = Vec::new();
-        while let Some(p) = self.poll() {
-            out.push(p);
-        }
-        out
-    }
-
     /// Number of poll operations performed.
     pub fn polls(&self) -> u64 {
         self.polls
@@ -121,7 +112,9 @@ mod tests {
                 payload: vec![i].into(),
             });
         }
-        let drained: Vec<Vec<u8>> = drv.drain().iter().map(|p| p.to_vec()).collect();
+        let drained: Vec<Vec<u8>> = std::iter::from_fn(|| drv.poll())
+            .map(|p| p.to_vec())
+            .collect();
         assert_eq!(drained, vec![vec![0], vec![1], vec![2]]);
         assert!(drv.poll().is_none());
         assert_eq!(drv.polls(), 5, "3 hits + miss inside drain + final miss");

@@ -1,10 +1,10 @@
 //! Property-based tests over the core invariants.
 
 use bmcast_repro::aoe::wire::{
-    frame_checksum, peek_rdma, peek_shelf_slot, sectors_per_frame, AoePdu, DecodeError, FrameBytes,
-    Tag,
+    fragment_subranges, frame_checksum, peek_rdma, peek_shelf_slot, sectors_per_frame, AoePdu,
+    BurstEncoder, DecodeError, FrameBytes, Tag,
 };
-use bmcast_repro::aoe::{AoeClient, ClientConfig};
+use bmcast_repro::aoe::{AoeClient, AoeServer, ClientConfig, ServerConfig};
 use bmcast_repro::bmcast::bitmap::BlockBitmap;
 use bmcast_repro::bmcast::config::{BmcastConfig, ControllerKind, Moderation};
 use bmcast_repro::bmcast::deploy::Runner;
@@ -248,6 +248,64 @@ proptest! {
         prop_assert_eq!(AoePdu::decode_frame(&corrupted), AoePdu::decode(&bytes));
         prop_assert_eq!(peek_shelf_slot(corrupted.head()), peek_shelf_slot(&bytes));
         prop_assert_eq!(peek_rdma(corrupted.head()), peek_rdma(&bytes));
+    }
+
+    /// The burst encoder's frames are the frames one-at-a-time
+    /// `encode_frame` builds: same bytes, length, header and decode, for
+    /// bursts of 1-9 fragments (every remainder past the four-frame
+    /// lanes) over 1-3 runs, each run ending in a ragged fragment, as a
+    /// read reply (busy and rdma flags) or as write fragments. A
+    /// corrupted burst frame still decodes exactly as its dense bytes.
+    #[test]
+    fn burst_frames_equal_one_at_a_time_frames(
+        runs in proptest::collection::vec((0u64..(1 << 40), 0u32..3, 1u32..=17), 1..4),
+        write in any::<bool>(),
+        busy in any::<bool>(),
+        rdma in any::<bool>(),
+        base in 0u32..8,
+        seed in any::<u64>(),
+        pick in any::<usize>(),
+        entropy in any::<u64>(),
+    ) {
+        let spf = sectors_per_frame(9000);
+        let runs: Vec<BlockRange> = runs
+            .iter()
+            .map(|&(lba, full, tail)| BlockRange::new(Lba(lba), full * spf + tail))
+            .collect();
+        let pdus: Vec<AoePdu> = (base..)
+            .zip(fragment_subranges(&runs, spf))
+            .map(|(frag, sub)| {
+                let tag = Tag::new(77, frag);
+                let data = sub
+                    .iter()
+                    .map(|l| SectorData(if (seed ^ l.0).is_multiple_of(5) { 0 } else { seed ^ l.0 }))
+                    .collect();
+                if write {
+                    return AoePdu::write_request(3, 1, tag, sub, data);
+                }
+                let mut reply = AoePdu::read_request(3, 1, tag, sub);
+                (reply.response, reply.busy, reply.rdma) = (true, busy, rdma);
+                reply.data = Some(data);
+                reply
+            })
+            .collect();
+        prop_assert!((1..=9).contains(&pdus.len()));
+        let mut burst = BurstEncoder::with_capacity(pdus.len());
+        for pdu in pdus.iter().cloned() {
+            burst.push(pdu);
+        }
+        let frames = burst.finish();
+        prop_assert_eq!(frames.len(), pdus.len());
+        for (frame, pdu) in frames.iter().zip(&pdus) {
+            let single = pdu.encode_frame();
+            prop_assert_eq!(frame.to_vec(), single.to_vec());
+            prop_assert_eq!(frame.len(), single.len());
+            prop_assert_eq!(frame.head(), single.head());
+            prop_assert_eq!(AoePdu::decode_frame(frame), AoePdu::decode_frame(&single));
+            prop_assert_eq!(AoePdu::decode_frame(frame), Ok(pdu.clone()));
+        }
+        let corrupted = corrupt_frame_bytes(&frames[pick % frames.len()], entropy);
+        prop_assert_eq!(AoePdu::decode_frame(&corrupted), AoePdu::decode(&corrupted.to_vec()));
     }
 }
 
@@ -559,6 +617,107 @@ proptest! {
         prop_assert_eq!(done.range, range);
         let expect: Vec<SectorData> = range.iter().map(|l| SectorData(l.0 * 7 + 1)).collect();
         prop_assert_eq!(done.data, expect);
+    }
+
+    /// Reassembly against a real server, v2 or batched: the server's
+    /// fragments arrive shuffled, some twice, mixed with checksum-valid
+    /// fragments of the wrong range, and a retransmit round comes part
+    /// way through. The round re-requests exactly the empty slots (the
+    /// original request when none is filled); the read completes exactly
+    /// once, on the frame that fills its last slot, with the server's
+    /// data.
+    #[test]
+    fn reassembly_completes_once_when_every_slot_is_filled(
+        runs in proptest::collection::vec((0u64..4000, 1u32..60), 1..4),
+        batched in any::<bool>(),
+        order_seed in any::<u64>(),
+        dup_every in 1usize..5,
+        bad_every in 1usize..5,
+        cut in any::<usize>(),
+    ) {
+        let runs: Vec<BlockRange> = runs
+            .iter()
+            .map(|&(lba, sectors)| BlockRange::new(Lba(lba), sectors))
+            .collect();
+        let runs = if batched { runs } else { runs[..1].to_vec() };
+        let params = DiskParams { capacity_sectors: 1 << 13, ..DiskParams::default() };
+        let store = BlockStore::image(params.capacity_sectors, order_seed);
+        let expect: Vec<SectorData> = runs.iter().flat_map(|&r| store.read_range(r)).collect();
+        let mut server = AoeServer::new(ServerConfig::default(), DiskModel::new(params, store));
+        let mut client = AoeClient::new(ClientConfig::default());
+        let (id, request) = if batched {
+            client.read_multi(SimTime::ZERO, runs.clone(), NO_SPAN)
+        } else {
+            client.read(SimTime::ZERO, runs[0], NO_SPAN)
+        };
+        let req = AoePdu::decode_frame(&request[0]).unwrap();
+        let serve = |server: &mut AoeServer, at: SimTime, frame: &FrameBytes| {
+            let reply = server.handle(at, frame).unwrap().expect("addressed to the server");
+            reply.frames.into_iter().map(|f| {
+                let slot = AoePdu::decode_frame(&f).unwrap().tag.fragment();
+                (f, Some(slot))
+            })
+        };
+        // The stream: the server's fragments shuffled, every
+        // `dup_every`-th twice and every `bad_every`-th followed by a
+        // fragment one sector off its slot's range (dropped as bad).
+        let mut prng = bmcast_repro::simkit::Prng::new(order_seed);
+        let mut fragments: Vec<_> = serve(&mut server, SimTime::ZERO, &request[0]).collect();
+        let slots = fragments.len();
+        prng.shuffle(&mut fragments);
+        let mut stream = Vec::new();
+        for (i, (frame, slot)) in fragments.into_iter().enumerate() {
+            let pdu = AoePdu::decode_frame(&frame).unwrap();
+            if i % dup_every == 0 {
+                stream.push((frame.clone(), slot));
+            }
+            stream.push((frame, slot));
+            if i % bad_every == 0 {
+                let off = BlockRange::new(pdu.range.lba + 1, pdu.range.sectors);
+                let bad = read_reply(&req, pdu.tag.fragment(), off, off.sectors);
+                stream.push((bad, None));
+            }
+        }
+        let mut filled = HashSet::new();
+        let mut completions = 0;
+        let mut deliver = |client: &mut AoeClient, at: SimTime, stream: Vec<(FrameBytes, Option<u32>)>| {
+            for (frame, slot) in stream {
+                let last = slot.is_some_and(|s| filled.insert(s)) && filled.len() == slots;
+                let done = client.on_frame(at, &frame);
+                prop_assert_eq!(done.is_some(), last, "completes on its last slot only");
+                if let Some(done) = done {
+                    prop_assert_eq!(done.request_id, id);
+                    prop_assert_eq!(&done.data, &expect);
+                    completions += 1;
+                }
+            }
+            (0..slots as u32).filter(|s| !filled.contains(s)).collect::<Vec<u32>>()
+        };
+        let mut rest = stream.split_off(cut % (stream.len() + 1));
+        let empty = deliver(&mut client, SimTime::ZERO, stream);
+        match client.next_retransmit_at() {
+            None => prop_assert!(empty.is_empty(), "only a completed read has no deadline"),
+            Some(due) => {
+                let resent = client.poll_retransmit(due);
+                let asked: Vec<u32> = resent
+                    .iter()
+                    .map(|f| AoePdu::decode_frame(f).unwrap().tag.fragment())
+                    .collect();
+                if empty.len() == slots {
+                    prop_assert_eq!(resent.len(), 1);
+                    prop_assert_eq!(resent[0].to_vec(), request[0].to_vec(), "the original request");
+                } else {
+                    prop_assert_eq!(asked, empty, "exactly the empty slots");
+                }
+                for frame in &resent {
+                    rest.extend(serve(&mut server, due, frame));
+                }
+                prng.shuffle(&mut rest);
+            }
+        }
+        deliver(&mut client, SimTime::ZERO, rest);
+        prop_assert_eq!(completions, 1);
+        prop_assert_eq!(client.outstanding(), 0);
     }
 
     /// Bitmap accounting never drifts and claims are atomic.
