@@ -34,9 +34,7 @@
 //! that server alive, not the rest of the fleet, so it holds the retry
 //! budget open only for requests pending on that endpoint.
 
-use crate::wire::{
-    fragment_subranges, sectors_per_frame, AoePdu, BurstEncoder, FrameBytes, Tag, WireFrame,
-};
+use crate::wire::{fragment_subranges, sectors_per_frame, AoePdu, FrameBytes, Tag, WireFrame};
 use hwsim::block::{BlockRange, SectorData};
 use simkit::{Metrics, Prng, SimDuration, SimTime, SpanId, Spans, Tracer};
 use std::cell::Cell;
@@ -133,10 +131,6 @@ pub struct Completion {
     /// The sectors the request covered. For a multi-range read this is
     /// the canonical cover (first run's LBA, total sectors).
     pub range: BlockRange,
-    /// For a multi-range (batched) read: the reply data split back per
-    /// requested run, in table order. Empty for single-range requests
-    /// and writes.
-    pub parts: Vec<(BlockRange, Vec<SectorData>)>,
     /// Read data in LBA order (for a multi-range read: the runs'
     /// data concatenated in table order); empty for completed writes.
     pub data: Vec<SectorData>,
@@ -662,14 +656,15 @@ impl AoeClient {
         let id = self.alloc_id();
         let (wshelf, wslot) = self.write_endpoint();
         let spf = sectors_per_frame(self.cfg.mtu);
-        let mut burst = BurstEncoder::with_capacity(range.sectors.div_ceil(spf) as usize);
         let subs = fragment_subranges(std::slice::from_ref(&range), spf);
-        for ((frag, sub), payload) in (0..).zip(subs).zip(data.chunks(spf as usize)) {
-            let pdu =
-                AoePdu::write_request(wshelf, wslot, Tag::new(id, frag), sub, payload.to_vec());
-            burst.push(pdu);
-        }
-        let frames = burst.finish();
+        let frames: Vec<FrameBytes> = (0..)
+            .zip(subs)
+            .zip(data.chunks(spf as usize))
+            .map(|((frag, sub), payload)| {
+                AoePdu::write_request(wshelf, wslot, Tag::new(id, frag), sub, payload.to_vec())
+                    .into_frame()
+            })
+            .collect();
         let deadline = now + self.cfg.backoff(0) + jitter(&mut self.prng, self.cfg.rto);
         let span = self.spans.begin(now, "aoe.client", "aoe.rtt", parent, || {
             format!("write req {id} lba {} x{}", range.lba.0, range.sectors)
@@ -702,13 +697,11 @@ impl AoeClient {
     /// Consumes a frame from the wire at `now`. Returns a completion if
     /// this frame finished a request. Unknown, duplicate, and
     /// non-response frames are ignored (the fabric may duplicate after a
-    /// spurious retransmit).
-    pub fn on_frame<F: WireFrame + ?Sized>(
-        &mut self,
-        now: SimTime,
-        frame: &F,
-    ) -> Option<Completion> {
-        let pdu = match frame.decode_pdu() {
+    /// spurious retransmit). A frame passed by value and held nowhere
+    /// else moves its data into the reassembly slot
+    /// ([`WireFrame::into_pdu`]); one passed by reference copies it.
+    pub fn on_frame<F: WireFrame>(&mut self, now: SimTime, frame: F) -> Option<Completion> {
+        let pdu = match frame.into_pdu() {
             Ok(pdu) => pdu,
             Err(_) => {
                 // Truncated, old-version, or corrupted frame: drop it and
@@ -789,27 +782,20 @@ impl AoeClient {
         self.completions += 1;
         self.metrics.inc("aoe.client.completions");
         self.spans.end(now, pending.span);
-        let mut data = Vec::with_capacity(pending.range.sectors as usize);
+        // The slots concatenate in fragment order: a one-fragment read's
+        // data moves through whole, and a write's slots are empty.
+        let mut frags = pending
+            .frags
+            .into_iter()
+            .map(|f| f.expect("all fragments present"));
+        let mut data = frags.next().unwrap_or_default();
         if !pending.is_write {
-            for f in pending.frags {
-                data.extend(f.expect("all fragments present"));
-            }
-        }
-        // A batched read's reply fragments arrive in global table order,
-        // so the concatenation splits back per run by sector count.
-        let mut parts = Vec::with_capacity(pending.runs.len());
-        if !pending.runs.is_empty() {
-            let mut offset = 0usize;
-            for run in &pending.runs {
-                let end = offset + run.sectors as usize;
-                parts.push((*run, data[offset..end].to_vec()));
-                offset = end;
-            }
+            data.reserve(pending.range.sectors as usize - data.len());
+            frags.for_each(|f| data.extend(f));
         }
         Some(Completion {
             request_id: id,
             range: pending.range,
-            parts,
             data,
         })
     }
@@ -1039,7 +1025,7 @@ mod tests {
             let mut ack = req.clone();
             ack.response = true;
             ack.data = None;
-            let result = c.on_frame(SimTime::ZERO, &ack.encode());
+            let result = c.on_frame(SimTime::ZERO, ack.encode());
             if req.tag.fragment() == 1 {
                 let done = result.unwrap();
                 assert_eq!(done.request_id, id);
@@ -1212,7 +1198,7 @@ mod tests {
         busy.response = true;
         busy.busy = true;
         busy.error = Some(1);
-        assert!(c.on_frame(SimTime::ZERO, &busy.encode()).is_none());
+        assert!(c.on_frame(SimTime::ZERO, busy.encode()).is_none());
         // Budget exhausts, but the fresh busy news keeps it alive and
         // retransmitting at the capped cadence.
         let mut now = SimTime::ZERO;
@@ -1349,7 +1335,7 @@ mod tests {
         let (id, _) = c.read(SimTime::ZERO, BlockRange::new(Lba(8), 1), NO_SPAN);
         let mut now = SimTime::ZERO;
         while c.outstanding() > 0 {
-            assert!(c.on_frame(now, &busy_from(0)).is_none());
+            assert!(c.on_frame(now, busy_from(0)).is_none());
             now = c.next_retransmit_at().unwrap();
             c.poll_retransmit(now);
         }
@@ -1363,7 +1349,7 @@ mod tests {
         let mut last_hint = now;
         for _ in 0..4 {
             last_hint = now;
-            assert!(c.on_frame(now, &busy_from(1)).is_none());
+            assert!(c.on_frame(now, busy_from(1)).is_none());
             now = c.next_retransmit_at().unwrap();
             assert!(!c.poll_retransmit(now).is_empty(), "kept retransmitting");
             assert_eq!(c.outstanding(), 1);
@@ -1421,7 +1407,7 @@ mod tests {
         let mut stray = AoePdu::read_request(0, 0, Tag::new(999, 0), range);
         stray.response = true;
         stray.data = Some(vec![SectorData(1)]);
-        assert!(c.on_frame(SimTime::ZERO, &stray.encode()).is_none());
+        assert!(c.on_frame(SimTime::ZERO, stray.encode()).is_none());
         assert_eq!(c.stale_replies(), 1);
     }
 
@@ -1448,7 +1434,7 @@ mod tests {
         reply.busy = true;
         reply.data = Some(vec![SectorData(1)]);
         let at = SimTime::from_millis(3);
-        assert!(c.on_frame(at, &reply.encode()).is_some());
+        assert!(c.on_frame(at, reply.encode()).is_some());
         assert_eq!(c.server_busy_at(), Some(at));
         // A later calm reply does not clear the latch; the caller owns
         // the backoff-window comparison.
@@ -1456,9 +1442,7 @@ mod tests {
         let mut calm = AoePdu::decode_frame(&frames[0]).unwrap();
         calm.response = true;
         calm.data = Some(vec![SectorData(1)]);
-        assert!(c
-            .on_frame(SimTime::from_millis(9), &calm.encode())
-            .is_some());
+        assert!(c.on_frame(SimTime::from_millis(9), calm.encode()).is_some());
         assert_eq!(c.server_busy_at(), Some(at));
     }
 
@@ -1512,15 +1496,11 @@ mod tests {
         assert!(c.on_frame(SimTime::ZERO, &rs[0]).is_none());
         let done = c.on_frame(SimTime::ZERO, &rs[1]).unwrap();
         assert_eq!(done.request_id, id);
-        assert_eq!(done.parts.len(), 2);
-        assert_eq!(done.parts[0].0, runs[0]);
-        assert_eq!(done.parts[0].1, (0..20).map(SectorData).collect::<Vec<_>>());
-        assert_eq!(done.parts[1].0, runs[1]);
-        assert_eq!(
-            done.parts[1].1,
-            (100..105).map(SectorData).collect::<Vec<_>>()
-        );
         assert_eq!(done.data.len(), 25, "concatenation across runs");
+        // The runs' data, split back by their sector counts.
+        let (part0, part1) = done.data.split_at(runs[0].sectors as usize);
+        assert_eq!(part0, (0..20).map(SectorData).collect::<Vec<_>>());
+        assert_eq!(part1, (100..105).map(SectorData).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1600,6 +1580,6 @@ mod tests {
         let mut stray = AoePdu::read_request(0, 0, Tag::new(999, 0), BlockRange::new(Lba(0), 1));
         stray.response = true;
         stray.data = Some(vec![SectorData(1)]);
-        assert!(c.on_frame(SimTime::ZERO, &stray.encode()).is_none());
+        assert!(c.on_frame(SimTime::ZERO, stray.encode()).is_none());
     }
 }

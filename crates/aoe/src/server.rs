@@ -11,8 +11,7 @@
 //! it overlaps disk time across requests.
 
 use crate::wire::{
-    fragment_subranges, sectors_per_frame, AoePdu, BurstEncoder, DecodeError, FrameBytes, Tag,
-    WireFrame,
+    fragment_subranges, sectors_per_frame, AoePdu, DecodeError, FrameBytes, Tag, WireFrame,
 };
 use hwsim::block::BlockRange;
 use hwsim::disk::{DiskModel, DiskOp};
@@ -637,7 +636,7 @@ impl AoeServer {
             .expect("addressed slot is served")
             .store();
         let frags: u32 = runs.iter().map(|r| r.sectors.div_ceil(spf)).sum();
-        let mut burst = BurstEncoder::with_capacity(frags as usize);
+        let mut burst = Vec::with_capacity(frags as usize);
         for (frag, sub) in (pdu.tag.fragment()..).zip(fragment_subranges(runs, spf)) {
             let mut reply = AoePdu::read_request(
                 pdu.shelf,
@@ -652,9 +651,9 @@ impl AoeServer {
             // volume's store into its own payload, which then moves
             // into its frame: no staging buffer, no copy.
             reply.data = Some(store.read_range(sub));
-            burst.push(reply);
+            burst.push(reply.into_frame());
         }
-        burst.finish()
+        burst
     }
 
     fn handle_read(&mut self, now: SimTime, pdu: AoePdu, busy: bool) -> ServerReply {

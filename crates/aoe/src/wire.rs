@@ -68,6 +68,7 @@
 //!   [`DecodeError::BadVersion`] and dropped by the routing peek.
 
 use hwsim::block::{BlockRange, Lba, SectorData, SECTOR_SIZE};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -82,9 +83,11 @@ use std::sync::Arc;
 /// - a *sector frame* holds the 24-byte header and one fingerprint per
 ///   512-byte sector unit. Its byte image is the header followed, for
 ///   each sector, by the fingerprint big-endian and 504 zero bytes.
-///   [`AoePdu::encode_frame`] and [`BurstEncoder`] build one for every
-///   v2 frame that carries data (read replies and write requests), so
-///   the padding is never written, hashed or scanned;
+///   [`AoePdu::into_frame`] and [`AoePdu::encode_frame`] build one for
+///   every v2 frame that carries data (read replies and write requests),
+///   so the padding is never written, hashed or scanned, and its
+///   checksum is summed only when the byte image is asked for
+///   ([`head`](Self::head), [`to_vec`](Self::to_vec));
 /// - a *byte frame* holds the image itself: header-only frames, v3
 ///   range tables, and anything made from raw bytes (`From<Vec<u8>>`),
 ///   such as a frame corrupted in flight.
@@ -102,16 +105,32 @@ enum Repr {
     Bytes(Arc<[u8]>),
 }
 
-/// Built only by the encoders, which write the checksum into `head`
-/// from `units` once; never mutated after. So the carried checksum is
-/// the frame's checksum, and [`AoePdu::decode_frame`] takes it as it is.
+/// Built only by the encoders and never mutated after, so its units are
+/// the ones it was built from: [`AoePdu::decode_frame`] has no sum to
+/// check, and the sum is taken only for a byte image.
 #[derive(Debug)]
 struct SectorFrame {
-    /// The header, checksum included.
+    /// The header, checksum field zero.
     head: [u8; HEAD],
     /// One fingerprint per sector unit, in order: the encoded PDU's
     /// data, moved in (the server's `read_range` result, say).
     units: Vec<SectorData>,
+}
+
+impl SectorFrame {
+    /// The PDU of `head`, with no sum to check and no data yet.
+    fn head_pdu(&self) -> Result<AoePdu, DecodeError> {
+        let (_, pdu) = AoePdu::decode_head(&self.head, None::<fn() -> u16>)?;
+        Ok(pdu)
+    }
+
+    /// The header of the byte image: `head` with its checksum summed.
+    fn summed_head(&self) -> [u8; HEAD] {
+        let mut head = self.head;
+        let sum = fold16(self.units.iter().fold(head_hash(&head), unit_hash));
+        head[CHECKSUM_OFFSET..].copy_from_slice(&sum.to_be_bytes());
+        head
+    }
 }
 
 impl FrameBytes {
@@ -129,9 +148,18 @@ impl FrameBytes {
     }
 
     /// The first [`AOE_HEADER_BYTES`] bytes of the image (all of it when
-    /// shorter): what the routing peeks [`peek_shelf_slot`] and
-    /// [`peek_rdma`] read.
-    pub fn head(&self) -> &[u8] {
+    /// shorter). A sector frame sums its checksum for this.
+    pub fn head(&self) -> Cow<'_, [u8]> {
+        match &self.0 {
+            Repr::Sectors(f) => Cow::Owned(f.summed_head().to_vec()),
+            Repr::Bytes(_) => Cow::Borrowed(self.peek_head()),
+        }
+    }
+
+    /// [`head`](Self::head) with no sum taken: a sector frame's checksum
+    /// field reads zero. What the routing peeks [`peek_shelf_slot`] and
+    /// [`peek_rdma`] read, since no field they read is the checksum.
+    pub fn peek_head(&self) -> &[u8] {
         match &self.0 {
             Repr::Sectors(f) => &f.head,
             Repr::Bytes(b) => &b[..b.len().min(HEAD)],
@@ -162,7 +190,7 @@ impl FrameBytes {
         match &self.0 {
             Repr::Sectors(f) => {
                 let mut out = vec![0; self.len()];
-                out[..HEAD].copy_from_slice(&f.head);
+                out[..HEAD].copy_from_slice(&f.summed_head());
                 put_units(&mut out[HEAD..], &f.units);
                 out
             }
@@ -189,7 +217,7 @@ impl From<Vec<u8>> for FrameBytes {
 
 /// A received frame in either form the endpoints take: a shared
 /// [`FrameBytes`] off the fabric, or the dense bytes of a caller that
-/// encoded with [`AoePdu::encode`].
+/// encoded with [`AoePdu::encode`]; by value or by reference.
 pub trait WireFrame {
     /// Decodes the PDU the frame carries.
     ///
@@ -197,11 +225,42 @@ pub trait WireFrame {
     ///
     /// As [`AoePdu::decode`].
     fn decode_pdu(&self) -> Result<AoePdu, DecodeError>;
+
+    /// Decodes, taking the frame: a sector frame held nowhere else moves
+    /// its data into the PDU; any other frame decodes as
+    /// [`decode_pdu`](Self::decode_pdu).
+    ///
+    /// # Errors
+    ///
+    /// As [`AoePdu::decode`].
+    fn into_pdu(self) -> Result<AoePdu, DecodeError>
+    where
+        Self: Sized,
+    {
+        self.decode_pdu()
+    }
+}
+
+impl<T: WireFrame + ?Sized> WireFrame for &T {
+    fn decode_pdu(&self) -> Result<AoePdu, DecodeError> {
+        (**self).decode_pdu()
+    }
 }
 
 impl WireFrame for FrameBytes {
     fn decode_pdu(&self) -> Result<AoePdu, DecodeError> {
         AoePdu::decode_frame(self)
+    }
+
+    fn into_pdu(self) -> Result<AoePdu, DecodeError> {
+        match self.0 {
+            Repr::Bytes(bytes) => AoePdu::decode(&bytes),
+            Repr::Sectors(f) => {
+                let mut pdu = f.head_pdu()?;
+                pdu.data = Some(Arc::try_unwrap(f).map_or_else(|f| f.units.clone(), |f| f.units));
+                Ok(pdu)
+            }
+        }
     }
 }
 
@@ -336,28 +395,6 @@ fn unit_hash(h: u64, s: &SectorData) -> u64 {
     fnv1a(h, &s.0.to_be_bytes()).wrapping_mul(ZERO_RUN_MUL[ZERO_RUN_MAX])
 }
 
-/// [`frame_checksum`] of a sector frame's byte image, in O(sectors).
-fn sector_checksum(head: &[u8], units: &[SectorData]) -> u16 {
-    fold16(units.iter().fold(head_hash(head), unit_hash))
-}
-
-/// [`sector_checksum`] of four frames at once. Each FNV-1a chain is a
-/// run of dependent multiplies; stepping the four chains in turn lets
-/// one chain's multiplies overlap the others'. Same values.
-fn sector_checksums4(frames: &[Held; LANES]) -> [u16; LANES] {
-    let mut h = frames.each_ref().map(|(head, _)| head_hash(head));
-    let common = frames.iter().map(|(_, u)| u.len()).min().unwrap_or(0);
-    for i in 0..common {
-        for (h, (_, units)) in h.iter_mut().zip(frames) {
-            *h = unit_hash(*h, &units[i]);
-        }
-    }
-    for (h, (_, units)) in h.iter_mut().zip(frames) {
-        *h = units[common..].iter().fold(*h, unit_hash);
-    }
-    h.map(fold16)
-}
-
 /// FNV-1a 64 from the offset basis over the header bytes, the checksum
 /// field hashed as zero.
 fn head_hash(head: &[u8]) -> u64 {
@@ -371,19 +408,6 @@ fn head_hash(head: &[u8]) -> u64 {
 /// Folds the 64-bit hash to the 16-bit checksum field.
 fn fold16(h: u64) -> u16 {
     (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) as u16
-}
-
-/// A sector frame's header (checksum field zero) and fingerprints,
-/// before its checksum is known.
-type Held = ([u8; HEAD], Vec<SectorData>);
-
-/// How many frames [`BurstEncoder`] sums at once.
-const LANES: usize = 4;
-
-/// The sector frame of `held` carrying checksum `sum`.
-fn sector_frame((mut head, units): Held, sum: u16) -> FrameBytes {
-    head[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 2].copy_from_slice(&sum.to_be_bytes());
-    FrameBytes(Repr::Sectors(Arc::new(SectorFrame { head, units })))
 }
 
 /// Writes each fingerprint big-endian into the first 8 bytes of its
@@ -632,27 +656,54 @@ impl AoePdu {
     }
 
     /// Encodes to a shared frame, ready to be held pending and put on
-    /// the wire without further copies. A v2 frame carrying data becomes
-    /// a sector frame: header and a copy of the fingerprints,
-    /// checksummed in O(sectors) ([`BurstEncoder`] moves the data in
-    /// instead). Any other frame is a byte frame of
-    /// [`encode`](Self::encode)'s bytes. Either way
-    /// [`FrameBytes::to_vec`] equals [`encode`](Self::encode).
+    /// the wire without further copies: [`into_frame`](Self::into_frame)
+    /// with a copy of this PDU's data.
     pub fn encode_frame(&self) -> FrameBytes {
         match &self.data {
-            Some(data) if self.is_sector_frame() => {
-                let head = self.encode_head();
-                let sum = sector_checksum(&head, data);
-                sector_frame((head, data.clone()), sum)
-            }
+            Some(units) if self.is_sector_frame(units) => self.sector_frame(units.clone()),
             _ => self.encode().into(),
         }
     }
 
-    /// Whether [`encode_frame`](Self::encode_frame) makes this PDU a
-    /// sector frame: v2, carrying at least one sector.
-    fn is_sector_frame(&self) -> bool {
-        self.ranges.is_empty() && self.data.as_ref().is_some_and(|d| !d.is_empty())
+    /// Encodes to a shared frame, taking the PDU. A v2 frame carrying
+    /// data becomes a sector frame: the header and the data, moved in,
+    /// with no sum taken (a server's reply burst or a client's write
+    /// fragments cost one allocation per frame). Any other frame is a
+    /// byte frame of [`encode`](Self::encode)'s bytes. Either way
+    /// [`FrameBytes::to_vec`] equals [`encode`](Self::encode).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use aoe::wire::{AoePdu, Tag};
+    /// use hwsim::block::{BlockRange, Lba, SectorData};
+    ///
+    /// let range = BlockRange::new(Lba(17), 17);
+    /// let pdu = AoePdu::write_request(0, 0, Tag::new(1, 1), range, vec![SectorData(5); 17]);
+    /// let frame = pdu.clone().into_frame();
+    /// assert_eq!(frame.sectors(), pdu.data.as_deref());
+    /// assert_eq!(frame.to_vec(), pdu.encode());
+    /// ```
+    pub fn into_frame(mut self) -> FrameBytes {
+        match self.data.take() {
+            Some(units) if self.is_sector_frame(&units) => self.sector_frame(units),
+            data => {
+                self.data = data;
+                self.encode().into()
+            }
+        }
+    }
+
+    /// Whether this PDU with `units` as its data is a sector frame: v2,
+    /// carrying at least one sector.
+    fn is_sector_frame(&self, units: &[SectorData]) -> bool {
+        self.ranges.is_empty() && !units.is_empty()
+    }
+
+    /// The sector frame of this PDU's header and `units`.
+    fn sector_frame(&self, units: Vec<SectorData>) -> FrameBytes {
+        let head = self.encode_head();
+        FrameBytes(Repr::Sectors(Arc::new(SectorFrame { head, units })))
     }
 
     /// The 24-byte header with the checksum field zero: the one header
@@ -698,7 +749,7 @@ impl AoePdu {
                 need: HEAD,
             });
         }
-        let (ver, mut pdu) = Self::decode_head(&bytes[..HEAD], || frame_checksum(bytes))?;
+        let (ver, mut pdu) = Self::decode_head(&bytes[..HEAD], Some(|| frame_checksum(bytes)))?;
         let payload = &bytes[HEAD..];
         if ver == AOE_VERSION_BATCH {
             pdu.ranges = Self::decode_range_table(pdu.write, pdu.range, payload)?;
@@ -716,10 +767,10 @@ impl AoePdu {
         Ok(pdu)
     }
 
-    /// Decodes a shared frame. A sector frame's fingerprints are read in
-    /// O(sectors), with no byte scan, and its checksum is not summed
-    /// again: the encoder summed these very fingerprints and nothing can
-    /// change them (debug builds re-check it). A byte frame goes through
+    /// Decodes a shared frame, copying a sector frame's data
+    /// ([`WireFrame::into_pdu`] moves it). A sector frame's fingerprints
+    /// are read in O(sectors), with no byte scan and no sum: its units
+    /// are the ones it was built from. A byte frame goes through
     /// [`decode`](Self::decode), every byte summed. The result equals
     /// `decode(&frame.to_vec())` on every frame.
     ///
@@ -730,38 +781,31 @@ impl AoePdu {
         match &frame.0 {
             Repr::Bytes(bytes) => Self::decode(bytes),
             Repr::Sectors(f) => {
-                // The carried sum was taken from these units when the
-                // frame was built, and nothing has changed them since.
-                let carried = || {
-                    let sum =
-                        u16::from_be_bytes([f.head[CHECKSUM_OFFSET], f.head[CHECKSUM_OFFSET + 1]]);
-                    debug_assert_eq!(sum, sector_checksum(&f.head, &f.units));
-                    sum
-                };
-                let (ver, mut pdu) = Self::decode_head(&f.head, carried)?;
-                debug_assert_eq!(ver, AOE_VERSION, "sector frames are v2");
-                pdu.data = Some(f.units.to_vec());
+                let mut pdu = f.head_pdu()?;
+                pdu.data = Some(f.units.clone());
                 Ok(pdu)
             }
         }
     }
 
     /// Parses the 24-byte header: the version, then the carried checksum
-    /// against `checksum()` (the sum of the whole frame), then the
-    /// fields. The one header parser both frame forms share. Returns the
-    /// version and the PDU without payload.
+    /// against `checksum()` (the sum of the whole byte image; `None` for
+    /// a sector frame, which carries no sum), then the fields. The one
+    /// header parser both frame forms share. Returns the version and the
+    /// PDU without payload.
     fn decode_head(
         head: &[u8],
-        checksum: impl FnOnce() -> u16,
+        checksum: Option<impl FnOnce() -> u16>,
     ) -> Result<(u8, AoePdu), DecodeError> {
         let ver = head[0] >> 4;
         if ver != AOE_VERSION && ver != AOE_VERSION_BATCH {
             return Err(DecodeError::BadVersion(ver));
         }
         let want = u16::from_be_bytes([head[CHECKSUM_OFFSET], head[CHECKSUM_OFFSET + 1]]);
-        let got = checksum();
-        if got != want {
-            return Err(DecodeError::BadChecksum { got, want });
+        if let Some(got) = checksum.map(|sum| sum()) {
+            if got != want {
+                return Err(DecodeError::BadChecksum { got, want });
+            }
         }
         let sectors = u32::from_be_bytes([head[12], head[13], head[14], head[15]]);
         if sectors == 0 {
@@ -822,81 +866,6 @@ impl AoePdu {
             return Err(DecodeError::BadRangeTable(payload.len()));
         }
         Ok(runs)
-    }
-}
-
-/// Encodes a train of data fragments: a server's read reply burst or a
-/// client's write fragments. Each PDU's data moves into its frame (no
-/// copy), and the frames are checksummed four at a time, their FNV-1a
-/// chains interleaved, with the values one-at-a-time
-/// [`AoePdu::encode_frame`] gives. The frames come out in push order;
-/// past the output `Vec`, a burst allocates only the frames themselves.
-///
-/// # Examples
-///
-/// ```
-/// use aoe::wire::{AoePdu, BurstEncoder, Tag};
-/// use hwsim::block::{BlockRange, Lba, SectorData};
-///
-/// let pdus: Vec<AoePdu> = (0..5u32)
-///     .map(|i| {
-///         let range = BlockRange::new(Lba(17 * i as u64), 17);
-///         AoePdu::write_request(0, 0, Tag::new(1, i), range, vec![SectorData(i as u64); 17])
-///     })
-///     .collect();
-/// let mut burst = BurstEncoder::with_capacity(pdus.len());
-/// for pdu in pdus.iter().cloned() {
-///     burst.push(pdu);
-/// }
-/// let frames = burst.finish();
-/// assert!(frames.iter().zip(&pdus).all(|(f, p)| f.to_vec() == p.encode()));
-/// ```
-#[derive(Debug)]
-pub struct BurstEncoder {
-    frames: Vec<FrameBytes>,
-    /// Frames waiting for their checksums; the first `held_n` are live.
-    held: [Held; LANES],
-    held_n: usize,
-}
-
-impl BurstEncoder {
-    /// An encoder for a burst of about `frames` frames.
-    pub fn with_capacity(frames: usize) -> BurstEncoder {
-        BurstEncoder {
-            frames: Vec::with_capacity(frames),
-            held: Default::default(),
-            held_n: 0,
-        }
-    }
-
-    /// Appends the frame of `pdu`, taking its data.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `pdu` is a v2 frame carrying at least one sector
-    /// (one that [`AoePdu::encode_frame`] makes a sector frame).
-    pub fn push(&mut self, mut pdu: AoePdu) {
-        assert!(pdu.is_sector_frame(), "a burst carries v2 data frames");
-        let units = pdu.data.take().expect("checked above");
-        self.held[self.held_n] = (pdu.encode_head(), units);
-        self.held_n += 1;
-        if self.held_n == LANES {
-            let sums = sector_checksums4(&self.held);
-            for (held, sum) in self.held.iter_mut().zip(sums) {
-                self.frames.push(sector_frame(std::mem::take(held), sum));
-            }
-            self.held_n = 0;
-        }
-    }
-
-    /// The burst's frames, in push order. Fewer than four left over take
-    /// the one-frame sum.
-    pub fn finish(mut self) -> Vec<FrameBytes> {
-        for held in &mut self.held[..self.held_n] {
-            let sum = sector_checksum(&held.0, &held.1);
-            self.frames.push(sector_frame(std::mem::take(held), sum));
-        }
-        self.frames
     }
 }
 

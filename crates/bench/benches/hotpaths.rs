@@ -26,9 +26,14 @@
 //! miss and as a hit), `BlockStore::write_range` of a 1 MiB image block
 //! into a mirror store, with and without 32 MiB of tenant pages, and
 //! `read_range` of one 17-sector MTU fragment from an image store.
+//!
+//! The `block_store` and `aoe_client` targets time the two ends of a
+//! 1 MiB copy block's reply: the origin reading it out of its image
+//! store, and the client reassembling the server's 121-frame reply
+//! burst, each frame handed to `on_frame` by value.
 
 use aoe::server::ServerReply;
-use aoe::wire::{frame_checksum, sectors_per_frame, AoePdu, Tag};
+use aoe::wire::{frame_checksum, sectors_per_frame, AoePdu, FrameBytes, Tag};
 use aoe::{AoeClient, AoeServer, ClientConfig, Enqueued, ServerConfig};
 use bmcast::bitmap::BlockBitmap;
 use bmcast::mediator::{AhciMediator, IdeMediator, PioVerdict};
@@ -476,6 +481,57 @@ fn bench_disk(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 1 MiB copy block's reply, at each end: `read_range` of the block
+/// from a 32-GB image store, and the client's reassembly of the
+/// server's reply burst, frame by frame and by value, so each frame's
+/// data moves into its slot. The bursts are served before the timer
+/// starts (one per iteration the shim runs), so only `on_frame` is
+/// timed; an iteration past them serves its own.
+fn bench_reply_path(c: &mut Criterion) {
+    let block = BlockRange::new(Lba(4096), 2048);
+    let mut group = c.benchmark_group("block_store");
+    group
+        .sample_size(1_000)
+        .warm_up_time(Duration::from_secs(1))
+        .measurement_time(Duration::from_secs(3));
+    let image = BlockStore::image(SECTORS_32GB, 0x1DE);
+    group.bench_function("read_range_image_1mib", |b| {
+        b.iter(|| image.read_range(black_box(block)))
+    });
+    group.finish();
+
+    const BURSTS: usize = 200;
+    let mut group = c.benchmark_group("aoe_client");
+    group
+        .sample_size(BURSTS)
+        .warm_up_time(Duration::from_secs(1))
+        .measurement_time(Duration::from_secs(3));
+    let params = DiskParams {
+        capacity_sectors: 1 << 16,
+        ..DiskParams::default()
+    };
+    let store = BlockStore::image(params.capacity_sectors, 7);
+    let mut server = AoeServer::new(ServerConfig::default(), DiskModel::new(params, store));
+    let mut client = AoeClient::new(ClientConfig::default());
+    let mut serve = |client: &mut AoeClient| -> Vec<FrameBytes> {
+        let (_, request) = client.read(SimTime::ZERO, block, NO_SPAN);
+        let reply = server.handle(SimTime::ZERO, &request[0]).expect("decodes");
+        reply.expect("replies").frames
+    };
+    let mut bursts: Vec<Vec<FrameBytes>> = (0..BURSTS).map(|_| serve(&mut client)).collect();
+    group.bench_function("reassemble_1mib_reply", |b| {
+        b.iter(|| {
+            let burst = bursts.pop().unwrap_or_else(|| serve(&mut client));
+            let mut done = None;
+            for f in burst {
+                done = done.or(client.on_frame(SimTime::ZERO, f));
+            }
+            done.expect("read completes").data.len()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_bitmap,
@@ -483,6 +539,7 @@ criterion_group!(
     bench_server,
     bench_mediator,
     bench_wire,
-    bench_disk
+    bench_disk,
+    bench_reply_path
 );
 criterion_main!(benches);

@@ -318,8 +318,8 @@ impl Fabric {
         payload: FrameBytes,
         push: &mut impl FnMut(SimTime, FabricEvent),
     ) {
-        let Some(&node) =
-            peek_shelf_slot(payload.head()).and_then(|(shelf, _)| self.shelf_nodes.get(&shelf))
+        let Some(&node) = peek_shelf_slot(payload.peek_head())
+            .and_then(|(shelf, _)| self.shelf_nodes.get(&shelf))
         else {
             return;
         };
@@ -482,7 +482,7 @@ impl Fabric {
             n.egress_inflight_bytes += reply
                 .frames
                 .iter()
-                .filter(|f| !peek_rdma(f.head()))
+                .filter(|f| !peek_rdma(f.peek_head()))
                 .map(|f| f.len() as u64 + FRAME_OVERHEAD as u64)
                 .sum::<u64>();
             n.queued += 1;
@@ -521,7 +521,7 @@ impl Fabric {
             // bypasses the Ethernet egress queue and its fault verdicts
             // (InfiniBand is lossless) and lands after the fixed
             // propagation delay. The payload Arc moves through untouched.
-            if peek_rdma(payload.head()) {
+            if peek_rdma(payload.peek_head()) {
                 push(now + lookahead(), FabricEvent::Deliver { machine, payload });
                 continue;
             }

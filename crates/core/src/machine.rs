@@ -37,7 +37,7 @@ use hwsim::ahci::{
     preg, AhciAction, AhciCmdHeader, AhciCmdList, AhciCmdTable, AhciController, H2dFis, ABAR,
     PORT_BASE,
 };
-use hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
+use hwsim::block::{BlockRange, BlockStore, Lba, SectorBuf, SectorData};
 use hwsim::disk::{DiskModel, DiskOp, DiskParams};
 use hwsim::eth::Frame;
 use hwsim::ide::{AtaOp, IdeAction, IdeCommandBlock, IdeController, IdeReg, PrdEntry, PrdTable};
@@ -220,9 +220,10 @@ struct RedirectInFlight {
     /// Pieces (AoE + local reads) still outstanding.
     outstanding: usize,
     /// Collected data, keyed by subrange.
-    collected: Vec<(BlockRange, Vec<SectorData>)>,
-    /// Subranges fetched from the server (to be written locally after).
-    fetched: Vec<(BlockRange, Vec<SectorData>)>,
+    collected: Vec<(BlockRange, SectorBuf)>,
+    /// Subranges fetched from the server (to be written locally after),
+    /// sharing their data with `collected`.
+    fetched: Vec<(BlockRange, SectorBuf)>,
     /// Set once the completion-polling penalty has been scheduled.
     finalizing: bool,
     /// Parent `io.redirect` flight-recorder span.
@@ -1433,7 +1434,7 @@ fn begin_redirect(m: &mut Machine, sim: &mut MachineSim, target: RedirectTarget)
     // dummy data.
     let (holes, filled, collected) = if protected {
         let dummy = vec![SectorData(0xD077); range.sectors as usize];
-        (Vec::new(), Vec::new(), vec![(range, dummy)])
+        (Vec::new(), Vec::new(), vec![(range, dummy.into())])
     } else {
         let bitmap = &vmm.bitmap;
         (
@@ -1479,7 +1480,7 @@ fn begin_redirect(m: &mut Machine, sim: &mut MachineSim, target: RedirectTarget)
         sim.schedule_in(t, move |m: &mut Machine, sim| {
             let vmm = m.vmm.as_mut().expect("redirect vmm");
             if let Some(r) = vmm.redirect.as_mut() {
-                r.collected.push((sub, data.clone()));
+                r.collected.push((sub, data.into()));
                 r.outstanding -= 1;
             }
             try_finish_redirect(m, sim);
@@ -1535,7 +1536,11 @@ fn finish_redirect_now(m: &mut Machine, sim: &mut MachineSim) {
 
     // Assemble the data in LBA order.
     r.collected.sort_by_key(|(range, _)| range.lba);
-    let all: Vec<SectorData> = r.collected.iter().flat_map(|(_, d)| d.clone()).collect();
+    let all: Vec<SectorData> = r
+        .collected
+        .iter()
+        .flat_map(|(_, d)| d.iter().copied())
+        .collect();
 
     // Queue fetched pieces for the local fill (write-behind through the
     // background writer, claimed via the bitmap like any VMM write).
@@ -1543,10 +1548,7 @@ fn finish_redirect_now(m: &mut Machine, sim: &mut MachineSim) {
     let mut fetched_bytes = 0u64;
     for (range, data) in fetched {
         fetched_bytes += range.bytes();
-        vmm.bg.push_local_fill(FetchedBlock {
-            range,
-            data: data.into(),
-        });
+        vmm.bg.push_local_fill(FetchedBlock { range, data });
     }
     m.stats.redirected_bytes += fetched_bytes;
     m.metrics.add("machine.redirected_bytes", fetched_bytes);
@@ -1651,7 +1653,7 @@ fn schedule_fabric_event(sim: &mut MachineSim, at: SimTime, event: FabricEvent) 
 /// pickup half a poll interval later.
 pub fn vmm_nic_rx(m: &mut Machine, sim: &mut MachineSim, payload: FrameBytes) {
     let Some(vmm) = m.vmm.as_mut() else { return };
-    if aoe::peek_rdma(payload.head()) {
+    if aoe::peek_rdma(payload.peek_head()) {
         // A reply placed by a one-sided RDMA READ: the HCA has already
         // written the bytes into registered memory, so the frame never
         // crosses the Ethernet RX ring. It lands on the completion
@@ -1688,7 +1690,7 @@ fn vmm_poll(m: &mut Machine, sim: &mut MachineSim) {
         m.stats.frames_rx += 1;
         m.metrics.inc("machine.frames_rx");
         vmm.cpu_time += SimDuration::from_micros(3);
-        if let Some(done) = vmm.client.on_frame(sim.now(), &p) {
+        if let Some(done) = vmm.client.on_frame(sim.now(), p) {
             completions.push(done);
         }
     }
@@ -1701,6 +1703,7 @@ fn vmm_poll(m: &mut Machine, sim: &mut MachineSim) {
                 if let Some(r) = vmm.redirect.as_mut() {
                     r.outstanding -= 1;
                     for (range, data) in split_by_members(&members, done.data) {
+                        let data = SectorBuf::from(data);
                         r.collected.push((range, data.clone()));
                         r.fetched.push((range, data));
                     }

@@ -398,7 +398,27 @@ impl BlockStore {
         out.reserve(range.sectors as usize);
         Self::for_each_chunk(range.lba.0, sectors, |page, from, len| {
             let written = self.page(page);
-            out.extend((from..from + len).map(|i| self.sector_in(written, page, i)));
+            // A chunk with no written page and its mirror bits all clear
+            // or all set reads as one content generator: zero, or an
+            // image's, in one tight loop.
+            let mask = page_mask(from, len);
+            let mirrored = self.mirror_bits.get(page as usize).map_or(0, |w| w & mask);
+            let image = match (written, mirrored, self.default) {
+                (None, 0, DefaultContent::Zeroes) => None,
+                (None, 0, DefaultContent::Image { seed }) => Some(seed),
+                (None, bits, _) if bits == mask => self.mirror_seed,
+                _ => {
+                    out.extend((from..from + len).map(|i| self.sector_in(written, page, i)));
+                    return;
+                }
+            };
+            let first = page * PAGE_SECTORS + from;
+            match image {
+                None => out.resize(out.len() + len as usize, SectorData::ZERO),
+                Some(seed) => {
+                    out.extend((first..first + len).map(|l| Self::image_content(seed, Lba(l))))
+                }
+            }
         });
     }
 

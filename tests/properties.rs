@@ -2,7 +2,7 @@
 
 use bmcast_repro::aoe::wire::{
     fragment_subranges, frame_checksum, peek_rdma, peek_shelf_slot, sectors_per_frame, AoePdu,
-    BurstEncoder, DecodeError, FrameBytes, Tag,
+    DecodeError, FrameBytes, Tag, WireFrame,
 };
 use bmcast_repro::aoe::{AoeClient, AoeServer, ClientConfig, ServerConfig};
 use bmcast_repro::bmcast::bitmap::BlockBitmap;
@@ -94,7 +94,7 @@ fn read_fragment_of_the_wrong_shape_is_dropped() {
         (range, 1),                       // header says 8, data holds 1
     ] {
         assert!(client
-            .on_frame(SimTime::ZERO, &read_reply(&req, 0, bad, sectors))
+            .on_frame(SimTime::ZERO, read_reply(&req, 0, bad, sectors))
             .is_none());
     }
     assert_eq!(client.bad_fragments(), 3);
@@ -126,13 +126,13 @@ fn batched_read_fragment_of_the_wrong_shape_is_dropped() {
     let req = AoePdu::decode_frame(&frames[0]).unwrap();
     let one = |r: BlockRange| BlockRange::new(r.lba, 1);
     assert!(client
-        .on_frame(SimTime::ZERO, &read_reply(&req, 0, one(runs[0]), 1))
+        .on_frame(SimTime::ZERO, read_reply(&req, 0, one(runs[0]), 1))
         .is_none());
     assert!(client
-        .on_frame(SimTime::ZERO, &read_reply(&req, 1, one(runs[1]), 1))
+        .on_frame(SimTime::ZERO, read_reply(&req, 1, one(runs[1]), 1))
         .is_none());
     assert!(client
-        .on_frame(SimTime::ZERO, &read_reply(&req, 0, runs[1], 4))
+        .on_frame(SimTime::ZERO, read_reply(&req, 0, runs[1], 4))
         .is_none());
     assert_eq!(client.bad_fragments(), 3);
     assert_eq!(client.outstanding(), 1);
@@ -141,12 +141,14 @@ fn batched_read_fragment_of_the_wrong_shape_is_dropped() {
         .collect();
     assert!(client.on_frame(SimTime::ZERO, &good[0]).is_none());
     let done = client.on_frame(SimTime::ZERO, &good[1]).expect("completes");
-    let parts: Vec<_> = runs
-        .iter()
-        .zip(&good)
-        .map(|(r, f)| (*r, AoePdu::decode_frame(f).unwrap().data.unwrap()))
-        .collect();
-    assert_eq!(done.parts, parts);
+    // The data splits back per run by the runs' sector counts.
+    let (first, second) = done.data.split_at(runs[0].sectors as usize);
+    for (part, frame) in [first, second].into_iter().zip(&good) {
+        assert_eq!(
+            Some(part.to_vec()),
+            AoePdu::decode_frame(frame).unwrap().data
+        );
+    }
 }
 
 /// A legal PDU of `kind` 0 (v2 header-only), 1 (v2 with data, zero
@@ -216,8 +218,9 @@ proptest! {
         let frame = pdu.encode_frame();
         prop_assert_eq!(frame.to_vec(), dense.clone());
         prop_assert_eq!(frame.len(), dense.len());
-        prop_assert_eq!(peek_shelf_slot(frame.head()), peek_shelf_slot(&dense));
-        prop_assert_eq!(peek_rdma(frame.head()), peek_rdma(&dense));
+        prop_assert_eq!(&frame.head()[..], &dense[..24]);
+        prop_assert_eq!(peek_shelf_slot(frame.peek_head()), peek_shelf_slot(&dense));
+        prop_assert_eq!(peek_rdma(frame.peek_head()), peek_rdma(&dense));
         prop_assert_eq!(AoePdu::decode_frame(&frame), AoePdu::decode(&dense));
         prop_assert_eq!(frame.sectors().is_some(), pdu.data.is_some());
         prop_assert_eq!(AoePdu::decode_frame(&frame), Ok(pdu));
@@ -246,16 +249,17 @@ proptest! {
         prop_assert_eq!(bytes.len(), frame.len());
         prop_assert_eq!(bytes.iter().zip(frame.to_vec()).filter(|(a, b)| **a != *b).count(), 1);
         prop_assert_eq!(AoePdu::decode_frame(&corrupted), AoePdu::decode(&bytes));
-        prop_assert_eq!(peek_shelf_slot(corrupted.head()), peek_shelf_slot(&bytes));
-        prop_assert_eq!(peek_rdma(corrupted.head()), peek_rdma(&bytes));
+        prop_assert_eq!(peek_shelf_slot(corrupted.peek_head()), peek_shelf_slot(&bytes));
+        prop_assert_eq!(peek_rdma(corrupted.peek_head()), peek_rdma(&bytes));
     }
 
-    /// The burst encoder's frames are the frames one-at-a-time
-    /// `encode_frame` builds: same bytes, length, header and decode, for
-    /// bursts of 1-9 fragments (every remainder past the four-frame
-    /// lanes) over 1-3 runs, each run ending in a ragged fragment, as a
-    /// read reply (busy and rdma flags) or as write fragments. A
-    /// corrupted burst frame still decodes exactly as its dense bytes.
+    /// The frames a burst builds by moving each PDU in (`into_frame`)
+    /// are the frames `encode_frame` builds from a borrowed PDU, and
+    /// their images are the dense `encode`: same bytes, length, header
+    /// and decode, for bursts of 1-9 fragments over 1-3 runs, each run
+    /// ending in a ragged fragment, as a read reply (busy and rdma
+    /// flags) or as write fragments. A corrupted burst frame still
+    /// decodes exactly as its dense bytes.
     #[test]
     fn burst_frames_equal_one_at_a_time_frames(
         runs in proptest::collection::vec((0u64..(1 << 40), 0u32..3, 1u32..=17), 1..4),
@@ -290,22 +294,79 @@ proptest! {
             })
             .collect();
         prop_assert!((1..=9).contains(&pdus.len()));
-        let mut burst = BurstEncoder::with_capacity(pdus.len());
-        for pdu in pdus.iter().cloned() {
-            burst.push(pdu);
-        }
-        let frames = burst.finish();
+        let frames: Vec<FrameBytes> = pdus.iter().cloned().map(AoePdu::into_frame).collect();
         prop_assert_eq!(frames.len(), pdus.len());
         for (frame, pdu) in frames.iter().zip(&pdus) {
             let single = pdu.encode_frame();
+            let dense = pdu.encode();
             prop_assert_eq!(frame.to_vec(), single.to_vec());
+            prop_assert_eq!(frame.to_vec(), dense.clone());
             prop_assert_eq!(frame.len(), single.len());
             prop_assert_eq!(frame.head(), single.head());
+            prop_assert_eq!(&frame.head()[..], &dense[..24]);
             prop_assert_eq!(AoePdu::decode_frame(frame), AoePdu::decode_frame(&single));
+            prop_assert_eq!(AoePdu::decode_frame(frame), AoePdu::decode(&dense));
             prop_assert_eq!(AoePdu::decode_frame(frame), Ok(pdu.clone()));
         }
         let corrupted = corrupt_frame_bytes(&frames[pick % frames.len()], entropy);
         prop_assert_eq!(AoePdu::decode_frame(&corrupted), AoePdu::decode(&corrupted.to_vec()));
+    }
+
+    /// A server's reply frames decode by value to the dense decode of
+    /// their bytes, whether a frame is held once (its data moves out,
+    /// no copy) or twice, as a duplicating link leaves it (the first
+    /// handle copies and leaves the second intact, which then moves).
+    /// A reply frame's byte image, its checksum summed on demand, fails
+    /// the checksum once any byte past the version is flipped.
+    #[test]
+    fn owned_and_shared_frames_decode_as_their_bytes(
+        runs in proptest::collection::vec((0u64..4000, 1u32..60), 1..4),
+        rdma in any::<bool>(),
+        seed in any::<u64>(),
+        dup in any::<usize>(),
+        flip in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        let runs: Vec<BlockRange> = runs
+            .iter()
+            .map(|&(lba, sectors)| BlockRange::new(Lba(lba), sectors))
+            .collect();
+        let params = DiskParams { capacity_sectors: 1 << 13, ..DiskParams::default() };
+        let store = BlockStore::image(params.capacity_sectors, seed);
+        let mut server = AoeServer::new(ServerConfig::default(), DiskModel::new(params, store));
+        let mut request = AoePdu::read_multi_request(0, 0, Tag::new(5, 0), runs);
+        request.rdma = rdma;
+        let frames = server
+            .handle(SimTime::ZERO, &request.encode())
+            .unwrap()
+            .expect("addressed to the server")
+            .frames;
+        let dup = dup % frames.len();
+        for (i, frame) in frames.into_iter().enumerate() {
+            let bytes = frame.to_vec();
+            let want = AoePdu::decode(&bytes);
+            prop_assert!(want.is_ok());
+            if i == dup {
+                let copy = frame.clone();
+                prop_assert_eq!(copy.into_pdu(), want.clone());
+                prop_assert_eq!(frame.to_vec(), bytes.clone(), "the copy left the frame intact");
+            }
+            let units = frame.sectors().expect("a reply is a sector frame").as_ptr();
+            let pdu = frame.into_pdu();
+            prop_assert_eq!(
+                pdu.as_ref().unwrap().data.as_ref().unwrap().as_ptr(),
+                units,
+                "a frame held once moves its data"
+            );
+            prop_assert_eq!(pdu, want);
+            let mut corrupted = bytes;
+            let at = 1 + flip % (corrupted.len() - 1);
+            corrupted[at] ^= mask;
+            prop_assert!(matches!(
+                AoePdu::decode_frame(&corrupted.into()),
+                Err(DecodeError::BadChecksum { .. })
+            ));
+        }
     }
 }
 
@@ -683,7 +744,7 @@ proptest! {
         let mut deliver = |client: &mut AoeClient, at: SimTime, stream: Vec<(FrameBytes, Option<u32>)>| {
             for (frame, slot) in stream {
                 let last = slot.is_some_and(|s| filled.insert(s)) && filled.len() == slots;
-                let done = client.on_frame(at, &frame);
+                let done = client.on_frame(at, frame);
                 prop_assert_eq!(done.is_some(), last, "completes on its last slot only");
                 if let Some(done) = done {
                     prop_assert_eq!(done.request_id, id);
@@ -1770,6 +1831,53 @@ proptest! {
             let expect: Vec<SectorData> = (0..cap).map(|l| oracle.read(l)).collect();
             prop_assert_eq!(all, expect);
             prop_assert_eq!(store.written_sectors(), oracle.written.len());
+        }
+    }
+}
+
+proptest! {
+    /// Bulk range reads equal sector-at-a-time reads on all three store
+    /// kinds after random writes: runs of tenant data, runs of the
+    /// image's content (mirror bits on a mirror store), per-sector mixes
+    /// of both, and overwrites of each by the others. Whole pages end up
+    /// written, mirrored, mixed or untouched, and every range read,
+    /// across page boundaries and to the end of the store, is checked
+    /// against `read` of each of its sectors.
+    #[test]
+    fn bulk_image_reads_equal_sector_reads(
+        kind in 0u8..3,
+        seed in any::<u64>(),
+        writes in proptest::collection::vec((0u8..3, 0u64..700, 1u32..200, any::<u64>()), 0..24),
+        reads in proptest::collection::vec((0u64..700, 1u32..400), 1..24),
+    ) {
+        // Ten full pages and a partial one.
+        let cap = 10 * 64 + 23;
+        let (mut store, _) = store_pair(kind, cap, seed);
+        for (what, lba, sectors, salt) in writes {
+            let lba = lba % cap;
+            let range = BlockRange::new(Lba(lba), sectors.min((cap - lba) as u32));
+            let data: Vec<SectorData> = range
+                .iter()
+                .map(|l| {
+                    let tenant = match what {
+                        0 => true,
+                        1 => false,
+                        _ => salt.rotate_left((l.0 % 64) as u32) % 2 == 0,
+                    };
+                    if tenant {
+                        SectorData(salt ^ l.0)
+                    } else {
+                        BlockStore::image_content(seed, l)
+                    }
+                })
+                .collect();
+            store.write_range(range, &data);
+        }
+        for (lba, sectors) in reads {
+            let lba = lba % cap;
+            let range = BlockRange::new(Lba(lba), sectors.min((cap - lba) as u32));
+            let expect: Vec<SectorData> = range.iter().map(|l| store.read(l)).collect();
+            prop_assert_eq!(store.read_range(range), expect, "{:?}", range);
         }
     }
 }
