@@ -465,23 +465,6 @@ pub struct SurvivalRow {
     pub queue_drops: u64,
 }
 
-/// The injector counter witnessing that `plan`'s fault class fired.
-fn class_fired(plan: &str, c: &FaultCounters) -> u64 {
-    match plan {
-        "drop" => c.link_dropped,
-        "corrupt" => c.link_corrupted,
-        "stall" => c.server_dropped,
-        "chaos" => {
-            c.link_dropped
-                + c.link_duplicated
-                + c.link_reordered
-                + c.link_corrupted
-                + c.server_dropped
-        }
-        _ => 0,
-    }
-}
-
 /// The chaos determinism lock: digests of two independent same-seed
 /// chaos waves.
 #[derive(Debug, Clone)]
@@ -602,7 +585,7 @@ pub fn run_elasticity(scale: Scale, jobs: usize) -> (Figure, ElasticityBench) {
             SurvivalRow {
                 plan,
                 survived: m.point.survived,
-                class_fired: class_fired(plan, &m.counters),
+                class_fired: m.counters.fired(plan),
                 retransmits: m.retransmits,
                 reclaim_errors: m.point.reclaim_errors,
                 queue_drops: m.point.queue_drops,
@@ -973,20 +956,5 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
-    }
-
-    #[test]
-    fn class_fired_maps_each_survival_plan() {
-        let c = FaultCounters {
-            link_dropped: 3,
-            link_corrupted: 5,
-            server_dropped: 7,
-            ..FaultCounters::default()
-        };
-        assert_eq!(class_fired("drop", &c), 3);
-        assert_eq!(class_fired("corrupt", &c), 5);
-        assert_eq!(class_fired("stall", &c), 7);
-        assert_eq!(class_fired("chaos", &c), 15);
-        assert_eq!(class_fired("unknown", &c), 0);
     }
 }

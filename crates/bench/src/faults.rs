@@ -94,29 +94,6 @@ fn deploy_under(spec: &MachineSpec, plan: FaultPlan) -> FaultRun {
     }
 }
 
-/// The injector counter that proves the named fault class actually fired.
-fn class_count(preset: &str, r: &FaultRun) -> u64 {
-    match preset {
-        "drop" => r.counters.link_dropped,
-        "duplicate" => r.counters.link_duplicated,
-        "reorder" => r.counters.link_reordered,
-        "corrupt" => r.counters.link_corrupted,
-        "stall" => r.counters.server_dropped,
-        "crash" => r.counters.server_dropped + r.counters.server_restarts,
-        "slowdisk" => r.counters.disk_slowed,
-        "writeerr" => r.counters.disk_write_faults,
-        // Chaos mixes every class; any link fault plus the stall counts.
-        "chaos" => {
-            r.counters.link_dropped
-                + r.counters.link_duplicated
-                + r.counters.link_reordered
-                + r.counters.link_corrupted
-                + r.counters.server_dropped
-        }
-        _ => 0,
-    }
-}
-
 fn bool_check(metric: impl Into<String>, holds: bool) -> Check {
     Check::gate(metric, 1.0, holds as u32 as f64, "bool")
 }
@@ -181,7 +158,7 @@ fn fault_checks(preset: &str, r: &FaultRun, again: Option<&FaultRun>) -> Vec<Che
         bool_check("local disk matches image fingerprint", r.disk_matches),
         bool_check(
             format!("{preset} fault class observed by injector"),
-            class_count(preset, r) > 0,
+            r.counters.fired(preset) > 0,
         ),
     ];
     match preset {

@@ -25,7 +25,7 @@ use crate::config::{BmcastConfig, ControllerKind};
 use crate::devirt::{DevirtSequencer, Phase};
 use crate::fabric::{image_server, Fabric, FabricEvent, SERVER_MAC, VMM_MAC};
 use crate::mediator::{
-    AhciMediator, AhciRedirect, IdeMediator, IdeRedirect, MediatorStats, MmioVerdict, PioVerdict,
+    AhciMediator, AhciRedirect, IdeMediator, IdeRedirect, Mediation, MmioVerdict, PioVerdict,
 };
 use crate::netdrv::PolledNic;
 use crate::snapback::{DirtyTracker, ReclaimError, SnapshotBack};
@@ -192,24 +192,21 @@ enum AoeWaiter {
     Snapshot(Vec<BlockRange>),
 }
 
-/// Splits one completed request's payload back into per-member slices.
-/// The single-member (plain transport) case moves the payload through
-/// untouched — no copy, exactly the pre-transport-layer behavior.
-fn split_by_members(
-    members: &[BlockRange],
-    data: Vec<SectorData>,
-) -> Vec<(BlockRange, Vec<SectorData>)> {
-    if members.len() == 1 {
-        return vec![(members[0], data)];
-    }
-    let mut out = Vec::with_capacity(members.len());
+/// Splits one completed request's payload back into per-member views
+/// of one shared buffer, each clamped at the data's end: the payload is
+/// copied once, into the buffer, however many members it carries.
+fn split_by_members(members: &[BlockRange], data: Vec<SectorData>) -> Vec<(BlockRange, SectorBuf)> {
+    let data = SectorBuf::from(data);
     let mut offset = 0usize;
-    for m in members {
-        let n = m.sectors as usize;
-        out.push((*m, data[offset..(offset + n).min(data.len())].to_vec()));
-        offset += n;
-    }
-    out
+    members
+        .iter()
+        .map(|m| {
+            let end = (offset + m.sectors as usize).min(data.len());
+            let piece = data.slice(offset, end.saturating_sub(offset));
+            offset += m.sectors as usize;
+            (*m, piece)
+        })
+        .collect()
 }
 
 /// An in-flight I/O redirection.
@@ -280,32 +277,18 @@ impl StoragePort {
         }
     }
 
-    /// Mediation statistics.
-    pub fn stats(&self) -> MediatorStats {
+    /// The controller's mediation core: its mode and statistics.
+    pub fn mediation(&self) -> &Mediation {
         match self {
-            StoragePort::Ide(med) => med.stats(),
-            StoragePort::Ahci(med) => med.stats(),
+            StoragePort::Ide(med) => &med.mediation,
+            StoragePort::Ahci(med) => &med.mediation,
         }
     }
 
-    fn set_telemetry(&mut self, metrics: Metrics) {
+    fn mediation_mut(&mut self) -> &mut Mediation {
         match self {
-            StoragePort::Ide(med) => med.set_telemetry(metrics),
-            StoragePort::Ahci(med) => med.set_telemetry(metrics),
-        }
-    }
-
-    fn set_spans(&mut self, spans: Spans) {
-        match self {
-            StoragePort::Ide(med) => med.set_spans(spans),
-            StoragePort::Ahci(med) => med.set_spans(spans),
-        }
-    }
-
-    fn note_now(&mut self, now: SimTime) {
-        match self {
-            StoragePort::Ide(med) => med.note_now(now),
-            StoragePort::Ahci(med) => med.note_now(now),
+            StoragePort::Ide(med) => &mut med.mediation,
+            StoragePort::Ahci(med) => &mut med.mediation,
         }
     }
 
@@ -319,7 +302,7 @@ impl StoragePort {
     }
 
     fn begin_multiplex(&mut self, now: SimTime) {
-        self.note_now(now);
+        self.mediation_mut().note_now(now);
         match self {
             StoragePort::Ide(med) => med.begin_multiplex(),
             StoragePort::Ahci(med) => med.begin_multiplex(VMM_AHCI_SLOT),
@@ -378,7 +361,7 @@ impl StoragePort {
         mem: &mut PhysMem,
         vmm_clb: Option<PhysAddr>,
     ) -> Vec<GuestWrite> {
-        self.note_now(now);
+        self.mediation_mut().note_now(now);
         let med = match self {
             StoragePort::Ide(med) => return pio_replay(med.finish_multiplex()),
             StoragePort::Ahci(med) => med,
@@ -417,7 +400,7 @@ impl StoragePort {
         target: RedirectTarget,
         (dummy_buf, dummy_prd): (PhysAddr, PhysAddr),
     ) -> (Slot, Vec<GuestWrite>) {
-        self.note_now(now);
+        self.mediation_mut().note_now(now);
         match (self, target) {
             (StoragePort::Ide(med), RedirectTarget::Ide(_)) => {
                 let queued = med.finish_redirect();
@@ -932,7 +915,7 @@ impl Machine {
     /// a single snapshot sees the whole machine.
     pub fn set_telemetry(&mut self, metrics: Metrics, tracer: Tracer) {
         if let Some(vmm) = self.vmm.as_mut() {
-            vmm.port.set_telemetry(metrics.clone());
+            vmm.port.mediation_mut().set_telemetry(metrics.clone());
             vmm.bg.set_telemetry(metrics.clone());
             vmm.client.set_telemetry(metrics.clone(), tracer.clone());
         }
@@ -950,7 +933,7 @@ impl Machine {
     /// the whole deployment.
     pub fn set_flight_recorder(&mut self, spans: Spans, sampler: Sampler) {
         if let Some(vmm) = self.vmm.as_mut() {
-            vmm.port.set_spans(spans.clone());
+            vmm.port.mediation_mut().set_spans(spans.clone());
             vmm.bg.set_spans(spans.clone());
             vmm.client.set_spans(spans.clone());
             vmm.devirt.set_spans(spans.clone());
@@ -1085,7 +1068,7 @@ impl GuestBus for MachineBus<'_> {
             self.hw.cpus[0].charge_exit(ExitReason::PioWrite(port));
             let vmm = self.vmm.as_mut().expect("interposing implies vmm");
             if let StoragePort::Ide(med) = &mut vmm.port {
-                med.note_now(self.now);
+                med.mediation.note_now(self.now);
                 match med.on_guest_write(reg, val, &mut vmm.bitmap) {
                     PioVerdict::Forward => {}
                     PioVerdict::Swallow => return,
@@ -1130,7 +1113,7 @@ impl GuestBus for MachineBus<'_> {
             self.hw.cpus[0].charge_exit(ExitReason::MmioWrite(addr));
             let vmm = self.vmm.as_mut().expect("interposing implies vmm");
             if let StoragePort::Ahci(med) = &mut vmm.port {
-                med.note_now(self.now);
+                med.mediation.note_now(self.now);
                 match med.on_guest_write(offset, val, &self.hw.mem, &mut vmm.bitmap) {
                     MmioVerdict::Forward => {}
                     MmioVerdict::ForwardMasked(v) => return self.forward_mmio(offset, v),
@@ -1465,7 +1448,7 @@ fn begin_redirect(m: &mut Machine, sim: &mut MachineSim, target: RedirectTarget)
     let mut frames = Vec::new();
     for plan in plans {
         let vmm = m.vmm.as_mut().expect("just had it");
-        let (id, fs) = crate::transport::issue_read(&mut vmm.client, sim.now(), &plan, child);
+        let (id, fs) = vmm.client.read_multi(sim.now(), &plan.runs, child);
         vmm.aoe_waiters
             .insert(id, AoeWaiter::Redirect(plan.members));
         frames.extend(fs);
@@ -1703,7 +1686,6 @@ fn vmm_poll(m: &mut Machine, sim: &mut MachineSim) {
                 if let Some(r) = vmm.redirect.as_mut() {
                     r.outstanding -= 1;
                     for (range, data) in split_by_members(&members, done.data) {
-                        let data = SectorBuf::from(data);
                         r.collected.push((range, data.clone()));
                         r.fetched.push((range, data));
                     }
@@ -1713,13 +1695,7 @@ fn vmm_poll(m: &mut Machine, sim: &mut MachineSim) {
             Some(AoeWaiter::Background(members)) => {
                 vmm.bg.note_fetch_success();
                 for (range, data) in split_by_members(&members, done.data) {
-                    vmm.bg.deliver(
-                        sim.now(),
-                        FetchedBlock {
-                            range,
-                            data: data.into(),
-                        },
-                    );
+                    vmm.bg.deliver(sim.now(), FetchedBlock { range, data });
                 }
                 kick_writer(m, sim);
                 retriever_fire(m, sim);
@@ -1863,7 +1839,7 @@ fn guard_fire(m: &mut Machine, sim: &mut MachineSim) {
         let plans = vmm.cfg.transport.plan_reads(&vmm.client, &members);
         let mut fs_all = Vec::new();
         for plan in plans {
-            let (id, fs) = crate::transport::issue_read(&mut vmm.client, sim.now(), &plan, NO_SPAN);
+            let (id, fs) = vmm.client.read_multi(sim.now(), &plan.runs, NO_SPAN);
             vmm.aoe_waiters
                 .insert(id, AoeWaiter::Redirect(plan.members));
             fs_all.extend(fs);
@@ -1957,14 +1933,6 @@ pub fn sample_flight_row(m: &Machine, now: SimTime) {
         .as_ref()
         .and_then(Fabric::fault_counters)
         .unwrap_or_default();
-    let faults_total = fc.link_dropped
-        + fc.link_duplicated
-        + fc.link_reordered
-        + fc.link_corrupted
-        + fc.server_dropped
-        + fc.server_restarts
-        + fc.disk_slowed
-        + fc.disk_write_faults;
     m.sampler.record_row(
         now,
         vec![
@@ -1982,7 +1950,7 @@ pub fn sample_flight_row(m: &Machine, now: SimTime) {
                 "faults.frames_dropped",
                 (fc.link_dropped + fc.server_dropped) as f64,
             ),
-            ("faults.total", faults_total as f64),
+            ("faults.total", fc.total() as f64),
         ],
     );
     // Reverse-lifecycle rows, only while a snapshot-back is live so
@@ -2105,7 +2073,7 @@ fn retriever_fire(m: &mut Machine, sim: &mut MachineSim) {
         // The AoE round-trip span nests under the first covered block's
         // bg.fetch span.
         let parent = vmm.bg.fetch_span(plan.members[0].lba.0);
-        let (id, fs) = crate::transport::issue_read(&mut vmm.client, sim.now(), &plan, parent);
+        let (id, fs) = vmm.client.read_multi(sim.now(), &plan.runs, parent);
         vmm.aoe_waiters
             .insert(id, AoeWaiter::Background(plan.members));
         frames.extend(fs);

@@ -13,12 +13,11 @@
 //! slot and raises the guest-visible interrupt itself.
 
 use crate::bitmap::BlockBitmap;
-use crate::mediator::{MediatorMode, MediatorStats};
+use crate::mediator::{Mediation, MediatorMode, MediatorNames, Stat};
 use hwsim::ahci::{preg, AhciCmdList, AhciCmdTable, H2dFis, PORT_BASE, PORT_STRIDE};
 use hwsim::block::BlockRange;
 use hwsim::ide::{AtaOp, PrdEntry, PrdTable};
 use hwsim::mem::{PhysAddr, PhysMem};
-use simkit::{Metrics, SimTime, SpanId, Spans, NO_SPAN};
 
 /// The mediator's decision for one guest MMIO access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,11 +52,15 @@ pub struct AhciRedirect {
     pub protected: bool,
 }
 
+/// The AHCI mediator's span track and metric names.
+const NAMES: MediatorNames = mediator_names!("ahci");
+
 /// The AHCI device mediator (single port, as on the evaluation machine).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct AhciMediator {
+    /// The shared mediation policy.
+    pub mediation: Mediation,
     clb: Option<PhysAddr>,
-    mode: MediatorMode,
     /// CI bits the guest issued while the VMM owned the device.
     queued_ci: u32,
     /// Non-CI guest writes (e.g. `PxCLB` during driver init) swallowed
@@ -67,50 +70,19 @@ pub struct AhciMediator {
     held_slots: u32,
     /// The VMM's multiplexed slot, if any.
     vmm_slot: Option<u8>,
-    protected_region: Option<BlockRange>,
-    stats: MediatorStats,
-    metrics: Metrics,
-    spans: Spans,
-    /// Sim clock noted by the bus before each mediated access.
-    now: SimTime,
-    /// Open `io.hold` span while slots are held or a VMM slot runs.
-    hold_span: SpanId,
 }
 
 impl AhciMediator {
     /// Creates a mediator with an optional protected bitmap region.
     pub fn new(protected_region: Option<BlockRange>) -> AhciMediator {
         AhciMediator {
-            protected_region,
-            ..AhciMediator::default()
+            mediation: Mediation::new(&NAMES, protected_region),
+            clb: None,
+            queued_ci: 0,
+            queued_mmio: Vec::new(),
+            held_slots: 0,
+            vmm_slot: None,
         }
-    }
-
-    /// Current mode.
-    pub fn mode(&self) -> MediatorMode {
-        self.mode
-    }
-
-    /// Mediation statistics.
-    pub fn stats(&self) -> MediatorStats {
-        self.stats
-    }
-
-    /// Attaches a metrics handle; `mediator.ahci.*` counters land there.
-    pub fn set_telemetry(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
-    }
-
-    /// Attaches a flight-recorder span handle; `io.*` spans on the
-    /// `mediator.ahci` track land there.
-    pub fn set_spans(&mut self, spans: Spans) {
-        self.spans = spans;
-    }
-
-    /// Notes the current sim time for span timestamps (see
-    /// [`crate::mediator::ide::IdeMediator::note_now`]).
-    pub fn note_now(&mut self, now: SimTime) {
-        self.now = now;
     }
 
     /// The shadowed command-list base, once interpreted.
@@ -120,12 +92,6 @@ impl AhciMediator {
 
     fn vmm_mask(&self) -> u32 {
         self.vmm_slot.map(|s| 1 << s).unwrap_or(0)
-    }
-
-    fn touches_protected(&self, range: BlockRange) -> bool {
-        self.protected_region
-            .map(|p| p.overlaps(range))
-            .unwrap_or(false)
     }
 
     /// The mediator's own walk of the guest's command structures — I/O
@@ -150,24 +116,19 @@ impl AhciMediator {
             return MmioVerdict::Forward; // generic host control
         }
         let reg = (offset - PORT_BASE) % PORT_STRIDE;
-        if self.mode == MediatorMode::Multiplexing {
-            match reg {
-                preg::CI => {
-                    self.queued_ci |= val as u32;
-                    self.stats.queued_accesses += 1;
-                    self.metrics.inc("mediator.ahci.queued_accesses");
-                    return MmioVerdict::Swallow;
-                }
-                // Structural writes (command-list repointing, port
-                // start/stop) must not take effect mid-VMM-command.
-                preg::CLB | preg::CMD => {
-                    self.queued_mmio.push((offset, val));
-                    self.stats.queued_accesses += 1;
-                    self.metrics.inc("mediator.ahci.queued_accesses");
-                    return MmioVerdict::Swallow;
-                }
-                _ => {}
+        // While the VMM owns the device, guest issues queue, and so do
+        // structural writes (command-list repointing, port start/stop),
+        // which must not take effect mid-VMM-command.
+        if self.mediation.mode() == MediatorMode::Multiplexing
+            && matches!(reg, preg::CI | preg::CLB | preg::CMD)
+        {
+            if reg == preg::CI {
+                self.queued_ci |= val as u32;
+            } else {
+                self.queued_mmio.push((offset, val));
             }
+            self.mediation.count(Stat::QueuedAccesses);
+            return MmioVerdict::Swallow;
         }
         match reg {
             preg::CLB => {
@@ -199,65 +160,35 @@ impl AhciMediator {
                 forward |= 1 << slot; // uninterpretable: let hardware cope
                 continue;
             };
-            self.stats.interpreted_commands += 1;
-            self.metrics.inc("mediator.ahci.interpreted_commands");
-            self.spans
-                .instant(self.now, "mediator.ahci", "io.decode", NO_SPAN, || {
-                    format!(
-                        "slot {slot} {:?} lba {} x{}",
-                        fis.op, fis.range.lba.0, fis.range.sectors
-                    )
-                });
-            let protected = self.touches_protected(fis.range);
-            let needs_redirect = match fis.op {
-                AtaOp::ReadDma => protected || bitmap.any_empty(fis.range),
-                AtaOp::WriteDma => protected,
-                _ => false,
-            };
-            if needs_redirect {
-                if protected {
-                    self.stats.protected_conversions += 1;
-                    self.metrics.inc("mediator.ahci.protected_conversions");
-                } else {
-                    self.stats.redirects += 1;
-                    self.metrics.inc("mediator.ahci.redirects");
-                }
-                self.held_slots |= 1 << slot;
-                self.spans
-                    .instant(self.now, "mediator.ahci", "io.interpret", NO_SPAN, || {
-                        format!(
-                            "slot {slot} lba {} x{} -> redirect",
-                            fis.range.lba.0, fis.range.sectors
-                        )
+            let core = &mut self.mediation;
+            core.count(Stat::InterpretedCommands);
+            core.instant("io.decode", || {
+                format!(
+                    "slot {slot} {:?} lba {} x{}",
+                    fis.op, fis.range.lba.0, fis.range.sectors
+                )
+            });
+            let route = core.route(fis.op, fis.range, bitmap);
+            core.interpret(route.is_some(), fis.range, || format!("slot {slot} "));
+            match route {
+                Some(protected) => {
+                    self.held_slots |= 1 << slot;
+                    redirects.push(AhciRedirect {
+                        slot,
+                        table,
+                        op: fis.op,
+                        range: fis.range,
+                        protected,
                     });
-                redirects.push(AhciRedirect {
-                    slot,
-                    table,
-                    op: fis.op,
-                    range: fis.range,
-                    protected,
-                });
-            } else {
-                if fis.op == AtaOp::WriteDma {
-                    bitmap.mark_filled(fis.range);
                 }
-                self.spans
-                    .instant(self.now, "mediator.ahci", "io.interpret", NO_SPAN, || {
-                        format!(
-                            "slot {slot} lba {} x{} -> forward",
-                            fis.range.lba.0, fis.range.sectors
-                        )
-                    });
-                forward |= 1 << slot;
+                None => forward |= 1 << slot,
             }
         }
         if !redirects.is_empty() {
-            self.mode = MediatorMode::Redirecting;
-            self.hold_span =
-                self.spans
-                    .begin(self.now, "mediator.ahci", "io.hold", NO_SPAN, || {
-                        format!("redirect hold slots {:#x}", self.held_slots)
-                    });
+            let held = self.held_slots;
+            self.mediation.hold(MediatorMode::Redirecting, || {
+                format!("redirect hold slots {held:#x}")
+            });
         }
         MmioVerdict::Ci {
             forward_mask: forward,
@@ -272,39 +203,24 @@ impl AhciMediator {
             return raw;
         }
         let reg = (offset - PORT_BASE) % PORT_STRIDE;
-        match reg {
-            preg::CI => {
-                // Held slots look issued; the VMM slot is invisible.
-                let v = (raw as u32 | self.held_slots) & !self.vmm_mask();
-                if v as u64 != raw {
-                    self.stats.emulated_reads += 1;
-                    self.metrics.inc("mediator.ahci.emulated_reads");
-                }
-                v as u64
-            }
-            preg::IS => {
-                let v = raw as u32 & !self.vmm_mask();
-                if v as u64 != raw {
-                    self.stats.emulated_reads += 1;
-                    self.metrics.inc("mediator.ahci.emulated_reads");
-                }
-                v as u64
-            }
-            preg::TFD => match self.mode {
-                MediatorMode::Redirecting => {
-                    self.stats.emulated_reads += 1;
-                    self.metrics.inc("mediator.ahci.emulated_reads");
-                    0x80 // busy
-                }
-                MediatorMode::Multiplexing => {
-                    self.stats.emulated_reads += 1;
-                    self.metrics.inc("mediator.ahci.emulated_reads");
-                    0x40 // idle, despite the VMM's command running
-                }
-                MediatorMode::Normal => raw,
+        let v = match reg {
+            // Held slots look issued; the VMM slot is invisible.
+            preg::CI => ((raw as u32 | self.held_slots) & !self.vmm_mask()) as u64,
+            preg::IS => (raw as u32 & !self.vmm_mask()) as u64,
+            preg::TFD => match self.mediation.mode() {
+                MediatorMode::Redirecting => 0x80, // busy
+                // Idle, despite the VMM's command running.
+                MediatorMode::Multiplexing => 0x40,
+                MediatorMode::Normal => return raw,
             },
-            _ => raw,
+            _ => return raw,
+        };
+        // A TFD read while held is emulated even when the raw value
+        // happens to agree.
+        if v != raw || reg == preg::TFD {
+            self.mediation.count(Stat::EmulatedReads);
         }
+        v
     }
 
     /// Rewrites a held slot's command table into the dummy restart: a
@@ -335,16 +251,14 @@ impl AhciMediator {
     /// to `Normal` when no held slots remain.
     pub fn release_held(&mut self, slot: u8) {
         self.held_slots &= !(1 << slot);
-        if self.held_slots == 0 && self.mode == MediatorMode::Redirecting {
-            self.mode = MediatorMode::Normal;
-            self.spans
-                .end(self.now, std::mem::take(&mut self.hold_span));
+        if self.held_slots == 0 && self.mediation.mode() == MediatorMode::Redirecting {
+            self.mediation.release(MediatorMode::Redirecting);
         }
     }
 
     /// Whether the VMM may multiplex now.
     pub fn can_multiplex(&self, device_busy: bool) -> bool {
-        self.mode == MediatorMode::Normal && !device_busy
+        self.mediation.mode() == MediatorMode::Normal && !device_busy
     }
 
     /// Enters multiplexing mode with the VMM owning `slot`.
@@ -353,16 +267,10 @@ impl AhciMediator {
     ///
     /// Panics if already mediating.
     pub fn begin_multiplex(&mut self, slot: u8) {
-        assert_eq!(self.mode, MediatorMode::Normal, "device not idle");
-        self.mode = MediatorMode::Multiplexing;
+        self.mediation.hold(MediatorMode::Multiplexing, || {
+            format!("multiplex hold slot {slot}")
+        });
         self.vmm_slot = Some(slot);
-        self.stats.multiplexes += 1;
-        self.metrics.inc("mediator.ahci.multiplexes");
-        self.hold_span = self
-            .spans
-            .begin(self.now, "mediator.ahci", "io.hold", NO_SPAN, || {
-                format!("multiplex hold slot {slot}")
-            });
     }
 
     /// Leaves multiplexing mode; returns guest CI bits queued meanwhile
@@ -372,11 +280,8 @@ impl AhciMediator {
     ///
     /// Panics if not multiplexing.
     pub fn finish_multiplex(&mut self) -> u32 {
-        assert_eq!(self.mode, MediatorMode::Multiplexing, "not multiplexing");
-        self.mode = MediatorMode::Normal;
+        self.mediation.release(MediatorMode::Multiplexing);
         self.vmm_slot = None;
-        self.spans
-            .end(self.now, std::mem::take(&mut self.hold_span));
         std::mem::take(&mut self.queued_ci)
     }
 
@@ -394,6 +299,7 @@ mod tests {
     use hwsim::ahci::AhciCmdHeader;
     use hwsim::block::Lba;
     use hwsim::mem::DmaBuffer;
+    use simkit::SimTime;
 
     fn setup(mem: &mut PhysMem, med: &mut AhciMediator) -> PhysAddr {
         let clb = mem.alloc(AhciCmdList::new());
@@ -447,7 +353,7 @@ mod tests {
         assert_eq!(redirects[0].slot, 0);
         assert_eq!(redirects[0].table, table);
         assert_eq!(redirects[0].range, BlockRange::new(Lba(100), 8));
-        assert_eq!(med.mode(), MediatorMode::Redirecting);
+        assert_eq!(med.mediation.mode(), MediatorMode::Redirecting);
     }
 
     #[test]
@@ -487,7 +393,7 @@ mod tests {
         assert_eq!(med.filter_read(PORT_BASE + preg::TFD, 0x40), 0x80, "busy");
         med.release_held(3);
         assert_eq!(med.filter_read(PORT_BASE + preg::CI, 0), 0);
-        assert_eq!(med.mode(), MediatorMode::Normal);
+        assert_eq!(med.mediation.mode(), MediatorMode::Normal);
     }
 
     #[test]
@@ -635,6 +541,6 @@ mod tests {
             panic!()
         };
         assert!(redirects[0].protected);
-        assert_eq!(med.stats().protected_conversions, 1);
+        assert_eq!(med.mediation.stats().protected_conversions, 1);
     }
 }

@@ -15,11 +15,11 @@
 //!   reads), and queue guest posts meanwhile.
 
 use crate::bitmap::BlockBitmap;
-use crate::mediator::{MediatorMode, MediatorStats};
+use crate::mediator::{Mediation, MediatorMode, MediatorNames, Stat};
 use hwsim::block::BlockRange;
+use hwsim::ide::AtaOp;
 use hwsim::megasas::{reg, MfiFrame, MfiOp};
 use hwsim::mem::{PhysAddr, PhysMem};
-use simkit::{Metrics, SimTime, SpanId, Spans, NO_SPAN};
 
 /// Verdict on a guest MMIO access to the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,54 +43,34 @@ pub struct MegasasRedirect {
     pub buffer: PhysAddr,
 }
 
+/// The MegaRAID mediator's span track and metric names.
+const NAMES: MediatorNames = mediator_names!("megasas");
+
 /// The mediator.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MegasasMediator {
-    mode: MediatorMode,
+    /// The shared mediation policy (no protected region).
+    pub mediation: Mediation,
     /// Guest posts swallowed during mediation, in order.
     queued_posts: Vec<PhysAddr>,
     /// VMM-owned frames whose completions must be hidden from the guest.
     vmm_frames: Vec<PhysAddr>,
-    stats: MediatorStats,
-    metrics: Metrics,
-    spans: Spans,
-    /// Sim clock noted by the bus before each mediated access.
-    now: SimTime,
-    /// Open `io.hold` span while a frame is held or a VMM frame runs.
-    hold_span: SpanId,
+}
+
+impl Default for MegasasMediator {
+    fn default() -> MegasasMediator {
+        MegasasMediator::new()
+    }
 }
 
 impl MegasasMediator {
     /// An idle mediator.
     pub fn new() -> MegasasMediator {
-        MegasasMediator::default()
-    }
-
-    /// Current mode.
-    pub fn mode(&self) -> MediatorMode {
-        self.mode
-    }
-
-    /// Mediation statistics.
-    pub fn stats(&self) -> MediatorStats {
-        self.stats
-    }
-
-    /// Attaches a metrics handle; `mediator.megasas.*` counters land there.
-    pub fn set_telemetry(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
-    }
-
-    /// Attaches a flight-recorder span handle; `io.*` spans on the
-    /// `mediator.megasas` track land there.
-    pub fn set_spans(&mut self, spans: Spans) {
-        self.spans = spans;
-    }
-
-    /// Notes the current sim time for span timestamps (see
-    /// [`crate::mediator::ide::IdeMediator::note_now`]).
-    pub fn note_now(&mut self, now: SimTime) {
-        self.now = now;
+        MegasasMediator {
+            mediation: Mediation::new(&NAMES, None),
+            queued_posts: Vec::new(),
+            vmm_frames: Vec::new(),
+        }
     }
 
     /// Processes a trapped guest MMIO write.
@@ -104,59 +84,39 @@ impl MegasasMediator {
         if offset != reg::IQP {
             return MegasasVerdict::Forward; // interrupt acks etc.
         }
-        if self.mode != MediatorMode::Normal {
+        let core = &mut self.mediation;
+        if core.mode() != MediatorMode::Normal {
             self.queued_posts.push(PhysAddr(val));
-            self.stats.queued_accesses += 1;
-            self.metrics.inc("mediator.megasas.queued_accesses");
+            core.count(Stat::QueuedAccesses);
             return MegasasVerdict::Swallow;
         }
         let frame_addr = PhysAddr(val);
         let Some(frame) = mem.get::<MfiFrame>(frame_addr) else {
             return MegasasVerdict::Forward; // uninterpretable: hardware's problem
         };
-        self.stats.interpreted_commands += 1;
-        self.metrics.inc("mediator.megasas.interpreted_commands");
-        self.spans
-            .instant(self.now, "mediator.megasas", "io.decode", NO_SPAN, || {
-                format!(
-                    "frame {:#x} {:?} lba {} x{}",
-                    frame_addr.0, frame.op, frame.range.lba.0, frame.range.sectors
-                )
-            });
-        match frame.op {
-            MfiOp::LdWrite => {
-                bitmap.mark_filled(frame.range);
-                MegasasVerdict::Forward
-            }
-            MfiOp::LdRead if bitmap.any_empty(frame.range) => {
-                self.stats.redirects += 1;
-                self.metrics.inc("mediator.megasas.redirects");
-                self.mode = MediatorMode::Redirecting;
-                self.spans.instant(
-                    self.now,
-                    "mediator.megasas",
-                    "io.interpret",
-                    NO_SPAN,
-                    || {
-                        format!(
-                            "lba {} x{} -> redirect",
-                            frame.range.lba.0, frame.range.sectors
-                        )
-                    },
-                );
-                self.hold_span =
-                    self.spans
-                        .begin(self.now, "mediator.megasas", "io.hold", NO_SPAN, || {
-                            format!("redirect hold frame {:#x}", frame_addr.0)
-                        });
-                MegasasVerdict::StartRedirect(MegasasRedirect {
-                    frame: frame_addr,
-                    range: frame.range,
-                    buffer: frame.buffer,
-                })
-            }
-            MfiOp::LdRead => MegasasVerdict::Forward,
+        core.count(Stat::InterpretedCommands);
+        core.instant("io.decode", || {
+            format!(
+                "frame {:#x} {:?} lba {} x{}",
+                frame_addr.0, frame.op, frame.range.lba.0, frame.range.sectors
+            )
+        });
+        let op = match frame.op {
+            MfiOp::LdRead => AtaOp::ReadDma,
+            MfiOp::LdWrite => AtaOp::WriteDma,
+        };
+        if core.route(op, frame.range, bitmap).is_none() {
+            return MegasasVerdict::Forward;
         }
+        core.interpret(true, frame.range, String::new);
+        core.hold(MediatorMode::Redirecting, || {
+            format!("redirect hold frame {:#x}", frame_addr.0)
+        });
+        MegasasVerdict::StartRedirect(MegasasRedirect {
+            frame: frame_addr,
+            range: frame.range,
+            buffer: frame.buffer,
+        })
     }
 
     /// Filters a trapped guest OQP/OISR read: completions of VMM-owned
@@ -167,8 +127,7 @@ impl MegasasMediator {
         }
         if let Some(pos) = self.vmm_frames.iter().position(|f| f.0 == popped) {
             self.vmm_frames.remove(pos);
-            self.stats.emulated_reads += 1;
-            self.metrics.inc("mediator.megasas.emulated_reads");
+            self.mediation.count(Stat::EmulatedReads);
             0 // the guest sees an empty queue slot
         } else {
             popped
@@ -196,17 +155,14 @@ impl MegasasMediator {
     ///
     /// Panics if not redirecting.
     pub fn finish_redirect(&mut self) -> Vec<PhysAddr> {
-        assert_eq!(self.mode, MediatorMode::Redirecting, "not redirecting");
-        self.mode = MediatorMode::Normal;
-        self.spans
-            .end(self.now, std::mem::take(&mut self.hold_span));
+        self.mediation.release(MediatorMode::Redirecting);
         std::mem::take(&mut self.queued_posts)
     }
 
     /// Whether the VMM may multiplex (device idle from the interpreted
     /// point of view).
     pub fn can_multiplex(&self, device_busy: bool) -> bool {
-        self.mode == MediatorMode::Normal && !device_busy
+        self.mediation.mode() == MediatorMode::Normal && !device_busy
     }
 
     /// Enters multiplexing with a VMM-owned frame (its completion will be
@@ -216,16 +172,10 @@ impl MegasasMediator {
     ///
     /// Panics unless idle.
     pub fn begin_multiplex(&mut self, vmm_frame: PhysAddr) {
-        assert_eq!(self.mode, MediatorMode::Normal, "device not idle");
-        self.mode = MediatorMode::Multiplexing;
+        self.mediation.hold(MediatorMode::Multiplexing, || {
+            format!("multiplex hold frame {:#x}", vmm_frame.0)
+        });
         self.vmm_frames.push(vmm_frame);
-        self.stats.multiplexes += 1;
-        self.metrics.inc("mediator.megasas.multiplexes");
-        self.hold_span = self
-            .spans
-            .begin(self.now, "mediator.megasas", "io.hold", NO_SPAN, || {
-                format!("multiplex hold frame {:#x}", vmm_frame.0)
-            });
     }
 
     /// Leaves multiplexing, returning queued guest posts for replay.
@@ -234,10 +184,7 @@ impl MegasasMediator {
     ///
     /// Panics if not multiplexing.
     pub fn finish_multiplex(&mut self) -> Vec<PhysAddr> {
-        assert_eq!(self.mode, MediatorMode::Multiplexing, "not multiplexing");
-        self.mode = MediatorMode::Normal;
-        self.spans
-            .end(self.now, std::mem::take(&mut self.hold_span));
+        self.mediation.release(MediatorMode::Multiplexing);
         std::mem::take(&mut self.queued_posts)
     }
 }

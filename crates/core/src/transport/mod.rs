@@ -12,10 +12,9 @@
 //! same plans, so same-seed runs replay byte-identically — the
 //! committed chaos and transport digests depend on it.
 
-use aoe::{AoeClient, FrameBytes, ServerConfig, Tag};
+use aoe::{AoeClient, ServerConfig, Tag};
 use hwsim::block::BlockRange;
 use hwsim::ib::IbConfig;
-use simkit::{SimTime, SpanId};
 
 /// Which deployment transport a machine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -152,22 +151,6 @@ pub struct WritePlan {
     pub range: BlockRange,
     /// Original dirty claims covered, tiling `range` exactly.
     pub members: Vec<BlockRange>,
-}
-
-/// Issues one planned read: a single-run plan goes out as a plain v2
-/// read (cheapest encoding), a multi-run plan as one v3 multi-range
-/// request. Returns the request id and the frames to transmit.
-pub fn issue_read(
-    client: &mut AoeClient,
-    now: SimTime,
-    plan: &ReadPlan,
-    parent: SpanId,
-) -> (u32, Vec<FrameBytes>) {
-    if plan.runs.len() == 1 {
-        client.read(now, plan.runs[0], parent)
-    } else {
-        client.read_multi(now, plan.runs.clone(), parent)
-    }
 }
 
 /// Merges a set of disjoint block runs into the minimal sorted set of

@@ -315,6 +315,44 @@ pub struct FaultCounters {
     pub disk_write_faults: u64,
 }
 
+impl FaultCounters {
+    /// Every injected fault, of every class.
+    pub fn total(&self) -> u64 {
+        self.link_dropped
+            + self.link_duplicated
+            + self.link_reordered
+            + self.link_corrupted
+            + self.server_dropped
+            + self.server_restarts
+            + self.disk_slowed
+            + self.disk_write_faults
+    }
+
+    /// The injector events witnessing that the [`FaultPlan::preset`]
+    /// named `preset` fired (0 for an unknown name). Chaos mixes every
+    /// class; any link fault plus the stall counts for it.
+    pub fn fired(&self, preset: &str) -> u64 {
+        match preset {
+            "drop" => self.link_dropped,
+            "duplicate" => self.link_duplicated,
+            "reorder" => self.link_reordered,
+            "corrupt" => self.link_corrupted,
+            "stall" => self.server_dropped,
+            "crash" => self.server_dropped + self.server_restarts,
+            "slowdisk" => self.disk_slowed,
+            "writeerr" => self.disk_write_faults,
+            "chaos" => {
+                self.link_dropped
+                    + self.link_duplicated
+                    + self.link_reordered
+                    + self.link_corrupted
+                    + self.server_dropped
+            }
+            _ => 0,
+        }
+    }
+}
+
 /// Turns a [`FaultPlan`] into deterministic per-event verdicts.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
@@ -625,6 +663,27 @@ mod tests {
             assert_ne!(plan, FaultPlan::quiet(1), "{name} must inject something");
         }
         assert!(FaultPlan::preset("nonsense", 1).is_none());
+    }
+
+    #[test]
+    fn fired_maps_each_preset_and_total_sums_every_class() {
+        let c = FaultCounters {
+            link_dropped: 1,
+            link_duplicated: 2,
+            link_reordered: 4,
+            link_corrupted: 8,
+            server_dropped: 16,
+            server_restarts: 32,
+            disk_slowed: 64,
+            disk_write_faults: 128,
+        };
+        let fired: Vec<u64> = FaultPlan::PRESET_NAMES
+            .iter()
+            .map(|name| c.fired(name))
+            .collect();
+        assert_eq!(fired, [1, 2, 4, 8, 16, 48, 64, 128, 31]);
+        assert_eq!(c.fired("unknown"), 0);
+        assert_eq!(c.total(), 255);
     }
 
     #[test]

@@ -529,7 +529,7 @@ fn busy_guest_deploy(controller: ControllerKind) -> (u64, u64, u64, u64, u64) {
         finished.as_nanos(),
         vmm.deployment_done_at.unwrap().as_nanos(),
         bare.as_nanos(),
-        vmm.port.stats().multiplexes,
+        vmm.port.mediation().stats().multiplexes,
         disk_digest(&runner),
     )
 }

@@ -227,7 +227,7 @@ fn reclaim_then_redeploy(controller: ControllerKind) -> (u64, u64, u64, u64, u64
         snapshot_done.as_nanos(),
         vmm.bare_metal_at.unwrap().as_nanos(),
         sim.executed_events(),
-        vmm.port.stats().multiplexes,
+        vmm.port.mediation().stats().multiplexes,
         disk_digest(&m),
     )
 }
@@ -472,7 +472,7 @@ fn lifecycle_round_trip_via_megasas_mediator() {
             "server and guest disk diverge at sector {lba}"
         );
     }
-    let stats = rig.med.stats();
+    let stats = rig.med.mediation.stats();
     assert!(stats.interpreted_commands >= 5, "mediator saw the traffic");
     assert_eq!(stats.redirects, 1, "exactly the copy-on-read redirect");
 }

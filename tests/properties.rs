@@ -122,7 +122,7 @@ fn read_fragment_of_the_wrong_shape_is_dropped() {
 fn batched_read_fragment_of_the_wrong_shape_is_dropped() {
     let mut client = AoeClient::new(ClientConfig::default());
     let runs = vec![BlockRange::new(Lba(0), 4), BlockRange::new(Lba(100), 4)];
-    let (_, frames) = client.read_multi(SimTime::ZERO, runs.clone(), NO_SPAN);
+    let (_, frames) = client.read_multi(SimTime::ZERO, &runs, NO_SPAN);
     let req = AoePdu::decode_frame(&frames[0]).unwrap();
     let one = |r: BlockRange| BlockRange::new(r.lba, 1);
     assert!(client
@@ -707,7 +707,7 @@ proptest! {
         let mut server = AoeServer::new(ServerConfig::default(), DiskModel::new(params, store));
         let mut client = AoeClient::new(ClientConfig::default());
         let (id, request) = if batched {
-            client.read_multi(SimTime::ZERO, runs.clone(), NO_SPAN)
+            client.read_multi(SimTime::ZERO, &runs, NO_SPAN)
         } else {
             client.read(SimTime::ZERO, runs[0], NO_SPAN)
         };
@@ -1878,6 +1878,228 @@ proptest! {
             let range = BlockRange::new(Lba(lba), sectors.min((cap - lba) as u32));
             let expect: Vec<SectorData> = range.iter().map(|l| store.read(l)).collect();
             prop_assert_eq!(store.read_range(range), expect, "{:?}", range);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Mediation policy: one decision for every controller.
+// ---------------------------------------------------------------------------
+
+use bmcast_repro::bmcast::mediator::{
+    AhciMediator, IdeMediator, MediatorMode, MegasasMediator, MegasasVerdict, MmioVerdict,
+    PioVerdict,
+};
+use bmcast_repro::hwsim::ahci::{
+    preg, AhciCmdHeader, AhciCmdList, AhciCmdTable, H2dFis, PORT_BASE,
+};
+use bmcast_repro::hwsim::ide::{AtaOp, IdeReg, PrdEntry, PrdTable};
+use bmcast_repro::hwsim::megasas::{reg as mfi_reg, MfiFrame, MfiOp, MfiStatus};
+use bmcast_repro::hwsim::mem::{DmaBuffer, PhysAddr, PhysMem};
+
+/// Sectors of the mediated disks below.
+const MEDIATED_CAP: u64 = 1024;
+
+/// What a mediator decided for one guest command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Routed {
+    Forward,
+    Redirect,
+    Protected,
+}
+
+/// Programs one EXT DMA command through the IDE taskfile and starts the
+/// bus-master engine, which arms it; a held command is released at once
+/// and the engine stopped, so every command starts from an idle device.
+fn ide_route(
+    med: &mut IdeMediator,
+    bm: &mut BlockBitmap,
+    write: bool,
+    range: BlockRange,
+) -> Routed {
+    let (lba, n) = (range.lba.0, range.sectors);
+    let taskfile = [
+        (IdeReg::BmPrdAddr, 0x2000u32),
+        (IdeReg::SectorCount, (n >> 8) & 0xFF),
+        (IdeReg::SectorCount, n & 0xFF),
+        (IdeReg::LbaLow, ((lba >> 24) & 0xFF) as u32),
+        (IdeReg::LbaLow, (lba & 0xFF) as u32),
+        (IdeReg::LbaMid, ((lba >> 32) & 0xFF) as u32),
+        (IdeReg::LbaMid, ((lba >> 8) & 0xFF) as u32),
+        (IdeReg::LbaHigh, ((lba >> 40) & 0xFF) as u32),
+        (IdeReg::LbaHigh, ((lba >> 16) & 0xFF) as u32),
+        (IdeReg::Device, 0x40),
+        (IdeReg::Command, if write { 0x35 } else { 0x25 }),
+    ];
+    for (reg, val) in taskfile {
+        assert_eq!(med.on_guest_write(reg, val, bm), PioVerdict::Forward);
+    }
+    let routed = match med.on_guest_write(IdeReg::BmCommand, 0x01, bm) {
+        PioVerdict::Forward => Routed::Forward,
+        PioVerdict::StartRedirect(r) => {
+            assert_eq!(r.cmd.range, range);
+            assert!(med.finish_redirect().is_empty());
+            if r.protected {
+                Routed::Protected
+            } else {
+                Routed::Redirect
+            }
+        }
+        v => panic!("unexpected IDE verdict {v:?}"),
+    };
+    assert_eq!(
+        med.on_guest_write(IdeReg::BmCommand, 0x00, bm),
+        PioVerdict::Forward
+    );
+    routed
+}
+
+/// Issues one command in AHCI slot 0 of the guest's command list; a held
+/// slot is released at once.
+fn ahci_route(
+    med: &mut AhciMediator,
+    mem: &mut PhysMem,
+    clb: PhysAddr,
+    bm: &mut BlockBitmap,
+    write: bool,
+    range: BlockRange,
+) -> Routed {
+    let op = if write {
+        AtaOp::WriteDma
+    } else {
+        AtaOp::ReadDma
+    };
+    let buf = mem.alloc(DmaBuffer::new(range.sectors as usize));
+    let ctba = mem.alloc(AhciCmdTable {
+        cfis: H2dFis { op, range },
+        prdt: PrdTable {
+            entries: vec![PrdEntry {
+                buf,
+                sectors: range.sectors,
+            }],
+        },
+    });
+    mem.get_mut::<AhciCmdList>(clb).expect("command list").slots[0] =
+        Some(AhciCmdHeader { ctba, write });
+    let MmioVerdict::Ci {
+        forward_mask,
+        redirects,
+    } = med.on_guest_write(PORT_BASE + preg::CI, 1, mem, bm)
+    else {
+        panic!("a CI write yields a CI verdict");
+    };
+    match (forward_mask, redirects.as_slice()) {
+        (1, []) => Routed::Forward,
+        (0, [r]) => {
+            assert_eq!((r.slot, r.range), (0, range));
+            med.release_held(0);
+            if r.protected {
+                Routed::Protected
+            } else {
+                Routed::Redirect
+            }
+        }
+        v => panic!("unexpected AHCI verdict {v:?}"),
+    }
+}
+
+/// Posts one MFI frame; a held frame is released at once.
+fn megasas_route(
+    med: &mut MegasasMediator,
+    mem: &mut PhysMem,
+    bm: &mut BlockBitmap,
+    write: bool,
+    range: BlockRange,
+) -> Routed {
+    let buffer = mem.alloc(DmaBuffer::new(range.sectors as usize));
+    let frame = mem.alloc(MfiFrame {
+        op: if write { MfiOp::LdWrite } else { MfiOp::LdRead },
+        range,
+        buffer,
+        status: MfiStatus::Pending,
+    });
+    match med.on_guest_write(mfi_reg::IQP, frame.0, mem, bm) {
+        MegasasVerdict::Forward => Routed::Forward,
+        MegasasVerdict::StartRedirect(r) => {
+            assert_eq!(r.range, range);
+            assert!(med.finish_redirect().is_empty());
+            Routed::Redirect
+        }
+        MegasasVerdict::Swallow => panic!("an idle mediator swallowed a post"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The IDE, AHCI and (without a protected region, which it has not)
+    /// MegaRAID mediators reach the same verdict for the same guest
+    /// reads and writes over the same bitmap — a read of any empty or
+    /// protected sector is held, a protected write is converted, every
+    /// other command forwards and a forwarded write fills its range —
+    /// and end with the same bitmap and the same statistics.
+    #[test]
+    fn mediators_share_one_policy(
+        fill in proptest::collection::vec((0u64..MEDIATED_CAP, 1u32..128), 0..12),
+        protected in proptest::option::of((0u64..MEDIATED_CAP, 1u32..48)),
+        cmds in proptest::collection::vec((any::<bool>(), 0u64..MEDIATED_CAP, 1u32..64), 1..24),
+    ) {
+        let clamp = |lba: u64, n: u32| BlockRange::new(Lba(lba), n.min((MEDIATED_CAP - lba) as u32));
+        let mut model = BlockBitmap::new(MEDIATED_CAP);
+        for &(lba, n) in &fill {
+            model.mark_filled(clamp(lba, n));
+        }
+        let protected = protected.map(|(lba, n)| clamp(lba, n));
+        let (mut ide_bm, mut ahci_bm, mut mfi_bm) = (model.clone(), model.clone(), model.clone());
+        let mut ide = IdeMediator::new(protected);
+        let mut ahci = AhciMediator::new(protected);
+        let mut mfi = MegasasMediator::new();
+        let mut mem = PhysMem::new(1 << 30);
+        let clb = mem.alloc(AhciCmdList::new());
+        ahci.on_guest_write(PORT_BASE + preg::CLB, clb.0, &mem, &mut ahci_bm);
+
+        for (write, lba, n) in cmds {
+            let range = clamp(lba, n);
+            let hits_protected = protected.is_some_and(|p| p.overlaps(range));
+            let expect = if hits_protected {
+                Routed::Protected
+            } else if !write && model.any_empty(range) {
+                Routed::Redirect
+            } else {
+                if write {
+                    model.mark_filled(range);
+                }
+                Routed::Forward
+            };
+            prop_assert_eq!(ide_route(&mut ide, &mut ide_bm, write, range), expect, "IDE {:?}", range);
+            prop_assert_eq!(
+                ahci_route(&mut ahci, &mut mem, clb, &mut ahci_bm, write, range),
+                expect,
+                "AHCI {:?}",
+                range
+            );
+            if protected.is_none() {
+                prop_assert_eq!(
+                    megasas_route(&mut mfi, &mut mem, &mut mfi_bm, write, range),
+                    expect,
+                    "MegaRAID {:?}",
+                    range
+                );
+            }
+        }
+
+        let whole = BlockRange::new(Lba(0), MEDIATED_CAP as u32);
+        let filled = model.filled_subranges(whole);
+        prop_assert_eq!(ide_bm.filled_subranges(whole), filled.clone());
+        prop_assert_eq!(ahci_bm.filled_subranges(whole), filled.clone());
+        let stats = ide.mediation.stats();
+        prop_assert_eq!(ahci.mediation.stats(), stats);
+        if protected.is_none() {
+            prop_assert_eq!(mfi_bm.filled_subranges(whole), filled);
+            prop_assert_eq!(mfi.mediation.stats(), stats);
+        }
+        for mode in [ide.mediation.mode(), ahci.mediation.mode(), mfi.mediation.mode()] {
+            prop_assert_eq!(mode, MediatorMode::Normal);
         }
     }
 }

@@ -107,7 +107,7 @@ fn metrics_agree_with_machine_ground_truth() {
     );
 
     // Mediator counters mirror MediatorStats.
-    let ms = vmm.port.stats();
+    let ms = vmm.port.mediation().stats();
     assert_eq!(snap.counter("mediator.ide.redirects"), ms.redirects);
     assert_eq!(
         snap.counter("mediator.ide.interpreted_commands"),
