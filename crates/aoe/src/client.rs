@@ -36,7 +36,7 @@
 
 use crate::wire::{fragment_subranges, sectors_per_frame, AoePdu, FrameBytes, Tag, WireFrame};
 use hwsim::block::{BlockRange, SectorData};
-use simkit::{Metrics, Prng, SimDuration, SimTime, SpanId, Spans, Tracer};
+use simkit::{Metrics, Prng, SimDuration, SimTime, SpanId, Spans};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -252,7 +252,6 @@ pub struct AoeClient {
     write_target: Option<(u16, u8)>,
     failures: Vec<u32>,
     metrics: Metrics,
-    tracer: Tracer,
     spans: Spans,
 }
 
@@ -283,16 +282,14 @@ impl AoeClient {
             write_target: None,
             failures: Vec::new(),
             metrics: Metrics::disabled(),
-            tracer: Tracer::disabled(),
             spans: Spans::disabled(),
         }
     }
 
-    /// Attaches observability handles. All `aoe.client.*` counters land in
-    /// `metrics`; retransmissions and failures are traced.
-    pub fn set_telemetry(&mut self, metrics: Metrics, tracer: Tracer) {
+    /// Attaches the metrics registry: every `aoe.client.*` counter lands
+    /// in `metrics`.
+    pub fn set_telemetry(&mut self, metrics: Metrics) {
         self.metrics = metrics;
-        self.tracer = tracer;
     }
 
     /// Attaches the flight-recorder span store. Each request then carries
@@ -778,7 +775,7 @@ impl AoeClient {
         let mut dead = Vec::new();
         // Split the borrows so the telemetry handles are used in place:
         // this runs once per simulated tick, and cloning them every call
-        // would churn two reference counts per poll for nothing.
+        // would churn their reference counts per poll for nothing.
         let Self {
             cfg,
             pending,
@@ -786,7 +783,6 @@ impl AoeClient {
             retransmits,
             busy_at,
             metrics,
-            tracer,
             spans,
             ..
         } = self;
@@ -873,12 +869,8 @@ impl AoeClient {
                 }
             }
             let resent = out.len() - before;
-            let (range, retry) = (p.range, p.retries);
-            tracer.emit(now, "aoe.client", "retransmit", || {
-                format!("req {id} range {range:?} retry {retry} frames {resent}")
-            });
             spans.instant(now, "aoe.client", "aoe.retransmit", p.span, || {
-                format!("req {id} retry {retry} frames {resent}")
+                format!("req {id} retry {} frames {resent}", p.retries)
             });
         }
         for id in dead {
@@ -891,9 +883,6 @@ impl AoeClient {
             self.retire_id(id);
             self.failures.push(id);
             self.metrics.inc("aoe.client.failures");
-            self.tracer.emit(now, "aoe.client", "request_failed", || {
-                format!("req {id} exhausted retry budget")
-            });
         }
         out
     }

@@ -37,13 +37,14 @@ use aoe::wire::{frame_checksum, sectors_per_frame, AoePdu, FrameBytes, Tag};
 use aoe::{AoeClient, AoeServer, ClientConfig, Enqueued, ServerConfig};
 use bmcast::bitmap::BlockBitmap;
 use bmcast::mediator::{AhciMediator, IdeMediator, PioVerdict};
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use hwsim::ahci::{preg, AhciCmdHeader, AhciCmdList, AhciCmdTable, H2dFis, PORT_BASE};
 use hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use hwsim::disk::{DiskModel, DiskOp, DiskParams};
 use hwsim::ide::{AtaOp, IdeReg, PrdEntry, PrdTable};
 use hwsim::mem::{DmaBuffer, PhysMem};
 use simkit::{SimTime, NO_SPAN};
+use std::cell::RefCell;
 use std::time::Duration;
 
 /// 32 GB of 512-byte sectors — the paper's deployment image size.
@@ -99,13 +100,21 @@ fn bench_bitmap(c: &mut Criterion) {
         .map(|lba| BlockRange::new(Lba(lba), 2048))
         .collect();
 
+    // Each range is cleared untimed before it is marked, so every
+    // iteration fills empty sectors however many iterations run.
     group.bench_function("mark_filled_1mb_blocks", |b| {
-        let mut bm = BlockBitmap::new(SECTORS_32GB);
+        let bm = RefCell::new(BlockBitmap::new(SECTORS_32GB));
         let mut i = 0;
-        b.iter(|| {
-            bm.mark_filled(ranges[i % ranges.len()]);
-            i += 1;
-        })
+        b.iter_batched(
+            || {
+                let r = ranges[i % ranges.len()];
+                i += 1;
+                bm.borrow_mut().clear(r);
+                r
+            },
+            |r| bm.borrow_mut().mark_filled(r),
+            BatchSize::SmallInput,
+        )
     });
 
     group.bench_function("try_claim_1mb_blocks", |b| {
@@ -484,9 +493,8 @@ fn bench_disk(c: &mut Criterion) {
 /// One 1 MiB copy block's reply, at each end: `read_range` of the block
 /// from a 32-GB image store, and the client's reassembly of the
 /// server's reply burst, frame by frame and by value, so each frame's
-/// data moves into its slot. The bursts are served before the timer
-/// starts (one per iteration the shim runs), so only `on_frame` is
-/// timed; an iteration past them serves its own.
+/// data moves into its slot. Each burst is served before the timer
+/// starts, so only `on_frame` is timed.
 fn bench_reply_path(c: &mut Criterion) {
     let block = BlockRange::new(Lba(4096), 2048);
     let mut group = c.benchmark_group("block_store");
@@ -500,10 +508,9 @@ fn bench_reply_path(c: &mut Criterion) {
     });
     group.finish();
 
-    const BURSTS: usize = 200;
     let mut group = c.benchmark_group("aoe_client");
     group
-        .sample_size(BURSTS)
+        .sample_size(200)
         .warm_up_time(Duration::from_secs(1))
         .measurement_time(Duration::from_secs(3));
     let params = DiskParams {
@@ -512,22 +519,25 @@ fn bench_reply_path(c: &mut Criterion) {
     };
     let store = BlockStore::image(params.capacity_sectors, 7);
     let mut server = AoeServer::new(ServerConfig::default(), DiskModel::new(params, store));
-    let mut client = AoeClient::new(ClientConfig::default());
-    let mut serve = |client: &mut AoeClient| -> Vec<FrameBytes> {
-        let (_, request) = client.read(SimTime::ZERO, block, NO_SPAN);
+    let client = RefCell::new(AoeClient::new(ClientConfig::default()));
+    let mut serve = || -> Vec<FrameBytes> {
+        let (_, request) = client.borrow_mut().read(SimTime::ZERO, block, NO_SPAN);
         let reply = server.handle(SimTime::ZERO, &request[0]).expect("decodes");
         reply.expect("replies").frames
     };
-    let mut bursts: Vec<Vec<FrameBytes>> = (0..BURSTS).map(|_| serve(&mut client)).collect();
     group.bench_function("reassemble_1mib_reply", |b| {
-        b.iter(|| {
-            let burst = bursts.pop().unwrap_or_else(|| serve(&mut client));
-            let mut done = None;
-            for f in burst {
-                done = done.or(client.on_frame(SimTime::ZERO, f));
-            }
-            done.expect("read completes").data.len()
-        })
+        b.iter_batched(
+            &mut serve,
+            |burst| {
+                let mut client = client.borrow_mut();
+                let mut done = None;
+                for f in burst {
+                    done = done.or(client.on_frame(SimTime::ZERO, f));
+                }
+                done.expect("read completes").data.len()
+            },
+            BatchSize::SmallInput,
+        )
     });
     group.finish();
 }

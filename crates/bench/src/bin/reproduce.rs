@@ -37,9 +37,9 @@
 //! `--metrics` prints the telemetry report of one flight-recorded
 //! deployment (`bmcast_bench::flight`): per-phase timings,
 //! redirect/fill/discard/retransmit counters, FIFO depth, guest I/O
-//! latency percentiles, the full snapshot and the trace tail. With
-//! `--faults <plan>` the recorded run executes under that fault plan
-//! (`all` records the chaos plan).
+//! latency percentiles, the full snapshot and the last 16 finished
+//! spans. With `--faults <plan>` the recorded run executes under that
+//! fault plan (`all` records the chaos plan).
 //!
 //! `--trace-out <dir>` writes one artifact bundle per observed section
 //! (`bmcast_bench::obs::Bundle`: named artifacts plus `digest.json`,

@@ -18,29 +18,28 @@ use guestsim::workload::fio::FioJob;
 use hwsim::block::Lba;
 use simkit::fault::FaultPlan;
 use simkit::metrics::LogHistogram;
-use simkit::{MetricsSnapshot, SampleRow, SimDuration, SimTime, Span, TraceEvent};
+use simkit::{MetricsSnapshot, SampleRow, SimDuration, SimTime, Span};
 use std::fmt::Write as _;
 
-/// Trace events the telemetry report lists at its end.
-const TRACE_TAIL: usize = 16;
+/// Finished spans the telemetry report lists at its end.
+const SPAN_TAIL: usize = 16;
 
 /// Everything one flight-recorded deployment captured, detached from the
 /// machine so exporters and assertions can consume it freely.
 pub struct FlightRun {
     /// Finished spans, in completion order.
     pub spans: Vec<Span>,
+    /// Finished spans evicted from the span ring.
+    pub spans_dropped: u64,
     /// Per-span-kind duration histograms (µs), exact across ring
     /// eviction.
     pub kinds: Vec<(&'static str, LogHistogram)>,
     /// Sampled timeline rows.
     pub samples: Vec<SampleRow>,
-    /// Every metric at the end of the run, the tracer's own accounting
-    /// (`trace.emitted` / `trace.dropped`) included.
+    /// Every metric at the end of the run.
     pub metrics: MetricsSnapshot,
     /// Per-phase wall-clock timings.
     pub timings: PhaseTimings,
-    /// The last 16 trace events, oldest first.
-    pub trace_tail: Vec<TraceEvent>,
     /// When the machine reached bare metal.
     pub bare_metal_at: SimTime,
 }
@@ -106,14 +105,13 @@ pub fn record(scale: Scale, fault_preset: Option<&str>) -> FlightRun {
     let metrics = runner
         .metrics_snapshot()
         .expect("flight recorder enables metrics");
-    let events = runner.tracer().events();
     FlightRun {
         spans: runner.spans().finished(),
+        spans_dropped: runner.spans().dropped(),
         kinds: runner.spans().kind_histograms(),
         samples: runner.sampler().rows(),
         metrics,
         timings: runner.phase_timings(),
-        trace_tail: events[events.len().saturating_sub(TRACE_TAIL)..].to_vec(),
         bare_metal_at,
     }
 }
@@ -123,8 +121,8 @@ impl FlightRun {
     /// timings, the counters that explain *why* the deployment took that
     /// long (copy-on-read redirects, background fills and discards, AoE
     /// retransmits, FIFO pressure), guest I/O latency percentiles, the
-    /// full snapshot and the trace tail. Ring evictions produce a
-    /// warning line.
+    /// full snapshot and the last 16 finished spans. Span ring evictions
+    /// produce a warning line.
     pub fn report(&self, scale: Scale) -> String {
         let snap = &self.metrics;
         let mut out = String::new();
@@ -159,21 +157,23 @@ impl FlightRun {
         }
         let _ = writeln!(out, "full snapshot:");
         let _ = write!(out, "{snap}");
-        let dropped = snap.gauge("trace.dropped");
+        let tail = &self.spans[self.spans.len().saturating_sub(SPAN_TAIL)..];
         let _ = writeln!(
             out,
-            "trace: {} events emitted, {dropped} dropped; last {}:",
-            snap.gauge("trace.emitted"),
-            self.trace_tail.len()
+            "spans: {} finished, {} dropped; last {}:",
+            self.spans.len() as u64 + self.spans_dropped,
+            self.spans_dropped,
+            tail.len()
         );
-        for ev in &self.trace_tail {
-            let _ = writeln!(out, "  {ev}");
+        for span in tail {
+            let _ = writeln!(out, "  {span}");
         }
-        if dropped > 0 {
+        if self.spans_dropped > 0 {
             let _ = writeln!(
                 out,
-                "warning: {dropped} trace events were evicted from the \
-                 FlightRecorderConfig::trace_ring ring",
+                "warning: {} spans were evicted from the \
+                 FlightRecorderConfig::span_capacity ring",
+                self.spans_dropped
             );
         }
         out

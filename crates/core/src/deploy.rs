@@ -100,8 +100,9 @@ impl std::fmt::Display for PhaseTimings {
 /// keeps, and how often the timeline sampler ticks.
 #[derive(Debug, Clone, Copy)]
 pub struct FlightRecorderConfig {
-    /// Trace-event ring capacity (events beyond this evict the oldest;
-    /// the eviction count is reported as `trace.dropped`).
+    /// Ignored: nothing reads it since spans became the one event log.
+    /// Kept only because the `bmbench` package still passes it to
+    /// [`Tracer::enabled`]; ROADMAP item 1 part A deletes it.
     pub trace_ring: usize,
     /// Span ring capacity. Per-kind duration histograms stay exact even
     /// when old spans are evicted.
@@ -150,7 +151,8 @@ impl Runner {
     }
 
     /// Like [`Runner::bmcast`] with the whole observability plane on:
-    /// metrics, the trace ring, hierarchical spans wired through the
+    /// metrics, and hierarchical spans (the run's one event log: phases,
+    /// redirects, AoE round trips and retransmissions) wired through the
     /// mediators, background copy, AoE endpoints and de-virtualization
     /// sequencer, and the periodic timeline sampler. Everything attaches
     /// *before* deployment is armed, so the retriever's first fetch
@@ -162,7 +164,7 @@ impl Runner {
         rec: FlightRecorderConfig,
     ) -> Runner {
         let mut machine = Machine::bmcast(spec, cfg);
-        machine.set_telemetry(Metrics::enabled(), Tracer::enabled(rec.trace_ring));
+        machine.set_telemetry(Metrics::enabled(), Tracer);
         machine.set_flight_recorder(
             Spans::enabled(rec.span_capacity),
             Sampler::enabled(rec.sample_interval),
@@ -197,26 +199,9 @@ impl Runner {
     }
 
     /// A point-in-time snapshot of every metric (`None` if telemetry is
-    /// off). The tracer's own accounting is mirrored into the snapshot as
-    /// `trace.emitted` / `trace.dropped` gauges, so ring overflow is
-    /// visible from metrics alone.
+    /// off).
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        if self.machine.tracer.is_enabled() {
-            let t = &self.machine.tracer;
-            self.machine
-                .metrics
-                .gauge_set("trace.emitted", t.emitted() as i64);
-            self.machine
-                .metrics
-                .gauge_set("trace.dropped", t.dropped() as i64);
-        }
         self.machine.metrics.snapshot()
-    }
-
-    /// The machine's tracer handle (disabled unless the runner was built
-    /// with [`Runner::bmcast_flight_recorded`]).
-    pub fn tracer(&self) -> &Tracer {
-        &self.machine.tracer
     }
 
     /// The machine's span store (disabled unless the runner was built

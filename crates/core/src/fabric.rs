@@ -41,6 +41,14 @@ pub(crate) fn lookahead() -> SimDuration {
     Link::gigabit().latency * 2
 }
 
+/// Egress backlog (in serialization time) above which a server node
+/// stops dispatching: the NIC ring is finite, so a disk-and-cache
+/// pipeline that outruns the wire must stall, not buffer without bound.
+/// Like the busy hint, backpressure needs at least two clients on
+/// record: a lone machine's pump has no shared egress queue to protect,
+/// so a standalone machine and an `n = 1` fleet never reach it.
+pub(crate) const EGRESS_QUEUE_CAP: SimDuration = SimDuration::from_millis(20);
+
 /// A server volume holding the `seed` image.
 pub(crate) fn image_disk(image_sectors: u64, seed: u64) -> DiskModel {
     new_disk(image_sectors, BlockStore::image(image_sectors, seed))
@@ -157,9 +165,9 @@ pub struct Fabric {
     /// shelf is served again.
     retired: BTreeMap<u16, usize>,
     faults: Option<FaultInjector>,
-    /// Egress backlog (in serialization time) above which a node with
-    /// at least two clients stops dispatching.
-    egress_queue_cap: SimDuration,
+    /// [`EGRESS_QUEUE_CAP`]; the rack-scale retransmit-storm test lifts
+    /// it to switch backpressure off.
+    pub(crate) egress_queue_cap: SimDuration,
     /// Registry of the servers and the fault injector.
     metrics: Metrics,
     /// Span store of the servers.
@@ -169,18 +177,14 @@ pub struct Fabric {
 impl Fabric {
     /// An empty fabric: a switch with `mtu`, no server yet, and a fault
     /// injector when `faults` carries a plan.
-    pub(crate) fn new(
-        mtu: u32,
-        egress_queue_cap: SimDuration,
-        faults: Option<FaultPlan>,
-    ) -> Fabric {
+    pub(crate) fn new(mtu: u32, faults: Option<FaultPlan>) -> Fabric {
         Fabric {
             switch: Switch::new(mtu),
             nodes: Vec::new(),
             shelf_nodes: BTreeMap::new(),
             retired: BTreeMap::new(),
             faults: faults.map(FaultInjector::new),
-            egress_queue_cap,
+            egress_queue_cap: EGRESS_QUEUE_CAP,
             metrics: Metrics::disabled(),
             spans: Spans::disabled(),
         }

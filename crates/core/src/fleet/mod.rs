@@ -209,14 +209,6 @@ pub struct FleetConfig {
     /// Additional machines released per active peer (see
     /// [`FleetConfig::admission_base`]).
     pub admission_per_peer: usize,
-    /// Egress backlog (in serialization time) above which a server
-    /// stops dispatching — the NIC ring is finite, so a disk-and-cache
-    /// pipeline that outruns the wire must stall, not buffer without
-    /// bound. Like the busy hint, backpressure needs at least two
-    /// clients on record: a lone machine's pump has no shared egress
-    /// queue to protect, keeping the `n = 1` fleet identical to the
-    /// single-machine deployment.
-    pub egress_queue_cap: SimDuration,
     /// Master seed: forked, in a fixed order, into each machine's
     /// AoE-client jitter stream (after two retired draws).
     pub seed: u64,
@@ -255,7 +247,6 @@ impl Default for FleetConfig {
             start_stagger: SimDuration::ZERO,
             admission_base: 0,
             admission_per_peer: 0,
-            egress_queue_cap: SimDuration::from_millis(20),
             seed: 0xF1EE7,
             sim_threads: 1,
             faults: None,
@@ -458,11 +449,7 @@ impl Fleet {
         // Origin replicas: shelf j serves a full copy of the image on
         // its own port. Node 0 keeps the single-server MAC, as on a
         // standalone machine's fabric.
-        let mut fabric = Fabric::new(
-            cfg.machine_cfg.mtu,
-            cfg.egress_queue_cap,
-            cfg.faults.clone(),
-        );
+        let mut fabric = Fabric::new(cfg.machine_cfg.mtu, cfg.faults.clone());
         for j in 0..cfg.servers {
             let mac = if j == 0 {
                 SERVER_MAC
@@ -1281,7 +1268,7 @@ mod tests {
         // The scaleout figure's n=64 p2p point: same geometry, boot
         // profile, stagger, and peer-aware admission ramp as
         // ext_scaleout's p2p column.
-        let cfg_at = |cap: Option<SimDuration>| {
+        let run = |cap: Option<SimDuration>| {
             let mut cfg = small_cfg(64);
             cfg.start_stagger = SimDuration::from_millis(50);
             cfg.peer_serving = true;
@@ -1289,13 +1276,10 @@ mod tests {
             cfg.server_cfg.sprint_boost = 8;
             cfg.admission_base = 8;
             cfg.admission_per_peer = 8;
-            if let Some(cap) = cap {
-                cfg.egress_queue_cap = cap;
-            }
-            cfg
-        };
-        let run = |cfg: FleetConfig| {
             let mut fleet = Fleet::new(cfg);
+            if let Some(cap) = cap {
+                fleet.fabric.egress_queue_cap = cap;
+            }
             fleet.enable_telemetry();
             fleet.enable_flight_recorder(FlightRecorderConfig::default());
             let profile = BootProfile::custom("scaleout-boot", 7, 400, 24 << 20, 2000, 24 << 20);
@@ -1308,12 +1292,12 @@ mod tests {
                 .expect("armed")
                 .raise_count(simkit::slo::SloRule::RetransmitStorm)
         };
-        assert_eq!(run(cfg_at(None)), 0, "default config stays silent");
+        assert_eq!(run(None), 0, "default config stays silent");
         // An effectively unbounded egress queue disables backpressure:
         // replies sit behind a multi-second backlog, RTOs expire, and
         // the fleet-wide retransmit rate crosses the storm threshold.
         assert!(
-            run(cfg_at(Some(SimDuration::from_secs(3600)))) > 0,
+            run(Some(SimDuration::from_secs(3600))) > 0,
             "storm watchdog fires once backpressure is off"
         );
     }

@@ -70,16 +70,15 @@ impl Fleet {
     /// Attaches a metrics registry to every member (its own
     /// [`Machine::metrics`](crate::machine::Machine::metrics), which
     /// reclaim re-attaches) and to the servers and fault injector (a
-    /// shared fabric registry). Members get no trace ring: a fleet's
-    /// events are read from its flight recorder.
+    /// shared fabric registry). A fleet's events are read from its
+    /// flight recorder.
     /// [`Fleet::metrics_snapshot`] still folds everything into one
     /// aggregate (`server.cache.*`, `server.queue.*`,
     /// `machine.frames_tx`, ...), while [`Fleet::fleet_snapshot`] keeps
     /// the per-member attribution. Call before [`Fleet::start`].
     pub fn enable_telemetry(&mut self) {
         for m in &mut self.members {
-            m.machine
-                .set_telemetry(Metrics::enabled(), Tracer::disabled());
+            m.machine.set_telemetry(Metrics::enabled(), Tracer);
         }
         self.fabric.set_telemetry(Metrics::enabled());
     }

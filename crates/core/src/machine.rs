@@ -779,8 +779,6 @@ pub struct Machine {
     pub stats: MachineStats,
     /// Shared metrics handle (disabled unless telemetry is attached).
     pub metrics: Metrics,
-    /// Shared trace handle (disabled unless telemetry is attached).
-    pub tracer: Tracer,
     /// Shared flight-recorder span handle (disabled unless attached).
     pub spans: Spans,
     /// Shared timeline sampler (disabled unless attached).
@@ -844,7 +842,6 @@ impl Machine {
             fabric: None,
             stats: MachineStats::default(),
             metrics: Metrics::disabled(),
-            tracer: Tracer::disabled(),
             spans: Spans::disabled(),
             sampler: Sampler::disabled(),
         }
@@ -864,7 +861,7 @@ impl Machine {
     /// fabric's events run on the machine's own simulator.
     pub fn bmcast(spec: &MachineSpec, cfg: BmcastConfig) -> Machine {
         // One client, so the egress backpressure gate never engages.
-        let mut fabric = Fabric::new(cfg.mtu, SimDuration::ZERO, cfg.faults.clone());
+        let mut fabric = Fabric::new(cfg.mtu, cfg.faults.clone());
         let server = image_server(
             &cfg,
             ServerConfig::default(),
@@ -911,19 +908,20 @@ impl Machine {
 
     /// Attaches observability handles to every instrumented component —
     /// the device mediators, the background copy, the AoE endpoints, and
-    /// the machine's own counters. All clones share one registry/ring, so
-    /// a single snapshot sees the whole machine.
-    pub fn set_telemetry(&mut self, metrics: Metrics, tracer: Tracer) {
+    /// the machine's own counters. All clones share one registry, so a
+    /// single snapshot sees the whole machine. The [`Tracer`] is ignored:
+    /// the parameter stays only because the `bmbench` package still passes
+    /// one, and ROADMAP item 1 part A deletes it.
+    pub fn set_telemetry(&mut self, metrics: Metrics, _ignored: Tracer) {
         if let Some(vmm) = self.vmm.as_mut() {
             vmm.port.mediation_mut().set_telemetry(metrics.clone());
             vmm.bg.set_telemetry(metrics.clone());
-            vmm.client.set_telemetry(metrics.clone(), tracer.clone());
+            vmm.client.set_telemetry(metrics.clone());
         }
         if let Some(fabric) = self.fabric.as_mut() {
             fabric.set_telemetry(metrics.clone());
         }
         self.metrics = metrics;
-        self.tracer = tracer;
     }
 
     /// Attaches the flight recorder: hierarchical spans to every
@@ -1385,14 +1383,6 @@ fn begin_redirect(m: &mut Machine, sim: &mut MachineSim, target: RedirectTarget)
     };
     m.stats.redirected_ios += 1;
     m.metrics.inc("machine.redirected_ios");
-    m.tracer.emit(sim.now(), "machine", "redirect", || {
-        format!(
-            "{} sectors at {:?}{}",
-            range.sectors,
-            range.lba,
-            if protected { " (protected)" } else { "" }
-        )
-    });
     // Parent span for the whole copy-on-read lifecycle, with the first
     // of its contiguous children (fetch → finalize → restart) open.
     let now = sim.now();
@@ -1819,18 +1809,9 @@ fn guard_fire(m: &mut Machine, sim: &mut MachineSim) {
         if vmm.phase == Phase::SnapshotBack {
             vmm.reclaim_error = Some(ReclaimError::RetryBudgetExhausted { consecutive });
             m.metrics.inc("machine.reclaim_errors");
-            m.tracer.emit(sim.now(), "machine", "reclaim_error", || {
-                format!(
-                    "snapshot-back retry budget exhausted after {consecutive} \
-                     consecutive failures"
-                )
-            });
         } else {
             vmm.deploy_error = Some(DeployError::RetryBudgetExhausted { consecutive });
             m.metrics.inc("machine.deploy_errors");
-            m.tracer.emit(sim.now(), "machine", "deploy_error", || {
-                format!("retry budget exhausted after {consecutive} consecutive failures")
-            });
         }
         return;
     }
@@ -1861,9 +1842,6 @@ pub fn start_deployment(m: &mut Machine, sim: &mut MachineSim) {
     if let Some(vmm) = m.vmm.as_mut() {
         vmm.phase = Phase::Deployment;
         vmm.deployment_start_at = Some(sim.now());
-        m.tracer.emit(sim.now(), "phase", "deployment", || {
-            "background copy starts".into()
-        });
         // Phase spans are contiguous — initialization [0, dep_start],
         // deployment [dep_start, dep_done], devirtualization [dep_done,
         // bare_metal] — so their durations sum exactly to the total.
@@ -2243,9 +2221,6 @@ fn maybe_begin_devirt(m: &mut Machine, sim: &mut MachineSim) {
         NO_SPAN,
         || "copy-on-read + background copy".into(),
     );
-    m.tracer.emit(sim.now(), "phase", "deployment_done", || {
-        "bitmap complete, requesting de-virtualization".into()
-    });
     sim.schedule_in(SimDuration::from_micros(10), begin_devirt);
 }
 
@@ -2263,12 +2238,6 @@ fn begin_devirt(m: &mut Machine, sim: &mut MachineSim) {
     vmm.phase = Phase::Devirtualization;
     // Each CPU tears down at its own pace — no TLB-shootdown IPIs needed.
     let vmxoff = vmm.cfg.vmxoff_after_deploy;
-    m.tracer.emit(sim.now(), "phase", "devirtualization", || {
-        format!(
-            "bitmap persisted; tearing down ({})",
-            if vmxoff { "vmxoff" } else { "resident" }
-        )
-    });
     for i in 0..m.hw.cpus.len() {
         let jitter = SimDuration::from_micros(7 * (i as u64 + 1));
         sim.schedule_in(jitter, move |m: &mut Machine, sim| {
@@ -2300,9 +2269,6 @@ fn begin_devirt(m: &mut Machine, sim: &mut MachineSim) {
                 if !vmxoff {
                     m.hw.pci.hide(MGMT_NIC_BDF);
                 }
-                m.tracer.emit(sim.now(), "phase", "bare_metal", || {
-                    format!("all {} cpus de-virtualized", i + 1)
-                });
             }
         });
     }
@@ -2349,12 +2315,6 @@ pub fn start_revirt(m: &mut Machine, sim: &mut MachineSim) {
         || "tenant on bare metal".into(),
     );
     let vmxoff = vmm.cfg.vmxoff_after_deploy;
-    m.tracer.emit(sim.now(), "phase", "revirtualization", || {
-        format!(
-            "re-interposing ({})",
-            if vmxoff { "vmxon" } else { "resident" }
-        )
-    });
     if !vmxoff {
         // Resident mode hid the management NIC on the way down; the VMM
         // needs it back before it can talk to the storage server.
@@ -2381,9 +2341,6 @@ pub fn start_revirt(m: &mut Machine, sim: &mut MachineSim) {
                     NO_SPAN,
                     || "per-CPU VMXON + trap re-arming".into(),
                 );
-                m.tracer.emit(sim.now(), "phase", "snapshot_back", || {
-                    format!("all {} cpus re-virtualized; streaming dirty blocks", i + 1)
-                });
                 begin_snapshot_back(m, sim);
             }
         });
@@ -2493,7 +2450,6 @@ fn maybe_finish_snapshot(m: &mut Machine, sim: &mut MachineSim) {
     }
     vmm.snapshot_done_at = Some(sim.now());
     let snap_at = vmm.snapshot_start_at.unwrap_or(sim.now());
-    let sectors = vmm.snap.as_ref().map(|s| s.sectors_sent()).unwrap_or(0);
     m.spans.record(
         snap_at,
         sim.now(),
@@ -2502,9 +2458,6 @@ fn maybe_finish_snapshot(m: &mut Machine, sim: &mut MachineSim) {
         NO_SPAN,
         || "dirty-block stream to server".into(),
     );
-    m.tracer.emit(sim.now(), "phase", "snapshot_done", || {
-        format!("snapshot-back complete ({sectors} sectors); machine reclaimable")
-    });
     sample_flight_row(m, sim.now());
 }
 
@@ -2577,12 +2530,9 @@ pub fn reclaim(
 
     // Re-attach observability to the replacement components — they share
     // the machine's existing registries, so figures keep one timeline.
-    m.set_telemetry(m.metrics.clone(), m.tracer.clone());
+    m.set_telemetry(m.metrics.clone(), Tracer);
     m.set_flight_recorder(m.spans.clone(), m.sampler.clone());
 
-    m.tracer.emit(now, "phase", "reclaimed", || {
-        format!("reset for new tenant image seed {:#x}", spec.image_seed)
-    });
     Ok(())
 }
 

@@ -184,7 +184,9 @@ impl AhciMediator {
                 None => forward |= 1 << slot,
             }
         }
-        if !redirects.is_empty() {
+        // Only the write that takes the port out of `Normal` opens the
+        // hold span; a slot held while others are held joins that hold.
+        if !redirects.is_empty() && self.mediation.mode() == MediatorMode::Normal {
             let held = self.held_slots;
             self.mediation.hold(MediatorMode::Redirecting, || {
                 format!("redirect hold slots {held:#x}")
@@ -394,6 +396,32 @@ mod tests {
         med.release_held(3);
         assert_eq!(med.filter_read(PORT_BASE + preg::CI, 0), 0);
         assert_eq!(med.mediation.mode(), MediatorMode::Normal);
+    }
+
+    /// A second `PxCI` write that holds a slot while another is held
+    /// stays in the one hold: releasing both ends it, and no span is
+    /// left open.
+    #[test]
+    fn second_held_slot_joins_the_open_hold() {
+        use simkit::Spans;
+
+        let mut mem = PhysMem::new(1 << 30);
+        let mut med = AhciMediator::new(None);
+        let spans = Spans::enabled(64);
+        med.mediation.set_spans(spans.clone());
+        let mut bm = BlockBitmap::new(1 << 16);
+        let clb = setup(&mut mem, &mut med);
+        fill_slot(&mut mem, clb, 0, AtaOp::ReadDma, 10, 1);
+        fill_slot(&mut mem, clb, 1, AtaOp::ReadDma, 20, 1);
+        med.on_guest_write(PORT_BASE + preg::CI, 1 << 0, &mem, &mut bm);
+        med.on_guest_write(PORT_BASE + preg::CI, 1 << 1, &mem, &mut bm);
+        assert_eq!(med.mediation.mode(), MediatorMode::Redirecting);
+        med.release_held(0);
+        assert_eq!(med.mediation.mode(), MediatorMode::Redirecting);
+        med.release_held(1);
+        assert_eq!(med.mediation.mode(), MediatorMode::Normal);
+        assert_eq!(spans.open_count(), 0, "no hold span left open");
+        assert_eq!(spans.finished_of("io.hold").len(), 1);
     }
 
     #[test]

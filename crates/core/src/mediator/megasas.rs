@@ -41,6 +41,9 @@ pub struct MegasasRedirect {
     pub range: BlockRange,
     /// The guest's data buffer.
     pub buffer: PhysAddr,
+    /// True if the range touches the protected bitmap region: the frame
+    /// is converted to a dummy read instead of being redirected.
+    pub protected: bool,
 }
 
 /// The MegaRAID mediator's span track and metric names.
@@ -49,7 +52,7 @@ const NAMES: MediatorNames = mediator_names!("megasas");
 /// The mediator.
 #[derive(Debug)]
 pub struct MegasasMediator {
-    /// The shared mediation policy (no protected region).
+    /// The shared mediation policy.
     pub mediation: Mediation,
     /// Guest posts swallowed during mediation, in order.
     queued_posts: Vec<PhysAddr>,
@@ -57,17 +60,12 @@ pub struct MegasasMediator {
     vmm_frames: Vec<PhysAddr>,
 }
 
-impl Default for MegasasMediator {
-    fn default() -> MegasasMediator {
-        MegasasMediator::new()
-    }
-}
-
 impl MegasasMediator {
-    /// An idle mediator.
-    pub fn new() -> MegasasMediator {
+    /// An idle mediator. `protected_region` is the on-disk bitmap area
+    /// the guest must never touch.
+    pub fn new(protected_region: Option<BlockRange>) -> MegasasMediator {
         MegasasMediator {
-            mediation: Mediation::new(&NAMES, None),
+            mediation: Mediation::new(&NAMES, protected_region),
             queued_posts: Vec::new(),
             vmm_frames: Vec::new(),
         }
@@ -105,9 +103,9 @@ impl MegasasMediator {
             MfiOp::LdRead => AtaOp::ReadDma,
             MfiOp::LdWrite => AtaOp::WriteDma,
         };
-        if core.route(op, frame.range, bitmap).is_none() {
+        let Some(protected) = core.route(op, frame.range, bitmap) else {
             return MegasasVerdict::Forward;
-        }
+        };
         core.interpret(true, frame.range, String::new);
         core.hold(MediatorMode::Redirecting, || {
             format!("redirect hold frame {:#x}", frame_addr.0)
@@ -116,6 +114,7 @@ impl MegasasMediator {
             frame: frame_addr,
             range: frame.range,
             buffer: frame.buffer,
+            protected,
         })
     }
 
@@ -208,7 +207,7 @@ mod tests {
         );
         (
             Megasas::new(),
-            MegasasMediator::new(),
+            MegasasMediator::new(None),
             PhysMem::new(1 << 30),
             disk,
             BlockBitmap::new(1 << 16),

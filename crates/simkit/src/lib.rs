@@ -4,12 +4,12 @@
 //! event loop ([`Sim`]), time types ([`SimTime`], [`SimDuration`]), a
 //! deterministic PRNG ([`rng::Prng`]), an exact-sample histogram
 //! ([`stats::Histogram`]), and the observability layer — a
-//! sim-timestamped trace ring ([`trace::Tracer`]), a
 //! counter/gauge/histogram registry ([`metrics::Metrics`]), hierarchical
-//! flight-recorder spans ([`span::Spans`]), a periodic timeline sampler
-//! ([`sampler::Sampler`]), sim-time SLO watchdogs ([`slo::SloEngine`]),
-//! and Perfetto/report exporters ([`export`]) — all zero-cost when
-//! disabled.
+//! flight-recorder spans ([`span::Spans`], the one event log: phases,
+//! redirects, retransmissions and failed requests are all spans), a
+//! periodic timeline sampler ([`sampler::Sampler`]), sim-time SLO
+//! watchdogs ([`slo::SloEngine`]), and Perfetto/report exporters
+//! ([`export`]) — all zero-cost when disabled.
 //!
 //! The engine is single-threaded and fully deterministic: events scheduled
 //! at the same instant fire in scheduling order. The paper's "threads"
@@ -45,7 +45,6 @@ pub mod slo;
 pub mod span;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use fault::{FaultCounters, FaultInjector, FaultPlan, LinkVerdict, ServerHealth};
 pub use metrics::{LogHistogram, Metrics, MetricsSnapshot};
@@ -55,10 +54,27 @@ pub use slo::{Alert, SloConfig, SloEngine, SloInput, SloRule};
 pub use span::{Span, SpanId, Spans, NO_SPAN};
 pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, Tracer};
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+
+/// Ignored: a handle that records nothing. Spans ([`Spans`]) are the one
+/// event log; this stays only because the `bmbench` package still builds
+/// one for `Machine::set_telemetry`. ROADMAP item 1 part A deletes it.
+#[derive(Debug)]
+pub struct Tracer;
+
+impl Tracer {
+    /// Ignored: `capacity` sizes nothing.
+    pub fn enabled(_capacity: usize) -> Tracer {
+        Tracer
+    }
+
+    /// The same inert handle as [`Tracer::enabled`].
+    pub fn disabled() -> Tracer {
+        Tracer
+    }
+}
 
 /// A scheduled simulation event: a one-shot closure over the world.
 /// `Send` so a whole `Sim<W>` (with its pending events) can move to

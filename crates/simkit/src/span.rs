@@ -1,12 +1,14 @@
 //! Hierarchical sim-clock spans: the flight-recorder view of *where
 //! time went*.
 //!
-//! A [`Spans`] handle is the third member of the observability family
-//! next to [`Metrics`](crate::metrics::Metrics) and
-//! [`Tracer`](crate::trace::Tracer): cheap to clone, disabled by
-//! default, and a single branch per call when disabled. Components open
-//! a span when work starts ([`Spans::begin`]) and close it when the
-//! work completes ([`Spans::end`]); spans nest by passing the parent's
+//! Spans are the simulator's one event log: phases, redirects, AoE
+//! round trips, retransmissions and failed requests each leave a span
+//! (or a zero-length instant), and the artifact bundle exports them. A
+//! [`Spans`] handle works like [`Metrics`](crate::metrics::Metrics):
+//! cheap to clone, disabled by default, and a single branch per call
+//! when disabled. Components open a span when work starts
+//! ([`Spans::begin`]) and close it when the work completes
+//! ([`Spans::end`]); spans nest by passing the parent's
 //! [`SpanId`], so a redirect span can own its AoE round-trip spans,
 //! which own their retransmit spans.
 //!

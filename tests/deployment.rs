@@ -401,7 +401,7 @@ fn megasas_guest_writes_always_win_over_background_copy() {
     };
     let mut disk = DiskModel::new(params, BlockStore::zeroed_with_mirror(CAP, 0xE5));
     let mut ctl = Megasas::new();
-    let mut med = MegasasMediator::new();
+    let mut med = MegasasMediator::new(None);
     let mut mem = PhysMem::new(1 << 30);
     let mut bitmap = BlockBitmap::new(CAP);
     let mut bg = BackgroundCopy::new(64, 8, 4, CAP);

@@ -282,7 +282,7 @@ impl MegasasRig {
     fn new() -> MegasasRig {
         MegasasRig {
             ctl: Megasas::new(),
-            med: MegasasMediator::new(),
+            med: MegasasMediator::new(None),
             mem: PhysMem::new(1 << 30),
             disk: DiskModel::new(
                 DiskParams {

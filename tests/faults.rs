@@ -19,6 +19,7 @@ use bmcast_repro::bmcast::machine::{DeployError, GuestCtl, GuestProgram, Machine
 use bmcast_repro::guestsim::io::{CompletedIo, IoRequest, RequestId};
 use bmcast_repro::hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use bmcast_repro::hwsim::disk::{DiskModel, DiskParams};
+use bmcast_repro::simkit::export::chrome_trace_json;
 use bmcast_repro::simkit::fault::{FaultPlan, Window};
 use bmcast_repro::simkit::{SimDuration, SimTime, NO_SPAN};
 
@@ -178,14 +179,8 @@ fn same_seed_replays_chaos_byte_identically() {
     let a = run();
     let b = run();
 
-    let trace = |r: &Runner| -> Vec<String> {
-        r.tracer()
-            .events()
-            .iter()
-            .map(|e| format!("{} {} {} {}", e.at, e.subsystem, e.event, e.detail))
-            .collect()
-    };
-    assert_eq!(trace(&a), trace(&b), "event traces must be identical");
+    let trace = |r: &Runner| chrome_trace_json(&r.spans().finished(), &r.sampler().rows());
+    assert_eq!(trace(&a), trace(&b), "span traces must be identical");
 
     let (ma, mb) = (a.machine(), b.machine());
     assert_eq!(

@@ -2023,7 +2023,11 @@ fn megasas_route(
         MegasasVerdict::StartRedirect(r) => {
             assert_eq!(r.range, range);
             assert!(med.finish_redirect().is_empty());
-            Routed::Redirect
+            if r.protected {
+                Routed::Protected
+            } else {
+                Routed::Redirect
+            }
         }
         MegasasVerdict::Swallow => panic!("an idle mediator swallowed a post"),
     }
@@ -2032,8 +2036,8 @@ fn megasas_route(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// The IDE, AHCI and (without a protected region, which it has not)
-    /// MegaRAID mediators reach the same verdict for the same guest
+    /// The IDE, AHCI and MegaRAID mediators, each given the same protected
+    /// region (or none), reach the same verdict for the same guest
     /// reads and writes over the same bitmap — a read of any empty or
     /// protected sector is held, a protected write is converted, every
     /// other command forwards and a forwarded write fills its range —
@@ -2053,7 +2057,7 @@ proptest! {
         let (mut ide_bm, mut ahci_bm, mut mfi_bm) = (model.clone(), model.clone(), model.clone());
         let mut ide = IdeMediator::new(protected);
         let mut ahci = AhciMediator::new(protected);
-        let mut mfi = MegasasMediator::new();
+        let mut mfi = MegasasMediator::new(protected);
         let mut mem = PhysMem::new(1 << 30);
         let clb = mem.alloc(AhciCmdList::new());
         ahci.on_guest_write(PORT_BASE + preg::CLB, clb.0, &mem, &mut ahci_bm);
@@ -2078,26 +2082,22 @@ proptest! {
                 "AHCI {:?}",
                 range
             );
-            if protected.is_none() {
-                prop_assert_eq!(
-                    megasas_route(&mut mfi, &mut mem, &mut mfi_bm, write, range),
-                    expect,
-                    "MegaRAID {:?}",
-                    range
-                );
-            }
+            prop_assert_eq!(
+                megasas_route(&mut mfi, &mut mem, &mut mfi_bm, write, range),
+                expect,
+                "MegaRAID {:?}",
+                range
+            );
         }
 
         let whole = BlockRange::new(Lba(0), MEDIATED_CAP as u32);
         let filled = model.filled_subranges(whole);
         prop_assert_eq!(ide_bm.filled_subranges(whole), filled.clone());
         prop_assert_eq!(ahci_bm.filled_subranges(whole), filled.clone());
+        prop_assert_eq!(mfi_bm.filled_subranges(whole), filled);
         let stats = ide.mediation.stats();
         prop_assert_eq!(ahci.mediation.stats(), stats);
-        if protected.is_none() {
-            prop_assert_eq!(mfi_bm.filled_subranges(whole), filled);
-            prop_assert_eq!(mfi.mediation.stats(), stats);
-        }
+        prop_assert_eq!(mfi.mediation.stats(), stats);
         for mode in [ide.mediation.mode(), ahci.mediation.mode(), mfi.mediation.mode()] {
             prop_assert_eq!(mode, MediatorMode::Normal);
         }

@@ -1,7 +1,7 @@
 //! Integration tests for the observability layer: every metric the
 //! instrumentation publishes must agree with the machine's own
-//! ground-truth counters, the trace ring must record the lifecycle, the
-//! phase spans must tile the deployment, and observing a run — one
+//! ground-truth counters, the phase spans must record the lifecycle in
+//! order and tile the deployment, and observing a run — one
 //! machine or a fleet — must never move it.
 
 use bmcast_repro::bmcast::config::{BmcastConfig, ControllerKind, Moderation};
@@ -140,25 +140,28 @@ fn tracer_records_the_lifecycle_in_order() {
         .run_to_bare_metal(SimTime::from_secs(600))
         .expect("deployment completes");
 
-    let events = runner.tracer().events();
-    let phases: Vec<&str> = events
-        .iter()
-        .filter(|e| e.subsystem == "phase")
-        .map(|e| e.event)
+    // In completion order, unsorted: each phase span is recorded as its
+    // phase ends, so the store itself holds the lifecycle in order.
+    let phases: Vec<Span> = runner
+        .spans()
+        .finished()
+        .into_iter()
+        .filter(|s| s.track == "phase")
         .collect();
+    let kinds: Vec<&str> = phases.iter().map(|s| s.kind).collect();
     assert_eq!(
-        phases,
-        vec![
-            "deployment",
-            "deployment_done",
-            "devirtualization",
-            "bare_metal"
+        kinds,
+        [
+            "phase.initialization",
+            "phase.deployment",
+            "phase.devirtualization"
         ]
     );
-    // Phase events carry monotonically non-decreasing timestamps.
-    let times: Vec<_> = events.iter().map(|e| e.at).collect();
-    assert!(times.windows(2).all(|w| w[0] <= w[1]));
-    assert_eq!(runner.tracer().dropped(), 0);
+    // Contiguous: each phase starts where the one before it ended.
+    for w in phases.windows(2) {
+        assert_eq!(w[0].end, w[1].start, "{} -> {}", w[0].kind, w[1].kind);
+    }
+    assert_eq!(runner.spans().dropped(), 0);
 }
 
 #[test]
@@ -174,7 +177,8 @@ fn telemetry_off_by_default_and_free() {
         .run_to_bare_metal(SimTime::from_secs(600))
         .expect("deployment completes");
     assert!(runner.metrics_snapshot().is_none(), "no registry allocated");
-    assert!(runner.tracer().events().is_empty());
+    assert!(runner.spans().finished().is_empty(), "no span store");
+    assert_eq!(runner.spans().started(), 0);
     // Ground truth still accumulates regardless.
     assert!(runner.machine().stats.frames_rx > 0);
 }
