@@ -9,17 +9,14 @@
 //!
 //! In the simulation the two "threads" are event chains driven by the
 //! system layer; this module holds their shared state so the policy is
-//! unit-testable in isolation.
+//! unit-testable in isolation. The retriever runs on the [`BlockStream`]
+//! snapshot-back shares.
 
 use crate::bitmap::BlockBitmap;
+use crate::stream::{BlockStream, BACKGROUND};
 use hwsim::block::{BlockRange, Lba, SectorBuf};
-use simkit::{Metrics, SimDuration, SimTime, SpanId, Spans, NO_SPAN};
-use std::collections::{BTreeMap, VecDeque};
-
-/// First retriever back-off step after a fetch failure.
-const FETCH_BACKOFF_BASE: SimDuration = SimDuration::from_millis(10);
-/// Ceiling on the retriever back-off while the server is unreachable.
-const FETCH_BACKOFF_CAP: SimDuration = SimDuration::from_millis(1_000);
+use simkit::SimTime;
+use std::collections::VecDeque;
 
 /// A fetched block waiting for the writer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,9 +30,14 @@ pub struct FetchedBlock {
     pub data: SectorBuf,
 }
 
-/// Shared state of the background-copy machinery.
+/// Shared state of the background-copy machinery: the retriever's
+/// [`BlockStream`] and what only the copy has, the FIFO, the fills,
+/// the requested map and the guest-I/O window.
 #[derive(Debug)]
 pub struct BackgroundCopy {
+    /// The retriever: window, cursor, back-off, `bg.fetch` spans on the
+    /// `background` track and the `bg.*` stream counters.
+    pub stream: BlockStream,
     /// Copy-on-read fills: data already fetched for redirected guest
     /// reads, written behind the guest with priority over the paced
     /// background stream.
@@ -43,34 +45,18 @@ pub struct BackgroundCopy {
     /// Bounded FIFO between retriever and writer.
     fifo: VecDeque<FetchedBlock>,
     fifo_capacity: usize,
-    /// Next LBA the retriever will request.
-    cursor: Lba,
     /// Block size in sectors.
     block_sectors: u32,
-    /// Blocks requested from the server but not yet in the FIFO.
-    inflight: usize,
-    /// Maximum concurrent server requests (retriever pipeline depth).
-    max_inflight: usize,
     /// Sectors already requested from the server (so in-flight fetches
     /// are never duplicated).
     requested: BlockBitmap,
     /// Sliding window of recent guest disk I/O timestamps, for the
     /// moderation rate estimate.
     guest_io_window: VecDeque<SimTime>,
-    /// Consecutive fetch failures (reset on the first success); drives
-    /// the retriever back-off so a stalled server is probed gently while
-    /// copy-on-read keeps being served.
-    consecutive_failures: u32,
-    /// Earliest time the retriever may issue its next fetch.
-    fetch_ready_at: SimTime,
     /// Statistics.
     blocks_written: u64,
     blocks_discarded: u64,
     bytes_fetched: u64,
-    metrics: Metrics,
-    spans: Spans,
-    /// Open `bg.fetch` span per in-flight fetch, keyed by start LBA.
-    fetch_spans: BTreeMap<u64, SpanId>,
 }
 
 impl BackgroundCopy {
@@ -88,53 +74,25 @@ impl BackgroundCopy {
     ) -> BackgroundCopy {
         assert!(block_sectors > 0, "block size must be positive");
         assert!(fifo_capacity > 0, "FIFO needs capacity");
-        assert!(max_inflight > 0, "retriever needs pipeline depth");
         BackgroundCopy {
+            stream: BlockStream::new(&BACKGROUND, max_inflight),
             fills: VecDeque::new(),
             fifo: VecDeque::new(),
             fifo_capacity,
-            cursor: Lba(0),
             block_sectors,
-            inflight: 0,
-            max_inflight,
             requested: BlockBitmap::new(capacity_sectors),
             guest_io_window: VecDeque::new(),
-            consecutive_failures: 0,
-            fetch_ready_at: SimTime::ZERO,
             blocks_written: 0,
             blocks_discarded: 0,
             bytes_fetched: 0,
-            metrics: Metrics::disabled(),
-            spans: Spans::disabled(),
-            fetch_spans: BTreeMap::new(),
         }
-    }
-
-    /// Attaches a metrics handle; `bg.*` counters and the FIFO/in-flight
-    /// depth gauges land there.
-    pub fn set_telemetry(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
-    }
-
-    /// Attaches a flight-recorder span handle; every in-flight fetch gets
-    /// a `bg.fetch` span on the `background` track (ended on delivery or
-    /// final failure).
-    pub fn set_spans(&mut self, spans: Spans) {
-        self.spans = spans;
     }
 
     /// Publishes the FIFO and pipeline depths as gauges.
     fn update_depth_gauges(&self) {
-        if self.metrics.is_enabled() {
-            self.metrics
-                .gauge_set("bg.fifo_depth", self.fifo.len() as i64);
-            self.metrics.gauge_set("bg.inflight", self.inflight as i64);
-        }
-    }
-
-    /// Block size in sectors.
-    pub fn block_sectors(&self) -> u32 {
-        self.block_sectors
+        let metrics = &self.stream.metrics;
+        metrics.gauge_set("bg.fifo_depth", self.fifo.len() as i64);
+        metrics.gauge_set("bg.inflight", self.stream.inflight as i64);
     }
 
     /// Blocks written to the local disk so far.
@@ -152,9 +110,14 @@ impl BackgroundCopy {
         self.bytes_fetched
     }
 
-    /// Requests in flight to the server.
+    /// Blocks in flight to the server.
     pub fn inflight(&self) -> usize {
-        self.inflight
+        self.stream.inflight
+    }
+
+    /// Consecutive failed fetch requests since the last success.
+    pub fn consecutive_failures(&self) -> u32 {
+        self.stream.consecutive_failures
     }
 
     /// Blocks sitting in the retriever→writer FIFO.
@@ -162,29 +125,22 @@ impl BackgroundCopy {
         self.fifo.len()
     }
 
-    /// The open `bg.fetch` span for the in-flight fetch starting at
-    /// `lba`, so the AoE round-trip can nest under it ([`NO_SPAN`] when
-    /// none).
-    pub fn fetch_span(&self, lba: u64) -> SpanId {
-        self.fetch_spans.get(&lba).copied().unwrap_or(NO_SPAN)
-    }
-
     /// Whether the retriever may issue another request: FIFO has room for
     /// what's already coming and the pipeline depth allows it.
-    pub fn can_fetch(&self) -> bool {
-        self.fifo.len() + self.inflight < self.fifo_capacity && self.inflight < self.max_inflight
+    fn can_fetch(&self) -> bool {
+        self.fifo.len() + self.stream.inflight < self.fifo_capacity && self.stream.has_room()
     }
 
     /// Whether [`BackgroundCopy::next_fetch`] would do anything: the
     /// pipeline has room and some block is still unrequested.
     pub fn wants_fetch(&self) -> bool {
-        self.can_fetch() && self.requested.next_empty(self.cursor).is_some()
+        self.can_fetch() && self.requested.next_empty(self.stream.cursor).is_some()
     }
 
     /// Records a guest disk access: moves the cursor adjacent to it (seek
     /// minimization) and feeds the moderation rate estimator.
     pub fn note_guest_io(&mut self, now: SimTime, end_of_access: Lba) {
-        self.cursor = end_of_access;
+        self.stream.cursor = end_of_access;
         self.guest_io_window.push_back(now);
         // Keep one second of history.
         while let Some(&t) = self.guest_io_window.front() {
@@ -214,98 +170,39 @@ impl BackgroundCopy {
             return None;
         }
         loop {
-            let start = self.requested.next_empty(self.cursor)?;
+            let start = self.requested.next_empty(self.stream.cursor)?;
             let aligned = Lba(start.0 - start.0 % self.block_sectors as u64);
             let end = (aligned.0 + self.block_sectors as u64).min(bitmap.capacity_sectors());
             let range = BlockRange::new(aligned, (end - aligned.0) as u32);
-            self.cursor = range.end();
+            self.stream.cursor = range.end();
             self.requested.mark_filled(range);
             // Guest writes may have filled it without a request; skip.
             if bitmap.all_filled(range) {
                 continue;
             }
-            self.inflight += 1;
-            self.metrics.inc("bg.fetches");
+            self.stream.claim(now, range);
             self.update_depth_gauges();
-            if self.spans.is_enabled() {
-                let id = self
-                    .spans
-                    .begin(now, "background", "bg.fetch", NO_SPAN, || {
-                        format!("fetch lba {} x{}", range.lba.0, range.sectors)
-                    });
-                self.fetch_spans.insert(range.lba.0, id);
-            }
             return Some(range);
         }
     }
 
-    /// Notes a fetch failure for back-off purposes: the retriever waits
-    /// `base · 2^(failures-1)` (capped) before probing the server again,
-    /// so a stalled server is not hammered while copy-on-read continues.
-    pub fn note_fetch_failure(&mut self, now: SimTime) {
-        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-        let shift = (self.consecutive_failures - 1).min(16);
-        let delay =
-            SimDuration::from_nanos(FETCH_BACKOFF_BASE.as_nanos().saturating_mul(1u64 << shift))
-                .min(FETCH_BACKOFF_CAP);
-        self.fetch_ready_at = now + delay;
-        self.metrics.inc("bg.fetch_backoffs");
-    }
-
-    /// Clears the failure streak once a fetch completes; the retriever
-    /// resumes at full pace.
-    pub fn note_fetch_success(&mut self) {
-        self.consecutive_failures = 0;
-        self.fetch_ready_at = SimTime::ZERO;
-    }
-
-    /// Earliest time the retriever may issue its next fetch (back-off
-    /// gate; `SimTime::ZERO` when no failures are outstanding).
-    pub fn fetch_ready_at(&self) -> SimTime {
-        self.fetch_ready_at
-    }
-
-    /// Consecutive fetch failures since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
-    /// Records that a fetch failed (retry budget exhausted): the sectors
-    /// become requestable again so the deployment cannot stall. The
-    /// block's `bg.fetch` span ends at `now` and a `bg.fetch_failed`
-    /// instant marks the abandonment.
-    pub fn fetch_failed(&mut self, now: SimTime, range: BlockRange) {
-        if let Some(id) = self.fetch_spans.remove(&range.lba.0) {
-            self.spans
-                .instant(now, "background", "bg.fetch_failed", id, || {
-                    format!("lba {} x{}", range.lba.0, range.sectors)
-                });
-            self.spans.end(now, id);
-        }
-        assert!(self.inflight > 0, "failure without a fetch in flight");
-        self.inflight -= 1;
-        self.metrics.inc("bg.fetch_failures");
+    /// A fetch request covering `members` exhausted its retries at
+    /// `now`: the blocks become requestable again so the deployment
+    /// cannot stall, once the retriever's back-off, one step longer, has
+    /// passed (copy-on-read is served meanwhile).
+    pub fn request_failed(&mut self, now: SimTime, members: &[BlockRange]) {
+        self.stream.fail(now, members);
+        members
+            .iter()
+            .for_each(|&range| self.requested.clear(range));
         self.update_depth_gauges();
-        self.requested.clear(range);
-        if range.lba < self.cursor {
-            self.cursor = range.lba;
-        }
     }
 
-    /// Delivers a fetched block into the FIFO (retriever side); the
-    /// block's `bg.fetch` span ends at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing was in flight.
+    /// Delivers a block fetched by `now` into the FIFO (retriever side);
+    /// the retriever's failure streak clears.
     pub fn deliver(&mut self, now: SimTime, block: FetchedBlock) {
-        if let Some(id) = self.fetch_spans.remove(&block.range.lba.0) {
-            self.spans.end(now, id);
-        }
-        assert!(self.inflight > 0, "deliver without a fetch in flight");
-        self.inflight -= 1;
+        self.stream.complete(now, block.range);
         self.bytes_fetched += block.range.bytes();
-        self.metrics.add("bg.bytes_fetched", block.range.bytes());
         self.fifo.push_back(block);
         self.update_depth_gauges();
     }
@@ -316,8 +213,9 @@ impl BackgroundCopy {
     /// want this region) and are exempt from moderation pacing.
     pub fn push_local_fill(&mut self, block: FetchedBlock) {
         self.bytes_fetched += block.range.bytes();
-        self.metrics.add("bg.bytes_fetched", block.range.bytes());
-        self.metrics.inc("bg.fills");
+        let metrics = &self.stream.metrics;
+        metrics.add("bg.bytes_fetched", block.range.bytes());
+        metrics.inc("bg.fills");
         self.fills.push_back(block);
     }
 
@@ -337,7 +235,7 @@ impl BackgroundCopy {
             let holes = bitmap.empty_subranges(block.range);
             if holes.is_empty() {
                 self.blocks_discarded += 1;
-                self.metrics.inc("bg.blocks_discarded");
+                self.stream.metrics.inc("bg.blocks_discarded");
                 continue; // guest overwrote everything; try the next block
             }
             let mut pieces = Vec::with_capacity(holes.len());
@@ -352,7 +250,7 @@ impl BackgroundCopy {
                 });
             }
             self.blocks_written += 1;
-            self.metrics.inc("bg.blocks_written");
+            self.stream.metrics.inc("bg.blocks_written");
             self.update_depth_gauges();
             return Some(pieces);
         }
@@ -477,7 +375,7 @@ mod tests {
         assert_eq!(b, BlockRange::new(Lba(64), 64));
         assert_eq!(c, BlockRange::new(Lba(128), 64));
 
-        bg.fetch_failed(SimTime::ZERO, b);
+        bg.request_failed(SimTime::ZERO, &[b]);
         assert_eq!(bg.inflight(), 2);
 
         // The retry walks past `a` and `c` (still requested, still in
@@ -507,27 +405,6 @@ mod tests {
         let later = SimTime::from_millis(5_000);
         bg.note_guest_io(later, Lba(0));
         assert_eq!(bg.guest_io_rate(later), 1.0, "old samples age out");
-    }
-
-    #[test]
-    fn fetch_backoff_doubles_caps_and_resets() {
-        let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
-        let now = SimTime::from_millis(100);
-        bg.note_fetch_failure(now);
-        assert_eq!(bg.fetch_ready_at(), now + SimDuration::from_millis(10));
-        bg.note_fetch_failure(now);
-        assert_eq!(bg.fetch_ready_at(), now + SimDuration::from_millis(20));
-        for _ in 0..20 {
-            bg.note_fetch_failure(now);
-        }
-        assert_eq!(
-            bg.fetch_ready_at(),
-            now + SimDuration::from_millis(1_000),
-            "back-off is capped"
-        );
-        bg.note_fetch_success();
-        assert_eq!(bg.fetch_ready_at(), SimTime::ZERO);
-        assert_eq!(bg.consecutive_failures(), 0);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! | [`background`] | §3.3 | retriever/writer threads, FIFO, moderation |
 //! | [`devirt`] | §3.4 | per-CPU EPT-off + VMXOFF sequencing, and its inverse |
 //! | [`snapback`] | M2 | dirty-block tracking + snapshot-back for reclaim |
+//! | [`stream`] | §3.3, M2 | the block-stream engine both copies run on: window, back-off, spans |
 //! | [`netdrv`] | §4.3 | polled drivers for the dedicated NIC |
 //! | [`transport`] | §4.2, M3 | pluggable deployment transports: AoE, batched AoE, RDMA |
 //! | [`machine`] | §3–4 | the full machine: bus, exits, event chains |
@@ -58,6 +59,7 @@ pub mod mediator;
 pub mod netdrv;
 pub mod programs;
 pub mod snapback;
+pub mod stream;
 pub mod transport;
 
 pub use bitmap::BlockBitmap;
