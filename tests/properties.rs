@@ -2103,3 +2103,182 @@ proptest! {
         }
     }
 }
+
+// --------------------------- block streams ---------------------------
+
+use bmcast_repro::bmcast::background::{BackgroundCopy, FetchedBlock};
+use bmcast_repro::simkit::Spans;
+use std::collections::BTreeSet;
+
+/// Blocks of the image both streams copy, and their size in sectors.
+const STREAM_BLOCKS: u64 = 16;
+const STREAM_BLOCK: u32 = 64;
+
+/// One step of a block-stream schedule.
+#[derive(Debug, Clone)]
+enum StreamOp {
+    /// Claim up to this many ranges into one request.
+    Issue(usize),
+    /// The outstanding request at this index (modulo their count)
+    /// completes (`true`) or exhausts its retries (`false`).
+    Settle(usize, bool),
+    /// This many milliseconds pass.
+    Advance(u64),
+}
+
+fn stream_op() -> impl Strategy<Value = StreamOp> {
+    prop_oneof![
+        (1usize..=4).prop_map(StreamOp::Issue),
+        (any::<usize>(), 0u8..5).prop_map(|(i, roll)| StreamOp::Settle(i, roll < 2)),
+        (0u64..400).prop_map(StreamOp::Advance),
+    ]
+}
+
+/// What a block stream must do, written out without the engine: which
+/// blocks are claimable, where the cursor stands, and the back-off.
+#[derive(Debug)]
+struct StreamModel {
+    unclaimed: BTreeSet<u64>,
+    cursor: u64,
+    inflight: usize,
+    streak: u32,
+    ready_at: SimTime,
+    completed: usize,
+    failed: usize,
+}
+
+impl StreamModel {
+    /// The next claim: the first claimable block at or after the
+    /// cursor, wrapping once.
+    fn next(&self) -> Option<u64> {
+        let after = self.unclaimed.range(self.cursor..).next();
+        after.or(self.unclaimed.iter().next()).copied()
+    }
+}
+
+/// Checks one stream's spans against the model: one open span per claim
+/// in flight, one finished span per settled claim, and one failed
+/// instant per failed claim, stamped on that claim's span as it ends.
+fn check_stream_spans(spans: &Spans, kind: &str, failed: &str, model: &StreamModel) {
+    prop_assert_eq!(spans.open_count(), model.inflight, "{} open", kind);
+    let ended = spans.finished_of(kind);
+    prop_assert_eq!(
+        ended.len(),
+        model.completed + model.failed,
+        "{} ended",
+        kind
+    );
+    let instants = spans.finished_of(failed);
+    prop_assert_eq!(instants.len(), model.failed, "{}", failed);
+    for f in &instants {
+        prop_assert!(
+            ended.iter().any(|s| s.id == f.parent && s.end == f.start),
+            "{} not on an ending {}",
+            failed,
+            kind
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The background copy and snapshot-back, driven through the same
+    /// random requests and outcomes, claim the same blocks in the same
+    /// order and agree with an independent model: the window never holds
+    /// more than its depth; the `k`-th consecutive failed request backs
+    /// off 10 ms · 2^(k−1), capped at 1 s, however many claims it
+    /// carried, and a completion resets it; every claim in flight has
+    /// one open span and a failed one ends with its `*_failed` instant;
+    /// and a failed range becomes claimable again, from a cursor rewound
+    /// over it.
+    #[test]
+    fn streams_share_one_policy(
+        depth in 1usize..=4,
+        ops in proptest::collection::vec(stream_op(), 1..60),
+    ) {
+        let capacity = STREAM_BLOCKS * u64::from(STREAM_BLOCK);
+        let bitmap = BlockBitmap::new(capacity);
+        let mut bg = BackgroundCopy::new(STREAM_BLOCK, 4 * STREAM_BLOCKS as usize, depth, capacity);
+        let mut dirty = DirtyTracker::new(capacity);
+        dirty.record(BlockRange::new(Lba(0), capacity as u32));
+        let mut snap = SnapshotBack::new(STREAM_BLOCK, depth);
+        let (bg_spans, snap_spans) = (Spans::enabled(1 << 12), Spans::enabled(1 << 12));
+        bg.stream.set_spans(bg_spans.clone());
+        snap.stream.set_spans(snap_spans.clone());
+        let mut model = StreamModel {
+            unclaimed: (0..STREAM_BLOCKS).collect(),
+            cursor: 0,
+            inflight: 0,
+            streak: 0,
+            ready_at: SimTime::ZERO,
+            completed: 0,
+            failed: 0,
+        };
+        let mut outstanding: Vec<Vec<BlockRange>> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let block = |b: u64| BlockRange::new(Lba(b * u64::from(STREAM_BLOCK)), STREAM_BLOCK);
+
+        for op in ops {
+            match op {
+                StreamOp::Issue(k) => {
+                    let mut members = Vec::new();
+                    while members.len() < k {
+                        let expect = model.next().filter(|_| model.inflight < depth);
+                        let fetched = bg.next_fetch(now, &bitmap);
+                        let sent = snap.next_send(now, &mut dirty);
+                        prop_assert_eq!(fetched, expect.map(block), "retriever claim");
+                        prop_assert_eq!(sent, expect.map(block), "sender claim");
+                        let Some(b) = expect else { break };
+                        model.unclaimed.remove(&b);
+                        model.cursor = b + 1;
+                        model.inflight += 1;
+                        members.push(block(b));
+                    }
+                    if !members.is_empty() {
+                        outstanding.push(members);
+                    }
+                }
+                StreamOp::Settle(i, ok) => {
+                    if outstanding.is_empty() {
+                        continue;
+                    }
+                    let members = outstanding.remove(i % outstanding.len());
+                    model.inflight -= members.len();
+                    if ok {
+                        for &range in &members {
+                            let data = vec![SectorData(0); range.sectors as usize].into();
+                            bg.deliver(now, FetchedBlock { range, data });
+                            snap.ack(now, range);
+                        }
+                        model.completed += members.len();
+                        model.streak = 0;
+                        model.ready_at = SimTime::ZERO;
+                    } else {
+                        bg.request_failed(now, &members);
+                        snap.request_failed(now, &members, &mut dirty);
+                        for range in &members {
+                            let b = range.lba.0 / u64::from(STREAM_BLOCK);
+                            model.unclaimed.insert(b);
+                            model.cursor = model.cursor.min(b);
+                        }
+                        model.failed += members.len();
+                        model.streak += 1;
+                        let wait_ms = (10u64 << (model.streak - 1).min(10)).min(1_000);
+                        model.ready_at = now + SimDuration::from_millis(wait_ms);
+                    }
+                }
+                StreamOp::Advance(ms) => now += SimDuration::from_millis(ms),
+            }
+            prop_assert!(model.inflight <= depth);
+            prop_assert_eq!(bg.inflight(), model.inflight);
+            prop_assert_eq!(snap.inflight(), model.inflight);
+            prop_assert_eq!(bg.stream.ready_at(), model.ready_at);
+            prop_assert_eq!(snap.stream.ready_at(), model.ready_at);
+            prop_assert_eq!(bg.consecutive_failures(), model.streak);
+            prop_assert_eq!(snap.consecutive_failures(), model.streak);
+            check_stream_spans(&bg_spans, "bg.fetch", "bg.fetch_failed", &model);
+            check_stream_spans(&snap_spans, "snap.send", "snap.send_failed", &model);
+        }
+    }
+}
