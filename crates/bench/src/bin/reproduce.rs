@@ -74,6 +74,7 @@
 //! per-figure wall-clock so the perf trajectory is tracked over time.
 
 use bmcast_bench::*;
+use simkit::export::push_json_list;
 use simkit::fault::FaultPlan;
 use std::path::Path;
 use std::time::Instant;
@@ -171,23 +172,18 @@ fn bench_json(scale: Scale, jobs: usize, total_wall_s: f64, runs: &[FigureRun]) 
     out.push_str(&format!("  \"parallelism\": {jobs},\n"));
     out.push_str(&format!("  \"total_wall_s\": {total_wall_s:.3},\n"));
     out.push_str("  \"figures\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let checks = r.fig.checks.len();
-        let within = r
-            .fig
-            .checks
-            .iter()
-            .filter(|c| c.deviation() <= 0.10)
-            .count();
-        out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"wall_s\": {:.3}, \"checks\": {}, \"within_10pct\": {}}}{}\n",
+    let figures = runs.iter().map(|r| {
+        let checks = &r.fig.checks;
+        let within = checks.iter().filter(|c| c.deviation() <= 0.10).count();
+        format!(
+            "{{\"id\": \"{}\", \"wall_s\": {:.3}, \"checks\": {}, \"within_10pct\": {}}}",
             r.id,
             r.wall_s,
-            checks,
+            checks.len(),
             within,
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
+        )
+    });
+    push_json_list(&mut out, "    ", figures);
     out.push_str("  ]\n}\n");
     out
 }

@@ -30,17 +30,17 @@
 //! no serde); no wall-clock field participates in any digest, so
 //! same-seed runs produce byte-identical artifacts.
 
-use crate::ext_scaleout::fnv1a64;
+use crate::ext_scaleout::{boot_fleet, boots, fnv1a64, ChaosLock};
 use crate::obs::Bundle;
 use crate::{par_map, Check, Figure, Row, Scale};
-use bmcast::deploy::FlightRecorderConfig;
 use bmcast::fleet::{Fleet, FleetConfig, LifecycleStage};
 use bmcast::machine::{GuestProgram, MachineSpec};
-use bmcast::programs::{BootProgram, StreamProgram};
+use bmcast::programs::StreamProgram;
 use guestsim::os::BootProfile;
 use hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
+use simkit::export::push_json_list;
 use simkit::fault::{FaultCounters, FaultPlan};
-use simkit::{SimDuration, SimTime};
+use simkit::{Histogram, SimDuration, SimTime};
 
 /// The *next* tenant image deployed by every upgrade / scale-up wave.
 pub const UPGRADE_IMAGE_SEED: u64 = 0xE1A5_11FE;
@@ -200,15 +200,13 @@ fn holds_image(fleet: &Fleet, i: usize, seed: u64, image_sectors: u64) -> bool {
             .all(|s| s.data == BlockStore::image_content(seed, Lba(s.lba)))
 }
 
-fn pct(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+/// Each instant's distance from `start`, in seconds.
+fn since(start: SimTime, done: &[SimTime]) -> Histogram {
+    let mut h = Histogram::new();
+    for t in done {
+        h.record_duration(t.duration_since(start));
     }
-    let idx = ((sorted.len() as f64 * q).ceil() as usize)
-        .max(1)
-        .min(sorted.len())
-        - 1;
-    sorted[idx]
+    h
 }
 
 /// One measured rolling-upgrade point. Every field is deterministic in
@@ -280,21 +278,7 @@ pub fn measure_upgrade(
     cfg.faults = faults;
     let image_sectors = cfg.spec.image_sectors;
     let first_image_seed = cfg.spec.image_seed;
-    let mut fleet = Fleet::new(cfg);
-    if record {
-        fleet.enable_telemetry();
-        fleet.enable_flight_recorder(FlightRecorderConfig::default());
-    }
-    fleet.start(tenant_program);
-    fleet
-        .run_to_all_booted(SimTime::from_secs(36_000))
-        .expect("first tenants boot within limit");
-    let mut boot_s: Vec<f64> = fleet
-        .startup_durations()
-        .iter()
-        .map(|d| d.expect("all booted").as_secs_f64())
-        .collect();
-    boot_s.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let (mut fleet, mut boot_s) = boot_fleet(cfg, record, tenant_program);
 
     let samples: Vec<Vec<(u64, SectorData)>> = (0..n as usize)
         .map(|i| filled_samples(&fleet, i, first_image_seed, image_sectors))
@@ -304,18 +288,11 @@ pub fn measure_upgrade(
     let wave = fleet.run_rolling_upgrade(
         UPGRADE_IMAGE_SEED,
         batch as usize,
-        |_| Box::new(BootProgram::new(BootProfile::tiny(7))),
+        boots(&BootProfile::tiny(7)),
         SimTime::from_secs(72_000),
     );
     let survived = wave.is_ok();
-    let mut upgrade_s: Vec<f64> = wave
-        .map(|done| {
-            done.iter()
-                .map(|t| t.duration_since(wave_start).as_secs_f64())
-                .collect()
-        })
-        .unwrap_or_default();
-    upgrade_s.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let mut upgrade_s = since(wave_start, &wave.unwrap_or_default());
 
     let mut archives_verified = 0u32;
     let mut images_verified = 0u32;
@@ -347,10 +324,10 @@ pub fn measure_upgrade(
             n,
             batch,
             survived,
-            boot_p50_s: pct(&boot_s, 0.5),
-            upgrade_p50_s: pct(&upgrade_s, 0.5),
-            upgrade_p99_s: pct(&upgrade_s, 0.99),
-            makespan_s: upgrade_s.last().copied().unwrap_or(0.0),
+            boot_p50_s: boot_s.percentile(50.0),
+            upgrade_p50_s: upgrade_s.percentile(50.0),
+            upgrade_p99_s: upgrade_s.percentile(99.0),
+            makespan_s: upgrade_s.max(),
             queue_drops: fleet.queue_drops_total(),
             archives_verified,
             images_verified,
@@ -391,11 +368,7 @@ pub struct WaveRun {
 pub fn measure_scale_wave() -> WaveRun {
     let cfg = elasticity_cfg(4);
     let image_sectors = cfg.spec.image_sectors;
-    let mut fleet = Fleet::new(cfg);
-    fleet.start(tenant_program);
-    fleet
-        .run_to_all_booted(SimTime::from_secs(36_000))
-        .expect("tenants boot within limit");
+    let (mut fleet, _) = boot_fleet(cfg, false, tenant_program);
 
     let down_start = fleet.now();
     fleet
@@ -416,19 +389,14 @@ pub fn measure_scale_wave() -> WaveRun {
     }
 
     let up_start = fleet.now();
-    let boots = fleet
+    let booted = fleet
         .run_scale_up(
             &[2, 3],
             UPGRADE_IMAGE_SEED,
-            |_| Box::new(BootProgram::new(BootProfile::tiny(7))),
+            boots(&BootProfile::tiny(7)),
             SimTime::from_secs(72_000),
         )
         .expect("scale-up completes");
-    let mut up_s: Vec<f64> = boots
-        .iter()
-        .map(|t| t.duration_since(up_start).as_secs_f64())
-        .collect();
-    up_s.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let images_verified = [2usize, 3]
         .iter()
         .filter(|&&i| holds_image(&fleet, i, UPGRADE_IMAGE_SEED, image_sectors))
@@ -438,7 +406,7 @@ pub fn measure_scale_wave() -> WaveRun {
         n: 4,
         parked: 2,
         scale_down_s,
-        scale_up_p50_s: pct(&up_s, 0.5),
+        scale_up_p50_s: since(up_start, &booted).percentile(50.0),
         queue_drops: fleet.queue_drops_total(),
         parked_emptied,
         images_verified,
@@ -465,21 +433,6 @@ pub struct SurvivalRow {
     pub queue_drops: u64,
 }
 
-/// The chaos determinism lock: digests of two independent same-seed
-/// chaos waves.
-#[derive(Debug, Clone)]
-pub struct ChaosLock {
-    /// Digest of the first run's witness.
-    pub digest_a: String,
-    /// Digest of the second run's witness.
-    pub digest_b: String,
-    /// Whether the witnesses (point JSON + event count) matched
-    /// byte-for-byte.
-    pub identical: bool,
-    /// Whether the flight-recorder traces matched byte-for-byte.
-    pub trace_identical: bool,
-}
-
 /// The determinism witness of one run: published point JSON, event
 /// count, and the trace digest.
 pub fn upgrade_witness(m: &MeasuredUpgrade) -> String {
@@ -491,11 +444,6 @@ pub fn upgrade_witness(m: &MeasuredUpgrade) -> String {
     )
 }
 
-/// FNV-1a digest of [`upgrade_witness`], as recorded in the artifact.
-pub fn upgrade_digest(m: &MeasuredUpgrade) -> String {
-    format!("{:016x}", fnv1a64(upgrade_witness(m).as_bytes()))
-}
-
 /// Everything `BENCH_elasticity.json` records.
 #[derive(Debug)]
 pub struct ElasticityBench {
@@ -505,8 +453,12 @@ pub struct ElasticityBench {
     pub wave: WaveRun,
     /// Per-fault-class survivability rows, [`SURVIVAL_PLANS`] order.
     pub survivability: Vec<SurvivalRow>,
-    /// The chaos determinism lock.
+    /// The chaos determinism lock over two independent same-seed chaos
+    /// waves' [`upgrade_witness`]es.
     pub chaos: ChaosLock,
+    /// Whether the two chaos waves' flight-recorder traces matched
+    /// byte-for-byte.
+    pub trace_identical: bool,
     /// The first chaos run's artifact bundle (written by
     /// `--trace-out`).
     pub chaos_recording: Bundle,
@@ -572,12 +524,8 @@ pub fn run_elasticity(scale: Scale, jobs: usize) -> (Figure, ElasticityBench) {
     let points: Vec<MeasuredUpgrade> = grid.iter().map(|_| take_run()).collect();
     let chaos_a = take_run();
     let chaos_b = take_run();
-    let chaos = ChaosLock {
-        identical: upgrade_witness(&chaos_a) == upgrade_witness(&chaos_b),
-        trace_identical: chaos_a.trace() == chaos_b.trace(),
-        digest_a: upgrade_digest(&chaos_a),
-        digest_b: upgrade_digest(&chaos_b),
-    };
+    let chaos = ChaosLock::of(&upgrade_witness(&chaos_a), &upgrade_witness(&chaos_b));
+    let trace_identical = chaos_a.trace() == chaos_b.trace();
     let survivability: Vec<SurvivalRow> = SURVIVAL_PLANS
         .iter()
         .map(|&plan| {
@@ -642,6 +590,7 @@ pub fn run_elasticity(scale: Scale, jobs: usize) -> (Figure, ElasticityBench) {
         wave,
         survivability,
         chaos,
+        trace_identical,
         chaos_recording: chaos_a.recording.unwrap_or_default(),
     };
     let fig = Figure {
@@ -672,7 +621,7 @@ pub fn elasticity_checks(bench: &ElasticityBench) -> Vec<Check> {
         .survivability
         .iter()
         .all(|s| s.survived && s.class_fired > 0 && s.reclaim_errors == 0);
-    let (chaos, wave) = (&bench.chaos, &bench.wave);
+    let wave = &bench.wave;
     vec![
         Check::zero(
             format!("upgrade queue drops at n={}", largest.n),
@@ -690,7 +639,7 @@ pub fn elasticity_checks(bench: &ElasticityBench) -> Vec<Check> {
         ),
         Check::holds(
             "chaos double-run byte-identical (1=yes)",
-            chaos.identical && chaos.trace_identical,
+            bench.chaos.identical && bench.trace_identical,
         ),
         Check::holds(
             "snapshot-back survives drop/corrupt/stall/chaos (1=yes)",
@@ -736,13 +685,8 @@ pub fn elasticity_json(scale: Scale, bench: &ElasticityBench) -> String {
     out.push_str("{\n");
     out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
     out.push_str("  \"points\": [\n");
-    for (i, m) in bench.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}{}\n",
-            upgrade_point_json(&m.point),
-            if i + 1 < bench.points.len() { "," } else { "" }
-        ));
-    }
+    let points = bench.points.iter().map(|m| upgrade_point_json(&m.point));
+    push_json_list(&mut out, "    ", points);
     out.push_str("  ],\n");
     let w = &bench.wave;
     out.push_str(&format!(
@@ -759,31 +703,19 @@ pub fn elasticity_json(scale: Scale, bench: &ElasticityBench) -> String {
         w.events,
     ));
     out.push_str("  \"survivability\": [\n");
-    for (i, s) in bench.survivability.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"plan\": \"{}\", \"survived\": {}, \"class_fired\": {}, \
-             \"retransmits\": {}, \"reclaim_errors\": {}, \"queue_drops\": {}}}{}\n",
-            s.plan,
-            s.survived,
-            s.class_fired,
-            s.retransmits,
-            s.reclaim_errors,
-            s.queue_drops,
-            if i + 1 < bench.survivability.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
+    let rows = bench.survivability.iter().map(|s| {
+        format!(
+            "{{\"plan\": \"{}\", \"survived\": {}, \"class_fired\": {}, \
+             \"retransmits\": {}, \"reclaim_errors\": {}, \"queue_drops\": {}}}",
+            s.plan, s.survived, s.class_fired, s.retransmits, s.reclaim_errors, s.queue_drops,
+        )
+    });
+    push_json_list(&mut out, "    ", rows);
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"chaos\": {{\"digest_a\": \"{}\", \"digest_b\": \"{}\", \
-         \"identical\": {}, \"trace_identical\": {}}}\n",
-        bench.chaos.digest_a,
-        bench.chaos.digest_b,
-        bench.chaos.identical,
-        bench.chaos.trace_identical,
+        "  \"chaos\": {{{}, \"trace_identical\": {}}}\n",
+        bench.chaos.json_fields(),
+        bench.trace_identical,
     ));
     out.push_str("}\n");
     out
@@ -839,14 +771,14 @@ mod tests {
     }
 
     #[test]
-    fn upgrade_digest_witnesses_the_event_count() {
+    fn upgrade_witness_carries_the_event_count() {
         let a = synthetic(4321);
         let b = synthetic(4321);
-        assert_eq!(upgrade_digest(&a), upgrade_digest(&b));
+        assert_eq!(upgrade_witness(&a), upgrade_witness(&b));
         let c = synthetic(4322);
         assert_ne!(
-            upgrade_digest(&a),
-            upgrade_digest(&c),
+            upgrade_witness(&a),
+            upgrade_witness(&c),
             "event count is a witness"
         );
     }
@@ -878,12 +810,8 @@ mod tests {
                 reclaim_errors: 0,
                 queue_drops: 0,
             }],
-            chaos: ChaosLock {
-                digest_a: upgrade_digest(&m),
-                digest_b: upgrade_digest(&m),
-                identical: true,
-                trace_identical: true,
-            },
+            chaos: ChaosLock::of(&upgrade_witness(&m), &upgrade_witness(&m)),
+            trace_identical: true,
             chaos_recording: Bundle::default(),
         }
     }
@@ -917,7 +845,7 @@ mod tests {
                 b.points[0].point.reclaim_errors = 1
             }),
             (&["chaos double-run byte-identical"], |b| {
-                b.chaos.trace_identical = false
+                b.trace_identical = false
             }),
             (&["snapshot-back survives"], |b| {
                 b.survivability[0].class_fired = 0

@@ -23,13 +23,15 @@
 //!   `BENCH_scaleout.json` is byte-identical across same-seed runs.
 
 use crate::{par_map, Check, Figure, Row, Scale};
+use bmcast::deploy::FlightRecorderConfig;
 use bmcast::deploy::Runner;
 use bmcast::fleet::{Fleet, FleetConfig};
-use bmcast::machine::MachineSpec;
+use bmcast::machine::{GuestProgram, MachineSpec};
 use bmcast::programs::BootProgram;
 use bmcast_baselines::image_copy::ImageCopyPlan;
 use guestsim::os::BootProfile;
-use simkit::{SimDuration, SimTime};
+use simkit::export::push_json_list;
+use simkit::{Histogram, SimDuration, SimTime};
 
 /// Server + gigabit-link effective capacity for deployment traffic, MB/s.
 const SERVER_CAPACITY_MBPS: f64 = 107.0;
@@ -76,10 +78,10 @@ pub fn run(scale: Scale) -> Figure {
             Row::new(
                 format!("{:>2} instances", p.n),
                 vec![
-                    ("BMcast p50 s".into(), p.startup_p50_s),
-                    ("BMcast p99 s".into(), p.startup_p99_s),
+                    ("BMcast p50 s".into(), p.boot.p50_s),
+                    ("BMcast p99 s".into(), p.boot.p99_s),
                     ("ImgCopy model".into(), p.image_copy_s),
-                    ("speedup x".into(), p.image_copy_s / p.startup_p50_s),
+                    ("speedup x".into(), p.image_copy_s / p.boot.p50_s),
                 ],
             )
         })
@@ -100,14 +102,9 @@ pub fn run(scale: Scale) -> Figure {
 pub fn ext02_checks(points: &[ScaleoutPoint]) -> Vec<Check> {
     let (one, largest) = (&points[0], &points[points.len() - 1]);
     let ic_degradation = largest.image_copy_s / one.image_copy_s;
-    let bm_degradation = largest.startup_p99_s / one.startup_p99_s;
+    let bm_degradation = largest.boot.p99_s / one.boot.p99_s;
     vec![
-        Check::new(
-            "single-instance BMcast startup",
-            58.0,
-            one.startup_p50_s,
-            "s",
-        ),
+        Check::new("single-instance BMcast startup", 58.0, one.boot.p50_s, "s"),
         Check::new("single-instance image copy", 535.0, one.image_copy_s, "s"),
         Check::holds(
             format!("BMcast degrades < image copy at n={} (1=yes)", largest.n),
@@ -195,20 +192,8 @@ pub struct ScaleoutPoint {
     /// Members converted into serving peers by the time the last
     /// machine booted (always 0 outside the `p2p` column).
     pub peers: u32,
-    /// Median per-machine startup (boot finish minus that machine's
-    /// own staggered start), seconds.
-    pub startup_p50_s: f64,
-    /// p99 per-machine startup, seconds.
-    pub startup_p99_s: f64,
-    /// Slowest / fastest member startup (the fairness spread).
-    pub fairness_ratio: f64,
-    /// Aggregate block-cache hit ratio across every server node.
-    pub cache_hit_ratio: f64,
-    /// Bytes all server nodes put on the wire (cache hits included).
-    pub bytes_moved: u64,
-    /// Queue-full drops across every server node (the "no drops at
-    /// scale" claim).
-    pub queue_drops: u64,
+    /// The booted fleet's startups and server totals.
+    pub boot: BootStats,
     /// Analytic image-copy startup for the same image and `n`.
     pub image_copy_s: f64,
 }
@@ -296,6 +281,79 @@ pub fn topology_fleet_cfg(topology: Topology, n: u32, spec: &MachineSpec) -> Fle
     cfg
 }
 
+/// Builds `cfg`'s fleet, with telemetry and the flight recorder (and so
+/// the SLO watchdogs) on when `observed`, starts `program` on every
+/// member and runs until all have booted. Returns the fleet and each
+/// member's startup in seconds: its boot finish minus its own staggered
+/// start (the finish instant at zero stagger).
+///
+/// # Panics
+///
+/// Panics if a member has not booted by 36,000 s of simulated time.
+pub fn boot_fleet(
+    cfg: FleetConfig,
+    observed: bool,
+    program: impl FnMut(usize) -> Box<dyn GuestProgram> + 'static,
+) -> (Fleet, Histogram) {
+    let mut fleet = Fleet::new(cfg);
+    if observed {
+        fleet.enable_telemetry();
+        fleet.enable_flight_recorder(FlightRecorderConfig::default());
+    }
+    fleet.start(program);
+    fleet
+        .run_to_all_booted(SimTime::from_secs(36_000))
+        .expect("fleet boots within limit");
+    let mut startups = Histogram::new();
+    for d in fleet.startup_durations() {
+        startups.record_duration(d.expect("all booted"));
+    }
+    (fleet, startups)
+}
+
+/// A boot program factory: every member boots `profile`.
+pub fn boots(profile: &BootProfile) -> impl FnMut(usize) -> Box<dyn GuestProgram> + 'static {
+    let profile = profile.clone();
+    move |_| Box::new(BootProgram::new(profile.clone()))
+}
+
+/// What the scale-out and transport points read off one booted fleet.
+#[derive(Debug, Clone)]
+pub struct BootStats {
+    /// Median per-machine startup, seconds: the upper median
+    /// `sorted[n / 2]`. At even `n` it is the nearest-rank p50's right
+    /// neighbour; `BENCH_scaleout.json` and `BENCH_transport.json` have
+    /// always published it, so it stays.
+    pub p50_s: f64,
+    /// Nearest-rank p99 per-machine startup, seconds.
+    pub p99_s: f64,
+    /// Slowest / fastest member startup (the fairness spread).
+    pub fairness_ratio: f64,
+    /// Aggregate block-cache hit ratio across every server node.
+    pub cache_hit_ratio: f64,
+    /// Bytes all server nodes put on the wire (cache hits included).
+    pub bytes_moved: u64,
+    /// Queue-full drops across every server node (the "no drops at
+    /// scale" claim).
+    pub queue_drops: u64,
+}
+
+impl BootStats {
+    /// Reduces a fleet booted by [`boot_fleet`] and its startups.
+    pub fn of(fleet: &Fleet, startups: &mut Histogram) -> BootStats {
+        let sorted = startups.sorted();
+        let p50_s = sorted[sorted.len() / 2];
+        BootStats {
+            p50_s,
+            p99_s: startups.percentile(99.0),
+            fairness_ratio: startups.max() / startups.min(),
+            cache_hit_ratio: fleet.cache_hit_ratio(),
+            bytes_moved: fleet.server_bytes_read(),
+            queue_drops: fleet.queue_drops_total(),
+        }
+    }
+}
+
 /// Boots one fleet of `n` under `topology` and reduces it to a
 /// [`ScaleoutPoint`] (the image-copy column is left at 0 for the caller
 /// to fill in).
@@ -307,34 +365,13 @@ pub fn measure_point(
 ) -> ScaleoutPoint {
     let cfg = topology_fleet_cfg(topology, n, spec);
     let servers = cfg.servers as u32;
-    let mut fleet = Fleet::new(cfg);
-    let p = profile.clone();
-    fleet.start(move |_| Box::new(BootProgram::new(p.clone())));
-    fleet
-        .run_to_all_booted(SimTime::from_secs(36_000))
-        .expect("fleet boots within limit");
-    // Per-machine elapsed startup: finish minus that machine's own
-    // staggered start (identical to the finish instant at zero
-    // stagger).
-    let mut secs: Vec<f64> = fleet
-        .startup_durations()
-        .iter()
-        .map(|d| d.expect("all booted").as_secs_f64())
-        .collect();
-    secs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let p50 = secs[secs.len() / 2];
-    let p99 = secs[((secs.len() as f64 * 0.99).ceil() as usize).min(secs.len()) - 1];
+    let (fleet, mut startups) = boot_fleet(cfg, false, boots(profile));
     ScaleoutPoint {
         topology: topology.label(),
         n,
         servers,
         peers: fleet.peers_active() as u32,
-        startup_p50_s: p50,
-        startup_p99_s: p99,
-        fairness_ratio: secs[secs.len() - 1] / secs[0],
-        cache_hit_ratio: fleet.cache_hit_ratio(),
-        bytes_moved: fleet.server_bytes_read(),
-        queue_drops: fleet.queue_drops_total(),
+        boot: BootStats::of(&fleet, &mut startups),
         image_copy_s: 0.0,
     }
 }
@@ -382,12 +419,12 @@ pub fn run_scaleout(scale: Scale, jobs: usize) -> (Figure, Vec<ScaleoutPoint>) {
             Row::new(
                 format!("{} {:>3} machines", p.topology, p.n),
                 vec![
-                    ("BMcast p50 s".into(), p.startup_p50_s),
-                    ("BMcast p99 s".into(), p.startup_p99_s),
+                    ("BMcast p50 s".into(), p.boot.p50_s),
+                    ("BMcast p99 s".into(), p.boot.p99_s),
                     ("Image Copy s".into(), p.image_copy_s),
-                    ("cache hit %".into(), p.cache_hit_ratio * 100.0),
+                    ("cache hit %".into(), p.boot.cache_hit_ratio * 100.0),
                     ("peers".into(), p.peers as f64),
-                    ("q drops".into(), p.queue_drops as f64),
+                    ("q drops".into(), p.boot.queue_drops as f64),
                 ],
             )
         })
@@ -418,7 +455,7 @@ pub fn scaleout_checks(points: &[ScaleoutPoint]) -> Vec<Check> {
         single.iter().filter(|s| s.n >= min_n).all(|s| {
             col.iter()
                 .find(|p| p.n == s.n)
-                .is_none_or(|p| p.startup_p99_s <= s.startup_p99_s * 1.02)
+                .is_none_or(|p| p.boot.p99_s <= s.boot.p99_s * 1.02)
         })
     };
 
@@ -429,12 +466,12 @@ pub fn scaleout_checks(points: &[ScaleoutPoint]) -> Vec<Check> {
     // striping never loses to one server.
     let monotone = single
         .windows(2)
-        .all(|w| w[1].startup_p99_s >= w[0].startup_p99_s * 0.999);
-    let beats_ic = points.iter().all(|p| p.startup_p99_s < p.image_copy_s);
+        .all(|w| w[1].boot.p99_s >= w[0].boot.p99_s * 0.999);
+    let beats_ic = points.iter().all(|p| p.boot.p99_s < p.image_copy_s);
     let hit_at_8 = single
         .iter()
         .find(|p| p.n == 8)
-        .map(|p| p.cache_hit_ratio)
+        .map(|p| p.boot.cache_hit_ratio)
         .unwrap_or(0.0);
     // p2p members serve from their own golden image, so the origin's
     // cache carries a shrinking share by design: the hit-ratio floor
@@ -443,15 +480,13 @@ pub fn scaleout_checks(points: &[ScaleoutPoint]) -> Vec<Check> {
         .iter()
         .chain(&multi)
         .filter(|p| p.n >= 8)
-        .all(|p| p.cache_hit_ratio >= 0.5);
+        .all(|p| p.boot.cache_hit_ratio >= 0.5);
     // The elasticity headline: the largest p2p fleet's p99 within 2×
     // the lone-machine baseline, with zero queue drops anywhere in the
     // column.
-    let baseline = single.first().map(|p| p.startup_p99_s).unwrap_or(0.0);
-    let p2p_flat = p2p
-        .last()
-        .is_some_and(|p| p.startup_p99_s <= baseline * 2.0);
-    let p2p_drops: u64 = p2p.iter().map(|p| p.queue_drops).sum();
+    let baseline = single.first().map(|p| p.boot.p99_s).unwrap_or(0.0);
+    let p2p_flat = p2p.last().is_some_and(|p| p.boot.p99_s <= baseline * 2.0);
+    let p2p_drops: u64 = p2p.iter().map(|p| p.boot.queue_drops).sum();
 
     vec![
         Check::holds("1-server p99 monotone in n (1=yes)", monotone),
@@ -487,12 +522,12 @@ pub fn point_json(p: &ScaleoutPoint) -> String {
         p.n,
         p.servers,
         p.peers,
-        p.startup_p50_s,
-        p.startup_p99_s,
-        p.fairness_ratio,
-        p.cache_hit_ratio,
-        p.bytes_moved,
-        p.queue_drops,
+        p.boot.p50_s,
+        p.boot.p99_s,
+        p.boot.fairness_ratio,
+        p.boot.cache_hit_ratio,
+        p.boot.bytes_moved,
+        p.boot.queue_drops,
         p.image_copy_s,
     )
 }
@@ -505,13 +540,7 @@ pub fn scaleout_json(scale: Scale, points: &[ScaleoutPoint]) -> String {
     out.push_str("{\n");
     out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
     out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}{}\n",
-            point_json(p),
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
+    push_json_list(&mut out, "    ", points.iter().map(point_json));
     out.push_str("  ]\n}\n");
     out
 }
@@ -529,9 +558,53 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// A two-run determinism lock: two same-seed runs must agree byte for
+/// byte on their witness (what the run publishes, plus its event count).
+#[derive(Debug, Clone)]
+pub struct ChaosLock {
+    /// FNV-1a digest of the first run's witness.
+    pub digest_a: String,
+    /// FNV-1a digest of the second run's witness.
+    pub digest_b: String,
+    /// Whether the two witnesses matched byte for byte.
+    pub identical: bool,
+}
+
+impl ChaosLock {
+    /// The lock over the witnesses of two same-seed runs.
+    pub fn of(a: &str, b: &str) -> ChaosLock {
+        let digest = |witness: &str| format!("{:016x}", fnv1a64(witness.as_bytes()));
+        ChaosLock {
+            digest_a: digest(a),
+            digest_b: digest(b),
+            identical: a == b,
+        }
+    }
+
+    /// The lock's JSON fields, without braces.
+    pub fn json_fields(&self) -> String {
+        format!(
+            "\"digest_a\": \"{}\", \"digest_b\": \"{}\", \"identical\": {}",
+            self.digest_a, self.digest_b, self.identical
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Boot stats with both percentiles at `p99` and nothing dropped.
+    fn stats(p99: f64) -> BootStats {
+        BootStats {
+            p50_s: p99,
+            p99_s: p99,
+            fairness_ratio: 1.0,
+            cache_hit_ratio: 0.9,
+            bytes_moved: 0,
+            queue_drops: 0,
+        }
+    }
 
     /// An `ext02` curve that holds its gate: BMcast p99 1.15× at n=64
     /// against image copy's ~38×.
@@ -543,12 +616,7 @@ mod tests {
                 n,
                 servers: 1,
                 peers: 0,
-                startup_p50_s: p99,
-                startup_p99_s: p99,
-                fairness_ratio: 1.0,
-                cache_hit_ratio: 0.9,
-                bytes_moved: 0,
-                queue_drops: 0,
+                boot: stats(p99),
                 image_copy_s,
             })
             .collect()
@@ -566,7 +634,7 @@ mod tests {
 
         // BMcast's p99 at n=64 degrades 40× (image copy: 38.7×).
         let mut points = ext02_points();
-        points[2].startup_p99_s = 59.0 * 40.0;
+        points[2].boot.p99_s = 59.0 * 40.0;
         let failed: Vec<String> = ext02_checks(&points)
             .into_iter()
             .filter(Check::failed)
@@ -606,12 +674,7 @@ mod tests {
                     n,
                     servers: 1,
                     peers: 0,
-                    startup_p50_s: p99,
-                    startup_p99_s: p99,
-                    fairness_ratio: 1.0,
-                    cache_hit_ratio: 0.9,
-                    bytes_moved: 0,
-                    queue_drops: 0,
+                    boot: stats(p99),
                     image_copy_s: 100.0,
                 });
             }
@@ -631,23 +694,25 @@ mod tests {
     fn each_scaleout_gate_fails_on_its_own_violation() {
         let mut points = passing_points();
         // The p2p column is exempt from the cache floor.
-        points[8].cache_hit_ratio = 0.1;
+        points[8].boot.cache_hit_ratio = 0.1;
         assert_eq!(failed_gates(&points), Vec::<String>::new());
         // Indices: 1-server 0..3, k-server 3..6, p2p 6..9 (n = 1, 8, 16).
         type Break = fn(&mut Vec<ScaleoutPoint>);
         let cases: [(&str, Break); 7] = [
-            ("1-server p99 monotone", |p| p[0].startup_p99_s = 5.5),
-            ("k-server p99 never above", |p| p[4].startup_p99_s = 5.2),
+            ("1-server p99 monotone", |p| p[0].boot.p99_s = 5.5),
+            ("k-server p99 never above", |p| p[4].boot.p99_s = 5.2),
             ("BMcast under image copy", |p| p[8].image_copy_s = 6.0),
-            ("cache hit ratio >= 0.5", |p| p[5].cache_hit_ratio = 0.4),
-            ("p2p p99 beats 1-server", |p| p[7].startup_p99_s = 5.2),
+            ("cache hit ratio >= 0.5", |p| {
+                p[5].boot.cache_hit_ratio = 0.4
+            }),
+            ("p2p p99 beats 1-server", |p| p[7].boot.p99_s = 5.2),
             ("p2p p99 at n_max within 2x", |p| {
                 let mut big = p[8].clone();
                 big.n = 64;
-                big.startup_p99_s = 8.5;
+                big.boot.p99_s = 8.5;
                 p.push(big);
             }),
-            ("p2p queue drops", |p| p[7].queue_drops = 1),
+            ("p2p queue drops", |p| p[7].boot.queue_drops = 1),
         ];
         for (gate, break_it) in cases {
             let mut points = passing_points();

@@ -4,12 +4,12 @@
 //! plain AoE (the paper's baseline, one request per run), batched AoE
 //! (v3 multi-range frames over coalesced runs), and the RDMA backend
 //! (batched planning served as one-sided InfiniBand READs, replies on
-//! the fabric's IB lane). Every point is a measured [`Fleet`] run on
-//! the **single-server** topology — one origin is exactly where the
-//! transports differ: plain AoE queues on the worker pool, the disk,
-//! and the shared Ethernet egress; batched AoE shrinks the request
-//! stream; RDMA takes the server CPU and the egress queue out of the
-//! data path entirely.
+//! the fabric's IB lane). Every point is a measured
+//! [`Fleet`](bmcast::fleet::Fleet) run on the **single-server**
+//! topology — one origin is exactly where the transports differ:
+//! plain AoE queues on the worker pool, the disk, and the shared
+//! Ethernet egress; batched AoE shrinks the request stream; RDMA takes
+//! the server CPU and the egress queue out of the data path entirely.
 //!
 //! Every fleet runs with the PR 9 observability plane on — flight
 //! recorder, SLO watchdogs, straggler attribution — **unchanged**: all
@@ -22,14 +22,13 @@
 //! `BENCH_transport.json` carries the points plus a two-run chaos
 //! determinism lock per transport.
 
-use crate::ext_scaleout::{fleet_geometry, fnv1a64, topology_fleet_cfg, Topology};
+use crate::ext_scaleout::{
+    boot_fleet, boots, fleet_geometry, topology_fleet_cfg, BootStats, ChaosLock, Topology,
+};
 use crate::{par_map, Check, Figure, Row, Scale};
-use bmcast::deploy::FlightRecorderConfig;
-use bmcast::fleet::Fleet;
-use bmcast::programs::BootProgram;
 use bmcast::TransportKind;
+use simkit::export::push_json_list;
 use simkit::fault::FaultPlan;
-use simkit::SimTime;
 
 /// Seed of the chaos determinism lock's fault plan.
 pub const TRANSPORT_FAULT_SEED: u64 = 7;
@@ -69,24 +68,15 @@ pub struct TransportPoint {
     pub transport: &'static str,
     /// Fleet size.
     pub n: u32,
-    /// Median per-machine startup, seconds.
-    pub startup_p50_s: f64,
-    /// p99 per-machine startup, seconds.
-    pub startup_p99_s: f64,
-    /// Slowest / fastest member startup.
-    pub fairness_ratio: f64,
-    /// Origin block-cache hit ratio.
-    pub cache_hit_ratio: f64,
-    /// Bytes the origin put on the wire.
-    pub bytes_moved: u64,
+    /// The booted fleet's startups and origin totals. Its queue drops
+    /// must stay 0: the IB lane is lossless and the Ethernet lane is
+    /// backpressured.
+    pub boot: BootStats,
     /// AoE requests the origin served — the batched columns must
     /// shrink this against plain at equal bytes.
     pub requests: u64,
     /// Requests served one-sided by the HCA (0 off the rdma column).
     pub rdma_reads: u64,
-    /// Queue-full drops (must stay 0: the IB lane is lossless and the
-    /// Ethernet lane is backpressured).
-    pub queue_drops: u64,
     /// SLO alert raise edges over the run (PR 9 watchdogs, unchanged).
     pub alert_raises: u32,
     /// Fleet-median member's total AoE round-trip time, seconds — the
@@ -121,22 +111,7 @@ pub fn measure_transport_point(
     let mut cfg = topology_fleet_cfg(Topology::SingleServer, n, &spec);
     cfg.machine_cfg.transport = kind;
     cfg.faults = faults;
-    let mut fleet = Fleet::new(cfg);
-    fleet.enable_telemetry();
-    fleet.enable_flight_recorder(FlightRecorderConfig::default());
-    let p = profile.clone();
-    fleet.start(move |_| Box::new(BootProgram::new(p.clone())));
-    fleet
-        .run_to_all_booted(SimTime::from_secs(36_000))
-        .expect("transport fleet boots within limit");
-    let mut secs: Vec<f64> = fleet
-        .startup_durations()
-        .iter()
-        .map(|d| d.expect("all booted").as_secs_f64())
-        .collect();
-    secs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let p50 = secs[secs.len() / 2];
-    let p99 = secs[((secs.len() as f64 * 0.99).ceil() as usize).min(secs.len()) - 1];
+    let (fleet, mut startups) = boot_fleet(cfg, true, boots(&profile));
     let report = fleet
         .straggler_attribution()
         .expect("flight recorder is on");
@@ -145,14 +120,9 @@ pub fn measure_transport_point(
         point: TransportPoint {
             transport: kind.label(),
             n,
-            startup_p50_s: p50,
-            startup_p99_s: p99,
-            fairness_ratio: secs[secs.len() - 1] / secs[0],
-            cache_hit_ratio: fleet.cache_hit_ratio(),
-            bytes_moved: fleet.server_bytes_read(),
+            boot: BootStats::of(&fleet, &mut startups),
             requests: fleet.server().requests(),
             rdma_reads: fleet.server().rdma_reads(),
-            queue_drops: fleet.queue_drops_total(),
             alert_raises: fleet.alerts().iter().filter(|a| a.raised).count() as u32,
             median_rtt_total_s: report.median.rtt_total_s,
             median_queue_excess_s: report.median.queue_excess_s,
@@ -175,14 +145,14 @@ pub fn transport_point_json(p: &TransportPoint) -> String {
          \"straggler_rtt_total_s\": {:.6}, \"straggler_queue_excess_s\": {:.6}}}",
         p.transport,
         p.n,
-        p.startup_p50_s,
-        p.startup_p99_s,
-        p.fairness_ratio,
-        p.cache_hit_ratio,
-        p.bytes_moved,
+        p.boot.p50_s,
+        p.boot.p99_s,
+        p.boot.fairness_ratio,
+        p.boot.cache_hit_ratio,
+        p.boot.bytes_moved,
         p.requests,
         p.rdma_reads,
-        p.queue_drops,
+        p.boot.queue_drops,
         p.alert_raises,
         p.median_rtt_total_s,
         p.median_queue_excess_s,
@@ -191,25 +161,10 @@ pub fn transport_point_json(p: &TransportPoint) -> String {
     )
 }
 
-/// The digest witness for one run: published JSON plus the event count.
-pub fn transport_digest(m: &MeasuredTransport) -> String {
-    let witness = format!("{}|events={}", transport_point_json(&m.point), m.events);
-    format!("{:016x}", fnv1a64(witness.as_bytes()))
-}
-
-/// One transport's two-run chaos determinism cell: the same chaos
-/// fault plan replayed from the same seed must reproduce the run
-/// byte-for-byte — retransmission paths included, on every transport.
-#[derive(Debug, Clone)]
-pub struct TransportChaos {
-    /// Transport label.
-    pub transport: &'static str,
-    /// Digest of the first run.
-    pub digest_a: String,
-    /// Digest of the second run.
-    pub digest_b: String,
-    /// Whether the two runs agreed.
-    pub identical: bool,
+/// The determinism witness of one run: published JSON plus the event
+/// count.
+pub fn transport_witness(m: &MeasuredTransport) -> String {
+    format!("{}|events={}", transport_point_json(&m.point), m.events)
 }
 
 /// Everything `BENCH_transport.json` records.
@@ -219,8 +174,11 @@ pub struct TransportBench {
     pub kinds: Vec<TransportKind>,
     /// Grid points, grouped by transport in grid order.
     pub points: Vec<MeasuredTransport>,
-    /// The chaos determinism lock (one cell per raced transport).
-    pub chaos: Vec<TransportChaos>,
+    /// The chaos determinism lock, one per raced transport in `kinds`
+    /// order: the same chaos fault plan replayed from the same seed
+    /// must reproduce the run byte-for-byte, retransmission paths
+    /// included.
+    pub chaos: Vec<ChaosLock>,
 }
 
 /// Measures the full race: the `(kind, n)` grid plus the chaos lock,
@@ -257,20 +215,13 @@ pub fn measure_transport(scale: Scale, jobs: usize, kinds: &[TransportKind]) -> 
     let chaos_runs = measured.split_off(kinds.len() * ns.len());
     let points = measured;
 
-    let chaos = kinds
-        .iter()
-        .zip(chaos_runs.chunks(2))
-        .map(|(&k, pair)| {
+    let chaos = chaos_runs
+        .chunks(2)
+        .map(|pair| {
             let [a, b] = pair else {
                 unreachable!("chaos runs pushed in pairs")
             };
-            let (da, db) = (transport_digest(a), transport_digest(b));
-            TransportChaos {
-                transport: k.label(),
-                identical: da == db,
-                digest_a: da,
-                digest_b: db,
-            }
+            ChaosLock::of(&transport_witness(a), &transport_witness(b))
         })
         .collect();
 
@@ -297,14 +248,14 @@ pub fn run_transport(
             Row::new(
                 format!("{:<7} {:>3} machines", p.transport, p.n),
                 vec![
-                    ("p50 s".into(), p.startup_p50_s),
-                    ("p99 s".into(), p.startup_p99_s),
+                    ("p50 s".into(), p.boot.p50_s),
+                    ("p99 s".into(), p.boot.p99_s),
                     ("requests".into(), p.requests as f64),
                     ("rdma reads".into(), p.rdma_reads as f64),
                     ("rtt p50 s".into(), p.median_rtt_total_s),
                     ("queue exc s".into(), p.median_queue_excess_s),
                     ("alerts".into(), p.alert_raises as f64),
-                    ("q drops".into(), p.queue_drops as f64),
+                    ("q drops".into(), p.boot.queue_drops as f64),
                 ],
             )
         })
@@ -339,7 +290,7 @@ pub fn transport_checks(bench: &TransportBench) -> Vec<Check> {
     // The headline: RDMA beats plain AoE on fleet p99 at the largest
     // raced n, and the win is visible in the attribution columns.
     let rdma_wins = match (plain, rdma) {
-        (Some(a), Some(r)) => r.startup_p99_s < a.startup_p99_s,
+        (Some(a), Some(r)) => r.boot.p99_s < a.boot.p99_s,
         _ => true,
     };
     let rdma_attributable = match (plain, rdma) {
@@ -362,7 +313,7 @@ pub fn transport_checks(bench: &TransportBench) -> Vec<Check> {
     // and batched against plain wherever both ran (same Ethernet lane,
     // same congestion response).
     let batched_holds = match (plain, batched) {
-        (Some(a), Some(b)) => b.startup_p99_s <= a.startup_p99_s * 1.02,
+        (Some(a), Some(b)) => b.boot.p99_s <= a.boot.p99_s * 1.02,
         _ => true,
     };
     let batched_shrinks = points
@@ -384,7 +335,7 @@ pub fn transport_checks(bench: &TransportBench) -> Vec<Check> {
         .sum();
     // Zero drops everywhere: the IB lane is lossless, the Ethernet
     // lane backpressured.
-    let drops: u64 = points.iter().map(|p| p.queue_drops).sum();
+    let drops: u64 = points.iter().map(|p| p.boot.queue_drops).sum();
     let chaos_ok = bench.chaos.iter().all(|c| c.identical);
 
     vec![
@@ -428,26 +379,16 @@ pub fn transport_json(scale: Scale, bench: &TransportBench) -> String {
             .join(", ")
     ));
     out.push_str("  \"points\": [\n");
-    for (i, m) in bench.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}{}\n",
-            transport_point_json(&m.point),
-            if i + 1 < bench.points.len() { "," } else { "" }
-        ));
-    }
+    let points = bench.points.iter().map(|m| transport_point_json(&m.point));
+    push_json_list(&mut out, "    ", points);
     out.push_str("  ],\n");
     out.push_str("  \"chaos\": [\n");
-    for (i, c) in bench.chaos.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"transport\": \"{}\", \"digest_a\": \"{}\", \"digest_b\": \"{}\", \
-             \"identical\": {}}}{}\n",
-            c.transport,
-            c.digest_a,
-            c.digest_b,
-            c.identical,
-            if i + 1 < bench.chaos.len() { "," } else { "" }
-        ));
-    }
+    let chaos = bench
+        .kinds
+        .iter()
+        .zip(&bench.chaos)
+        .map(|(k, c)| format!("{{\"transport\": \"{}\", {}}}", k.label(), c.json_fields()));
+    push_json_list(&mut out, "    ", chaos);
     out.push_str("  ]\n}\n");
     out
 }
@@ -461,14 +402,16 @@ mod tests {
             point: TransportPoint {
                 transport,
                 n: 8,
-                startup_p50_s: 60.0,
-                startup_p99_s: 61.5,
-                fairness_ratio: 1.1,
-                cache_hit_ratio: 0.875,
-                bytes_moved: 1 << 27,
+                boot: BootStats {
+                    p50_s: 60.0,
+                    p99_s: 61.5,
+                    fairness_ratio: 1.1,
+                    cache_hit_ratio: 0.875,
+                    bytes_moved: 1 << 27,
+                    queue_drops: 0,
+                },
                 requests: 4096,
                 rdma_reads: 0,
-                queue_drops: 0,
                 alert_raises: 0,
                 median_rtt_total_s: 2.25,
                 median_queue_excess_s: 0.75,
@@ -495,7 +438,7 @@ mod tests {
             .map(|&(transport, n, p99, requests, rdma_reads, rtt)| {
                 let mut m = synthetic_point(transport, 1);
                 m.point.n = n;
-                m.point.startup_p99_s = p99;
+                m.point.boot.p99_s = p99;
                 m.point.requests = requests;
                 m.point.rdma_reads = rdma_reads;
                 m.point.median_rtt_total_s = rtt;
@@ -505,12 +448,7 @@ mod tests {
             .collect();
         let chaos = TransportKind::ALL
             .iter()
-            .map(|k| TransportChaos {
-                transport: k.label(),
-                digest_a: "aa".into(),
-                digest_b: "aa".into(),
-                identical: true,
-            })
+            .map(|_| ChaosLock::of("aa", "aa"))
             .collect();
         TransportBench {
             kinds: TransportKind::ALL.to_vec(),
@@ -533,13 +471,13 @@ mod tests {
         type Break = fn(&mut TransportBench);
         let cases: [(&str, Break); 8] = [
             ("rdma p99 beats plain aoe at n=64", |b| {
-                b.points[5].point.startup_p99_s = 22.0
+                b.points[5].point.boot.p99_s = 22.0
             }),
             ("rdma win attributable", |b| {
                 b.points[5].point.median_queue_excess_s = 1.001
             }),
             ("batched p99 holds plain aoe at n=64", |b| {
-                b.points[3].point.startup_p99_s = 22.5
+                b.points[3].point.boot.p99_s = 22.5
             }),
             ("batched planning shrinks", |b| {
                 b.points[3].point.requests = 8493
@@ -551,7 +489,7 @@ mod tests {
                 b.points[0].point.rdma_reads = 1
             }),
             ("queue drops across all transports", |b| {
-                b.points[2].point.queue_drops = 1
+                b.points[2].point.boot.queue_drops = 1
             }),
             ("chaos double-runs byte-identical", |b| {
                 b.chaos[2].identical = false
@@ -582,12 +520,14 @@ mod tests {
     }
 
     #[test]
-    fn transport_digest_witnesses_the_event_count() {
-        let a = synthetic_point("aoe", 1234);
-        let b = synthetic_point("aoe", 1234);
-        assert_eq!(transport_digest(&a), transport_digest(&b));
-        let c = synthetic_point("aoe", 1235);
-        assert_ne!(transport_digest(&a), transport_digest(&c));
+    fn transport_lock_witnesses_the_event_count() {
+        let witness = |events| transport_witness(&synthetic_point("aoe", events));
+        let same = ChaosLock::of(&witness(1234), &witness(1234));
+        assert!(same.identical);
+        assert_eq!(same.digest_a, same.digest_b);
+        let moved = ChaosLock::of(&witness(1234), &witness(1235));
+        assert!(!moved.identical);
+        assert_ne!(moved.digest_a, moved.digest_b);
     }
 
     #[test]
@@ -595,12 +535,7 @@ mod tests {
         let bench = TransportBench {
             kinds: vec![TransportKind::Aoe, TransportKind::Rdma],
             points: vec![synthetic_point("aoe", 100), synthetic_point("rdma", 90)],
-            chaos: vec![TransportChaos {
-                transport: "rdma",
-                digest_a: "bb".into(),
-                digest_b: "bb".into(),
-                identical: true,
-            }],
+            chaos: vec![ChaosLock::of("aa", "aa"), ChaosLock::of("bb", "bb")],
         };
         let json = transport_json(Scale::Quick, &bench);
         for key in [
@@ -613,6 +548,7 @@ mod tests {
             "\"requests\": 4096",
             "\"alert_raises\": 0",
             "\"chaos\": [",
+            "{\"transport\": \"rdma\", \"digest_a\": \"",
             "\"identical\": true",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
@@ -667,6 +603,6 @@ mod tests {
                 FaultPlan::preset("chaos", TRANSPORT_FAULT_SEED),
             )
         };
-        assert_eq!(transport_digest(&chaos()), transport_digest(&chaos()));
+        assert_eq!(transport_witness(&chaos()), transport_witness(&chaos()));
     }
 }

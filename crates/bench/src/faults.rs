@@ -279,7 +279,7 @@ mod tests {
             assert!(c.gate, "{}", c.metric);
             assert_eq!(c.measured, 1.0, "{}", c.metric);
         }
-        assert_eq!(fig.failed_gates().count(), 0);
+        assert!(!fig.checks.iter().any(Check::failed));
     }
 
     /// A run that holds every gate of every preset.

@@ -141,13 +141,6 @@ impl Check {
     }
 }
 
-impl Figure {
-    /// The gates that do not hold, in check order.
-    pub fn failed_gates(&self) -> impl Iterator<Item = &Check> {
-        self.checks.iter().filter(|c| c.failed())
-    }
-}
-
 /// Maps `f` over `items` on at most `jobs` scoped worker threads and
 /// returns the results in `items` order, whatever order they finish in:
 /// each worker takes the next unclaimed index and fills that index's
@@ -240,7 +233,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_gates_names_only_the_gates_that_do_not_hold() {
+    fn failed_names_only_the_gates_that_do_not_hold() {
         let fig = Figure {
             id: "figXX",
             title: "demo",
@@ -255,7 +248,12 @@ mod tests {
                 Check::gate("exact", 2.0, 2.0, "x"),
             ],
         };
-        let failed: Vec<&str> = fig.failed_gates().map(|c| c.metric.as_str()).collect();
+        let failed: Vec<&str> = fig
+            .checks
+            .iter()
+            .filter(|c| c.failed())
+            .map(|c| c.metric.as_str())
+            .collect();
         assert_eq!(failed, ["broken", "drops"]);
         // A gate prints like any other check.
         assert!(fig.to_string().contains("broken"));

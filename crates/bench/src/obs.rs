@@ -22,18 +22,19 @@
 //! alone: the same config writes identical directories (the CI
 //! `obs-smoke` job diffs two whole directories).
 
-use crate::ext_scaleout::{fleet_geometry, fnv1a64, topology_fleet_cfg, Topology};
+use crate::ext_scaleout::{
+    boot_fleet, boots, fleet_geometry, fnv1a64, topology_fleet_cfg, Topology,
+};
 use crate::flight::FlightRun;
 use crate::Check;
-use bmcast::deploy::FlightRecorderConfig;
 use bmcast::fleet::{Fleet, FleetConfig, StragglerReport, StragglerRow};
-use bmcast::programs::BootProgram;
 use guestsim::os::BootProfile;
 use simkit::export::{
-    alerts_json, alerts_text, chrome_trace_json, report_json, report_text, timeline_json,
+    alerts_json, alerts_text, chrome_trace_json, push_json_list, report_json, report_text,
+    timeline_json,
 };
 use simkit::slo::{Alert, SloRule};
-use simkit::{MetricsSnapshot, SimTime};
+use simkit::MetricsSnapshot;
 use std::io;
 use std::path::Path;
 
@@ -122,14 +123,7 @@ pub fn obs_fleet_cfg() -> FleetConfig {
 /// Boots `cfg` with telemetry and the flight recorder (and so the SLO
 /// watchdogs) on, and bundles the run. Deterministic in `cfg`.
 pub fn boot_bundle(cfg: FleetConfig, profile: &BootProfile) -> Bundle {
-    let mut fleet = Fleet::new(cfg);
-    fleet.enable_telemetry();
-    fleet.enable_flight_recorder(FlightRecorderConfig::default());
-    let p = profile.clone();
-    fleet.start(move |_| Box::new(BootProgram::new(p.clone())));
-    fleet
-        .run_to_all_booted(SimTime::from_secs(36_000))
-        .expect("obs fleet boots within limit");
+    let (fleet, _) = boot_fleet(cfg, true, boots(profile));
     Bundle::fleet(&fleet, true)
 }
 
@@ -207,15 +201,11 @@ fn fleet_gates(
 /// clock), so the digest file itself is part of the byte-identity
 /// contract.
 pub fn digest_json(files: &[(&'static str, String)]) -> String {
+    let digests = files
+        .iter()
+        .map(|(name, body)| format!("\"{name}\": \"{:016x}\"", fnv1a64(body.as_bytes())));
     let mut out = String::from("{\n  \"artifacts\": {\n");
-    for (i, (name, body)) in files.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": \"{:016x}\"{}\n",
-            name,
-            fnv1a64(body.as_bytes()),
-            if i + 1 < files.len() { "," } else { "" }
-        ));
-    }
+    push_json_list(&mut out, "    ", digests);
     out.push_str("  }\n}\n");
     out
 }
@@ -252,17 +242,7 @@ pub fn straggler_json(report: &StragglerReport) -> String {
     out.push_str(&format!("  \"booted\": {},\n", report.booted));
     out.push_str(&format!("  \"median\": {},\n", row_json(&report.median)));
     out.push_str("  \"stragglers\": [\n");
-    for (i, r) in report.stragglers.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}{}\n",
-            row_json(r),
-            if i + 1 < report.stragglers.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
+    push_json_list(&mut out, "    ", report.stragglers.iter().map(row_json));
     out.push_str("  ]\n}\n");
     out
 }
@@ -328,6 +308,7 @@ pub fn straggler_text(report: &StragglerReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::SimTime;
 
     /// Every artifact a bundle may carry, in bundle order.
     const ARTIFACTS: [&str; 9] = [

@@ -20,7 +20,9 @@ use bmcast::deploy::Runner;
 use bmcast::fleet::{Fleet, FleetConfig};
 use bmcast::machine::MachineSpec;
 use bmcast::programs::BootProgram;
-use bmcast_bench::ext_scaleout::{scaleout_json, topology_fleet_cfg, ScaleoutPoint, Topology};
+use bmcast_bench::ext_scaleout::{
+    boot_fleet, boots, scaleout_json, topology_fleet_cfg, BootStats, ScaleoutPoint, Topology,
+};
 use bmcast_bench::Scale;
 use guestsim::os::BootProfile;
 use simkit::fault::FaultPlan;
@@ -41,7 +43,7 @@ fn busy_profile() -> BootProfile {
     BootProfile::custom("scaleout-test", 7, 200, 8 << 20, 1000, 8 << 20)
 }
 
-fn boot_fleet(cfg: FleetConfig, profile: &BootProfile) -> (Fleet, Vec<SimTime>) {
+fn boot_instants(cfg: FleetConfig, profile: &BootProfile) -> (Fleet, Vec<SimTime>) {
     let mut fleet = Fleet::new(cfg);
     let p = profile.clone();
     fleet.start(move |_| Box::new(BootProgram::new(p.clone())));
@@ -67,7 +69,7 @@ fn one_machine_fleet_is_exactly_the_single_machine_deployment() {
         spec,
         ..FleetConfig::default()
     };
-    let (_, startups) = boot_fleet(cfg, &profile);
+    let (_, startups) = boot_instants(cfg, &profile);
 
     assert_eq!(
         startups[0], single_boot,
@@ -84,7 +86,7 @@ fn eight_concurrent_boots_are_fair_and_share_the_cache() {
         spec: small_spec(),
         ..FleetConfig::default()
     };
-    let (fleet, startups) = boot_fleet(cfg, &busy_profile());
+    let (fleet, startups) = boot_instants(cfg, &busy_profile());
 
     let secs: Vec<f64> = startups.iter().map(|t| t.as_secs_f64()).collect();
     let max = secs.iter().cloned().fold(f64::MIN, f64::max);
@@ -114,20 +116,13 @@ fn chaos_json_once(servers: usize) -> String {
         faults: FaultPlan::preset("chaos", 7),
         ..FleetConfig::default()
     };
-    let (fleet, startups) = boot_fleet(cfg, &busy_profile());
-    let mut secs: Vec<f64> = startups.iter().map(|t| t.as_secs_f64()).collect();
-    secs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let (fleet, mut startups) = boot_fleet(cfg, false, boots(&busy_profile()));
     let point = ScaleoutPoint {
         topology: if servers > 1 { "k-server" } else { "1-server" },
         n: 4,
         servers: servers as u32,
         peers: fleet.peers_active() as u32,
-        startup_p50_s: secs[secs.len() / 2],
-        startup_p99_s: secs[secs.len() - 1],
-        fairness_ratio: secs[secs.len() - 1] / secs[0],
-        cache_hit_ratio: fleet.cache_hit_ratio(),
-        bytes_moved: fleet.server_bytes_read(),
-        queue_drops: fleet.queue_drops_total(),
+        boot: BootStats::of(&fleet, &mut startups),
         image_copy_s: 0.0,
     };
     scaleout_json(Scale::Quick, &[point])
@@ -168,7 +163,7 @@ fn every_topology_degenerates_to_the_single_server_path_at_n1() {
         spec: spec.clone(),
         ..FleetConfig::default()
     };
-    let (_, baseline) = boot_fleet(baseline_cfg, &profile);
+    let (_, baseline) = boot_instants(baseline_cfg, &profile);
 
     for topology in [Topology::SingleServer, Topology::PeerToPeer] {
         // The figure applies a uniform arrival stagger; at n = 1 the
@@ -176,7 +171,7 @@ fn every_topology_degenerates_to_the_single_server_path_at_n1() {
         let mut cfg = topology_fleet_cfg(topology, 1, &spec);
         assert_eq!(cfg.servers, 1, "{topology:?} must use one origin at k = 1");
         cfg.start_stagger = SimDuration::from_millis(50);
-        let (_, startups) = boot_fleet(cfg, &profile);
+        let (_, startups) = boot_instants(cfg, &profile);
         assert_eq!(
             startups[0], baseline[0],
             "{topology:?} at n = 1 must reproduce the plain fleet startup \
@@ -193,7 +188,7 @@ fn every_topology_degenerates_to_the_single_server_path_at_n1() {
         servers: 1,
         ..FleetConfig::default()
     };
-    let (_, startups) = boot_fleet(cfg, &profile);
+    let (_, startups) = boot_instants(cfg, &profile);
     assert_eq!(
         startups[0], baseline[0],
         "servers: 1 must be byte-for-byte the single-server path"

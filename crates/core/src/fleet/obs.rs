@@ -8,7 +8,8 @@ use crate::deploy::FlightRecorderConfig;
 use aoe::AoeServer;
 use simkit::slo::{Alert, SloConfig, SloEngine, SloInput};
 use simkit::{
-    LogHistogram, Metrics, MetricsSnapshot, SampleRow, Sampler, SimTime, Span, Spans, Tracer,
+    Histogram, LogHistogram, Metrics, MetricsSnapshot, SampleRow, Sampler, SimTime, Span, Spans,
+    Tracer,
 };
 
 /// One machine's boot-time decomposition in the straggler report
@@ -129,19 +130,12 @@ impl Fleet {
     /// can fire during the run.
     fn projected_p99_s(&self, now: SimTime) -> f64 {
         let admitted = &self.members[..self.admitted.min(self.members.len())];
-        let mut proj: Vec<f64> = admitted
-            .iter()
-            .map(|m| {
-                let done = m.booted_at.unwrap_or(now);
-                done.saturating_duration_since(m.start_at).as_secs_f64()
-            })
-            .collect();
-        if proj.is_empty() {
-            return 0.0;
+        let mut proj = Histogram::new();
+        for m in admitted {
+            let done = m.booted_at.unwrap_or(now);
+            proj.record_duration(done.saturating_duration_since(m.start_at));
         }
-        proj.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        let n = proj.len();
-        proj[(((0.99 * n as f64).ceil() as usize).clamp(1, n)) - 1]
+        proj.percentile(99.0)
     }
 
     /// Records one fleet timeline row at `now` and evaluates the SLO

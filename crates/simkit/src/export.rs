@@ -61,6 +61,28 @@ fn ts_micros(t: SimTime) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
+/// Formats a sim-instant as fixed nine-decimal seconds (`t_s` fields).
+fn secs_fixed(t: SimTime) -> String {
+    let ns = t.as_nanos();
+    format!("{}.{:09}", ns / 1_000_000_000, ns % 1_000_000_000)
+}
+
+/// Appends `items`, already rendered, to `out`: one per line after
+/// `indent`, separated by commas. This is the body of a JSON array or
+/// object written one entry per line; no items append nothing.
+pub fn push_json_list<S: AsRef<str>>(
+    out: &mut String,
+    indent: &str,
+    items: impl IntoIterator<Item = S>,
+) {
+    let mut items = items.into_iter().peekable();
+    while let Some(item) = items.next() {
+        out.push_str(indent);
+        out.push_str(item.as_ref());
+        out.push_str(if items.peek().is_some() { ",\n" } else { "\n" });
+    }
+}
+
 /// Deterministic rendering of a sample value.
 fn fmt_value(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
@@ -172,11 +194,7 @@ fn push_process_events(
 /// Wraps trace events in the trace-event JSON object, one per line.
 fn trace_document(events: &[String]) -> String {
     let mut out = String::from("{\"traceEvents\": [\n");
-    for (i, ev) in events.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(ev);
-        out.push_str(if i + 1 < events.len() { ",\n" } else { "\n" });
-    }
+    push_json_list(&mut out, "  ", events);
     out.push_str("], \"displayTimeUnit\": \"ms\"}\n");
     out
 }
@@ -185,28 +203,20 @@ fn trace_document(events: &[String]) -> String {
 /// (`{"rows": [{"t_s": ..., "series": {...}}, ...]}`) — the
 /// `timeline.json` artifact of `reproduce --trace-out`.
 pub fn timeline_json(samples: &[SampleRow]) -> String {
+    let rows = samples.iter().map(|row| {
+        let series: Vec<String> = row
+            .values
+            .iter()
+            .map(|(name, value)| format!("\"{}\": {}", json_escape(name), fmt_value(*value)))
+            .collect();
+        format!(
+            "{{\"t_s\": {}, \"series\": {{{}}}}}",
+            secs_fixed(row.at),
+            series.join(", ")
+        )
+    });
     let mut out = String::from("{\"rows\": [\n");
-    for (i, row) in samples.iter().enumerate() {
-        let mut series = String::new();
-        for (j, (name, value)) in row.values.iter().enumerate() {
-            let _ = write!(
-                series,
-                "{}\"{}\": {}",
-                if j > 0 { ", " } else { "" },
-                json_escape(name),
-                fmt_value(*value)
-            );
-        }
-        let ns = row.at.as_nanos();
-        let _ = writeln!(
-            out,
-            "  {{\"t_s\": {}.{:09}, \"series\": {{{}}}}}{}",
-            ns / 1_000_000_000,
-            ns % 1_000_000_000,
-            series,
-            if i + 1 < samples.len() { "," } else { "" }
-        );
-    }
+    push_json_list(&mut out, "  ", rows);
     out.push_str("]}\n");
     out
 }
@@ -217,20 +227,17 @@ pub fn timeline_json(samples: &[SampleRow]) -> String {
 /// --trace-out` bundle. Edge events appear in firing order;
 /// deterministic.
 pub fn alerts_json(alerts: &[Alert]) -> String {
-    let mut out = String::from("{\"alerts\": [\n");
-    for (i, a) in alerts.iter().enumerate() {
-        let ns = a.at.as_nanos();
-        let _ = writeln!(
-            out,
-            "  {{\"t_s\": {}.{:09}, \"rule\": \"{}\", \"edge\": \"{}\", \"detail\": \"{}\"}}{}",
-            ns / 1_000_000_000,
-            ns % 1_000_000_000,
+    let edges = alerts.iter().map(|a| {
+        format!(
+            "{{\"t_s\": {}, \"rule\": \"{}\", \"edge\": \"{}\", \"detail\": \"{}\"}}",
+            secs_fixed(a.at),
             json_escape(a.rule.name()),
             if a.raised { "raise" } else { "clear" },
             json_escape(&a.detail),
-            if i + 1 < alerts.len() { "," } else { "" }
-        );
-    }
+        )
+    });
+    let mut out = String::from("{\"alerts\": [\n");
+    push_json_list(&mut out, "  ", edges);
     out.push_str("]}\n");
     out
 }
@@ -275,35 +282,32 @@ fn phase_rows(spans: &[Span]) -> Vec<(&'static str, SimTime, SimTime)> {
 /// Renders the structured deployment report as JSON: per-phase timings
 /// plus per-span-kind duration summaries (count/mean/p50/p99/max, µs).
 pub fn report_json(spans: &[Span], kinds: &[(&'static str, LogHistogram)]) -> String {
-    let mut out = String::from("{\n  \"phases\": [\n");
-    let phases = phase_rows(spans);
-    for (i, (kind, start, end)) in phases.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"phase\": \"{}\", \"start_s\": {:.9}, \"end_s\": {:.9}, \
-             \"duration_s\": {:.9}}}{}",
+    let phases = phase_rows(spans).into_iter().map(|(kind, start, end)| {
+        format!(
+            "{{\"phase\": \"{}\", \"start_s\": {:.9}, \"end_s\": {:.9}, \
+             \"duration_s\": {:.9}}}",
             json_escape(kind),
             start.as_secs_f64(),
             end.as_secs_f64(),
-            end.saturating_duration_since(*start).as_secs_f64(),
-            if i + 1 < phases.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n  \"span_kinds\": [\n");
-    for (i, (kind, h)) in kinds.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"kind\": \"{}\", \"count\": {}, \"mean_us\": {:.3}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}{}",
+            end.saturating_duration_since(start).as_secs_f64(),
+        )
+    });
+    let kinds = kinds.iter().map(|(kind, h)| {
+        format!(
+            "{{\"kind\": \"{}\", \"count\": {}, \"mean_us\": {:.3}, \
+             \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
             json_escape(kind),
             h.count(),
             h.mean(),
             h.quantile(0.50),
             h.quantile(0.99),
             h.max(),
-            if i + 1 < kinds.len() { "," } else { "" }
-        );
-    }
+        )
+    });
+    let mut out = String::from("{\n  \"phases\": [\n");
+    push_json_list(&mut out, "    ", phases);
+    out.push_str("  ],\n  \"span_kinds\": [\n");
+    push_json_list(&mut out, "    ", kinds);
     out.push_str("  ]\n}\n");
     out
 }
@@ -493,6 +497,18 @@ mod tests {
         assert!(text.contains("RAISE"), "{text}");
         assert!(text.contains("retransmit-storm"), "{text}");
         assert!(alerts_text(&[]).contains("(none fired)"));
+    }
+
+    #[test]
+    fn json_list_puts_one_item_per_line_and_commas_between() {
+        let list = |items: &[&str]| {
+            let mut out = String::from("[\n");
+            push_json_list(&mut out, "  ", items);
+            out
+        };
+        assert_eq!(list(&[]), "[\n");
+        assert_eq!(list(&["1"]), "[\n  1\n");
+        assert_eq!(list(&["1", "{}", "\"c\""]), "[\n  1,\n  {},\n  \"c\"\n");
     }
 
     #[test]

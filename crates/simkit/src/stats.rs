@@ -109,17 +109,23 @@ impl Histogram {
     /// Panics if `p` is outside `[0, 100]`.
     pub fn percentile(&mut self, p: f64) -> f64 {
         assert!((0.0..=100.0).contains(&p), "percentile out of range");
-        if self.samples.is_empty() {
+        let sorted = self.sorted();
+        let n = sorted.len();
+        if n == 0 {
             return 0.0;
         }
+        let rank = ((p / 100.0) * n as f64).ceil() as usize;
+        sorted[rank.clamp(1, n) - 1]
+    }
+
+    /// The samples in ascending order.
+    pub fn sorted(&mut self) -> &[f64] {
         if !self.sorted {
             self.samples
                 .sort_by(|a, b| a.partial_cmp(b).expect("no NaN stored"));
             self.sorted = true;
         }
-        let n = self.samples.len();
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        self.samples[rank.clamp(1, n) - 1]
+        &self.samples
     }
 
     /// Merges another histogram's samples into this one.
@@ -162,6 +168,18 @@ mod tests {
         assert_eq!(h.percentile(99.0), 99.0);
         assert_eq!(h.percentile(100.0), 100.0);
         assert_eq!(h.percentile(0.0), 1.0);
+    }
+
+    #[test]
+    fn sorted_orders_the_samples_in_place() {
+        let mut h = Histogram::new();
+        for v in [3.0, 1.0, 2.0] {
+            h.record(v);
+        }
+        assert_eq!(h.sorted(), [1.0, 2.0, 3.0]);
+        h.record(0.5);
+        assert_eq!(h.sorted(), [0.5, 1.0, 2.0, 3.0]);
+        assert_eq!(h.percentile(50.0), 1.0);
     }
 
     #[test]
