@@ -1585,11 +1585,10 @@ fn request(m: &mut Machine, sim: &mut MachineSim, by: Requester, claims: &[Block
     let Some(vmm) = m.vmm.as_mut() else { return 0 };
     let span_of = |vmm: &Vmm, first: BlockRange| match by {
         Requester::Redirect(parent) => parent,
-        Requester::Stream(StreamKind::Background) => vmm.bg.stream.span(first.lba.0),
-        Requester::Stream(StreamKind::Snapshot) => vmm
-            .snap
-            .as_ref()
-            .map_or(NO_SPAN, |s| s.stream.span(first.lba.0)),
+        Requester::Stream(StreamKind::Background) => vmm.bg.stream.span(first),
+        Requester::Stream(StreamKind::Snapshot) => {
+            vmm.snap.as_ref().map_or(NO_SPAN, |s| s.stream.span(first))
+        }
     };
     let (waiting, mut frames) = (vmm.aoe_waiters.len(), Vec::new());
     if by == Requester::Stream(StreamKind::Snapshot) {

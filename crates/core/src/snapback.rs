@@ -355,6 +355,37 @@ mod tests {
         assert!(sb.complete(&dt));
     }
 
+    /// A run re-dirtied and claimed again while its first send is in
+    /// flight gets a span of its own: each claim's span ends once, at
+    /// its own ack.
+    #[test]
+    fn a_run_claimed_again_in_flight_keeps_each_span() {
+        let spans = simkit::Spans::enabled(16);
+        let mut dt = DirtyTracker::new(4096);
+        dt.record(BlockRange::new(Lba(0), 64));
+        let mut sb = SnapshotBack::new(64, 8);
+        sb.stream.set_spans(spans.clone());
+        let first = sb.next_send(SimTime::ZERO, &mut dt).unwrap();
+        dt.record(BlockRange::new(Lba(0), 4));
+        let second = sb.next_send(SimTime::from_millis(1), &mut dt).unwrap();
+        assert_eq!(second, BlockRange::new(Lba(0), 4), "cursor wraps to it");
+        sb.ack(SimTime::from_millis(2), first);
+        sb.ack(SimTime::from_millis(3), second);
+        assert_eq!(spans.open_count(), 0);
+        let ends: Vec<(String, SimTime)> = spans
+            .finished_of("snap.send")
+            .into_iter()
+            .map(|s| (s.detail, s.end))
+            .collect();
+        assert_eq!(
+            ends,
+            [
+                ("send lba 0 x64".to_string(), SimTime::from_millis(2)),
+                ("send lba 0 x4".to_string(), SimTime::from_millis(3)),
+            ]
+        );
+    }
+
     #[test]
     fn reclaim_error_formats() {
         let e = ReclaimError::RetryBudgetExhausted { consecutive: 9 };

@@ -12,7 +12,6 @@
 
 use hwsim::block::{BlockRange, Lba};
 use simkit::{Metrics, SimDuration, SimTime, SpanId, Spans, NO_SPAN};
-use std::collections::BTreeMap;
 
 /// First back-off step after a failed request.
 const BACKOFF_BASE: SimDuration = SimDuration::from_millis(10);
@@ -78,8 +77,10 @@ pub struct BlockStream {
     pub(crate) sectors_done: u64,
     pub(crate) metrics: Metrics,
     spans: Spans,
-    /// Open span per claim in flight, keyed by start LBA.
-    open: BTreeMap<u64, SpanId>,
+    /// Open span per claim in flight, in claim order. Snapshot-back
+    /// may claim a run again while its first send is in flight, so a
+    /// range can appear more than once.
+    open: Vec<(BlockRange, SpanId)>,
 }
 
 impl BlockStream {
@@ -103,7 +104,7 @@ impl BlockStream {
             sectors_done: 0,
             metrics: Metrics::disabled(),
             spans: Spans::disabled(),
-            open: BTreeMap::new(),
+            open: Vec::new(),
         }
     }
 
@@ -129,10 +130,11 @@ impl BlockStream {
         self.ready_at
     }
 
-    /// The open span of the claim starting at `lba`, for the AoE round
+    /// The open span of the latest claim of `range`, for the AoE round
     /// trip to nest under ([`NO_SPAN`] when none).
-    pub(crate) fn span(&self, lba: u64) -> SpanId {
-        self.open.get(&lba).copied().unwrap_or(NO_SPAN)
+    pub(crate) fn span(&self, range: BlockRange) -> SpanId {
+        let latest = self.open.iter().rev().find(|(r, _)| *r == range);
+        latest.map_or(NO_SPAN, |&(_, id)| id)
     }
 
     /// Takes `range` into the window and opens its span at `now`.
@@ -148,7 +150,7 @@ impl BlockStream {
             let id = self.spans.begin(now, names.track, names.span, NO_SPAN, || {
                 format!("{verb} lba {} x{}", range.lba.0, range.sectors)
             });
-            self.open.insert(range.lba.0, id);
+            self.open.push((range, id));
         }
     }
 
@@ -179,10 +181,12 @@ impl BlockStream {
         self.metrics.inc(self.names.backoffs);
     }
 
-    /// Takes the claim `range` out of the window at `now`, ending its
-    /// span (after the failed instant if `failed`); panics if none was.
+    /// Takes the claim `range` out of the window at `now`, ending the
+    /// span of its oldest claim (after the failed instant if `failed`);
+    /// panics if none was.
     fn leave(&mut self, now: SimTime, range: BlockRange, failed: bool) {
-        if let Some(id) = self.open.remove(&range.lba.0) {
+        if let Some(i) = self.open.iter().position(|(r, _)| *r == range) {
+            let (_, id) = self.open.remove(i);
             if failed {
                 let names = self.names;
                 self.spans.instant(now, names.track, names.failed, id, || {
