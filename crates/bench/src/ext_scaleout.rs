@@ -21,10 +21,14 @@
 //!   finished members convert into serving peers) at fleet sizes up to
 //!   1024. Points run concurrently on a bounded pool; the artifact
 //!   `BENCH_scaleout.json` is byte-identical across same-seed runs.
+//!
+//! The transport race, the elasticity figure and the scale-out bundle
+//! share this module's fleet harness: [`boot_fleet`] is the one boot
+//! run, [`BootStats`] the one reduction of a booted fleet, and
+//! [`ChaosLock`] the one two-run determinism lock.
 
 use crate::{par_map, Check, Figure, Row, Scale};
-use bmcast::deploy::FlightRecorderConfig;
-use bmcast::deploy::Runner;
+use bmcast::deploy::{FlightRecorderConfig, Runner};
 use bmcast::fleet::{Fleet, FleetConfig};
 use bmcast::machine::{GuestProgram, MachineSpec};
 use bmcast::programs::BootProgram;
