@@ -5,19 +5,19 @@
 //! fragments which the client reassembles by tag. Requests unanswered
 //! within the retransmission timeout are re-sent (the server simply
 //! re-serves them — reads are idempotent and writes here are
-//! last-writer-wins on whole sectors), up to a retry budget. The timeout
-//! backs off exponentially per attempt, capped at
-//! [`ClientConfig::max_rto`], with deterministic jitter so a burst of
-//! simultaneous requests doesn't retransmit in lockstep against a stalled
-//! server. Replies to requests that already completed or failed are
+//! last-writer-wins on whole sectors), up to a retry budget of
+//! `MAX_RETRIES` (8). The timeout starts at [`RTO`] (50 ms) and backs off
+//! exponentially per attempt, capped at `MAX_RTO` (500 ms), with
+//! deterministic jitter so a burst of simultaneous requests doesn't
+//! retransmit in lockstep against a stalled server. Replies to requests that already completed or failed are
 //! suppressed by request id (the fabric may deliver a reply long after a
 //! retransmit already finished the request).
 //!
 //! Two signals temper retransmission under congestion. Each arriving
 //! fragment refreshes its request's deadline (a long reply train on a
 //! backlogged egress link is progress, not loss), and a recent busy hint
-//! holds the retry budget in abeyance ([`ClientConfig::busy_grace`]): the
-//! budget detects dead servers, and a busy server is demonstrably alive.
+//! holds the retry budget in abeyance for `BUSY_GRACE` (2 s): the budget
+//! detects dead servers, and a busy server is demonstrably alive.
 //! Without both, a fleet-scale burst collapses — every queued-but-slow
 //! request is retransmitted, re-served, and finally *failed*, killing
 //! deployments against a perfectly healthy server.
@@ -44,7 +44,34 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// suppression before the oldest is forgotten.
 const RETIRED_CAPACITY: usize = 4096;
 
-/// Client configuration.
+/// Initial retransmission timeout; doubles per attempt up to `MAX_RTO`
+/// (500 ms). The VMM's retransmission guard ticks at this interval
+/// while requests are outstanding.
+pub const RTO: SimDuration = SimDuration::from_millis(50);
+
+/// Ceiling on the backed-off retransmission timeout.
+const MAX_RTO: SimDuration = SimDuration::from_millis(500);
+
+/// Retransmissions before a request is failed. Spaced 50, 100, 200, 400,
+/// then 500 ms apart, the last goes out about 2.75 s after issue and the
+/// request fails one capped interval later, about 3.25 s after issue
+/// (up to a quarter more with jitter).
+const MAX_RETRIES: u32 = 8;
+
+/// How long after the last busy hint the retry budget is held in
+/// abeyance. The budget exists to detect a *dead* server; a busy hint is
+/// proof of life, so while one is fresh an exhausted request keeps
+/// retransmitting at the capped RTO instead of failing — the alternative
+/// under fleet-scale congestion is a wave of spurious failures against a
+/// server that was merely backlogged. Liveness is tracked per endpoint:
+/// only hints from the endpoint a request is pending on hold that
+/// request's budget.
+const BUSY_GRACE: SimDuration = SimDuration::from_secs(2);
+
+/// Client configuration: the target address, the MTU and the read
+/// stripe. The retransmission schedule and the retry budget are the
+/// constants above ([`RTO`] and its private companions), the same for
+/// every client.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Target shelf (major address).
@@ -53,25 +80,10 @@ pub struct ClientConfig {
     pub slot: u8,
     /// Fabric MTU in payload bytes; determines fragment size.
     pub mtu: u32,
-    /// Initial retransmission timeout; doubles per attempt.
-    pub rto: SimDuration,
-    /// Ceiling on the backed-off retransmission timeout.
-    pub max_rto: SimDuration,
-    /// Retransmissions before a request is failed.
-    pub max_retries: u32,
-    /// How long after the last busy hint the retry budget is held in
-    /// abeyance. The budget exists to detect a *dead* server; a busy
-    /// hint is proof of life, so while one is fresh an exhausted request
-    /// keeps retransmitting at the capped RTO instead of failing — the
-    /// alternative under fleet-scale congestion is a wave of spurious
-    /// failures against a server that was merely backlogged. Liveness is
-    /// tracked per endpoint: only hints from the endpoint a request is
-    /// pending on hold that request's budget.
-    pub busy_grace: SimDuration,
     /// Read-striping granularity in sectors across the endpoint set: the
     /// endpoint for a read is `endpoints[(lba / stripe_sectors) % k]`.
-    /// Aligned with the background copier's block size by default so each
-    /// copy block maps to exactly one endpoint.
+    /// The VMM sets it to the background copier's block size so each copy
+    /// block maps to exactly one endpoint.
     pub stripe_sectors: u32,
 }
 
@@ -81,23 +93,16 @@ impl Default for ClientConfig {
             shelf: 0,
             slot: 0,
             mtu: 9000,
-            rto: SimDuration::from_millis(20),
-            max_rto: SimDuration::from_millis(500),
-            max_retries: 8,
-            busy_grace: SimDuration::from_secs(2),
             stripe_sectors: 2048,
         }
     }
 }
 
-impl ClientConfig {
-    /// The retransmission interval before attempt `retries + 1`:
-    /// `min(rto · 2^retries, max_rto)`.
-    fn backoff(&self, retries: u32) -> SimDuration {
-        let mult = 1u64 << retries.min(16);
-        let backed = SimDuration::from_nanos(self.rto.as_nanos().saturating_mul(mult));
-        backed.min(self.max_rto.max(self.rto))
-    }
+/// The retransmission interval before attempt `retries + 1`:
+/// `min(RTO · 2^retries, MAX_RTO)`.
+fn backoff(retries: u32) -> SimDuration {
+    let mult = 1u64 << retries.min(16);
+    SimDuration::from_nanos(RTO.as_nanos().saturating_mul(mult)).min(MAX_RTO)
 }
 
 /// Deterministic jitter in `[0, interval/4]`, drawn from the client's
@@ -432,13 +437,6 @@ impl AoeClient {
         self.write_target.unwrap_or((self.cfg.shelf, self.cfg.slot))
     }
 
-    /// Overrides the read-striping granularity (keep aligned with the
-    /// background copier's block size).
-    pub fn set_stripe_sectors(&mut self, sectors: u32) {
-        assert!(sectors > 0, "stripe must cover at least one sector");
-        self.cfg.stripe_sectors = sectors;
-    }
-
     /// Turns the completion-priority (sprint) flag on or off for future
     /// reads. Set once the deployment enters its post-boot endgame: the
     /// server weights flagged clients up so they convert into serving
@@ -571,7 +569,7 @@ impl AoeClient {
         pdu.rdma = rdma;
         let cover = pdu.range;
         let frames = vec![pdu.encode_frame()];
-        let deadline = now + self.cfg.backoff(0) + jitter(&mut self.prng, self.cfg.rto);
+        let deadline = now + backoff(0) + jitter(&mut self.prng, RTO);
         let span = self.spans.begin(now, "aoe.client", "aoe.rtt", parent, || {
             let (lba, n) = (cover.lba.0, cover.sectors);
             match runs.len() {
@@ -631,7 +629,7 @@ impl AoeClient {
                     .into_frame()
             })
             .collect();
-        let deadline = now + self.cfg.backoff(0) + jitter(&mut self.prng, self.cfg.rto);
+        let deadline = now + backoff(0) + jitter(&mut self.prng, RTO);
         let span = self.spans.begin(now, "aoe.client", "aoe.rtt", parent, || {
             format!("write req {id} lba {} x{}", range.lba.0, range.sectors)
         });
@@ -738,9 +736,7 @@ impl AoeClient {
             // the retransmission deadline out so a reply train strung
             // across a congested egress path isn't re-requested while
             // its tail is still in flight.
-            pending.deadline = pending
-                .deadline
-                .max(now + self.cfg.backoff(pending.retries));
+            pending.deadline = pending.deadline.max(now + backoff(pending.retries));
             return None;
         }
         let pending = self.pending.remove(&id).expect("just present");
@@ -771,7 +767,6 @@ impl AoeClient {
     /// [`AoeClient::take_failures`]).
     pub fn poll_retransmit(&mut self, now: SimTime) -> Vec<FrameBytes> {
         let mut out = Vec::new();
-        let max = self.cfg.max_retries;
         let mut dead = Vec::new();
         // Split the borrows so the telemetry handles are used in place:
         // this runs once per simulated tick, and cloning them every call
@@ -790,14 +785,14 @@ impl AoeClient {
             if now < p.deadline {
                 continue;
             }
-            if p.retries >= max {
+            if p.retries >= MAX_RETRIES {
                 // A fresh busy hint means a server is alive and shedding
                 // load, not gone — but only a hint from *this* request's
                 // endpoint is proof of that endpoint's life. A live
                 // replica must not hold the budget open for a dead one.
                 let busy_recent = busy_at
                     .get(&(p.shelf, p.slot))
-                    .is_some_and(|&t| now.saturating_duration_since(t) <= cfg.busy_grace);
+                    .is_some_and(|&t| now.saturating_duration_since(t) <= BUSY_GRACE);
                 if !busy_recent {
                     dead.push(id);
                     continue;
@@ -809,7 +804,7 @@ impl AoeClient {
             } else {
                 p.retries += 1;
             }
-            let interval = cfg.backoff(p.retries);
+            let interval = backoff(p.retries);
             p.deadline = now + interval + jitter(prng, interval);
             let before = out.len();
             if p.is_write {
@@ -996,15 +991,12 @@ mod tests {
 
     #[test]
     fn retransmit_after_rto() {
-        let mut c = AoeClient::new(ClientConfig {
-            rto: SimDuration::from_millis(10),
-            ..ClientConfig::default()
-        });
+        let mut c = AoeClient::new(ClientConfig::default());
         c.read(SimTime::ZERO, BlockRange::new(Lba(0), 1), NO_SPAN);
-        // Before the first deadline (≥ rto) nothing is due.
-        assert!(c.poll_retransmit(SimTime::from_millis(5)).is_empty());
+        // Before the first deadline (≥ RTO) nothing is due.
+        assert!(c.poll_retransmit(SimTime::ZERO + RTO / 2).is_empty());
         let due = c.next_retransmit_at().unwrap();
-        assert!(due >= SimTime::from_millis(10), "deadline before rto");
+        assert!(due >= SimTime::ZERO + RTO, "deadline before rto");
         let resent = c.poll_retransmit(due);
         assert_eq!(resent.len(), 1);
         assert_eq!(c.retransmits(), 1);
@@ -1016,17 +1008,13 @@ mod tests {
 
     #[test]
     fn retransmit_schedule_backs_off_exponentially_and_caps() {
-        let mut c = AoeClient::new(ClientConfig {
-            rto: SimDuration::from_millis(10),
-            max_rto: SimDuration::from_millis(40),
-            max_retries: 20,
-            ..ClientConfig::default()
-        });
+        let mut c = AoeClient::new(ClientConfig::default());
         c.read(SimTime::ZERO, BlockRange::new(Lba(0), 1), NO_SPAN);
-        // Intervals between consecutive deadlines: 10, 20, 40, 40, ... ms,
-        // each stretched by at most interval/4 of jitter.
+        // Intervals between consecutive deadlines: 50, 100, 200, 400,
+        // then the 500 ms cap, each stretched by at most interval/4 of
+        // jitter. The last of the eight is the final retransmission.
         let mut prev = SimTime::ZERO;
-        for want_ms in [10u64, 20, 40, 40, 40] {
+        for want_ms in [50u64, 100, 200, 400, 500, 500, 500, 500] {
             let due = c.next_retransmit_at().unwrap();
             let gap = due.saturating_duration_since(prev);
             let want = SimDuration::from_millis(want_ms);
@@ -1064,20 +1052,16 @@ mod tests {
 
     #[test]
     fn request_fails_after_retry_budget() {
-        let mut c = AoeClient::new(ClientConfig {
-            rto: SimDuration::from_millis(1),
-            max_retries: 2,
-            ..ClientConfig::default()
-        });
+        let mut c = AoeClient::new(ClientConfig::default());
         let (id, _) = c.read(SimTime::ZERO, BlockRange::new(Lba(0), 1), NO_SPAN);
         let mut polls = 0;
         while c.outstanding() > 0 {
             let due = c.next_retransmit_at().unwrap();
             c.poll_retransmit(due);
             polls += 1;
-            assert!(polls < 10, "request never failed");
+            assert!(polls <= MAX_RETRIES + 1, "request never failed");
         }
-        assert_eq!(c.retransmits(), 2);
+        assert_eq!(c.retransmits(), u64::from(MAX_RETRIES));
         assert_eq!(c.take_failures(), vec![id]);
         assert!(c.take_failures().is_empty(), "failures drain once");
     }
@@ -1142,12 +1126,7 @@ mod tests {
 
     #[test]
     fn busy_hint_holds_the_retry_budget_open() {
-        let mut c = AoeClient::new(ClientConfig {
-            rto: SimDuration::from_millis(1),
-            max_retries: 1,
-            busy_grace: SimDuration::from_millis(50),
-            ..ClientConfig::default()
-        });
+        let mut c = AoeClient::new(ClientConfig::default());
         let range = BlockRange::new(Lba(0), 1);
         let (_, frames) = c.read(SimTime::ZERO, range, NO_SPAN);
         // A busy error-reply delivers the hint without completing the
@@ -1156,18 +1135,20 @@ mod tests {
         busy.response = true;
         busy.busy = true;
         busy.error = Some(1);
-        assert!(c.on_frame(SimTime::ZERO, busy.encode()).is_none());
-        // Budget exhausts, but the fresh busy news keeps it alive and
-        // retransmitting at the capped cadence.
+        let busy = busy.encode();
+        // Budget exhausts, but the fresh busy news (renewed before each
+        // retransmission, as a backlogged server's replies would) keeps
+        // it alive and retransmitting at the capped cadence.
         let mut now = SimTime::ZERO;
-        for _ in 0..4 {
+        for _ in 0..MAX_RETRIES + 4 {
+            assert!(c.on_frame(now, &busy[..]).is_none());
             now = c.next_retransmit_at().unwrap();
             assert!(!c.poll_retransmit(now).is_empty(), "kept retransmitting");
             assert_eq!(c.outstanding(), 1);
         }
         assert!(c.take_failures().is_empty(), "no failure while busy");
         // Once the busy news goes stale, the budget verdict lands.
-        let stale = now + SimDuration::from_secs(1);
+        let stale = now + BUSY_GRACE + SimDuration::from_secs(1);
         c.poll_retransmit(stale);
         assert_eq!(c.take_failures().len(), 1, "dead server detected");
     }
@@ -1272,9 +1253,6 @@ mod tests {
         // global timestamp, so a live server's hint kept requests to a
         // dead server retransmitting forever instead of failing.
         let cfg = ClientConfig {
-            rto: SimDuration::from_millis(1),
-            max_retries: 1,
-            busy_grace: SimDuration::from_millis(50),
             stripe_sectors: 8,
             ..ClientConfig::default()
         };
@@ -1305,7 +1283,7 @@ mod tests {
         c.read(SimTime::ZERO, BlockRange::new(Lba(8), 1), NO_SPAN);
         let mut now = SimTime::ZERO;
         let mut last_hint = now;
-        for _ in 0..4 {
+        for _ in 0..MAX_RETRIES + 4 {
             last_hint = now;
             assert!(c.on_frame(now, busy_from(1)).is_none());
             now = c.next_retransmit_at().unwrap();

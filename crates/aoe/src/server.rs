@@ -28,7 +28,22 @@ const PER_REQUEST_CPU: SimDuration = SimDuration::from_micros(40);
 /// [`ServerConfig::sprint_boost`] for a sprinting client).
 const DRR_QUANTUM_SECTORS: u64 = 64;
 
-/// Server configuration.
+/// Per-client pending-queue bound on the queued (fleet) path; requests
+/// arriving past it are dropped and recovered by client retransmission.
+const CLIENT_QUEUE_LIMIT: usize = 256;
+
+/// Queued-request total at which replies start carrying the busy hint
+/// (only ever raised with two or more distinct clients, so a lone machine
+/// never throttles itself). Shallow on purpose: with even two fleet
+/// members, unthrottled background copies compete with boot reads for
+/// the shared egress pipe (and their fill-dependent chunk ranges defeat
+/// the cache), so a short queue is already worth signalling.
+const BUSY_QUEUE_THRESHOLD: usize = 4;
+
+/// Server configuration. The per-client queue bound and the busy-hint
+/// threshold of the queued fleet path are constants
+/// (`CLIENT_QUEUE_LIMIT`, `BUSY_QUEUE_THRESHOLD`), the same for every
+/// server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Shelf address served.
@@ -43,14 +58,6 @@ pub struct ServerConfig {
     /// the cache entirely (the single-machine default — one reader never
     /// re-reads a range, so a cache would only burn memory).
     pub cache_entries: usize,
-    /// Per-client pending-queue bound on the queued (fleet) path;
-    /// requests arriving past it are dropped and recovered by client
-    /// retransmission.
-    pub client_queue_limit: usize,
-    /// Queued-request total at which replies start carrying the busy
-    /// hint (only ever raised with two or more distinct clients, so a
-    /// lone machine never throttles itself).
-    pub busy_queue_threshold: usize,
     /// DRR quantum multiplier for clients whose latest queued request
     /// carries the completion-priority (sprint) flag: a machine whose
     /// deployment bitmap is nearly full is about to become a serving
@@ -76,8 +83,6 @@ impl Default for ServerConfig {
             mtu: 9000,
             workers: 8,
             cache_entries: 0,
-            client_queue_limit: 256,
-            busy_queue_threshold: 24,
             sprint_boost: 1,
             rdma: None,
         }
@@ -762,8 +767,8 @@ impl AoeServer {
     /// Queues one request frame from `client` — the fleet path, where
     /// many machines share this server and service order is decided by
     /// the deficit-round-robin scheduler rather than arrival order.
-    /// Per-client queues are bounded by
-    /// [`ServerConfig::client_queue_limit`]; overflow drops the frame
+    /// Per-client queues are bounded by `CLIENT_QUEUE_LIMIT` (256
+    /// requests); overflow drops the frame
     /// (the client's retransmission recovers it, by which time the
     /// queue has drained).
     ///
@@ -794,7 +799,6 @@ impl AoeServer {
             self.rdma_ready.push_back((client, reply, available_at));
             return Ok(Enqueued::Queued);
         }
-        let limit = self.cfg.client_queue_limit;
         let q = self.queues.entry(client).or_default();
         if q.queue.iter().any(|(_, held)| {
             held.tag == pdu.tag && held.range == pdu.range && held.write == pdu.write
@@ -807,7 +811,7 @@ impl AoeServer {
             self.metrics.inc("server.queue.dedups");
             return Ok(Enqueued::Deduped);
         }
-        if q.queue.len() >= limit {
+        if q.queue.len() >= CLIENT_QUEUE_LIMIT {
             self.queue_drops += 1;
             self.metrics.inc("server.queue.drops");
             return Ok(Enqueued::Dropped);
@@ -907,7 +911,7 @@ impl AoeServer {
             // The hint reflects post-dispatch backlog, and only ever
             // fires with at least two clients on record: a lone machine
             // queueing against itself is load, not contention.
-            let busy = self.queued_total >= self.cfg.busy_queue_threshold && self.queues.len() >= 2;
+            let busy = self.queued_total >= BUSY_QUEUE_THRESHOLD && self.queues.len() >= 2;
             self.update_queue_gauges();
             let reply = self.serve(now, arrived, pdu, busy);
             return Some((client, reply));
@@ -1484,12 +1488,12 @@ mod tests {
         let mut s = AoeServer::new(
             ServerConfig {
                 workers: 1,
-                client_queue_limit: 4,
                 ..ServerConfig::default()
             },
             disk,
         );
-        for i in 0..4 {
+        let limit = CLIENT_QUEUE_LIMIT as u32;
+        for i in 0..limit {
             assert_eq!(
                 s.enqueue(SimTime::ZERO, 0, &read_req(i + 1, (i as u64) * 64, 1))
                     .unwrap(),
@@ -1497,14 +1501,16 @@ mod tests {
             );
         }
         assert_eq!(
-            s.enqueue(SimTime::ZERO, 0, &read_req(5, 999, 1)).unwrap(),
+            s.enqueue(SimTime::ZERO, 0, &read_req(limit + 1, 99_999, 1))
+                .unwrap(),
             Enqueued::Dropped
         );
         assert_eq!(s.queue_drops(), 1);
-        assert_eq!(s.queued_total(), 4);
+        assert_eq!(s.queued_total(), CLIENT_QUEUE_LIMIT);
         // The other client's queue is unaffected by the full one.
         assert_eq!(
-            s.enqueue(SimTime::ZERO, 1, &read_req(6, 1234, 1)).unwrap(),
+            s.enqueue(SimTime::ZERO, 1, &read_req(limit + 2, 123_456, 1))
+                .unwrap(),
             Enqueued::Queued
         );
     }

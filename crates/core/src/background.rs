@@ -18,6 +18,11 @@ use hwsim::block::{BlockRange, Lba, SectorBuf};
 use simkit::SimTime;
 use std::collections::VecDeque;
 
+/// Capacity of the retriever→writer FIFO in blocks, counting fetches
+/// still in flight: the retriever stops requesting once this many blocks
+/// are on their way or waiting for the writer.
+const FIFO_CAPACITY: usize = 16;
+
 /// A fetched block waiting for the writer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FetchedBlock {
@@ -44,7 +49,6 @@ pub struct BackgroundCopy {
     fills: VecDeque<FetchedBlock>,
     /// Bounded FIFO between retriever and writer.
     fifo: VecDeque<FetchedBlock>,
-    fifo_capacity: usize,
     /// Block size in sectors.
     block_sectors: u32,
     /// Sectors already requested from the server (so in-flight fetches
@@ -64,21 +68,13 @@ impl BackgroundCopy {
     ///
     /// # Panics
     ///
-    /// Panics if `block_sectors`, `fifo_capacity`, or `max_inflight` is
-    /// zero.
-    pub fn new(
-        block_sectors: u32,
-        fifo_capacity: usize,
-        max_inflight: usize,
-        capacity_sectors: u64,
-    ) -> BackgroundCopy {
+    /// Panics if `block_sectors` or `max_inflight` is zero.
+    pub fn new(block_sectors: u32, max_inflight: usize, capacity_sectors: u64) -> BackgroundCopy {
         assert!(block_sectors > 0, "block size must be positive");
-        assert!(fifo_capacity > 0, "FIFO needs capacity");
         BackgroundCopy {
             stream: BlockStream::new(&BACKGROUND, max_inflight),
             fills: VecDeque::new(),
             fifo: VecDeque::new(),
-            fifo_capacity,
             block_sectors,
             requested: BlockBitmap::new(capacity_sectors),
             guest_io_window: VecDeque::new(),
@@ -128,7 +124,7 @@ impl BackgroundCopy {
     /// Whether the retriever may issue another request: FIFO has room for
     /// what's already coming and the pipeline depth allows it.
     fn can_fetch(&self) -> bool {
-        self.fifo.len() + self.stream.inflight < self.fifo_capacity && self.stream.has_room()
+        self.fifo.len() + self.stream.inflight < FIFO_CAPACITY && self.stream.has_room()
     }
 
     /// Whether [`BackgroundCopy::next_fetch`] would do anything: the
@@ -280,7 +276,7 @@ mod tests {
 
     #[test]
     fn fetch_tiles_low_to_high() {
-        let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
+        let mut bg = BackgroundCopy::new(64, 4, 1 << 16);
         let bitmap = BlockBitmap::new(1024);
         let a = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
         let b = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
@@ -290,7 +286,7 @@ mod tests {
 
     #[test]
     fn fetch_skips_filled_prefix() {
-        let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
+        let mut bg = BackgroundCopy::new(64, 4, 1 << 16);
         let mut bitmap = BlockBitmap::new(1024);
         bitmap.mark_filled(BlockRange::new(Lba(0), 130));
         let a = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
@@ -300,7 +296,7 @@ mod tests {
 
     #[test]
     fn guest_access_moves_cursor() {
-        let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
+        let mut bg = BackgroundCopy::new(64, 4, 1 << 16);
         let bitmap = BlockBitmap::new(4096);
         bg.note_guest_io(SimTime::ZERO, Lba(1000));
         let a = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
@@ -309,20 +305,26 @@ mod tests {
 
     #[test]
     fn fifo_backpressure_limits_inflight() {
-        let mut bg = BackgroundCopy::new(64, 2, 4, 1 << 16);
+        let mut bg = BackgroundCopy::new(64, 4, 1 << 16);
         let bitmap = BlockBitmap::new(4096);
-        assert!(bg.next_fetch(SimTime::ZERO, &bitmap).is_some());
+        // Fill the FIFO to one short of capacity with delivered blocks
+        // the writer has not popped yet.
+        for _ in 0..FIFO_CAPACITY - 1 {
+            let r = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
+            bg.deliver(SimTime::ZERO, fetched(r, 7));
+        }
         assert!(bg.next_fetch(SimTime::ZERO, &bitmap).is_some());
         assert!(
             bg.next_fetch(SimTime::ZERO, &bitmap).is_none(),
-            "capacity 2 reached"
+            "FIFO capacity reached with the window still open"
         );
-        assert_eq!(bg.inflight(), 2);
+        assert_eq!(bg.inflight(), 1);
+        assert_eq!(bg.fifo_depth(), FIFO_CAPACITY - 1);
     }
 
     #[test]
     fn writer_claims_and_writes() {
-        let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
+        let mut bg = BackgroundCopy::new(64, 4, 1 << 16);
         let mut bitmap = BlockBitmap::new(4096);
         let r = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
         bg.deliver(SimTime::ZERO, fetched(r, 7));
@@ -336,7 +338,7 @@ mod tests {
     #[test]
     fn guest_write_during_fetch_is_respected() {
         // The §3.3 race, end to end at the policy level.
-        let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
+        let mut bg = BackgroundCopy::new(64, 4, 1 << 16);
         let mut bitmap = BlockBitmap::new(4096);
         let r = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
         // Guest writes sectors 10..20 while the fetch is in flight.
@@ -352,7 +354,7 @@ mod tests {
 
     #[test]
     fn fully_guest_written_block_discarded() {
-        let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
+        let mut bg = BackgroundCopy::new(64, 4, 1 << 16);
         let mut bitmap = BlockBitmap::new(4096);
         let r = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
         bitmap.mark_filled(r);
@@ -366,7 +368,7 @@ mod tests {
         // Three fetches in flight; the middle one fails. The rewound
         // cursor re-walks `requested` marks left by the *other* in-flight
         // fetches — only the failed block may be reissued, exactly once.
-        let mut bg = BackgroundCopy::new(64, 8, 8, 1 << 16);
+        let mut bg = BackgroundCopy::new(64, 8, 1 << 16);
         let bitmap = BlockBitmap::new(4096);
         let a = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
         let b = bg.next_fetch(SimTime::ZERO, &bitmap).unwrap();
@@ -396,7 +398,7 @@ mod tests {
 
     #[test]
     fn io_rate_window_expires() {
-        let mut bg = BackgroundCopy::new(64, 4, 4, 1 << 16);
+        let mut bg = BackgroundCopy::new(64, 4, 1 << 16);
         for ms in 0..50u64 {
             bg.note_guest_io(SimTime::from_millis(ms * 10), Lba(0));
         }
@@ -409,7 +411,7 @@ mod tests {
 
     #[test]
     fn complete_bitmap_ends_fetching() {
-        let mut bg = BackgroundCopy::new(64, 4, 4, 128);
+        let mut bg = BackgroundCopy::new(64, 4, 128);
         let mut bitmap = BlockBitmap::new(128);
         bitmap.mark_filled(BlockRange::new(Lba(0), 128));
         assert!(bg.next_fetch(SimTime::ZERO, &bitmap).is_none());

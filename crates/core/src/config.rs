@@ -1,7 +1,6 @@
 //! BMcast configuration.
 
 use crate::transport::TransportKind;
-use hwsim::nic::NicModel;
 use simkit::fault::FaultPlan;
 use simkit::SimDuration;
 
@@ -95,8 +94,6 @@ pub struct BmcastConfig {
     pub retriever_depth: usize,
     /// Moderation parameters.
     pub moderation: Moderation,
-    /// Dedicated NIC model.
-    pub nic: NicModel,
     /// Fabric MTU (jumbo frames on the evaluation switch).
     pub mtu: u32,
     /// Whether to execute VMXOFF after deployment (fully implemented here;
@@ -109,10 +106,6 @@ pub struct BmcastConfig {
     /// plan's `link.drop_rate`) replays byte-identically. A fleet member
     /// ignores it: the fleet's one fabric carries the fleet's plan.
     pub faults: Option<FaultPlan>,
-    /// Consecutive AoE request failures (each one a full client retry
-    /// budget) tolerated before the deployment surfaces a
-    /// `DeployError::RetryBudgetExhausted` instead of wedging.
-    pub deploy_failure_budget: u32,
     /// Deployment transport: how background-copy fetches, copy-on-read
     /// redirects, and snapshot-back writes travel the management fabric.
     /// The default plain-AoE transport reproduces every §5 figure
@@ -127,11 +120,9 @@ impl Default for BmcastConfig {
             copy_block_sectors: 2048, // 1024 KB
             retriever_depth: 4,
             moderation: Moderation::default(),
-            nic: NicModel::IntelPro1000,
             mtu: 9000,
             vmxoff_after_deploy: true,
             faults: None,
-            deploy_failure_budget: 32,
             transport: TransportKind::default(),
         }
     }

@@ -253,7 +253,6 @@ impl Fleet {
         program: Option<Box<dyn GuestProgram>>,
     ) {
         let servers = self.cfg.servers as u16;
-        let stripe = self.cfg.machine_cfg.copy_block_sectors;
         self.hand_off(i, t, move |m: &mut Machine, sim| {
             if let Some((spec, jitter)) = reclaim_with {
                 if reclaim(m, sim, &spec).is_err() {
@@ -266,7 +265,6 @@ impl Fleet {
             if let Some(vmm) = m.vmm.as_mut() {
                 vmm.client
                     .set_read_endpoints((0..servers).map(|j| (j, UPGRADE_SLOT)).collect());
-                vmm.client.set_stripe_sectors(stripe);
             }
             if let Some(program) = program {
                 m.set_program(program);

@@ -232,14 +232,8 @@ impl Default for FleetConfig {
             // hold a full paper-scale image's worth of distinct ranges
             // (keys only — the data lives in the sparse BlockStore), so
             // `n` identical deployments cost ~one disk read stream.
-            // The busy hint engages earlier than the single-machine
-            // default: with even two members, unthrottled background
-            // copies compete with boot reads for the shared egress pipe
-            // (and their fill-dependent chunk ranges defeat the cache),
-            // so a shallow queue is already worth signalling.
             server_cfg: ServerConfig {
                 cache_entries: 65536,
-                busy_queue_threshold: 4,
                 ..ServerConfig::default()
             },
             servers: 1,
@@ -479,8 +473,6 @@ impl Fleet {
                     if cfg.servers > 1 {
                         vmm.client
                             .set_read_endpoints((0..cfg.servers).map(|j| (j as u16, 0)).collect());
-                        vmm.client
-                            .set_stripe_sectors(cfg.machine_cfg.copy_block_sectors);
                     }
                 }
                 Member {

@@ -6,7 +6,7 @@ use super::engine::FleetEvent;
 use super::{Fleet, PEER_SHELF_BASE};
 use crate::deploy::FlightRecorderConfig;
 use aoe::AoeServer;
-use simkit::slo::{Alert, SloConfig, SloEngine, SloInput};
+use simkit::slo::{Alert, SloEngine, SloInput};
 use simkit::{
     Histogram, LogHistogram, Metrics, MetricsSnapshot, SampleRow, Sampler, SimTime, Span, Spans,
     Tracer,
@@ -101,7 +101,7 @@ impl Fleet {
         }
         self.fabric.set_spans(Spans::enabled(rec.span_capacity));
         self.fleet_sampler = Sampler::enabled(rec.sample_interval);
-        self.slo = Some(SloEngine::new(SloConfig::default()));
+        self.slo = Some(SloEngine::new());
     }
 
     /// All SLO alert edges fired so far, in firing order (empty unless

@@ -29,6 +29,7 @@ use crate::mediator::{
 };
 use crate::netdrv::PolledNic;
 use crate::snapback::{DirtyTracker, ReclaimError, SnapshotBack};
+use aoe::client::RTO;
 use aoe::{AoeClient, ClientConfig, FrameBytes, ServerConfig};
 use guestsim::bus::GuestBus;
 use guestsim::driver::{ahci::AhciDriver, ide::IdeDriver, BlockDriver};
@@ -42,6 +43,7 @@ use hwsim::disk::{DiskModel, DiskOp, DiskParams};
 use hwsim::eth::Frame;
 use hwsim::ide::{AtaOp, IdeAction, IdeCommandBlock, IdeController, IdeReg, PrdEntry, PrdTable};
 use hwsim::mem::{DmaBuffer, PhysAddr, PhysMem};
+use hwsim::nic::NicModel;
 use hwsim::pci::{Bdf, PciBus, PciClass, PciDevice};
 use hwsim::vtx::{ExitReason, VtxCpu};
 use simkit::{
@@ -67,8 +69,6 @@ const POLL_INTERVAL: SimDuration = SimDuration::from_micros(400);
 /// near the measured 58 s. Does not affect pass-through I/O (Figures
 /// 10/11's Deploy bars involve no redirects).
 const REDIRECT_POLL_PENALTY: SimDuration = SimDuration::from_micros(6_300);
-/// FIFO capacity (blocks) between the retriever and writer threads.
-const FIFO_CAPACITY: usize = 16;
 /// Extra IRQ-delivery latency while the VMM stays resident after
 /// deployment (§4.3: VMX remains on, EPT and traps are disabled, but
 /// external interrupts still transit the thin resident shim). Only
@@ -94,6 +94,17 @@ pub struct Hardware {
     /// PCI configuration space (device enumeration + hiding).
     pub pci: PciBus,
 }
+
+/// The VMM's dedicated management NIC: the evaluation machines' Intel
+/// PRO/1000, driven by polling (§4.1).
+const VMM_NIC: NicModel = NicModel::IntelPro1000;
+
+/// Consecutive AoE request failures (each one a full client retry budget)
+/// tolerated before the deployment surfaces a
+/// [`DeployError::RetryBudgetExhausted`] (or a reclaim its
+/// [`ReclaimError::RetryBudgetExhausted`]) instead of wedging. Any
+/// completion resets the count.
+pub const DEPLOY_FAILURE_BUDGET: u32 = 32;
 
 /// PCI address of the VMM's dedicated management NIC.
 pub const MGMT_NIC_BDF: Bdf = Bdf {
@@ -579,9 +590,11 @@ impl Vmm {
             bitmap.mark_filled(region);
             region
         };
+        // Reads stripe at the copy-block size, so each background-copy
+        // block maps to exactly one endpoint of a replicated store.
         let mut client = AoeClient::new(ClientConfig {
             mtu: cfg.mtu,
-            rto: SimDuration::from_millis(50),
+            stripe_sectors: cfg.copy_block_sectors,
             ..ClientConfig::default()
         });
         cfg.transport.configure_client(&mut client);
@@ -590,12 +603,11 @@ impl Vmm {
             bitmap,
             bg: BackgroundCopy::new(
                 cfg.copy_block_sectors,
-                FIFO_CAPACITY,
                 cfg.retriever_depth,
                 spec.capacity_sectors,
             ),
             client,
-            nic: PolledNic::new(cfg.nic, VMM_MAC),
+            nic: PolledNic::new(VMM_NIC, VMM_MAC),
             devirt: DevirtSequencer::new(spec.cpus),
             dirty: DirtyTracker::new(spec.image_sectors),
             snap: None,
@@ -1803,8 +1815,7 @@ fn schedule_retransmit_guard(m: &mut Machine, sim: &mut MachineSim) {
     if vmm.client.outstanding() == 0 {
         return;
     }
-    let rto = vmm.client.config().rto;
-    sim.arm(RETRANSMIT_GUARD, sim.now() + rto);
+    sim.arm(RETRANSMIT_GUARD, sim.now() + RTO);
 }
 
 /// Whether a guard tick at `at` acts: a retransmission is due, or the
@@ -1828,7 +1839,7 @@ fn guard_plan(m: &Machine, at: SimTime, rearms: &mut Rearms<Machine>) -> Tick {
         return Tick::Act;
     }
     if vmm.client.outstanding() > 0 {
-        rearms.arm(RETRANSMIT_GUARD, at + vmm.client.config().rto);
+        rearms.arm(RETRANSMIT_GUARD, at + RTO);
     }
     Tick::Idle
 }
@@ -1857,7 +1868,7 @@ fn guard_fire(m: &mut Machine, sim: &mut MachineSim) {
             None => {}
         }
     }
-    if vmm.consecutive_failures > vmm.cfg.deploy_failure_budget {
+    if vmm.consecutive_failures > DEPLOY_FAILURE_BUDGET {
         // Graceful degradation's end: surface the error instead of
         // retrying forever. Outstanding work drains; the runner sees
         // the error and stops.

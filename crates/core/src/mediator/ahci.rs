@@ -52,6 +52,14 @@ pub struct AhciRedirect {
     pub protected: bool,
 }
 
+/// The port-0 register an ABAR offset names, or `None` for the generic
+/// host-control block and every other port's bank.
+fn port0_reg(offset: u64) -> Option<u64> {
+    (PORT_BASE..PORT_BASE + PORT_STRIDE)
+        .contains(&offset)
+        .then(|| offset - PORT_BASE)
+}
+
 /// The AHCI mediator's span track and metric names.
 const NAMES: MediatorNames = mediator_names!("ahci");
 
@@ -112,10 +120,11 @@ impl AhciMediator {
         mem: &PhysMem,
         bitmap: &mut BlockBitmap,
     ) -> MmioVerdict {
-        if offset < PORT_BASE {
-            return MmioVerdict::Forward; // generic host control
-        }
-        let reg = (offset - PORT_BASE) % PORT_STRIDE;
+        let Some(reg) = port0_reg(offset) else {
+            // Generic host control, or another port's bank: the HBA has
+            // one port, so nothing there is ours to interpret.
+            return MmioVerdict::Forward;
+        };
         // While the VMM owns the device, guest issues queue, and so do
         // structural writes (command-list repointing, port start/stop),
         // which must not take effect mid-VMM-command.
@@ -201,10 +210,9 @@ impl AhciMediator {
     /// Filters a trapped guest MMIO read: takes the raw device value and
     /// returns what the guest should see.
     pub fn filter_read(&mut self, offset: u64, raw: u64) -> u64 {
-        if offset < PORT_BASE {
+        let Some(reg) = port0_reg(offset) else {
             return raw;
-        }
-        let reg = (offset - PORT_BASE) % PORT_STRIDE;
+        };
         let v = match reg {
             // Held slots look issued; the VMM slot is invisible.
             preg::CI => ((raw as u32 | self.held_slots) & !self.vmm_mask()) as u64,
@@ -382,6 +390,51 @@ mod tests {
         assert!(bm.all_filled(BlockRange::new(Lba(500), 4)), "write marked");
     }
 
+    /// The HBA has one port: the mediator interprets port 0's register
+    /// bank only and forwards every other port's accesses untouched, so
+    /// a write there never holds, queues or repoints anything of port
+    /// 0's.
+    #[test]
+    fn other_port_banks_pass_through() {
+        let mut mem = PhysMem::new(1 << 30);
+        let mut med = AhciMediator::new(None);
+        let mut bm = BlockBitmap::new(1 << 16);
+        let clb = setup(&mut mem, &mut med);
+        fill_slot(&mut mem, clb, 0, AtaOp::ReadDma, 100, 8); // empty read
+        let port1 = PORT_BASE + PORT_STRIDE;
+        let elsewhere = mem.alloc(AhciCmdList::new());
+        for (reg, val) in [(preg::CI, 1), (preg::CLB, elsewhere.0), (preg::CMD, 1)] {
+            let v = med.on_guest_write(port1 + reg, val, &mem, &mut bm);
+            assert_eq!(v, MmioVerdict::Forward, "port 1 reg {reg:#x}");
+        }
+        assert_eq!(med.clb(), Some(clb), "port 0's command list stays");
+        assert_eq!(med.mediation.mode(), MediatorMode::Normal);
+        assert_eq!(med.mediation.stats(), Default::default());
+        // Port 0's slot 0 still routes on its own bank.
+        let v = med.on_guest_write(PORT_BASE + preg::CI, 1, &mem, &mut bm);
+        assert!(
+            matches!(v, MmioVerdict::Ci { forward_mask: 0, ref redirects } if redirects.len() == 1)
+        );
+        // Reads of port 1's bank see the raw device value, held slot or
+        // not.
+        assert_eq!(med.filter_read(port1 + preg::CI, 0), 0);
+        assert_eq!(med.filter_read(port1 + preg::TFD, 0x40), 0x40);
+        med.release_held(0);
+        // While the VMM multiplexes, port 1's accesses are not queued.
+        med.begin_multiplex(31);
+        assert_eq!(
+            med.on_guest_write(port1 + preg::CI, 1, &mem, &mut bm),
+            MmioVerdict::Forward
+        );
+        assert_eq!(
+            med.on_guest_write(port1 + preg::IS, 1 << 31, &mem, &mut bm),
+            MmioVerdict::Forward
+        );
+        assert_eq!(med.filter_read(port1 + preg::CI, 1 << 31), 1 << 31);
+        assert!(med.take_queued_mmio().is_empty());
+        assert_eq!(med.finish_multiplex(), 0, "no CI bits queued");
+    }
+
     #[test]
     fn held_slot_visible_in_ci_reads() {
         let mut mem = PhysMem::new(1 << 30);
@@ -505,7 +558,7 @@ mod tests {
         let mut mem = PhysMem::new(1 << 30);
         let mut med = AhciMediator::new(None);
         let mut bm = BlockBitmap::new(1 << 16);
-        let mut bg = BackgroundCopy::new(64, 8, 4, 1 << 16);
+        let mut bg = BackgroundCopy::new(64, 4, 1 << 16);
 
         let r0 = bg.next_fetch(SimTime::ZERO, &bm).unwrap();
         let r1 = bg.next_fetch(SimTime::ZERO, &bm).unwrap();

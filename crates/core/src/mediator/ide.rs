@@ -464,7 +464,7 @@ mod tests {
 
         let mut med = IdeMediator::new(None);
         let mut bm = BlockBitmap::new(1 << 16);
-        let mut bg = BackgroundCopy::new(64, 8, 4, 1 << 16);
+        let mut bg = BackgroundCopy::new(64, 4, 1 << 16);
 
         // Three copy blocks go on the wire before the guest touches
         // anything.

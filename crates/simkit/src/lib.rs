@@ -50,7 +50,7 @@ pub use fault::{FaultCounters, FaultInjector, FaultPlan, LinkVerdict, ServerHeal
 pub use metrics::{LogHistogram, Metrics, MetricsSnapshot};
 pub use rng::Prng;
 pub use sampler::{SampleRow, Sampler};
-pub use slo::{Alert, SloConfig, SloEngine, SloInput, SloRule};
+pub use slo::{Alert, SloEngine, SloInput, SloRule};
 pub use span::{Span, SpanId, Spans, NO_SPAN};
 pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};

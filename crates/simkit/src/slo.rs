@@ -13,28 +13,29 @@
 //! The four rules mirror the operational questions the paper's agility
 //! claim raises at fleet scale:
 //!
-//! - **retransmit-storm** — fleet-wide AoE retransmits/sec above a
-//!   threshold for [`SloConfig::storm_ticks`] consecutive intervals:
-//!   the symptom of an overdriven fabric or a server that stopped
-//!   answering. Healthy fleets burst past the rate during admission
-//!   waves; only a *sustained* elevation raises.
-//! - **cache-collapse** — server-side cache hit ratio below a floor
-//!   after warmup, which starts once two members have started (a lone
-//!   member's reads can only miss): deployment traffic has outrun the
-//!   cache.
-//! - **stalled-member** — no deployment progress anywhere for K
-//!   consecutive intervals while started machines remain unbooted.
-//! - **boot-budget** — the projected p99 boot time exceeds the budget:
-//!   the tail claim is failing *while the run is still going*.
+//! - **retransmit-storm** — fleet-wide AoE retransmits/sec above
+//!   [`RETRANSMIT_STORM_PER_SEC`] for [`STORM_TICKS`] consecutive
+//!   intervals: the symptom of an overdriven fabric or a server that
+//!   stopped answering. Healthy fleets burst past the rate during
+//!   admission waves; only a *sustained* elevation raises.
+//! - **cache-collapse** — server-side cache hit ratio below
+//!   [`CACHE_HIT_FLOOR`] after [`CACHE_WARMUP_TICKS`] of warmup, which
+//!   starts once two members have started (a lone member's reads can
+//!   only miss): deployment traffic has outrun the cache.
+//! - **stalled-member** — no deployment progress anywhere for
+//!   [`STALL_TICKS`] consecutive intervals while started machines remain
+//!   unbooted.
+//! - **boot-budget** — the projected p99 boot time exceeds
+//!   [`BOOT_BUDGET`]: the tail claim is failing *while the run is still
+//!   going*.
 //!
 //! # Examples
 //!
 //! ```
-//! use simkit::slo::{SloConfig, SloEngine, SloInput, SloRule};
-//! use simkit::{SimDuration, SimTime};
+//! use simkit::slo::{SloEngine, SloInput, SloRule, STORM_TICKS};
+//! use simkit::SimTime;
 //!
-//! let cfg = SloConfig { storm_ticks: 2, ..SloConfig::default() };
-//! let mut slo = SloEngine::new(cfg);
+//! let mut slo = SloEngine::new();
 //! let quiet = SloInput {
 //!     at: SimTime::from_secs(1),
 //!     retransmits_total: 0,
@@ -47,20 +48,19 @@
 //!     projected_p99_s: 0.0,
 //! };
 //! assert!(slo.evaluate(&quiet).is_empty());
-//! // One elevated interval is a burst, not a storm ...
-//! let stormy = SloInput {
-//!     at: SimTime::from_secs(2),
-//!     retransmits_total: 1_000_000,
+//! // An elevated interval is a burst, not a storm, until STORM_TICKS of
+//! // them in a row ...
+//! let stormy = |s: u64| SloInput {
+//!     at: SimTime::from_secs(s),
+//!     retransmits_total: 1_000_000 * s,
+//!     fill_progress: s as f64, // deployment still progressing
 //!     ..quiet
 //! };
-//! assert!(slo.evaluate(&stormy).is_empty());
-//! // ... the second consecutive one raises.
-//! let still_stormy = SloInput {
-//!     at: SimTime::from_secs(3),
-//!     retransmits_total: 2_000_000,
-//!     ..quiet
-//! };
-//! let edges = slo.evaluate(&still_stormy);
+//! for s in 2..=u64::from(STORM_TICKS) {
+//!     assert!(slo.evaluate(&stormy(s)).is_empty());
+//! }
+//! // ... and the next consecutive one raises.
+//! let edges = slo.evaluate(&stormy(u64::from(STORM_TICKS) + 1));
 //! assert_eq!(edges.len(), 1);
 //! assert_eq!(edges[0].rule, SloRule::RetransmitStorm);
 //! assert!(edges[0].raised);
@@ -107,42 +107,30 @@ impl SloRule {
     }
 }
 
-/// Thresholds for the watchdog rules.
-#[derive(Debug, Clone)]
-pub struct SloConfig {
-    /// Retransmits/sec (fleet-wide, over the last sampler interval)
-    /// above which an interval counts as elevated.
-    pub retransmit_storm_per_sec: f64,
-    /// Consecutive elevated intervals before the storm rule raises.
-    /// Healthy fleets burst past the rate threshold during admission
-    /// waves; a storm is a rate that *stays* elevated (a reply backlog
-    /// feeding retransmissions feeding the backlog).
-    pub storm_ticks: u32,
-    /// Hit-ratio floor for the server cache (0..1).
-    pub cache_hit_floor: f64,
-    /// Sampler ticks to ignore the cache rule for while it warms up,
-    /// counted from the first tick at which two members have started:
-    /// before a second member re-reads what the first fetched, every
-    /// lookup is a cold miss.
-    pub cache_warmup_ticks: u64,
-    /// Consecutive no-progress ticks before stalled-member raises.
-    pub stall_ticks: u32,
-    /// Boot-time budget the projected p99 is held against.
-    pub boot_budget: SimDuration,
-}
+/// Retransmits/sec (fleet-wide, over the last sampler interval) above
+/// which an interval counts as elevated.
+pub const RETRANSMIT_STORM_PER_SEC: f64 = 50.0;
 
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            retransmit_storm_per_sec: 50.0,
-            storm_ticks: 40,
-            cache_hit_floor: 0.05,
-            cache_warmup_ticks: 20,
-            stall_ticks: 10,
-            boot_budget: SimDuration::from_secs(600),
-        }
-    }
-}
+/// Consecutive elevated intervals before the storm rule raises. Healthy
+/// fleets burst past the rate threshold during admission waves; a storm
+/// is a rate that *stays* elevated (a reply backlog feeding
+/// retransmissions feeding the backlog).
+pub const STORM_TICKS: u32 = 40;
+
+/// Hit-ratio floor for the server cache (0..1).
+pub const CACHE_HIT_FLOOR: f64 = 0.05;
+
+/// Sampler ticks to ignore the cache rule for while it warms up, counted
+/// from the first tick at which two members have started: before a
+/// second member re-reads what the first fetched, every lookup is a cold
+/// miss.
+pub const CACHE_WARMUP_TICKS: u64 = 20;
+
+/// Consecutive no-progress ticks before stalled-member raises.
+pub const STALL_TICKS: u32 = 10;
+
+/// Boot-time budget the projected p99 is held against.
+pub const BOOT_BUDGET: SimDuration = SimDuration::from_secs(600);
 
 /// One tick's worth of fleet telemetry, as read by the fleet sampler.
 #[derive(Debug, Clone, Copy)]
@@ -184,9 +172,8 @@ pub struct Alert {
 }
 
 /// The watchdog evaluator: feed it one [`SloInput`] per sampler tick.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SloEngine {
-    cfg: SloConfig,
     /// Ticks seen since two members had started (the cache warmup).
     warm_ticks: u64,
     last: Option<SloInput>,
@@ -199,21 +186,8 @@ pub struct SloEngine {
 impl SloEngine {
     /// A fresh engine with no history: the first tick can only observe,
     /// never fire a rate-based rule.
-    pub fn new(cfg: SloConfig) -> SloEngine {
-        SloEngine {
-            cfg,
-            warm_ticks: 0,
-            last: None,
-            storm_run: 0,
-            stall_run: 0,
-            active: [false; 4],
-            alerts: Vec::new(),
-        }
-    }
-
-    /// The configured thresholds.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
+    pub fn new() -> SloEngine {
+        SloEngine::default()
     }
 
     /// Evaluates all rules against one tick of telemetry, returning the
@@ -226,7 +200,7 @@ impl SloEngine {
         }
 
         // retransmit-storm: rate over the window since the previous
-        // tick, sustained for `storm_ticks` consecutive intervals.
+        // tick, sustained for `STORM_TICKS` consecutive intervals.
         let (storm, storm_detail) = match &self.last {
             Some(prev) if input.at > prev.at => {
                 let secs = (input.at - prev.at).as_secs_f64();
@@ -234,16 +208,16 @@ impl SloEngine {
                     .retransmits_total
                     .saturating_sub(prev.retransmits_total) as f64
                     / secs;
-                if rate > self.cfg.retransmit_storm_per_sec {
+                if rate > RETRANSMIT_STORM_PER_SEC {
                     self.storm_run = self.storm_run.saturating_add(1);
                 } else {
                     self.storm_run = 0;
                 }
                 (
-                    self.storm_run >= self.cfg.storm_ticks,
+                    self.storm_run >= STORM_TICKS,
                     format!(
-                        "{rate:.3}/s > {:.3}/s for {} ticks",
-                        self.cfg.retransmit_storm_per_sec, self.storm_run
+                        "{rate:.3}/s > {RETRANSMIT_STORM_PER_SEC:.3}/s for {} ticks",
+                        self.storm_run
                     ),
                 )
             }
@@ -259,10 +233,9 @@ impl SloEngine {
         } else {
             1.0
         };
-        let collapse = self.warm_ticks > self.cfg.cache_warmup_ticks
-            && lookups > 0
-            && ratio < self.cfg.cache_hit_floor;
-        let collapse_detail = format!("hit_ratio {ratio:.4} < {:.4}", self.cfg.cache_hit_floor);
+        let collapse =
+            self.warm_ticks > CACHE_WARMUP_TICKS && lookups > 0 && ratio < CACHE_HIT_FLOOR;
+        let collapse_detail = format!("hit_ratio {ratio:.4} < {CACHE_HIT_FLOOR:.4}");
 
         // stalled-member: progress scalar unchanged for K ticks while
         // started members remain unbooted. A member waiting for its
@@ -274,14 +247,14 @@ impl SloEngine {
             }
             _ => self.stall_run = 0,
         }
-        let stalled = unfinished && self.stall_run >= self.cfg.stall_ticks;
+        let stalled = unfinished && self.stall_run >= STALL_TICKS;
         let stalled_detail = format!(
             "no progress for {} ticks ({}/{} booted)",
             self.stall_run, input.machines_booted, input.machines_total
         );
 
         // boot-budget: projected p99 over budget.
-        let budget_s = self.cfg.boot_budget.as_secs_f64();
+        let budget_s = BOOT_BUDGET.as_secs_f64();
         let over_budget = input.projected_p99_s > 0.0 && input.projected_p99_s > budget_s;
         let budget_detail = format!(
             "projected p99 {:.3}s > budget {budget_s:.3}s",
@@ -356,7 +329,7 @@ mod tests {
 
     #[test]
     fn quiet_run_fires_nothing() {
-        let mut slo = SloEngine::new(SloConfig::default());
+        let mut slo = SloEngine::new();
         for s in 1..=100 {
             assert!(slo.evaluate(&quiet(s)).is_empty(), "tick {s}");
         }
@@ -366,35 +339,30 @@ mod tests {
 
     #[test]
     fn storm_raises_once_sustained_then_clears() {
-        let cfg = SloConfig {
-            storm_ticks: 3,
-            ..SloConfig::default()
-        };
-        let mut slo = SloEngine::new(cfg);
+        let mut slo = SloEngine::new();
         slo.evaluate(&quiet(1));
-        // Elevated rate every tick: silent until the 3rd consecutive one.
-        for (i, s) in (2..=4).enumerate() {
+        // Elevated rate every tick: silent until the STORM_TICKS-th
+        // consecutive one.
+        let last = u64::from(STORM_TICKS) + 1;
+        for s in 2..=last {
             let mut stormy = quiet(s);
             stormy.retransmits_total = 10_000 * s;
             let edges = slo.evaluate(&stormy);
-            if s < 4 {
+            if s < last {
                 assert!(edges.is_empty(), "tick {s}: burst too short");
             } else {
-                assert_eq!(edges.len(), 1, "tick {s} (elevated #{})", i + 1);
+                assert_eq!(edges.len(), 1, "tick {s} (elevated #{})", s - 1);
                 assert_eq!(edges[0].rule, SloRule::RetransmitStorm);
                 assert!(edges[0].raised);
-                assert!(
-                    edges[0].detail.contains("for 3 ticks"),
-                    "{}",
-                    edges[0].detail
-                );
+                let want = format!("for {STORM_TICKS} ticks");
+                assert!(edges[0].detail.contains(&want), "{}", edges[0].detail);
             }
         }
         assert!(slo.is_active(SloRule::RetransmitStorm));
 
         // Same cumulative count next tick: rate back to zero → clear edge.
-        let mut calm = quiet(5);
-        calm.retransmits_total = 40_000;
+        let mut calm = quiet(last + 1);
+        calm.retransmits_total = 10_000 * last;
         let edges = slo.evaluate(&calm);
         assert_eq!(edges.len(), 1);
         assert!(!edges[0].raised);
@@ -404,17 +372,14 @@ mod tests {
 
     #[test]
     fn admission_wave_burst_shorter_than_storm_ticks_is_silent() {
-        let cfg = SloConfig {
-            storm_ticks: 5,
-            ..SloConfig::default()
-        };
-        let mut slo = SloEngine::new(cfg);
+        let mut slo = SloEngine::new();
+        let period = u64::from(STORM_TICKS);
         let mut total = 0u64;
-        for s in 1..=20 {
+        for s in 1..=4 * period {
             let mut tick = quiet(s);
-            // Four-tick bursts separated by calm ticks never reach the
-            // five sustained intervals a storm requires.
-            if s % 5 != 0 {
+            // Bursts of STORM_TICKS - 1 elevated ticks separated by calm
+            // ticks never reach the sustained run a storm requires.
+            if s % period != 0 {
                 total += 1000;
             }
             tick.retransmits_total = total;
@@ -425,7 +390,7 @@ mod tests {
 
     #[test]
     fn first_tick_cannot_fire_rate_rules() {
-        let mut slo = SloEngine::new(SloConfig::default());
+        let mut slo = SloEngine::new();
         let mut first = quiet(1);
         first.retransmits_total = 1_000_000;
         assert!(slo.evaluate(&first).is_empty(), "no previous tick, no rate");
@@ -433,32 +398,23 @@ mod tests {
 
     #[test]
     fn cache_collapse_respects_warmup() {
-        let cfg = SloConfig {
-            cache_warmup_ticks: 3,
-            ..SloConfig::default()
+        let mut slo = SloEngine::new();
+        let cold = |s: u64| SloInput {
+            cache_hits: 0,
+            cache_misses: 1000,
+            ..quiet(s)
         };
-        let mut slo = SloEngine::new(cfg);
-        for s in 1..=3 {
-            let mut cold = quiet(s);
-            cold.cache_hits = 0;
-            cold.cache_misses = 1000;
-            assert!(slo.evaluate(&cold).is_empty(), "warmup tick {s}");
+        for s in 1..=CACHE_WARMUP_TICKS {
+            assert!(slo.evaluate(&cold(s)).is_empty(), "warmup tick {s}");
         }
-        let mut cold = quiet(4);
-        cold.cache_hits = 0;
-        cold.cache_misses = 1000;
-        let edges = slo.evaluate(&cold);
+        let edges = slo.evaluate(&cold(CACHE_WARMUP_TICKS + 1));
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].rule, SloRule::CacheCollapse);
     }
 
     #[test]
     fn cache_warmup_starts_with_the_second_member() {
-        let cfg = SloConfig {
-            cache_warmup_ticks: 3,
-            ..SloConfig::default()
-        };
-        let mut slo = SloEngine::new(cfg);
+        let mut slo = SloEngine::new();
         let cold = |s: u64, started: u64| SloInput {
             cache_hits: 0,
             cache_misses: 1000 * s,
@@ -466,18 +422,19 @@ mod tests {
             ..quiet(s)
         };
         // A lone staggered member: every lookup misses, however long.
-        for s in 1..=10 {
+        let lone = 2 * CACHE_WARMUP_TICKS;
+        for s in 1..=lone {
             assert!(
                 slo.evaluate(&cold(s, 1)).is_empty(),
                 "lone member, tick {s}"
             );
         }
-        // The second member starts: three warmup ticks, then a cache
-        // that still never hits has genuinely collapsed.
-        for s in 11..=13 {
+        // The second member starts: the warmup ticks, then a cache that
+        // still never hits has genuinely collapsed.
+        for s in lone + 1..=lone + CACHE_WARMUP_TICKS {
             assert!(slo.evaluate(&cold(s, 2)).is_empty(), "warmup tick {s}");
         }
-        let edges = slo.evaluate(&cold(14, 2));
+        let edges = slo.evaluate(&cold(lone + CACHE_WARMUP_TICKS + 1, 2));
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].rule, SloRule::CacheCollapse);
         assert!(edges[0].raised);
@@ -485,25 +442,22 @@ mod tests {
 
     #[test]
     fn stall_needs_k_consecutive_flat_ticks() {
-        let cfg = SloConfig {
-            stall_ticks: 3,
-            ..SloConfig::default()
-        };
-        let mut slo = SloEngine::new(cfg);
+        let mut slo = SloEngine::new();
         let mut flat = quiet(1);
         flat.fill_progress = 5.0;
         slo.evaluate(&flat);
-        for s in 2..=3 {
+        let raise = u64::from(STALL_TICKS) + 1;
+        for s in 2..raise {
             flat.at = SimTime::from_secs(s);
             assert!(slo.evaluate(&flat).is_empty(), "run too short at {s}");
         }
-        flat.at = SimTime::from_secs(4);
+        flat.at = SimTime::from_secs(raise);
         let edges = slo.evaluate(&flat);
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].rule, SloRule::StalledMember);
 
         // Progress resumes: the run resets and the alert clears.
-        flat.at = SimTime::from_secs(5);
+        flat.at = SimTime::from_secs(raise + 1);
         flat.fill_progress = 6.0;
         let edges = slo.evaluate(&flat);
         assert_eq!(edges.len(), 1);
@@ -512,28 +466,26 @@ mod tests {
 
     #[test]
     fn members_awaiting_their_start_do_not_stall() {
-        let cfg = SloConfig {
-            stall_ticks: 3,
-            ..SloConfig::default()
-        };
-        let mut slo = SloEngine::new(cfg);
+        let mut slo = SloEngine::new();
         // Two of four members started and booted; the other two wait
         // for their scheduled starts while nothing moves.
         let mut waiting = quiet(1);
         waiting.fill_progress = 2.0;
         waiting.machines_booted = 2;
         waiting.machines_started = 2;
-        for s in 1..=10 {
+        let wait = 2 * u64::from(STALL_TICKS);
+        for s in 1..=wait {
             waiting.at = SimTime::from_secs(s);
             assert!(slo.evaluate(&waiting).is_empty(), "tick {s}");
         }
         // The third starts and makes no progress: a genuine stall.
         waiting.machines_started = 3;
-        for s in 11..=12 {
+        let raise = wait + u64::from(STALL_TICKS);
+        for s in wait + 1..raise {
             waiting.at = SimTime::from_secs(s);
             assert!(slo.evaluate(&waiting).is_empty(), "run too short at {s}");
         }
-        waiting.at = SimTime::from_secs(13);
+        waiting.at = SimTime::from_secs(raise);
         let edges = slo.evaluate(&waiting);
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].rule, SloRule::StalledMember);
@@ -542,12 +494,8 @@ mod tests {
 
     #[test]
     fn booted_fleet_never_stalls() {
-        let cfg = SloConfig {
-            stall_ticks: 1,
-            ..SloConfig::default()
-        };
-        let mut slo = SloEngine::new(cfg);
-        for s in 1..=10 {
+        let mut slo = SloEngine::new();
+        for s in 1..=3 * u64::from(STALL_TICKS) {
             let mut done = quiet(s);
             done.fill_progress = 100.0;
             done.machines_booted = 4;
@@ -557,28 +505,20 @@ mod tests {
 
     #[test]
     fn boot_budget_fires_on_projection() {
-        let cfg = SloConfig {
-            boot_budget: SimDuration::from_secs(10),
-            ..SloConfig::default()
-        };
-        let mut slo = SloEngine::new(cfg);
+        let mut slo = SloEngine::new();
         let mut slow = quiet(1);
-        slow.projected_p99_s = 30.0;
+        slow.projected_p99_s = 3.0 * BOOT_BUDGET.as_secs_f64();
         let edges = slo.evaluate(&slow);
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].rule, SloRule::BootBudget);
-        assert!(edges[0].detail.contains("30.000"), "{}", edges[0].detail);
+        assert!(edges[0].detail.contains("1800.000"), "{}", edges[0].detail);
     }
 
     #[test]
     fn identical_input_sequences_give_identical_alerts() {
         let run = |spike_at: u64| {
-            let cfg = SloConfig {
-                storm_ticks: 3,
-                ..SloConfig::default()
-            };
-            let mut slo = SloEngine::new(cfg);
-            for s in 1..=20 {
+            let mut slo = SloEngine::new();
+            for s in 1..=2 * u64::from(STORM_TICKS) {
                 let mut i = quiet(s);
                 if s >= spike_at {
                     i.retransmits_total = s * 5_000;

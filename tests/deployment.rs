@@ -404,7 +404,7 @@ fn megasas_guest_writes_always_win_over_background_copy() {
     let mut med = MegasasMediator::new(None);
     let mut mem = PhysMem::new(1 << 30);
     let mut bitmap = BlockBitmap::new(CAP);
-    let mut bg = BackgroundCopy::new(64, 8, 4, CAP);
+    let mut bg = BackgroundCopy::new(64, 4, CAP);
     let server = BlockStore::image(CAP, SEED);
 
     // Four copy blocks go on the wire: [0,64) .. [192,256).

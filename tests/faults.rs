@@ -15,7 +15,9 @@ use bmcast_repro::aoe::{AoeClient, AoeServer, ClientConfig, ServerConfig};
 use bmcast_repro::bmcast::config::{BmcastConfig, ControllerKind, Moderation};
 use bmcast_repro::bmcast::deploy::{FlightRecorderConfig, Runner};
 use bmcast_repro::bmcast::devirt::Phase;
-use bmcast_repro::bmcast::machine::{DeployError, GuestCtl, GuestProgram, MachineSpec};
+use bmcast_repro::bmcast::machine::{
+    DeployError, GuestCtl, GuestProgram, MachineSpec, DEPLOY_FAILURE_BUDGET,
+};
 use bmcast_repro::guestsim::io::{CompletedIo, IoRequest, RequestId};
 use bmcast_repro::hwsim::block::{BlockRange, BlockStore, Lba, SectorData};
 use bmcast_repro::hwsim::disk::{DiskModel, DiskParams};
@@ -308,18 +310,17 @@ fn permanent_outage_trips_the_retry_budget() {
         SimTime::from_millis(50),
         SimTime::from_secs(100_000),
     ));
-    let cfg = BmcastConfig {
-        deploy_failure_budget: 4,
-        ..faulted_cfg(plan)
-    };
-    let mut runner = Runner::bmcast(&s, cfg);
+    let mut runner = Runner::bmcast(&s, faulted_cfg(plan));
     let done = runner.run_to_bare_metal(SimTime::from_secs(3600));
     assert!(done.is_none(), "deployment must not claim success");
     let err = runner
         .deploy_error()
         .expect("the retry budget must surface a DeployError");
     let DeployError::RetryBudgetExhausted { consecutive } = err;
-    assert!(consecutive > 4, "budget of 4 exceeded, got {consecutive}");
+    assert!(
+        consecutive > DEPLOY_FAILURE_BUDGET,
+        "budget of {DEPLOY_FAILURE_BUDGET} exceeded, got {consecutive}"
+    );
     assert!(
         runner.now() < SimTime::from_secs(3600),
         "the failure must surface promptly, not by timeout"
@@ -343,12 +344,10 @@ fn background_copier_backs_off_during_stall() {
         SimTime::from_millis(100),
         SimTime::from_millis(4000),
     ));
-    let cfg = BmcastConfig {
-        // Keep the run far from the terminal budget; this test is about
-        // backing off and resuming, not giving up.
-        deploy_failure_budget: 10_000,
-        ..faulted_cfg(plan)
-    };
+    // The run stays short of the terminal budget: this stall fails
+    // fewer than DEPLOY_FAILURE_BUDGET requests in a row. The test is
+    // about backing off and resuming, not giving up.
+    let cfg = faulted_cfg(plan);
     let mut runner = Runner::bmcast_flight_recorded(&s, cfg, FlightRecorderConfig::default());
     let done = runner.run_to_bare_metal(SimTime::from_secs(3600));
     assert!(done.is_some(), "deployment completes after the stall");

@@ -1891,7 +1891,7 @@ use bmcast_repro::bmcast::mediator::{
     PioVerdict,
 };
 use bmcast_repro::hwsim::ahci::{
-    preg, AhciCmdHeader, AhciCmdList, AhciCmdTable, H2dFis, PORT_BASE,
+    preg, AhciCmdHeader, AhciCmdList, AhciCmdTable, H2dFis, PORT_BASE, PORT_STRIDE,
 };
 use bmcast_repro::hwsim::ide::{AtaOp, IdeReg, PrdEntry, PrdTable};
 use bmcast_repro::hwsim::megasas::{reg as mfi_reg, MfiFrame, MfiOp, MfiStatus};
@@ -2102,6 +2102,80 @@ proptest! {
             prop_assert_eq!(mode, MediatorMode::Normal);
         }
     }
+
+    /// The AHCI HBA has one port, so the mediator interprets port 0's
+    /// register bank only. Accesses to any other port's bank, interleaved
+    /// with port-0 commands, forward untouched: a write is `Forward`, a
+    /// read returns the raw value, neither moves the shadowed command
+    /// list, the mode or the statistics, and every port-0 command still
+    /// routes as the shared policy says.
+    #[test]
+    fn ahci_other_port_banks_pass_through(
+        fill in proptest::collection::vec((0u64..MEDIATED_CAP, 1u32..128), 0..12),
+        protected in proptest::option::of((0u64..MEDIATED_CAP, 1u32..48)),
+        steps in proptest::collection::vec(
+            (
+                (any::<bool>(), 0u64..MEDIATED_CAP, 1u32..64),
+                (
+                    1u64..32,
+                    0usize..6,
+                    any::<u32>(),
+                    any::<bool>(),
+                ),
+            ),
+            1..24,
+        ),
+    ) {
+        let clamp = |lba: u64, n: u32| BlockRange::new(Lba(lba), n.min((MEDIATED_CAP - lba) as u32));
+        let mut model = BlockBitmap::new(MEDIATED_CAP);
+        for &(lba, n) in &fill {
+            model.mark_filled(clamp(lba, n));
+        }
+        let protected = protected.map(|(lba, n)| clamp(lba, n));
+        let mut bm = model.clone();
+        let mut ahci = AhciMediator::new(protected);
+        let mut mem = PhysMem::new(1 << 30);
+        let clb = mem.alloc(AhciCmdList::new());
+        ahci.on_guest_write(PORT_BASE + preg::CLB, clb.0, &mem, &mut bm);
+
+        for ((write, lba, n), (port, reg, val, read)) in steps {
+            // Slot 0 holds the previous command (if any), so a foreign CI
+            // write with bit 0 set would reissue it if it were
+            // interpreted.
+            let reg = [preg::CLB, preg::IS, preg::IE, preg::CMD, preg::TFD, preg::CI][reg];
+            let offset = PORT_BASE + port * PORT_STRIDE + reg;
+            let stats = ahci.mediation.stats();
+            if read {
+                prop_assert_eq!(ahci.filter_read(offset, u64::from(val)), u64::from(val));
+            } else {
+                let v = ahci.on_guest_write(offset, u64::from(val | 1), &mem, &mut bm);
+                prop_assert_eq!(v, MmioVerdict::Forward, "port {} reg {:#x}", port, reg);
+            }
+            prop_assert_eq!(ahci.clb(), Some(clb));
+            prop_assert_eq!(ahci.mediation.mode(), MediatorMode::Normal);
+            prop_assert_eq!(ahci.mediation.stats(), stats);
+
+            let range = clamp(lba, n);
+            let expect = if protected.is_some_and(|p| p.overlaps(range)) {
+                Routed::Protected
+            } else if !write && model.any_empty(range) {
+                Routed::Redirect
+            } else {
+                if write {
+                    model.mark_filled(range);
+                }
+                Routed::Forward
+            };
+            prop_assert_eq!(
+                ahci_route(&mut ahci, &mut mem, clb, &mut bm, write, range),
+                expect,
+                "AHCI {:?}",
+                range
+            );
+        }
+        let whole = BlockRange::new(Lba(0), MEDIATED_CAP as u32);
+        prop_assert_eq!(bm.filled_subranges(whole), model.filled_subranges(whole));
+    }
 }
 
 // --------------------------- block streams ---------------------------
@@ -2199,7 +2273,7 @@ proptest! {
     ) {
         let capacity = STREAM_BLOCKS * u64::from(STREAM_BLOCK);
         let bitmap = BlockBitmap::new(capacity);
-        let mut bg = BackgroundCopy::new(STREAM_BLOCK, 4 * STREAM_BLOCKS as usize, depth, capacity);
+        let mut bg = BackgroundCopy::new(STREAM_BLOCK, depth, capacity);
         let mut dirty = DirtyTracker::new(capacity);
         dirty.record(BlockRange::new(Lba(0), capacity as u32));
         let mut snap = SnapshotBack::new(STREAM_BLOCK, depth);
