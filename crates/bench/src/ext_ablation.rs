@@ -12,8 +12,8 @@
 //!    wins decisively.
 //! 2. **Jumbo frames vs 1500-byte MTU** — deployment time and frame
 //!    counts for the same image, discrete.
-//! 3. **vblade worker pool** — single-threaded stock vblade vs the
-//!    paper's thread-pooled server, discrete.
+//! 3. **vblade worker pool**, stood in for by the VMM's retriever depth
+//!    (4 fetches in flight vs 1) against one 8-worker server, discrete.
 //! 4. **Retransmission under loss** — deployment completes under frame
 //!    loss (the fault plan's link drop rate, both directions), at
 //!    bounded cost, discrete.

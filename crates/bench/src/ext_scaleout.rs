@@ -27,8 +27,9 @@
 //! run, [`BootStats`] the one reduction of a booted fleet, and
 //! [`ChaosLock`] the one two-run determinism lock.
 
+use crate::platform::{finish, Platform};
 use crate::{par_map, Check, Figure, Row, Scale};
-use bmcast::deploy::{FlightRecorderConfig, Runner};
+use bmcast::deploy::FlightRecorderConfig;
 use bmcast::fleet::{Fleet, FleetConfig};
 use bmcast::machine::{GuestProgram, MachineSpec};
 use bmcast::programs::BootProgram;
@@ -394,13 +395,8 @@ pub fn measure_scaleout(scale: Scale, jobs: usize) -> Vec<ScaleoutPoint> {
 
     let mut points = par_map(jobs, &work, |&(t, n)| measure_point(t, n, &spec, &profile));
 
-    let mut bare = Runner::bare_metal(&spec);
-    bare.start_program(Box::new(BootProgram::new(profile.clone())));
-    let local_boot_s = bare
-        .run_to_finish(SimTime::from_secs(3600))
-        .expect("bare-metal boot finishes")
-        .duration_since(SimTime::ZERO)
-        .as_secs_f64();
+    let mut bare = Platform::Baremetal.runner(&spec);
+    let local_boot_s = finish(&mut bare, BootProgram::new(profile)).as_secs_f64();
 
     let plan = ImageCopyPlan {
         image_bytes: spec.image_sectors * 512,

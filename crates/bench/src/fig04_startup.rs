@@ -7,17 +7,17 @@
 //! BMcast starts an instance 8.6× faster than image copying (excluding
 //! the first POST).
 
+use crate::platform::{finish, Platform};
 use crate::{Check, Figure, Row, Scale};
-use bmcast::config::BmcastConfig;
-use bmcast::deploy::{vmm_boot_time, Runner};
-use bmcast::machine::MachineSpec;
+use bmcast::config::Moderation;
+use bmcast::deploy::vmm_boot_time;
 use bmcast::programs::BootProgram;
 use bmcast_baselines::image_copy::ImageCopyPlan;
 use bmcast_baselines::kvm::{KvmModel, KvmStorage};
 use bmcast_baselines::netboot::NetbootPlan;
 use guestsim::os::BootProfile;
 use hwsim::firmware::FirmwareModel;
-use simkit::{SimDuration, SimTime};
+use simkit::SimDuration;
 
 /// Measured startup components.
 #[derive(Debug, Clone)]
@@ -44,41 +44,22 @@ pub struct StartupResults {
     pub kvm_iscsi: SimDuration,
 }
 
-fn spec_and_profile(scale: Scale) -> (MachineSpec, BootProfile) {
-    match scale {
-        Scale::Paper => (MachineSpec::default(), BootProfile::ubuntu_14_04(7)),
-        Scale::Quick => (
-            MachineSpec {
-                capacity_sectors: (1u64 << 30) / 512,
-                image_sectors: (1u64 << 29) / 512,
-                ..MachineSpec::default()
-            },
-            BootProfile::tiny(7),
-        ),
-    }
-}
-
 /// Runs the startup measurements.
 pub fn measure(scale: Scale) -> StartupResults {
-    let (spec, profile) = spec_and_profile(scale);
+    let spec = scale.spec(1 << 30, 1 << 29);
+    let profile = match scale {
+        Scale::Paper => BootProfile::ubuntu_14_04(7),
+        Scale::Quick => BootProfile::tiny(7),
+    };
     let fw = FirmwareModel::primergy_rx200();
-    let limit = SimTime::from_secs(1_800);
 
     // Bare metal: replay the profile on the pre-installed disk.
-    let mut bare = Runner::bare_metal(&spec);
-    bare.start_program(Box::new(BootProgram::new(profile.clone())));
-    let baremetal_boot = bare
-        .run_to_finish(limit)
-        .expect("bare-metal boot finishes")
-        .duration_since(SimTime::ZERO);
+    let mut bare = Platform::Baremetal.runner(&spec);
+    let baremetal_boot = finish(&mut bare, BootProgram::new(profile.clone()));
 
     // BMcast: the same profile while streaming deployment runs.
-    let mut bm = Runner::bmcast(&spec, BmcastConfig::default());
-    bm.start_program(Box::new(BootProgram::new(profile.clone())));
-    let bmcast_boot = bm
-        .run_to_finish(limit)
-        .expect("BMcast boot finishes")
-        .duration_since(SimTime::ZERO);
+    let mut bm = Platform::Deploy(Moderation::default()).runner(&spec);
+    let bmcast_boot = finish(&mut bm, BootProgram::new(profile.clone()));
     // The paper reports how much of the image moved during the boot: the
     // copy-on-read volume (the background copy is moderated down to almost
     // nothing while the guest's boot I/O is active).

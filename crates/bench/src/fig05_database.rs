@@ -11,11 +11,10 @@
 //! KVM's flat lines come from [`KvmModel::db_perf_env`] — KVM performs no
 //! deployment, so its curves are constant.
 
+use crate::platform::Platform;
 use crate::{Check, Figure, Row, Scale};
-use bmcast::config::{BmcastConfig, Moderation};
-use bmcast::deploy::Runner;
+use bmcast::config::Moderation;
 use bmcast::devirt::Phase;
-use bmcast::machine::MachineSpec;
 use bmcast::programs::StreamProgram;
 use bmcast_baselines::kvm::KvmModel;
 use guestsim::workload::db::{DbPerfModel, PerfEnv};
@@ -55,36 +54,22 @@ pub struct DbRun {
     pub post_tput_ratio: f64,
 }
 
-fn spec(scale: Scale) -> MachineSpec {
-    match scale {
-        Scale::Paper => MachineSpec::default(),
-        Scale::Quick => MachineSpec {
-            capacity_sectors: (1u64 << 30) / 512,
-            image_sectors: (1u64 << 29) / 512,
-            ..MachineSpec::default()
-        },
-    }
-}
-
 /// Simulates one database deployment run.
 pub fn simulate_db(model: &DbPerfModel, with_commit_log: bool, scale: Scale) -> DbRun {
-    let spec = spec(scale);
-    let cfg = BmcastConfig {
-        moderation: if with_commit_log {
-            // Update-heavy deployments tune the threshold above the
-            // commit-log request rate so copying continues (§3.3: the
-            // parameters are configurable; the paper's Cassandra
-            // deployment demonstrably kept copying — 17 minutes).
-            Moderation {
-                guest_io_threshold_per_sec: 30.0,
-                ..Moderation::default()
-            }
-        } else {
-            Moderation::default()
-        },
-        ..BmcastConfig::default()
+    let spec = scale.spec(1 << 30, 1 << 29);
+    let moderation = if with_commit_log {
+        // Update-heavy deployments tune the threshold above the
+        // commit-log request rate so copying continues (§3.3: the
+        // parameters are configurable; the paper's Cassandra
+        // deployment demonstrably kept copying — 17 minutes).
+        Moderation {
+            guest_io_threshold_per_sec: 30.0,
+            ..Moderation::default()
+        }
+    } else {
+        Moderation::default()
     };
-    let mut runner = Runner::bmcast(&spec, cfg);
+    let mut runner = Platform::Deploy(moderation).runner(&spec);
     let horizon = SimTime::from_secs(4 * 3600);
     let log_region = BlockRange::new(Lba(spec.image_sectors / 2), (spec.image_sectors / 4) as u32);
     if with_commit_log {
@@ -100,7 +85,7 @@ pub fn simulate_db(model: &DbPerfModel, with_commit_log: bool, scale: Scale) -> 
 
     // Reference latency for the same write stream on bare metal.
     let base_io_latency_us = if with_commit_log {
-        let mut bare = Runner::bare_metal(&spec);
+        let mut bare = Platform::Baremetal.runner(&spec);
         bare.start_program(Box::new(StreamProgram::commit_log(
             log_region,
             model.base_throughput_ktps * 1000.0,

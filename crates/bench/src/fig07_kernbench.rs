@@ -6,26 +6,12 @@
 //! emerges from EPT on compile CPU plus compile I/O queueing behind
 //! multiplexed background writes — and KVM is the platform model's factor.
 
+use crate::platform::{finish, Platform};
 use crate::{Check, Figure, Row, Scale};
-use bmcast::config::{BmcastConfig, Moderation};
-use bmcast::deploy::Runner;
-use bmcast::machine::MachineSpec;
+use bmcast::config::Moderation;
 use bmcast::programs::KernbenchProgram;
-use bmcast_baselines::kvm::KvmModel;
 use guestsim::workload::kernbench::KernbenchJob;
 use hwsim::block::Lba;
-use simkit::SimTime;
-
-fn spec(scale: Scale) -> MachineSpec {
-    match scale {
-        Scale::Paper => MachineSpec::default(),
-        Scale::Quick => MachineSpec {
-            capacity_sectors: (2u64 << 30) / 512,
-            image_sectors: (1u64 << 30) / 512,
-            ..MachineSpec::default()
-        },
-    }
-}
 
 fn job(scale: Scale) -> KernbenchJob {
     let mut j = KernbenchJob::paper(Lba(1 << 16));
@@ -49,53 +35,26 @@ pub struct KernbenchResults {
     pub kvm: f64,
 }
 
-fn elapsed_of(runner: &mut Runner, job: KernbenchJob, seed: u64) -> f64 {
-    let start = runner.now();
-    runner.start_program(Box::new(KernbenchProgram::new(job, seed)));
-    let done = runner
-        .run_to_finish(start + simkit::SimDuration::from_secs(600))
-        .expect("kernbench finishes");
-    done.duration_since(start).as_secs_f64()
-}
-
 /// Runs the measurements.
 pub fn measure(scale: Scale) -> KernbenchResults {
-    let spec = spec(scale);
+    let spec = scale.spec(2 << 30, 1 << 30);
     let job = job(scale);
+    let elapsed = |platform: Platform| {
+        finish(&mut platform.runner(&spec), KernbenchProgram::new(job, 11)).as_secs_f64()
+    };
 
-    let mut bare = Runner::bare_metal(&spec);
-    let baremetal = elapsed_of(&mut bare, job, 11);
-
+    let baremetal = elapsed(Platform::Baremetal);
     // Deploy: start the compile immediately; moderation must keep the
     // copier off the compile's back. Compile I/O is bursty enough to stay
     // under the threshold, so writes continue at the normal interval.
-    let mut deploying = Runner::bmcast(
-        &spec,
-        BmcastConfig {
-            moderation: Moderation {
-                guest_io_threshold_per_sec: 30.0,
-                ..Moderation::default()
-            },
-            ..BmcastConfig::default()
-        },
-    );
-    let deploy = elapsed_of(&mut deploying, job, 11);
-
+    let deploy = elapsed(Platform::Deploy(Moderation {
+        guest_io_threshold_per_sec: 30.0,
+        ..Moderation::default()
+    }));
     // Devirt: finish deployment first, then compile on the same machine.
-    let mut devirted = Runner::bmcast(
-        &spec,
-        BmcastConfig {
-            moderation: Moderation::full_speed(),
-            ..BmcastConfig::default()
-        },
-    );
-    devirted
-        .run_to_bare_metal(SimTime::from_secs(4 * 3600))
-        .expect("deployment completes");
-    let devirt = elapsed_of(&mut devirted, job, 11);
+    let devirt = elapsed(Platform::Devirt { resident: false });
 
     let kvm_factor = 1.03; // §5.4: pure virtualization overhead of KVM
-    let _ = KvmModel::default();
     KernbenchResults {
         baremetal,
         deploy,

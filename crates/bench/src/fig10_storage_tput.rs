@@ -6,29 +6,16 @@
 //! reads it back while the background copy multiplexes its own writes
 //! around it. Netboot and KVM come from the baseline models.
 
+use crate::platform::{finish, Platform};
 use crate::{Check, Figure, Row, Scale};
-use bmcast::config::{BmcastConfig, Moderation};
-use bmcast::deploy::Runner;
-use bmcast::machine::MachineSpec;
+use bmcast::config::Moderation;
 use bmcast::programs::FioProgram;
 use bmcast_baselines::kvm::{KvmModel, KvmStorage};
 use bmcast_baselines::netboot::NetbootPlan;
 use guestsim::workload::fio::FioJob;
 use hwsim::block::Lba;
-use simkit::{SimDuration, SimTime};
 
-fn spec(scale: Scale) -> MachineSpec {
-    match scale {
-        Scale::Paper => MachineSpec::default(),
-        Scale::Quick => MachineSpec {
-            capacity_sectors: (2u64 << 30) / 512,
-            image_sectors: (1u64 << 30) / 512,
-            ..MachineSpec::default()
-        },
-    }
-}
-
-fn job(scale: Scale, write: bool, start: Lba) -> FioJob {
+fn job(scale: Scale, write: bool) -> FioJob {
     let total = match scale {
         Scale::Paper => 200u64 << 20,
         Scale::Quick => 32 << 20,
@@ -37,18 +24,8 @@ fn job(scale: Scale, write: bool, start: Lba) -> FioJob {
         write,
         total_bytes: total,
         block_bytes: 1 << 20,
-        start,
+        start: Lba(1 << 16),
     }
-}
-
-/// Runs one fio job on a runner and returns MB/s.
-fn mbps_of(runner: &mut Runner, job: FioJob) -> f64 {
-    let start = runner.now();
-    runner.start_program(Box::new(FioProgram::new(job)));
-    let done = runner
-        .run_to_finish(start + SimDuration::from_secs(600))
-        .expect("fio finishes");
-    job.throughput_mbps(done.duration_since(start).as_secs_f64())
 }
 
 /// Measured throughput per configuration: `(read, write)` MB/s.
@@ -70,51 +47,37 @@ pub struct StorageTputResults {
 
 /// Runs all configurations.
 pub fn measure(scale: Scale) -> StorageTputResults {
-    let spec = spec(scale);
-    let file = Lba(1 << 16);
+    let spec = scale.spec(2 << 30, 1 << 30);
+    // Writes the file, then reads it back: `(read, write)` MB/s.
+    let read_write = |platform: Platform| {
+        let mut runner = platform.runner(&spec);
+        let mut mbps = |write| {
+            let job = job(scale, write);
+            job.throughput_mbps(finish(&mut runner, FioProgram::new(job)).as_secs_f64())
+        };
+        let write = mbps(true);
+        let read = mbps(false);
+        (read, write)
+    };
 
-    let mut bare = Runner::bare_metal(&spec);
-    let bare_w = mbps_of(&mut bare, job(scale, true, file));
-    let bare_r = mbps_of(&mut bare, job(scale, false, file));
-
-    // Deploy: write the file first (lays it out, marks it guest-owned),
-    // then measure with the default moderation: fio's ~108 req/s exceeds
+    let baremetal = read_write(Platform::Baremetal);
+    // Deploy: writing the file first lays it out and marks it
+    // guest-owned. With the default moderation, fio's ~108 req/s exceeds
     // the guest-I/O threshold, so the copier backs off to one write per
     // suspend interval -- the residual interference is the -4.1%.
-    let mut deploying = Runner::bmcast(
-        &spec,
-        BmcastConfig {
-            moderation: Moderation::default(),
-            ..BmcastConfig::default()
-        },
-    );
-    let dep_w = mbps_of(&mut deploying, job(scale, true, file));
-    let dep_r = mbps_of(&mut deploying, job(scale, false, file));
-
+    let deploy = read_write(Platform::Deploy(Moderation::default()));
     // Devirt: the paper's Figure 10 machine keeps the VMM resident after
     // deployment (§4.3) — VMX stays on with EPT/traps disabled, so IRQ
     // delivery pays the small resident-shim latency and reads land ~1.7%
     // below bare metal instead of bit-identical.
-    let mut devirted = Runner::bmcast(
-        &spec,
-        BmcastConfig {
-            moderation: Moderation::full_speed(),
-            vmxoff_after_deploy: false,
-            ..BmcastConfig::default()
-        },
-    );
-    devirted
-        .run_to_bare_metal(SimTime::from_secs(4 * 3600))
-        .expect("deployment completes");
-    let dv_w = mbps_of(&mut devirted, job(scale, true, file));
-    let dv_r = mbps_of(&mut devirted, job(scale, false, file));
+    let devirt = read_write(Platform::Devirt { resident: true });
 
     let netboot = NetbootPlan::default();
     let kvm = KvmModel::default();
     StorageTputResults {
-        baremetal: (bare_r, bare_w),
-        deploy: (dep_r, dep_w),
-        devirt: (dv_r, dv_w),
+        baremetal,
+        deploy,
+        devirt,
         netboot: (
             netboot.read_throughput_mbps(),
             netboot.write_throughput_mbps(),

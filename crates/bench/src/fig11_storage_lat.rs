@@ -6,27 +6,15 @@
 //! service queues behind it — "this blocking time was measured as the
 //! latency overhead" (+4.3 ms in the paper).
 
+use crate::platform::{finish, Platform};
 use crate::{Check, Figure, Row, Scale};
-use bmcast::config::{BmcastConfig, Moderation};
+use bmcast::config::Moderation;
 use bmcast::deploy::Runner;
-use bmcast::machine::MachineSpec;
 use bmcast::programs::{FioProgram, IopingProgram};
 use bmcast_baselines::netboot::NetbootPlan;
 use guestsim::workload::fio::FioJob;
 use guestsim::workload::ioping::IopingJob;
 use hwsim::block::Lba;
-use simkit::{SimDuration, SimTime};
-
-fn spec(scale: Scale) -> MachineSpec {
-    match scale {
-        Scale::Paper => MachineSpec::default(),
-        Scale::Quick => MachineSpec {
-            capacity_sectors: (2u64 << 30) / 512,
-            image_sectors: (1u64 << 30) / 512,
-            ..MachineSpec::default()
-        },
-    }
-}
 
 fn probe_job(scale: Scale, start: Lba) -> IopingJob {
     let mut j = IopingJob::paper(start);
@@ -38,23 +26,18 @@ fn probe_job(scale: Scale, start: Lba) -> IopingJob {
 
 /// Lays out the probed file (ioping creates its test file first), then
 /// measures mean probe latency in milliseconds.
-fn probe_latency_ms(runner: &mut Runner, scale: Scale, file: Lba) -> f64 {
+fn probe_latency_ms(runner: &mut Runner, scale: Scale) -> f64 {
+    let file = Lba(1 << 16);
     let layout = FioJob {
         write: true,
         total_bytes: probe_job(scale, file).file_bytes,
         block_bytes: 1 << 20,
         start: file,
     };
-    runner.start_program(Box::new(FioProgram::new(layout)));
-    runner
-        .run_to_finish(runner.now() + SimDuration::from_secs(300))
-        .expect("layout finishes");
+    finish(runner, FioProgram::new(layout));
     let before_n = runner.machine().guest.io_latency.len();
     let before_sum = runner.machine().guest.io_latency.mean() * before_n as f64;
-    runner.start_program(Box::new(IopingProgram::new(probe_job(scale, file), 77)));
-    runner
-        .run_to_finish(runner.now() + SimDuration::from_secs(3_600))
-        .expect("probes finish");
+    finish(runner, IopingProgram::new(probe_job(scale, file), 77));
     let n = runner.machine().guest.io_latency.len();
     let sum = runner.machine().guest.io_latency.mean() * n as f64;
     (sum - before_sum) / (n - before_n) as f64 * 1e3
@@ -75,35 +58,15 @@ pub struct StorageLatResults {
 
 /// Runs the measurements.
 pub fn measure(scale: Scale) -> StorageLatResults {
-    let spec = spec(scale);
-    let file = Lba(1 << 16);
+    let spec = scale.spec(2 << 30, 1 << 30);
+    let probe = |platform: Platform| probe_latency_ms(&mut platform.runner(&spec), scale);
 
-    let mut bare = Runner::bare_metal(&spec);
-    let baremetal = probe_latency_ms(&mut bare, scale, file);
-
+    let baremetal = probe(Platform::Baremetal);
     // Deploy: ioping probes once per second — far below the moderation
     // threshold, so the copier keeps writing at full pace and probes
     // queue behind its 1-MB writes (the paper's +4.3 ms).
-    let mut deploying = Runner::bmcast(
-        &spec,
-        BmcastConfig {
-            moderation: Moderation::default(),
-            ..BmcastConfig::default()
-        },
-    );
-    let deploy = probe_latency_ms(&mut deploying, scale, file);
-
-    let mut devirted = Runner::bmcast(
-        &spec,
-        BmcastConfig {
-            moderation: Moderation::full_speed(),
-            ..BmcastConfig::default()
-        },
-    );
-    devirted
-        .run_to_bare_metal(SimTime::from_secs(4 * 3600))
-        .expect("deployment completes");
-    let devirt = probe_latency_ms(&mut devirted, scale, file);
+    let deploy = probe(Platform::Deploy(Moderation::default()));
+    let devirt = probe(Platform::Devirt { resident: false });
 
     StorageLatResults {
         baremetal,

@@ -8,14 +8,14 @@
 //! trades off along the sweep, and the *sum* stays below bare metal
 //! because the two streams seek against each other.
 
+use crate::platform::{finish, Platform};
 use crate::{Check, Figure, Row, Scale};
-use bmcast::config::{BmcastConfig, Moderation};
+use bmcast::config::Moderation;
 use bmcast::deploy::Runner;
-use bmcast::machine::MachineSpec;
 use bmcast::programs::{FioProgram, StreamProgram};
 use guestsim::workload::fio::FioJob;
 use hwsim::block::{BlockRange, Lba};
-use simkit::{SimDuration, SimTime};
+use simkit::SimDuration;
 
 /// The swept VMM-write intervals, as labels + values (`None` =
 /// full-speed).
@@ -40,20 +40,8 @@ pub struct SweepPoint {
     pub vmm_mbps: f64,
 }
 
-fn spec(scale: Scale) -> MachineSpec {
-    match scale {
-        Scale::Paper => MachineSpec::default(),
-        Scale::Quick => MachineSpec {
-            capacity_sectors: (2u64 << 30) / 512,
-            image_sectors: (1u64 << 30) / 512,
-            ..MachineSpec::default()
-        },
-    }
-}
-
 /// Measures one sweep point.
 pub fn measure_point(scale: Scale, guest_write: bool, interval: Option<SimDuration>) -> SweepPoint {
-    let spec = spec(scale);
     let moderation = match interval {
         Some(d) => Moderation {
             guest_io_threshold_per_sec: f64::INFINITY,
@@ -63,28 +51,22 @@ pub fn measure_point(scale: Scale, guest_write: bool, interval: Option<SimDurati
         },
         None => Moderation::full_speed(),
     };
-    let mut runner = Runner::bmcast(
-        &spec,
-        BmcastConfig {
-            moderation,
-            ..BmcastConfig::default()
-        },
-    );
+    let mut runner = Platform::Deploy(moderation).runner(&scale.spec(2 << 30, 1 << 30));
     // Lay out the guest's file so its stream never redirects.
     let file = Lba(1 << 16);
     let file_bytes: u64 = match scale {
         Scale::Paper => 256 << 20,
         Scale::Quick => 64 << 20,
     };
-    runner.start_program(Box::new(FioProgram::new(FioJob {
-        write: true,
-        total_bytes: file_bytes,
-        block_bytes: 1 << 20,
-        start: file,
-    })));
-    runner
-        .run_to_finish(runner.now() + SimTime::from_secs(600).duration_since(SimTime::ZERO))
-        .expect("layout finishes");
+    finish(
+        &mut runner,
+        FioProgram::new(FioJob {
+            write: true,
+            total_bytes: file_bytes,
+            block_bytes: 1 << 20,
+            start: file,
+        }),
+    );
 
     // Measure over a fixed window.
     let window = match scale {

@@ -9,16 +9,16 @@
 //! byte-identically) without touching the filesystem.
 
 use crate::faults::FAULT_SEED;
+use crate::platform::finish;
 use crate::Scale;
 use bmcast::config::{BmcastConfig, Moderation};
 use bmcast::deploy::{FlightRecorderConfig, PhaseTimings, Runner};
-use bmcast::machine::MachineSpec;
 use bmcast::programs::FioProgram;
 use guestsim::workload::fio::FioJob;
 use hwsim::block::Lba;
 use simkit::fault::FaultPlan;
 use simkit::metrics::LogHistogram;
-use simkit::{MetricsSnapshot, SampleRow, SimDuration, SimTime, Span};
+use simkit::{MetricsSnapshot, SampleRow, SimTime, Span};
 use std::fmt::Write as _;
 
 /// Finished spans the telemetry report lists at its end.
@@ -44,17 +44,6 @@ pub struct FlightRun {
     pub bare_metal_at: SimTime,
 }
 
-fn spec(scale: Scale) -> MachineSpec {
-    match scale {
-        Scale::Paper => MachineSpec::default(),
-        Scale::Quick => MachineSpec {
-            capacity_sectors: (1u64 << 30) / 512,
-            image_sectors: (256u64 << 20) / 512,
-            ..MachineSpec::default()
-        },
-    }
-}
-
 /// Runs one deployment with the full flight recorder attached, at its
 /// default sizes.
 ///
@@ -65,9 +54,10 @@ fn spec(scale: Scale) -> MachineSpec {
 ///
 /// # Panics
 ///
-/// Panics if the preset name is unknown or the deployment fails.
+/// Panics if the preset name is unknown, the guest's read does not
+/// finish or the deployment fails.
 pub fn record(scale: Scale, fault_preset: Option<&str>) -> FlightRun {
-    let spec = spec(scale);
+    let spec = scale.spec(1 << 30, 256 << 20);
     let plan = match fault_preset {
         Some(name) => FaultPlan::preset(name, FAULT_SEED).expect("known fault preset"),
         None => {
@@ -90,13 +80,15 @@ pub fn record(scale: Scale, fault_preset: Option<&str>) -> FlightRun {
         Scale::Paper => 64u64 << 20,
         Scale::Quick => 8 << 20,
     };
-    runner.start_program(Box::new(FioProgram::new(FioJob {
-        write: false,
-        total_bytes: read_bytes,
-        block_bytes: 1 << 20,
-        start: Lba(1 << 16),
-    })));
-    runner.run_to_finish(runner.now() + SimDuration::from_secs(600));
+    finish(
+        &mut runner,
+        FioProgram::new(FioJob {
+            write: false,
+            total_bytes: read_bytes,
+            block_bytes: 1 << 20,
+            start: Lba(1 << 16),
+        }),
+    );
     let bare_metal_at = runner
         .run_to_bare_metal(SimTime::from_secs(4 * 3600))
         .expect("flight-recorded deployment completes");

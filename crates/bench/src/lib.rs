@@ -28,6 +28,7 @@ pub mod fig13_ib_lat;
 pub mod fig14_moderation;
 pub mod flight;
 pub mod obs;
+pub mod platform;
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -49,6 +49,12 @@ fn redirect_children_sum_to_parent() {
         .filter(|s| s.kind == "io.redirect")
         .collect();
     assert!(!parents.is_empty(), "guest read-ahead forces redirects");
+    let reads = run.metrics.histogram("guest.io_latency_us");
+    assert_eq!(
+        reads.map(|h| h.count()),
+        Some(8),
+        "the guest's 8 MiB read completes all eight of its 1 MiB blocks"
+    );
     for p in parents {
         let children: Vec<&Span> = run.spans.iter().filter(|s| s.parent == p.id).collect();
         assert_eq!(
